@@ -58,17 +58,24 @@ let with_domains domains t = { t with domains }
 (* Canonical serialization and content address                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Length-prefixed strings and hex-notation floats keep the
-   serialization injective: no two distinct field values render to the
-   same byte string, and floats round-trip exactly. *)
+(* Length-prefixed strings and fixed-width floats keep the serialization
+   injective: no two distinct field values render to the same byte
+   string, and a float renders as its exact IEEE-754 bits, 16 hex
+   digits. *)
 
 let add_s b s =
   Buffer.add_string b (string_of_int (String.length s));
   Buffer.add_char b ':';
   Buffer.add_string b s
 
+let hex_digits = "0123456789abcdef"
+
 let add_f b (x : float) =
-  Buffer.add_string b (Printf.sprintf "%h;" x)
+  let bits = Int64.bits_of_float x in
+  for i = 15 downto 0 do
+    Buffer.add_char b
+      hex_digits.[Int64.to_int (Int64.shift_right_logical bits (4 * i)) land 15]
+  done
 
 let add_i b (i : int) =
   Buffer.add_string b (string_of_int i);
@@ -76,8 +83,41 @@ let add_i b (i : int) =
 
 let add_b b (v : bool) = Buffer.add_char b (if v then '1' else '0')
 
+(* MD5s of recent sources, per domain, found by physical identity: the
+   specs of one grid share one source string, so keying them digests
+   the text once. An entry holds its string alive, so no other string
+   can reuse its address while it is remembered. *)
+type src_memo = {
+  m_srcs : string array;
+  m_digests : string array;
+  mutable m_next : int;  (** round-robin replacement slot *)
+}
+
+let src_memo_size = 8
+
+let src_memo : src_memo Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { m_srcs = Array.make src_memo_size "";
+        m_digests = Array.make src_memo_size (Digest.string "");
+        m_next = 0 })
+
+let source_digest (src : string) : Digest.t =
+  let m = Domain.DLS.get src_memo in
+  let rec find i =
+    if i = src_memo_size then begin
+      let d = Digest.string src in
+      m.m_srcs.(m.m_next) <- src;
+      m.m_digests.(m.m_next) <- d;
+      m.m_next <- (m.m_next + 1) mod src_memo_size;
+      d
+    end
+    else if m.m_srcs.(i) == src then m.m_digests.(i)
+    else find (i + 1)
+  in
+  find 0
+
 let add_program b t =
-  add_s b t.source;
+  add_s b (source_digest t.source);
   List.iter
     (fun (name, v) ->
       add_s b name;
@@ -124,27 +164,35 @@ let add_lib b (l : Machine.Library.t) =
   add_f b c.Machine.Params.msg_latency;
   add_f b c.Machine.Params.token_latency
 
-let program_digest t =
-  let b = Buffer.create 256 in
-  add_program b t;
+(* one serialization buffer per domain, cleared per digest *)
+let key_buf : Buffer.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Buffer.create 256)
+
+let digest_with fill t =
+  let b = Domain.DLS.get key_buf in
+  Buffer.clear b;
+  fill b t;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+let program_digest t = digest_with add_program t
+
 let key t =
-  let b = Buffer.create 512 in
-  add_program b t;
-  add_config b t.config;
-  add_machine b t.machine;
-  add_lib b t.lib;
-  let pr, pc = t.mesh in
-  add_i b pr;
-  add_i b pc;
-  add_s b (Machine.Topology.name t.topology);
-  add_b b t.row_path;
-  add_b b t.fuse;
-  add_b b t.cse;
-  add_b b t.wire;
-  add_b b t.check;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  digest_with
+    (fun b t ->
+      add_program b t;
+      add_config b t.config;
+      add_machine b t.machine;
+      add_lib b t.lib;
+      let pr, pc = t.mesh in
+      add_i b pr;
+      add_i b pc;
+      add_s b (Machine.Topology.name t.topology);
+      add_b b t.row_path;
+      add_b b t.fuse;
+      add_b b t.cse;
+      add_b b t.wire;
+      add_b b t.check)
+    t
 
 let equal a b = String.equal (key a) (key b)
 

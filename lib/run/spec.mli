@@ -85,18 +85,23 @@ val with_check : bool -> t -> t
 val with_limit : int -> t -> t
 val with_domains : int -> t -> t
 
-(** Digest of the program inputs alone (source + canonicalized
-    defines) — the sub-key the parsed-program memo uses, so six rows
-    over one benchmark parse it once. *)
+(** Digest of the program inputs alone (the source's MD5 plus the
+    canonicalized defines) — the sub-key the parsed-program memo uses,
+    so six rows over one benchmark parse it once. *)
 val program_digest : t -> string
 
 (** Content address of the spec: a digest over every field that can
     change a compiled artifact — program inputs, config, machine
     parameters, library kind and costs, mesh, topology,
-    [row_path]/[fuse]/[cse]/[wire]/[check]. [limit] and [domains] are excluded: they only
-    parameterize the mutable engine, never the plans (property-tested).
-    Serialization is canonical: floats are rendered exactly (hex
-    notation), defines are sorted. *)
+    [row_path]/[fuse]/[cse]/[wire]/[check]. [limit] and [domains] are
+    excluded: they only parameterize the mutable engine, never the plans
+    (property-tested). Serialization is canonical and injective: the
+    source enters as its MD5, strings are length-prefixed, floats are
+    written as their IEEE-754 bits in hex, defines are sorted. Each
+    domain remembers the MD5s of its last few sources by physical
+    identity, so keying the specs of a grid that share one source string
+    digests the text once; equal sources that are distinct strings get
+    the same key. *)
 val key : t -> string
 
 (** Key equality: same compiled artifacts. Runtime-only knobs ([limit],

@@ -44,7 +44,7 @@ let reset_memo t =
   Mutex.unlock t.memo_lock
 
 let memo_key (spec : Spec.t) =
-  Printf.sprintf "%s:%d" (Spec.key spec) spec.Spec.limit
+  Spec.key spec ^ ":" ^ string_of_int spec.Spec.limit
 
 let memo_find t key =
   Mutex.lock t.memo_lock;

@@ -54,7 +54,8 @@ val reset_memo : t -> unit
 
 (** [run t items] simulates every item not yet in [t]'s memo, answering
     compiled artifacts from [t]'s cache, over [domains] pool workers
-    (default 1; results and their order are independent of the value).
+    (default: {!Sim.Pool}'s width, [Domain.recommended_domain_count ()];
+    results and their order are independent of the value).
     [out], when given, receives the incremental JSON artifact: an object
     whose ["sweep"] array grows row by row, closed with the summary
     fields ["specs"], ["hits"], ["misses"], ["memo_hits"],

@@ -10,18 +10,9 @@ type piece = {
   rect : Zpl.Region.t;  (** 2-D rectangle in global coordinates *)
 }
 
-val sign : int -> int
-
 (** The part of [info]'s declared region owned by a processor (full rank;
     dimension 2 of rank-3 arrays is kept whole). *)
 val owned_of : Layout.t -> Zpl.Prog.array_info -> int -> Zpl.Region.t
-
-(** First two dimensions of a region. *)
-val two_d : Zpl.Region.t -> Zpl.Region.t
-
-(** Candidate neighbor mesh deltas for an offset: row-side, column-side,
-    diagonal — whichever components are nonzero. *)
-val neighbor_deltas : int * int -> (int * int) list
 
 (** Rectangles processor [p] must receive for [info] shifted by [off];
     empty at mesh edges and when [p] owns nothing of the array. *)
@@ -50,10 +41,15 @@ type partner_pieces = {
 }
 
 (** Group the send or receive pieces of a (possibly combined) transfer by
-    partner. The rect order within a partner is the canonical message
-    layout: sender and receiver pack/unpack staging buffers in this order,
-    so both sides agree on every member piece's offset by construction. *)
+    partner, partners ascending. The rect order within a partner is the
+    canonical message layout: sender and receiver pack/unpack staging
+    buffers in this order, so both sides agree on every member piece's
+    offset by construction. [owned q aid] gives processor [q]'s owned
+    region of array [aid] (default {!owned_of}); a caller holding
+    per-rank stores passes their owned boxes rather than recomputing
+    them. *)
 val partner_sides :
+  ?owned:(int -> int -> Zpl.Region.t) ->
   Layout.t ->
   Zpl.Prog.t ->
   arrays:int list ->

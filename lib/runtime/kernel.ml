@@ -286,7 +286,8 @@ let rec compile_env (ws : ws) (e : Zpl.Prog.aexpr) :
 type rowctx = {
   rstore : int -> Store.t;
       (** array id -> storage of the right geometry (shape-only is fine:
-          only rank, strides and extents are consulted at compile time) *)
+          only rank and strides are consulted at compile time, and the
+          engine's per-geometry-class sharing relies on that) *)
   rws : ws;  (** workspace slot allocator for this plan set *)
 }
 

@@ -96,8 +96,11 @@ val make_env :
 type rowctx = {
   rstore : int -> Store.t;
       (** array id -> storage of the target geometry. Shape-only stores
-          ({!Store.make_shape}) suffice: only rank, strides and extents
-          are consulted at compile time. *)
+          ({!Store.make_shape}) suffice: only each array's rank and
+          strides are consulted at compile time. Compilation must read
+          nothing else of a store — the engine shares one compiled
+          program among all ranks whose stores agree on rank and
+          strides. *)
   rws : ws;  (** the plan set's workspace allocator *)
 }
 

@@ -193,9 +193,10 @@ type plans = {
   p_refchecks : Runtime.Kernel.refs array;
       (** per op index: the rhs's (array, shift) reads, extracted once *)
   p_kern : kprog array;
-      (** per rank: the compiled, store-agnostic kernel program. Ranks
-          need distinct plans because uneven block splits give their
-          stores different strides, so the flat shifts differ. *)
+      (** per rank: the compiled, store-agnostic kernel program of its
+          geometry class. Ranks of one class share it physically; uneven
+          block splits give other classes' stores different strides, so
+          their flat shifts differ. *)
 }
 
 (* Blocked-state encoding. An option-of-variant would allocate on every
@@ -375,10 +376,12 @@ let build_plan (layout : Runtime.Layout.t) (prog : Zpl.Prog.t)
       { recv_sides = recvs.(p); send_sides = sends.(p) })
 
 (** Compile the wire blueprints of one transfer: per processor, per
-    partner, the blit descriptors against shape-only stores. *)
+    partner, the blit descriptors against shape-only stores, whose owned
+    boxes also give the pieces. *)
 let build_wblue (layout : Runtime.Layout.t) (prog : Zpl.Prog.t)
     (x : Ir.Transfer.t) ~(shapes : Runtime.Store.t array array)
     ~(topo : Machine.Topology.t) ~pr ~pc : wbpair array =
+  let owned q aid = Runtime.Store.owned shapes.(q).(aid) in
   let collect p dir =
     Array.of_list
       (List.map
@@ -393,8 +396,8 @@ let build_wblue (layout : Runtime.Layout.t) (prog : Zpl.Prog.t)
                Machine.Topology.route topo ~pr ~pc ~src:p
                  ~dst:pp.Runtime.Halo.pp_partner;
              b_link = -1 })
-         (Runtime.Halo.partner_sides layout prog ~arrays:x.Ir.Transfer.arrays
-            ~off:x.Ir.Transfer.off ~p ~dir))
+         (Runtime.Halo.partner_sides ~owned layout prog
+            ~arrays:x.Ir.Transfer.arrays ~off:x.Ir.Transfer.off ~p ~dir))
   in
   Array.init (Array.length shapes) (fun p ->
       { b_recv = collect p `Recv; b_send = collect p `Send })
@@ -592,46 +595,62 @@ let plan ?(row_path = true) ?(fuse = true) ?(cse = true) ?(wire = true)
   let fuse_len =
     if fuse && row_path then fuse_groups flat else Array.make nops 0
   in
-  (* Store-agnostic kernel compilation, once per rank at plan time.
-     Engines minted from this plan set never compile kernels — they
-     bind stores through a per-engine env. Individual plans are built
-     even for fused-group members: they back the unfused fallback when
-     a group's fused plan is [None], and mid-group jump targets. *)
+  (* Store-agnostic kernel compilation at plan time. Engines minted
+     from this plan set never compile kernels — they bind stores through
+     a per-engine env. Individual plans are built even for fused-group
+     members: they back the unfused fallback when a group's fused plan
+     is [None], and mid-group jump targets. *)
+  let compile_kprog (shape : Runtime.Store.t array) =
+    let ws = Runtime.Kernel.make_ws () in
+    let rc = { Runtime.Kernel.rstore = (fun aid -> shape.(aid)); rws = ws } in
+    let k_ops =
+      Array.map
+        (function
+          | Ir.Flat.FKernel a ->
+              KAssign (Runtime.Kernel.plan_assign ~row:row_path rc a)
+          | Ir.Flat.FReduce r ->
+              KReduce (Runtime.Kernel.plan_reduce ~row:row_path rc r)
+          | Ir.Flat.FCollPart w ->
+              KReduce
+                (Runtime.Kernel.plan_reduce ~row:row_path rc w.Ir.Instr.cw_red)
+          | _ -> KNone)
+        ops
+    in
+    let k_fused = Array.make nops None in
+    Array.iteri
+      (fun idx glen ->
+        if glen >= 2 then begin
+          let stmts =
+            Array.init glen (fun k ->
+                match ops.(idx + k) with
+                | Ir.Flat.FKernel a -> a
+                | _ -> assert false)
+          in
+          k_fused.(idx) <- Runtime.Kernel.plan_fused ~cse rc stmts
+        end)
+      fuse_len;
+    { k_ops; k_fused; k_spec = Runtime.Kernel.ws_spec ws }
+  in
+  (* The kernel compiler reads only each array's rank and strides from
+     its store, so ranks whose stores agree on that whole vector — one
+     geometry class — share one program, compiled for the first rank of
+     the class. *)
+  let classes = Hashtbl.create 16 in
   let p_kern =
-    Array.init nprocs (fun rank ->
-        let ws = Runtime.Kernel.make_ws () in
-        let rc =
-          { Runtime.Kernel.rstore = (fun aid -> shapes.(rank).(aid));
-            rws = ws }
-        in
-        let k_ops =
+    Array.map
+      (fun shape ->
+        let geom =
           Array.map
-            (function
-              | Ir.Flat.FKernel a ->
-                  KAssign (Runtime.Kernel.plan_assign ~row:row_path rc a)
-              | Ir.Flat.FReduce r ->
-                  KReduce (Runtime.Kernel.plan_reduce ~row:row_path rc r)
-              | Ir.Flat.FCollPart w ->
-                  KReduce
-                    (Runtime.Kernel.plan_reduce ~row:row_path rc
-                       w.Ir.Instr.cw_red)
-              | _ -> KNone)
-            ops
+            (fun s -> Array.init (Runtime.Store.rank s) (Runtime.Store.stride s))
+            shape
         in
-        let k_fused = Array.make nops None in
-        Array.iteri
-          (fun idx glen ->
-            if glen >= 2 then begin
-              let stmts =
-                Array.init glen (fun k ->
-                    match ops.(idx + k) with
-                    | Ir.Flat.FKernel a -> a
-                    | _ -> assert false)
-              in
-              k_fused.(idx) <- Runtime.Kernel.plan_fused ~cse rc stmts
-            end)
-          fuse_len;
-        { k_ops; k_fused; k_spec = Runtime.Kernel.ws_spec ws })
+        match Hashtbl.find_opt classes geom with
+        | Some k -> k
+        | None ->
+            let k = compile_kprog shape in
+            Hashtbl.add classes geom k;
+            k)
+      shapes
   in
   { p_flat = flat;
     p_machine = machine;
@@ -847,6 +866,12 @@ let of_plans ?(limit = 1_000_000_000) ?(domains = 1) (sp : plans) : t =
   t
 
 let shared_plans (t : t) = t.shared
+
+let kernel_classes (sp : plans) =
+  Array.fold_left
+    (fun seen k -> if List.memq k seen then seen else k :: seen)
+    [] sp.p_kern
+  |> List.length
 
 (* ------------------------------------------------------------------ *)
 (* Mail and the runnable ring                                          *)

@@ -30,10 +30,12 @@ exception Instruction_limit of int
 (** The immutable, shareable half of an engine: the compiled comm
     schedule bound to a layout, the wire blit plans, the collective role
     tables, the fused-group partition, the reference-check tables, and
-    the per-rank store-agnostic kernel programs (row/fused/CSE plans
-    compiled against shape-only stores — see the store-binding contract
-    in [Runtime.Kernel]). Engines minted from one [plans] value by
-    {!of_plans} share all of it physically ([==]); only per-engine
+    the store-agnostic kernel programs (row/fused/CSE plans compiled
+    against shape-only stores — see the store-binding contract in
+    [Runtime.Kernel]), one per geometry class: ranks whose stores agree
+    on every array's rank and strides share one program. Engines minted
+    from one [plans] value by {!of_plans} share all of it physically
+    ([==]); only per-engine
     mutable state (stores, kernel workspaces, mailboxes, staging pools,
     statistics) is rebuilt — {e no kernel compilation happens at mint
     time}. This is the unit [Run.Cache] stores, keyed by [Run.Spec]. *)
@@ -82,6 +84,11 @@ val of_plans : ?limit:int -> ?domains:int -> plans -> t
     answer with physically equal ([==]) values iff they share plans —
     the cache-hit property [Run.Cache]'s tests assert. *)
 val shared_plans : t -> plans
+
+(** Number of physically distinct kernel programs in a plan set: one
+    per geometry class (ranks agreeing on every array's rank and
+    strides). *)
+val kernel_classes : plans -> int
 
 type result = {
   time : float;  (** makespan over processors *)

@@ -227,6 +227,144 @@ let test_paragon_machine_is_slower () =
   Alcotest.(check bool) "50 MHz Paragon slower than 150 MHz T3D" true
     (t Machine.Paragon.machine > t Machine.T3d.machine)
 
+(* ------------------------------------------------------------------ *)
+(* Kernel programs: one per geometry class                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Distinct vectors of (rank, strides) over every array of a minted
+   engine's real stores: the geometry classes the kernel compiler must
+   tell apart. *)
+let geometries (eng : Sim.Engine.t) =
+  Array.to_list (Sim.Engine.procs eng)
+  |> List.map (fun p ->
+         Array.map
+           (fun s -> Array.init (Runtime.Store.rank s) (Runtime.Store.stride s))
+           (Sim.Engine.proc_stores p))
+  |> List.sort_uniq compare |> List.length
+
+let test_even_mesh_classes () =
+  let p = Programs.Suite.compile ~scale:`Bench Programs.Suite.tomcatv in
+  let flat = Ir.Flat.flatten (Opt.Passes.compile Opt.Config.pl_cum p) in
+  let plans =
+    Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm ~pr:8
+      ~pc:8 flat
+  in
+  let k = Sim.Engine.kernel_classes plans in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d kernel programs for 64 ranks (at most 9)" k)
+    true (k <= 9);
+  Alcotest.(check int) "one shared program per geometry class"
+    (geometries (Sim.Engine.of_plans plans))
+    k
+
+(* S lives in rows 1..2 only, so on meshes that split rows, ranks below
+   the first mesh row own nothing of S (or T) and form their own class. *)
+let partial_src =
+  {|
+constant n = 8;
+region R = [1..n, 1..n];
+region BigR = [0..n+1, 0..n+1];
+direction e = [0, 1]; direction w = [0, -1];
+direction no = [-1, 0]; direction s = [1, 0];
+var A, B : [BigR] float;
+var S, T : [1..2, 0..n+1] float;
+var total : float;
+var t : int;
+procedure main();
+begin
+  [BigR] A := Index1 + 10.0 * Index2;
+  for t := 1 to 2 do
+    [R] B := 0.25 * (A@e + A@w + A@no + A@s);
+    [1..2, 1..n] S := A@e - A@w + B;
+    [1..2, 1..n] T := S@e + S@w;
+    [1..1, 1..n] T := T + S@s;
+    [1..2, 1..n] total := +<< T;
+    [R] A := B;
+  end;
+end;
+|}
+
+let bits_equal name (a : float array) (b : float array) =
+  Alcotest.(check bool) name true
+    (Array.length a = Array.length b
+    && Array.for_all2
+         (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+         a b)
+
+(* One plan set, two engines minted from it: both runs must agree bit
+   for bit, and with the sequential oracle on every array cell. Returns
+   the plan set's kernel class count and the first engine. *)
+let check_shared_classes name (c : compiled) ~lib ~pr ~pc =
+  let plans =
+    Sim.Engine.plan ~machine:Machine.T3d.machine ~lib ~pr ~pc c.flat
+  in
+  let first = Sim.Engine.run (Sim.Engine.of_plans plans) in
+  let again = Sim.Engine.run (Sim.Engine.of_plans plans) in
+  Alcotest.(check int64) (name ^ ": makespan bits")
+    (Int64.bits_of_float first.Sim.Engine.time)
+    (Int64.bits_of_float again.Sim.Engine.time);
+  Alcotest.(check int) (name ^ ": dynamic count")
+    (Sim.Stats.dynamic_count first.Sim.Engine.stats)
+    (Sim.Stats.dynamic_count again.Sim.Engine.stats);
+  Array.iteri
+    (fun aid (info : Zpl.Prog.array_info) ->
+      let gathered (r : Sim.Engine.result) =
+        Runtime.Store.to_array (Sim.Engine.gather r.Sim.Engine.engine aid)
+      in
+      bits_equal
+        (Printf.sprintf "%s: %s equal across mints" name info.a_name)
+        (gathered first) (gathered again))
+    c.prog.Zpl.Prog.arrays;
+  (match first_divergence ~tolerance:0.0 c first (run_oracle c) with
+  | None -> ()
+  | Some d -> Alcotest.failf "%s: %a" name pp_divergence d);
+  let k = Sim.Engine.kernel_classes plans in
+  Alcotest.(check int) (name ^ ": one program per geometry class")
+    (geometries first.Sim.Engine.engine)
+    k;
+  (k, first.Sim.Engine.engine)
+
+let uneven_meshes = [ (3, 3); (1, 5); (5, 1) ]
+
+let test_uneven_mesh_classes () =
+  List.iter
+    (fun (b : Programs.Bench_def.t) ->
+      List.iter
+        (fun (label, config, lib) ->
+          let c =
+            compile ~config ~defines:b.Programs.Bench_def.test_defines
+              b.Programs.Bench_def.source
+          in
+          List.iter
+            (fun (pr, pc) ->
+              let name =
+                Printf.sprintf "%s/%s/%dx%d" b.Programs.Bench_def.name label pr
+                  pc
+              in
+              let k, _ = check_shared_classes name c ~lib ~pr ~pc in
+              if b == Programs.Suite.tomcatv && pr = 3 then
+                Alcotest.(check bool) (name ^ ": several classes") true (k > 1))
+            uneven_meshes)
+        Report.Experiment.paper_rows)
+    Programs.Suite.paper_benchmarks
+
+let test_empty_owner_class () =
+  let c = compile partial_src in
+  List.iter
+    (fun (pr, pc) ->
+      let name = Printf.sprintf "partial/%dx%d" pr pc in
+      let k, eng = check_shared_classes name c ~lib:Machine.T3d.pvm ~pr ~pc in
+      if pr > 1 then begin
+        let owns_no_s p =
+          Zpl.Region.is_empty
+            (Runtime.Store.owned (Sim.Engine.proc_stores p).(2))
+        in
+        Alcotest.(check bool) (name ^ ": some rank owns nothing of S") true
+          (Array.exists owns_no_s (Sim.Engine.procs eng));
+        Alcotest.(check bool) (name ^ ": several classes") true (k > 1)
+      end)
+    uneven_meshes
+
 let () =
   Alcotest.run "engine"
     [ ( "execution",
@@ -238,6 +376,13 @@ let () =
             test_fusion_engages_on_tomcatv;
           Alcotest.test_case "parallel drain == serial" `Quick
             test_parallel_drain_matches_serial ] );
+      ( "geometry classes",
+        [ Alcotest.test_case "even 8x8 mesh shares programs" `Quick
+            test_even_mesh_classes;
+          Alcotest.test_case "uneven meshes == oracle and mint" `Quick
+            test_uneven_mesh_classes;
+          Alcotest.test_case "rank owning nothing of an array" `Quick
+            test_empty_owner_class ] );
       ( "models",
         [ Alcotest.test_case "library ordering" `Quick test_library_overheads_ordered;
           Alcotest.test_case "optimization helps" `Quick test_baseline_slower_than_optimized;

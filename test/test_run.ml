@@ -114,6 +114,31 @@ let test_defines_canonical () =
   Alcotest.(check string) "same program digest" (Run.Spec.program_digest s1)
     (Run.Spec.program_digest s2)
 
+(* The key folds in the source's MD5, remembered per domain by physical
+   identity: a copy of the text is a different string with the same
+   content, so it must key the same, on this domain and on another; a
+   one-byte edit and a one-ulp define change must not. *)
+let test_source_digest_key () =
+  let b = Run.Spec.with_defines [ ("n", 8.0) ] (base ()) in
+  let copy = String.init (String.length src) (String.get src) in
+  Alcotest.(check bool) "the copy is a distinct string" false (copy == src);
+  let c = { b with Run.Spec.source = copy } in
+  let keys (s : Run.Spec.t) = (Run.Spec.key s, Run.Spec.program_digest s) in
+  let pair = Alcotest.(pair string string) in
+  Alcotest.check pair "equal content, same key" (keys b) (keys c);
+  Alcotest.check pair "same key on a second domain" (keys b)
+    (Domain.join (Domain.spawn (fun () -> keys c)));
+  let edited =
+    String.mapi (fun i ch -> if i = String.length src / 2 then '#' else ch) src
+  in
+  Alcotest.(check bool) "a one-byte source edit changes the key" false
+    (String.equal (Run.Spec.key b) (Run.Spec.key { b with Run.Spec.source = edited }));
+  let ulp = Run.Spec.with_defines [ ("n", Float.succ 8.0) ] b in
+  Alcotest.(check bool) "a last-ulp define change changes the key" false
+    (String.equal (Run.Spec.key b) (Run.Spec.key ulp));
+  Alcotest.(check bool) "and the program digest" false
+    (String.equal (Run.Spec.program_digest b) (Run.Spec.program_digest ulp))
+
 (* qcheck: a random subset of knob flips keys equal iff the subset is
    empty, while limit/domains perturbations never affect the key *)
 let prop_key_iff_knobs =
@@ -469,6 +494,8 @@ let () =
             test_single_flip_misses;
           Alcotest.test_case "limit/domains excluded from key" `Quick
             test_runtime_knobs_excluded;
+          Alcotest.test_case "source digested by content" `Quick
+            test_source_digest_key;
           Alcotest.test_case "defines order canonical" `Quick
             test_defines_canonical;
           QCheck_alcotest.to_alcotest prop_key_iff_knobs;
