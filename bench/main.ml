@@ -10,8 +10,8 @@
                                          throughput + serial vs parallel
                                          grid wall time; writes
                                          BENCH_kernel.json
-    dune exec bench/main.exe -- --comm   wire-plan vs legacy communication
-                                         runtime: 2-node ping micro plus a
+    dune exec bench/main.exe -- --comm   wire-plan communication runtime:
+                                         2-node ping micro plus a
                                          comm-heavy tomcatv grid; writes
                                          BENCH_comm.json
     dune exec bench/main.exe -- --collective
@@ -391,13 +391,12 @@ let write_kernel_json path (kb : kernel_bench) =
     (num_entries (kernel_numbers kb))
 
 (* --------------------------------------------------------------- *)
-(* Communication benchmark: wire plans vs legacy extract/inject      *)
+(* Communication benchmark: wire-plan runtime throughput            *)
 (* --------------------------------------------------------------- *)
 
 type comm_path = {
   cp_msgs : int;  (** messages per run *)
   cp_bytes : int;  (** payload bytes per run *)
-  cp_acts : int;  (** comm activations (transfer sides) per run *)
   cp_msgs_per_sec : float;
   cp_bytes_per_sec : float;
   cp_minor_words : float;  (** minor words allocated per run (run phase) *)
@@ -413,70 +412,55 @@ let activations (st : Sim.Stats.t) =
       n + pp.Sim.Stats.xfers_recv + pp.Sim.Stats.xfers_sent)
     0 st.Sim.Stats.procs
 
-(** One timed trial of a compiled program under one communication
-    runtime. Engine construction (wire-plan compilation included) stays
-    inside the timed region, so the wire path is charged for its own
-    planning — amortized over the program's iterations, exactly as a
-    real run would pay it. Minor words are sampled around the run phase
-    only, since [make]-time allocation is the planned one-off cost. *)
-let comm_trial ~wire ~budget ~lib ~pr ~pc (c : Commopt.compiled) =
-  let msgs = ref 0 and bytes = ref 0 and acts = ref 0 in
+(** One timed trial of a compiled program. Engine construction
+    (wire-plan compilation included) stays inside the timed region, so
+    the runtime is charged for its own planning — amortized over the
+    program's iterations, exactly as a real run would pay it. Minor
+    words are sampled around the run phase only, since plan-time
+    allocation is the planned one-off cost. *)
+let comm_trial ~budget ~lib ~pr ~pc (c : Commopt.compiled) =
+  let msgs = ref 0 and bytes = ref 0 in
   let mw = ref 0.0 in
   let runs, total =
     repeat_for ~budget (fun () ->
         let engine =
           Sim.Engine.of_plans
-            (Sim.Engine.plan ~wire ~machine:Machine.T3d.machine ~lib ~pr ~pc
-               c.flat)
+            (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib ~pr ~pc c.flat)
         in
         let w0 = Gc.minor_words () in
         let result = Sim.Engine.run engine in
         mw := Gc.minor_words () -. w0;
         let st = result.Sim.Engine.stats in
         msgs := Sim.Stats.total_messages st;
-        bytes := Sim.Stats.total_bytes st;
-        acts := activations st)
+        bytes := Sim.Stats.total_bytes st)
   in
   { cp_msgs = !msgs;
     cp_bytes = !bytes;
-    cp_acts = !acts;
     cp_msgs_per_sec = float_of_int (!msgs * runs) /. total;
     cp_bytes_per_sec = float_of_int (!bytes * runs) /. total;
     cp_minor_words = !mw }
 
-(** Best of three interleaved trials per runtime, starting path rotated
-    across trials — same noise discipline as {!bench_paths}. *)
-let bench_comm_pair ?(lib = Machine.T3d.pvm) ~pr ~pc ~budget c =
-  let best = [| None; None |] (* 0 = wire, 1 = legacy *) in
-  let seen = [| []; [] |] in
-  for trial = 0 to 2 do
-    for j = 0 to 1 do
-      let i = (j + trial) mod 2 in
-      let r = comm_trial ~wire:(i = 0) ~budget ~lib ~pr ~pc c in
-      seen.(i) <- r.cp_msgs_per_sec :: seen.(i);
-      match best.(i) with
-      | Some b when b.cp_msgs_per_sec >= r.cp_msgs_per_sec -> ()
-      | _ -> best.(i) <- Some r
-    done
-  done;
-  Array.iter note_spread seen;
-  match (best.(0), best.(1)) with
-  | Some w, Some l -> (w, l)
-  | _ -> assert false
+(** Best of three trials — interference only ever subtracts throughput,
+    the same noise discipline as {!bench_paths}. *)
+let bench_comm_grid ?(lib = Machine.T3d.pvm) ~pr ~pc ~budget c =
+  let trials = List.init 3 (fun _ -> comm_trial ~budget ~lib ~pr ~pc c) in
+  note_spread (List.map (fun r -> r.cp_msgs_per_sec) trials);
+  List.fold_left
+    (fun b r -> if r.cp_msgs_per_sec > b.cp_msgs_per_sec then r else b)
+    (List.hd trials) (List.tl trials)
 
 type ping_path = {
   pp_msgs : int;  (** messages per run *)
   pp_bytes : int;  (** payload bytes per run *)
-  pp_acts : int;  (** comm activations per run *)
   pp_exposed_sec : float;  (** per-run wall minus the busy twin's *)
   pp_mwpa : float;  (** minor words per activation, busy-subtracted *)
 }
 
 (** Best (minimum) per-run wall seconds within [budget], run-phase
-    minor words, and stats for make+run of one compiled program under
-    one communication runtime. Interference only ever slows a run
-    down, so the minimum is the estimate closest to the true cost. *)
-let run_once ~wire ~budget (c : Commopt.compiled) =
+    minor words, and stats for plan+run of one compiled program.
+    Interference only ever slows a run down, so the minimum is the
+    estimate closest to the true cost. *)
+let run_once ~budget (c : Commopt.compiled) =
   let mw = ref 0.0 and st = ref None in
   let best = ref infinity in
   let spent = ref 0.0 and runs = ref 0 in
@@ -485,7 +469,7 @@ let run_once ~wire ~budget (c : Commopt.compiled) =
       wall (fun () ->
           let engine =
             Sim.Engine.of_plans
-              (Sim.Engine.plan ~wire ~machine:Machine.T3d.machine
+              (Sim.Engine.plan ~machine:Machine.T3d.machine
                  ~lib:Machine.T3d.pvm ~pr:1 ~pc:2 c.flat)
           in
           let w0 = Gc.minor_words () in
@@ -499,42 +483,33 @@ let run_once ~wire ~budget (c : Commopt.compiled) =
   done;
   (!best, !mw, Option.get !st)
 
-(** Figure 6's methodology applied to the runtime comparison: time the
+(** Figure 6's methodology applied to the runtime: time the
     communicating program and its communication-free twin, and report
     the {e exposed} per-run cost — what the communication runtime alone
-    adds. Raw wall ratios understate the optimization because both
-    programs spend most of their time in (identical) single-statement
-    kernel execution and interpreter dispatch; the subtraction isolates
-    the code the wire plans actually replace.
+    adds. Raw wall time understates it because both programs spend most
+    of their time in (identical) single-statement kernel execution and
+    interpreter dispatch; the subtraction isolates the comm path.
 
-    Noise discipline: the busy twin contains no messages, so its wall
-    time cannot depend on which communication runtime is selected —
-    both runtimes' twin runs sample the {e same} quantity, and the
-    minimum across all of them is one shared busy floor. Using a single
-    floor (rather than per-runtime twins) halves the independent
-    measurements entering each difference, which is what tames the
-    variance of a small subtracted signal. All four series are timed in
-    interleaved rounds so a slow phase of the machine cannot land on
-    one series; minima are kept per series. Exposures are clamped at
-    1ns — on a loaded machine the wire exposure can sink below the
-    noise floor, and a ratio against the clamp overstates; read very
-    small exposures with suspicion. *)
-let ping_pair ~budget (comm : Commopt.compiled) (busy : Commopt.compiled) =
+    Noise discipline: both series are timed in interleaved rounds so a
+    slow phase of the machine cannot land on one series; minima are kept
+    per series. Exposures are clamped at 1ns — on a loaded machine the
+    exposure can sink below the noise floor; read very small exposures
+    with suspicion. *)
+let ping_exposed ~budget (comm : Commopt.compiled) (busy : Commopt.compiled) =
   (* One unmeasured run of each program shape: the first run after a
      compile pays cold caches and page faults, which would otherwise
      land entirely on whichever series is measured first. *)
-  ignore (run_once ~wire:true ~budget:0.0 comm);
-  ignore (run_once ~wire:true ~budget:0.0 busy);
-  let series = [| (true, comm); (false, comm); (true, busy); (false, busy) |] in
-  let best = Array.make 4 infinity in
-  let seen = Array.make 4 [] in
-  let mw = Array.make 4 0.0 in
+  ignore (run_once ~budget:0.0 comm);
+  ignore (run_once ~budget:0.0 busy);
+  let series = [| comm; busy |] in
+  let best = Array.make 2 infinity in
+  let seen = Array.make 2 [] in
+  let mw = Array.make 2 0.0 in
   let stats = ref None in
   for round = 0 to 2 do
-    for j = 0 to 3 do
-      let i = (j + round) mod 4 in
-      let wire, prog = series.(i) in
-      let sec, words, st = run_once ~wire ~budget:(budget /. 12.) prog in
+    for j = 0 to 1 do
+      let i = (j + round) mod 2 in
+      let sec, words, st = run_once ~budget:(budget /. 6.) series.(i) in
       seen.(i) <- sec :: seen.(i);
       if sec < best.(i) then best.(i) <- sec;
       mw.(i) <- words;
@@ -543,18 +518,11 @@ let ping_pair ~budget (comm : Commopt.compiled) (busy : Commopt.compiled) =
   done;
   Array.iter note_spread seen;
   let st = Option.get !stats in
-  let acts = float_of_int (activations st) in
-  let busy_floor = Float.min best.(2) best.(3) in
-  let path i =
-    { pp_msgs = Sim.Stats.total_messages st;
-      pp_bytes = Sim.Stats.total_bytes st;
-      pp_acts = activations st;
-      pp_exposed_sec = Float.max 1e-9 (best.(i) -. busy_floor);
-      (* Allocation is deterministic, so the subtraction pairs each
-         runtime with its own twin run. *)
-      pp_mwpa = (mw.(i) -. mw.(i + 2)) /. acts }
-  in
-  (path 0, path 1)
+  { pp_msgs = Sim.Stats.total_messages st;
+    pp_bytes = Sim.Stats.total_bytes st;
+    pp_exposed_sec = Float.max 1e-9 (best.(0) -. best.(1));
+    (* allocation is deterministic, so one run of each pairs exactly *)
+    pp_mwpa = (mw.(0) -. mw.(1)) /. float_of_int (activations st) }
 
 let ping_msgs_per_sec (p : ping_path) =
   float_of_int p.pp_msgs /. p.pp_exposed_sec
@@ -562,18 +530,12 @@ let ping_msgs_per_sec (p : ping_path) =
 let ping_bytes_per_sec (p : ping_path) =
   float_of_int p.pp_bytes /. p.pp_exposed_sec
 
-type comm_bench = {
-  cb_ping_wire : ping_path;
-  cb_ping_legacy : ping_path;
-  cb_grid_wire : comm_path;
-  cb_grid_legacy : comm_path;
-}
+type comm_bench = { cb_ping : ping_path; cb_grid : comm_path }
 
 (** The ping microbenchmark is the combine-heavy two-node synthetic:
     eight member arrays cross east as one cc-combined message per
-    iteration, so every message carries eight pieces — one pooled pack
-    on the wire path, eight extract allocations plus a boxed payload
-    list on the legacy path. It is compiled with combining but without
+    iteration, so every message carries eight pieces packed into one
+    pooled staging buffer. It is compiled with combining but without
     redundancy removal, so the single-statement loop body legitimately
     re-transfers every iteration and the non-communication noise floor
     stays minimal (see {!Programs.Synthetic.combined_source}). The grid
@@ -591,7 +553,7 @@ let run_comm_bench ~scale () =
     compile ~config:cc_only ~defines Programs.Synthetic.combined_busy_source
   in
   let budget = match scale with `Bench -> 3.0 | `Test -> 0.3 in
-  let pw, pl = ping_pair ~budget ping busy in
+  let cb_ping = ping_exposed ~budget ping busy in
   let grid_defines =
     match scale with
     | `Bench -> [ ("n", 128.); ("iters", 10.) ]
@@ -601,38 +563,27 @@ let run_comm_bench ~scale () =
     compile ~config:Opt.Config.pl_cum ~defines:grid_defines
       Programs.Tomcatv.source
   in
-  let gw, gl = bench_comm_pair ~pr:4 ~pc:4 ~budget grid in
-  { cb_ping_wire = pw;
-    cb_ping_legacy = pl;
-    cb_grid_wire = gw;
-    cb_grid_legacy = gl }
+  { cb_ping; cb_grid = bench_comm_grid ~pr:4 ~pc:4 ~budget grid }
 
+(** The keys keep the [wire] infix of the artifacts written while a
+    second runtime existed, so old baselines stay comparable. *)
 let comm_numbers (cb : comm_bench) : (string * float) list =
-  let pw = cb.cb_ping_wire and pl = cb.cb_ping_legacy in
-  let gw = cb.cb_grid_wire and gl = cb.cb_grid_legacy in
-  [ ("ping_msgs_per_run", float_of_int pw.pp_msgs);
-    ("ping_wire_msgs_per_sec", ping_msgs_per_sec pw);
-    ("ping_wire_bytes_per_sec", ping_bytes_per_sec pw);
-    ("ping_legacy_msgs_per_sec", ping_msgs_per_sec pl);
-    ("ping_legacy_bytes_per_sec", ping_bytes_per_sec pl);
-    ( "ping_wire_vs_legacy_speedup",
-      ping_msgs_per_sec pw /. ping_msgs_per_sec pl );
-    ("ping_wire_minor_words_per_activation", pw.pp_mwpa);
-    ("ping_legacy_minor_words_per_activation", pl.pp_mwpa);
-    ("tomcatv_msgs_per_run", float_of_int gw.cp_msgs);
-    ("tomcatv_wire_msgs_per_sec", gw.cp_msgs_per_sec);
-    ("tomcatv_wire_bytes_per_sec", gw.cp_bytes_per_sec);
-    ("tomcatv_legacy_msgs_per_sec", gl.cp_msgs_per_sec);
-    ("tomcatv_legacy_bytes_per_sec", gl.cp_bytes_per_sec);
-    ("tomcatv_wire_vs_legacy_speedup", gw.cp_msgs_per_sec /. gl.cp_msgs_per_sec);
-    ( "tomcatv_minor_words_saved_per_msg",
-      (gl.cp_minor_words -. gw.cp_minor_words) /. float_of_int gw.cp_msgs ) ]
+  let p = cb.cb_ping and g = cb.cb_grid in
+  [ ("ping_msgs_per_run", float_of_int p.pp_msgs);
+    ("ping_wire_msgs_per_sec", ping_msgs_per_sec p);
+    ("ping_wire_bytes_per_sec", ping_bytes_per_sec p);
+    ("ping_wire_minor_words_per_activation", p.pp_mwpa);
+    ("tomcatv_msgs_per_run", float_of_int g.cp_msgs);
+    ("tomcatv_wire_msgs_per_sec", g.cp_msgs_per_sec);
+    ("tomcatv_wire_bytes_per_sec", g.cp_bytes_per_sec);
+    ( "tomcatv_minor_words_per_msg",
+      g.cp_minor_words /. float_of_int g.cp_msgs ) ]
 
 let write_comm_json path (cb : comm_bench) =
   write_bench_json path
     ~benchmark:
-      "wire-plan vs legacy communication runtime (T3D pvm): 2-node ping \
-       micro + tomcatv 4x4 grid"
+      "wire-plan communication runtime (T3D pvm): 2-node ping micro + \
+       tomcatv 4x4 grid"
     (num_entries (comm_numbers cb))
 
 (* --------------------------------------------------------------- *)
@@ -1143,9 +1094,7 @@ let print_coll_bench ?baseline ~scale () =
       gate ~baseline:file ~unit:"/sec" (coll_regressions ~baseline:file grid)
 
 (** Same ≥5% gate as {!kernel_regressions}, over every throughput key
-    of the comm benchmark (wire and legacy alike — an accidental
-    slowdown of either runtime is signal). Ratios and allocation counts
-    are informational only. *)
+    of the comm benchmark. Allocation counts are informational only. *)
 let comm_regressions ~baseline (cb : comm_bench) =
   let base = baseline_numbers baseline in
   List.filter_map
@@ -1159,37 +1108,21 @@ let comm_regressions ~baseline (cb : comm_bench) =
 
 let print_comm_bench ?baseline ~scale () =
   let cb = run_comm_bench ~scale () in
-  let line name (w : comm_path) (l : comm_path) =
-    Printf.sprintf
-      "%s (%d msgs, %d bytes per run):\n\
-      \  wire plans     : %12.0f msgs/sec  %14.0f bytes/sec\n\
-      \  legacy path    : %12.0f msgs/sec  %14.0f bytes/sec\n\
-      \  speedup        : %.2fx messages/sec"
-      name w.cp_msgs w.cp_bytes w.cp_msgs_per_sec w.cp_bytes_per_sec
-      l.cp_msgs_per_sec l.cp_bytes_per_sec
-      (w.cp_msgs_per_sec /. l.cp_msgs_per_sec)
-  in
-  let pw = cb.cb_ping_wire and pl = cb.cb_ping_legacy in
-  section "Communication benchmark: wire plans vs legacy extract/inject"
+  let p = cb.cb_ping and g = cb.cb_grid in
+  section "Communication benchmark: wire-plan runtime"
     (Printf.sprintf
        "Build profile: %s (flambda: %b)\n\
         Ping (1x2 mesh, 8 member pieces per combined message, exposed cost — \
-        busy twin subtracted):\n\
-       \  wire plans     : %12.0f msgs/sec  %14.0f bytes/sec\n\
-       \  legacy path    : %12.0f msgs/sec  %14.0f bytes/sec\n\
-       \  speedup        : %.2fx messages/sec (%d msgs/run)\n\
-       \  minor words per activation (busy-subtracted): wire %.2f, legacy \
-        %.2f\n\
-        %s\n\
-       \  minor words saved per message: %.0f"
-       Build_info.profile Build_info.flambda (ping_msgs_per_sec pw)
-       (ping_bytes_per_sec pw) (ping_msgs_per_sec pl) (ping_bytes_per_sec pl)
-       (ping_msgs_per_sec pw /. ping_msgs_per_sec pl)
-       pw.pp_msgs pw.pp_mwpa pl.pp_mwpa
-       (line "TOMCATV (4x4 mesh, raw whole-program)" cb.cb_grid_wire
-          cb.cb_grid_legacy)
-       ((cb.cb_grid_legacy.cp_minor_words -. cb.cb_grid_wire.cp_minor_words)
-       /. float_of_int cb.cb_grid_wire.cp_msgs));
+        busy twin subtracted, %d msgs/run):\n\
+       \  %12.0f msgs/sec  %14.0f bytes/sec\n\
+       \  minor words per activation (busy-subtracted): %.2f\n\
+        TOMCATV (4x4 mesh, raw whole-program, %d msgs, %d bytes per run):\n\
+       \  %12.0f msgs/sec  %14.0f bytes/sec\n\
+       \  minor words per message: %.1f"
+       Build_info.profile Build_info.flambda p.pp_msgs (ping_msgs_per_sec p)
+       (ping_bytes_per_sec p) p.pp_mwpa g.cp_msgs g.cp_bytes g.cp_msgs_per_sec
+       g.cp_bytes_per_sec
+       (g.cp_minor_words /. float_of_int g.cp_msgs));
   if scale = `Bench then begin
     write_comm_json "BENCH_comm.json" cb;
     Printf.printf "\nWrote BENCH_comm.json\n"
@@ -1460,7 +1393,7 @@ let main =
             ( `Comm,
               info [ "comm" ]
                 ~doc:
-                  "wire-plan vs legacy communication runtime; writes \
+                  "wire-plan communication runtime throughput; writes \
                    BENCH_comm.json" );
             ( `Collective,
               info [ "collective" ]

@@ -383,13 +383,12 @@ let run_cmd =
   let verify_arg =
     Arg.(value & flag & info [ "verify" ] ~doc:"check against the sequential oracle")
   in
-  let run src spec verify_flag check_flag no_fuse no_cse domains no_wire =
+  let run src spec verify_flag check_flag no_fuse no_cse =
     Cmdline.handle (fun () ->
         let spec =
           let open Run.Spec in
           spec |> with_check check_flag |> with_fuse (not no_fuse)
-          |> with_cse (not no_cse) |> with_wire (not no_wire)
-          |> match domains with None -> Fun.id | Some d -> with_domains d
+          |> with_cse (not no_cse)
         in
         let cache = Run.Cache.create () in
         let c = of_spec ~cache spec in
@@ -424,8 +423,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"simulate a program on a machine model")
     Term.(
       const run $ Cmdline.src_arg $ Cmdline.spec_term $ verify_arg
-      $ Cmdline.check_arg $ Cmdline.no_fuse_arg $ Cmdline.no_cse_arg
-      $ Cmdline.domains_arg $ Cmdline.no_wire_arg)
+      $ Cmdline.check_arg $ Cmdline.no_fuse_arg $ Cmdline.no_cse_arg)
 
 let bench_cmd =
   let name_arg =

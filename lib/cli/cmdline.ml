@@ -179,22 +179,6 @@ let no_cse_arg =
     & info [ "no-cse" ]
         ~doc:"disable common-subexpression row temporaries in fused kernels")
 
-let no_wire_arg =
-  Arg.(
-    value & flag
-    & info [ "no-wire" ]
-        ~doc:
-          "use the legacy extract/inject communication path instead of \
-           pre-compiled wire plans (results are bit-identical; for \
-           differential testing and benchmarking)")
-
-let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"drain independent simulated processors over N OCaml domains")
-
 (* -------------------------------------------------------------- *)
 (* Flags shared by the bench harness                               *)
 (* -------------------------------------------------------------- *)

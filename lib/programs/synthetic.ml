@@ -60,9 +60,8 @@ let defines ~doubles ~busyn ~iters =
 (** Combine-heavy variant for the communication-runtime benchmark:
     eight member arrays cross east in {e one} combined message per
     iteration (the [cc] pass merges the eight same-shaped transfers),
-    so every message carries eight pieces — the case the wire-plan
-    runtime packs into a single pooled staging buffer while the legacy
-    path pays one extract allocation per piece. The loop body is a
+    so every message carries eight pieces, which the wire-plan runtime
+    packs into a single pooled staging buffer. The loop body is a
     single statement: compile it {e without} redundancy removal
     (e.g. [{ baseline with cc = true }]) so the repeated transfers
     survive, which keeps the non-communication share of each iteration

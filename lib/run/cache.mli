@@ -52,7 +52,7 @@ val find : t -> Spec.t -> Spec.artifact * bool
 val artifact : t -> Spec.t -> Spec.artifact
 
 (** A fresh engine around the (cached or just-compiled) shared plans,
-    using the spec's [limit] and [domains]. *)
+    using the spec's [limit]. *)
 val engine : t -> Spec.t -> Sim.Engine.t
 
 (** [run t spec] — {!engine} and run it to completion. *)

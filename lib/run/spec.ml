@@ -9,10 +9,8 @@ type t = {
   row_path : bool;
   fuse : bool;
   cse : bool;
-  wire : bool;
   check : bool;
   limit : int;
-  domains : int;
 }
 
 let default source =
@@ -26,10 +24,8 @@ let default source =
     row_path = true;
     fuse = true;
     cse = true;
-    wire = true;
     check = false;
-    limit = 1_000_000_000;
-    domains = 1 }
+    limit = 1_000_000_000 }
 
 (* stable, so duplicate names keep their relative (semantic) order *)
 let canon_defines ds =
@@ -49,10 +45,8 @@ let with_topology topology t = { t with topology }
 let with_row_path row_path t = { t with row_path }
 let with_fuse fuse t = { t with fuse }
 let with_cse cse t = { t with cse }
-let with_wire wire t = { t with wire }
 let with_check check t = { t with check }
 let with_limit limit t = { t with limit }
-let with_domains domains t = { t with domains }
 
 (* ------------------------------------------------------------------ *)
 (* Canonical serialization and content address                         *)
@@ -190,7 +184,6 @@ let key t =
       add_b b t.row_path;
       add_b b t.fuse;
       add_b b t.cse;
-      add_b b t.wire;
       add_b b t.check)
     t
 
@@ -198,7 +191,7 @@ let equal a b = String.equal (key a) (key b)
 
 let pp ppf t =
   let pr, pc = t.mesh in
-  Fmt.pf ppf "spec{%s, %s on %s/%s, %dx%d%s%s%s%s%s%s}"
+  Fmt.pf ppf "spec{%s, %s on %s/%s, %dx%d%s%s%s%s%s}"
     (String.sub (program_digest t) 0 8)
     (Opt.Config.name t.config)
     t.machine.Machine.Params.name
@@ -210,7 +203,6 @@ let pp ppf t =
     (if t.row_path then "" else ", no-row-path")
     (if t.fuse then "" else ", no-fuse")
     (if t.cse then "" else ", no-cse")
-    (if t.wire then "" else ", no-wire")
     (if t.check then ", check" else "")
 
 (* ------------------------------------------------------------------ *)
@@ -239,14 +231,13 @@ let build ?prog (spec : t) : artifact =
   let pr, pc = spec.mesh in
   let plans =
     Sim.Engine.plan ~row_path:spec.row_path ~fuse:spec.fuse ~cse:spec.cse
-      ~wire:spec.wire ~topology:spec.topology ~machine:spec.machine
-      ~lib:spec.lib ~pr ~pc flat
+      ~topology:spec.topology ~machine:spec.machine ~lib:spec.lib ~pr ~pc
+      flat
   in
   { a_spec = spec; a_prog = prog; a_ir = ir; a_flat = flat; a_plans = plans }
 
 let engine_of (a : artifact) : Sim.Engine.t =
-  Sim.Engine.of_plans ~limit:a.a_spec.limit ~domains:a.a_spec.domains
-    a.a_plans
+  Sim.Engine.of_plans ~limit:a.a_spec.limit a.a_plans
 
 let run (spec : t) : Sim.Engine.result =
   Sim.Engine.run (engine_of (build spec))

@@ -22,8 +22,7 @@ type t = {
           flat contention-free model, bit-identical to the pre-topology
           engine; [Mesh]/[Torus] route every message dimension-order
           over the [pr x pc] grid with per-link occupancy, and steer
-          the collective cost search. Non-ideal topologies force the
-          serial drain ([domains] is ignored). *)
+          the collective cost search. *)
   row_path : bool;
       (** allow the row-compiled kernels; [false] forces the per-point
           oracle path everywhere (default true) *)
@@ -35,25 +34,12 @@ type t = {
       (** let fused groups hoist repeated shifted-read subterms into row
           temporaries computed once per row; results are bit-identical
           either way (default true; effective only under [fuse]) *)
-  wire : bool;
-      (** pre-compiled wire-plan communication runtime: per-(transfer,
-          partner) blit plans packing all member pieces into one pooled
-          staging buffer per message, with dense ring mailboxes —
-          steady-state communication allocates nothing. [false] keeps
-          the legacy extract/inject path with hashed queues; simulated
-          times, statistics and results are bit-identical either way
-          (property-tested), so the flag exists for differential tests
-          and honest benchmarking (default true) *)
   check : bool;
       (** run {!Analysis.Schedcheck} over the emitted schedule at
           compile time and fail on any diagnostic (default false) *)
   limit : int;
       (** instruction budget {e per processor} (default [1e9]). A pure
           run-time knob: it never changes compiled artifacts, so it is
-          excluded from {!key}. *)
-  domains : int;
-      (** host domains driving the engine's drain loop; results are
-          bit-identical for any value (default 1). Run-time only,
           excluded from {!key}. *)
 }
 
@@ -80,10 +66,8 @@ val with_topology : Machine.Topology.t -> t -> t
 val with_row_path : bool -> t -> t
 val with_fuse : bool -> t -> t
 val with_cse : bool -> t -> t
-val with_wire : bool -> t -> t
 val with_check : bool -> t -> t
 val with_limit : int -> t -> t
-val with_domains : int -> t -> t
 
 (** Digest of the program inputs alone (the source's MD5 plus the
     canonicalized defines) — the sub-key the parsed-program memo uses,
@@ -93,9 +77,8 @@ val program_digest : t -> string
 (** Content address of the spec: a digest over every field that can
     change a compiled artifact — program inputs, config, machine
     parameters, library kind and costs, mesh, topology,
-    [row_path]/[fuse]/[cse]/[wire]/[check]. [limit] and [domains] are
-    excluded: they only parameterize the mutable engine, never the plans
-    (property-tested). Serialization is canonical and injective: the
+    [row_path]/[fuse]/[cse]/[check]. [limit] is excluded: it only
+    parameterizes the mutable engine, never the plans (property-tested). Serialization is canonical and injective: the
     source enters as its MD5, strings are length-prefixed, floats are
     written as their IEEE-754 bits in hex, defines are sorted. Each
     domain remembers the MD5s of its last few sources by physical
@@ -104,8 +87,8 @@ val program_digest : t -> string
     the same key. *)
 val key : t -> string
 
-(** Key equality: same compiled artifacts. Runtime-only knobs ([limit],
-    [domains]) are ignored, like in {!key}. *)
+(** Key equality: same compiled artifacts. The runtime-only [limit] is
+    ignored, like in {!key}. *)
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
@@ -129,7 +112,7 @@ type artifact = private {
 val build : ?prog:Zpl.Prog.t -> t -> artifact
 
 (** A fresh engine over an artifact's shared plans, using the spec's
-    [limit] and [domains]. *)
+    [limit]. *)
 val engine_of : artifact -> Sim.Engine.t
 
 (** Compile (uncached) and run once. Measurement drivers that must not

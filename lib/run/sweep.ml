@@ -22,8 +22,8 @@ type summary = {
 }
 
 (* The memoized part of a row: the numbers the simulation determines.
-   Keyed by Spec.key plus the limit — the one runtime knob that can
-   change what a run computes (by truncating it); domains never does. *)
+   Keyed by Spec.key plus the limit — the runtime knob that can change
+   what a run computes (by truncating it). *)
 type memo_row = { m_time : float; m_static : int; m_dynamic : int }
 
 type t = {

@@ -82,8 +82,8 @@ let piece_cells (info : Zpl.Prog.array_info) (pc : piece) =
   if info.a_rank = 2 then plane
   else plane * Zpl.Region.range_size (Zpl.Region.dim info.a_region 2)
 
-(** Extend a 2-D piece rectangle to the array's full rank for extraction
-    and injection. *)
+(** Extend a 2-D piece rectangle to the array's full rank for packing
+    and unpacking. *)
 let full_rect (info : Zpl.Prog.array_info) (pc : piece) : Zpl.Region.t =
   if info.a_rank = 2 then pc.rect
   else [| pc.rect.(0); pc.rect.(1); Zpl.Region.dim info.a_region 2 |]

@@ -29,7 +29,7 @@ val send_pieces :
 val piece_cells : Zpl.Prog.array_info -> piece -> int
 
 (** Extend a piece's 2-D rectangle to the array's full rank, for
-    extraction and injection. *)
+    packing and unpacking. *)
 val full_rect : Zpl.Prog.array_info -> piece -> Zpl.Region.t
 
 (** One partner's share of a transfer on one processor. *)

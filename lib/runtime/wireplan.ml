@@ -26,8 +26,6 @@ type t = {
   cells : int;  (** staging buffer size: total cells over all blits *)
 }
 
-let empty = { aid = [||]; store_off = [||]; stage_off = [||]; len = [||]; cells = 0 }
-
 let cells (p : t) = p.cells
 let blits (p : t) = Array.length p.len
 

@@ -12,9 +12,6 @@
 
 type t
 
-(** The zero-blit plan (legacy engine mode builds no descriptors). *)
-val empty : t
-
 (** Staging buffer size in cells (8 bytes each). *)
 val cells : t -> int
 

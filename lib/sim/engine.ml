@@ -9,39 +9,27 @@
     may safely run ahead of each other: a blocked processor resumes at
     [max(own clock, message arrival)], which yields exactly the same times
     as a global-clock event loop. Ties never matter, so the simulation is
-    fully deterministic.
-
-    That same order-independence makes the host-parallel drain possible:
-    with [domains > 1] the engine alternates a parallel phase, where a
-    {!Pool.t} runs every runnable processor's {e local} instructions
-    (kernels, scalar ops, jumps — per-processor state only), with a
-    serial phase that executes the communication and reduction calls
-    touching shared mailboxes. Virtual clocks are per-processor
-    arithmetic over the same values in the same order, so results and
-    times are bit-identical to the serial drain (property-tested).
+    fully deterministic. One host domain drains the runnable ring.
 
     Adjacent kernel statements that pass {!Runtime.Kernel.can_join} are
-    fused at [make] time: one region evaluation and one row traversal
+    fused at {!plan} time: one region evaluation and one row traversal
     execute the whole group, while time and statistics are still charged
     statement by statement — reports do not change.
 
-    {b The wire-plan communication runtime} (default, [~wire:true])
-    pre-compiles every (transfer, processor, partner) side at [make]
-    time into a {!Runtime.Wireplan.t} — flat blit descriptors against
-    the local stores — with all member-array pieces of one partner
-    packed into a single staging buffer drawn from a per-side pool.
-    Messages travel through dense ring mailboxes indexed by
-    (source, transfer, kind) instead of a tuple-keyed hash table, and
-    every hot-path float lives in an all-float record or float array, so
-    a steady-state communication activation allocates nothing: no
-    payload lists, no closures, no boxed floats (regression-tested with
-    [Gc.minor_words]). A staging buffer is acquired when the sender
-    packs it — the send-time snapshot the legacy path got from
-    [Store.extract] — and returns to the {e sender's} pool only when the
+    {b Communication} is compiled at {!plan} time: every (transfer,
+    processor, partner) side becomes a {!Runtime.Wireplan.t} — flat blit
+    descriptors against the local stores — with all member-array pieces
+    of one partner packed into a single staging buffer drawn from a
+    per-side pool. Messages travel through dense ring mailboxes indexed
+    by (source, transfer, kind), and every hot-path float lives in an
+    all-float record or float array, so a steady-state communication
+    activation allocates nothing: no payload lists, no closures, no
+    boxed floats (regression-tested with [Gc.minor_words]). A staging
+    buffer is acquired when the sender packs it — the send-time snapshot
+    of the fringe — and returns to the {e sender's} pool only when the
     receiver unpacks it, so senders running ahead simply deepen the pool
-    to the in-flight high-water mark. Simulated times, statistics, and
-    gathered results are bit-identical to the legacy path ([~wire:false],
-    kept verbatim for differential tests and honest benchmarking).
+    to the in-flight high-water mark. The tests check gathered results
+    against the sequential oracle ({!Runtime.Seqexec}).
 
     The network model charges per-message CPU overheads and per-byte
     copy/pack costs on the involved processors (the "software overhead"
@@ -53,30 +41,7 @@
     for [max (head arrival) (link free)], holds the link for the
     transfer time, and pays one wire latency — so concurrent traffic
     over a shared link serializes (see DESIGN.md). Link grants follow
-    drain execution order, which is deterministic because non-ideal
-    topologies force the serial drain. *)
-
-type msg_kind = Data | Token
-
-(** Legacy-path message: extracted payload buffers per member rect. *)
-type message = {
-  arrival : float;
-  payload : (int * Zpl.Region.t * Runtime.Store.buf) list;
-      (** per member array: (array id, full-rank rect, values) *)
-}
-
-(** One partner's share of a transfer on one processor (legacy path). *)
-type side = {
-  partner : int;
-  rects : (int * Zpl.Region.t) list;  (** (array id, full-rank rect) *)
-  bytes : int;
-  route : int array;
-      (** directed link ids from this proc to [partner] (data on send
-          sides, rendezvous tokens on recv sides); [[||]] under the
-          ideal topology *)
-}
-
-type xfer_plan = { recv_sides : side list; send_sides : side list }
+    the drain's execution order, which is deterministic. *)
 
 (** One partner's share of a transfer on one processor, wire-compiled:
     the blit plan against this processor's own stores, and the staging
@@ -94,13 +59,10 @@ type wside = {
 type wplan = { w_recv : wside array; w_send : wside array }
 
 (** One rank's side of one synthesized collective round
-    ({!Ir.Coll.role}, frozen at [make] time): at most one send partner
+    ({!Ir.Coll.role}, frozen at {!plan} time): at most one send partner
     and one receive partner, [c_count] scalar values per message. The
     send pool is owned; the receive pool aliases the sender's, exactly
-    like {!wside}. Collective rounds use the dense mailboxes in {e both}
-    engine modes — the payload is synthesized scalars, not array
-    fringes, so there is no legacy extract/inject variant to mirror and
-    wire/legacy bit-identity is structural. *)
+    like {!wside}. *)
 type cside = {
   c_to : int;  (** send partner, or -1 *)
   c_from : int;  (** receive partner, or -1 *)
@@ -179,13 +141,7 @@ type plans = {
   p_nx : int;  (** number of transfers *)
   p_nslots : int;  (** collective slots *)
   p_dissem : bool array;  (** per slot: needs the allgathered partials *)
-  p_has_coll : bool;
-  p_wire : bool;
-  p_row_path : bool;
-  p_fuse : bool;
-  p_cse : bool;
-  p_legacy : xfer_plan array array;  (** legacy: [transfer id].(proc) *)
-  p_wblue : wbpair array array;  (** wire: [transfer id].(proc) *)
+  p_wblue : wbpair array array;  (** [transfer id].(proc) *)
   p_colls : Ir.Coll.desc option array;  (** per transfer: collective tag *)
   p_cblue : cblue array array;  (** collective rounds: [transfer id].(proc) *)
   p_fuse_len : int array;
@@ -288,8 +244,7 @@ type proc = {
   posted : int array;  (** per transfer: outstanding posted receives *)
   send_done : float array;  (** per transfer: when the last send drained *)
   mutable reduce_seq : int;
-  mail : (int * int * msg_kind, message Queue.t) Hashtbl.t;  (** legacy *)
-  wmail : mbox array;  (** wire: dense (src, xfer, kind) mailboxes *)
+  wmail : mbox array;  (** dense (src, xfer, kind) mailboxes *)
   scratch : float array;
       (** unboxed hot-path temporaries: [0] max-arrival accumulator
           (also {!block_until_acc}'s argument), [1] per-byte unpack rate *)
@@ -321,13 +276,10 @@ type t = {
   topo_ideal : bool;  (** [topology = Ideal]: take the flat-cost path *)
   link_free : float array;
       (** per directed link: when it next frees up; [[||]] under ideal.
-          Mutated at send time in drain execution order, which is why
-          non-ideal topologies force [domains = 1]. *)
+          Mutated at send time in drain execution order. *)
   procs : proc array;
-  wire : bool;  (** wire-plan comm runtime vs. legacy extract/inject *)
   nx : int;  (** number of transfers *)
-  plans : xfer_plan array array;  (** legacy: [transfer id].(proc) *)
-  wplans : wplan array array;  (** wire: [transfer id].(proc) *)
+  wplans : wplan array array;  (** [transfer id].(proc) *)
   colls : Ir.Coll.desc option array;  (** per transfer: its collective tag *)
   csides : cside array array;  (** collective rounds: [transfer id].(proc) *)
   runnable : int array;  (** ring; capacity = nprocs ([queued] dedups) *)
@@ -336,10 +288,6 @@ type t = {
   reduce_slots : (int, reduce_slot) Hashtbl.t;
   stats : Stats.t;
   limit : int;
-  row_path : bool;  (** whether kernels may use the row-compiled path *)
-  fuse : bool;  (** whether adjacent kernels may fuse (needs row path) *)
-  cse : bool;  (** whether fused groups may hoist repeated subterms *)
-  domains : int;  (** host domains driving the drain loop *)
   kern : kprog array;  (** per rank: shared compiled kernel programs *)
   fuse_len : int array;
       (** per op index: length of the fused group starting there, or 0 *)
@@ -354,26 +302,6 @@ exception Instruction_limit of int
 (* ------------------------------------------------------------------ *)
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)
-
-let build_plan (layout : Runtime.Layout.t) (prog : Zpl.Prog.t)
-    (x : Ir.Transfer.t) ~nprocs ~(topo : Machine.Topology.t) ~pr ~pc :
-    xfer_plan array =
-  let collect dir =
-    Array.init nprocs (fun p ->
-        List.map
-          (fun (pp : Runtime.Halo.partner_pieces) ->
-            { partner = pp.Runtime.Halo.pp_partner;
-              rects = pp.Runtime.Halo.pp_rects;
-              bytes = 8 * pp.Runtime.Halo.pp_cells;
-              route =
-                Machine.Topology.route topo ~pr ~pc ~src:p
-                  ~dst:pp.Runtime.Halo.pp_partner })
-          (Runtime.Halo.partner_sides layout prog ~arrays:x.Ir.Transfer.arrays
-             ~off:x.Ir.Transfer.off ~p ~dir))
-  in
-  let recvs = collect `Recv and sends = collect `Send in
-  Array.init nprocs (fun p ->
-      { recv_sides = recvs.(p); send_sides = sends.(p) })
 
 (** Compile the wire blueprints of one transfer: per processor, per
     partner, the blit descriptors against shape-only stores, whose owned
@@ -477,7 +405,7 @@ let fuse_groups (flat : Ir.Flat.t) : int array =
   done;
   lens
 
-let plan ?(row_path = true) ?(fuse = true) ?(cse = true) ?(wire = true)
+let plan ?(row_path = true) ?(fuse = true) ?(cse = true)
     ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
     ~(lib : Machine.Library.t) ~pr ~pc (flat : Ir.Flat.t) : plans =
   let prog = flat.Ir.Flat.prog in
@@ -531,16 +459,6 @@ let plan ?(row_path = true) ?(fuse = true) ?(cse = true) ?(wire = true)
             dissem_slot.(w.Ir.Instr.cw_slot) <- true
       | _ -> ())
     flat.Ir.Flat.ops;
-  let p_legacy =
-    if wire then [||]
-    else
-      Array.map
-        (fun (x : Ir.Transfer.t) ->
-          if Ir.Transfer.is_coll x then
-            Array.init nprocs (fun _ -> { recv_sides = []; send_sides = [] })
-          else build_plan layout prog x ~nprocs ~topo:topology ~pr ~pc)
-        flat.Ir.Flat.transfers
-  in
   (* blit plans and row kernels only read shapes and strides, so
      compile both against data-free stores — no cell allocation at
      plan time. The geometry (rank, strides, allocation) is identical
@@ -556,20 +474,14 @@ let plan ?(row_path = true) ?(fuse = true) ?(cse = true) ?(wire = true)
           prog.Zpl.Prog.arrays)
   in
   let p_wblue =
-    if not wire then [||]
-    else begin
-      let bp =
-        Array.map
-          (fun (x : Ir.Transfer.t) ->
-            if Ir.Transfer.is_coll x then
-              Array.init nprocs (fun _ -> { b_recv = [||]; b_send = [||] })
-            else build_wblue layout prog x ~shapes ~topo:topology ~pr ~pc)
-          flat.Ir.Flat.transfers
-      in
-      Array.iteri link_wblue bp;
-      bp
-    end
+    Array.map
+      (fun (x : Ir.Transfer.t) ->
+        if Ir.Transfer.is_coll x then
+          Array.init nprocs (fun _ -> { b_recv = [||]; b_send = [||] })
+        else build_wblue layout prog x ~shapes ~topo:topology ~pr ~pc)
+      flat.Ir.Flat.transfers
   in
+  Array.iteri link_wblue p_wblue;
   let p_cblue =
     Array.map
       (fun (x : Ir.Transfer.t) ->
@@ -663,12 +575,6 @@ let plan ?(row_path = true) ?(fuse = true) ?(cse = true) ?(wire = true)
     p_nx = Array.length flat.Ir.Flat.transfers;
     p_nslots = nslots;
     p_dissem = dissem_slot;
-    p_has_coll = Array.exists Option.is_some colls;
-    p_wire = wire;
-    p_row_path = row_path;
-    p_fuse = fuse && row_path;
-    p_cse = cse;
-    p_legacy;
     p_wblue;
     p_colls = colls;
     p_cblue;
@@ -684,19 +590,14 @@ let plan ?(row_path = true) ?(fuse = true) ?(cse = true) ?(wire = true)
         ops;
     p_kern }
 
-let of_plans ?(limit = 1_000_000_000) ?(domains = 1) (sp : plans) : t =
+let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
   let flat = sp.p_flat in
   let prog = flat.Ir.Flat.prog in
   let layout = sp.p_layout in
   let topo_ideal = sp.p_topology = Machine.Topology.Ideal in
-  (* Per-link busy times are shared mutable state updated at send time;
-     under the parallel drain the batch boundaries would change the
-     update order, so non-ideal topologies always drain serially. *)
-  let domains = if topo_ideal then domains else 1 in
   let nprocs = Runtime.Layout.nprocs layout in
   let nx = sp.p_nx in
   let nslots = sp.p_nslots in
-  let wire = sp.p_wire in
   let procs =
     Array.init nprocs (fun rank ->
         let stores =
@@ -722,11 +623,7 @@ let of_plans ?(limit = 1_000_000_000) ?(domains = 1) (sp : plans) : t =
           posted = Array.make nx 0;
           send_done = Array.make nx 0.0;
           reduce_seq = 0;
-          mail = Hashtbl.create (if wire then 1 else 64);
-          wmail =
-            (if wire || sp.p_has_coll then
-               Array.make (nprocs * nx * 2) unused_mbox
-             else [||]);
+          wmail = Array.make (nprocs * nx * 2) unused_mbox;
           scratch = Array.make 2 0.0;
           cacc = Array.make nslots 0.0;
           cvals =
@@ -735,7 +632,7 @@ let of_plans ?(limit = 1_000_000_000) ?(domains = 1) (sp : plans) : t =
           kenv;
           stats = Stats.fresh_proc () })
   in
-  (* wire sides: shared blit plans, per-engine staging pools; receive
+  (* fringe sides: shared blit plans, per-engine staging pools; receive
      pools alias the matching sender's pool (resolved at plan time into
      [b_link]), so a consumed buffer is released to where the next send
      acquires *)
@@ -810,9 +707,7 @@ let of_plans ?(limit = 1_000_000_000) ?(domains = 1) (sp : plans) : t =
              (Machine.Topology.nlinks ~pr:sp.p_pr ~pc:sp.p_pc)
              0.0);
       procs;
-      wire;
       nx;
-      plans = sp.p_legacy;
       wplans;
       colls = sp.p_colls;
       csides;
@@ -822,35 +717,28 @@ let of_plans ?(limit = 1_000_000_000) ?(domains = 1) (sp : plans) : t =
       reduce_slots = Hashtbl.create 8;
       stats = Stats.make nprocs;
       limit;
-      row_path = sp.p_row_path;
-      fuse = sp.p_fuse;
-      cse = sp.p_cse;
-      domains = max 1 domains;
       kern = sp.p_kern;
       fuse_len = sp.p_fuse_len;
       refchecks = sp.p_refchecks }
   in
-  if wire then
-    Array.iteri
-      (fun xi wp ->
-        (* materialize exactly the mailbox slots some plan delivers to:
-           data flows sender -> receiver, tokens receiver -> sender *)
-        Array.iteri
-          (fun p plan ->
-            Array.iter
-              (fun (s : wside) ->
-                procs.(p).wmail.(wkey t ~src:s.w_partner ~xfer:xi kb_data) <-
-                  fresh_mbox ())
-              plan.w_recv;
-            Array.iter
-              (fun (s : wside) ->
-                procs.(p).wmail.(wkey t ~src:s.w_partner ~xfer:xi kb_token) <-
-                  fresh_mbox ())
-              plan.w_send)
-          wp)
-      wplans;
-  (* collective round mailboxes exist in both engine modes: data flows
-     sender -> receiver, rendezvous tokens receiver -> sender *)
+  (* materialize exactly the mailbox slots some plan delivers to: data
+     flows sender -> receiver, tokens receiver -> sender *)
+  Array.iteri
+    (fun xi wp ->
+      Array.iteri
+        (fun p plan ->
+          Array.iter
+            (fun (s : wside) ->
+              procs.(p).wmail.(wkey t ~src:s.w_partner ~xfer:xi kb_data) <-
+                fresh_mbox ())
+            plan.w_recv;
+          Array.iter
+            (fun (s : wside) ->
+              procs.(p).wmail.(wkey t ~src:s.w_partner ~xfer:xi kb_token) <-
+                fresh_mbox ())
+            plan.w_send)
+        wp)
+    wplans;
   Array.iteri
     (fun xi sides ->
       Array.iteri
@@ -877,14 +765,6 @@ let kernel_classes (sp : plans) =
 (* Mail and the runnable ring                                          *)
 (* ------------------------------------------------------------------ *)
 
-let mailbox (p : proc) key =
-  match Hashtbl.find_opt p.mail key with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.replace p.mail key q;
-      q
-
 let wake (t : t) (q : proc) =
   if (not q.halted) && not q.queued then begin
     q.queued <- true;
@@ -903,20 +783,7 @@ let take_runnable (t : t) : int =
     r
   end
 
-let deliver (t : t) ~(dest : int) ~key (m : message) =
-  let q = t.procs.(dest) in
-  Queue.push m (mailbox q key);
-  wake t q
-
-(** Legacy: partners of [sides] whose next message has not arrived. *)
-let missing_partners (p : proc) ~xfer ~kind (sides : side list) =
-  List.filter_map
-    (fun s ->
-      if Queue.is_empty (mailbox p (s.partner, xfer, kind)) then Some s.partner
-      else None)
-    sides
-
-(** Wire: true when every side's next message has arrived. Top-level
+(** True when every side's next message has arrived. Top-level
     recursion, not a local closure — the empty-mailbox check runs on
     every (possibly re-executed) wait and must not allocate. *)
 let rec all_arrived (t : t) (p : proc) ~xfer ~kind_bit (sides : wside array) i =
@@ -924,8 +791,8 @@ let rec all_arrived (t : t) (p : proc) ~xfer ~kind_bit (sides : wside array) i =
   || (p.wmail.(wkey t ~src:sides.(i).w_partner ~xfer kind_bit).mb_n > 0
      && all_arrived t p ~xfer ~kind_bit sides (i + 1))
 
-(** Wire: partners with no pending message — deadlock diagnostics only. *)
-let wire_missing (t : t) (p : proc) ~xfer ~kind_bit (sides : wside array) =
+(** Partners with no pending message — deadlock diagnostics only. *)
+let missing_partners (t : t) (p : proc) ~xfer ~kind_bit (sides : wside array) =
   Array.to_list sides
   |> List.filter_map (fun (s : wside) ->
          if p.wmail.(wkey t ~src:s.w_partner ~xfer kind_bit).mb_n = 0 then
@@ -937,11 +804,6 @@ let wire_missing (t : t) (p : proc) ~xfer ~kind_bit (sides : wside array) =
 (* ------------------------------------------------------------------ *)
 
 let costs (t : t) = t.lib.Machine.Library.costs
-
-let wire_time (t : t) bytes =
-  t.machine.Machine.Params.wire_latency
-  +. (costs t).Machine.Params.msg_latency
-  +. (float_of_int bytes /. t.machine.Machine.Params.bandwidth)
 
 let reduce_stage_cost (t : t) =
   let c = costs t in
@@ -1077,15 +939,9 @@ let charge_comm (p : proc) dt =
   p.time.fv <- p.time.fv +. dt;
   p.stats.Stats.times.Stats.comm_cpu <- p.stats.Stats.times.Stats.comm_cpu +. dt
 
-let block_until (p : proc) arrival =
-  if arrival > p.time.fv then begin
-    p.stats.Stats.times.Stats.wait <-
-      p.stats.Stats.times.Stats.wait +. (arrival -. p.time.fv);
-    p.time.fv <- arrival
-  end
-
-(** {!block_until} reading its argument from [scratch.(0)] — a float
-    parameter would be boxed at the call (no flambda), this is not. *)
+(** Wait until the arrival time held in [scratch.(0)], charging the gap
+    as wait time. The time travels through the scratch slot because a
+    float parameter would be boxed at the call (no flambda). *)
 let block_until_acc (p : proc) =
   let a = p.scratch.(0) in
   if a > p.time.fv then begin
@@ -1094,154 +950,13 @@ let block_until_acc (p : proc) =
     p.time.fv <- a
   end
 
-(* --- legacy path: extracted payloads through hashed queues --- *)
+(* --- fringe transfers: pooled staging buffers through ring mailboxes ---
 
-(** Extract the payload a side carries, from the sender's current blocks. *)
-let payload_of (p : proc) (s : side) =
-  List.map
-    (fun (aid, rect) -> (aid, rect, Runtime.Store.extract p.stores.(aid) rect))
-    s.rects
-
-let do_send (t : t) (p : proc) ~xfer (s : side) =
-  let c = costs t in
-  let cpu =
-    c.Machine.Params.sr_over
-    +. (float_of_int s.bytes *. c.Machine.Params.send_byte)
-  in
-  let payload = payload_of p s in
-  charge_comm p cpu;
-  let arrival =
-    if t.topo_ideal then p.time.fv +. wire_time t s.bytes
-    else
-      route_arrival t ~from_time:p.time.fv ~bytes:(float_of_int s.bytes)
-        s.route
-      +. c.Machine.Params.msg_latency
-  in
-  deliver t ~dest:s.partner ~key:(p.rank, xfer, Data) { arrival; payload };
-  p.send_done.(xfer) <-
-    Float.max p.send_done.(xfer)
-      (p.time.fv +. (float_of_int s.bytes /. t.machine.Machine.Params.bandwidth));
-  p.stats.Stats.msgs_sent <- p.stats.Stats.msgs_sent + 1;
-  p.stats.Stats.bytes_sent <- p.stats.Stats.bytes_sent + s.bytes
-
-let exec_comm_legacy (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) :
-    step =
-  let plan = t.plans.(xfer).(p.rank) in
-  let c = costs t in
-  match Machine.Library.semantics t.lib.Machine.Library.kind call with
-  | Machine.Library.No_op -> Continue
-  | Machine.Library.Post_recv ->
-      if plan.recv_sides <> [] then begin
-        charge_comm p
-          (float_of_int (List.length plan.recv_sides) *. c.Machine.Params.dr_over);
-        p.posted.(xfer) <- p.posted.(xfer) + 1
-      end;
-      Continue
-  | Machine.Library.Notify_ready ->
-      (* tell each upstream partner (a processor that will put into us)
-         that our fringe buffer is ready *)
-      List.iter
-        (fun s ->
-          charge_comm p c.Machine.Params.dr_over;
-          deliver t ~dest:s.partner ~key:(p.rank, xfer, Token)
-            { arrival =
-                (if t.topo_ideal then
-                   p.time.fv +. t.machine.Machine.Params.wire_latency
-                   +. (costs t).Machine.Params.token_latency
-                 else
-                   route_arrival t ~from_time:p.time.fv ~bytes:0.0 s.route
-                   +. c.Machine.Params.token_latency);
-              payload = [] })
-        plan.recv_sides;
-      Continue
-  | Machine.Library.Send_buffered ->
-      if plan.send_sides <> [] then begin
-        List.iter (do_send t p ~xfer) plan.send_sides;
-        p.stats.Stats.xfers_sent <- p.stats.Stats.xfers_sent + 1
-      end;
-      Continue
-  | Machine.Library.Send_rendezvous ->
-      if plan.send_sides = [] then Continue
-      else begin
-        match missing_partners p ~xfer ~kind:Token plan.send_sides with
-        | _ :: _ ->
-            p.wait_kind <- wk_tokens;
-            p.wait_arg <- xfer;
-            Blocked
-        | [] ->
-            p.wait_kind <- wk_none;
-            let arr =
-              List.fold_left
-                (fun m (s : side) ->
-                  let tok = Queue.pop (mailbox p (s.partner, xfer, Token)) in
-                  Float.max m tok.arrival)
-                0.0 plan.send_sides
-            in
-            block_until p arr;
-            List.iter (do_send t p ~xfer) plan.send_sides;
-            p.stats.Stats.xfers_sent <- p.stats.Stats.xfers_sent + 1;
-            Continue
-      end
-  | Machine.Library.Wait_data ->
-      if plan.recv_sides = [] then Continue
-      else begin
-        match missing_partners p ~xfer ~kind:Data plan.recv_sides with
-        | _ :: _ ->
-            p.wait_kind <- wk_data;
-            p.wait_arg <- xfer;
-            Blocked
-        | [] ->
-            p.wait_kind <- wk_none;
-            let msgs =
-              List.map
-                (fun (s : side) ->
-                  (s, Queue.pop (mailbox p (s.partner, xfer, Data))))
-                plan.recv_sides
-            in
-            let arr =
-              List.fold_left (fun m (_, msg) -> Float.max m msg.arrival) 0.0 msgs
-            in
-            block_until p arr;
-            let unpack =
-              if p.posted.(xfer) > 0 then begin
-                p.posted.(xfer) <- p.posted.(xfer) - 1;
-                0.0
-              end
-              else if Machine.Library.deposits_directly t.lib.Machine.Library.kind
-              then 0.0
-              else c.Machine.Params.recv_byte
-            in
-            List.iter
-              (fun ((s : side), msg) ->
-                charge_comm p
-                  (c.Machine.Params.dn_over
-                  +. (float_of_int s.bytes *. unpack));
-                List.iter
-                  (fun (aid, rect, buf) ->
-                    Runtime.Store.inject p.stores.(aid) rect buf)
-                  msg.payload;
-                p.stats.Stats.msgs_recv <- p.stats.Stats.msgs_recv + 1;
-                p.stats.Stats.bytes_recv <- p.stats.Stats.bytes_recv + s.bytes)
-              msgs;
-            p.stats.Stats.xfers_recv <- p.stats.Stats.xfers_recv + 1;
-            Continue
-      end
-  | Machine.Library.Wait_send_done ->
-      if plan.send_sides <> [] then begin
-        block_until p p.send_done.(xfer);
-        charge_comm p c.Machine.Params.sv_over
-      end;
-      Continue
-
-(* --- wire path: pooled staging buffers through ring mailboxes ---
-
-   Same protocol, same charge formulas in the same float-accumulation
-   order as the legacy path (results are differentially property-tested
-   to be bit-identical), but nothing here allocates in steady state:
-   costs are computed inline into all-float records and scratch slots,
-   payloads are packed into pooled buffers, and queues are int-indexed
-   rings. Keep helper calls float-free — an OCaml float argument or
-   return is boxed at every non-inlined call. *)
+   Nothing here allocates in steady state: costs are computed inline
+   into all-float records and scratch slots, payloads are packed into
+   pooled buffers, and queues are int-indexed rings. Keep helper calls
+   float-free — an OCaml float argument or return is boxed at every
+   non-inlined call. *)
 
 let wire_send (t : t) (p : proc) ~xfer (s : wside) =
   let c = costs t in
@@ -1404,12 +1119,10 @@ let exec_comm_wire (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) :
 
 (* --- synthesized collective rounds ---
 
-   One shared path for both engine modes: the payload is a handful of
-   synthesized scalars, not array fringes, so there is no extract/inject
-   variant to mirror — rounds always travel through the dense mailboxes
-   and pooled staging buffers, and wire/legacy bit-identity is
-   structural. Charge formulas and their float-accumulation order are
-   the fringe path's, with the round's [8 * count] bytes. *)
+   The payload is a handful of synthesized scalars rather than array
+   fringes, but rounds travel through the same dense mailboxes and
+   pooled staging buffers. Charge formulas and their float-accumulation
+   order are the fringe path's, with the round's [8 * count] bytes. *)
 
 let coll_send (t : t) (p : proc) ~xfer (d : Ir.Coll.desc) (s : cside) =
   let c = costs t in
@@ -1595,9 +1308,7 @@ let exec_comm_coll (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int)
 let exec_comm (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) : step =
   match t.colls.(xfer) with
   | Some d -> exec_comm_coll t p call xfer d
-  | None ->
-      if t.wire then exec_comm_wire t p call xfer
-      else exec_comm_legacy t p call xfer
+  | None -> exec_comm_wire t p call xfer
 
 (* --- collective reduction --- *)
 
@@ -1728,8 +1439,8 @@ let exec_coll_fin (t : t) (p : proc) (w : Ir.Instr.coll_work) =
 (* --- main dispatch --- *)
 
 (** Count [k] executed instructions against [p]'s budget. The limit is
-    per processor, so the check involves no shared state and the
-    parallel drain needs no synchronization to enforce it. *)
+    per processor, so a runaway processor trips it however the drain
+    interleaves the others. *)
 let count_instrs (t : t) (p : proc) k =
   p.instrs <- p.instrs + k;
   if p.instrs > t.limit then raise (Instruction_limit t.limit)
@@ -1802,17 +1513,16 @@ let exec_one (t : t) (p : proc) : step =
       match exec_comm t p call xfer with
       | Continue ->
           (* counted only on completion: a blocked call re-executes when
-             woken, and the number of attempts is schedule-dependent —
-             counting attempts would make [instructions] differ between
-             the serial and parallel drains *)
+             woken, and the number of attempts depends on the wake order,
+             not on the program *)
           count_instrs t p 1;
           count_op p p.pc;
           p.pc <- p.pc + 1;
           Continue
       | other -> other)
 
-(* The drain loops are top-level recursions, not local [let rec]
-   closures: a closure would be allocated on every processor wake, which
+(* The drain loop is top-level recursion, not a local [let rec]
+   closure: a closure would be allocated on every processor wake, which
    the zero-allocation comm path forbids. *)
 let rec exec_until_blocked (t : t) (p : proc) =
   match exec_one t p with
@@ -1820,40 +1530,6 @@ let rec exec_until_blocked (t : t) (p : proc) =
   | Blocked | Halted -> ()
 
 let run_proc (t : t) (p : proc) = if not p.halted then exec_until_blocked t p
-
-(** Ops touching only the executing processor's state — safe to run
-    concurrently across processors. *)
-let is_local (op : Ir.Flat.finstr) =
-  match op with
-  | Ir.Flat.FKernel _ | Ir.Flat.FScalar _ | Ir.Flat.FJump _
-  | Ir.Flat.FJumpIfNot _ | Ir.Flat.FHalt
-  (* the collective bookends touch only the executing rank's slot state
-     and environment — the rounds in between are the shared part *)
-  | Ir.Flat.FCollPart _ | Ir.Flat.FCollFin _ ->
-      true
-  | Ir.Flat.FComm _ | Ir.Flat.FReduce _ -> false
-
-let rec exec_local_ops (t : t) (p : proc) =
-  if is_local t.flat.Ir.Flat.ops.(p.pc) then
-    match exec_one t p with
-    | Continue -> exec_local_ops t p
-    | Halted -> ()
-    | Blocked -> assert false
-
-(** Parallel-phase worker: execute local ops until the next op needs the
-    shared mailboxes (or the processor halts). *)
-let run_local (t : t) (p : proc) = if not p.halted then exec_local_ops t p
-
-(** Serial-phase step: execute communication/reduction ops; a processor
-    reaching local work again is requeued for the next parallel phase. *)
-let rec run_serial (t : t) (p : proc) =
-  if not p.halted then
-    match t.flat.Ir.Flat.ops.(p.pc) with
-    | Ir.Flat.FComm _ | Ir.Flat.FReduce _ -> (
-        match exec_one t p with
-        | Continue -> run_serial t p
-        | Blocked | Halted -> ())
-    | _ -> wake t p
 
 (* ------------------------------------------------------------------ *)
 (* Results                                                             *)
@@ -1874,40 +1550,18 @@ let rec drain_serial (t : t) =
     drain_serial t
   end
 
-let drain_parallel (t : t) (pool : Pool.t) =
-  let rec loop () =
-    if t.run_len > 0 then begin
-      let n = t.run_len in
-      let batch =
-        Array.init n (fun _ ->
-            let p = t.procs.(take_runnable t) in
-            p.queued <- false;
-            p)
-      in
-      Pool.run pool (fun i -> run_local t batch.(i)) n;
-      Array.iter (fun p -> run_serial t p) batch;
-      loop ()
-    end
-  in
-  loop ()
-
 let run (t : t) : result =
   Array.iter (fun (p : proc) -> wake t p) t.procs;
   (* wake marks queued; initial procs are not waiting *)
-  if t.domains > 1 then
-    Pool.with_pool ~domains:t.domains (fun pool -> drain_parallel t pool)
-  else drain_serial t;
+  drain_serial t;
   (match
      Array.find_opt (fun (p : proc) -> not p.halted) t.procs
    with
   | Some p ->
-      let missing ~kind_bit ~kind pick_w pick_l =
+      let missing ~kind_bit pick =
         let x = p.wait_arg in
-        let miss =
-          if t.wire then wire_missing t p ~xfer:x ~kind_bit (pick_w t.wplans.(x).(p.rank))
-          else missing_partners p ~xfer:x ~kind (pick_l t.plans.(x).(p.rank))
-        in
-        String.concat "," (List.map string_of_int miss)
+        missing_partners t p ~xfer:x ~kind_bit (pick t.wplans.(x).(p.rank))
+        |> List.map string_of_int |> String.concat ","
       in
       let coll_why kind =
         (* a stuck synthesized round names its algorithm, phase, round
@@ -1928,15 +1582,11 @@ let run (t : t) : result =
         else if p.wait_kind = wk_data then
           Printf.sprintf "proc %d waiting for data of transfer %d from %s"
             p.rank p.wait_arg
-            (missing ~kind_bit:kb_data ~kind:Data
-               (fun wp -> wp.w_recv)
-               (fun pl -> pl.recv_sides))
+            (missing ~kind_bit:kb_data (fun wp -> wp.w_recv))
         else if p.wait_kind = wk_tokens then
           Printf.sprintf "proc %d waiting for tokens of transfer %d from %s"
             p.rank p.wait_arg
-            (missing ~kind_bit:kb_token ~kind:Token
-               (fun wp -> wp.w_send)
-               (fun pl -> pl.send_sides))
+            (missing ~kind_bit:kb_token (fun wp -> wp.w_send))
         else if p.wait_kind = wk_reduce then
           Printf.sprintf "proc %d waiting in reduction %d" p.rank p.wait_arg
         else Printf.sprintf "proc %d stopped at pc %d" p.rank p.pc
@@ -1972,7 +1622,6 @@ let final_env (t : t) : Runtime.Values.env = t.procs.(0).env
 let procs (t : t) = t.procs
 let proc_env (p : proc) = p.env
 let proc_stores (p : proc) = p.stores
-let wired (t : t) = t.wire
 let topology (t : t) = t.topology
 
 (** Per-link busy-until times after a run — all zeros (empty) under
@@ -1984,7 +1633,7 @@ let link_occupancy (t : t) : float array = Array.copy t.link_free
     sender's pool): (buffers freshly allocated, acquires served from the
     freelists). The split depends on drain interleaving — a sender
     running ahead deepens its pools — so it is a runtime diagnostic, not
-    part of the deterministic {!Stats.t}. (0, 0) in legacy mode. *)
+    part of the deterministic {!Stats.t}. *)
 let pool_counts (t : t) : int * int =
   let fresh = ref 0 and reused = ref 0 in
   Array.iter

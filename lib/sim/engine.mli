@@ -5,10 +5,9 @@
     of every array, executes the flattened IR greedily on its own
     virtual clock, and blocks only on message availability. Every wait
     is a blocking wait, so processors may run ahead of each other and
-    the simulation is fully deterministic; the same order-independence
-    lets [domains > 1] execute the processors' local instructions in
-    parallel on host domains with bit-identical results (see DESIGN.md
-    section 5). *)
+    the simulation is fully deterministic. Communication runs through
+    pre-compiled blit plans, pooled staging buffers and dense ring
+    mailboxes (see DESIGN.md section 7). *)
 
 (** A running or finished engine. *)
 type t
@@ -23,8 +22,7 @@ exception Deadlock of string
 
 (** Raised when some single processor exceeds the instruction budget
     given to {!of_plans} — a runaway-loop backstop. The limit is per
-    processor, not global, so the parallel drain can enforce it without
-    synchronization. *)
+    processor, not global. *)
 exception Instruction_limit of int
 
 (** The immutable, shareable half of an engine: the compiled comm
@@ -45,7 +43,7 @@ type plans
     engine that does not depend on run-time state, for a [pr x pc]
     processor mesh. The knobs mirror the fields of [Run.Spec.t], where
     each is documented; defaults are the spec's defaults ([row_path],
-    [fuse], [cse], [wire] all true).
+    [fuse], [cse] all true).
 
     Raises [Invalid_argument] if a stencil shift exceeds the smallest
     block extent of the mesh, or if a synthesized collective round was
@@ -54,7 +52,6 @@ val plan :
   ?row_path:bool ->
   ?fuse:bool ->
   ?cse:bool ->
-  ?wire:bool ->
   ?topology:Machine.Topology.t ->
   machine:Machine.Params.t ->
   lib:Machine.Library.t ->
@@ -69,16 +66,9 @@ val plan :
     kernel programs in [plans] are bound to the fresh stores through a
     [Runtime.Kernel.env] — store binding, not recompilation, so a
     cache hit mints a ready-to-run engine. [limit] bounds instructions {e per
-    processor} (default [1e9]); [domains] (default 1) drives the drain
-    loop with that many host domains (results are bit-identical for any
-    value). Neither affects the compiled artifacts, which is why they
-    live here and not in the cache key.
-
-    Under a non-ideal topology ({!Machine.Topology.Mesh}/[Torus]) the
-    per-link busy times are shared mutable state whose update order the
-    parallel drain's batching would perturb, so [domains] is forced to
-    1 there; the drain stays deterministic. *)
-val of_plans : ?limit:int -> ?domains:int -> plans -> t
+    processor} (default [1e9]); it does not affect the compiled
+    artifacts, which is why it lives here and not in the cache key. *)
+val of_plans : ?limit:int -> plans -> t
 
 (** The shared compiled half this engine was built from. Two engines
     answer with physically equal ([==]) values iff they share plans —
@@ -117,9 +107,6 @@ val proc_env : proc -> Runtime.Values.env
 (** A processor's local array blocks, indexed by array id. *)
 val proc_stores : proc -> Runtime.Store.t array
 
-(** Whether this engine runs the wire-plan communication runtime. *)
-val wired : t -> bool
-
 (** The network topology this engine models (default [Ideal]). *)
 val topology : t -> Machine.Topology.t
 
@@ -132,7 +119,7 @@ val link_occupancy : t -> float array
 (** After a run: (staging buffers freshly allocated by the wire pools,
     acquires served from the freelists). The split is a runtime
     diagnostic — it depends on how far senders ran ahead — and is not
-    part of the deterministic {!Stats.t}. (0, 0) in legacy mode. *)
+    part of the deterministic {!Stats.t}. *)
 val pool_counts : t -> int * int
 
 (** Number of fused kernel groups the op stream was partitioned into

@@ -1,12 +1,6 @@
-(** Domain pools for the simulator and the experiment grid.
-
-    Two shapes of parallelism live here. {!parmap} covers embarrassingly
-    parallel task lists (the experiment grid runs each benchmark x row x
-    library simulation in its own engine), spawning domains per call.
-    {!t} is a persistent pool for the engine's phased drain, which fires
-    thousands of tiny parallel rounds per run — worker domains are
-    spawned once and woken per round through a generation counter, since
-    a [Domain.spawn] per round would cost more than the round.
+(** A domain pool for embarrassingly parallel task lists: the experiment
+    grid runs each benchmark x row x library simulation in its own
+    engine, spawning domains per call.
 
     Determinism: tasks are pure functions of their inputs plus disjoint
     per-task state, each result lands in its input slot, and the output
@@ -44,118 +38,3 @@ let parmap ?domains (f : 'a -> 'b) (xs : 'a list) : 'b list =
          | Some (Error e) -> raise e
          | None -> assert false)
   end
-
-(* ------------------------------------------------------------------ *)
-(* Persistent pool                                                     *)
-(* ------------------------------------------------------------------ *)
-
-type t = {
-  nworkers : int;  (** worker domains, excluding the caller *)
-  mutable workers : unit Domain.t array;
-  m : Mutex.t;
-  work_ready : Condition.t;
-  round_done : Condition.t;
-  mutable generation : int;  (** bumped to release workers into a round *)
-  mutable active : int;  (** workers still inside the current round *)
-  mutable shutdown : bool;
-  mutable task : int -> unit;
-  mutable ntasks : int;
-  next : int Atomic.t;
-  mutable error : exn option;  (** first exception of the round *)
-}
-
-let record_error (p : t) e =
-  Mutex.lock p.m;
-  if p.error = None then p.error <- Some e;
-  Mutex.unlock p.m
-
-(** Claim and run tasks until the shared counter runs out. *)
-let work (p : t) =
-  let rec go () =
-    let i = Atomic.fetch_and_add p.next 1 in
-    if i < p.ntasks then begin
-      (try p.task i with e -> record_error p e);
-      go ()
-    end
-  in
-  go ()
-
-let worker (p : t) () =
-  let seen = ref 0 in
-  let rec loop () =
-    Mutex.lock p.m;
-    while p.generation = !seen && not p.shutdown do
-      Condition.wait p.work_ready p.m
-    done;
-    if p.shutdown then Mutex.unlock p.m
-    else begin
-      seen := p.generation;
-      Mutex.unlock p.m;
-      work p;
-      Mutex.lock p.m;
-      p.active <- p.active - 1;
-      if p.active = 0 then Condition.broadcast p.round_done;
-      Mutex.unlock p.m;
-      loop ()
-    end
-  in
-  loop ()
-
-let create ~domains : t =
-  let nworkers = max 0 (domains - 1) in
-  let p =
-    { nworkers;
-      workers = [||];
-      m = Mutex.create ();
-      work_ready = Condition.create ();
-      round_done = Condition.create ();
-      generation = 0;
-      active = 0;
-      shutdown = false;
-      task = ignore;
-      ntasks = 0;
-      next = Atomic.make 0;
-      error = None }
-  in
-  p.workers <- Array.init nworkers (fun _ -> Domain.spawn (worker p));
-  p
-
-let run (p : t) (f : int -> unit) (n : int) : unit =
-  if n = 0 then ()
-  else if p.nworkers = 0 then
-    (* no workers: plain inline loop, exceptions propagate untouched *)
-    for i = 0 to n - 1 do
-      f i
-    done
-  else begin
-    p.task <- f;
-    p.ntasks <- n;
-    p.error <- None;
-    Atomic.set p.next 0;
-    Mutex.lock p.m;
-    p.active <- p.nworkers;
-    p.generation <- p.generation + 1;
-    Condition.broadcast p.work_ready;
-    Mutex.unlock p.m;
-    work p;
-    Mutex.lock p.m;
-    while p.active > 0 do
-      Condition.wait p.round_done p.m
-    done;
-    Mutex.unlock p.m;
-    match p.error with Some e -> raise e | None -> ()
-  end
-
-let shutdown (p : t) =
-  Mutex.lock p.m;
-  p.shutdown <- true;
-  Condition.broadcast p.work_ready;
-  Mutex.unlock p.m;
-  Array.iter Domain.join p.workers;
-  p.workers <- [||]
-
-(** [with_pool ~domains f] runs [f pool] and joins the workers on the
-    way out, exception or not. *)
-let with_pool ~domains (f : t -> 'a) : 'a =
-  let p = create ~domains in
-  Fun.protect ~finally:(fun () -> shutdown p) (fun () -> f p)

@@ -1,12 +1,10 @@
-(** Domain pools: per-call {!parmap} for independent task lists (the
-    experiment grid), and a persistent worker pool for the engine's
-    phased drain, where one simulation fires thousands of tiny parallel
-    rounds and a [Domain.spawn] per round would dwarf the round itself.
+(** A domain pool for independent task lists: the experiment grid and
+    the spec sweep run each simulation in its own engine.
 
-    Both are deterministic by construction: tasks are pure functions of
-    their inputs plus disjoint per-task state, results land in input
-    order, so parallel output is bit-identical to serial output
-    regardless of domain count or interleaving. *)
+    Deterministic by construction: tasks are pure functions of their
+    inputs plus disjoint per-task state, results land in input order, so
+    parallel output is bit-identical to serial output regardless of
+    domain count or interleaving. *)
 
 (** Number of worker domains used when none is requested: the runtime's
     recommendation, which respects the machine's core count. *)
@@ -19,23 +17,3 @@ val default_domains : unit -> int
     plain [List.map]. The first raised exception (in input order) is
     re-raised after all domains join. *)
 val parmap : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** A persistent pool of [domains - 1] worker domains plus the caller. *)
-type t
-
-val create : domains:int -> t
-
-(** [run p f n] executes [f 0 .. f (n-1)] across the pool's domains,
-    claiming indices from a shared counter; the caller participates and
-    the call returns only when every task finished. Tasks must touch
-    disjoint state. The first exception raised by any task is re-raised
-    here after the round completes. With zero workers this is a plain
-    inline loop. Not reentrant: one [run] at a time per pool. *)
-val run : t -> (int -> unit) -> int -> unit
-
-(** Wake and join all worker domains; the pool is dead afterwards. *)
-val shutdown : t -> unit
-
-(** [with_pool ~domains f] runs [f pool] and shuts the pool down on the
-    way out, exception or not. *)
-val with_pool : domains:int -> (t -> 'a) -> 'a

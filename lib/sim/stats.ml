@@ -34,9 +34,9 @@ let fresh_proc () =
     times = { compute = 0.0; comm_cpu = 0.0; wait = 0.0; finish = 0.0 } }
 
 (* Pool fresh/reuse accounting deliberately does NOT live here: the
-   freelist split depends on drain interleaving (serial vs. domain
-   batches), while everything in [t] is bit-identical across drains.
-   See [Engine.pool_counts]. *)
+   freelist split depends on how far senders run ahead of receivers,
+   while everything in [t] is determined by the program and the machine
+   model. See [Engine.pool_counts]. *)
 type t = { procs : per_proc array; mutable instructions : int }
 
 let make n = { procs = Array.init n (fun _ -> fresh_proc ()); instructions = 0 }

@@ -28,9 +28,10 @@ type per_proc = {
 
 val fresh_proc : unit -> per_proc
 
-(** Everything in [t] is bit-identical across drain modes; staging-pool
-    fresh/reuse accounting is interleaving-dependent and therefore lives
-    on the engine ([Engine.pool_counts]), not here. *)
+(** Everything in [t] is determined by the program and the machine
+    model; staging-pool fresh/reuse accounting depends on how far
+    senders run ahead and therefore lives on the engine
+    ([Engine.pool_counts]), not here. *)
 type t = { procs : per_proc array; mutable instructions : int }
 
 val make : int -> t

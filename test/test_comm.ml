@@ -1,8 +1,7 @@
 (** Directed tests of the wire-plan communication runtime: steady-state
     communication allocates no minor words, the staging-buffer pool
-    recycles under ping-pong traffic, send-time snapshots stay sound
-    when the receiver lags the sender by many repeat iterations, and the
-    parallel drain leaves wire-mode results bit-identical. *)
+    recycles under ping-pong traffic, and send-time snapshots stay sound
+    when the receiver lags the sender by many repeat iterations. *)
 
 open Commopt
 
@@ -12,10 +11,9 @@ let compile_flat ?defines src =
   let prog = Zpl.Check.compile_string ?defines src in
   Ir.Flat.flatten (Opt.Passes.compile Opt.Config.pl_cum prog)
 
-let run ?domains ?wire ?(lib = Machine.T3d.pvm) ~pr ~pc flat =
+let run ?(lib = Machine.T3d.pvm) ~pr ~pc flat =
   Sim.Engine.run
-    (Sim.Engine.of_plans ?domains
-       (Sim.Engine.plan ?wire ~machine:t3d ~lib ~pr ~pc flat))
+    (Sim.Engine.of_plans (Sim.Engine.plan ~machine:t3d ~lib ~pr ~pc flat))
 
 (* ------------------------------------------------------------------ *)
 (* Zero-allocation steady state                                        *)
@@ -38,9 +36,9 @@ let minor_words_of ~iters src =
     compilation, kernel caches, pool warm-up) are identical at [lo] and
     [hi] iterations, so the [hi - lo] delta isolates the per-iteration
     cost; subtracting the communication-free busy variant's delta then
-    isolates the per-iteration cost of communication alone. In wire mode
-    that must be (essentially) zero: no extract/inject lists, no hashed
-    mailbox lookups, no boxed floats on the activation path. *)
+    isolates the per-iteration cost of communication alone. That must be
+    (essentially) zero: no payload lists, no hashed mailbox lookups, no
+    boxed floats on the activation path. *)
 let test_zero_alloc () =
   let lo = 50 and hi = 250 in
   (* Warm both program shapes once so shared lazy state (alcotest
@@ -73,7 +71,7 @@ let test_pool_recycles () =
   let iters = 60 in
   let defines = Programs.Synthetic.defines ~doubles:16 ~busyn:16 ~iters in
   let flat = compile_flat ~defines Programs.Synthetic.source in
-  let res = run ~wire:true ~pr:1 ~pc:2 flat in
+  let res = run ~pr:1 ~pc:2 flat in
   let fresh, reused = Sim.Engine.pool_counts res.Sim.Engine.engine in
   let total = Sim.Stats.total_messages res.Sim.Engine.stats in
   Alcotest.(check bool) "messages flowed" true (total >= 2 * iters);
@@ -89,15 +87,6 @@ let test_pool_recycles () =
     (fresh <= 8);
   Alcotest.(check bool) "the pool actually recycled" true (reused > total / 2)
 
-let test_legacy_pool_counts_zero () =
-  let defines = Programs.Synthetic.defines ~doubles:8 ~busyn:8 ~iters:3 in
-  let flat = compile_flat ~defines Programs.Synthetic.source in
-  let res = run ~wire:false ~pr:1 ~pc:2 flat in
-  Alcotest.(check bool) "legacy engine reports no pools" true
-    (not (Sim.Engine.wired res.Sim.Engine.engine));
-  Alcotest.(check (pair int int)) "no pool traffic in legacy mode" (0, 0)
-    (Sim.Engine.pool_counts res.Sim.Engine.engine)
-
 (* ------------------------------------------------------------------ *)
 (* Snapshot soundness when the receiver lags the sender                *)
 (* ------------------------------------------------------------------ *)
@@ -110,7 +99,7 @@ let test_legacy_pool_counts_zero () =
     in-flight message must carry the values [B] held at its own send
     time: if staging buffers aliased live stores (or were recycled while
     still in flight), the lagging receiver would read late values and
-    diverge from the oracle. *)
+    diverge from the sequential oracle. *)
 let lag_src =
   {|
 constant m     = 16;
@@ -133,25 +122,17 @@ begin
 end;
 |}
 
-let fingerprint (res : Sim.Engine.result) n_arrays =
-  let bufs =
-    List.init n_arrays (fun aid ->
-        let g = Sim.Engine.gather res.Sim.Engine.engine aid in
-        let buf = Runtime.Store.read_only g in
-        List.init (Bigarray.Array1.dim buf) (fun i ->
-            Int64.bits_of_float (Bigarray.Array1.get buf i)))
-  in
-  (Int64.bits_of_float res.Sim.Engine.time, res.Sim.Engine.stats, bufs)
-
 let test_snapshot_under_lag () =
   let iters = 40 in
-  let flat = compile_flat lag_src in
-  let wire = run ~wire:true ~pr:1 ~pc:2 flat in
-  let legacy = run ~wire:false ~pr:1 ~pc:2 flat in
-  Alcotest.(check bool) "lagging receiver: wire == legacy (bitwise)" true
-    (fingerprint wire 2 = fingerprint legacy 2);
-  let fresh, reused = Sim.Engine.pool_counts wire.Sim.Engine.engine in
-  let total = Sim.Stats.total_messages wire.Sim.Engine.stats in
+  let c = compile lag_src in
+  let res = run ~pr:1 ~pc:2 c.flat in
+  (match first_divergence ~tolerance:0.0 c res (run_oracle c) with
+  | None -> ()
+  | Some d ->
+      Alcotest.failf "lagging receiver diverges from the oracle: %a"
+        pp_divergence d);
+  let fresh, reused = Sim.Engine.pool_counts res.Sim.Engine.engine in
+  let total = Sim.Stats.total_messages res.Sim.Engine.stats in
   Alcotest.(check int) "every send acquired a staging buffer" total
     (fresh + reused);
   (* The stress actually happened: the sender lapped the receiver by the
@@ -160,13 +141,6 @@ let test_snapshot_under_lag () =
   Alcotest.(check int) "sender ran the whole loop ahead" iters fresh;
   Alcotest.(check int) "no buffer was recycled while in flight" 0 reused
 
-let test_wire_parallel_drain () =
-  let flat = compile_flat lag_src in
-  let serial = run ~wire:true ~domains:1 ~pr:1 ~pc:2 flat in
-  let parallel = run ~wire:true ~domains:3 ~pr:1 ~pc:2 flat in
-  Alcotest.(check bool) "wire mode: domains:3 == serial (bitwise)" true
-    (fingerprint serial 2 = fingerprint parallel 2)
-
 let () =
   Alcotest.run "comm runtime"
     [ ( "wire",
@@ -174,9 +148,5 @@ let () =
             test_zero_alloc;
           Alcotest.test_case "pool recycles under ping-pong" `Quick
             test_pool_recycles;
-          Alcotest.test_case "legacy mode has no pools" `Quick
-            test_legacy_pool_counts_zero;
           Alcotest.test_case "snapshots sound under receiver lag" `Quick
-            test_snapshot_under_lag;
-          Alcotest.test_case "parallel drain bit-identical" `Quick
-            test_wire_parallel_drain ] ) ]
+            test_snapshot_under_lag ] ) ]

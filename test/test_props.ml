@@ -852,14 +852,14 @@ let test_extract_inject_boundaries () =
     (Zpl.Region.make [ (1, 2); (1, 2); (6, 6) ])
 
 (* ------------------------------------------------------------------ *)
-(* Simulator: fusion and domain-parallel drain preserve everything     *)
+(* Simulator: fusion preserves everything                              *)
 (* ------------------------------------------------------------------ *)
 
-let engine_fingerprint ?cse ~fuse ~domains prog =
+let engine_fingerprint ?cse ~fuse prog =
   let ir = Opt.Passes.compile Opt.Config.pl_cum prog in
   let res =
     Sim.Engine.run
-      (Sim.Engine.of_plans ~domains
+      (Sim.Engine.of_plans
          (Sim.Engine.plan ~fuse ?cse ~machine:Machine.T3d.machine
             ~lib:Machine.T3d.pvm ~pr:2 ~pc:2 (Ir.Flat.flatten ir)))
   in
@@ -871,18 +871,15 @@ let engine_fingerprint ?cse ~fuse ~domains prog =
           (Runtime.Store.to_array (Sim.Engine.gather res.Sim.Engine.engine aid)))
       prog.Zpl.Prog.arrays )
 
-(** Kernel fusion (with and without CSE) and the domain-parallel drain
-    all leave simulated time, statistics and every array bit-identical
-    to the serial, unfused engine. *)
-let prop_engine_fuse_parallel =
-  QCheck.Test.make
-    ~name:"engine: fused/parallel == unfused/serial (bitwise)" ~count:12
+(** Kernel fusion, with and without CSE, leaves simulated time,
+    statistics and every array bit-identical to the unfused engine. *)
+let prop_engine_fuse =
+  QCheck.Test.make ~name:"engine: fused == unfused (bitwise)" ~count:12
     arb_prog (fun p ->
       let prog = Zpl.Check.compile_string (prog_to_source p) in
-      let base = engine_fingerprint ~fuse:false ~domains:1 prog in
-      base = engine_fingerprint ~fuse:true ~domains:1 prog
-      && base = engine_fingerprint ~fuse:true ~cse:false ~domains:1 prog
-      && base = engine_fingerprint ~fuse:true ~domains:3 prog)
+      let base = engine_fingerprint ~fuse:false prog in
+      base = engine_fingerprint ~fuse:true prog
+      && base = engine_fingerprint ~fuse:true ~cse:false prog)
 
 (** The engine's fused plans with CSE stay bit-identical on programs
     engineered so the hoisting stage actually fires (see [arb_cprog]). *)
@@ -890,46 +887,50 @@ let prop_engine_cse =
   QCheck.Test.make ~name:"engine: CSE'd == no-CSE (bitwise)" ~count:10
     arb_cprog (fun p ->
       let prog = Zpl.Check.compile_string (cprog_to_source p) in
-      engine_fingerprint ~fuse:true ~cse:true ~domains:1 prog
-      = engine_fingerprint ~fuse:true ~cse:false ~domains:1 prog)
+      engine_fingerprint ~fuse:true ~cse:true prog
+      = engine_fingerprint ~fuse:true ~cse:false prog)
 
 (* ------------------------------------------------------------------ *)
-(* Wire-plan comm runtime == legacy extract/inject comm path           *)
+(* Comm runtime == sequential oracle on an uneven mesh                 *)
 (* ------------------------------------------------------------------ *)
 
-let wire_fingerprint ~wire ~domains (config, lib) prog =
-  let ir = Opt.Passes.compile config prog in
-  let res =
-    Sim.Engine.run
-      (Sim.Engine.of_plans ~domains
-         (Sim.Engine.plan ~wire ~machine:Machine.T3d.machine ~lib ~pr:2 ~pc:2
-            (Ir.Flat.flatten ir)))
-  in
-  ( bits res.Sim.Engine.time,
-    res.Sim.Engine.stats,
-    Array.mapi
-      (fun aid _ ->
-        Array.map bits
-          (Runtime.Store.to_array (Sim.Engine.gather res.Sim.Engine.engine aid)))
-      prog.Zpl.Prog.arrays,
-    Sim.Engine.final_env res.Sim.Engine.engine )
-
-(** The pre-compiled wire-plan communication runtime (pooled staging
-    buffers, ring mailboxes) is observationally identical to the legacy
-    extract/inject path: simulated time, every statistic, every gathered
-    array, and the final scalar environment match bit for bit — across
-    all six paper experiment rows (every optimization config and both
-    libraries, so cc-combined multi-array messages and SHMEM rendezvous
-    tokens are all exercised), and under the domain-parallel drain. *)
-let prop_wire_equals_legacy =
-  QCheck.Test.make ~name:"engine: wire plans == legacy comm (bitwise)"
+(** The wire-plan communication runtime (blit plans, pooled staging
+    buffers, ring mailboxes) moves exactly the data the program reads:
+    every gathered array matches the sequential oracle bit for bit —
+    across all six paper experiment rows (every optimization config and
+    both libraries, so cc-combined multi-array messages and SHMEM
+    rendezvous tokens are all exercised) on a 3x3 mesh, whose uneven
+    3/3/2 block split gives ranks different geometries and corner ranks
+    diagonal partners. Scalars are not compared: a [for] variable ends
+    one step past its bound in the flattened code the engine runs but
+    at its bound in the oracle. *)
+let prop_comm_matches_oracle =
+  QCheck.Test.make ~name:"engine: comm runtime == Seqexec oracle (bitwise)"
     ~count:10 arb_prog (fun p ->
       let prog = Zpl.Check.compile_string (prog_to_source p) in
+      (* every declared cell's bits, whatever the store's fringe *)
+      let cell_bits store_of =
+        Array.map
+          (fun (info : Zpl.Prog.array_info) ->
+            let s = store_of info.a_id in
+            let cells = ref [] in
+            Zpl.Region.iter info.a_region (fun pt ->
+                cells := bits (Runtime.Store.get s pt) :: !cells);
+            !cells)
+          prog.Zpl.Prog.arrays
+      in
+      let oracle = Runtime.Seqexec.run prog in
+      let want = cell_bits (Array.get oracle.Runtime.Seqexec.stores) in
       List.for_all
         (fun (_, config, lib) ->
-          let legacy = wire_fingerprint ~wire:false ~domains:1 (config, lib) prog in
-          legacy = wire_fingerprint ~wire:true ~domains:1 (config, lib) prog
-          && legacy = wire_fingerprint ~wire:true ~domains:3 (config, lib) prog)
+          let ir = Opt.Passes.compile config prog in
+          let res =
+            Sim.Engine.run
+              (Sim.Engine.of_plans
+                 (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib ~pr:3 ~pc:3
+                    (Ir.Flat.flatten ir)))
+          in
+          cell_bits (Sim.Engine.gather res.Sim.Engine.engine) = want)
         Report.Experiment.paper_rows)
 
 (* ------------------------------------------------------------------ *)
@@ -975,8 +976,8 @@ let () =
         List.map to_alcotest
           [ prop_row_kernel_bitwise; prop_row_reduce_bitwise;
             prop_extract_inject_rows; prop_seqexec_row_path;
-            prop_seqexec_cse; prop_engine_fuse_parallel; prop_engine_cse;
-            prop_wire_equals_legacy ]
+            prop_seqexec_cse; prop_engine_fuse; prop_engine_cse;
+            prop_comm_matches_oracle ]
         @ [ Alcotest.test_case "stencil compiles to row plan" `Quick
               test_row_plan_engages;
             Alcotest.test_case "fused CSE engages and matches per-point"

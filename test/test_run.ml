@@ -69,7 +69,6 @@ let flips : (string * (Run.Spec.t -> Run.Spec.t)) list =
     ("row_path", Run.Spec.with_row_path false);
     ("fuse", Run.Spec.with_fuse false);
     ("cse", Run.Spec.with_cse false);
-    ("wire", Run.Spec.with_wire false);
     ("check", Run.Spec.with_check true) ]
 
 let test_single_flip_misses () =
@@ -96,13 +95,10 @@ let test_single_flip_misses () =
           false hit)
     [ List.nth flips 2; List.nth flips 7; List.nth flips 10 ]
 
-let test_runtime_knobs_excluded () =
+let test_limit_excluded () =
   let b = base () in
-  let k = Run.Spec.key b in
-  Alcotest.(check string) "limit is not part of the key" k
-    (Run.Spec.key (Run.Spec.with_limit 5 b));
-  Alcotest.(check string) "domains is not part of the key" k
-    (Run.Spec.key (Run.Spec.with_domains 4 b))
+  Alcotest.(check string) "limit is not part of the key" (Run.Spec.key b)
+    (Run.Spec.key (Run.Spec.with_limit 5 b))
 
 let test_defines_canonical () =
   let d1 = [ ("iters", 3.0); ("n", 8.0) ]
@@ -140,28 +136,23 @@ let test_source_digest_key () =
     (String.equal (Run.Spec.program_digest b) (Run.Spec.program_digest ulp))
 
 (* qcheck: a random subset of knob flips keys equal iff the subset is
-   empty, while limit/domains perturbations never affect the key *)
+   empty, while limit perturbations never affect the key *)
 let prop_key_iff_knobs =
   let gen =
     QCheck.make
-      ~print:(fun (a, b, c, d, l, m) ->
-        Printf.sprintf "row_path=%b fuse=%b cse=%b wire=%b limit=%d domains=%d"
-          a b c d l m)
-      QCheck.Gen.(
-        map
-          (fun (a, b, c, d, l, m) -> (a, b, c, d, l, m))
-          (tup6 bool bool bool bool (int_range 1 1000) (int_range 1 8)))
+      ~print:(fun (a, b, c, l) ->
+        Printf.sprintf "row_path=%b fuse=%b cse=%b limit=%d" a b c l)
+      QCheck.Gen.(tup4 bool bool bool (int_range 1 1000))
   in
-  QCheck.Test.make ~count:100 ~name:"key ignores limit/domains, sees knobs"
-    gen
-    (fun (row_path, fuse, cse, wire, limit, domains) ->
+  QCheck.Test.make ~count:100 ~name:"key ignores limit, sees knobs" gen
+    (fun (row_path, fuse, cse, limit) ->
       let b = base () in
       let s =
         Run.Spec.(
           b |> with_row_path row_path |> with_fuse fuse |> with_cse cse
-          |> with_wire wire |> with_limit limit |> with_domains domains)
+          |> with_limit limit)
       in
-      let knobs_default = row_path && fuse && cse && wire in
+      let knobs_default = row_path && fuse && cse in
       Bool.equal (Run.Spec.equal b s) knobs_default)
 
 (* ------------------------------------------------------------------ *)
@@ -492,8 +483,8 @@ let () =
             test_hit_physical_equality;
           Alcotest.test_case "single field flip misses" `Quick
             test_single_flip_misses;
-          Alcotest.test_case "limit/domains excluded from key" `Quick
-            test_runtime_knobs_excluded;
+          Alcotest.test_case "limit excluded from key" `Quick
+            test_limit_excluded;
           Alcotest.test_case "source digested by content" `Quick
             test_source_digest_key;
           Alcotest.test_case "defines order canonical" `Quick
