@@ -3,7 +3,7 @@
     through {!Dataflow} (structured form) and a worklist over
     {!Ir.Flat.t} (jump-threaded form).
 
-    The concrete semantics abstracted is {!Runtime.Values.eval} on the
+    The concrete semantics abstracted is {!Runtime.Values.eval_env} on the
     SPMD scalar environment: every processor evaluates scalar statements
     identically, so one abstract state covers them all. The analysis is
     {e sound}: for every concrete execution, every scalar's value at
@@ -49,7 +49,7 @@ val div : ival -> ival -> ival
 (** [Some b] iff a 0/1 condition interval is provably [b]. *)
 val decide_bool : ival -> bool option
 
-(** Abstract counterpart of {!Runtime.Values.eval}: sound for any
+(** Abstract counterpart of {!Runtime.Values.eval_env}: sound for any
     concrete environment within [lookup]'s intervals. *)
 val eval : (int -> ival) -> Zpl.Prog.sexpr -> ival
 

@@ -199,6 +199,10 @@ type env = {
   e_bufs : buf ref array;  (** row buffers, grown on demand *)
   e_chains : chain_ws array;
   e_ipt : int array array;  (** integer point scratch, indexed by rank *)
+  e_row : int array array;
+      (** row-start point buffers of the row walkers, indexed by rank
+          (1-3); separate from [e_ipt], which per-point closures use
+          inside a row *)
 }
 
 let make_env ~(stores : Store.t array) ~(scalar : int -> float)
@@ -213,7 +217,8 @@ let make_env ~(stores : Store.t array) ~(scalar : int -> float)
             cw_bases = Array.make n 0;
             cw_cvals = Array.make n 1.0 })
         spec.es_chains;
-    e_ipt = Array.init spec.es_ipt (fun r -> Array.make r 0) }
+    e_ipt = Array.init spec.es_ipt (fun r -> Array.make r 0);
+    e_row = Array.init 4 (fun r -> Array.make r 0) }
 
 (** Store-agnostic per-point compiler: the same value, operation by
     operation, as {!compile} over a ctx reading the env's stores — but
@@ -313,7 +318,7 @@ exception Row_fallback
 
 (** Flat base index of the row starting at [p0] read through flat shift
     [dshift]; checks the whole row stays inside the store's allocation
-    (the dynamic counterpart of {!check_refs} for the row path). *)
+    (the per-row counterpart of {!check_ref_bounds}). *)
 let ref_base (s : Store.t) (dshift : int) (p0 : int array) (len : int) : int =
   let base = Store.index s p0 + dshift in
   if base < 0 || base + len > Store.length s then
@@ -1235,7 +1240,9 @@ let write_mode (a : Zpl.Prog.assign_a) : write_mode =
 
 (** Run a row-compiled source over [region], writing the rows of [lhs].
     [slot] indexes the env row buffer the buffered modes stage through
-    (ignored by [WDirect]). Returns the number of cells updated. *)
+    (ignored by [WDirect]). Returns the number of cells updated. Rows
+    are walked with {!Zpl.Region.first_row}/[next_row] over the env's
+    row-start buffer: no closure, no point array. *)
 let run_region_rows (env : env) ~(lhs : Store.t) ~(region : Zpl.Region.t)
     ~(mode : write_mode) ~(slot : int) (src : rowsrc) : int =
   if Zpl.Region.is_empty region then 0
@@ -1245,73 +1252,109 @@ let run_region_rows (env : env) ~(lhs : Store.t) ~(region : Zpl.Region.t)
         (Zpl.Region.to_string region)
         (Zpl.Region.to_string (Store.alloc lhs))
         (Store.info lhs).a_name;
+    let n = Array.length region in
+    let len = Zpl.Region.range_size region.(n - 1) in
+    let rows = Zpl.Region.row_count region in
+    let p0 = env.e_row.(n) in
+    let data = Store.unsafe_data lhs in
+    Zpl.Region.first_row region p0;
     (match mode with
     | WDirect ->
-        let data = Store.unsafe_data lhs in
-        Zpl.Region.iter_rows region (fun p0 len ->
-            fill src env p0 len data (Store.index lhs p0))
+        for _ = 1 to rows do
+          fill src env p0 len data (Store.index lhs p0);
+          Zpl.Region.next_row region p0
+        done
     | WRowBuffer ->
-        let scratch = env.e_bufs.(slot) in
-        let data = Store.unsafe_data lhs in
-        Zpl.Region.iter_rows region (fun p0 len ->
-            let b = ensure scratch len in
-            fill src env p0 len b 0;
-            buf_blit b 0 data (Store.index lhs p0) len)
+        let b = ensure env.e_bufs.(slot) len in
+        for _ = 1 to rows do
+          fill src env p0 len b 0;
+          buf_blit b 0 data (Store.index lhs p0) len;
+          Zpl.Region.next_row region p0
+        done
     | WFullBuffer ->
-        let data = Store.unsafe_data lhs in
-        let buf = ensure env.e_bufs.(slot) (Zpl.Region.size region) in
-        let k = ref 0 in
-        Zpl.Region.iter_rows region (fun p0 len ->
-            fill src env p0 len buf !k;
-            k := !k + len);
-        k := 0;
-        Zpl.Region.iter_rows region (fun p0 len ->
-            buf_blit buf !k data (Store.index lhs p0) len;
-            k := !k + len));
-    Zpl.Region.size region
+        let buf = ensure env.e_bufs.(slot) (rows * len) in
+        for r = 0 to rows - 1 do
+          fill src env p0 len buf (r * len);
+          Zpl.Region.next_row region p0
+        done;
+        Zpl.Region.first_row region p0;
+        for r = 0 to rows - 1 do
+          buf_blit buf (r * len) data (Store.index lhs p0) len;
+          Zpl.Region.next_row region p0
+        done);
+    rows * len
   end
 
 (** Fold a row-compiled source over [region] in row-major order — the
     same per-cell operation sequence as {!run_reduce}, so partials are
-    bit-identical to the per-point path. *)
+    bit-identical to the per-point path. Returns the partial (the
+    identity on an empty region). Like {!run_region_rows} it walks rows
+    without a closure, and reads each row in place (store or temp) or
+    through the [slot] scratch row, without building a slice. *)
 let fold_rows (env : env) ~(slot : int) (op : Zpl.Ast.redop) (src : rowsrc)
-    (region : Zpl.Region.t) : float * int =
-  if Zpl.Region.is_empty region then (Reduce.identity op, 0)
-  else begin
+    (region : Zpl.Region.t) : float =
+  let acc = ref (Reduce.identity op) in
+  let rows = Zpl.Region.row_count region in
+  if rows > 0 then begin
+    let n = Array.length region in
+    let len = Zpl.Region.range_size region.(n - 1) in
+    let p0 = env.e_row.(n) in
     let scratch = env.e_bufs.(slot) in
-    let acc = ref (Reduce.identity op) in
-    Zpl.Region.iter_rows region (fun p0 len ->
-        match slice_of src env scratch p0 len with
-        | SConst v ->
-            let a = ref !acc in
-            (match op with
-            | Zpl.Ast.RSum -> for _ = 1 to len do a := !a +. v done
-            | Zpl.Ast.RProd -> for _ = 1 to len do a := !a *. v done
-            | Zpl.Ast.RMax -> for _ = 1 to len do a := Float.max !a v done
-            | Zpl.Ast.RMin -> for _ = 1 to len do a := Float.min !a v done);
-            acc := !a
-        | SVec (data, s0) ->
-            let a = ref !acc in
-            (match op with
-            | Zpl.Ast.RSum ->
-                for k = s0 to s0 + len - 1 do
-                  a := !a +. A1.unsafe_get data k
-                done
-            | Zpl.Ast.RProd ->
-                for k = s0 to s0 + len - 1 do
-                  a := !a *. A1.unsafe_get data k
-                done
-            | Zpl.Ast.RMax ->
-                for k = s0 to s0 + len - 1 do
-                  a := Float.max !a (A1.unsafe_get data k)
-                done
-            | Zpl.Ast.RMin ->
-                for k = s0 to s0 + len - 1 do
-                  a := Float.min !a (A1.unsafe_get data k)
-                done);
-            acc := !a);
-    (!acc, Zpl.Region.size region)
-  end
+    Zpl.Region.first_row region p0;
+    for _ = 1 to rows do
+      (match src with
+      | RConst _ | RRow _ ->
+          let v =
+            match src with
+            | RConst v -> v
+            | RRow f -> f env p0
+            | RRef _ | RTemp _ | RIndexLast | RFill _ -> assert false
+          in
+          let a = ref !acc in
+          (match op with
+          | Zpl.Ast.RSum -> for _ = 1 to len do a := !a +. v done
+          | Zpl.Ast.RProd -> for _ = 1 to len do a := !a *. v done
+          | Zpl.Ast.RMax -> for _ = 1 to len do a := Float.max !a v done
+          | Zpl.Ast.RMin -> for _ = 1 to len do a := Float.min !a v done);
+          acc := !a
+      | RRef _ | RTemp _ | RIndexLast | RFill _ ->
+          let data =
+            match src with
+            | RRef (aid, _) -> Store.read_only env.e_stores.(aid)
+            | RTemp t -> !(env.e_bufs.(t))
+            | RConst _ | RRow _ | RIndexLast | RFill _ ->
+                let b = ensure scratch len in
+                fill src env p0 len b 0;
+                b
+          in
+          let s0 =
+            match src with
+            | RRef (aid, dshift) -> ref_base env.e_stores.(aid) dshift p0 len
+            | _ -> 0
+          in
+          let a = ref !acc in
+          (match op with
+          | Zpl.Ast.RSum ->
+              for k = s0 to s0 + len - 1 do
+                a := !a +. A1.unsafe_get data k
+              done
+          | Zpl.Ast.RProd ->
+              for k = s0 to s0 + len - 1 do
+                a := !a *. A1.unsafe_get data k
+              done
+          | Zpl.Ast.RMax ->
+              for k = s0 to s0 + len - 1 do
+                a := Float.max !a (A1.unsafe_get data k)
+              done
+          | Zpl.Ast.RMin ->
+              for k = s0 to s0 + len - 1 do
+                a := Float.min !a (A1.unsafe_get data k)
+              done);
+          acc := !a);
+      Zpl.Region.next_row region p0
+    done
+  end;
+  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Execution plans: row path when possible, per-point fallback else     *)
@@ -1359,12 +1402,13 @@ let plan_reduce ?(row = true) (rc : rowctx) (r : Zpl.Prog.reduce_s) : rplan =
   | Some src -> RowRed (ws_buf rc.rws, src)
   | None -> PointRed (compile_env rc.rws r.r_rhs)
 
-(** Local partial of a reduction plan over [region]: (partial, cells). *)
+(** Local partial of a reduction plan over [region]; it reduces
+    [Zpl.Region.size region] cells. *)
 let exec_rplan (plan : rplan) ~(env : env) ~(region : Zpl.Region.t)
-    (op : Zpl.Ast.redop) : float * int =
+    (op : Zpl.Ast.redop) : float =
   match plan with
   | RowRed (slot, src) -> fold_rows env ~slot op src region
-  | PointRed f -> run_reduce ~region op (fun p -> f env p)
+  | PointRed f -> fst (run_reduce ~region op (fun p -> f env p))
 
 (* ------------------------------------------------------------------ *)
 (* Statement fusion                                                    *)
@@ -1378,18 +1422,30 @@ let exec_rplan (plan : rplan) ~(env : env) ~(region : Zpl.Region.t)
 (* ------------------------------------------------------------------ *)
 
 (** Whether statement [s] may join a fused group already containing
-    [group] (statically, before row compilation). The conditions:
+    [group] (statically, before row compilation). Fused execution runs
+    row [r] of every member, in statement order, before row [r+1] of
+    any. The conditions:
     - [s] must not need whole-region buffering ([WFullBuffer] evaluates
       everything before writing anything, which cannot interleave);
     - same iteration-region expression (syntactic equality) as the
       group, so one bounds computation serves every statement;
     - identical declared regions for all lhs arrays, so each processor
       clips every statement to the same owned rectangle;
-    - distinct left-hand sides;
-    - no cross-statement flow: for fused statements [i <> j], [lhs_i]
-      must not be read by [rhs_j]. Row interleaving would otherwise
-      observe a partially updated array ([i < j]) or miss updates that
-      per-statement order had not applied yet ([i > j]). *)
+    - no member reads another member's lhs, in either direction, and
+      no two members write the same array.
+
+    The last condition is stricter than soundness needs. The one
+    observable hazard is a member reading another member's lhs through
+    a {e nonzero} shift: the read can land on a row the writer has not
+    reached yet (a later reader misses the update) or has already
+    passed (an earlier reader sees it). A zero-shift read touches only
+    the current row, which every earlier member has finished and no
+    later member has started — the statement-order state — and two
+    members writing one array leave the later one's value in every
+    cell, as in statement order. Those two cases are safe (tested
+    directly by running such groups fused), but admitting them
+    regroups every paper benchmark and measured slower on TOMCATV, so
+    the check keeps the partition it has always produced. *)
 let can_join ~(arrays : int -> Zpl.Prog.array_info)
     (group : Zpl.Prog.assign_a list) (s : Zpl.Prog.assign_a) : bool =
   (not (needs_buffer s))
@@ -1620,77 +1676,56 @@ let plan_fused ?(cse = true) (rc : rowctx) (stmts : Zpl.Prog.assign_a array)
 
 (** Execute a fused plan: one traversal of [region], all statements per
     row, in statement order. Returns the total number of cells updated
-    (region size times the number of statements). *)
+    (region size times the number of statements). Rows are walked like
+    {!run_region_rows}: no closure, no point array. *)
 let exec_fused (fp : fplan) ~(env : env) ~(region : Zpl.Region.t) : int =
   if Zpl.Region.is_empty region then 0
   else begin
-    Array.iter
-      (fun fs ->
-        let lhs = env.e_stores.(fs.f_lhs) in
-        if not (Zpl.Region.subset region (Store.alloc lhs)) then
-          Fmt.invalid_arg
-            "fused kernel: write region %s outside allocated %s of %s"
-            (Zpl.Region.to_string region)
-            (Zpl.Region.to_string (Store.alloc lhs))
-            (Store.info lhs).a_name)
-      fp.f_stmts;
     let stmts = fp.f_stmts in
     let n = Array.length stmts in
+    let stores = env.e_stores in
+    for i = 0 to n - 1 do
+      let lhs = stores.(stmts.(i).f_lhs) in
+      if not (Zpl.Region.subset region (Store.alloc lhs)) then
+        Fmt.invalid_arg
+          "fused kernel: write region %s outside allocated %s of %s"
+          (Zpl.Region.to_string region)
+          (Zpl.Region.to_string (Store.alloc lhs))
+          (Store.info lhs).a_name
+    done;
     let temps = fp.f_temps in
     let nt = Array.length temps in
-    let stores = env.e_stores in
-    Zpl.Region.iter_rows region (fun p0 len ->
-        (* temp definitions first, in order: later temps may read
-           earlier ones through their [RTemp] slots *)
-        for t = 0 to nt - 1 do
-          let ft = Array.unsafe_get temps t in
-          let b = ensure env.e_bufs.(ft.ft_slot) len in
-          fill ft.ft_src env p0 len b 0
-        done;
-        (* per-statement dispatch inline: the match is on an immediate
-           tag and branch-predicts perfectly, and building hoisted
-           closures here would allocate per execution *)
-        for i = 0 to n - 1 do
-          let fs = Array.unsafe_get stmts i in
-          let lhs = Array.unsafe_get stores fs.f_lhs in
-          let data = Store.unsafe_data lhs in
-          match fs.f_mode with
-          | WDirect -> fill fs.f_src env p0 len data (Store.index lhs p0)
-          | WRowBuffer ->
-              let b = ensure env.e_bufs.(fp.f_scratch) len in
-              fill fs.f_src env p0 len b 0;
-              buf_blit b 0 data (Store.index lhs p0) len
-          | WFullBuffer -> assert false
-        done);
-    Zpl.Region.size region * n
-  end
-
-(** Runtime validation that every shifted read of [e] over [region] stays
-    inside the referenced array's allocated storage — the dynamic
-    counterpart of the checker's static shift-bounds test, needed for
-    loop-variant regions. [alloc_of] maps an array id to its allocated
-    region on this executor. *)
-let check_refs ~(region : Zpl.Region.t) ~(alloc_of : int -> Zpl.Region.t)
-    (e : Zpl.Prog.aexpr) =
-  if not (Zpl.Region.is_empty region) then begin
-    let rec go = function
-      | Zpl.Prog.AConst _ | Zpl.Prog.AScalar _ | Zpl.Prog.AIndex _ -> ()
-      | Zpl.Prog.ARef (aid, off) ->
-          let target = Zpl.Region.shift region off in
-          if not (Zpl.Region.subset target (alloc_of aid)) then
-            Fmt.failwith
-              "shifted read of array %d over %s reaches %s, outside allocated %s"
-              aid
-              (Zpl.Region.to_string region)
-              (Zpl.Region.to_string target)
-              (Zpl.Region.to_string (alloc_of aid))
-      | Zpl.Prog.ABin (_, a, b) ->
-          go a;
-          go b
-      | Zpl.Prog.AUn (_, a) -> go a
-      | Zpl.Prog.ACall (_, args) -> List.iter go args
-    in
-    go e
+    let rank = Array.length region in
+    let len = Zpl.Region.range_size region.(rank - 1) in
+    let rows = Zpl.Region.row_count region in
+    let p0 = env.e_row.(rank) in
+    Zpl.Region.first_row region p0;
+    for _ = 1 to rows do
+      (* temp definitions first, in order: later temps may read
+         earlier ones through their [RTemp] slots *)
+      for t = 0 to nt - 1 do
+        let ft = Array.unsafe_get temps t in
+        let b = ensure env.e_bufs.(ft.ft_slot) len in
+        fill ft.ft_src env p0 len b 0
+      done;
+      (* per-statement dispatch inline: the match is on an immediate
+         tag and branch-predicts perfectly, and building hoisted
+         closures here would allocate per execution *)
+      for i = 0 to n - 1 do
+        let fs = Array.unsafe_get stmts i in
+        let lhs = Array.unsafe_get stores fs.f_lhs in
+        let data = Store.unsafe_data lhs in
+        match fs.f_mode with
+        | WDirect -> fill fs.f_src env p0 len data (Store.index lhs p0)
+        | WRowBuffer ->
+            let b = ensure env.e_bufs.(fp.f_scratch) len in
+            fill fs.f_src env p0 len b 0;
+            buf_blit b 0 data (Store.index lhs p0) len
+        | WFullBuffer -> assert false
+      done;
+      Zpl.Region.next_row region p0
+    done;
+    rows * len * n
   end
 
 (** The distinct (array, shift) reads of an expression, extracted once
@@ -1715,33 +1750,38 @@ let refs_of (e : Zpl.Prog.aexpr) : refs =
   go e;
   Array.of_list !acc
 
-(** Allocation-free fast path of {!check_refs} over pre-extracted reads. *)
-let check_ref_bounds ~(region : Zpl.Region.t)
-    ~(alloc_of : int -> Zpl.Region.t) (rs : refs) =
-  if Array.length rs > 0 && not (Zpl.Region.is_empty region) then
+(** Runtime validation that every read in [rs] over [region] stays
+    inside the referenced array's allocated storage on this executor
+    ([stores], indexed by array id) — the dynamic counterpart of the
+    checker's static shift-bounds test, needed for loop-variant
+    regions. Allocation-free. *)
+let check_ref_bounds ~(region : Zpl.Region.t) ~(stores : Store.t array)
+    (rs : refs) =
+  if Array.length rs > 0 && not (Zpl.Region.is_empty region) then begin
     let rank = Zpl.Region.rank region in
-    Array.iter
-      (fun (aid, off) ->
-        if Array.length off <> rank then
-          invalid_arg "Region.shift: rank mismatch";
-        let alloc = alloc_of aid in
-        let ok = ref (Zpl.Region.rank alloc = rank) in
-        for d = 0 to rank - 1 do
-          if !ok then begin
-            let rd = Zpl.Region.dim region d
-            and ad = Zpl.Region.dim alloc d in
-            if
-              rd.Zpl.Region.lo + off.(d) < ad.Zpl.Region.lo
-              || rd.Zpl.Region.hi + off.(d) > ad.Zpl.Region.hi
-            then ok := false
-          end
-        done;
-        if not !ok then
-          Fmt.failwith
-            "shifted read of array %d over %s reaches %s, outside allocated \
-             %s"
-            aid
-            (Zpl.Region.to_string region)
-            (Zpl.Region.to_string (Zpl.Region.shift region off))
-            (Zpl.Region.to_string alloc))
-      rs
+    for i = 0 to Array.length rs - 1 do
+      let aid, off = rs.(i) in
+      if Array.length off <> rank then
+        invalid_arg "Region.shift: rank mismatch";
+      let alloc = Store.alloc stores.(aid) in
+      let ok = ref (Zpl.Region.rank alloc = rank) in
+      for d = 0 to rank - 1 do
+        if !ok then begin
+          let rd = Zpl.Region.dim region d
+          and ad = Zpl.Region.dim alloc d in
+          if
+            rd.Zpl.Region.lo + off.(d) < ad.Zpl.Region.lo
+            || rd.Zpl.Region.hi + off.(d) > ad.Zpl.Region.hi
+          then ok := false
+        end
+      done;
+      if not !ok then
+        Fmt.failwith
+          "shifted read of array %d over %s reaches %s, outside allocated \
+           %s"
+          aid
+          (Zpl.Region.to_string region)
+          (Zpl.Region.to_string (Zpl.Region.shift region off))
+          (Zpl.Region.to_string alloc)
+    done
+  end

@@ -128,20 +128,28 @@ type rplan
 
 val plan_reduce : ?row:bool -> rowctx -> Zpl.Prog.reduce_s -> rplan
 
-(** Local partial of a reduction plan over [region]: (partial, cells). *)
+(** Local partial of a reduction plan over [region] (the operator's
+    identity when it is empty); it reduces [Zpl.Region.size region]
+    cells. *)
 val exec_rplan :
-  rplan -> env:env -> region:Zpl.Region.t -> Zpl.Ast.redop -> float * int
+  rplan -> env:env -> region:Zpl.Region.t -> Zpl.Ast.redop -> float
 
 (* --- statement fusion --- *)
 
 (** Whether statement [s] may join a fused group already containing
-    [group] (statically, before row compilation). The conditions:
-    [s] needs no whole-region buffering; same iteration-region
-    expression and same declared lhs region as the group (one bounds
-    computation and one ownership rectangle serve all); distinct
-    left-hand sides; and no fused statement reads another's lhs, in
-    either direction, so interleaving rows of different statements is
-    unobservable. *)
+    [group] (statically, before row compilation). The conditions: [s]
+    needs no whole-region buffering; same iteration-region expression
+    and same declared lhs region as the group (one bounds computation
+    and one ownership rectangle serve all); no member reads another
+    member's lhs, in either direction; and no two members write the
+    same array.
+
+    Soundness needs only part of the last two: fused rows run in
+    statement order, so the one observable hazard is a member reading
+    another member's lhs through a nonzero shift. Zero-shift cross
+    reads and a shared lhs are safe but refused, which keeps the
+    partition every paper benchmark has always had (admitting them
+    regroups all four and measured slower). *)
 val can_join :
   arrays:(int -> Zpl.Prog.array_info) ->
   Zpl.Prog.assign_a list ->
@@ -180,17 +188,6 @@ val exec_fused : fplan -> env:env -> region:Zpl.Region.t -> int
 
 (* --- dynamic bounds checking --- *)
 
-(** Runtime validation that every shifted read of [e] over [region]
-    stays inside the referenced array's allocated storage — the dynamic
-    counterpart of the checker's static shift-bounds test, needed for
-    loop-variant regions. [alloc_of] maps an array id to its allocated
-    region on this executor. Raises [Failure] on a violation. *)
-val check_refs :
-  region:Zpl.Region.t ->
-  alloc_of:(int -> Zpl.Region.t) ->
-  Zpl.Prog.aexpr ->
-  unit
-
 (** The distinct (array, shift) reads of an expression, extracted once
     at plan time so the per-execution bounds check walks a short array
     instead of the whole AST. *)
@@ -198,7 +195,10 @@ type refs = (int * int array) array
 
 val refs_of : Zpl.Prog.aexpr -> refs
 
-(** Allocation-free fast path of {!check_refs} over pre-extracted
-    reads; same checks, same errors. *)
+(** Runtime validation that every read in [rs] over [region] stays
+    inside the referenced array's allocated storage on this executor
+    ([stores], indexed by array id) — the dynamic counterpart of the
+    checker's static shift-bounds test, needed for loop-variant
+    regions. Allocation-free; raises [Failure] on a violation. *)
 val check_ref_bounds :
-  region:Zpl.Region.t -> alloc_of:(int -> Zpl.Region.t) -> refs -> unit
+  region:Zpl.Region.t -> stores:Store.t array -> refs -> unit

@@ -158,8 +158,8 @@ and exec_stmt t kenv ~limit (s : cstmt) =
   | CReduceS (r, plan) ->
       bump t limit;
       let region = Values.eval_dregion t.env r.r_region in
-      let v, cells = Kernel.exec_rplan plan ~env:kenv ~region r.r_op in
-      t.cells <- t.cells + cells;
+      let v = Kernel.exec_rplan plan ~env:kenv ~region r.r_op in
+      t.cells <- t.cells + Zpl.Region.size region;
       t.env.(r.r_lhs) <- Values.VFloat v;
       t.on_scalar r.r_lhs t.env.(r.r_lhs)
   | CRepeat (body, cond) ->

@@ -125,22 +125,6 @@ let blit_rows (src : buf) s0 (dst : buf) d0 len =
       (Bigarray.Array1.unsafe_get src (s0 + k))
   done
 
-let extract (s : t) (rect : Zpl.Region.t) : buf =
-  check_rect s "extract" rect;
-  let buf = alloc_buf (Zpl.Region.size rect) in
-  let k = ref 0 in
-  Zpl.Region.iter_rows rect (fun p0 len ->
-      blit_rows s.data (index s p0) buf !k len;
-      k := !k + len);
-  buf
-
-let inject (s : t) (rect : Zpl.Region.t) (buf : buf) =
-  check_rect s "inject" rect;
-  let k = ref 0 in
-  Zpl.Region.iter_rows rect (fun p0 len ->
-      blit_rows buf !k s.data (index s p0) len;
-      k := !k + len)
-
 let copy_rect ~(src : t) ~(dst : t) (rect : Zpl.Region.t) =
   check_rect src "copy_rect (src)" rect;
   check_rect dst "copy_rect (dst)" rect;

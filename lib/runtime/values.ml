@@ -51,44 +51,55 @@ let resolve2 name : float -> float -> float =
 
 let apply2 name (x : float) (y : float) : float = (resolve2 name) x y
 
-let rec eval (lookup : int -> value) (e : Zpl.Prog.sexpr) : value =
-  match e with
-  | Zpl.Prog.SFloat f -> VFloat f
-  | Zpl.Prog.SInt i -> VInt i
-  | Zpl.Prog.SBool b -> VBool b
-  | Zpl.Prog.SVar id -> lookup id
-  | Zpl.Prog.SUn (Zpl.Ast.Neg, a) -> (
-      match eval lookup a with
-      | VInt i -> VInt (-i)
-      | VFloat f -> VFloat (-.f)
-      | VBool _ -> invalid_arg "cannot negate a boolean")
-  | Zpl.Prog.SUn (Zpl.Ast.Not, a) -> VBool (not (as_bool (eval lookup a)))
-  | Zpl.Prog.SBin (op, a, b) -> (
-      let va = eval lookup a and vb = eval lookup b in
-      let num f_int f_float =
-        match (va, vb) with
-        | VInt x, VInt y -> VInt (f_int x y)
-        | _ -> VFloat (f_float (as_float va) (as_float vb))
-      in
-      let cmp f = VBool (f (as_float va) (as_float vb)) in
-      match op with
-      | Zpl.Ast.Add -> num ( + ) ( +. )
-      | Zpl.Ast.Sub -> num ( - ) ( -. )
-      | Zpl.Ast.Mul -> num ( * ) ( *. )
-      | Zpl.Ast.Div -> VFloat (as_float va /. as_float vb)
-      | Zpl.Ast.Pow -> VFloat (Float.pow (as_float va) (as_float vb))
-      | Zpl.Ast.Lt -> cmp ( < )
-      | Zpl.Ast.Le -> cmp ( <= )
-      | Zpl.Ast.Gt -> cmp ( > )
-      | Zpl.Ast.Ge -> cmp ( >= )
-      | Zpl.Ast.Eq -> cmp ( = )
-      | Zpl.Ast.Ne -> cmp ( <> )
-      | Zpl.Ast.And -> VBool (as_bool va && as_bool vb)
-      | Zpl.Ast.Or -> VBool (as_bool va || as_bool vb))
-  | Zpl.Prog.SCall (f, [ a ]) -> VFloat (apply1 f (as_float (eval lookup a)))
-  | Zpl.Prog.SCall (f, [ a; b ]) ->
-      VFloat (apply2 f (as_float (eval lookup a)) (as_float (eval lookup b)))
-  | Zpl.Prog.SCall (f, _) -> invalid_arg ("bad arity for intrinsic " ^ f)
+(* Operator application on evaluated operands. Top-level functions
+   rather than local closures over the operands, so evaluating an
+   operator allocates only its result. *)
+
+let negate = function
+  | VInt i -> VInt (-i)
+  | VFloat f -> VFloat (-.f)
+  | VBool _ -> invalid_arg "cannot negate a boolean"
+
+(* Comparisons convert both operands to float, as [as_float] does; two
+   ints convert inline, so comparing them boxes nothing. *)
+let compare_values (op : Zpl.Ast.binop) (va : value) (vb : value) : bool =
+  let x, y =
+    match (va, vb) with
+    | VInt x, VInt y -> (float_of_int x, float_of_int y)
+    | _ -> (as_float va, as_float vb)
+  in
+  match op with
+  | Zpl.Ast.Lt -> x < y
+  | Zpl.Ast.Le -> x <= y
+  | Zpl.Ast.Gt -> x > y
+  | Zpl.Ast.Ge -> x >= y
+  | Zpl.Ast.Eq -> x = y
+  | Zpl.Ast.Ne -> x <> y
+  | Zpl.Ast.Add | Zpl.Ast.Sub | Zpl.Ast.Mul | Zpl.Ast.Div | Zpl.Ast.Pow
+  | Zpl.Ast.And | Zpl.Ast.Or ->
+      invalid_arg "Values.compare_values: not a comparison"
+
+let apply_bin (op : Zpl.Ast.binop) (va : value) (vb : value) : value =
+  match op with
+  | Zpl.Ast.Add -> (
+      match (va, vb) with
+      | VInt x, VInt y -> VInt (x + y)
+      | _ -> VFloat (as_float va +. as_float vb))
+  | Zpl.Ast.Sub -> (
+      match (va, vb) with
+      | VInt x, VInt y -> VInt (x - y)
+      | _ -> VFloat (as_float va -. as_float vb))
+  | Zpl.Ast.Mul -> (
+      match (va, vb) with
+      | VInt x, VInt y -> VInt (x * y)
+      | _ -> VFloat (as_float va *. as_float vb))
+  | Zpl.Ast.Div -> VFloat (as_float va /. as_float vb)
+  | Zpl.Ast.Pow -> VFloat (Float.pow (as_float va) (as_float vb))
+  | Zpl.Ast.Lt | Zpl.Ast.Le | Zpl.Ast.Gt | Zpl.Ast.Ge | Zpl.Ast.Eq
+  | Zpl.Ast.Ne ->
+      VBool (compare_values op va vb)
+  | Zpl.Ast.And -> VBool (as_bool va && as_bool vb)
+  | Zpl.Ast.Or -> VBool (as_bool va || as_bool vb)
 
 (** A mutable environment for one (simulated or sequential) processor. *)
 type env = value array
@@ -96,11 +107,37 @@ type env = value array
 let make_env (p : Zpl.Prog.t) : env =
   Array.map (fun (s : Zpl.Prog.scalar_info) -> default_of s.s_ty) p.scalars
 
-let lookup_env (env : env) id = env.(id)
+(* Variables are read from the env array directly: a lookup closure
+   would be allocated on every scalar op and branch the engine runs. *)
+let rec eval_env (env : env) (e : Zpl.Prog.sexpr) : value =
+  match e with
+  | Zpl.Prog.SFloat f -> VFloat f
+  | Zpl.Prog.SInt i -> VInt i
+  | Zpl.Prog.SBool b -> VBool b
+  | Zpl.Prog.SVar id -> env.(id)
+  | Zpl.Prog.SUn (Zpl.Ast.Neg, a) -> negate (eval_env env a)
+  | Zpl.Prog.SUn (Zpl.Ast.Not, a) -> VBool (not (as_bool (eval_env env a)))
+  | Zpl.Prog.SBin (op, a, b) ->
+      let va = eval_env env a and vb = eval_env env b in
+      apply_bin op va vb
+  | Zpl.Prog.SCall (f, [ a ]) -> VFloat (apply1 f (as_float (eval_env env a)))
+  | Zpl.Prog.SCall (f, [ a; b ]) ->
+      VFloat
+        (apply2 f (as_float (eval_env env a)) (as_float (eval_env env b)))
+  | Zpl.Prog.SCall (f, _) -> invalid_arg ("bad arity for intrinsic " ^ f)
 
-let eval_env (env : env) e = eval (lookup_env env) e
-
-let eval_bool (env : env) e = as_bool (eval_env env e)
+(* A comparison, the usual branch condition, yields its bool without
+   the [VBool] a full evaluation would build. *)
+let eval_bool (env : env) (e : Zpl.Prog.sexpr) =
+  match e with
+  | Zpl.Prog.SBin
+      ( ((Zpl.Ast.Lt | Zpl.Ast.Le | Zpl.Ast.Gt | Zpl.Ast.Ge | Zpl.Ast.Eq
+         | Zpl.Ast.Ne) as op),
+        a,
+        b ) ->
+      let va = eval_env env a and vb = eval_env env b in
+      compare_values op va vb
+  | _ -> as_bool (eval_env env e)
 
 let eval_int_bound (env : env) (b : Zpl.Prog.bound) =
   match b.bvar with

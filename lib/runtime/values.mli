@@ -29,18 +29,19 @@ val resolve2 : string -> float -> float -> float
 
 val apply2 : string -> float -> float -> float
 
-(** [eval lookup e] evaluates a scalar expression with [lookup]
-    supplying variable values. Integer arithmetic stays integral;
-    [Div] and [Pow] are always float. *)
-val eval : (int -> value) -> Zpl.Prog.sexpr -> value
-
 (** A mutable environment for one (simulated or sequential) processor,
     indexed by scalar id. *)
 type env = value array
 
 val make_env : Zpl.Prog.t -> env
-val lookup_env : env -> int -> value
+
+(** [eval_env env e] evaluates a scalar expression against [env].
+    Integer arithmetic stays integral; [Div] and [Pow] are always
+    float; comparisons compare both operands as floats. *)
 val eval_env : env -> Zpl.Prog.sexpr -> value
+
+(** [as_bool (eval_env env e)], without building the [VBool] when [e]
+    is a comparison. *)
 val eval_bool : env -> Zpl.Prog.sexpr -> bool
 
 (** Evaluate one region bound, adding the value of its scalar variable

@@ -225,6 +225,11 @@ let mbox_pop (mb : mbox) : int =
 
 type proc = {
   rank : int;
+  box_lo0 : int;
+  box_hi0 : int;
+  box_lo1 : int;
+  box_hi1 : int;
+      (** this rank's partition box ({!Runtime.Layout.box}), dims 0-1 *)
   mutable pc : int;
   time : fcell;
   stores : Runtime.Store.t array;
@@ -247,7 +252,8 @@ type proc = {
   wmail : mbox array;  (** dense (src, xfer, kind) mailboxes *)
   scratch : float array;
       (** unboxed hot-path temporaries: [0] max-arrival accumulator
-          (also {!block_until_acc}'s argument), [1] per-byte unpack rate *)
+          (also {!block_until_acc}'s argument) and a reduction's local
+          partial, [1] per-byte unpack rate *)
   cacc : float array;  (** per collective slot: running combine value *)
   cvals : float array array;
       (** per collective slot used by dissemination: the allgathered
@@ -255,6 +261,13 @@ type proc = {
   kenv : Runtime.Kernel.env;
       (** this rank's binding of its stores and scalar env to the shared
           kernel program's workspace spec *)
+  clip : int array;
+      (** the region of the statement being dispatched, (lo, hi) per
+          dim, clipped in place (see {!clip_local}) *)
+  clipped : Zpl.Region.t array;
+      (** per op index: the region last handed to the kernels there,
+          updated in place when the clip moves ([[||]] until first
+          needed; see {!clipped_region}) *)
   stats : Stats.per_proc;
 }
 
@@ -614,7 +627,13 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
             ~scalar:(fun id -> Runtime.Values.as_float env.(id))
             sp.p_kern.(rank).k_spec
         in
-        { rank; pc = 0; time = { fv = 0.0 }; stores;
+        let box = Runtime.Layout.box layout rank in
+        { rank;
+          box_lo0 = box.(0).Zpl.Region.lo;
+          box_hi0 = box.(0).Zpl.Region.hi;
+          box_lo1 = box.(1).Zpl.Region.lo;
+          box_hi1 = box.(1).Zpl.Region.hi;
+          pc = 0; time = { fv = 0.0 }; stores;
           env;
           wait_kind = wk_none; wait_arg = 0;
           halted = false; queued = false;
@@ -630,6 +649,8 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
             Array.init nslots (fun s ->
                 if sp.p_dissem.(s) then Array.make nprocs 0.0 else [||]);
           kenv;
+          clip = Array.make 6 0;
+          clipped = Array.make (Array.length flat.Ir.Flat.ops) [||];
           stats = Stats.fresh_proc () })
   in
   (* fringe sides: shared blit plans, per-engine staging pools; receive
@@ -858,13 +879,83 @@ let reduce_plan (t : t) (p : proc) idx =
 
 let fused_plan (t : t) (p : proc) idx = t.kern.(p.rank).k_fused.(idx)
 
-(** Local part of a statement region: dims 0-1 intersected with the
-    processor's partition box, higher dims untouched. *)
-let local_region (t : t) (p : proc) (r : Zpl.Region.t) : Zpl.Region.t =
-  let b = Runtime.Layout.box t.layout p.rank in
-  let two = Zpl.Region.inter [| r.(0); r.(1) |] b in
-  if Zpl.Region.rank r = 2 then two
-  else [| two.(0); two.(1); r.(2) |]
+(* --- kernel dispatch ---
+
+   A statement's iteration region is clipped as ints in [p.clip]:
+   its bounds evaluated under the rank's scalars, dims 0-1 cut to the
+   partition box, and (for assignments) every dim cut to the lhs
+   store's owned box. An empty clip — most ranks, on the single-row
+   statements of a serialized sweep — goes straight to the zero-cell
+   charge; a non-empty one reuses the op's last [Zpl.Region.t] while
+   the clip repeats (always, for static regions). Kernel dispatch
+   thus allocates only when a rank meets a new non-empty region. *)
+
+let imax (a : int) b = if a > b then a else b
+let imin (a : int) b = if a < b then a else b
+
+(** Evaluate [dr] under [p]'s scalars into [p.clip] and cut dims 0-1 to
+    the partition box: the ints [Zpl.Region.inter] of the evaluated
+    region and the box would hold. Bounds are evaluated in
+    {!Zpl.Prog.eval_dregion}'s order, so a bad scalar raises the same
+    [Invalid_argument]. Returns the region's rank. *)
+let clip_local (p : proc) (dr : Zpl.Prog.dregion) : int =
+  let n = Array.length dr in
+  let c = p.clip in
+  for d = 0 to n - 1 do
+    let lo, hi = dr.(d) in
+    let h = Runtime.Values.eval_int_bound p.env hi in
+    c.((2 * d) + 1) <- h;
+    c.(2 * d) <- Runtime.Values.eval_int_bound p.env lo
+  done;
+  assert (n >= 2) (* statement regions have the rank of an array *);
+  c.(0) <- imax c.(0) p.box_lo0;
+  c.(1) <- imin c.(1) p.box_hi0;
+  c.(2) <- imax c.(2) p.box_lo1;
+  c.(3) <- imin c.(3) p.box_hi1;
+  n
+
+(** Cut every dim of the rank-[n] clip to [owned]. *)
+let clip_owned (p : proc) n (owned : Zpl.Region.t) =
+  if Zpl.Region.rank owned <> n then invalid_arg "Region.inter: rank mismatch";
+  let c = p.clip in
+  for d = 0 to n - 1 do
+    let o = owned.(d) in
+    c.(2 * d) <- imax c.(2 * d) o.Zpl.Region.lo;
+    c.((2 * d) + 1) <- imin c.((2 * d) + 1) o.Zpl.Region.hi
+  done
+
+(** Cells in the rank-[n] clip: [Zpl.Region.size] of it, 0 when empty. *)
+let clip_cells (p : proc) n =
+  let c = p.clip in
+  let cells = ref 1 in
+  for d = 0 to n - 1 do
+    let ext = c.((2 * d) + 1) - c.(2 * d) + 1 in
+    cells := if ext <= 0 then 0 else !cells * ext
+  done;
+  !cells
+
+(** The non-empty rank-[n] clip as a region, memoized at op [idx]:
+    the region last built there, its ranges replaced in place only for
+    the dims whose clip changed (a row sweep allocates one range per
+    new row, a static region nothing after its first execution). The
+    kernels never retain the regions they are handed, so updating one
+    in place is unobservable. *)
+let clipped_region (p : proc) idx n : Zpl.Region.t =
+  let c = p.clip in
+  let r =
+    if Array.length p.clipped.(idx) = n then p.clipped.(idx)
+    else begin
+      let r = Array.make n (Zpl.Region.range 0 (-1)) in
+      p.clipped.(idx) <- r;
+      r
+    end
+  in
+  for d = 0 to n - 1 do
+    let lo = c.(2 * d) and hi = c.((2 * d) + 1) in
+    if r.(d).Zpl.Region.lo <> lo || r.(d).Zpl.Region.hi <> hi then
+      r.(d) <- Zpl.Region.range lo hi
+  done;
+  r
 
 (** Charge the cost of one executed statement: the same formula — and
     the same float-accumulation order — whether it ran alone or fused. *)
@@ -878,16 +969,14 @@ let charge_kernel (t : t) (p : proc) ~cells ~flops =
   p.stats.Stats.cells <- p.stats.Stats.cells + cells
 
 let exec_kernel (t : t) (p : proc) idx (a : Zpl.Prog.assign_a) =
-  let region = Runtime.Values.eval_dregion p.env a.region in
+  let n = clip_local p a.region in
   let store = p.stores.(a.lhs) in
-  let region =
-    Zpl.Region.inter (local_region t p region) (Runtime.Store.owned store)
-  in
+  clip_owned p n (Runtime.Store.owned store);
   let cells =
-    if Zpl.Region.is_empty region then 0
+    if clip_cells p n = 0 then 0
     else begin
-      Runtime.Kernel.check_ref_bounds ~region
-        ~alloc_of:(fun aid -> Runtime.Store.alloc p.stores.(aid))
+      let region = clipped_region p idx n in
+      Runtime.Kernel.check_ref_bounds ~region ~stores:p.stores
         t.refchecks.(idx);
       Runtime.Kernel.exec_plan (assign_plan t p idx) ~env:p.kenv ~lhs:store
         ~region
@@ -895,42 +984,37 @@ let exec_kernel (t : t) (p : proc) idx (a : Zpl.Prog.assign_a) =
   in
   charge_kernel t p ~cells ~flops:a.flops
 
+(** Member [k] of the fused group headed at op [idx]. *)
+let fused_stmt (t : t) idx k : Zpl.Prog.assign_a =
+  match t.flat.Ir.Flat.ops.(idx + k) with
+  | Ir.Flat.FKernel a -> a
+  | _ -> assert false
+
 (** Execute the fused group of [glen] kernels headed at [idx]: one
     region evaluation and one row traversal, but per-statement cost and
     statistics identical to unfused execution. *)
 let exec_fused_group (t : t) (p : proc) idx glen =
-  let stmt k =
-    match t.flat.Ir.Flat.ops.(idx + k) with
-    | Ir.Flat.FKernel a -> a
-    | _ -> assert false
-  in
   match fused_plan t p idx with
   | None ->
       (* some member fell back to the per-point path: run unfused *)
       for k = 0 to glen - 1 do
-        exec_kernel t p (idx + k) (stmt k)
+        exec_kernel t p (idx + k) (fused_stmt t idx k)
       done
   | Some fp ->
-      let a0 = stmt 0 in
-      let region = Runtime.Values.eval_dregion p.env a0.region in
-      let region =
-        Zpl.Region.inter (local_region t p region)
-          (Runtime.Store.owned p.stores.(a0.lhs))
-      in
-      let cells =
-        if Zpl.Region.is_empty region then 0
-        else begin
-          for k = 0 to glen - 1 do
-            Runtime.Kernel.check_ref_bounds ~region
-              ~alloc_of:(fun aid -> Runtime.Store.alloc p.stores.(aid))
-              t.refchecks.(idx + k)
-          done;
-          ignore (Runtime.Kernel.exec_fused fp ~env:p.kenv ~region);
-          Zpl.Region.size region
-        end
-      in
+      let a0 = fused_stmt t idx 0 in
+      let n = clip_local p a0.region in
+      clip_owned p n (Runtime.Store.owned p.stores.(a0.lhs));
+      let cells = clip_cells p n in
+      if cells > 0 then begin
+        let region = clipped_region p idx n in
+        for k = 0 to glen - 1 do
+          Runtime.Kernel.check_ref_bounds ~region ~stores:p.stores
+            t.refchecks.(idx + k)
+        done;
+        ignore (Runtime.Kernel.exec_fused fp ~env:p.kenv ~region)
+      end;
       for k = 0 to glen - 1 do
-        charge_kernel t p ~cells ~flops:(stmt k).flops
+        charge_kernel t p ~cells ~flops:(fused_stmt t idx k).flops
       done
 
 (* --- communication calls --- *)
@@ -1335,15 +1419,27 @@ let finish_reduce (t : t) seq (slot : reduce_slot) =
     t.procs;
   Hashtbl.remove t.reduce_slots seq
 
+(** This rank's partial of the reduction at op [idx] over its local
+    part of [r]'s region (dims 0-1 cut to the partition box), and the
+    cells it reduced: the identity and 0 when that part is empty. The
+    partial travels through [p.scratch.(0)] so no float is boxed. *)
+let reduce_partial (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : int =
+  let n = clip_local p r.r_region in
+  let cells = clip_cells p n in
+  if cells = 0 then p.scratch.(0) <- Runtime.Reduce.identity r.r_op
+  else begin
+    let region = clipped_region p idx n in
+    Runtime.Kernel.check_ref_bounds ~region ~stores:p.stores
+      t.refchecks.(idx);
+    p.scratch.(0) <-
+      Runtime.Kernel.exec_rplan (reduce_plan t p idx) ~env:p.kenv ~region
+        r.r_op
+  end;
+  cells
+
 let exec_reduce (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : step =
-  let region = Runtime.Values.eval_dregion p.env r.r_region in
-  let region = local_region t p region in
-  Runtime.Kernel.check_ref_bounds ~region
-    ~alloc_of:(fun aid -> Runtime.Store.alloc p.stores.(aid))
-    t.refchecks.(idx);
-  let partial, cells =
-    Runtime.Kernel.exec_rplan (reduce_plan t p idx) ~env:p.kenv ~region r.r_op
-  in
+  let cells = reduce_partial t p idx r in
+  let partial = p.scratch.(0) in
   let dt =
     t.machine.Machine.Params.kernel_overhead
     +. (float_of_int (cells * r.r_flops) *. t.machine.Machine.Params.sec_per_flop)
@@ -1382,15 +1478,8 @@ let exec_reduce (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : step =
     seed the slot state the rounds will combine into. *)
 let exec_coll_part (t : t) (p : proc) idx (w : Ir.Instr.coll_work) =
   let r = w.Ir.Instr.cw_red in
-  let region = Runtime.Values.eval_dregion p.env r.Zpl.Prog.r_region in
-  let region = local_region t p region in
-  Runtime.Kernel.check_ref_bounds ~region
-    ~alloc_of:(fun aid -> Runtime.Store.alloc p.stores.(aid))
-    t.refchecks.(idx);
-  let partial, cells =
-    Runtime.Kernel.exec_rplan (reduce_plan t p idx) ~env:p.kenv ~region
-      r.Zpl.Prog.r_op
-  in
+  let cells = reduce_partial t p idx r in
+  let partial = p.scratch.(0) in
   let dt =
     t.machine.Machine.Params.kernel_overhead
     +. (float_of_int (cells * r.Zpl.Prog.r_flops)

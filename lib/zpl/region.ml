@@ -18,7 +18,14 @@ let range_size { lo; hi } = if hi < lo then 0 else hi - lo + 1
 
 let size (r : t) = Array.fold_left (fun acc rg -> acc * range_size rg) 1 r
 
-let is_empty (r : t) = Array.exists (fun rg -> rg.hi < rg.lo) r
+(* [is_empty] and [subset] run on every kernel dispatch, so they loop
+   by hand: [Array.exists]/[Array.for_all2] allocate a closure per call. *)
+let is_empty (r : t) =
+  let e = ref false in
+  for d = 0 to Array.length r - 1 do
+    if r.(d).hi < r.(d).lo then e := true
+  done;
+  !e
 
 let dim (r : t) i = r.(i)
 
@@ -47,8 +54,13 @@ let contains_point (r : t) (p : int array) =
 (** [subset a b] is true when every point of [a] lies in [b]. *)
 let subset (a : t) (b : t) =
   is_empty a
-  || (rank a = rank b
-     && Array.for_all2 (fun x y -> x.lo >= y.lo && x.hi <= y.hi) a b)
+  || rank a = rank b
+     &&
+     let ok = ref true in
+     for d = 0 to rank a - 1 do
+       if a.(d).lo < b.(d).lo || a.(d).hi > b.(d).hi then ok := false
+     done;
+     !ok
 
 (** Iterate all points in row-major order. The callback receives a scratch
     buffer that is reused between calls; copy it if you keep it. The
@@ -105,39 +117,60 @@ let iter (r : t) (f : int array -> unit) =
         f p;
         step (n - 1)
 
+(* The row cursor: [iter_rows] without the closure, for loops that must
+   not allocate. *)
+
+(** Number of rows of [r]: the product of every extent but the innermost
+    (1 for a rank-1 region, 0 when empty). *)
+let row_count (r : t) =
+  if is_empty r then 0
+  else begin
+    let c = ref 1 in
+    for d = 0 to Array.length r - 2 do
+      c := !c * range_size r.(d)
+    done;
+    !c
+  end
+
+(** [first_row r p] sets the caller's point buffer [p] (length
+    [rank r]) to the start of [r]'s first row. *)
+let first_row (r : t) (p : int array) =
+  for d = 0 to Array.length r - 1 do
+    p.(d) <- r.(d).lo
+  done
+
+(** [next_row r p] advances [p] from one row start to the next in
+    row-major order: an odometer over every dimension but the innermost.
+    After the last row it wraps to the first. *)
+let next_row (r : t) (p : int array) =
+  let d = ref (Array.length r - 2) in
+  while !d >= 0 do
+    let i = !d in
+    if p.(i) < r.(i).hi then begin
+      p.(i) <- p.(i) + 1;
+      d := -1
+    end
+    else begin
+      p.(i) <- r.(i).lo;
+      d := i - 1
+    end
+  done
+
 (** Iterate the region row by row: the callback receives the row's start
     point (innermost coordinate at its [lo]) and the row length. The point
     buffer is reused between calls; copy it if retained. A rank-1 region
     is a single row. *)
 let iter_rows (r : t) (f : int array -> int -> unit) =
-  if not (is_empty r) then begin
+  let rows = row_count r in
+  if rows > 0 then begin
     let n = Array.length r in
     let len = range_size r.(n - 1) in
-    match n with
-    | 1 -> f [| r.(0).lo |] len
-    | 2 ->
-        let p = [| 0; r.(1).lo |] in
-        for i = r.(0).lo to r.(0).hi do
-          p.(0) <- i;
-          f p len
-        done
-    | 3 ->
-        let lo1 = r.(1).lo and hi1 = r.(1).hi in
-        let p = [| 0; 0; r.(2).lo |] in
-        for i = r.(0).lo to r.(0).hi do
-          p.(0) <- i;
-          for j = lo1 to hi1 do
-            p.(1) <- j;
-            f p len
-          done
-        done
-    | _ ->
-        let outer = Array.sub r 0 (n - 1) in
-        let p = Array.map (fun rg -> rg.lo) r in
-        iter outer (fun q ->
-            Array.blit q 0 p 0 (n - 1);
-            p.(n - 1) <- r.(n - 1).lo;
-            f p len)
+    let p = Array.make n 0 in
+    first_row r p;
+    for _ = 1 to rows do
+      f p len;
+      next_row r p
+    done
   end
 
 let fold (r : t) (f : 'a -> int array -> 'a) (init : 'a) =

@@ -63,6 +63,17 @@ val iter : t -> (int array -> unit) -> unit
     [p0]. *)
 val iter_rows : t -> (int array -> int -> unit) -> unit
 
+(** Closure-free row cursor over the same rows, in the same order, as
+    {!iter_rows}, for loops that must not allocate: the caller owns the
+    point buffer [p] (length [rank r]), sets it with [first_row r p],
+    and after handling each row start [p] (row length
+    [range_size (dim r (rank r - 1))]) steps it with [next_row r p],
+    [row_count r] times in all. [row_count] is 0 for an empty region. *)
+val row_count : t -> int
+
+val first_row : t -> int array -> unit
+val next_row : t -> int array -> unit
+
 val fold : t -> ('a -> int array -> 'a) -> 'a -> 'a
 
 (** ["[lo..hi, lo..hi]"] rendering used in error messages and dumps. *)

@@ -139,6 +139,38 @@ let test_fusion_engages_on_tomcatv () =
       if a <> b then Alcotest.failf "array %d differs under fusion" aid)
     p.Zpl.Prog.arrays
 
+(* The fused partition of every paper benchmark under the six rows,
+   test scale (the partition depends on the op stream only). Kernel
+   changes must not regroup statements: [Kernel.can_join] is kept
+   conservative on purpose. *)
+let test_fused_partition_pinned () =
+  let expected =
+    [ ("tomcatv", [ 5; 6; 9; 9; 9; 5 ]);
+      ("swm", [ 4; 5; 6; 5; 5; 4 ]);
+      ("simple", [ 5; 6; 9; 9; 9; 4 ]);
+      ("sp", [ 2; 2; 3; 3; 3; 2 ]) ]
+  in
+  List.iter
+    (fun (b : Programs.Bench_def.t) ->
+      let got =
+        List.map
+          (fun (_, config, lib) ->
+            let c =
+              compile ~config ~defines:b.Programs.Bench_def.test_defines
+                b.Programs.Bench_def.source
+            in
+            Sim.Engine.fused_group_count
+              (Sim.Engine.of_plans
+                 (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib ~pr:2
+                    ~pc:2 c.flat)))
+          Report.Experiment.paper_rows
+      in
+      Alcotest.(check (list int))
+        (b.Programs.Bench_def.name ^ " fused groups per row")
+        (List.assoc b.Programs.Bench_def.name expected)
+        got)
+    Programs.Suite.paper_benchmarks
+
 let test_wavefront_serializes () =
   (* a row-sweep over a distributed dimension must take longer than the
      same arithmetic without the cross-row dependence *)
@@ -353,6 +385,235 @@ let test_empty_owner_class () =
       end)
     uneven_meshes
 
+(* ------------------------------------------------------------------ *)
+(* In-place region clipping: edge cases against the oracle             *)
+(* ------------------------------------------------------------------ *)
+
+(* Loop-variant regions that are empty on some ranks and not on others:
+   a row sweep with a shifted read, a rank-3 statement whose dims 0-1
+   follow the loop, one whose dim 2 does (dim 2 is never cut by the
+   partition box), and a loop-variant reduction (max<<, exact in any
+   combine order) that feeds later cells. n = 11 puts 13 rows of space
+   on 3 mesh rows: blocks of 5, 4 and 4. *)
+let clip_src =
+  {|
+constant n = 11;
+constant m = 4;
+var A, B : [0..n+1, 0..n+1] float;
+var P, Q : [1..n, 1..n, 1..m] float;
+var top : float;
+var i, k : int;
+direction no = [-1, 0];
+procedure main();
+begin
+  [0..n+1, 0..n+1] A := Index1 + 0.5 * Index2;
+  [1..n, 1..n, 1..m] Q := Index1 * 0.25 + Index2 - Index3;
+  for i := 2 to n do
+    [i..i, 1..n] A := A@no * 0.5 + 1.0;
+    [i..i, 2..i, 1..m] P := Q + Index3;
+    for k := 1 to m do
+      [1..n, i..i, k..k] Q := P * 0.5 + Q;
+    end;
+    [i..i, 1..n, 2..m] top := max<< Q;
+    [i..i, 1..n] B := A + top;
+  end;
+end;
+|}
+
+let test_clip_vs_oracle () =
+  let c = compile clip_src in
+  let oracle = run_oracle c in
+  List.iter
+    (fun (pr, pc) ->
+      List.iter
+        (fun fuse ->
+          let name = Printf.sprintf "clip %dx%d fuse=%b" pr pc fuse in
+          let eng =
+            Sim.Engine.of_plans
+              (Sim.Engine.plan ~fuse ~machine:Machine.T3d.machine
+                 ~lib:Machine.T3d.pvm ~pr ~pc c.flat)
+          in
+          let res = Sim.Engine.run eng in
+          (match first_divergence ~tolerance:0.0 c res oracle with
+          | None -> ()
+          | Some d -> Alcotest.failf "%s: %a" name pp_divergence d);
+          (* the sweeps really are empty on some ranks: those update
+             fewer cells than the ranks owning the rows they visit *)
+          let cells =
+            Array.map
+              (fun (pp : Sim.Stats.per_proc) -> pp.Sim.Stats.cells)
+              res.Sim.Engine.stats.Sim.Stats.procs
+          in
+          Alcotest.(check bool) (name ^ ": uneven work") true
+            (pr = 1
+            || Array.exists (fun x -> x <> cells.(0)) cells))
+        [ true; false ])
+    [ (3, 3); (1, 1); (4, 2); (2, 4) ];
+  let layout = Runtime.Layout.for_program ~pr:3 ~pc:3 c.prog in
+  Alcotest.(check (array int)) "3x3 block heights are uneven" [| 5; 4; 4 |]
+    (Array.map (fun (lo, hi) -> hi - lo + 1) layout.Runtime.Layout.row_cuts)
+
+(* On a 4x1 mesh rank 2 owns rows 5..6 of B but nothing of S, which
+   lives in rows 1..4 (ranks 0-1), so at i = 5 its read of S row 4
+   leaves S's empty allocation there. The static checker cannot see it
+   (the region follows the loop); the engine must refuse it with the
+   same message, at the same step, as before in-place clipping. *)
+let past_alloc_src =
+  {|
+constant n = 8;
+var B : [1..n, 1..n] float;
+var S : [1..4, 1..n] float;
+var i : int;
+direction no = [-1, 0];
+procedure main();
+begin
+  [1..4, 1..n] S := Index1 + Index2;
+  for i := 2 to n do
+    [i..i, 1..n] B := S@no * 2.0;
+  end;
+end;
+|}
+
+let test_read_past_alloc () =
+  let c = compile past_alloc_src in
+  let eng =
+    Sim.Engine.of_plans
+      (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
+         ~pr:4 ~pc:1 c.flat)
+  in
+  let msg =
+    match Sim.Engine.run eng with
+    | _ -> Alcotest.fail "read past the allocation was not caught"
+    | exception Failure m -> m
+  in
+  Alcotest.(check string) "failure text"
+    "shifted read of array 1 over [5..5, 1..8] reaches [4..4, 1..8], \
+     outside allocated [5..4, 1..8]"
+    msg;
+  let i =
+    List.find_map
+      (function Zpl.Prog.For f -> Some f.var | _ -> None)
+      c.prog.Zpl.Prog.body
+    |> Option.get
+  in
+  let loop_var =
+    Array.map
+      (fun p -> Runtime.Values.as_int (Sim.Engine.proc_env p).(i))
+      (Sim.Engine.procs eng)
+  in
+  (* ranks 0-1 finished the loop (the flat loop variable ends one past
+     its bound); rank 2 stopped at i = 5, the first row below S; rank 3
+     never ran *)
+  Alcotest.(check (array int)) "loop variable per rank at the failure"
+    [| 9; 9; 5; 0 |] loop_var;
+  Alcotest.(check (array int)) "ops completed on rank 0"
+    [| 1; 1; 8; 7; 7; 7; 7; 7; 7; 7; 1 |]
+    (Sim.Engine.op_counts eng)
+
+(* Point every region-bound variable at scalar [into]: a float scalar in
+   a region bound, which the checker would refuse, built directly. *)
+let rec swap_bound_var ~into (s : Zpl.Prog.stmt) : Zpl.Prog.stmt =
+  let bound (b : Zpl.Prog.bound) =
+    if b.Zpl.Prog.bvar = None then b else { b with Zpl.Prog.bvar = Some into }
+  in
+  let region = Array.map (fun (lo, hi) -> (bound lo, bound hi)) in
+  let body = List.map (swap_bound_var ~into) in
+  match s with
+  | Zpl.Prog.AssignA a -> Zpl.Prog.AssignA { a with region = region a.region }
+  | Zpl.Prog.ReduceS r ->
+      Zpl.Prog.ReduceS { r with r_region = region r.r_region }
+  | Zpl.Prog.For f -> Zpl.Prog.For { f with body = body f.body }
+  | Zpl.Prog.Repeat (b, c) -> Zpl.Prog.Repeat (body b, c)
+  | Zpl.Prog.If (c, t, e) -> Zpl.Prog.If (c, body t, body e)
+  | Zpl.Prog.AssignS _ -> s
+
+let test_float_region_bound () =
+  let prog =
+    Zpl.Check.compile_string
+      {|
+constant n = 8;
+var A, B : [1..n, 1..n] float;
+var i : int;
+var x : float;
+procedure main();
+begin
+  x := 2.5;
+  for i := 2 to n do
+    [i..i, 1..n] B := A + 1.0;
+  end;
+end;
+|}
+  in
+  let x =
+    match Zpl.Prog.find_scalar prog "x" with
+    | Some s -> s.Zpl.Prog.s_id
+    | None -> Alcotest.fail "no scalar x"
+  in
+  let prog =
+    { prog with
+      Zpl.Prog.body = List.map (swap_bound_var ~into:x) prog.body }
+  in
+  let want = Invalid_argument "non-integral float used as int" in
+  Alcotest.check_raises "oracle" want (fun () ->
+      ignore (Runtime.Seqexec.run prog));
+  List.iter
+    (fun (pr, pc) ->
+      let flat =
+        Ir.Flat.flatten (Opt.Passes.compile Opt.Config.pl_cum prog)
+      in
+      Alcotest.check_raises (Printf.sprintf "engine %dx%d" pr pc) want
+        (fun () ->
+          ignore
+            (Sim.Engine.run
+               (Sim.Engine.of_plans
+                  (Sim.Engine.plan ~machine:Machine.T3d.machine
+                     ~lib:Machine.T3d.pvm ~pr ~pc flat)))))
+    [ (1, 1); (2, 2); (3, 3) ]
+
+(* ------------------------------------------------------------------ *)
+(* Allocation gate for kernel dispatch                                 *)
+(* ------------------------------------------------------------------ *)
+
+(** Minor words allocated by one [Engine.run] of TOMCATV at n = 32 on a
+    4x4 mesh, and the instructions it executed. The two serialized
+    tridiagonal loops give single-row, loop-variant regions that are
+    empty on three ranks in four. *)
+let tomcatv_run_words ~iters =
+  let c =
+    compile
+      ~defines:[ ("n", 32.); ("iters", float_of_int iters) ]
+      Programs.Suite.tomcatv.Programs.Bench_def.source
+  in
+  let eng =
+    Sim.Engine.of_plans
+      (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm ~pr:4
+         ~pc:4 c.flat)
+  in
+  let w0 = Gc.minor_words () in
+  let res = Sim.Engine.run eng in
+  let w = Gc.minor_words () -. w0 in
+  (w, res.Sim.Engine.stats.Sim.Stats.instructions)
+
+(** Differential allocation per executed instruction, the way
+    test_comm.ml isolates steady-state communication: set-up costs are
+    the same at both iteration counts, so the delta over the delta in
+    instructions is the steady-state cost of dispatch. Measured 1.075
+    words per instruction (OCaml 5.1, dev profile; 26.1 before kernel
+    regions were clipped in place). What is left is scalar values (a
+    loop step allocates its [VInt]s), one range per new row of a row
+    sweep on the ranks that own it, and the opaque reductions' slots. *)
+let test_dispatch_alloc_gate () =
+  ignore (tomcatv_run_words ~iters:1);
+  let w_lo, i_lo = tomcatv_run_words ~iters:2
+  and w_hi, i_hi = tomcatv_run_words ~iters:6 in
+  let per_instr = (w_hi -. w_lo) /. float_of_int (i_hi - i_lo) in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "TOMCATV 4x4 allocates %.3f minor words per instruction (want <= 1.25)"
+       per_instr)
+    true
+    (per_instr <= 1.25)
+
 let () =
   Alcotest.run "engine"
     [ ( "execution",
@@ -361,7 +622,9 @@ let () =
           Alcotest.test_case "gather == oracle" `Quick test_gather_matches_oracle;
           Alcotest.test_case "replicated scalars" `Quick test_replicated_scalars_agree;
           Alcotest.test_case "fusion engages (tomcatv)" `Quick
-            test_fusion_engages_on_tomcatv ] );
+            test_fusion_engages_on_tomcatv;
+          Alcotest.test_case "fused partition pinned" `Quick
+            test_fused_partition_pinned ] );
       ( "geometry classes",
         [ Alcotest.test_case "even 8x8 mesh shares programs" `Quick
             test_even_mesh_classes;
@@ -375,6 +638,16 @@ let () =
           Alcotest.test_case "wavefront serializes" `Quick test_wavefront_serializes;
           Alcotest.test_case "shmem rendezvous" `Quick test_shmem_rendezvous_couples;
           Alcotest.test_case "machine speeds" `Quick test_paragon_machine_is_slower ] );
+      ( "clipping",
+        [ Alcotest.test_case "loop-variant regions == oracle" `Quick
+            test_clip_vs_oracle;
+          Alcotest.test_case "read past the allocation" `Quick
+            test_read_past_alloc;
+          Alcotest.test_case "float region bound" `Quick
+            test_float_region_bound ] );
+      ( "allocation",
+        [ Alcotest.test_case "kernel dispatch words per instruction" `Quick
+            test_dispatch_alloc_gate ] );
       ( "guards",
         [ Alcotest.test_case "wide shift rejected" `Quick test_rejects_wide_shift;
           Alcotest.test_case "instruction limit" `Quick test_instruction_limit ] ) ]

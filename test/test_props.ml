@@ -543,7 +543,7 @@ let prop_row_kernel_bitwise =
     ~count:300 arb_kcase (fun c ->
       exec_kcase ~row:true c = exec_kcase ~row:false c)
 
-(** Same for reductions: identical partials (bitwise) and cell counts. *)
+(** Same for reductions: identical partials (bitwise). *)
 let prop_row_reduce_bitwise =
   QCheck.Test.make ~name:"row reductions == per-point (bitwise)" ~count:200
     (QCheck.pair arb_kcase
@@ -558,10 +558,8 @@ let prop_row_reduce_bitwise =
             r_rhs = c.krhs; r_flops = 0 }
         in
         let plan = Runtime.Kernel.plan_reduce ~row rc r in
-        let v, cells =
-          Runtime.Kernel.exec_rplan plan ~env:(mkenv ()) ~region:c.kregion op
-        in
-        (bits v, cells)
+        bits
+          (Runtime.Kernel.exec_rplan plan ~env:(mkenv ()) ~region:c.kregion op)
       in
       run ~row:true = run ~row:false)
 
@@ -597,10 +595,18 @@ let test_row_plan_engages () =
       ("index expression", c 3 0 Zpl.Prog.(ABin (Zpl.Ast.Add, AIndex 0, AIndex 1)));
       ("scalar broadcast", c 4 2 (Zpl.Prog.AScalar 0)) ]
 
-(** Row-wise [extract]/[inject] agree with a per-point reference and
-    roundtrip without disturbing cells outside the rectangle. *)
-let prop_extract_inject_rows =
-  QCheck.Test.make ~name:"extract/inject row path == per-point" ~count:300
+(** A one-rect wire plan — rect [rect] of array 0 of [s] — and a
+    staging buffer sized for it. *)
+let wire1 (s : Runtime.Store.t) rect =
+  let plan = Runtime.Wireplan.build ~stores:[| s |] [ (0, rect) ] in
+  (plan, Runtime.Store.alloc_buf (Runtime.Wireplan.cells plan))
+
+(** A wire plan packs a rectangle row-major, the same values as a
+    per-point reference, and unpacking writes exactly the rectangle,
+    leaving every other cell alone. *)
+let prop_wireplan_rows =
+  QCheck.Test.make ~name:"wireplan pack/unpack row path == per-point"
+    ~count:300
     (QCheck.make
        ~print:(fun (alloc, rect, seed) ->
          Printf.sprintf "alloc %s, rect %s, seed %d"
@@ -621,21 +627,23 @@ let prop_extract_inject_rows =
     (fun (alloc, rect, seed) ->
       let rank = Zpl.Region.rank alloc in
       let s = mk_store 0 rank alloc seed in
-      (* reference extract, point by point *)
+      (* reference pack, point by point *)
       let ref_buf = Array.make (Zpl.Region.size rect) 0.0 in
       let k = ref 0 in
       Zpl.Region.iter rect (fun p ->
           ref_buf.(!k) <- Runtime.Store.get s p;
           incr k);
-      let fast = Runtime.Store.buf_to_array (Runtime.Store.extract s rect) in
-      (* reference inject into a copy of a second store *)
+      let plan, buf = wire1 s rect in
+      Runtime.Wireplan.pack plan [| s |] buf;
+      let fast = Runtime.Store.buf_to_array buf in
+      (* reference unpack into a copy of a second store *)
       let s2 = mk_store 0 rank alloc (seed + 17) in
       let expected = Runtime.Store.to_array s2 in
       let k = ref 0 in
       Zpl.Region.iter rect (fun p ->
           expected.(Runtime.Store.index s2 p) <- fast.(!k);
           incr k);
-      Runtime.Store.inject s2 rect (Runtime.Store.buf_of_array fast);
+      Runtime.Wireplan.unpack plan [| s2 |] buf;
       Array.map bits fast = Array.map bits ref_buf
       && Array.map bits (Runtime.Store.to_array s2) = Array.map bits expected)
 
@@ -809,19 +817,104 @@ let test_cse_plan_engages () =
   Alcotest.(check bool) "no-CSE fused == per-point (bitwise)" true
     (fingerprint stores_n = fingerprint stores_pt)
 
-(** Extract/inject round-trips exactly at Bigarray sub-view boundaries:
-    full fringe rows/columns of a fringed store, and rank-3 rectangles
-    flush against the never-grown innermost dimension. *)
-let test_extract_inject_boundaries () =
+(** [Kernel.can_join] directly. Fused rows run in statement order, so
+    the one real hazard is a member reading another member's lhs through
+    a nonzero shift — refused in both directions, and shown to be real
+    by running such a group fused anyway. A zero-shift cross read and a
+    shared lhs are safe (fused == statement by statement, bitwise) yet
+    refused by the conservative policy, which keeps every benchmark's
+    partition unchanged (pinned in test_engine.ml). *)
+let test_can_join_hazard () =
+  let region = Zpl.Region.make [ (1, 8); (1, 8) ] in
+  let info aid =
+    { Zpl.Prog.a_id = aid; a_name = Printf.sprintf "S%d" aid;
+      a_region = grow1 region; a_rank = 2 }
+  in
+  let stmt lhs rhs =
+    { Zpl.Prog.region = Zpl.Prog.dregion_of_region region; lhs; rhs;
+      flops = 0 }
+  in
+  let open Zpl.Prog in
+  let r a d0 d1 = ARef (a, [| d0; d1 |]) in
+  let add x y = ABin (Zpl.Ast.Add, x, y) and mul x y = ABin (Zpl.Ast.Mul, x, y) in
+  let joins group st = Runtime.Kernel.can_join ~arrays:info group st in
+  let fingerprint stores =
+    Array.map
+      (fun (s : Runtime.Store.t) -> Array.map bits (Runtime.Store.to_array s))
+      stores
+  in
+  (* the group run fused vs statement by statement on the per-point path *)
+  let fused_matches group =
+    let mk () =
+      let stores = Array.init narrays (fun aid -> mk_store aid 2 (grow1 region) 5) in
+      let ws = Runtime.Kernel.make_ws () in
+      (stores, { Runtime.Kernel.rstore = (fun aid -> stores.(aid)); rws = ws }, ws)
+    in
+    let stores_pt, rc_pt, ws_pt = mk () in
+    let plans = Array.map (Runtime.Kernel.plan_assign ~row:false rc_pt) group in
+    let env_pt =
+      Runtime.Kernel.make_env ~stores:stores_pt ~scalar:kscalar
+        (Runtime.Kernel.ws_spec ws_pt)
+    in
+    Array.iteri
+      (fun i (a : assign_a) ->
+        ignore
+          (Runtime.Kernel.exec_plan plans.(i) ~env:env_pt
+             ~lhs:stores_pt.(a.lhs) ~region))
+      group;
+    let stores_f, rc_f, ws_f = mk () in
+    match Runtime.Kernel.plan_fused ~cse:false rc_f group with
+    | None -> Alcotest.fail "group should row-compile"
+    | Some fp ->
+        ignore
+          (Runtime.Kernel.exec_fused fp
+             ~env:
+               (Runtime.Kernel.make_env ~stores:stores_f ~scalar:kscalar
+                  (Runtime.Kernel.ws_spec ws_f))
+             ~region);
+        fingerprint stores_f = fingerprint stores_pt
+  in
+  let g = stmt 1 (add (r 0 0 1) (r 0 0 0)) in
+  (* hazard: a later member reads the earlier lhs one row ahead *)
+  let later = stmt 2 (mul (r 1 1 0) (AConst 0.5)) in
+  Alcotest.(check bool) "later shifted read refused" false (joins [ g ] later);
+  Alcotest.(check bool) "the hazard is real" false (fused_matches [| g; later |]);
+  (* hazard the other way: an earlier member reads the later lhs one row
+     back, which fused execution has already overwritten *)
+  let reader = stmt 1 (add (r 2 (-1) 0) (r 0 0 0)) in
+  let writer = stmt 2 (mul (r 0 0 0) (AConst 2.0)) in
+  Alcotest.(check bool) "earlier shifted read refused" false
+    (joins [ reader ] writer);
+  Alcotest.(check bool) "that hazard is real too" false
+    (fused_matches [| reader; writer |]);
+  (* safe, refused by policy: zero-shift cross read, shared lhs *)
+  let zero = stmt 2 (add (mul (r 1 0 0) (AConst 0.5)) (r 0 0 (-1))) in
+  Alcotest.(check bool) "zero-shift cross read refused" false (joins [ g ] zero);
+  Alcotest.(check bool) "zero-shift cross read fuses soundly" true
+    (fused_matches [| g; zero |]);
+  let again = stmt 1 (add (r 0 1 0) (AConst 1.0)) in
+  Alcotest.(check bool) "shared lhs refused" false (joins [ g ] again);
+  Alcotest.(check bool) "shared lhs fuses soundly" true
+    (fused_matches [| g; again |]);
+  (* independent members join, and fuse soundly *)
+  let other = stmt 2 (mul (r 0 (-1) 0) (AConst 2.0)) in
+  Alcotest.(check bool) "independent members join" true (joins [ g ] other);
+  Alcotest.(check bool) "and match" true (fused_matches [| g; other |])
+
+(** Pack then unpack round-trips exactly at Bigarray sub-view
+    boundaries: full fringe rows/columns of a fringed store, and rank-3
+    rectangles flush against the never-grown innermost dimension. *)
+let test_wireplan_boundaries () =
   let check_roundtrip name (s : Runtime.Store.t) rect =
     fill_store s 42;
     let before = Runtime.Store.to_array s in
-    let b = Runtime.Store.extract s rect in
-    Runtime.Store.inject s rect b;
+    let plan, b = wire1 s rect in
+    Runtime.Wireplan.pack plan [| s |] b;
+    Runtime.Wireplan.unpack plan [| s |] b;
     Alcotest.(check bool) (name ^ ": store untouched") true
       (Array.map bits before = Array.map bits (Runtime.Store.to_array s));
     Alcotest.(check int) (name ^ ": size") (Zpl.Region.size rect)
-      (Bigarray.Array1.dim b)
+      (Runtime.Wireplan.cells plan)
   in
   let info2 =
     { Zpl.Prog.a_id = 0; a_name = "A";
@@ -975,14 +1068,16 @@ let () =
       ( "row engine",
         List.map to_alcotest
           [ prop_row_kernel_bitwise; prop_row_reduce_bitwise;
-            prop_extract_inject_rows; prop_seqexec_row_path;
+            prop_wireplan_rows; prop_seqexec_row_path;
             prop_seqexec_cse; prop_engine_fuse; prop_engine_cse;
             prop_comm_matches_oracle ]
         @ [ Alcotest.test_case "stencil compiles to row plan" `Quick
               test_row_plan_engages;
             Alcotest.test_case "fused CSE engages and matches per-point"
               `Quick test_cse_plan_engages;
-            Alcotest.test_case "extract/inject at view boundaries" `Quick
-              test_extract_inject_boundaries;
+            Alcotest.test_case "can_join: shifted cross reads refused" `Quick
+              test_can_join_hazard;
+            Alcotest.test_case "wireplan pack/unpack at view boundaries"
+              `Quick test_wireplan_boundaries;
             Alcotest.test_case "parallel grid == serial grid" `Quick
               test_grid_parallel_deterministic ] ) ]

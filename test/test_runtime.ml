@@ -66,14 +66,17 @@ let test_store_get_set () =
     (Invalid_argument "Store.get: 0,0 out of [1..6, 1..6] of A") (fun () ->
       ignore (Runtime.Store.get s [| 0; 0 |]))
 
-let test_store_extract_inject () =
+let test_store_wireplan_roundtrip () =
   let s = Runtime.Store.make info2 ~owned:(r2 0 4 0 4) ~fringe:1 in
   let rect = r2 2 3 1 4 in
+  let plan = Runtime.Wireplan.build ~stores:[| s |] [ (0, rect) ] in
   let arr = Array.init (R.size rect) (fun i -> float_of_int i +. 0.5) in
-  Runtime.Store.inject s rect (Runtime.Store.buf_of_array arr);
+  Runtime.Wireplan.unpack plan [| s |] (Runtime.Store.buf_of_array arr);
+  let buf = Runtime.Store.alloc_buf (Runtime.Wireplan.cells plan) in
+  Runtime.Wireplan.pack plan [| s |] buf;
   Alcotest.(check (array (float 0.)))
     "roundtrip" arr
-    (Runtime.Store.buf_to_array (Runtime.Store.extract s rect));
+    (Runtime.Store.buf_to_array buf);
   Alcotest.(check (float 0.)) "row-major order" 1.5 (Runtime.Store.get s [| 2; 2 |])
 
 let test_store_rank3 () =
@@ -200,14 +203,14 @@ let test_buffered_assignment () =
     (Runtime.Store.get store [| 5; 9 |])
 
 let test_check_refs_catches () =
-  Alcotest.(check bool) "raises" true
-    (match
-       Runtime.Kernel.check_refs ~region:(r2 0 0 0 9)
-         ~alloc_of:(fun _ -> r2 0 9 0 9)
-         (Zpl.Prog.ARef (0, [| -1; 0 |]))
-     with
-    | () -> false
-    | exception Failure _ -> true)
+  let s = Runtime.Store.make info2 ~owned:(r2 0 9 0 9) ~fringe:0 in
+  Alcotest.check_raises "raises"
+    (Failure
+       "shifted read of array 0 over [0..0, 0..9] reaches [-1..-1, 0..9], \
+        outside allocated [0..9, 0..9]")
+    (fun () ->
+      Runtime.Kernel.check_ref_bounds ~region:(r2 0 0 0 9) ~stores:[| s |]
+        (Runtime.Kernel.refs_of (Zpl.Prog.ARef (0, [| -1; 0 |]))))
 
 let test_values_eval () =
   let env = [| Runtime.Values.VInt 3; Runtime.Values.VFloat 1.5 |] in
@@ -237,7 +240,8 @@ let () =
           Alcotest.test_case "coords roundtrip" `Quick test_coords_roundtrip ] );
       ( "store",
         [ Alcotest.test_case "get/set" `Quick test_store_get_set;
-          Alcotest.test_case "extract/inject" `Quick test_store_extract_inject;
+          Alcotest.test_case "wireplan round trip" `Quick
+            test_store_wireplan_roundtrip;
           Alcotest.test_case "rank 3" `Quick test_store_rank3 ] );
       ( "halo",
         [ Alcotest.test_case "east slice" `Quick test_halo_east;
