@@ -605,7 +605,7 @@ let wire1 (s : Runtime.Store.t) rect =
     per-point reference, and unpacking writes exactly the rectangle,
     leaving every other cell alone. *)
 let prop_wireplan_rows =
-  QCheck.Test.make ~name:"wireplan pack/unpack row path == per-point"
+  QCheck.Test.make ~name:"wireplan row path == per-point"
     ~count:300
     (QCheck.make
        ~print:(fun (alloc, rect, seed) ->
