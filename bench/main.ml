@@ -215,42 +215,23 @@ let gate ~baseline ~unit regressions =
           (100. *. drift_threshold)
       else exit 3
 
-(** Cells/second of one benchmark's kernel loops on a 1x1-mesh engine —
-    the simulated program is pure kernel execution there (no
-    communication), so the measurement isolates the array-statement
-    execution path. [path] picks the strategy: interpreted per-point, row
-    kernels without fusion, fused row kernels, or fused row kernels with
-    CSE row temporaries (the default engine configuration). *)
-let kernel_trial ~path ~budget (c : Commopt.compiled) =
-  let row_path, fuse, cse =
-    match path with
-    | `Point -> (false, false, false)
-    | `Row -> (true, false, false)
-    | `Fused -> (true, true, false)
-    | `FusedCse -> (true, true, true)
-  in
+(** Cells/second of one benchmark's kernel loops in the sequential
+    executor ({!Runtime.Seqexec}) — no communication and no simulated
+    clock, so the measurement isolates the array-statement execution
+    path. [row_path] picks the strategy: row kernels (the default every
+    executor runs) or the interpreted per-point path. *)
+let kernel_trial ~row_path ~budget (c : Commopt.compiled) =
   let cells = ref 0 in
   let runs, total =
     repeat_for ~budget (fun () ->
-        let engine =
-          Sim.Engine.of_plans
-            (Sim.Engine.plan ~row_path ~fuse ~cse ~machine:Machine.T3d.machine
-               ~lib:Machine.T3d.shmem ~pr:1 ~pc:1 c.flat)
-        in
-        let result = Sim.Engine.run engine in
-        cells :=
-          Array.fold_left
-            (fun n (pp : Sim.Stats.per_proc) -> n + pp.Sim.Stats.cells)
-            0 result.Sim.Engine.stats.Sim.Stats.procs)
+        cells := (Runtime.Seqexec.run ~row_path c.prog).Runtime.Seqexec.cells)
   in
   (float_of_int (!cells * runs) /. total, !cells)
 
 type path_cps = {
   pc_cells : int;  (** cells per run *)
   pc_point : float;  (** cells/sec, per-point path *)
-  pc_row : float;  (** cells/sec, row path, fusion off *)
-  pc_fused : float;  (** cells/sec, fused row path, CSE off *)
-  pc_fused_cse : float;  (** cells/sec, fused row path with CSE temps *)
+  pc_row : float;  (** cells/sec, row path *)
 }
 
 (** Best of three interleaved trials per path. Interference on a shared
@@ -259,11 +240,11 @@ type path_cps = {
     interleaving the paths decorrelates any slow phase of the machine
     from one particular path. The starting path rotates across trials:
     with a fixed order, whichever path runs first after a warm-up gap
-    systematically measures low, which read as a phantom ~4% CSE
+    systematically measures low, which once read as a phantom ~4%
     regression before the rotation. *)
 let bench_paths ~defines source =
   let c = compile ~config:Opt.Config.pl_cum ~defines source in
-  let paths = [| `FusedCse; `Fused; `Row; `Point |] in
+  let paths = [| true; false |] in
   let np = Array.length paths in
   let best = Array.make np 0.0 in
   let seen = Array.make np [] in
@@ -271,18 +252,14 @@ let bench_paths ~defines source =
   for trial = 0 to 2 do
     for j = 0 to np - 1 do
       let i = (j + trial) mod np in
-      let cps, n = kernel_trial ~path:paths.(i) ~budget:0.25 c in
+      let cps, n = kernel_trial ~row_path:paths.(i) ~budget:0.25 c in
       cells := n;
       seen.(i) <- cps :: seen.(i);
       if cps > best.(i) then best.(i) <- cps
     done
   done;
   Array.iter note_spread seen;
-  { pc_cells = !cells;
-    pc_point = best.(3);
-    pc_row = best.(2);
-    pc_fused = best.(1);
-    pc_fused_cse = best.(0) }
+  { pc_cells = !cells; pc_point = best.(1); pc_row = best.(0) }
 
 type kernel_bench = {
   kb_tomcatv : path_cps;
@@ -318,23 +295,18 @@ let run_kernel_bench ~scale () =
 
 (** The JSON payload as key/value pairs; the legacy keys of PR 1's
     BENCH_kernel.json keep their names, with [row_path_cells_per_sec]
-    tracking the engine's default configuration (now fused + CSE) so
-    old baselines stay comparable. *)
+    tracking TOMCATV's row path. *)
 let kernel_numbers (kb : kernel_bench) : (string * float) list =
   let t = kb.kb_tomcatv and s = kb.kb_swm in
   [ ("cells_per_run", float_of_int t.pc_cells);
     ("point_path_cells_per_sec", t.pc_point);
-    ("row_path_cells_per_sec", t.pc_fused_cse);
-    ("row_vs_point_speedup", t.pc_fused_cse /. t.pc_point);
+    ("row_path_cells_per_sec", t.pc_row);
+    ("row_vs_point_speedup", t.pc_row /. t.pc_point);
     ("tomcatv_point_cells_per_sec", t.pc_point);
     ("tomcatv_row_cells_per_sec", t.pc_row);
-    ("tomcatv_fused_cells_per_sec", t.pc_fused);
-    ("tomcatv_fused_cse_cells_per_sec", t.pc_fused_cse);
     ("swm_cells_per_run", float_of_int s.pc_cells);
     ("swm_point_cells_per_sec", s.pc_point);
     ("swm_row_cells_per_sec", s.pc_row);
-    ("swm_fused_cells_per_sec", s.pc_fused);
-    ("swm_fused_cse_cells_per_sec", s.pc_fused_cse);
     ("grid_quick_serial_sec", kb.kb_grid_serial);
     ("grid_quick_parallel_sec", kb.kb_grid_parallel);
     ("grid_domains", float_of_int kb.kb_domains) ]
@@ -386,8 +358,7 @@ let write_bench_json path ~benchmark entries =
 let write_kernel_json path (kb : kernel_bench) =
   write_bench_json path
     ~benchmark:
-      "kernel loops on a 1x1 mesh (T3D shmem): per-point vs row vs fused vs \
-       fused+CSE"
+      "kernel loops in the sequential executor: per-point vs row"
     (num_entries (kernel_numbers kb))
 
 (* --------------------------------------------------------------- *)
@@ -994,16 +965,10 @@ let print_kernel_bench ?baseline ~scale () =
     Printf.sprintf
       "%s (%d cells/run):\n\
       \  per-point path : %12.0f cells/sec\n\
-      \  row path       : %12.0f cells/sec\n\
-      \  fused rows     : %12.0f cells/sec  (%.2fx point, %.2fx row)\n\
-      \  fused + CSE    : %12.0f cells/sec  (%.3fx fused)"
-      name p.pc_cells p.pc_point p.pc_row p.pc_fused
-      (p.pc_fused /. p.pc_point)
-      (p.pc_fused /. p.pc_row)
-      p.pc_fused_cse
-      (p.pc_fused_cse /. p.pc_fused)
+      \  row path       : %12.0f cells/sec  (%.2fx point)"
+      name p.pc_cells p.pc_point p.pc_row (p.pc_row /. p.pc_point)
   in
-  section "Kernel benchmark: per-point vs row-compiled vs fused vs fused+CSE"
+  section "Kernel benchmark: per-point vs row-compiled"
     (Printf.sprintf
        "Build profile: %s (flambda: %b)\n\
         %s\n\

@@ -383,13 +383,9 @@ let run_cmd =
   let verify_arg =
     Arg.(value & flag & info [ "verify" ] ~doc:"check against the sequential oracle")
   in
-  let run src spec verify_flag check_flag no_fuse no_cse =
+  let run src spec verify_flag check_flag =
     Cmdline.handle (fun () ->
-        let spec =
-          let open Run.Spec in
-          spec |> with_check check_flag |> with_fuse (not no_fuse)
-          |> with_cse (not no_cse)
-        in
+        let spec = Run.Spec.with_check check_flag spec in
         let cache = Run.Cache.create () in
         let c = of_spec ~cache spec in
         let res = Run.Cache.run cache spec in
@@ -423,7 +419,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"simulate a program on a machine model")
     Term.(
       const run $ Cmdline.src_arg $ Cmdline.spec_term $ verify_arg
-      $ Cmdline.check_arg $ Cmdline.no_fuse_arg $ Cmdline.no_cse_arg)
+      $ Cmdline.check_arg)
 
 let bench_cmd =
   let name_arg =

@@ -168,17 +168,6 @@ let check_arg =
     & info [ "check" ]
         ~doc:"statically verify the emitted schedule (schedcheck)")
 
-let no_fuse_arg =
-  Arg.(
-    value & flag
-    & info [ "no-fuse" ] ~doc:"disable row-kernel fusion in the simulator")
-
-let no_cse_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cse" ]
-        ~doc:"disable common-subexpression row temporaries in fused kernels")
-
 (* -------------------------------------------------------------- *)
 (* Flags shared by the bench harness                               *)
 (* -------------------------------------------------------------- *)
@@ -226,13 +215,12 @@ let spec_term =
     const make_spec $ src_arg $ defines_arg $ config_arg $ collective_arg
     $ lib_arg $ mesh_arg $ topology_arg)
 
-(** Run [f], mapping failures to exit code 1 with an [error:] line. *)
+(** Run [f], mapping failures to exit code 1 with an [error:] line.
+    [Invalid_argument] is a failure too: [Sim.Engine.plan] raises it
+    for a mesh the program cannot be laid out on. *)
 let handle f =
   match Zpl.Loc.guard f with
   | Ok () -> 0
-  | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
-  | exception Failure msg ->
+  | Error msg | (exception (Failure msg | Invalid_argument msg)) ->
       Printf.eprintf "error: %s\n" msg;
       1

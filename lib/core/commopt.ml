@@ -70,15 +70,13 @@ let of_spec ?cache (spec : Run.Spec.t) : compiled =
 let static_count (c : compiled) = Ir.Count.static_count c.ir
 
 (** Simulate on [mesh] (default 4x4) of the given machine/library (default
-    T3D + PVM). [fuse] toggles row-kernel fusion inside the simulated
-    processors; [cse] toggles subterm hoisting within fused groups. Both
-    default to the engine's defaults. *)
+    T3D + PVM). *)
 let simulate ?(machine = Machine.T3d.machine) ?(lib = Machine.T3d.pvm)
-    ?(mesh = (4, 4)) ?limit ?fuse ?cse (c : compiled) : Sim.Engine.result =
+    ?(mesh = (4, 4)) ?limit (c : compiled) : Sim.Engine.result =
   let pr, pc = mesh in
   Sim.Engine.run
     (Sim.Engine.of_plans ?limit
-       (Sim.Engine.plan ?fuse ?cse ~machine ~lib ~pr ~pc c.flat))
+       (Sim.Engine.plan ~machine ~lib ~pr ~pc c.flat))
 
 (** Run the sequential oracle on the same program. *)
 let run_oracle ?limit (c : compiled) : Runtime.Seqexec.t =
@@ -188,9 +186,9 @@ let oracle_distance (c : compiled) (res : Sim.Engine.result)
 
 (** [verify c] simulates and checks the result against the oracle; returns
     the simulation result or fails naming the first divergent cell. *)
-let verify ?machine ?lib ?mesh ?fuse ?cse ?(tolerance = 1e-9) (c : compiled) :
+let verify ?machine ?lib ?mesh ?(tolerance = 1e-9) (c : compiled) :
     Sim.Engine.result =
-  let res = simulate ?machine ?lib ?mesh ?fuse ?cse c in
+  let res = simulate ?machine ?lib ?mesh c in
   let oracle = run_oracle c in
   match first_divergence ~tolerance c res oracle with
   | None -> res

@@ -36,7 +36,7 @@ let mesh_of scale (b : Programs.Bench_def.t) =
     machine, the scale's mesh. The compile target is the simulation
     target — collective synthesis searches this machine/library's cost
     model and bakes the mesh size into its round structure. *)
-let bench_spec ?fuse ?topology ~(machine : Machine.Params.t)
+let bench_spec ?topology ~(machine : Machine.Params.t)
     ~(lib : Machine.Library.t) ~(config : Opt.Config.t) ~scale
     (b : Programs.Bench_def.t) : Run.Spec.t =
   let defines =
@@ -49,8 +49,7 @@ let bench_spec ?fuse ?topology ~(machine : Machine.Params.t)
   default b.Programs.Bench_def.source
   |> with_defines defines |> with_config config |> with_target machine lib
   |> with_mesh pr pc
-  |> (match topology with None -> Fun.id | Some t -> with_topology t)
-  |> match fuse with None -> Fun.id | Some f -> with_fuse f
+  |> match topology with None -> Fun.id | Some t -> with_topology t
 
 (** Run one spec to a table row. [cache] answers the compiled artifacts
     (default: compile privately, uncached). *)
@@ -81,7 +80,7 @@ type bench_result = { bench : Programs.Bench_def.t; rows : row list }
     order — are bit-identical to the serial run. *)
 let run_grid ~(machine : Machine.Params.t)
     ~(rows : (string * Opt.Config.t * Machine.Library.t) list) ?domains
-    ?fuse ?topology ?cache ~scale (benches : Programs.Bench_def.t list) :
+    ?topology ?cache ~scale (benches : Programs.Bench_def.t list) :
     bench_result list =
   let cache =
     match cache with Some c -> c | None -> Run.Cache.create ()
@@ -95,7 +94,7 @@ let run_grid ~(machine : Machine.Params.t)
     Sim.Pool.parmap ?domains
       (fun (b, label, config, lib) ->
         run_one ~label ~cache
-          (bench_spec ?fuse ?topology ~machine ~lib ~config ~scale b))
+          (bench_spec ?topology ~machine ~lib ~config ~scale b))
       tasks
   in
   (* regroup: |rows| consecutive results per benchmark, input order *)
@@ -121,16 +120,16 @@ let run_grid ~(machine : Machine.Params.t)
 (** Run the paper's six rows for one benchmark on the T3D. [topology]
     (default ideal) adds the interconnect model as a report dimension:
     the same rows under per-link mesh/torus contention. *)
-let run_bench ?(scale = `Bench) ?domains ?fuse ?topology
+let run_bench ?(scale = `Bench) ?domains ?topology
     (b : Programs.Bench_def.t) : bench_result =
   List.hd
-    (run_grid ~machine:Machine.T3d.machine ~rows:paper_rows ?domains ?fuse
+    (run_grid ~machine:Machine.T3d.machine ~rows:paper_rows ?domains
        ?topology ~scale [ b ])
 
 (** The full grid behind Figures 8-12 and Tables 1-4. *)
-let grid ?(scale = `Bench) ?domains ?fuse ?topology () : bench_result list =
-  run_grid ~machine:Machine.T3d.machine ~rows:paper_rows ?domains ?fuse
-    ?topology ~scale Programs.Suite.paper_benchmarks
+let grid ?(scale = `Bench) ?domains ?topology () : bench_result list =
+  run_grid ~machine:Machine.T3d.machine ~rows:paper_rows ?domains ?topology
+    ~scale Programs.Suite.paper_benchmarks
 
 let find_row (r : bench_result) label =
   List.find (fun (x : row) -> x.label = label) r.rows

@@ -6,9 +6,6 @@ type t = {
   lib : Machine.Library.t;
   mesh : int * int;
   topology : Machine.Topology.t;
-  row_path : bool;
-  fuse : bool;
-  cse : bool;
   check : bool;
   limit : int;
 }
@@ -21,9 +18,6 @@ let default source =
     lib = Machine.T3d.pvm;
     mesh = (4, 4);
     topology = Machine.Topology.Ideal;
-    row_path = true;
-    fuse = true;
-    cse = true;
     check = false;
     limit = 1_000_000_000 }
 
@@ -42,9 +36,6 @@ let with_lib lib t = { t with lib }
 let with_target machine lib t = { t with machine; lib }
 let with_mesh pr pc t = { t with mesh = (pr, pc) }
 let with_topology topology t = { t with topology }
-let with_row_path row_path t = { t with row_path }
-let with_fuse fuse t = { t with fuse }
-let with_cse cse t = { t with cse }
 let with_check check t = { t with check }
 let with_limit limit t = { t with limit }
 
@@ -181,9 +172,6 @@ let key t =
       add_i b pr;
       add_i b pc;
       add_s b (Machine.Topology.name t.topology);
-      add_b b t.row_path;
-      add_b b t.fuse;
-      add_b b t.cse;
       add_b b t.check)
     t
 
@@ -191,7 +179,7 @@ let equal a b = String.equal (key a) (key b)
 
 let pp ppf t =
   let pr, pc = t.mesh in
-  Fmt.pf ppf "spec{%s, %s on %s/%s, %dx%d%s%s%s%s%s}"
+  Fmt.pf ppf "spec{%s, %s on %s/%s, %dx%d%s%s}"
     (String.sub (program_digest t) 0 8)
     (Opt.Config.name t.config)
     t.machine.Machine.Params.name
@@ -200,9 +188,6 @@ let pp ppf t =
     (match t.topology with
     | Machine.Topology.Ideal -> ""
     | topo -> ", " ^ Machine.Topology.name topo)
-    (if t.row_path then "" else ", no-row-path")
-    (if t.fuse then "" else ", no-fuse")
-    (if t.cse then "" else ", no-cse")
     (if t.check then ", check" else "")
 
 (* ------------------------------------------------------------------ *)
@@ -230,9 +215,8 @@ let build ?prog (spec : t) : artifact =
   let flat = Ir.Flat.flatten ir in
   let pr, pc = spec.mesh in
   let plans =
-    Sim.Engine.plan ~row_path:spec.row_path ~fuse:spec.fuse ~cse:spec.cse
-      ~topology:spec.topology ~machine:spec.machine ~lib:spec.lib ~pr ~pc
-      flat
+    Sim.Engine.plan ~topology:spec.topology ~machine:spec.machine
+      ~lib:spec.lib ~pr ~pc flat
   in
   { a_spec = spec; a_prog = prog; a_ir = ir; a_flat = flat; a_plans = plans }
 

@@ -23,17 +23,6 @@ type t = {
           engine; [Mesh]/[Torus] route every message dimension-order
           over the [pr x pc] grid with per-link occupancy, and steer
           the collective cost search. *)
-  row_path : bool;
-      (** allow the row-compiled kernels; [false] forces the per-point
-          oracle path everywhere (default true) *)
-  fuse : bool;
-      (** let adjacent fusable kernel statements share one region
-          evaluation and row traversal — simulated times and statistics
-          are unchanged by fusion (default true; implies [row_path]) *)
-  cse : bool;
-      (** let fused groups hoist repeated shifted-read subterms into row
-          temporaries computed once per row; results are bit-identical
-          either way (default true; effective only under [fuse]) *)
   check : bool;
       (** run {!Analysis.Schedcheck} over the emitted schedule at
           compile time and fail on any diagnostic (default false) *)
@@ -63,9 +52,6 @@ val with_target : Machine.Params.t -> Machine.Library.t -> t -> t
 
 val with_mesh : int -> int -> t -> t
 val with_topology : Machine.Topology.t -> t -> t
-val with_row_path : bool -> t -> t
-val with_fuse : bool -> t -> t
-val with_cse : bool -> t -> t
 val with_check : bool -> t -> t
 val with_limit : int -> t -> t
 
@@ -76,8 +62,8 @@ val program_digest : t -> string
 
 (** Content address of the spec: a digest over every field that can
     change a compiled artifact — program inputs, config, machine
-    parameters, library kind and costs, mesh, topology,
-    [row_path]/[fuse]/[cse]/[check]. [limit] is excluded: it only
+    parameters, library kind and costs, mesh, topology and
+    [check]. [limit] is excluded: it only
     parameterizes the mutable engine, never the plans (property-tested). Serialization is canonical and injective: the
     source enters as its MD5, strings are length-prefixed, floats are
     written as their IEEE-754 bits in hex, defines are sorted. Each

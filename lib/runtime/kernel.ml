@@ -127,12 +127,6 @@ let run_reduce ~(region : Zpl.Region.t) (op : Zpl.Ast.redop)
     (!acc, Zpl.Region.size region)
   end
 
-(** Evaluate the local partial reduction of [r] over [region]. Returns the
-    partial value (identity when the region is empty) and the cell count. *)
-let exec_reduce (ctx : ctx) ~(region : Zpl.Region.t) (r : Zpl.Prog.reduce_s) :
-    float * int =
-  run_reduce ~region r.r_op (compile ctx r.r_rhs)
-
 (* ------------------------------------------------------------------ *)
 (* Runtime environment: the store-binding contract                     *)
 (*                                                                     *)
@@ -179,8 +173,6 @@ let ws_spec (ws : ws) : envspec =
   { es_bufs = ws.wbufs;
     es_chains = Array.of_list (List.rev ws.wchains);
     es_ipt = ws.wipt }
-
-let envspec_buffers (s : envspec) = s.es_bufs
 
 (** Per-chain-kernel workspace: resolved term buffers, per-row base
     indices and coefficient values, refilled on every row. *)
@@ -309,10 +301,6 @@ type rowsrc =
   | RIndexLast  (** the innermost coordinate itself: [p0.(last) + k] *)
   | RFill of (env -> int array -> int -> buf -> int -> unit)
       (** general: fill [dst.(d0 .. d0+len-1)] with the row's values *)
-  | RTemp of int
-      (** a CSE row temporary of a fused group, by env buffer slot: the
-          current row's values at [0 .. len-1], filled before any member
-          statement runs (see {!plan_fused} / {!exec_fused}) *)
 
 exception Row_fallback
 
@@ -359,7 +347,6 @@ let fill (src : rowsrc) (env : env) (p0 : int array) (len : int) (dst : buf)
         A1.unsafe_set dst (d0 + k) (float_of_int (x0 + k))
       done
   | RFill g -> g env p0 len dst d0
-  | RTemp slot -> buf_blit !(env.e_bufs.(slot)) 0 dst d0 len
 
 (** A row reduced to either a per-row constant or a contiguous slice. *)
 type slice = SConst of float | SVec of buf * int
@@ -371,7 +358,6 @@ let slice_of (src : rowsrc) (env : env) (scratch : buf ref) p0 len : slice =
   | RRef (aid, dshift) ->
       let s = env.e_stores.(aid) in
       SVec (Store.read_only s, ref_base s dshift p0 len)
-  | RTemp slot -> SVec (!(env.e_bufs.(slot)), 0)
   | RIndexLast | RFill _ ->
       let b = ensure scratch len in
       fill src env p0 len b 0;
@@ -707,12 +693,11 @@ type scale_kind =
   | KRight of Zpl.Ast.binop * (env -> int array -> float)
       (** [chain op s] *)
 
-(** One chain term: a contiguous row of floats — a full-rank ref at its
-    flat shift, or a CSE row temporary by env buffer slot — with an
+(** One chain term: a full-rank ref (array id and flat shift) with an
     optional row-invariant multiplicative coefficient on its left,
-    [c * A@d] / [c * temp]. *)
+    [c * A@d]. *)
 type cterm = {
-  t_src : [ `Slice of int * int | `Temp of int ];
+  t_ref : int * int;
   t_coeff : (env -> int array -> float) option;
 }
 
@@ -880,15 +865,10 @@ let fill_chain (ws : ws) (terms : cterm array) (sub : bool array)
     (fun env p0 len dst d0 ->
       let cw = env.e_chains.(slot) in
       for t = 0 to n - 1 do
-        let { t_src; t_coeff } = terms.(t) in
-        (match t_src with
-        | `Slice (aid, shift) ->
-            let s = env.e_stores.(aid) in
-            cw.cw_datas.(t) <- Store.read_only s;
-            cw.cw_bases.(t) <- ref_base s shift p0 len
-        | `Temp b ->
-            cw.cw_datas.(t) <- !(env.e_bufs.(b));
-            cw.cw_bases.(t) <- 0);
+        let { t_ref = aid, shift; t_coeff } = terms.(t) in
+        let s = env.e_stores.(aid) in
+        cw.cw_datas.(t) <- Store.read_only s;
+        cw.cw_bases.(t) <- ref_base s shift p0 len;
         cw.cw_cvals.(t) <-
           (match t_coeff with None -> 1.0 | Some f -> f env p0)
       done;
@@ -899,25 +879,9 @@ let fill_chain (ws : ws) (terms : cterm array) (sub : bool array)
       | KRight (op, f) -> map_vs op dst d0 len (f env p0))
 
 (** [compile_row rc ~rank e] row-compiles [e] for iteration regions of
-    rank [rank]; [None] means the caller must use the per-point path.
-
-    [cse] is an environment of already-hoisted subterms: any subterm of
-    [e] syntactically equal to a bound term compiles to its [RTemp] row
-    instead of being recomputed. The bindings are consulted before every
-    other compilation strategy — the product fast paths refuse to inline
-    a bound term, and the chain compiler reads it as a leaf slice — so a
-    bound occurrence is never evaluated twice. Reading a temp is bitwise-identical to
-    evaluating the term in place because {!plan_fused} only binds terms
-    whose operand arrays no fused statement writes (row-invariant during
-    the group), and the temp row is itself produced by this compiler's
-    order-preserving strategies. *)
-let compile_row ?(cse : (Zpl.Prog.aexpr * rowsrc) list = []) (rc : rowctx)
-    ~(rank : int) (e : Zpl.Prog.aexpr) : rowsrc option =
-  let lookup (e : Zpl.Prog.aexpr) =
-    if cse == [] then None
-    else List.find_opt (fun (t, _) -> Zpl.Prog.equal_aexpr t e) cse
-  in
-  let is_bound (e : Zpl.Prog.aexpr) = lookup e <> None in
+    rank [rank]; [None] means the caller must use the per-point path. *)
+let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
+    rowsrc option =
   (* a full-rank ref whose shift collapses to one flat offset against
      the compile-time store's strides; the runtime env binds stores of
      the same geometry *)
@@ -940,14 +904,12 @@ let compile_row ?(cse : (Zpl.Prog.aexpr * rowsrc) list = []) (rc : rowctx)
   (* single-pass product shapes: [(a*b) ± (c*d)] and [a ± (b*c)] *)
   let special (e : Zpl.Prog.aexpr) : rowsrc option =
     let ref2 e =
-      if is_bound e then None
-      else
-        match e with
-        | Zpl.Prog.ABin (Zpl.Ast.Mul, x, y) -> (
-            match (as_ref x, as_ref y) with
-            | Some rx, Some ry -> Some (rx, ry)
-            | _ -> None)
-        | _ -> None
+      match e with
+      | Zpl.Prog.ABin (Zpl.Ast.Mul, x, y) -> (
+          match (as_ref x, as_ref y) with
+          | Some rx, Some ry -> Some (rx, ry)
+          | _ -> None)
+      | _ -> None
     in
     match e with
     | Zpl.Prog.ABin (((Zpl.Ast.Add | Zpl.Ast.Sub) as op), a, b) -> (
@@ -964,8 +926,6 @@ let compile_row ?(cse : (Zpl.Prog.aexpr * rowsrc) list = []) (rc : rowctx)
     | _ -> None
   in
   let rec go (e : Zpl.Prog.aexpr) : rowsrc =
-    match lookup e with Some (_, src) -> src | None -> go_unbound e
-  and go_unbound (e : Zpl.Prog.aexpr) : rowsrc =
     match e with
     | Zpl.Prog.AConst c -> RConst c
     | Zpl.Prog.AScalar id -> RRow (fun env _ -> env.e_scalar id)
@@ -1155,34 +1115,20 @@ let compile_row ?(cse : (Zpl.Prog.aexpr * rowsrc) list = []) (rc : rowctx)
       | _ -> None
       | exception Row_fallback -> None
     in
-    (* one chain term: a plain full-rank ref, a bound (CSE'd) subterm
-       read from its temp row, or either under a row-invariant
-       coefficient on the left, [c * _]. A coefficient on the right is
-       left to the general path: swapping multiplicand order is not
-       bitwise-safe when both operands are NaN. Treating a temp as a
-       chain leaf is what keeps hoisting profitable — the member
-       statement stays a single-pass loop instead of degrading to
-       operator-by-operator composition around the temp read. *)
-    let as_slice (e : Zpl.Prog.aexpr) :
-        [ `Slice of int * int | `Temp of int ] option =
-      match lookup e with
-      | Some (_, RTemp slot) -> Some (`Temp slot)
-      | Some _ -> None
-      | None -> (
-          match as_ref e with
-          | Some (aid, sh) -> Some (`Slice (aid, sh))
-          | None -> None)
-    in
+    (* one chain term: a plain full-rank ref, or one under a
+       row-invariant coefficient on the left, [c * _]. A coefficient on
+       the right is left to the general path: swapping multiplicand
+       order is not bitwise-safe when both operands are NaN. *)
     let as_term (e : Zpl.Prog.aexpr) : cterm option =
-      match as_slice e with
-      | Some src -> Some { t_src = src; t_coeff = None }
+      match as_ref e with
+      | Some r -> Some { t_ref = r; t_coeff = None }
       | None -> (
           match e with
-          | Zpl.Prog.ABin (Zpl.Ast.Mul, c, r) when not (is_bound e) -> (
-              match as_slice r with
-              | Some src -> (
+          | Zpl.Prog.ABin (Zpl.Ast.Mul, c, r) -> (
+              match as_ref r with
+              | Some r -> (
                   match try_scalar c with
-                  | Some f -> Some { t_src = src; t_coeff = Some f }
+                  | Some f -> Some { t_ref = r; t_coeff = Some f }
                   | None -> None)
               | None -> None)
           | _ -> None)
@@ -1191,8 +1137,7 @@ let compile_row ?(cse : (Zpl.Prog.aexpr * rowsrc) list = []) (rc : rowctx)
        trailing operands (and base) are all chain terms *)
     let rec collect (e : Zpl.Prog.aexpr) acc =
       match e with
-      | Zpl.Prog.ABin (((Zpl.Ast.Add | Zpl.Ast.Sub) as op), a, b)
-        when not (is_bound e) -> (
+      | Zpl.Prog.ABin (((Zpl.Ast.Add | Zpl.Ast.Sub) as op), a, b) -> (
           match as_term b with
           | Some t -> collect a ((op = Zpl.Ast.Sub, t) :: acc)
           | None -> None)
@@ -1289,7 +1234,7 @@ let run_region_rows (env : env) ~(lhs : Store.t) ~(region : Zpl.Region.t)
     same per-cell operation sequence as {!run_reduce}, so partials are
     bit-identical to the per-point path. Returns the partial (the
     identity on an empty region). Like {!run_region_rows} it walks rows
-    without a closure, and reads each row in place (store or temp) or
+    without a closure, and reads each row in place from its store or
     through the [slot] scratch row, without building a slice. *)
 let fold_rows (env : env) ~(slot : int) (op : Zpl.Ast.redop) (src : rowsrc)
     (region : Zpl.Region.t) : float =
@@ -1308,7 +1253,7 @@ let fold_rows (env : env) ~(slot : int) (op : Zpl.Ast.redop) (src : rowsrc)
             match src with
             | RConst v -> v
             | RRow f -> f env p0
-            | RRef _ | RTemp _ | RIndexLast | RFill _ -> assert false
+            | RRef _ | RIndexLast | RFill _ -> assert false
           in
           let a = ref !acc in
           (match op with
@@ -1317,11 +1262,10 @@ let fold_rows (env : env) ~(slot : int) (op : Zpl.Ast.redop) (src : rowsrc)
           | Zpl.Ast.RMax -> for _ = 1 to len do a := Float.max !a v done
           | Zpl.Ast.RMin -> for _ = 1 to len do a := Float.min !a v done);
           acc := !a
-      | RRef _ | RTemp _ | RIndexLast | RFill _ ->
+      | RRef _ | RIndexLast | RFill _ ->
           let data =
             match src with
             | RRef (aid, _) -> Store.read_only env.e_stores.(aid)
-            | RTemp t -> !(env.e_bufs.(t))
             | RConst _ | RRow _ | RIndexLast | RFill _ ->
                 let b = ensure scratch len in
                 fill src env p0 len b 0;
@@ -1409,324 +1353,6 @@ let exec_rplan (plan : rplan) ~(env : env) ~(region : Zpl.Region.t)
   match plan with
   | RowRed (slot, src) -> fold_rows env ~slot op src region
   | PointRed f -> fst (run_reduce ~region op (fun p -> f env p))
-
-(* ------------------------------------------------------------------ *)
-(* Statement fusion                                                    *)
-(*                                                                     *)
-(* Adjacent array statements over the same region can share one bounds *)
-(* computation and one row traversal: the fused loop visits each row   *)
-(* once and evaluates every statement's rhs for it while the row's     *)
-(* indices (and often its operand cache lines) are hot. Fusing         *)
-(* interleaves rows of different statements, so it is only legal when  *)
-(* that interleaving is unobservable — see {!can_join}.                *)
-(* ------------------------------------------------------------------ *)
-
-(** Whether statement [s] may join a fused group already containing
-    [group] (statically, before row compilation). Fused execution runs
-    row [r] of every member, in statement order, before row [r+1] of
-    any. The conditions:
-    - [s] must not need whole-region buffering ([WFullBuffer] evaluates
-      everything before writing anything, which cannot interleave);
-    - same iteration-region expression (syntactic equality) as the
-      group, so one bounds computation serves every statement;
-    - identical declared regions for all lhs arrays, so each processor
-      clips every statement to the same owned rectangle;
-    - no member reads another member's lhs, in either direction, and
-      no two members write the same array.
-
-    The last condition is stricter than soundness needs. The one
-    observable hazard is a member reading another member's lhs through
-    a {e nonzero} shift: the read can land on a row the writer has not
-    reached yet (a later reader misses the update) or has already
-    passed (an earlier reader sees it). A zero-shift read touches only
-    the current row, which every earlier member has finished and no
-    later member has started — the statement-order state — and two
-    members writing one array leave the later one's value in every
-    cell, as in statement order. Those two cases are safe (tested
-    directly by running such groups fused), but admitting them
-    regroups every paper benchmark and measured slower on TOMCATV, so
-    the check keeps the partition it has always produced. *)
-let can_join ~(arrays : int -> Zpl.Prog.array_info)
-    (group : Zpl.Prog.assign_a list) (s : Zpl.Prog.assign_a) : bool =
-  (not (needs_buffer s))
-  && (match group with
-     | [] -> true
-     | g0 :: _ ->
-         Zpl.Prog.equal_dregion s.region g0.region
-         && Zpl.Region.equal (arrays s.lhs).a_region (arrays g0.lhs).a_region)
-  && List.for_all
-       (fun (g : Zpl.Prog.assign_a) ->
-         g.lhs <> s.lhs
-         && (not (List.mem g.lhs (Zpl.Prog.arrays_read s.rhs)))
-         && not (List.mem s.lhs (Zpl.Prog.arrays_read g.rhs)))
-       group
-
-(* ------------------------------------------------------------------ *)
-(* Cross-statement common-subexpression elimination                    *)
-(*                                                                     *)
-(* Adjacent fused statements often recompute the same shifted-read     *)
-(* subterm — TOMCATV's solver sweeps take the same neighbor sums in    *)
-(* consecutive statements. Within one fused group such a subterm can   *)
-(* be hoisted into a row temporary computed once per row, provided the *)
-(* hoist is bitwise-invisible:                                         *)
-(*   - the term must read at least two array cells (one scaled read is *)
-(*     free inside the chain kernels, so hoisting it only adds temp    *)
-(*     traffic) and none of the arrays any member statement writes —   *)
-(*     its value is then identical no matter where in the group's      *)
-(*     interleaved execution it is evaluated;                          *)
-(*   - the temp row is produced by [compile_row]'s order-preserving    *)
-(*     strategies, so each cell holds exactly the float the in-place   *)
-(*     evaluation would have produced (same left-to-right order);      *)
-(*   - occurrences are replaced only on syntactic equality, never on   *)
-(*     algebraic identities.                                           *)
-(* ------------------------------------------------------------------ *)
-
-let rec aexpr_size (e : Zpl.Prog.aexpr) : int =
-  match e with
-  | Zpl.Prog.AConst _ | Zpl.Prog.AScalar _ | Zpl.Prog.AIndex _
-  | Zpl.Prog.ARef _ ->
-      1
-  | Zpl.Prog.ABin (_, a, b) -> 1 + aexpr_size a + aexpr_size b
-  | Zpl.Prog.AUn (_, a) -> 1 + aexpr_size a
-  | Zpl.Prog.ACall (_, args) ->
-      List.fold_left (fun n a -> n + aexpr_size a) 1 args
-
-(** Number of array-read leaves ([ARef] occurrences, not distinct
-    arrays) in [e] — the vector work a hoist saves per duplicate. *)
-let rec aexpr_refs (e : Zpl.Prog.aexpr) : int =
-  match e with
-  | Zpl.Prog.ARef _ -> 1
-  | Zpl.Prog.AConst _ | Zpl.Prog.AScalar _ | Zpl.Prog.AIndex _ -> 0
-  | Zpl.Prog.ABin (_, a, b) -> aexpr_refs a + aexpr_refs b
-  | Zpl.Prog.AUn (_, a) -> aexpr_refs a
-  | Zpl.Prog.ACall (_, args) ->
-      List.fold_left (fun n a -> n + aexpr_refs a) 0 args
-
-(** Whether [e] may be hoisted out of a group whose statements write the
-    arrays in [written]: compound float arithmetic reading at least two
-    array cells and none of the written arrays. The two-read floor is a
-    profitability rule, not a legality one — a single scaled read like
-    [2.0 * X] costs the chain kernels nothing (coefficients ride along
-    in the same loop), so hoisting it saves no memory traffic and adds a
-    temp row of it. *)
-let cse_eligible ~(written : int list) (e : Zpl.Prog.aexpr) : bool =
-  (match e with
-  | Zpl.Prog.ABin
-      ( ( Zpl.Ast.Add | Zpl.Ast.Sub | Zpl.Ast.Mul | Zpl.Ast.Div
-        | Zpl.Ast.Pow ),
-        _,
-        _ )
-  | Zpl.Prog.AUn (Zpl.Ast.Neg, _)
-  | Zpl.Prog.ACall _ ->
-      true
-  | _ -> false)
-  && aexpr_refs e >= 2
-  &&
-  match Zpl.Prog.arrays_read e with
-  | [] -> false
-  | reads -> not (List.exists (fun a -> List.mem a written) reads)
-
-(** Pick the subterms worth hoisting from a fused group's right-hand
-    sides: eligible terms occurring at least twice, largest first, where
-    each term must still occur twice once already-accepted (larger)
-    terms shadow their insides — an occurrence buried in an accepted
-    definition is computed once per row, not once per use. The result
-    is ordered smallest-first so definitions can read earlier temps. *)
-let cse_select ~(written : int list) (rhss : Zpl.Prog.aexpr list) :
-    Zpl.Prog.aexpr list =
-  let eq = Zpl.Prog.equal_aexpr in
-  let counts : (Zpl.Prog.aexpr * int ref) list ref = ref [] in
-  let note e =
-    if cse_eligible ~written e then
-      match List.find_opt (fun (t, _) -> eq t e) !counts with
-      | Some (_, n) -> incr n
-      | None -> counts := (e, ref 1) :: !counts
-  in
-  let rec scan e =
-    note e;
-    match e with
-    | Zpl.Prog.ABin (Zpl.Ast.Mul, a, b) when Stdlib.compare a b = 0 ->
-        (* structural square: the row compiler evaluates the operand
-           once and squares in place, so its subterms occur once here —
-           counting both sides would hoist terms whose "duplicate" was
-           already free *)
-        scan a
-    | Zpl.Prog.ABin (_, a, b) ->
-        scan a;
-        scan b
-    | Zpl.Prog.AUn (_, a) -> scan a
-    | Zpl.Prog.ACall (_, args) -> List.iter scan args
-    | _ -> ()
-  in
-  List.iter scan rhss;
-  let candidates =
-    List.filter (fun (_, n) -> !n >= 2) !counts
-    |> List.map fst
-    |> List.stable_sort (fun a b ->
-           Stdlib.compare (aexpr_size b) (aexpr_size a))
-  in
-  (* [occurs accepted t]: evaluations of [t] per row once the accepted
-     terms are hoisted — occurrences inside an accepted definition count
-     via the definition (computed once), not via its uses *)
-  let occurs accepted t =
-    let rec in_e e =
-      if eq e t then 1
-      else if List.exists (eq e) accepted then 0
-      else under e
-    and under e =
-      match e with
-      | Zpl.Prog.ABin (Zpl.Ast.Mul, a, b) when Stdlib.compare a b = 0 ->
-          in_e a (* square operand evaluated once, as in [scan] *)
-      | Zpl.Prog.ABin (_, a, b) -> in_e a + in_e b
-      | Zpl.Prog.AUn (_, a) -> in_e a
-      | Zpl.Prog.ACall (_, args) ->
-          List.fold_left (fun n a -> n + in_e a) 0 args
-      | _ -> 0
-    in
-    List.fold_left (fun n e -> n + in_e e) 0 rhss
-    + List.fold_left (fun n d -> n + under d) 0 accepted
-  in
-  let accepted =
-    List.fold_left
-      (fun acc t -> if occurs acc t >= 2 then t :: acc else acc)
-      [] candidates
-  in
-  List.stable_sort
-    (fun a b -> Stdlib.compare (aexpr_size a) (aexpr_size b))
-    accepted
-
-type fstmt = { f_lhs : int; f_mode : write_mode; f_src : rowsrc }
-(** One fused member: lhs array id (resolved through the env at
-    execution), write mode and row source. *)
-
-type ftemp = { ft_slot : int; ft_src : rowsrc }
-(** One CSE row temporary: [ft_src] evaluated into env buffer slot
-    [ft_slot] (cells [0 .. len-1]) before any member statement of the
-    row runs. *)
-
-type fplan = {
-  f_temps : ftemp array;
-  f_stmts : fstmt array;
-  f_scratch : int;
-      (** env buffer slot shared by [WRowBuffer] members; -1 when every
-          member writes direct *)
-}
-
-let fused_temp_count (fp : fplan) = Array.length fp.f_temps
-
-(** Row-compile a legal group (per {!can_join}) of at least two
-    statements into a fused plan; [None] if any statement falls back to
-    the per-point path, in which case the caller executes the group
-    statement by statement. [cse:false] disables subterm hoisting (the
-    [--no-cse] escape hatch); a hoist candidate that itself fails row
-    compilation is skipped, never a reason to abandon the plan. *)
-let plan_fused ?(cse = true) (rc : rowctx) (stmts : Zpl.Prog.assign_a array)
-    : fplan option =
-  let n = Array.length stmts in
-  if n < 2 then None
-  else begin
-    let rank = Array.length stmts.(0).Zpl.Prog.region in
-    let env = ref [] and temps = ref [] in
-    if cse then begin
-      let written =
-        Array.to_list
-          (Array.map (fun (s : Zpl.Prog.assign_a) -> s.lhs) stmts)
-      in
-      let rhss =
-        Array.to_list
-          (Array.map (fun (s : Zpl.Prog.assign_a) -> s.rhs) stmts)
-      in
-      List.iter
-        (fun t ->
-          match compile_row ~cse:!env rc ~rank t with
-          | None -> ()
-          | Some src ->
-              let slot = ws_buf rc.rws in
-              env := (t, RTemp slot) :: !env;
-              temps := { ft_slot = slot; ft_src = src } :: !temps)
-        (cse_select ~written rhss)
-    end;
-    let rec build i acc =
-      if i = n then begin
-        let stmts = Array.of_list (List.rev acc) in
-        let scratch =
-          if Array.exists (fun fs -> fs.f_mode = WRowBuffer) stmts then
-            ws_buf rc.rws
-          else -1
-        in
-        Some
-          { f_temps = Array.of_list (List.rev !temps);
-            f_stmts = stmts;
-            f_scratch = scratch }
-      end
-      else
-        match compile_row ~cse:!env rc ~rank stmts.(i).Zpl.Prog.rhs with
-        | None -> None
-        | Some src ->
-            let mode = write_mode stmts.(i) in
-            if mode = WFullBuffer then None
-            else
-              build (i + 1)
-                ({ f_lhs = stmts.(i).Zpl.Prog.lhs; f_mode = mode;
-                   f_src = src }
-                :: acc)
-    in
-    build 0 []
-  end
-
-(** Execute a fused plan: one traversal of [region], all statements per
-    row, in statement order. Returns the total number of cells updated
-    (region size times the number of statements). Rows are walked like
-    {!run_region_rows}: no closure, no point array. *)
-let exec_fused (fp : fplan) ~(env : env) ~(region : Zpl.Region.t) : int =
-  if Zpl.Region.is_empty region then 0
-  else begin
-    let stmts = fp.f_stmts in
-    let n = Array.length stmts in
-    let stores = env.e_stores in
-    for i = 0 to n - 1 do
-      let lhs = stores.(stmts.(i).f_lhs) in
-      if not (Zpl.Region.subset region (Store.alloc lhs)) then
-        Fmt.invalid_arg
-          "fused kernel: write region %s outside allocated %s of %s"
-          (Zpl.Region.to_string region)
-          (Zpl.Region.to_string (Store.alloc lhs))
-          (Store.info lhs).a_name
-    done;
-    let temps = fp.f_temps in
-    let nt = Array.length temps in
-    let rank = Array.length region in
-    let len = Zpl.Region.range_size region.(rank - 1) in
-    let rows = Zpl.Region.row_count region in
-    let p0 = env.e_row.(rank) in
-    Zpl.Region.first_row region p0;
-    for _ = 1 to rows do
-      (* temp definitions first, in order: later temps may read
-         earlier ones through their [RTemp] slots *)
-      for t = 0 to nt - 1 do
-        let ft = Array.unsafe_get temps t in
-        let b = ensure env.e_bufs.(ft.ft_slot) len in
-        fill ft.ft_src env p0 len b 0
-      done;
-      (* per-statement dispatch inline: the match is on an immediate
-         tag and branch-predicts perfectly, and building hoisted
-         closures here would allocate per execution *)
-      for i = 0 to n - 1 do
-        let fs = Array.unsafe_get stmts i in
-        let lhs = Array.unsafe_get stores fs.f_lhs in
-        let data = Store.unsafe_data lhs in
-        match fs.f_mode with
-        | WDirect -> fill fs.f_src env p0 len data (Store.index lhs p0)
-        | WRowBuffer ->
-            let b = ensure env.e_bufs.(fp.f_scratch) len in
-            fill fs.f_src env p0 len b 0;
-            buf_blit b 0 data (Store.index lhs p0) len
-        | WFullBuffer -> assert false
-      done;
-      Zpl.Region.next_row region p0
-    done;
-    rows * len * n
-  end
 
 (** The distinct (array, shift) reads of an expression, extracted once
     at plan time so the per-execution bounds check — still needed on

@@ -9,9 +9,9 @@
     loops over contiguous float64 Bigarray rows; every row kernel
     performs the exact same floating-point operation sequence per cell
     as the per-point path, so the two are bit-identical (property-tested
-    in [test/test_props.ml]). Adjacent compatible statements can
-    additionally {e fuse} into a single row traversal — see
-    {!can_join} / {!plan_fused}.
+    in [test/test_props.ml]). Every statement runs alone: simulated
+    cost is charged per statement, so sharing a row traversal among
+    statements could only change host speed, and measured at parity.
 
     {b The store-binding contract.} Compiled plans are store-agnostic:
     a plan may capture array ids, flat shifts (computed against the
@@ -51,12 +51,6 @@ val exec_assign :
   Zpl.Prog.assign_a ->
   int
 
-(** Local partial of a reduction over [region] on the per-point path:
-    (partial, cells). The partial is the operator's identity when the
-    region is empty. *)
-val exec_reduce :
-  ctx -> region:Zpl.Region.t -> Zpl.Prog.reduce_s -> float * int
-
 (* --- workspace and runtime environment --- *)
 
 (** Workspace slot allocator threaded through one compile pass (one
@@ -74,9 +68,6 @@ type envspec
 (** Freeze a workspace builder. Call once, after every plan of the set
     has been compiled. *)
 val ws_spec : ws -> envspec
-
-(** Number of row-buffer slots in a spec (observability for tests). *)
-val envspec_buffers : envspec -> int
 
 (** The runtime environment every [exec_*] entry takes: stores indexed
     by array id, the scalar reader, and this executor's mutable
@@ -133,58 +124,6 @@ val plan_reduce : ?row:bool -> rowctx -> Zpl.Prog.reduce_s -> rplan
     cells. *)
 val exec_rplan :
   rplan -> env:env -> region:Zpl.Region.t -> Zpl.Ast.redop -> float
-
-(* --- statement fusion --- *)
-
-(** Whether statement [s] may join a fused group already containing
-    [group] (statically, before row compilation). The conditions: [s]
-    needs no whole-region buffering; same iteration-region expression
-    and same declared lhs region as the group (one bounds computation
-    and one ownership rectangle serve all); no member reads another
-    member's lhs, in either direction; and no two members write the
-    same array.
-
-    Soundness needs only part of the last two: fused rows run in
-    statement order, so the one observable hazard is a member reading
-    another member's lhs through a nonzero shift. Zero-shift cross
-    reads and a shared lhs are safe but refused, which keeps the
-    partition every paper benchmark has always had (admitting them
-    regroups all four and measured slower). *)
-val can_join :
-  arrays:(int -> Zpl.Prog.array_info) ->
-  Zpl.Prog.assign_a list ->
-  Zpl.Prog.assign_a ->
-  bool
-
-(** A group of row-compiled statements sharing one region traversal,
-    possibly preceded by CSE row temporaries: repeated shifted-read
-    subterms of the group's right-hand sides, hoisted so each is
-    computed once per row instead of once per use. Hoisting is only
-    performed when it is bitwise-invisible — the subterm reads no array
-    any fused statement writes (so its value is invariant across the
-    group's interleaved execution), occurrences are matched by syntactic
-    equality only, and the temp row is produced with the same
-    left-to-right float evaluation order as the in-place term. *)
-type fplan
-
-(** Row-compile a legal group (per {!can_join}) of at least two
-    statements into a fused plan; [None] if any statement falls back to
-    the per-point path, in which case the caller executes the group
-    statement by statement. [cse] (default [true]) controls subterm
-    hoisting — the [--no-cse] escape hatch; plans built with different
-    [cse] values are distinct, so plan caches must key on the flag. *)
-val plan_fused :
-  ?cse:bool -> rowctx -> Zpl.Prog.assign_a array -> fplan option
-
-(** Number of hoisted row temporaries in a fused plan (0 when compiled
-    with [~cse:false] or when no subterm repeats). *)
-val fused_temp_count : fplan -> int
-
-(** Execute a fused plan: one traversal of [region], all statements per
-    row, in statement order, with this executor's [env] (which supplies
-    the lhs stores by array id). Returns the total number of cells
-    updated (region size times the number of statements). *)
-val exec_fused : fplan -> env:env -> region:Zpl.Region.t -> int
 
 (* --- dynamic bounds checking --- *)
 

@@ -8,18 +8,14 @@
     compiler declines), so statements inside loops compile once rather
     than once per iteration. All plans of a run share one
     {!Kernel.env} binding the global stores and scalar environment.
-    Adjacent array assignments that satisfy {!Kernel.can_join} are
-    additionally grouped into fused nodes sharing one row traversal —
-    the same fusion the simulator applies, testable here against both
-    unfused and per-point execution. *)
+    Every array statement runs alone through {!Kernel.exec_plan}, the
+    same path the simulator takes. *)
 
 type t = {
   prog : Zpl.Prog.t;
   stores : Store.t array;
   env : Values.env;
   row_path : bool;  (** whether array statements may use the row path *)
-  fuse : bool;  (** whether adjacent assignments may fuse (needs row path) *)
-  cse : bool;  (** whether fused groups may hoist repeated subterms *)
   on_scalar : int -> Values.value -> unit;
       (** observation hook, called after every scalar write *)
   mutable steps : int;  (** simple statements executed *)
@@ -28,16 +24,15 @@ type t = {
 
 exception Step_limit of int
 
-let make ?(row_path = true) ?(fuse = true) ?(cse = true)
-    ?(on_scalar = fun _ _ -> ()) (prog : Zpl.Prog.t) : t =
+let make ?(row_path = true) ?(on_scalar = fun _ _ -> ()) (prog : Zpl.Prog.t) :
+    t =
   let stores =
     Array.map
       (fun (info : Zpl.Prog.array_info) ->
         Store.make info ~owned:info.a_region ~fringe:0)
       prog.arrays
   in
-  { prog; stores; env = Values.make_env prog;
-    row_path; fuse = fuse && row_path; cse; on_scalar;
+  { prog; stores; env = Values.make_env prog; row_path; on_scalar;
     steps = 0; cells = 0 }
 
 (* --- pre-compiled statement tree --- *)
@@ -46,8 +41,6 @@ type cassign = Zpl.Prog.assign_a * Kernel.plan
 
 type cstmt =
   | CAssignA of cassign
-  | CFused of cassign array * Kernel.fplan option
-      (** fused group; the per-statement plans back the [None] fallback *)
   | CAssignS of int * Zpl.Prog.sexpr
   | CReduceS of Zpl.Prog.reduce_s * Kernel.rplan
   | CRepeat of cstmt list * Zpl.Prog.sexpr
@@ -60,40 +53,13 @@ type cstmt =
     }
   | CIf of Zpl.Prog.sexpr * cstmt list * cstmt list
 
-let cassign_of t rc (a : Zpl.Prog.assign_a) : cassign =
-  (a, Kernel.plan_assign ~row:t.row_path rc a)
-
-(** Greedy grouping of adjacent array assignments, mirroring the
-    simulator's op-stream partition: a statement joins the open group
-    while {!Kernel.can_join} holds against every member. *)
 let rec compile_stmts t (rc : Kernel.rowctx) (stmts : Zpl.Prog.stmt list) :
     cstmt list =
-  let arrays aid = t.prog.Zpl.Prog.arrays.(aid) in
-  let close group acc =
-    match group with
-    | [] -> acc
-    | [ a ] -> CAssignA (cassign_of t rc a) :: acc
-    | _ :: _ :: _ ->
-        let g = Array.of_list (List.rev group) in
-        let cas = Array.map (cassign_of t rc) g in
-        CFused (cas, Kernel.plan_fused ~cse:t.cse rc g) :: acc
-  in
-  let rec go group acc = function
-    | [] -> List.rev (close group acc)
-    | Zpl.Prog.AssignA a :: rest
-      when t.fuse && Kernel.can_join ~arrays (List.rev group) a ->
-        go (a :: group) acc rest
-    | s :: rest ->
-        let acc = close group acc in
-        (match s with
-        | Zpl.Prog.AssignA a -> go [ a ] acc rest
-        | s -> go [] (compile_stmt t rc s :: acc) rest)
-  in
-  go [] [] stmts
+  List.map (compile_stmt t rc) stmts
 
 and compile_stmt (t : t) (rc : Kernel.rowctx) (s : Zpl.Prog.stmt) : cstmt =
   match s with
-  | Zpl.Prog.AssignA a -> CAssignA (cassign_of t rc a)
+  | Zpl.Prog.AssignA a -> CAssignA (a, Kernel.plan_assign ~row:t.row_path rc a)
   | Zpl.Prog.AssignS { lhs; rhs; _ } -> CAssignS (lhs, rhs)
   | Zpl.Prog.ReduceS r ->
       CReduceS (r, Kernel.plan_reduce ~row:t.row_path rc r)
@@ -137,20 +103,6 @@ let rec exec_stmts t kenv ~limit (stmts : cstmt list) =
 and exec_stmt t kenv ~limit (s : cstmt) =
   match s with
   | CAssignA ca -> exec_assign t kenv ~limit ca
-  | CFused (cas, fplan) -> (
-      match fplan with
-      | None ->
-          (* some member only per-point-compiles: run the group unfused *)
-          Array.iter (exec_assign t kenv ~limit) cas
-      | Some fp ->
-          Array.iter (fun _ -> bump t limit) cas;
-          let a0, _ = cas.(0) in
-          let region = Values.eval_dregion t.env a0.region in
-          let region =
-            Zpl.Region.inter region (Store.owned t.stores.(a0.lhs))
-          in
-          if not (Zpl.Region.is_empty region) then
-            t.cells <- t.cells + Kernel.exec_fused fp ~env:kenv ~region)
   | CAssignS (lhs, rhs) ->
       bump t limit;
       t.env.(lhs) <- Values.eval_env t.env rhs;
@@ -184,12 +136,9 @@ and exec_stmt t kenv ~limit (s : cstmt) =
 (** Run the whole program. [limit] bounds the number of simple statements
     executed (default 10 million) and raises {!Step_limit} beyond it, so a
     buggy [repeat] cannot hang the test suite. [row_path:false] forces the
-    per-point fallback everywhere — the differential-testing oracle.
-    [fuse:false] keeps the row path but runs every statement alone.
-    [cse:false] fuses without hoisting repeated subterms. *)
-let run ?(limit = 10_000_000) ?row_path ?fuse ?cse ?on_scalar
-    (prog : Zpl.Prog.t) : t =
-  let t = make ?row_path ?fuse ?cse ?on_scalar prog in
+    per-point fallback everywhere — the differential-testing oracle. *)
+let run ?(limit = 10_000_000) ?row_path ?on_scalar (prog : Zpl.Prog.t) : t =
+  let t = make ?row_path ?on_scalar prog in
   let cs, kenv = compile t prog.body in
   exec_stmts t kenv ~limit cs;
   t

@@ -1,18 +1,15 @@
 (** Sequential reference executor: runs a typed program directly on global
     (undistributed) storage — the semantic oracle every optimizer
     configuration and machine model is tested against. Array statements
-    run through the row-compiled fast path by default (with adjacent
-    fusable assignments sharing one row traversal, mirroring the
-    simulator), and the per-point interpreter is the fallback and
-    differential-testing oracle. *)
+    run one at a time through the row-compiled fast path by default,
+    like the simulator's, and the per-point interpreter is the fallback
+    and differential-testing oracle. *)
 
 type t = {
   prog : Zpl.Prog.t;
   stores : Store.t array;  (** one global store per array *)
   env : Values.env;
   row_path : bool;  (** whether array statements may use the row path *)
-  fuse : bool;  (** whether adjacent assignments may fuse (needs row path) *)
-  cse : bool;  (** whether fused groups may hoist repeated subterms *)
   on_scalar : int -> Values.value -> unit;
       (** observation hook, called with (scalar id, new value) after
           every scalar write — loop variable updates included. Used by
@@ -27,25 +24,18 @@ exception Step_limit of int
 
 val make :
   ?row_path:bool ->
-  ?fuse:bool ->
-  ?cse:bool ->
   ?on_scalar:(int -> Values.value -> unit) ->
   Zpl.Prog.t ->
   t
 
 (** Run to completion. [limit] bounds executed simple statements
     (default 10 million). [row_path] defaults to [true]; [false] forces
-    the per-point fallback everywhere. [fuse] defaults to [true];
-    [false] keeps the row path but executes every statement alone.
-    [cse] defaults to [true]; [false] fuses without hoisting repeated
-    subterms into row temporaries. Results (stores, scalars, steps,
-    cells) are bit-identical across all configurations —
-    property-tested in [test_props.ml]. *)
+    the per-point fallback everywhere. Results (stores, scalars, steps,
+    cells) are bit-identical either way — property-tested in
+    [test_props.ml]. *)
 val run :
   ?limit:int ->
   ?row_path:bool ->
-  ?fuse:bool ->
-  ?cse:bool ->
   ?on_scalar:(int -> Values.value -> unit) ->
   Zpl.Prog.t ->
   t

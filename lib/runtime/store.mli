@@ -103,7 +103,7 @@ val alloc_buf : int -> buf
 
 (** [grow_buf r n] returns a buffer of at least [n] cells, reallocating
     (and replacing [!r]) when the current one is too small — the
-    scratch-row allocator shared by the row kernels' write buffers and
-    the fused-plan CSE row temporaries. Cells beyond those the caller
-    fills are unspecified after growth. *)
+    scratch-row allocator of the row kernels' write buffers and operand
+    rows. Cells beyond those the caller fills are unspecified after
+    growth. *)
 val grow_buf : buf ref -> int -> buf

@@ -11,11 +11,6 @@
     as a global-clock event loop. Ties never matter, so the simulation is
     fully deterministic. One host domain drains the runnable ring.
 
-    Adjacent kernel statements that pass {!Runtime.Kernel.can_join} are
-    fused at {!plan} time: one region evaluation and one row traversal
-    execute the whole group, while time and statistics are still charged
-    statement by statement — reports do not change.
-
     {b Communication} is compiled at {!plan} time: every (transfer,
     processor, partner) side becomes a {!Runtime.Wireplan.t} — flat blit
     descriptors against the local stores — with all member-array pieces
@@ -111,11 +106,6 @@ type ckern =
 
 type kprog = {
   k_ops : ckern array;  (** per op index *)
-  k_fused : Runtime.Kernel.fplan option array;
-      (** per op index: the fused plan of the group headed there (only
-          at heads where [p_fuse_len] >= 2); [None] at a head means some
-          member fell back to the per-point path and the group runs
-          unfused through [k_ops] *)
   k_spec : Runtime.Kernel.envspec;
       (** workspace requirements of this rank's plans; {!of_plans}
           mints one {!Runtime.Kernel.env} per engine from it *)
@@ -144,8 +134,6 @@ type plans = {
   p_wblue : wbpair array array;  (** [transfer id].(proc) *)
   p_colls : Ir.Coll.desc option array;  (** per transfer: collective tag *)
   p_cblue : cblue array array;  (** collective rounds: [transfer id].(proc) *)
-  p_fuse_len : int array;
-      (** per op index: length of the fused group starting there, or 0 *)
   p_refchecks : Runtime.Kernel.refs array;
       (** per op index: the rhs's (array, shift) reads, extracted once *)
   p_kern : kprog array;
@@ -302,8 +290,6 @@ type t = {
   stats : Stats.t;
   limit : int;
   kern : kprog array;  (** per rank: shared compiled kernel programs *)
-  fuse_len : int array;
-      (** per op index: length of the fused group starting there, or 0 *)
   refchecks : Runtime.Kernel.refs array;
       (** per op index: the rhs's (array, shift) reads, extracted once so
           the per-execution bounds check is allocation-free *)
@@ -385,41 +371,7 @@ let wkey (t : t) ~src ~xfer kind_bit = (((src * t.nx) + xfer) * 2) + kind_bit
 let kb_data = 0
 let kb_token = 1
 
-(** Greedy partition of maximal adjacent-[FKernel] runs into fused
-    groups: a statement joins the current group while
-    {!Runtime.Kernel.can_join} holds against every member. Entry [i] of
-    the result is the length (>= 2) of the group headed at op [i], 0
-    elsewhere. Jumps into the middle of a group are harmless — fusion
-    only triggers when control reaches the head. *)
-let fuse_groups (flat : Ir.Flat.t) : int array =
-  let ops = flat.Ir.Flat.ops in
-  let n = Array.length ops in
-  let lens = Array.make n 0 in
-  let arrays aid = flat.Ir.Flat.prog.Zpl.Prog.arrays.(aid) in
-  let i = ref 0 in
-  while !i < n do
-    match ops.(!i) with
-    | Ir.Flat.FKernel _ ->
-        let start = !i in
-        let group = ref [] in
-        let stop = ref false in
-        while (not !stop) && !i < n do
-          match ops.(!i) with
-          | Ir.Flat.FKernel a
-            when Runtime.Kernel.can_join ~arrays (List.rev !group) a ->
-              group := a :: !group;
-              incr i
-          | _ -> stop := true
-        done;
-        let glen = !i - start in
-        if glen >= 2 then lens.(start) <- glen;
-        if glen = 0 then incr i
-    | _ -> incr i
-  done;
-  lens
-
-let plan ?(row_path = true) ?(fuse = true) ?(cse = true)
-    ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
+let plan ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
     ~(lib : Machine.Library.t) ~pr ~pc (flat : Ir.Flat.t) : plans =
   let prog = flat.Ir.Flat.prog in
   let layout = Runtime.Layout.for_program ~pr ~pc prog in
@@ -516,45 +468,23 @@ let plan ?(row_path = true) ?(fuse = true) ?(cse = true)
       flat.Ir.Flat.transfers
   in
   let ops = flat.Ir.Flat.ops in
-  let nops = Array.length ops in
-  let fuse_len =
-    if fuse && row_path then fuse_groups flat else Array.make nops 0
-  in
   (* Store-agnostic kernel compilation at plan time. Engines minted
      from this plan set never compile kernels — they bind stores through
-     a per-engine env. Individual plans are built even for fused-group
-     members: they back the unfused fallback when a group's fused plan
-     is [None], and mid-group jump targets. *)
+     a per-engine env. *)
   let compile_kprog (shape : Runtime.Store.t array) =
     let ws = Runtime.Kernel.make_ws () in
     let rc = { Runtime.Kernel.rstore = (fun aid -> shape.(aid)); rws = ws } in
     let k_ops =
       Array.map
         (function
-          | Ir.Flat.FKernel a ->
-              KAssign (Runtime.Kernel.plan_assign ~row:row_path rc a)
-          | Ir.Flat.FReduce r ->
-              KReduce (Runtime.Kernel.plan_reduce ~row:row_path rc r)
+          | Ir.Flat.FKernel a -> KAssign (Runtime.Kernel.plan_assign rc a)
+          | Ir.Flat.FReduce r -> KReduce (Runtime.Kernel.plan_reduce rc r)
           | Ir.Flat.FCollPart w ->
-              KReduce
-                (Runtime.Kernel.plan_reduce ~row:row_path rc w.Ir.Instr.cw_red)
+              KReduce (Runtime.Kernel.plan_reduce rc w.Ir.Instr.cw_red)
           | _ -> KNone)
         ops
     in
-    let k_fused = Array.make nops None in
-    Array.iteri
-      (fun idx glen ->
-        if glen >= 2 then begin
-          let stmts =
-            Array.init glen (fun k ->
-                match ops.(idx + k) with
-                | Ir.Flat.FKernel a -> a
-                | _ -> assert false)
-          in
-          k_fused.(idx) <- Runtime.Kernel.plan_fused ~cse rc stmts
-        end)
-      fuse_len;
-    { k_ops; k_fused; k_spec = Runtime.Kernel.ws_spec ws }
+    { k_ops; k_spec = Runtime.Kernel.ws_spec ws }
   in
   (* The kernel compiler reads only each array's rank and strides from
      its store, so ranks whose stores agree on that whole vector — one
@@ -591,7 +521,6 @@ let plan ?(row_path = true) ?(fuse = true) ?(cse = true)
     p_wblue;
     p_colls = colls;
     p_cblue;
-    p_fuse_len = fuse_len;
     p_refchecks =
       Array.map
         (function
@@ -739,7 +668,6 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
       stats = Stats.make nprocs;
       limit;
       kern = sp.p_kern;
-      fuse_len = sp.p_fuse_len;
       refchecks = sp.p_refchecks }
   in
   (* materialize exactly the mailbox slots some plan delivers to: data
@@ -877,8 +805,6 @@ let reduce_plan (t : t) (p : proc) idx =
   | KReduce plan -> plan
   | KNone | KAssign _ -> assert false
 
-let fused_plan (t : t) (p : proc) idx = t.kern.(p.rank).k_fused.(idx)
-
 (* --- kernel dispatch ---
 
    A statement's iteration region is clipped as ints in [p.clip]:
@@ -957,8 +883,7 @@ let clipped_region (p : proc) idx n : Zpl.Region.t =
   done;
   r
 
-(** Charge the cost of one executed statement: the same formula — and
-    the same float-accumulation order — whether it ran alone or fused. *)
+(** Charge the cost of one executed statement. *)
 let charge_kernel (t : t) (p : proc) ~cells ~flops =
   let dt =
     t.machine.Machine.Params.kernel_overhead
@@ -983,39 +908,6 @@ let exec_kernel (t : t) (p : proc) idx (a : Zpl.Prog.assign_a) =
     end
   in
   charge_kernel t p ~cells ~flops:a.flops
-
-(** Member [k] of the fused group headed at op [idx]. *)
-let fused_stmt (t : t) idx k : Zpl.Prog.assign_a =
-  match t.flat.Ir.Flat.ops.(idx + k) with
-  | Ir.Flat.FKernel a -> a
-  | _ -> assert false
-
-(** Execute the fused group of [glen] kernels headed at [idx]: one
-    region evaluation and one row traversal, but per-statement cost and
-    statistics identical to unfused execution. *)
-let exec_fused_group (t : t) (p : proc) idx glen =
-  match fused_plan t p idx with
-  | None ->
-      (* some member fell back to the per-point path: run unfused *)
-      for k = 0 to glen - 1 do
-        exec_kernel t p (idx + k) (fused_stmt t idx k)
-      done
-  | Some fp ->
-      let a0 = fused_stmt t idx 0 in
-      let n = clip_local p a0.region in
-      clip_owned p n (Runtime.Store.owned p.stores.(a0.lhs));
-      let cells = clip_cells p n in
-      if cells > 0 then begin
-        let region = clipped_region p idx n in
-        for k = 0 to glen - 1 do
-          Runtime.Kernel.check_ref_bounds ~region ~stores:p.stores
-            t.refchecks.(idx + k)
-        done;
-        ignore (Runtime.Kernel.exec_fused fp ~env:p.kenv ~region)
-      end;
-      for k = 0 to glen - 1 do
-        charge_kernel t p ~cells ~flops:(fused_stmt t idx k).flops
-      done
 
 (* --- communication calls --- *)
 
@@ -1547,21 +1439,10 @@ let exec_one (t : t) (p : proc) : step =
       p.stats.Stats.times.Stats.finish <- p.time.fv;
       Halted
   | Ir.Flat.FKernel a ->
-      let glen = t.fuse_len.(p.pc) in
-      if glen >= 2 then begin
-        count_instrs t p glen;
-        for k = 0 to glen - 1 do
-          count_op p (p.pc + k)
-        done;
-        exec_fused_group t p p.pc glen;
-        p.pc <- p.pc + glen
-      end
-      else begin
-        count_instrs t p 1;
-        count_op p p.pc;
-        exec_kernel t p p.pc a;
-        p.pc <- p.pc + 1
-      end;
+      count_instrs t p 1;
+      count_op p p.pc;
+      exec_kernel t p p.pc a;
+      p.pc <- p.pc + 1;
       Continue
   | Ir.Flat.FScalar { lhs; rhs } ->
       count_instrs t p 1;
@@ -1735,9 +1616,6 @@ let pool_counts (t : t) : int * int =
            wp.w_send))
     t.wplans;
   (!fresh, !reused)
-let fused_group_count (t : t) =
-  Array.fold_left (fun n l -> if l >= 2 then n + 1 else n) 0 t.fuse_len
-
 (** Completed executions per flat op index after a run (processor 0's
     counters; control flow is replicated, so every processor's counts
     are identical). [Ir.Flat.src_of_op] joins them back to structured

@@ -27,9 +27,9 @@ exception Instruction_limit of int
 
 (** The immutable, shareable half of an engine: the compiled comm
     schedule bound to a layout, the wire blit plans, the collective role
-    tables, the fused-group partition, the reference-check tables, and
-    the store-agnostic kernel programs (row/fused/CSE plans compiled
-    against shape-only stores — see the store-binding contract in
+    tables, the reference-check tables, and the store-agnostic kernel
+    programs (row plans, per-point where row compilation declines,
+    compiled against shape-only stores — see the store-binding contract in
     [Runtime.Kernel]), one per geometry class: ranks whose stores agree
     on every array's rank and strides share one program. Engines minted
     from one [plans] value by {!of_plans} share all of it physically
@@ -41,17 +41,13 @@ type plans
 
 (** [plan ~machine ~lib ~pr ~pc flat] compiles every artifact of an
     engine that does not depend on run-time state, for a [pr x pc]
-    processor mesh. The knobs mirror the fields of [Run.Spec.t], where
-    each is documented; defaults are the spec's defaults ([row_path],
-    [fuse], [cse] all true).
+    processor mesh. [topology] defaults to [Ideal], like
+    [Run.Spec.default].
 
     Raises [Invalid_argument] if a stencil shift exceeds the smallest
     block extent of the mesh, or if a synthesized collective round was
     compiled for a different mesh. *)
 val plan :
-  ?row_path:bool ->
-  ?fuse:bool ->
-  ?cse:bool ->
   ?topology:Machine.Topology.t ->
   machine:Machine.Params.t ->
   lib:Machine.Library.t ->
@@ -121,10 +117,6 @@ val link_occupancy : t -> float array
     diagnostic — it depends on how far senders ran ahead — and is not
     part of the deterministic {!Stats.t}. *)
 val pool_counts : t -> int * int
-
-(** Number of fused kernel groups the op stream was partitioned into
-    (0 when fusion is off) — exposed for tests and tooling. *)
-val fused_group_count : t -> int
 
 (** Completed executions per flat op index after a run (identical across
     processors — control flow is replicated); communication calls count

@@ -26,11 +26,11 @@ end;
 |}
 
 let make_engine ?(config = Opt.Config.pl_cum) ?(lib = Machine.T3d.pvm)
-    ?(pr = 2) ?(pc = 2) ?limit ?fuse src =
+    ?(pr = 2) ?(pc = 2) ?limit src =
   let prog = Zpl.Check.compile_string src in
   let ir = Opt.Passes.compile config prog in
   Sim.Engine.of_plans ?limit
-    (Sim.Engine.plan ?fuse ~machine:Machine.T3d.machine ~lib ~pr ~pc
+    (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib ~pr ~pc
        (Ir.Flat.flatten ir))
 
 let test_counts_and_time () =
@@ -108,68 +108,6 @@ let test_instruction_limit () =
     (match Sim.Engine.run (make_engine ~limit:10 stencil_src) with
     | _ -> false
     | exception Sim.Engine.Instruction_limit _ -> true)
-
-let test_fusion_engages_on_tomcatv () =
-  (* TOMCATV's metric-terms block (XX/YX/XY/YY, then AA/BB/CC) is the
-     fusion showcase: groups must actually form, and the fused run must
-     match the unfused one exactly — makespan, counters and data *)
-  let p = Programs.Suite.compile ~scale:`Test Programs.Suite.tomcatv in
-  let flat = Ir.Flat.flatten (Opt.Passes.compile Opt.Config.pl_cum p) in
-  let mk ~fuse =
-    Sim.Engine.of_plans
-      (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
-         ~pr:2 ~pc:2 ~fuse flat)
-  in
-  let fused_eng = mk ~fuse:true in
-  Alcotest.(check bool) "groups formed" true
-    (Sim.Engine.fused_group_count fused_eng > 0);
-  Alcotest.(check int) "fusion off means no groups" 0
-    (Sim.Engine.fused_group_count (mk ~fuse:false));
-  let fused = Sim.Engine.run fused_eng in
-  let plain = Sim.Engine.run (mk ~fuse:false) in
-  Alcotest.(check (float 0.)) "same makespan" plain.Sim.Engine.time
-    fused.Sim.Engine.time;
-  Alcotest.(check int) "same instructions"
-    plain.Sim.Engine.stats.Sim.Stats.instructions
-    fused.Sim.Engine.stats.Sim.Stats.instructions;
-  Array.iteri
-    (fun aid _ ->
-      let a = Runtime.Store.to_array (Sim.Engine.gather plain.Sim.Engine.engine aid) in
-      let b = Runtime.Store.to_array (Sim.Engine.gather fused.Sim.Engine.engine aid) in
-      if a <> b then Alcotest.failf "array %d differs under fusion" aid)
-    p.Zpl.Prog.arrays
-
-(* The fused partition of every paper benchmark under the six rows,
-   test scale (the partition depends on the op stream only). Kernel
-   changes must not regroup statements: [Kernel.can_join] is kept
-   conservative on purpose. *)
-let test_fused_partition_pinned () =
-  let expected =
-    [ ("tomcatv", [ 5; 6; 9; 9; 9; 5 ]);
-      ("swm", [ 4; 5; 6; 5; 5; 4 ]);
-      ("simple", [ 5; 6; 9; 9; 9; 4 ]);
-      ("sp", [ 2; 2; 3; 3; 3; 2 ]) ]
-  in
-  List.iter
-    (fun (b : Programs.Bench_def.t) ->
-      let got =
-        List.map
-          (fun (_, config, lib) ->
-            let c =
-              compile ~config ~defines:b.Programs.Bench_def.test_defines
-                b.Programs.Bench_def.source
-            in
-            Sim.Engine.fused_group_count
-              (Sim.Engine.of_plans
-                 (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib ~pr:2
-                    ~pc:2 c.flat)))
-          Report.Experiment.paper_rows
-      in
-      Alcotest.(check (list int))
-        (b.Programs.Bench_def.name ^ " fused groups per row")
-        (List.assoc b.Programs.Bench_def.name expected)
-        got)
-    Programs.Suite.paper_benchmarks
 
 let test_wavefront_serializes () =
   (* a row-sweep over a distributed dimension must take longer than the
@@ -425,29 +363,25 @@ let test_clip_vs_oracle () =
   let oracle = run_oracle c in
   List.iter
     (fun (pr, pc) ->
-      List.iter
-        (fun fuse ->
-          let name = Printf.sprintf "clip %dx%d fuse=%b" pr pc fuse in
-          let eng =
-            Sim.Engine.of_plans
-              (Sim.Engine.plan ~fuse ~machine:Machine.T3d.machine
-                 ~lib:Machine.T3d.pvm ~pr ~pc c.flat)
-          in
-          let res = Sim.Engine.run eng in
-          (match first_divergence ~tolerance:0.0 c res oracle with
-          | None -> ()
-          | Some d -> Alcotest.failf "%s: %a" name pp_divergence d);
-          (* the sweeps really are empty on some ranks: those update
-             fewer cells than the ranks owning the rows they visit *)
-          let cells =
-            Array.map
-              (fun (pp : Sim.Stats.per_proc) -> pp.Sim.Stats.cells)
-              res.Sim.Engine.stats.Sim.Stats.procs
-          in
-          Alcotest.(check bool) (name ^ ": uneven work") true
-            (pr = 1
-            || Array.exists (fun x -> x <> cells.(0)) cells))
-        [ true; false ])
+      let name = Printf.sprintf "clip %dx%d" pr pc in
+      let eng =
+        Sim.Engine.of_plans
+          (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
+             ~pr ~pc c.flat)
+      in
+      let res = Sim.Engine.run eng in
+      (match first_divergence ~tolerance:0.0 c res oracle with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s: %a" name pp_divergence d);
+      (* the sweeps really are empty on some ranks: those update
+         fewer cells than the ranks owning the rows they visit *)
+      let cells =
+        Array.map
+          (fun (pp : Sim.Stats.per_proc) -> pp.Sim.Stats.cells)
+          res.Sim.Engine.stats.Sim.Stats.procs
+      in
+      Alcotest.(check bool) (name ^ ": uneven work") true
+        (pr = 1 || Array.exists (fun x -> x <> cells.(0)) cells))
     [ (3, 3); (1, 1); (4, 2); (2, 4) ];
   let layout = Runtime.Layout.for_program ~pr:3 ~pc:3 c.prog in
   Alcotest.(check (array int)) "3x3 block heights are uneven" [| 5; 4; 4 |]
@@ -620,11 +554,7 @@ let () =
         [ Alcotest.test_case "counts & time" `Quick test_counts_and_time;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "gather == oracle" `Quick test_gather_matches_oracle;
-          Alcotest.test_case "replicated scalars" `Quick test_replicated_scalars_agree;
-          Alcotest.test_case "fusion engages (tomcatv)" `Quick
-            test_fusion_engages_on_tomcatv;
-          Alcotest.test_case "fused partition pinned" `Quick
-            test_fused_partition_pinned ] );
+          Alcotest.test_case "replicated scalars" `Quick test_replicated_scalars_agree ] );
       ( "geometry classes",
         [ Alcotest.test_case "even 8x8 mesh shares programs" `Quick
             test_even_mesh_classes;

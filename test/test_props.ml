@@ -647,44 +647,26 @@ let prop_wireplan_rows =
       Array.map bits fast = Array.map bits ref_buf
       && Array.map bits (Runtime.Store.to_array s2) = Array.map bits expected)
 
-(** End to end: the sequential executor computes bitwise-identical stores
-    across all four configurations — fused rows with CSE (default),
-    fused without CSE, unfused rows, and the per-point interpreter — on
-    random mini-ZPL programs. *)
-let seqexec_fingerprint ?row_path ?fuse ?cse prog =
-  let t = Runtime.Seqexec.run ?row_path ?fuse ?cse prog in
+let seqexec_fingerprint ~row_path prog =
+  let t = Runtime.Seqexec.run ~row_path prog in
   ( t.Runtime.Seqexec.steps,
     t.Runtime.Seqexec.cells,
     Array.map
       (fun (s : Runtime.Store.t) -> Array.map bits (Runtime.Store.to_array s))
       t.Runtime.Seqexec.stores )
 
-let prop_seqexec_row_path =
-  QCheck.Test.make
-    ~name:"seqexec fused == unfused == per-point (bitwise)" ~count:25 arb_prog
-    (fun p ->
-      let prog = Zpl.Check.compile_string (prog_to_source p) in
-      let fused = seqexec_fingerprint ~row_path:true ~fuse:true prog in
-      let no_cse = seqexec_fingerprint ~row_path:true ~fuse:true ~cse:false prog in
-      let unfused = seqexec_fingerprint ~row_path:true ~fuse:false prog in
-      let point = seqexec_fingerprint ~row_path:false prog in
-      fused = no_cse && no_cse = unfused && unfused = point)
-
 (* ------------------------------------------------------------------ *)
-(* Cross-statement CSE in fused row kernels                            *)
+(* Shared neighbor sums                                                *)
 (*                                                                     *)
-(* The general generator above writes the same arrays it reads, which  *)
-(* mostly disqualifies subterms from hoisting (a CSE'd term must read  *)
-(* no array the fused group writes). This generator is biased the      *)
-(* other way: statements write only E/F/G and draw their right-hand    *)
-(* sides from a 4-entry pool of neighbor sums over A..D, so adjacent   *)
-(* statements fuse AND repeat subterms — the CSE stage fires on most   *)
-(* draws, and must stay bitwise-invisible on every one.                *)
+(* The general generator above writes the same arrays it reads. This   *)
+(* one writes only E/F/G and draws each right-hand side from a 4-entry *)
+(* pool of scaled neighbor sums over A..D — the TOMCATV solver shape,  *)
+(* which drives the row compiler's chain and product kernels.          *)
 (* ------------------------------------------------------------------ *)
 
-let cse_lhs = [| "E"; "F"; "G" |]
+let nsum_lhs = [| "E"; "F"; "G" |]
 
-let cse_pool =
+let nsum_pool =
   [| "(A@[0,1] + A@[0,-1])"; "(B@[1,0] + B@[-1,0])";
      "(C@[0,1] + C@[1,0])"; "(D@[-1,0] + D@[0,-1])" |]
 
@@ -721,185 +703,35 @@ begin
     (fun i (t1, t2) ->
       Buffer.add_string buf
         (Printf.sprintf "    [R] %s := %.2f * %s + %.2f * %s + 0.01 * %d;\n"
-           cse_lhs.(i)
+           nsum_lhs.(i)
            (0.5 /. float_of_int (i + 1))
-           cse_pool.(t1)
+           nsum_pool.(t1)
            (0.25 /. float_of_int (i + 1))
-           cse_pool.(t2) i))
+           nsum_pool.(t2) i))
     p.cterms;
   Buffer.add_string buf "  end;\nend;\n";
   Buffer.contents buf
 
 let arb_cprog = QCheck.make ~print:cprog_to_source gen_cprog
 
-let prop_seqexec_cse =
-  QCheck.Test.make ~name:"seqexec CSE'd == no-CSE == per-point (bitwise)"
-    ~count:40 arb_cprog (fun p ->
+(** End to end: the sequential executor computes bitwise-identical
+    stores, steps and cells on the row path and the per-point
+    interpreter, over random mini-ZPL programs. *)
+let prop_seqexec_row_path =
+  QCheck.Test.make ~name:"seqexec row == per-point (bitwise)" ~count:25
+    arb_prog (fun p ->
+      let prog = Zpl.Check.compile_string (prog_to_source p) in
+      seqexec_fingerprint ~row_path:true prog
+      = seqexec_fingerprint ~row_path:false prog)
+
+(** The same identity over shared-neighbor-sum programs, whose
+    right-hand sides drive the chain and product kernels. *)
+let prop_seqexec_nsum =
+  QCheck.Test.make ~name:"seqexec shared sums == per-point" ~count:40
+    arb_cprog (fun p ->
       let prog = Zpl.Check.compile_string (cprog_to_source p) in
-      let cse = seqexec_fingerprint ~row_path:true ~fuse:true ~cse:true prog in
-      let no_cse =
-        seqexec_fingerprint ~row_path:true ~fuse:true ~cse:false prog
-      in
-      let point = seqexec_fingerprint ~row_path:false prog in
-      cse = no_cse && no_cse = point)
-
-(** The CSE stage must actually engage on the paper's shapes — a fused
-    TOMCATV-like pair sharing a neighbor sum hoists at least one row
-    temporary, executes bit-identically to the per-point oracle, and
-    compiles to zero temporaries (same bits) under [~cse:false]. *)
-let test_cse_plan_engages () =
-  let region = Zpl.Region.make [ (1, 8); (1, 8) ] in
-  let shared =
-    Zpl.Prog.(ABin (Zpl.Ast.Add, ARef (0, [| 0; 1 |]), ARef (0, [| 0; -1 |])))
-  in
-  let rhs c =
-    Zpl.Prog.(
-      ABin
-        ( Zpl.Ast.Add,
-          ABin (Zpl.Ast.Mul, AConst c, shared),
-          ABin (Zpl.Ast.Mul, AConst (c /. 2.0), ARef (0, [| 1; 0 |])) ))
-  in
-  let stmt lhs c =
-    { Zpl.Prog.region = Zpl.Prog.dregion_of_region region; lhs; rhs = rhs c;
-      flops = 0 }
-  in
-  let group = [| stmt 1 0.25; stmt 2 0.75 |] in
-  let mk () =
-    let alloc = grow1 region in
-    let stores = Array.init narrays (fun aid -> mk_store aid 2 alloc 77) in
-    let ws = Runtime.Kernel.make_ws () in
-    let rc =
-      { Runtime.Kernel.rstore = (fun aid -> stores.(aid)); rws = ws }
-    in
-    let mkenv () =
-      Runtime.Kernel.make_env ~stores ~scalar:kscalar
-        (Runtime.Kernel.ws_spec ws)
-    in
-    (stores, rc, mkenv)
-  in
-  let fingerprint stores =
-    Array.map
-      (fun (s : Runtime.Store.t) -> Array.map bits (Runtime.Store.to_array s))
-      stores
-  in
-  (* per-point oracle, statement by statement *)
-  let stores_pt, rc_pt, mkenv_pt = mk () in
-  let plans_pt =
-    Array.map (Runtime.Kernel.plan_assign ~row:false rc_pt) group
-  in
-  let env_pt = mkenv_pt () in
-  Array.iteri
-    (fun i (a : Zpl.Prog.assign_a) ->
-      ignore
-        (Runtime.Kernel.exec_plan plans_pt.(i) ~env:env_pt
-           ~lhs:stores_pt.(a.Zpl.Prog.lhs) ~region))
-    group;
-  (* fused with CSE: a temp must be hoisted, bits must match *)
-  let stores_f, rc_f, mkenv_f = mk () in
-  (match Runtime.Kernel.plan_fused rc_f group with
-  | None -> Alcotest.fail "group should row-compile"
-  | Some fp ->
-      Alcotest.(check bool) "hoists a row temporary" true
-        (Runtime.Kernel.fused_temp_count fp > 0);
-      Alcotest.(check int) "cells"
-        (2 * Zpl.Region.size region)
-        (Runtime.Kernel.exec_fused fp ~env:(mkenv_f ()) ~region));
-  Alcotest.(check bool) "CSE'd == per-point (bitwise)" true
-    (fingerprint stores_f = fingerprint stores_pt);
-  (* --no-cse: zero temps, same bits *)
-  let stores_n, rc_n, mkenv_n = mk () in
-  (match Runtime.Kernel.plan_fused ~cse:false rc_n group with
-  | None -> Alcotest.fail "group should row-compile without CSE"
-  | Some fp ->
-      Alcotest.(check int) "no temps under --no-cse" 0
-        (Runtime.Kernel.fused_temp_count fp);
-      ignore (Runtime.Kernel.exec_fused fp ~env:(mkenv_n ()) ~region));
-  Alcotest.(check bool) "no-CSE fused == per-point (bitwise)" true
-    (fingerprint stores_n = fingerprint stores_pt)
-
-(** [Kernel.can_join] directly. Fused rows run in statement order, so
-    the one real hazard is a member reading another member's lhs through
-    a nonzero shift — refused in both directions, and shown to be real
-    by running such a group fused anyway. A zero-shift cross read and a
-    shared lhs are safe (fused == statement by statement, bitwise) yet
-    refused by the conservative policy, which keeps every benchmark's
-    partition unchanged (pinned in test_engine.ml). *)
-let test_can_join_hazard () =
-  let region = Zpl.Region.make [ (1, 8); (1, 8) ] in
-  let info aid =
-    { Zpl.Prog.a_id = aid; a_name = Printf.sprintf "S%d" aid;
-      a_region = grow1 region; a_rank = 2 }
-  in
-  let stmt lhs rhs =
-    { Zpl.Prog.region = Zpl.Prog.dregion_of_region region; lhs; rhs;
-      flops = 0 }
-  in
-  let open Zpl.Prog in
-  let r a d0 d1 = ARef (a, [| d0; d1 |]) in
-  let add x y = ABin (Zpl.Ast.Add, x, y) and mul x y = ABin (Zpl.Ast.Mul, x, y) in
-  let joins group st = Runtime.Kernel.can_join ~arrays:info group st in
-  let fingerprint stores =
-    Array.map
-      (fun (s : Runtime.Store.t) -> Array.map bits (Runtime.Store.to_array s))
-      stores
-  in
-  (* the group run fused vs statement by statement on the per-point path *)
-  let fused_matches group =
-    let mk () =
-      let stores = Array.init narrays (fun aid -> mk_store aid 2 (grow1 region) 5) in
-      let ws = Runtime.Kernel.make_ws () in
-      (stores, { Runtime.Kernel.rstore = (fun aid -> stores.(aid)); rws = ws }, ws)
-    in
-    let stores_pt, rc_pt, ws_pt = mk () in
-    let plans = Array.map (Runtime.Kernel.plan_assign ~row:false rc_pt) group in
-    let env_pt =
-      Runtime.Kernel.make_env ~stores:stores_pt ~scalar:kscalar
-        (Runtime.Kernel.ws_spec ws_pt)
-    in
-    Array.iteri
-      (fun i (a : assign_a) ->
-        ignore
-          (Runtime.Kernel.exec_plan plans.(i) ~env:env_pt
-             ~lhs:stores_pt.(a.lhs) ~region))
-      group;
-    let stores_f, rc_f, ws_f = mk () in
-    match Runtime.Kernel.plan_fused ~cse:false rc_f group with
-    | None -> Alcotest.fail "group should row-compile"
-    | Some fp ->
-        ignore
-          (Runtime.Kernel.exec_fused fp
-             ~env:
-               (Runtime.Kernel.make_env ~stores:stores_f ~scalar:kscalar
-                  (Runtime.Kernel.ws_spec ws_f))
-             ~region);
-        fingerprint stores_f = fingerprint stores_pt
-  in
-  let g = stmt 1 (add (r 0 0 1) (r 0 0 0)) in
-  (* hazard: a later member reads the earlier lhs one row ahead *)
-  let later = stmt 2 (mul (r 1 1 0) (AConst 0.5)) in
-  Alcotest.(check bool) "later shifted read refused" false (joins [ g ] later);
-  Alcotest.(check bool) "the hazard is real" false (fused_matches [| g; later |]);
-  (* hazard the other way: an earlier member reads the later lhs one row
-     back, which fused execution has already overwritten *)
-  let reader = stmt 1 (add (r 2 (-1) 0) (r 0 0 0)) in
-  let writer = stmt 2 (mul (r 0 0 0) (AConst 2.0)) in
-  Alcotest.(check bool) "earlier shifted read refused" false
-    (joins [ reader ] writer);
-  Alcotest.(check bool) "that hazard is real too" false
-    (fused_matches [| reader; writer |]);
-  (* safe, refused by policy: zero-shift cross read, shared lhs *)
-  let zero = stmt 2 (add (mul (r 1 0 0) (AConst 0.5)) (r 0 0 (-1))) in
-  Alcotest.(check bool) "zero-shift cross read refused" false (joins [ g ] zero);
-  Alcotest.(check bool) "zero-shift cross read fuses soundly" true
-    (fused_matches [| g; zero |]);
-  let again = stmt 1 (add (r 0 1 0) (AConst 1.0)) in
-  Alcotest.(check bool) "shared lhs refused" false (joins [ g ] again);
-  Alcotest.(check bool) "shared lhs fuses soundly" true
-    (fused_matches [| g; again |]);
-  (* independent members join, and fuse soundly *)
-  let other = stmt 2 (mul (r 0 (-1) 0) (AConst 2.0)) in
-  Alcotest.(check bool) "independent members join" true (joins [ g ] other);
-  Alcotest.(check bool) "and match" true (fused_matches [| g; other |])
+      seqexec_fingerprint ~row_path:true prog
+      = seqexec_fingerprint ~row_path:false prog)
 
 (** Pack then unpack round-trips exactly at Bigarray sub-view
     boundaries: full fringe rows/columns of a fringed store, and rank-3
@@ -943,45 +775,6 @@ let test_wireplan_boundaries () =
     (Zpl.Region.make [ (1, 2); (1, 2); (1, 1) ]);
   check_roundtrip "rank-3, dim-2 hi edge" q
     (Zpl.Region.make [ (1, 2); (1, 2); (6, 6) ])
-
-(* ------------------------------------------------------------------ *)
-(* Simulator: fusion preserves everything                              *)
-(* ------------------------------------------------------------------ *)
-
-let engine_fingerprint ?cse ~fuse prog =
-  let ir = Opt.Passes.compile Opt.Config.pl_cum prog in
-  let res =
-    Sim.Engine.run
-      (Sim.Engine.of_plans
-         (Sim.Engine.plan ~fuse ?cse ~machine:Machine.T3d.machine
-            ~lib:Machine.T3d.pvm ~pr:2 ~pc:2 (Ir.Flat.flatten ir)))
-  in
-  ( bits res.Sim.Engine.time,
-    res.Sim.Engine.stats,
-    Array.mapi
-      (fun aid _ ->
-        Array.map bits
-          (Runtime.Store.to_array (Sim.Engine.gather res.Sim.Engine.engine aid)))
-      prog.Zpl.Prog.arrays )
-
-(** Kernel fusion, with and without CSE, leaves simulated time,
-    statistics and every array bit-identical to the unfused engine. *)
-let prop_engine_fuse =
-  QCheck.Test.make ~name:"engine: fused == unfused (bitwise)" ~count:12
-    arb_prog (fun p ->
-      let prog = Zpl.Check.compile_string (prog_to_source p) in
-      let base = engine_fingerprint ~fuse:false prog in
-      base = engine_fingerprint ~fuse:true prog
-      && base = engine_fingerprint ~fuse:true ~cse:false prog)
-
-(** The engine's fused plans with CSE stay bit-identical on programs
-    engineered so the hoisting stage actually fires (see [arb_cprog]). *)
-let prop_engine_cse =
-  QCheck.Test.make ~name:"engine: CSE'd == no-CSE (bitwise)" ~count:10
-    arb_cprog (fun p ->
-      let prog = Zpl.Check.compile_string (cprog_to_source p) in
-      engine_fingerprint ~fuse:true ~cse:true prog
-      = engine_fingerprint ~fuse:true ~cse:false prog)
 
 (* ------------------------------------------------------------------ *)
 (* Comm runtime == sequential oracle on an uneven mesh                 *)
@@ -1069,14 +862,9 @@ let () =
         List.map to_alcotest
           [ prop_row_kernel_bitwise; prop_row_reduce_bitwise;
             prop_wireplan_rows; prop_seqexec_row_path;
-            prop_seqexec_cse; prop_engine_fuse; prop_engine_cse;
-            prop_comm_matches_oracle ]
+            prop_seqexec_nsum; prop_comm_matches_oracle ]
         @ [ Alcotest.test_case "stencil compiles to row plan" `Quick
               test_row_plan_engages;
-            Alcotest.test_case "fused CSE engages and matches per-point"
-              `Quick test_cse_plan_engages;
-            Alcotest.test_case "can_join: shifted cross reads refused" `Quick
-              test_can_join_hazard;
             Alcotest.test_case "wireplan pack/unpack at view boundaries"
               `Quick test_wireplan_boundaries;
             Alcotest.test_case "parallel grid == serial grid" `Quick

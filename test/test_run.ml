@@ -66,9 +66,6 @@ let flips : (string * (Run.Spec.t -> Run.Spec.t)) list =
     ("lib", Run.Spec.with_lib Machine.T3d.shmem);
     ("mesh", Run.Spec.with_mesh 1 2);
     ("topology", Run.Spec.with_topology Machine.Topology.Mesh);
-    ("row_path", Run.Spec.with_row_path false);
-    ("fuse", Run.Spec.with_fuse false);
-    ("cse", Run.Spec.with_cse false);
     ("check", Run.Spec.with_check true) ]
 
 let test_single_flip_misses () =
@@ -93,7 +90,7 @@ let test_single_flip_misses () =
         Alcotest.(check bool)
           (Printf.sprintf "%s variant misses" name)
           false hit)
-    [ List.nth flips 2; List.nth flips 7; List.nth flips 10 ]
+    [ List.nth flips 2; List.nth flips 7; List.nth flips 9 ]
 
 let test_limit_excluded () =
   let b = base () in
@@ -135,25 +132,19 @@ let test_source_digest_key () =
   Alcotest.(check bool) "and the program digest" false
     (String.equal (Run.Spec.program_digest b) (Run.Spec.program_digest ulp))
 
-(* qcheck: a random subset of knob flips keys equal iff the subset is
-   empty, while limit perturbations never affect the key *)
+(* qcheck: flipping the [check] knob changes the key, while limit
+   perturbations never affect it *)
 let prop_key_iff_knobs =
   let gen =
     QCheck.make
-      ~print:(fun (a, b, c, l) ->
-        Printf.sprintf "row_path=%b fuse=%b cse=%b limit=%d" a b c l)
-      QCheck.Gen.(tup4 bool bool bool (int_range 1 1000))
+      ~print:(fun (c, l) -> Printf.sprintf "check=%b limit=%d" c l)
+      QCheck.Gen.(pair bool (int_range 1 1000))
   in
   QCheck.Test.make ~count:100 ~name:"key ignores limit, sees knobs" gen
-    (fun (row_path, fuse, cse, limit) ->
+    (fun (check, limit) ->
       let b = base () in
-      let s =
-        Run.Spec.(
-          b |> with_row_path row_path |> with_fuse fuse |> with_cse cse
-          |> with_limit limit)
-      in
-      let knobs_default = row_path && fuse && cse in
-      Bool.equal (Run.Spec.equal b s) knobs_default)
+      let s = Run.Spec.(b |> with_check check |> with_limit limit) in
+      Bool.equal (Run.Spec.equal b s) (not check))
 
 (* ------------------------------------------------------------------ *)
 (* Cached vs cold: bit-identical results across the six paper rows     *)
@@ -476,6 +467,22 @@ let test_shared_plans_mint_twice () =
     (Sim.Stats.dynamic_count first.Sim.Engine.stats)
     (Sim.Stats.dynamic_count second.Sim.Engine.stats)
 
+(* ------------------------------------------------------------------ *)
+(* Bad input through the CLI guard                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* TOMCATV at n = 3 on a 4x4 mesh leaves blocks with no rows, which
+   [Engine.plan] rejects. The command guard must turn that into an
+   [error:] line and exit code 1, not an uncaught exception. *)
+let test_fine_mesh_exits_1 () =
+  let spec =
+    Cli.Cmdline.make_spec "tomcatv" [ ("n", 3.) ] Opt.Config.pl_cum None
+      (Machine.T3d.machine, Machine.T3d.pvm)
+      (4, 4) Machine.Topology.Ideal
+  in
+  Alcotest.(check int) "exit code" 1
+    (Cli.Cmdline.handle (fun () -> ignore (Run.Spec.run spec)))
+
 let () =
   Alcotest.run "run"
     [ ( "cache",
@@ -506,4 +513,7 @@ let () =
             test_sweep_second_pass;
           Alcotest.test_case "json escape helper" `Quick test_json_escape;
           Alcotest.test_case "hostile label stays well-formed" `Quick
-            test_sweep_hostile_label ] ) ]
+            test_sweep_hostile_label ] );
+      ( "cli",
+        [ Alcotest.test_case "mesh finer than the array exits 1" `Quick
+            test_fine_mesh_exits_1 ] ) ]
