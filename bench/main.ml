@@ -1,41 +1,37 @@
 (** The paper-reproduction harness: regenerates every table and figure of
-    the evaluation section and prints them as one report.
+    the evaluation section and prints them as one report, or runs one
+    focused benchmark series per mode flag.
 
     {v
     dune exec bench/main.exe             full report (bench scale)
     dune exec bench/main.exe -- --quick  small problem sizes (CI-fast);
-                                         also runs the kernel benchmark
-                                         and writes BENCH_kernel.json
+                                         also runs the kernel series
     dune exec bench/main.exe -- --kernel row-path vs per-point kernel
                                          throughput + serial vs parallel
-                                         grid wall time; writes
-                                         BENCH_kernel.json
+                                         grid wall time
     dune exec bench/main.exe -- --comm   wire-plan communication runtime:
                                          2-node ping micro plus a
-                                         comm-heavy tomcatv grid; writes
-                                         BENCH_comm.json
+                                         comm-heavy tomcatv grid
     dune exec bench/main.exe -- --collective
                                          opaque vendor reductions vs the
                                          four synthesized collective
-                                         schedules across mesh sizes;
-                                         writes BENCH_collective.json
+                                         schedules across mesh sizes
     dune exec bench/main.exe -- --sweep  content-addressed plan cache:
                                          a cold pass then a warm pass
                                          over a benchmark x row x
-                                         collective spec grid; writes
-                                         BENCH_sweep.json
+                                         collective spec grid
     dune exec bench/main.exe -- --contention
                                          topology-aware network model:
                                          per-config simulated times and
                                          argmin per topology, pinned
-                                         collective picks; writes
-                                         BENCH_contention.json
-    dune exec bench/main.exe -- --bechamel
-                                         Bechamel micro-benchmarks: one
-                                         Test.make per exhibit, measuring
-                                         the wall cost of regenerating it
-                                         at reduced scale
-    v} *)
+                                         collective picks
+    v}
+
+    Every series goes through the same machinery: one rotated best-of-3
+    trial runner, flat [(key, value)] entries, and one emit step that
+    prints them, writes [BENCH_<mode>.json] at bench scale only
+    ([--quick] never overwrites a committed artifact), and applies the
+    drift-aware [--baseline] gate. *)
 
 open Commopt
 
@@ -82,68 +78,9 @@ let print_report ~scale () =
   section "Extension: Paragon whole-program results"
     (Report.Figures.paragon_appendix pgrid)
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per paper exhibit           *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_tests () =
-  let open Bechamel in
-  let quick_grid () = Report.Experiment.grid ~scale:`Test () in
-  let quick_fig6 () =
-    Report.Ping.figure6 ~sizes:[ 8; 512 ] ~iters:5 ()
-  in
-  let grid = quick_grid () in
-  let curves = quick_fig6 () in
-  let exhibit name f = Test.make ~name (Staged.stage f) in
-  Test.make_grouped ~name:"paper-exhibits" ~fmt:"%s %s"
-    [ exhibit "figure-3-machines" (fun () -> Report.Figures.machine_table ());
-      exhibit "figure-5-bindings" (fun () -> Report.Figures.bindings_table ());
-      exhibit "figure-7-benchmarks" (fun () -> Report.Figures.benchmarks_table ());
-      exhibit "figure-6-overhead" (fun () -> quick_fig6 ());
-      exhibit "figure-6-render" (fun () -> Report.Figures.fig6 curves);
-      exhibit "figure-8-counts" (fun () -> quick_grid () |> Report.Figures.fig8);
-      exhibit "figure-10a-pvm" (fun () -> Report.Figures.fig10 ~part:`A grid);
-      exhibit "figure-10b-shmem" (fun () -> Report.Figures.fig10 ~part:`B grid);
-      exhibit "figure-11-heuristic-counts" (fun () -> Report.Figures.fig11 grid);
-      exhibit "figure-12-heuristic-times" (fun () -> Report.Figures.fig12 grid);
-      exhibit "table-1-tomcatv" (fun () ->
-          Report.Figures.appendix_table (List.nth grid 0));
-      exhibit "table-2-swm" (fun () ->
-          Report.Figures.appendix_table (List.nth grid 1));
-      exhibit "table-3-simple" (fun () ->
-          Report.Figures.appendix_table (List.nth grid 2));
-      exhibit "table-4-sp" (fun () ->
-          Report.Figures.appendix_table (List.nth grid 3));
-      exhibit "extension-paragon" (fun () ->
-          Report.Experiment.paragon_grid ~scale:`Test ()
-          |> Report.Figures.paragon_appendix) ]
-
-let run_bechamel () =
-  let open Bechamel in
-  let open Bechamel.Toolkit in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances (bechamel_tests ()) in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "%-45s %15s\n" "exhibit" "wall per run";
-  Printf.printf "%s\n" (String.make 62 '-');
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) results []
-  |> List.sort compare
-  |> List.iter (fun (name, ols_result) ->
-         match Analyze.OLS.estimates ols_result with
-         | Some [ ns ] ->
-             let s = ns /. 1e9 in
-             Printf.printf "%-45s %12.3f ms\n" name (s *. 1e3)
-         | _ -> Printf.printf "%-45s %15s\n" name "n/a")
-
-(* ------------------------------------------------------------------ *)
-(* Kernel benchmark: row-compiled vs per-point execution paths          *)
-(* ------------------------------------------------------------------ *)
+(* --------------------------------------------------------------- *)
+(* Timing, trial spread (drift) and the one trial runner             *)
+(* --------------------------------------------------------------- *)
 
 (* Monotonic trial timing: [Unix.gettimeofday] is wall-clock, so an NTP
    step mid-trial yields negative or garbage durations that corrupt
@@ -156,20 +93,22 @@ let wall f =
   let t1 = Monotonic_clock.now () in
   (r, Int64.to_float (Int64.sub t1 t0) /. 1e9)
 
+type reps = {
+  runs : int;
+  total : float;  (** wall seconds over all runs *)
+  fastest : float;  (** the quickest single run, in seconds *)
+}
+
 (** Run [f] repeatedly until it has consumed at least [budget] wall
-    seconds; returns (runs, total wall time). *)
+    seconds (at least once). *)
 let repeat_for ~budget f =
-  let rec go runs total =
-    if total >= budget && runs > 0 then (runs, total)
+  let rec go runs total fastest =
+    if total >= budget && runs > 0 then { runs; total; fastest }
     else
       let _, dt = wall f in
-      go (runs + 1) (total +. dt)
+      go (runs + 1) (total +. dt) (Float.min fastest dt)
   in
-  go 0 0.0
-
-(* --------------------------------------------------------------- *)
-(* Trial-spread (drift) tracking and the shared --baseline gate      *)
-(* --------------------------------------------------------------- *)
+  go 0 0.0 infinity
 
 (** Largest relative spread, (max - min) / max, observed across the
     rotated trials of any measured series in this process. Interference
@@ -191,132 +130,67 @@ let note_spread (trials : float list) =
 
 let drift_threshold = 0.10
 
-(** The shared --baseline verdict: print any >= 5% regressions and exit
-    3 — unless the rotated trials disagreed among themselves by more
-    than {!drift_threshold}, in which case the host's own noise dwarfs
-    the gate and the regressions are downgraded to an advisory
-    warning. *)
-let gate ~baseline ~unit regressions =
-  match regressions with
-  | [] ->
-      Printf.printf "No throughput regressions >= 5%% against %s\n" baseline
-  | rs ->
-      List.iter
-        (fun (key, was, now) ->
-          Printf.printf "REGRESSION %s: %.0f -> %.0f %s (%.1f%%)\n" key was
-            now unit
-            (100. *. (1. -. (now /. was))))
-        rs;
-      if !max_drift >= drift_threshold then
-        Printf.printf
-          "DRIFT: trial spread %.0f%% >= %.0f%% — host too noisy for the 5%% \
-           gate; the regressions above are advisory only\n"
-          (100. *. !max_drift)
-          (100. *. drift_threshold)
-      else exit 3
-
-(** Cells/second of one benchmark's kernel loops in the sequential
-    executor ({!Runtime.Seqexec}) — no communication and no simulated
-    clock, so the measurement isolates the array-statement execution
-    path. [row_path] picks the strategy: row kernels (the default every
-    executor runs) or the interpreted per-point path. *)
-let kernel_trial ~row_path ~budget (c : Commopt.compiled) =
-  let cells = ref 0 in
-  let runs, total =
-    repeat_for ~budget (fun () ->
-        cells := (Runtime.Seqexec.run ~row_path c.prog).Runtime.Seqexec.cells)
-  in
-  (float_of_int (!cells * runs) /. total, !cells)
-
-type path_cps = {
-  pc_cells : int;  (** cells per run *)
-  pc_point : float;  (** cells/sec, per-point path *)
-  pc_row : float;  (** cells/sec, row path *)
-}
-
-(** Best of three interleaved trials per path. Interference on a shared
-    box only ever subtracts throughput, so the max of several short
-    trials is the estimate closest to the path's real capability — and
-    interleaving the paths decorrelates any slow phase of the machine
-    from one particular path. The starting path rotates across trials:
-    with a fixed order, whichever path runs first after a warm-up gap
-    systematically measures low, which once read as a phantom ~4%
-    regression before the rotation. *)
-let bench_paths ~defines source =
-  let c = compile ~config:Opt.Config.pl_cum ~defines source in
-  let paths = [| true; false |] in
-  let np = Array.length paths in
-  let best = Array.make np 0.0 in
-  let seen = Array.make np [] in
-  let cells = ref 0 in
+(** The one trial runner: three interleaved trials of every thunk in
+    [group], keeping each thunk's best. A thunk returns its throughput
+    (higher is better) and a payload; the payload of its best trial is
+    returned. Interference on a shared box only ever subtracts
+    throughput, so the max of several short trials is the estimate
+    closest to the real capability — and interleaving the group
+    decorrelates any slow phase of the machine from one member. The
+    starting thunk rotates across trials: with a fixed order, whichever
+    member runs first after a warm-up gap systematically measures low,
+    which once read as a phantom ~4% regression before the rotation.
+    Every member's spread feeds the drift gate. *)
+let best_of_3 (group : (unit -> float * 'a) array) : 'a array =
+  let n = Array.length group in
+  let best = Array.make n None and seen = Array.make n [] in
   for trial = 0 to 2 do
-    for j = 0 to np - 1 do
-      let i = (j + trial) mod np in
-      let cps, n = kernel_trial ~row_path:paths.(i) ~budget:0.25 c in
-      cells := n;
-      seen.(i) <- cps :: seen.(i);
-      if cps > best.(i) then best.(i) <- cps
+    for j = 0 to n - 1 do
+      let i = (j + trial) mod n in
+      let score, payload = group.(i) () in
+      seen.(i) <- score :: seen.(i);
+      match best.(i) with
+      | Some (b, _) when b >= score -> ()
+      | _ -> best.(i) <- Some (score, payload)
     done
   done;
   Array.iter note_spread seen;
-  { pc_cells = !cells; pc_point = best.(1); pc_row = best.(0) }
+  Array.map (fun b -> snd (Option.get b)) best
 
-type kernel_bench = {
-  kb_tomcatv : path_cps;
-  kb_swm : path_cps;
-  kb_grid_serial : float;  (** quick grid wall time, 1 domain *)
-  kb_grid_parallel : float;  (** quick grid wall time, domain pool *)
-  kb_domains : int;
-}
+(** One engine trial of a compiled program on the T3D/PVM model,
+    repeated for [budget] seconds. Engine construction ([plan] and
+    [of_plans], wire-plan compilation included) stays inside the timed
+    region, so the runtime is charged for its own planning — amortized
+    over the program's iterations, exactly as a real run would pay it.
+    Minor words are sampled around [Engine.run] only, since plan-time
+    allocation is the planned one-off cost; allocation is deterministic,
+    so the last run's count stands for every run. *)
+let engine_trial ~pr ~pc ~budget (c : Commopt.compiled) =
+  let mw = ref 0.0 and last = ref None in
+  let reps =
+    repeat_for ~budget (fun () ->
+        let engine =
+          Sim.Engine.of_plans
+            (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
+               ~pr ~pc c.flat)
+        in
+        let w0 = Gc.minor_words () in
+        let r = Sim.Engine.run engine in
+        mw := Gc.minor_words () -. w0;
+        last := Some r)
+  in
+  (reps, !mw, Option.get !last)
 
-let run_kernel_bench ~scale () =
-  let tomcatv_defines, swm_defines =
-    match scale with
-    | `Bench -> ([ ("n", 128.); ("iters", 10.) ], [ ("n", 64.); ("iters", 8.) ])
-    | `Test -> ([ ("n", 64.); ("iters", 3.) ], [ ("n", 32.); ("iters", 2.) ])
-  in
-  let tomcatv = bench_paths ~defines:tomcatv_defines Programs.Tomcatv.source in
-  let swm =
-    bench_paths ~defines:swm_defines
-      Programs.Suite.swm.Programs.Bench_def.source
-  in
-  let domains = Sim.Pool.default_domains () in
-  let _, grid_serial =
-    wall (fun () -> Report.Experiment.grid ~scale:`Test ~domains:1 ())
-  in
-  let _, grid_parallel =
-    wall (fun () -> Report.Experiment.grid ~scale:`Test ~domains ())
-  in
-  { kb_tomcatv = tomcatv;
-    kb_swm = swm;
-    kb_grid_serial = grid_serial;
-    kb_grid_parallel = grid_parallel;
-    kb_domains = domains }
-
-(** The JSON payload as key/value pairs; the legacy keys of PR 1's
-    BENCH_kernel.json keep their names, with [row_path_cells_per_sec]
-    tracking TOMCATV's row path. *)
-let kernel_numbers (kb : kernel_bench) : (string * float) list =
-  let t = kb.kb_tomcatv and s = kb.kb_swm in
-  [ ("cells_per_run", float_of_int t.pc_cells);
-    ("point_path_cells_per_sec", t.pc_point);
-    ("row_path_cells_per_sec", t.pc_row);
-    ("row_vs_point_speedup", t.pc_row /. t.pc_point);
-    ("tomcatv_point_cells_per_sec", t.pc_point);
-    ("tomcatv_row_cells_per_sec", t.pc_row);
-    ("swm_cells_per_run", float_of_int s.pc_cells);
-    ("swm_point_cells_per_sec", s.pc_point);
-    ("swm_row_cells_per_sec", s.pc_row);
-    ("grid_quick_serial_sec", kb.kb_grid_serial);
-    ("grid_quick_parallel_sec", kb.kb_grid_parallel);
-    ("grid_domains", float_of_int kb.kb_domains) ]
+(* --------------------------------------------------------------- *)
+(* Entries, the artifact writer and the --baseline gate              *)
+(* --------------------------------------------------------------- *)
 
 (** A value of the flat BENCH_*.json artifacts: numbers for
     measurements, strings for categorical results (chosen algorithms,
     argmin labels). *)
 type jval = Num of float | Str of string
 
-let num_entries kvs = List.map (fun (k, v) -> (k, Num v)) kvs
+let nums kvs = List.map (fun (k, v) -> (k, Num v)) kvs
 
 (** Write one flat BENCH artifact: the benchmark description, the build
     profile stamps, the GC stamp, then [entries] in order. Keys and
@@ -355,23 +229,182 @@ let write_bench_json path ~benchmark entries =
   Buffer.output_buffer oc b;
   close_out oc
 
-let write_kernel_json path (kb : kernel_bench) =
-  write_bench_json path
-    ~benchmark:
-      "kernel loops in the sequential executor: per-point vs row"
-    (num_entries (kernel_numbers kb))
+(** Minimal reader for the flat [{"key": number, ...}] files this
+    program writes: one pair per line, string values skipped. *)
+let baseline_numbers path : (string * float) list =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+    | line -> (
+        let line = String.trim line in
+        if String.length line = 0 || line.[0] <> '"' then go acc
+        else
+          match String.index_from_opt line 1 '"' with
+          | None -> go acc
+          | Some j -> (
+              let key = String.sub line 1 (j - 1) in
+              match String.index_from_opt line j ':' with
+              | None -> go acc
+              | Some k ->
+                  let v =
+                    String.trim
+                      (String.sub line (k + 1) (String.length line - k - 1))
+                  in
+                  let v =
+                    if String.length v > 0 && v.[String.length v - 1] = ',' then
+                      String.sub v 0 (String.length v - 1)
+                    else v
+                  in
+                  (match float_of_string_opt v with
+                  | Some f -> go ((key, f) :: acc)
+                  | None -> go acc)))
+  in
+  go []
 
-(* --------------------------------------------------------------- *)
-(* Communication benchmark: wire-plan runtime throughput            *)
-(* --------------------------------------------------------------- *)
+(** The --baseline verdict over the host throughput keys ([*_per_sec])
+    only: simulated times, argmins and hit counts are deterministic
+    model outputs that legitimately move when the model does, and
+    allocation counts and wall-clock grid times are informational.
+    Print any >= 5% regressions and exit 3 — unless the rotated trials
+    disagreed among themselves by more than {!drift_threshold}, in
+    which case the host's own noise dwarfs the gate and the regressions
+    are downgraded to an advisory warning. *)
+let gate (file, base) entries =
+  let regressions =
+    List.filter_map
+      (function
+        | key, Num now when Filename.check_suffix key "_per_sec" -> (
+            match List.assoc_opt key base with
+            | Some was when now < was *. 0.95 -> Some (key, was, now)
+            | _ -> None)
+        | _ -> None)
+      entries
+  in
+  match regressions with
+  | [] -> Printf.printf "No throughput regressions >= 5%% against %s\n" file
+  | rs ->
+      List.iter
+        (fun (key, was, now) ->
+          Printf.printf "REGRESSION %s: %.0f -> %.0f /sec (%.1f%%)\n" key was
+            now
+            (100. *. (1. -. (now /. was))))
+        rs;
+      if !max_drift >= drift_threshold then
+        Printf.printf
+          "DRIFT: trial spread %.0f%% >= %.0f%% — host too noisy for the 5%% \
+           gate; the regressions above are advisory only\n"
+          (100. *. !max_drift)
+          (100. *. drift_threshold)
+      else exit 3
 
-type comm_path = {
-  cp_msgs : int;  (** messages per run *)
-  cp_bytes : int;  (** payload bytes per run *)
-  cp_msgs_per_sec : float;
-  cp_bytes_per_sec : float;
-  cp_minor_words : float;  (** minor words allocated per run (run phase) *)
+(** One benchmark series: its mode flag (also naming its
+    [BENCH_<flag>.json] artifact), what it measures, the measurement,
+    which returns mode-specific text to print above the entries (empty
+    for most) and the entries themselves, and the series' own verdict
+    on its printed entries, which may exit. *)
+type series = {
+  flag : string;
+  doc : string;
+  title : string;
+  benchmark : string;  (** the artifact's description *)
+  measure : scale:[ `Bench | `Test ] -> string * (string * jval) list;
+  verdict : (string * jval) list -> unit;
 }
+
+let show_num x =
+  if Float.is_integer x || Float.abs x >= 1e4 then Printf.sprintf "%.0f" x
+  else Printf.sprintf "%.6g" x
+
+(** The one emit step: print the entries, apply the series' verdict,
+    write the artifact (full scale only — quick runs exist for smoke
+    tests and gate checks; only a full-scale run is a measurement worth
+    committing as the baseline artifact), then apply the --baseline
+    gate. *)
+let emit ~scale ~baseline s (text, entries) =
+  let listing =
+    List.map
+      (fun (k, v) ->
+        Printf.sprintf "  %-40s %s" k
+          (match v with Num x -> show_num x | Str s -> s))
+      entries
+  in
+  section s.title
+    (Printf.sprintf "Build profile: %s (flambda: %b)\n%s%s" Build_info.profile
+       Build_info.flambda text
+       (String.concat "\n" listing));
+  s.verdict entries;
+  if scale = `Bench then begin
+    let file = Printf.sprintf "BENCH_%s.json" s.flag in
+    write_bench_json file ~benchmark:s.benchmark entries;
+    Printf.printf "\nWrote %s\n" file
+  end;
+  Option.iter (fun b -> gate b entries) baseline
+
+(* --------------------------------------------------------------- *)
+(* Kernel series: row-compiled vs per-point execution paths         *)
+(* --------------------------------------------------------------- *)
+
+(** Cells/second of one benchmark's kernel loops in the sequential
+    executor ({!Runtime.Seqexec}) — no communication and no simulated
+    clock, so the measurement isolates the array-statement execution
+    path — on the row path (the default every executor runs) and the
+    interpreted per-point path. Returns (cells per run, point, row). *)
+let kernel_paths ~defines source =
+  let c = compile ~config:Opt.Config.pl_cum ~defines source in
+  let cells = ref 0 in
+  let trial row_path () =
+    let r =
+      repeat_for ~budget:0.25 (fun () ->
+          cells := (Runtime.Seqexec.run ~row_path c.prog).Runtime.Seqexec.cells)
+    in
+    let cps = float_of_int (!cells * r.runs) /. r.total in
+    (cps, cps)
+  in
+  let best = best_of_3 [| trial true; trial false |] in
+  (float_of_int !cells, best.(1), best.(0))
+
+(** The legacy keys of the first BENCH_kernel.json keep their names, with
+    [row_path_cells_per_sec] tracking TOMCATV's row path. *)
+let measure_kernel ~scale =
+  let tomcatv_defines, swm_defines =
+    match scale with
+    | `Bench -> ([ ("n", 128.); ("iters", 10.) ], [ ("n", 64.); ("iters", 8.) ])
+    | `Test -> ([ ("n", 64.); ("iters", 3.) ], [ ("n", 32.); ("iters", 2.) ])
+  in
+  let t_cells, t_point, t_row =
+    kernel_paths ~defines:tomcatv_defines Programs.Tomcatv.source
+  in
+  let s_cells, s_point, s_row =
+    kernel_paths ~defines:swm_defines Programs.Suite.swm.Programs.Bench_def.source
+  in
+  let domains = Sim.Pool.default_domains () in
+  let _, grid_serial =
+    wall (fun () -> Report.Experiment.grid ~scale:`Test ~domains:1 ())
+  in
+  let _, grid_parallel =
+    wall (fun () -> Report.Experiment.grid ~scale:`Test ~domains ())
+  in
+  ( "",
+    nums
+      [ ("cells_per_run", t_cells);
+        ("point_path_cells_per_sec", t_point);
+        ("row_path_cells_per_sec", t_row);
+        ("row_vs_point_speedup", t_row /. t_point);
+        ("tomcatv_point_cells_per_sec", t_point);
+        ("tomcatv_row_cells_per_sec", t_row);
+        ("swm_cells_per_run", s_cells);
+        ("swm_point_cells_per_sec", s_point);
+        ("swm_row_cells_per_sec", s_row);
+        ("grid_quick_serial_sec", grid_serial);
+        ("grid_quick_parallel_sec", grid_parallel);
+        ("grid_domains", float_of_int domains) ] )
+
+(* --------------------------------------------------------------- *)
+(* Comm series: wire-plan runtime throughput                        *)
+(* --------------------------------------------------------------- *)
 
 (** Transfer activations summed over processors: each transfer instance
     costs one receive-side and one send-side activation (DR+DN and
@@ -383,137 +416,30 @@ let activations (st : Sim.Stats.t) =
       n + pp.Sim.Stats.xfers_recv + pp.Sim.Stats.xfers_sent)
     0 st.Sim.Stats.procs
 
-(** One timed trial of a compiled program. Engine construction
-    (wire-plan compilation included) stays inside the timed region, so
-    the runtime is charged for its own planning — amortized over the
-    program's iterations, exactly as a real run would pay it. Minor
-    words are sampled around the run phase only, since plan-time
-    allocation is the planned one-off cost. *)
-let comm_trial ~budget ~lib ~pr ~pc (c : Commopt.compiled) =
-  let msgs = ref 0 and bytes = ref 0 in
-  let mw = ref 0.0 in
-  let runs, total =
-    repeat_for ~budget (fun () ->
-        let engine =
-          Sim.Engine.of_plans
-            (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib ~pr ~pc c.flat)
-        in
-        let w0 = Gc.minor_words () in
-        let result = Sim.Engine.run engine in
-        mw := Gc.minor_words () -. w0;
-        let st = result.Sim.Engine.stats in
-        msgs := Sim.Stats.total_messages st;
-        bytes := Sim.Stats.total_bytes st)
-  in
-  { cp_msgs = !msgs;
-    cp_bytes = !bytes;
-    cp_msgs_per_sec = float_of_int (!msgs * runs) /. total;
-    cp_bytes_per_sec = float_of_int (!bytes * runs) /. total;
-    cp_minor_words = !mw }
-
-(** Best of three trials — interference only ever subtracts throughput,
-    the same noise discipline as {!bench_paths}. *)
-let bench_comm_grid ?(lib = Machine.T3d.pvm) ~pr ~pc ~budget c =
-  let trials = List.init 3 (fun _ -> comm_trial ~budget ~lib ~pr ~pc c) in
-  note_spread (List.map (fun r -> r.cp_msgs_per_sec) trials);
-  List.fold_left
-    (fun b r -> if r.cp_msgs_per_sec > b.cp_msgs_per_sec then r else b)
-    (List.hd trials) (List.tl trials)
-
-type ping_path = {
-  pp_msgs : int;  (** messages per run *)
-  pp_bytes : int;  (** payload bytes per run *)
-  pp_exposed_sec : float;  (** per-run wall minus the busy twin's *)
-  pp_mwpa : float;  (** minor words per activation, busy-subtracted *)
-}
-
-(** Best (minimum) per-run wall seconds within [budget], run-phase
-    minor words, and stats for plan+run of one compiled program.
-    Interference only ever slows a run down, so the minimum is the
-    estimate closest to the true cost. *)
-let run_once ~budget (c : Commopt.compiled) =
-  let mw = ref 0.0 and st = ref None in
-  let best = ref infinity in
-  let spent = ref 0.0 and runs = ref 0 in
-  while !spent < budget || !runs = 0 do
-    let _, dt =
-      wall (fun () ->
-          let engine =
-            Sim.Engine.of_plans
-              (Sim.Engine.plan ~machine:Machine.T3d.machine
-                 ~lib:Machine.T3d.pvm ~pr:1 ~pc:2 c.flat)
-          in
-          let w0 = Gc.minor_words () in
-          let r = Sim.Engine.run engine in
-          mw := Gc.minor_words () -. w0;
-          st := Some r.Sim.Engine.stats)
-    in
-    spent := !spent +. dt;
-    incr runs;
-    if dt < !best then best := dt
-  done;
-  (!best, !mw, Option.get !st)
-
-(** Figure 6's methodology applied to the runtime: time the
-    communicating program and its communication-free twin, and report
-    the {e exposed} per-run cost — what the communication runtime alone
-    adds. Raw wall time understates it because both programs spend most
-    of their time in (identical) single-statement kernel execution and
-    interpreter dispatch; the subtraction isolates the comm path.
-
-    Noise discipline: both series are timed in interleaved rounds so a
-    slow phase of the machine cannot land on one series; minima are kept
-    per series. Exposures are clamped at 1ns — on a loaded machine the
-    exposure can sink below the noise floor; read very small exposures
-    with suspicion. *)
-let ping_exposed ~budget (comm : Commopt.compiled) (busy : Commopt.compiled) =
-  (* One unmeasured run of each program shape: the first run after a
-     compile pays cold caches and page faults, which would otherwise
-     land entirely on whichever series is measured first. *)
-  ignore (run_once ~budget:0.0 comm);
-  ignore (run_once ~budget:0.0 busy);
-  let series = [| comm; busy |] in
-  let best = Array.make 2 infinity in
-  let seen = Array.make 2 [] in
-  let mw = Array.make 2 0.0 in
-  let stats = ref None in
-  for round = 0 to 2 do
-    for j = 0 to 1 do
-      let i = (j + round) mod 2 in
-      let sec, words, st = run_once ~budget:(budget /. 6.) series.(i) in
-      seen.(i) <- sec :: seen.(i);
-      if sec < best.(i) then best.(i) <- sec;
-      mw.(i) <- words;
-      if i = 0 then stats := Some st
-    done
-  done;
-  Array.iter note_spread seen;
-  let st = Option.get !stats in
-  { pp_msgs = Sim.Stats.total_messages st;
-    pp_bytes = Sim.Stats.total_bytes st;
-    pp_exposed_sec = Float.max 1e-9 (best.(0) -. best.(1));
-    (* allocation is deterministic, so one run of each pairs exactly *)
-    pp_mwpa = (mw.(0) -. mw.(1)) /. float_of_int (activations st) }
-
-let ping_msgs_per_sec (p : ping_path) =
-  float_of_int p.pp_msgs /. p.pp_exposed_sec
-
-let ping_bytes_per_sec (p : ping_path) =
-  float_of_int p.pp_bytes /. p.pp_exposed_sec
-
-type comm_bench = { cb_ping : ping_path; cb_grid : comm_path }
-
 (** The ping microbenchmark is the combine-heavy two-node synthetic:
     eight member arrays cross east as one cc-combined message per
     iteration, so every message carries eight pieces packed into one
     pooled staging buffer. It is compiled with combining but without
     redundancy removal, so the single-statement loop body legitimately
     re-transfers every iteration and the non-communication noise floor
-    stays minimal (see {!Programs.Synthetic.combined_source}). The grid
-    measurement is TOMCATV on a 4x4 mesh — a real stencil program under
-    the full [pl] configuration — timed raw (whole program, no
-    subtraction). *)
-let run_comm_bench ~scale () =
+    stays minimal (see {!Programs.Synthetic.combined_source}).
+
+    Figure 6's methodology applies: the communicating program and its
+    communication-free twin are timed in the same trial group, and the
+    {e exposed} per-run cost — what the communication runtime alone
+    adds — is the difference of their fastest runs. Raw wall time
+    understates it because both programs spend most of their time in
+    (identical) single-statement kernel execution and interpreter
+    dispatch; the subtraction isolates the comm path. Exposures are
+    clamped at 1ns — on a loaded machine the exposure can sink below
+    the noise floor; read very small exposures with suspicion.
+
+    The grid measurement is TOMCATV on a 4x4 mesh — a real stencil
+    program under the full [pl] configuration — timed raw (whole
+    program, no subtraction). The keys keep the [wire] infix of the
+    artifacts written while a second runtime existed, so old baselines
+    stay comparable. *)
+let measure_comm ~scale =
   let iters = match scale with `Bench -> 5000 | `Test -> 2000 in
   let defines = Programs.Synthetic.combined_defines ~doubles:8 ~iters in
   let cc_only = { Opt.Config.baseline with Opt.Config.cc = true } in
@@ -524,7 +450,19 @@ let run_comm_bench ~scale () =
     compile ~config:cc_only ~defines Programs.Synthetic.combined_busy_source
   in
   let budget = match scale with `Bench -> 3.0 | `Test -> 0.3 in
-  let cb_ping = ping_exposed ~budget ping busy in
+  (* One unmeasured run of each program shape: the first run after a
+     compile pays cold caches and page faults, which would otherwise
+     land entirely on whichever series is measured first. *)
+  ignore (engine_trial ~pr:1 ~pc:2 ~budget:0.0 ping);
+  ignore (engine_trial ~pr:1 ~pc:2 ~budget:0.0 busy);
+  let fastest c () =
+    let reps, mw, r = engine_trial ~pr:1 ~pc:2 ~budget:(budget /. 6.) c in
+    (1.0 /. reps.fastest, (reps.fastest, mw, r.Sim.Engine.stats))
+  in
+  let b = best_of_3 [| fastest ping; fastest busy |] in
+  let ping_sec, ping_mw, st = b.(0) and busy_sec, busy_mw, _ = b.(1) in
+  let exposed = Float.max 1e-9 (ping_sec -. busy_sec) in
+  let ping_msgs = float_of_int (Sim.Stats.total_messages st) in
   let grid_defines =
     match scale with
     | `Bench -> [ ("n", 128.); ("iters", 10.) ]
@@ -534,38 +472,32 @@ let run_comm_bench ~scale () =
     compile ~config:Opt.Config.pl_cum ~defines:grid_defines
       Programs.Tomcatv.source
   in
-  { cb_ping; cb_grid = bench_comm_grid ~pr:4 ~pc:4 ~budget grid }
-
-(** The keys keep the [wire] infix of the artifacts written while a
-    second runtime existed, so old baselines stay comparable. *)
-let comm_numbers (cb : comm_bench) : (string * float) list =
-  let p = cb.cb_ping and g = cb.cb_grid in
-  [ ("ping_msgs_per_run", float_of_int p.pp_msgs);
-    ("ping_wire_msgs_per_sec", ping_msgs_per_sec p);
-    ("ping_wire_bytes_per_sec", ping_bytes_per_sec p);
-    ("ping_wire_minor_words_per_activation", p.pp_mwpa);
-    ("tomcatv_msgs_per_run", float_of_int g.cp_msgs);
-    ("tomcatv_wire_msgs_per_sec", g.cp_msgs_per_sec);
-    ("tomcatv_wire_bytes_per_sec", g.cp_bytes_per_sec);
-    ( "tomcatv_minor_words_per_msg",
-      g.cp_minor_words /. float_of_int g.cp_msgs ) ]
-
-let write_comm_json path (cb : comm_bench) =
-  write_bench_json path
-    ~benchmark:
-      "wire-plan communication runtime (T3D pvm): 2-node ping micro + \
-       tomcatv 4x4 grid"
-    (num_entries (comm_numbers cb))
+  let raw () =
+    let reps, mw, r = engine_trial ~pr:4 ~pc:4 ~budget grid in
+    let st = r.Sim.Engine.stats in
+    let msgs = float_of_int (Sim.Stats.total_messages st) in
+    let per_sec n = n *. float_of_int reps.runs /. reps.total in
+    ( per_sec msgs,
+      [ ("tomcatv_msgs_per_run", msgs);
+        ("tomcatv_wire_msgs_per_sec", per_sec msgs);
+        ( "tomcatv_wire_bytes_per_sec",
+          per_sec (float_of_int (Sim.Stats.total_bytes st)) );
+        ("tomcatv_minor_words_per_msg", mw /. msgs) ] )
+  in
+  ( "",
+    nums
+      ([ ("ping_msgs_per_run", ping_msgs);
+         ("ping_wire_msgs_per_sec", ping_msgs /. exposed);
+         ( "ping_wire_bytes_per_sec",
+           float_of_int (Sim.Stats.total_bytes st) /. exposed );
+         (* allocation is deterministic, so one run of each pairs exactly *)
+         ( "ping_wire_minor_words_per_activation",
+           (ping_mw -. busy_mw) /. float_of_int (activations st) ) ]
+      @ (best_of_3 [| raw |]).(0)) )
 
 (* --------------------------------------------------------------- *)
-(* Collective benchmark: opaque reductions vs synthesized schedules  *)
+(* Collective series: opaque reductions vs synthesized schedules     *)
 (* --------------------------------------------------------------- *)
-
-type coll_cell = {
-  xc_per_sec : float;  (** host throughput: whole-machine reductions/sec *)
-  xc_sim_us : float;  (** simulated microseconds per reduction *)
-  xc_mwpr : float;  (** host minor words allocated per reduction (run phase) *)
-}
 
 let coll_meshes = [ (1, 2); (2, 2); (3, 3); (4, 4) ]
 
@@ -575,94 +507,41 @@ let coll_modes =
        (fun a -> (Ir.Coll.alg_name a, Opt.Config.Forced a))
        Ir.Coll.all_algs
 
-(** One timed trial: engine construction stays inside the timed region
-    (the synthesized schedules' mailbox setup is part of their cost),
-    mirroring {!comm_trial}. [reduces] is the whole-machine reduction
-    count per run — a reduction counts once however many processors
-    participate. *)
-let coll_trial ~budget ~pr ~pc ~reduces (c : Commopt.compiled) =
-  let sim = ref 0.0 and mw = ref 0.0 in
-  let runs, total =
-    repeat_for ~budget (fun () ->
-        let engine =
-          Sim.Engine.of_plans
-            (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
-               ~pr ~pc c.flat)
-        in
-        let w0 = Gc.minor_words () in
-        let r = Sim.Engine.run engine in
-        mw := Gc.minor_words () -. w0;
-        sim := r.Sim.Engine.time)
-  in
-  { xc_per_sec = float_of_int (reduces * runs) /. total;
-    xc_sim_us = !sim /. float_of_int reduces *. 1e6;
-    xc_mwpr = !mw /. float_of_int reduces }
-
-(** The full grid: each mesh x {opaque + four algorithms}, best of three
-    interleaved trials with the starting mode rotated across trials —
-    the same noise discipline as {!bench_paths}. *)
-let run_coll_bench ~scale () =
+(** Each mesh x {opaque + four algorithms}: host throughput in
+    whole-machine reductions/sec (a reduction counts once however many
+    processors participate), the deterministic simulated microseconds
+    per reduction, and the run-phase minor words per reduction. The
+    synthesized schedules' mailbox setup is part of their cost, so
+    engine construction is timed with the run. *)
+let measure_coll ~scale =
   let iters = match scale with `Bench -> 400 | `Test -> 60 in
   let budget = match scale with `Bench -> 0.4 | `Test -> 0.08 in
   let defines = Programs.Synthetic.reduce_defines ~n:16 ~iters in
-  let reduces = Programs.Synthetic.reduce_count ~iters in
-  List.map
-    (fun (pr, pc) ->
-      let compiled =
-        List.map
-          (fun (name, collective) ->
-            let config = { Opt.Config.pl_cum with Opt.Config.collective } in
-            ( name,
-              compile ~config ~defines ~machine:Machine.T3d.machine
-                ~lib:Machine.T3d.pvm ~mesh:(pr, pc)
-                Programs.Synthetic.reduce_source ))
-          coll_modes
+  let reduces = float_of_int (Programs.Synthetic.reduce_count ~iters) in
+  let mesh (pr, pc) =
+    let cell (name, collective) =
+      let config = { Opt.Config.pl_cum with Opt.Config.collective } in
+      let c =
+        compile ~config ~defines ~machine:Machine.T3d.machine
+          ~lib:Machine.T3d.pvm ~mesh:(pr, pc) Programs.Synthetic.reduce_source
       in
-      let nm = List.length compiled in
-      let arr = Array.of_list compiled in
-      let best = Array.make nm None in
-      let seen = Array.make nm [] in
-      for trial = 0 to 2 do
-        for j = 0 to nm - 1 do
-          let i = (j + trial) mod nm in
-          let _, c = arr.(i) in
-          let r = coll_trial ~budget ~pr ~pc ~reduces c in
-          seen.(i) <- r.xc_per_sec :: seen.(i);
-          match best.(i) with
-          | Some b when b.xc_per_sec >= r.xc_per_sec ->
-              (* keep the better host trial; sim time is deterministic *)
-              ()
-          | _ -> best.(i) <- Some r
-        done
-      done;
-      Array.iter note_spread seen;
-      let cells =
-        Array.to_list (Array.mapi (fun i (n, _) -> (n, Option.get best.(i))) arr)
-      in
-      ((pr, pc), cells))
-    coll_meshes
-
-let coll_numbers grid : (string * float) list =
-  List.concat_map
-    (fun ((pr, pc), cells) ->
-      List.concat_map
-        (fun (mode, cell) ->
-          [ (Printf.sprintf "m%dx%d_%s_per_sec" pr pc mode, cell.xc_per_sec);
-            (Printf.sprintf "m%dx%d_%s_sim_us" pr pc mode, cell.xc_sim_us);
-            ( Printf.sprintf "m%dx%d_%s_minor_words_per_reduce" pr pc mode,
-              cell.xc_mwpr ) ])
-        cells)
-    grid
-
-let write_coll_json path grid =
-  write_bench_json path
-    ~benchmark:
-      "opaque vendor reduction vs synthesized collective schedules (T3D \
-       pvm), whole-machine reductions/sec and simulated us per reduction"
-    (num_entries (coll_numbers grid))
+      let key = Printf.sprintf "m%dx%d_%s_%s" pr pc name in
+      fun () ->
+        let reps, mw, r = engine_trial ~pr ~pc ~budget c in
+        let per_sec = reduces *. float_of_int reps.runs /. reps.total in
+        ( per_sec,
+          [ (key "per_sec", per_sec);
+            (key "sim_us", r.Sim.Engine.time /. reduces *. 1e6);
+            (key "minor_words_per_reduce", mw /. reduces) ] )
+    in
+    List.concat (Array.to_list (best_of_3 (Array.of_list (List.map cell coll_modes))))
+  in
+  ( "Synthetic: 3 reductions (+, max, min) per iteration over a 16x16 grid, \
+     T3D/PVM.\n",
+    nums (List.concat_map mesh coll_meshes) )
 
 (* --------------------------------------------------------------- *)
-(* Sweep benchmark: plan-cache throughput, cold vs warm pass         *)
+(* Sweep series: plan-cache throughput, cold vs warm pass            *)
 (* --------------------------------------------------------------- *)
 
 (** The sweep grid: benchmark x experiment row x collective mode, at
@@ -708,41 +587,14 @@ let sweep_items ~scale () =
         Report.Experiment.paper_rows)
     benches
 
-let sweep_numbers ~n (cold : Run.Sweep.summary) (warm : Run.Sweep.summary) :
-    (string * float) list =
-  let fn = float_of_int n in
-  [ ("sweep_specs", fn);
-    ("cold_wall_sec", cold.Run.Sweep.wall);
-    ("warm_wall_sec", warm.Run.Sweep.wall);
-    ("cold_specs_per_sec", fn /. cold.Run.Sweep.wall);
-    ("warm_specs_per_sec", fn /. warm.Run.Sweep.wall);
-    ("warm_vs_cold_speedup", cold.Run.Sweep.wall /. warm.Run.Sweep.wall);
-    ("cold_hits", float_of_int cold.Run.Sweep.hits);
-    ("warm_hits", float_of_int warm.Run.Sweep.hits);
-    ("warm_misses", float_of_int warm.Run.Sweep.misses);
-    ("warm_memo_hits", float_of_int warm.Run.Sweep.memo_hits);
-    ( "cache_evictions",
-      float_of_int warm.Run.Sweep.counters.Run.Cache.evictions ) ]
-
-type mint_bench = {
-  mi_cold_us : float;
-      (** µs per cold mint: [plan] (kernel compilation included) +
-          [of_plans] *)
-  mi_cached_us : float;
-      (** µs per cached mint: [of_plans] on one shared [plans] value —
-          store binding only, the work a [Run.Cache] hit performs *)
-  mi_cached_mw : float;  (** minor words allocated per cached mint *)
-}
-
-(** Cold vs cached engine minting on the tomcatv 2x2 cell. The cold
-    series re-plans everything the cache would share (comm schedule,
-    wire blits, collective roles, per-rank kernel programs); the cached
-    series only binds fresh stores into the shared plans. Best
-    (minimum) per-mint average over three interleaved trials with the
-    starting series rotated — the same noise discipline as
-    {!bench_paths}. Allocation per cached mint is deterministic, so one
+(** Cold vs cached engine minting on the tomcatv 2x2 cell, in µs per
+    mint. The cold series re-plans everything the cache would share
+    (comm schedule, wire blits, collective roles, per-rank kernel
+    programs): [plan] + [of_plans]. The cached series only binds fresh
+    stores into one shared [plans] value — the work a [Run.Cache] hit
+    performs. Allocation per cached mint is deterministic, so one
     counted batch suffices for the words number. *)
-let run_mint_bench ~scale () =
+let measure_mint ~scale =
   let defines =
     match scale with
     | `Bench -> [ ("n", 64.); ("iters", 2.) ]
@@ -755,107 +607,42 @@ let run_mint_bench ~scale () =
   in
   let shared = plan () in
   let budget = match scale with `Bench -> 0.4 | `Test -> 0.08 in
-  let best = [| infinity; infinity |] (* 0 = cold, 1 = cached *) in
-  let seen = [| []; [] |] in
-  for trial = 0 to 2 do
-    for j = 0 to 1 do
-      let i = (j + trial) mod 2 in
-      let f =
-        if i = 0 then fun () -> ignore (Sim.Engine.of_plans (plan ()))
-        else fun () -> ignore (Sim.Engine.of_plans shared)
-      in
-      let runs, total = repeat_for ~budget f in
-      let us = total /. float_of_int runs *. 1e6 in
-      seen.(i) <- (1e6 /. us) :: seen.(i);
-      if us < best.(i) then best.(i) <- us
-    done
-  done;
-  Array.iter note_spread seen;
+  let per_mint f () =
+    let r = repeat_for ~budget f in
+    let us = r.total /. float_of_int r.runs *. 1e6 in
+    (1e6 /. us, us)
+  in
+  let best =
+    best_of_3
+      [| per_mint (fun () -> ignore (Sim.Engine.of_plans (plan ())));
+         per_mint (fun () -> ignore (Sim.Engine.of_plans shared)) |]
+  in
   let batch = 64 in
   let w0 = Gc.minor_words () in
   for _ = 1 to batch do
     ignore (Sim.Engine.of_plans shared)
   done;
   let mw = (Gc.minor_words () -. w0) /. float_of_int batch in
-  { mi_cold_us = best.(0); mi_cached_us = best.(1); mi_cached_mw = mw }
+  [ ("mint_cold_us", best.(0));
+    ("mint_cached_us", best.(1));
+    ("mint_cold_vs_cached_speedup", best.(0) /. best.(1));
+    ("mint_cached_minor_words", mw) ]
 
-let mint_numbers (m : mint_bench) : (string * float) list =
-  [ ("mint_cold_us", m.mi_cold_us);
-    ("mint_cached_us", m.mi_cached_us);
-    ("mint_cold_vs_cached_speedup", m.mi_cold_us /. m.mi_cached_us);
-    ("mint_cached_minor_words", m.mi_cached_mw) ]
-
-let write_sweep_json path numbers =
-  write_bench_json path
-    ~benchmark:
-      "content-addressed plan cache: cold vs warm sweep over a benchmark x \
-       row x collective spec grid (test scale, 1 iteration, 2x2 mesh)"
-    (num_entries numbers)
-
-(** Minimal reader for the flat [{"key": number, ...}] files this
-    program writes: one pair per line, string values skipped. *)
-let baseline_numbers path : (string * float) list =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-    | line -> (
-        let line = String.trim line in
-        if String.length line = 0 || line.[0] <> '"' then go acc
-        else
-          match String.index_from_opt line 1 '"' with
-          | None -> go acc
-          | Some j -> (
-              let key = String.sub line 1 (j - 1) in
-              match String.index_from_opt line j ':' with
-              | None -> go acc
-              | Some k ->
-                  let v =
-                    String.trim
-                      (String.sub line (k + 1) (String.length line - k - 1))
-                  in
-                  let v =
-                    if String.length v > 0 && v.[String.length v - 1] = ',' then
-                      String.sub v 0 (String.length v - 1)
-                    else v
-                  in
-                  (match float_of_string_opt v with
-                  | Some f -> go ((key, f) :: acc)
-                  | None -> go acc)))
-  in
-  go []
-
-(** Same ≥5% gate as the other benchmarks over the sweep's throughput
-    keys. The speedup ratio and hit counts are structural, not gated
-    here — the warm pass's hit rate is a hard correctness assert
-    (exit 4) instead. *)
-let sweep_regressions ~baseline numbers =
-  let base = baseline_numbers baseline in
-  List.filter_map
-    (fun (key, now) ->
-      if not (Filename.check_suffix key "_per_sec") then None
-      else
-        match List.assoc_opt key base with
-        | Some was when now < was *. 0.95 -> Some (key, was, now)
-        | _ -> None)
-    numbers
-
-let print_sweep_bench ?baseline ~scale () =
+let measure_sweep ~scale =
   let items = sweep_items ~scale () in
   let n = List.length items in
+  let fn = float_of_int n in
   let sweep = Run.Sweep.create () in
   let cold = Run.Sweep.run sweep items in
+  (* the warm pass streams the incremental per-spec artifact; the cold
+     pass is the reference wall time. Quick runs exercise the streaming
+     path into a scratch file so the committed full-scale artifact is
+     never overwritten by a test-scale pass. *)
+  let grid_path =
+    if scale = `Bench then "BENCH_sweep_grid.json"
+    else Filename.temp_file "sweep_grid" ".json"
+  in
   let warm =
-    (* the warm pass streams the incremental per-spec artifact; the
-       cold pass is the reference wall time. Quick runs exercise the
-       streaming path into a scratch file so the committed full-scale
-       artifact is never overwritten by a test-scale pass. *)
-    let grid_path =
-      if scale = `Bench then "BENCH_sweep_grid.json"
-      else Filename.temp_file "sweep_grid" ".json"
-    in
     let oc = open_out grid_path in
     Fun.protect
       ~finally:(fun () ->
@@ -868,47 +655,34 @@ let print_sweep_bench ?baseline ~scale () =
      allocation of the loop (GC counters are per-domain). *)
   let w0 = Gc.minor_words () in
   let _probe = Run.Sweep.run ~domains:1 sweep items in
-  let warm_mw_per_spec = (Gc.minor_words () -. w0) /. float_of_int n in
-  let mint = run_mint_bench ~scale () in
-  let mint_speedup = mint.mi_cold_us /. mint.mi_cached_us in
-  let numbers =
-    sweep_numbers ~n cold warm
-    @ [ ("warm_minor_words_per_spec", warm_mw_per_spec) ]
-    @ mint_numbers mint
-  in
-  let speedup = cold.Run.Sweep.wall /. warm.Run.Sweep.wall in
-  section "Sweep benchmark: content-addressed plan cache, cold vs warm pass"
-    (Printf.sprintf
-       "Build profile: %s (flambda: %b)\n\
-        Grid: %d specs (benchmark x experiment row x collective mode)\n\
-       \  cold pass      : %8.3f s  (%8.1f specs/sec, %d hits / %d misses)\n\
-       \  warm pass      : %8.3f s  (%8.1f specs/sec, %d hits / %d misses, \
-        %d memo)\n\
-       \  speedup        : %.2fx cached vs cold (target >= 2x: %s)\n\
-       \  evictions      : %d\n\
-       \  warm allocation: %8.0f minor words per memo-answered spec\n\
-        Engine mint (tomcatv 2x2, plans shared vs re-planned):\n\
-       \  cold mint      : %10.1f us  (plan + of_plans, kernels compiled)\n\
-       \  cached mint    : %10.1f us  (of_plans only, store binding)\n\
-       \  speedup        : %.1fx cached vs cold (release target >= 5x)\n\
-       \  allocation     : %8.0f minor words per cached mint%s"
-       Build_info.profile Build_info.flambda n cold.Run.Sweep.wall
-       (float_of_int n /. cold.Run.Sweep.wall)
-       cold.Run.Sweep.hits cold.Run.Sweep.misses warm.Run.Sweep.wall
-       (float_of_int n /. warm.Run.Sweep.wall)
-       warm.Run.Sweep.hits warm.Run.Sweep.misses warm.Run.Sweep.memo_hits
-       speedup
-       (if speedup >= 2.0 then "PASS" else "MISS")
-       warm.Run.Sweep.counters.Run.Cache.evictions warm_mw_per_spec
-       mint.mi_cold_us mint.mi_cached_us mint_speedup mint.mi_cached_mw
-       (if scale = `Bench then
-          "\nWrote BENCH_sweep_grid.json (incremental per-spec artifact)"
-        else ""));
-  if warm.Run.Sweep.misses > 0 then begin
+  let warm_mw_per_spec = (Gc.minor_words () -. w0) /. fn in
+  let mint = measure_mint ~scale in
+  ( (if scale = `Bench then
+       "Wrote BENCH_sweep_grid.json (incremental per-spec artifact)\n"
+     else ""),
+    nums
+      ([ ("sweep_specs", fn);
+         ("cold_wall_sec", cold.Run.Sweep.wall);
+         ("warm_wall_sec", warm.Run.Sweep.wall);
+         ("cold_specs_per_sec", fn /. cold.Run.Sweep.wall);
+         ("warm_specs_per_sec", fn /. warm.Run.Sweep.wall);
+         ("warm_vs_cold_speedup", cold.Run.Sweep.wall /. warm.Run.Sweep.wall);
+         ("cold_hits", float_of_int cold.Run.Sweep.hits);
+         ("warm_hits", float_of_int warm.Run.Sweep.hits);
+         ("warm_misses", float_of_int warm.Run.Sweep.misses);
+         ("warm_memo_hits", float_of_int warm.Run.Sweep.memo_hits);
+         ( "cache_evictions",
+           float_of_int warm.Run.Sweep.counters.Run.Cache.evictions );
+         ("warm_minor_words_per_spec", warm_mw_per_spec) ]
+      @ mint) )
+
+let sweep_verdict entries =
+  let num key = match List.assoc key entries with Num x -> x | Str _ -> nan in
+  if num "warm_misses" > 0.0 then begin
     Printf.printf
-      "CACHE FAILURE: the warm pass re-compiled %d of %d specs — identical \
-       specs must hit\n"
-      warm.Run.Sweep.misses n;
+      "CACHE FAILURE: the warm pass re-compiled %.0f of %.0f specs — \
+       identical specs must hit\n"
+      (num "warm_misses") (num "sweep_specs");
     exit 4
   end;
   (* The cached-mint claim is a perf acceptance, not just a trend: in
@@ -916,6 +690,7 @@ let print_sweep_bench ?baseline ~scale () =
      cold planning. Drift-aware like the --baseline gate — if the
      rotated trials disagreed by more than the threshold, the host was
      too noisy for the ratio to convict. *)
+  let mint_speedup = num "mint_cold_vs_cached_speedup" in
   if Build_info.profile = "release" && mint_speedup < 5.0 then begin
     if !max_drift >= drift_threshold then
       Printf.printf
@@ -931,174 +706,10 @@ let print_sweep_bench ?baseline ~scale () =
         mint_speedup;
       exit 3
     end
-  end;
-  if scale = `Bench then begin
-    write_sweep_json "BENCH_sweep.json" numbers;
-    Printf.printf "\nWrote BENCH_sweep.json\n"
-  end;
-  match baseline with
-  | None -> ()
-  | Some file ->
-      gate ~baseline:file ~unit:"/sec" (sweep_regressions ~baseline:file numbers)
+  end
 
 (* --------------------------------------------------------------- *)
-(* Baseline comparison: --kernel --baseline FILE                     *)
-(* --------------------------------------------------------------- *)
-
-(** Compare throughput keys against a baseline file; returns the keys
-    that regressed by 5% or more. Wall-clock grid times are excluded:
-    they measure this machine's load, not the execution paths. *)
-let kernel_regressions ~baseline (kb : kernel_bench) =
-  let base = baseline_numbers baseline in
-  List.filter_map
-    (fun (key, now) ->
-      if not (Filename.check_suffix key "cells_per_sec") then None
-      else
-        match List.assoc_opt key base with
-        | Some was when now < was *. 0.95 -> Some (key, was, now)
-        | _ -> None)
-    (kernel_numbers kb)
-
-let print_kernel_bench ?baseline ~scale () =
-  let kb = run_kernel_bench ~scale () in
-  let line name (p : path_cps) =
-    Printf.sprintf
-      "%s (%d cells/run):\n\
-      \  per-point path : %12.0f cells/sec\n\
-      \  row path       : %12.0f cells/sec  (%.2fx point)"
-      name p.pc_cells p.pc_point p.pc_row (p.pc_row /. p.pc_point)
-  in
-  section "Kernel benchmark: per-point vs row-compiled"
-    (Printf.sprintf
-       "Build profile: %s (flambda: %b)\n\
-        %s\n\
-        %s\n\
-        Quick experiment grid (%d domain(s) available):\n\
-       \  serial         : %.3f s\n\
-       \  domain pool    : %.3f s"
-       Build_info.profile Build_info.flambda
-       (line "TOMCATV" kb.kb_tomcatv)
-       (line "SWM" kb.kb_swm) kb.kb_domains kb.kb_grid_serial
-       kb.kb_grid_parallel);
-  (* Quick runs exist for smoke tests and gate checks; only a full-scale
-     run is a measurement worth committing as the baseline artifact. *)
-  if scale = `Bench then begin
-    write_kernel_json "BENCH_kernel.json" kb;
-    Printf.printf "\nWrote BENCH_kernel.json\n"
-  end;
-  match baseline with
-  | None -> ()
-  | Some file ->
-      gate ~baseline:file ~unit:"cells/sec"
-        (kernel_regressions ~baseline:file kb)
-
-(** Same ≥5% gate as {!kernel_regressions} over the collective grid's
-    throughput keys; sim_us keys are deterministic model outputs, not
-    measurements, so they are informational. *)
-let coll_regressions ~baseline grid =
-  let base = baseline_numbers baseline in
-  List.filter_map
-    (fun (key, now) ->
-      if not (Filename.check_suffix key "_per_sec") then None
-      else
-        match List.assoc_opt key base with
-        | Some was when now < was *. 0.95 -> Some (key, was, now)
-        | _ -> None)
-    (coll_numbers grid)
-
-let print_coll_bench ?baseline ~scale () =
-  let grid = run_coll_bench ~scale () in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "Build profile: %s (flambda: %b)\n" Build_info.profile
-       Build_info.flambda);
-  Buffer.add_string buf
-    "Synthetic: 3 reductions (+, max, min) per iteration over a 16x16 \
-     grid.\nHost throughput is whole-machine reductions/sec (best of 3 \
-     rotated trials);\nsim is the deterministic simulated cost per \
-     reduction under the T3D/PVM model.\n\n";
-  Buffer.add_string buf
-    (Printf.sprintf "%-6s %-10s %14s %12s %10s %s\n" "mesh" "mode"
-       "reduces/sec" "sim us/red" "mwords/red" "notes");
-  List.iter
-    (fun ((pr, pc), cells) ->
-      let pick =
-        Opt.Collective.choose ~machine:Machine.T3d.machine
-          ~lib:Machine.T3d.pvm (pr * pc)
-      in
-      let host_winner, _ =
-        List.fold_left
-          (fun (bn, bv) (n, c) ->
-            if c.xc_per_sec > bv then (n, c.xc_per_sec) else (bn, bv))
-          ("", 0.0) cells
-      in
-      List.iter
-        (fun (mode, cell) ->
-          let notes =
-            (if mode = Ir.Coll.alg_name pick then "<- cost-model pick " else "")
-            ^ if mode = host_winner then "<- host winner" else ""
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "%-6s %-10s %14.0f %12.3f %10.1f %s\n"
-               (Printf.sprintf "%dx%d" pr pc)
-               mode cell.xc_per_sec cell.xc_sim_us cell.xc_mwpr notes))
-        cells;
-      Buffer.add_char buf '\n')
-    grid;
-  section
-    "Collective benchmark: opaque reductions vs synthesized DR/SR/DN/SV \
-     schedules"
-    (Buffer.contents buf);
-  if scale = `Bench then begin
-    write_coll_json "BENCH_collective.json" grid;
-    Printf.printf "\nWrote BENCH_collective.json\n"
-  end;
-  match baseline with
-  | None -> ()
-  | Some file ->
-      gate ~baseline:file ~unit:"/sec" (coll_regressions ~baseline:file grid)
-
-(** Same ≥5% gate as {!kernel_regressions}, over every throughput key
-    of the comm benchmark. Allocation counts are informational only. *)
-let comm_regressions ~baseline (cb : comm_bench) =
-  let base = baseline_numbers baseline in
-  List.filter_map
-    (fun (key, now) ->
-      if not (Filename.check_suffix key "_per_sec") then None
-      else
-        match List.assoc_opt key base with
-        | Some was when now < was *. 0.95 -> Some (key, was, now)
-        | _ -> None)
-    (comm_numbers cb)
-
-let print_comm_bench ?baseline ~scale () =
-  let cb = run_comm_bench ~scale () in
-  let p = cb.cb_ping and g = cb.cb_grid in
-  section "Communication benchmark: wire-plan runtime"
-    (Printf.sprintf
-       "Build profile: %s (flambda: %b)\n\
-        Ping (1x2 mesh, 8 member pieces per combined message, exposed cost — \
-        busy twin subtracted, %d msgs/run):\n\
-       \  %12.0f msgs/sec  %14.0f bytes/sec\n\
-       \  minor words per activation (busy-subtracted): %.2f\n\
-        TOMCATV (4x4 mesh, raw whole-program, %d msgs, %d bytes per run):\n\
-       \  %12.0f msgs/sec  %14.0f bytes/sec\n\
-       \  minor words per message: %.1f"
-       Build_info.profile Build_info.flambda p.pp_msgs (ping_msgs_per_sec p)
-       (ping_bytes_per_sec p) p.pp_mwpa g.cp_msgs g.cp_bytes g.cp_msgs_per_sec
-       g.cp_bytes_per_sec
-       (g.cp_minor_words /. float_of_int g.cp_msgs));
-  if scale = `Bench then begin
-    write_comm_json "BENCH_comm.json" cb;
-    Printf.printf "\nWrote BENCH_comm.json\n"
-  end;
-  match baseline with
-  | None -> ()
-  | Some file ->
-      gate ~baseline:file ~unit:"/sec" (comm_regressions ~baseline:file cb)
-
-(* --------------------------------------------------------------- *)
-(* Contention benchmark: topology-aware network model                *)
+(* Contention series: topology-aware network model                   *)
 (* --------------------------------------------------------------- *)
 
 let contention_configs =
@@ -1124,18 +735,6 @@ let contention_sim ?collective ~defines ~mesh:(pr, pc) ~topology ~config
   in
   (Run.Spec.run spec).Sim.Engine.time
 
-type contention_row = {
-  nr_topo : Machine.Topology.t;
-  nr_times : (string * float) list;  (** (config label, simulated seconds) *)
-  nr_argmin : string;  (** fastest config's label (first wins ties) *)
-}
-
-let argmin_label cells =
-  fst
-    (List.fold_left
-       (fun (bn, bv) (n, v) -> if v < bv then (n, v) else (bn, bv))
-       ("", infinity) cells)
-
 (** The pinned collective-pick scenario: a line of 9 processors on a
     wire-dominated T3D variant. 9 is not a power of two, so the
     dissemination schedule's wrap rounds (rank 8 -> 0 is 8 hops on a
@@ -1149,16 +748,7 @@ let pick_mesh = (1, 9)
 let pick_machine =
   { Machine.T3d.machine with Machine.Params.wire_latency = 40e-6 }
 
-type contention_bench = {
-  nb_tomcatv : contention_row list;
-  nb_contended : contention_row list;
-  nb_picks : (Machine.Topology.t * string) list;
-      (** cost-search winner per topology in the pinned line-of-9 *)
-  nb_runs_per_sec : (Machine.Topology.t * float) list;
-      (** host compile+simulate throughput of the tomcatv cell *)
-}
-
-let run_contention_bench ~scale () =
+let measure_contention ~scale =
   let tom_defines =
     match scale with
     | `Bench -> [ ("n", 64.); ("iters", 5.) ]
@@ -1169,9 +759,16 @@ let run_contention_bench ~scale () =
     | `Bench -> Programs.Synthetic.contended_defines ~n:48 ~iters:6
     | `Test -> Programs.Synthetic.contended_defines ~n:16 ~iters:3
   in
-  let rows ?collective ~mesh ~defines source =
-    List.map
+  let buf = Buffer.create 1024 in
+  let bpf fmt = Printf.bprintf buf fmt in
+  (* one table row and its entries per topology; the argmin is the
+     fastest config's label, the first winning ties *)
+  let rows title prefix ?collective ~mesh ~defines source =
+    bpf "\n%s\n  %-8s %12s %12s %12s %12s   %s\n" title "topology" "baseline"
+      "rr" "cc" "pl" "argmin";
+    List.concat_map
       (fun topology ->
+        let tn = Machine.Topology.name topology in
         let times =
           List.map
             (fun (label, config) ->
@@ -1180,164 +777,130 @@ let run_contention_bench ~scale () =
                   source ))
             contention_configs
         in
-        { nr_topo = topology;
-          nr_times = times;
-          nr_argmin = argmin_label times })
+        let argmin, _ =
+          List.fold_left
+            (fun (bn, bv) (n, v) -> if v < bv then (n, v) else (bn, bv))
+            ("", infinity) times
+        in
+        bpf "  %-8s" tn;
+        List.iter (fun (_, t) -> bpf " %12.6f" t) times;
+        bpf "   %s\n" argmin;
+        List.map
+          (fun (cfg, t) -> (Printf.sprintf "%s_%s_%s_sim_sec" prefix tn cfg, Num t))
+          times
+        @ [ (Printf.sprintf "%s_%s_argmin" prefix tn, Str argmin) ])
       Machine.Topology.all
   in
   (* tomcatv keeps its opaque vendor reductions: pure stencil traffic
      under per-link occupancy. The contended synthetic forces the
      cost-searched collectives, whose multi-hop rounds share links with
      the stencil messages — the topology-sensitive case. *)
-  let tomcatv = rows ~mesh:(4, 4) ~defines:tom_defines Programs.Tomcatv.source in
-  let contended =
-    rows ~collective:Opt.Config.Auto ~mesh:(1, 8) ~defines:con_defines
-      Programs.Synthetic.contended_source
+  let tomcatv =
+    rows "TOMCATV, 4x4 mesh, opaque reductions (simulated seconds per config):"
+      "tomcatv" ~mesh:(4, 4) ~defines:tom_defines Programs.Tomcatv.source
   in
+  let contended =
+    rows "CONTENDED bisection synthetic, 1x8 line, cost-searched collectives:"
+      "contended" ~collective:Opt.Config.Auto ~mesh:(1, 8)
+      ~defines:con_defines Programs.Synthetic.contended_source
+  in
+  bpf "\nPinned collective pick (line of %d, wire latency %.0f us):\n"
+    pick_nprocs
+    (pick_machine.Machine.Params.wire_latency *. 1e6);
   let picks =
     List.map
       (fun topology ->
-        ( topology,
+        let tn = Machine.Topology.name topology in
+        let alg =
           Ir.Coll.alg_name
             (Opt.Collective.choose ~topology ~mesh:pick_mesh
-               ~machine:pick_machine ~lib:Machine.T3d.pvm pick_nprocs) ))
+               ~machine:pick_machine ~lib:Machine.T3d.pvm pick_nprocs)
+        in
+        bpf "  %-8s -> %s\n" tn alg;
+        (Printf.sprintf "pick_line9_%s" tn, Str alg))
       Machine.Topology.all
   in
-  (* Host throughput of one whole compile+simulate cell per topology —
-     the gateable measurement, best of 3 rotated trials. *)
+  (* Host throughput of one whole compile+simulate tomcatv cell per
+     topology — the gateable measurement. *)
   let budget = match scale with `Bench -> 0.6 | `Test -> 0.1 in
-  let topo_arr = Array.of_list Machine.Topology.all in
-  let nt = Array.length topo_arr in
-  let best = Array.make nt 0.0 in
-  let seen = Array.make nt [] in
-  for trial = 0 to 2 do
-    for j = 0 to nt - 1 do
-      let i = (j + trial) mod nt in
-      let runs, total =
-        repeat_for ~budget (fun () ->
-            ignore
-              (contention_sim ~defines:tom_defines ~mesh:(4, 4)
-                 ~topology:topo_arr.(i) ~config:Opt.Config.pl_cum
-                 Programs.Tomcatv.source))
-      in
-      let rps = float_of_int runs /. total in
-      seen.(i) <- rps :: seen.(i);
-      if rps > best.(i) then best.(i) <- rps
-    done
-  done;
-  Array.iter note_spread seen;
-  { nb_tomcatv = tomcatv;
-    nb_contended = contended;
-    nb_picks = picks;
-    nb_runs_per_sec =
-      Array.to_list (Array.mapi (fun i t -> (t, best.(i))) topo_arr) }
-
-let contention_entries (nb : contention_bench) : (string * jval) list =
-  let prog_entries prefix rows =
-    List.concat_map
-      (fun r ->
-        let tn = Machine.Topology.name r.nr_topo in
-        List.map
-          (fun (cfg, t) ->
-            (Printf.sprintf "%s_%s_%s_sim_sec" prefix tn cfg, Num t))
-          r.nr_times
-        @ [ (Printf.sprintf "%s_%s_argmin" prefix tn, Str r.nr_argmin) ])
-      rows
+  let topos = Array.of_list Machine.Topology.all in
+  let throughput =
+    best_of_3
+      (Array.map
+         (fun topology () ->
+           let r =
+             repeat_for ~budget (fun () ->
+                 ignore
+                   (contention_sim ~defines:tom_defines ~mesh:(4, 4) ~topology
+                      ~config:Opt.Config.pl_cum Programs.Tomcatv.source))
+           in
+           let rps = float_of_int r.runs /. r.total in
+           (rps, rps))
+         topos)
   in
-  prog_entries "tomcatv" nb.nb_tomcatv
-  @ prog_entries "contended" nb.nb_contended
-  @ List.map
-      (fun (topo, alg) ->
-        (Printf.sprintf "pick_line9_%s" (Machine.Topology.name topo), Str alg))
-      nb.nb_picks
-  @ List.map
-      (fun (topo, rps) ->
-        ( Printf.sprintf "tomcatv_%s_runs_per_sec" (Machine.Topology.name topo),
-          Num rps ))
-      nb.nb_runs_per_sec
+  bpf "\n";
+  ( Buffer.contents buf,
+    tomcatv @ contended @ picks
+    @ Array.to_list
+        (Array.mapi
+           (fun i t ->
+             ( Printf.sprintf "tomcatv_%s_runs_per_sec" (Machine.Topology.name t),
+               Num throughput.(i) ))
+           topos) )
 
-(** Same >= 5% gate as the other benchmarks, over the host throughput
-    keys only: every sim_sec key is a deterministic model output that
-    legitimately moves when the model does, so those are not gated. *)
-let contention_regressions ~baseline entries =
-  let base = baseline_numbers baseline in
-  List.filter_map
-    (fun (key, v) ->
-      match v with
-      | Str _ -> None
-      | Num now -> (
-          if not (Filename.check_suffix key "_per_sec") then None
-          else
-            match List.assoc_opt key base with
-            | Some was when now < was *. 0.95 -> Some (key, was, now)
-            | _ -> None))
-    entries
+(* --------------------------------------------------------------- *)
+(* The registry and the command line                                 *)
+(* --------------------------------------------------------------- *)
 
-let print_contention_bench ?baseline ~scale () =
-  let nb = run_contention_bench ~scale () in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "Build profile: %s (flambda: %b)\n\n" Build_info.profile
-       Build_info.flambda);
-  let table title rows =
-    Buffer.add_string buf (title ^ "\n");
-    Buffer.add_string buf
-      (Printf.sprintf "  %-8s %12s %12s %12s %12s   %s\n" "topology"
-         "baseline" "rr" "cc" "pl" "argmin");
-    List.iter
-      (fun r ->
-        Buffer.add_string buf
-          (Printf.sprintf "  %-8s %12.6f %12.6f %12.6f %12.6f   %s\n"
-             (Machine.Topology.name r.nr_topo)
-             (List.assoc "baseline" r.nr_times)
-             (List.assoc "rr" r.nr_times)
-             (List.assoc "cc" r.nr_times)
-             (List.assoc "pl" r.nr_times)
-             r.nr_argmin))
-      rows;
-    Buffer.add_char buf '\n'
-  in
-  table
-    "TOMCATV, 4x4 mesh, opaque reductions (simulated seconds per config):"
-    nb.nb_tomcatv;
-  table
-    "CONTENDED bisection synthetic, 1x8 line, cost-searched collectives:"
-    nb.nb_contended;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "Pinned collective pick (line of %d, wire latency %.0f us):\n"
-       pick_nprocs
-       (pick_machine.Machine.Params.wire_latency *. 1e6));
-  List.iter
-    (fun (topo, alg) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %-8s -> %s\n" (Machine.Topology.name topo) alg))
-    nb.nb_picks;
-  Buffer.add_string buf "\nHost compile+simulate throughput (tomcatv cell):\n";
-  List.iter
-    (fun (topo, rps) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %-8s %8.2f runs/sec\n" (Machine.Topology.name topo)
-           rps))
-    nb.nb_runs_per_sec;
-  section
-    "Contention benchmark: per-link occupancy on mesh/torus vs the ideal \
-     crossbar"
-    (Buffer.contents buf);
-  if scale = `Bench then begin
-    write_bench_json "BENCH_contention.json"
-      ~benchmark:
+let kernel_series =
+  { flag = "kernel";
+    doc = "row-path vs per-point kernel throughput";
+    title = "Kernel benchmark: per-point vs row-compiled";
+    benchmark = "kernel loops in the sequential executor: per-point vs row";
+    measure = measure_kernel;
+    verdict = ignore }
+
+let registry =
+  [ kernel_series;
+    { flag = "comm";
+      doc = "wire-plan communication runtime throughput";
+      title = "Communication benchmark: wire-plan runtime";
+      benchmark =
+        "wire-plan communication runtime (T3D pvm): 2-node ping micro + \
+         tomcatv 4x4 grid";
+      measure = measure_comm;
+      verdict = ignore };
+    { flag = "collective";
+      doc = "opaque vendor reductions vs synthesized collective schedules";
+      title =
+        "Collective benchmark: opaque reductions vs synthesized DR/SR/DN/SV \
+         schedules";
+      benchmark =
+        "opaque vendor reduction vs synthesized collective schedules (T3D \
+         pvm), whole-machine reductions/sec and simulated us per reduction";
+      measure = measure_coll;
+      verdict = ignore };
+    { flag = "sweep";
+      doc = "content-addressed plan cache: cold vs warm pass over a spec grid";
+      title = "Sweep benchmark: content-addressed plan cache, cold vs warm pass";
+      benchmark =
+        "content-addressed plan cache: cold vs warm sweep over a benchmark x \
+         row x collective spec grid (test scale, 1 iteration, 2x2 mesh)";
+      measure = measure_sweep;
+      verdict = sweep_verdict };
+    { flag = "contention";
+      doc =
+        "topology-aware network contention: per-link occupancy on mesh/torus \
+         vs the ideal crossbar";
+      title =
+        "Contention benchmark: per-link occupancy on mesh/torus vs the ideal \
+         crossbar";
+      benchmark =
         "topology-aware network contention (T3D pvm): per-config simulated \
          times and argmin per topology, pinned collective picks, host \
-         compile+simulate throughput"
-      (contention_entries nb);
-    Printf.printf "\nWrote BENCH_contention.json\n"
-  end;
-  match baseline with
-  | None -> ()
-  | Some file ->
-      gate ~baseline:file ~unit:"/sec"
-        (contention_regressions ~baseline:file (contention_entries nb))
+         compile+simulate throughput";
+      measure = measure_contention;
+      verdict = ignore } ]
 
 (* Flag parsing is shared with zplc through {!Cli.Cmdline} (--quick,
    --baseline); only the mode selector is bench-specific. *)
@@ -1346,49 +909,25 @@ let main =
   let mode_arg =
     Arg.(
       value
-      & vflag `Report
-          [ ( `Bechamel,
-              info [ "bechamel" ]
-                ~doc:"Bechamel micro-benchmarks over the paper exhibits" );
-            ( `Kernel,
-              info [ "kernel" ]
-                ~doc:
-                  "row-path vs per-point kernel throughput; writes \
-                   BENCH_kernel.json" );
-            ( `Comm,
-              info [ "comm" ]
-                ~doc:
-                  "wire-plan communication runtime throughput; writes \
-                   BENCH_comm.json" );
-            ( `Collective,
-              info [ "collective" ]
-                ~doc:
-                  "opaque vendor reductions vs synthesized collective \
-                   schedules; writes BENCH_collective.json" );
-            ( `Sweep,
-              info [ "sweep" ]
-                ~doc:
-                  "content-addressed plan cache: cold vs warm pass over a \
-                   spec grid; writes BENCH_sweep.json" );
-            ( `Contention,
-              info [ "contention" ]
-                ~doc:
-                  "topology-aware network contention: per-link occupancy on \
-                   mesh/torus vs the ideal crossbar; writes \
-                   BENCH_contention.json" ) ])
+      & vflag None
+          (List.map
+             (fun s ->
+               ( Some s,
+                 info [ s.flag ]
+                   ~doc:(Printf.sprintf "%s; writes BENCH_%s.json" s.doc s.flag)
+               ))
+             registry))
   in
   let run mode quick baseline =
     let scale = Cli.Cmdline.scale_of_quick quick in
+    (* read once, before the first trial *)
+    let baseline = Option.map (fun f -> (f, baseline_numbers f)) baseline in
+    let bench s = emit ~scale ~baseline s (s.measure ~scale) in
     match mode with
-    | `Bechamel -> run_bechamel ()
-    | `Kernel -> print_kernel_bench ?baseline ~scale ()
-    | `Comm -> print_comm_bench ?baseline ~scale ()
-    | `Collective -> print_coll_bench ?baseline ~scale ()
-    | `Sweep -> print_sweep_bench ?baseline ~scale ()
-    | `Contention -> print_contention_bench ?baseline ~scale ()
-    | `Report ->
+    | Some s -> bench s
+    | None ->
         print_report ~scale ();
-        if scale = `Test then print_kernel_bench ?baseline ~scale ()
+        if scale = `Test then bench kernel_series
   in
   Cmd.v
     (Cmd.info "bench" ~version:"1.0.0"

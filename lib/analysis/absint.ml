@@ -243,32 +243,6 @@ let init_state (p : Zpl.Prog.t) : state =
 let widen_delay = 4
 
 (* ------------------------------------------------------------------ *)
-(* Syntactic helpers shared with the consumers                         *)
-(* ------------------------------------------------------------------ *)
-
-let rec sexpr_vars acc (e : Zpl.Prog.sexpr) =
-  match e with
-  | Zpl.Prog.SFloat _ | Zpl.Prog.SInt _ | Zpl.Prog.SBool _ -> acc
-  | Zpl.Prog.SVar id -> if List.mem id acc then acc else id :: acc
-  | Zpl.Prog.SUn (_, a) -> sexpr_vars acc a
-  | Zpl.Prog.SBin (_, a, b) -> sexpr_vars (sexpr_vars acc a) b
-  | Zpl.Prog.SCall (_, args) -> List.fold_left sexpr_vars acc args
-
-(** Scalar ids written anywhere in an instruction list (loop variables
-    of nested [For]s included). *)
-let rec writes_of (code : Ir.Instr.instr list) : int list =
-  List.concat_map
-    (function
-      | Ir.Instr.Comm _ | Ir.Instr.Kernel _ | Ir.Instr.CollPart _ -> []
-      | Ir.Instr.ScalarK { lhs; _ } -> [ lhs ]
-      | Ir.Instr.ReduceK r -> [ r.Zpl.Prog.r_lhs ]
-      | Ir.Instr.CollFin w -> [ w.Ir.Instr.cw_red.Zpl.Prog.r_lhs ]
-      | Ir.Instr.Repeat (body, _) -> writes_of body
-      | Ir.Instr.For { var; body; _ } -> var :: writes_of body
-      | Ir.Instr.If (_, a, b) -> writes_of a @ writes_of b)
-    code
-
-(* ------------------------------------------------------------------ *)
 (* Structured analysis over Dataflow                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -296,46 +270,8 @@ let for_trips ~(step : int) ~(lo : ival) ~(hi : ival) : ival =
     mk (clamp0 (hi.lo -. lo.hi +. 1.0)) (clamp0 (hi.hi -. lo.lo +. 1.0))
   else mk (clamp0 (lo.lo -. hi.hi +. 1.0)) (clamp0 (lo.hi -. hi.lo +. 1.0))
 
-(* A [For] whose body writes a variable of its own [hi] bound (the
-   flattened form re-evaluates [hi] at every head test), or the loop
-   variable itself, escapes the entry-time induction argument. The scan
-   runs once per analysis; the hooks consult it by preorder position. *)
-type for_interference = { fi_writes_var : bool; fi_writes_hi : bool }
-
-let scan_for_interference (code : Ir.Instr.instr list) :
-    (int, for_interference) Hashtbl.t =
-  let tbl = Hashtbl.create 8 in
-  let rec go pos = function
-    | [] -> ()
-    | i :: rest ->
-        (match i with
-        | Ir.Instr.Comm _ | Ir.Instr.Kernel _ | Ir.Instr.ScalarK _
-        | Ir.Instr.ReduceK _ | Ir.Instr.CollPart _ | Ir.Instr.CollFin _ ->
-            ()
-        | Ir.Instr.Repeat (body, _) -> go (pos + 1) body
-        | Ir.Instr.If (_, a, b) ->
-            go (pos + 1) a;
-            go (pos + 1 + Ir.Instr.size_list a) b
-        | Ir.Instr.For { var; hi; body; _ } ->
-            let w = writes_of body in
-            Hashtbl.replace tbl pos
-              { fi_writes_var = List.mem var w;
-                fi_writes_hi =
-                  List.exists (fun v -> List.mem v w) (sexpr_vars [] hi) };
-            go (pos + 1) body);
-        go (pos + Ir.Instr.size i) rest
-  in
-  go 0 code;
-  tbl
-
 let analyze ?(prune = true) (p : Ir.Instr.program) : summary =
   let prog = p.Ir.Instr.prog in
-  let interference = scan_for_interference p.Ir.Instr.code in
-  let interf pos =
-    match Hashtbl.find_opt interference pos with
-    | Some fi -> fi
-    | None -> { fi_writes_var = true; fi_writes_hi = true } (* can't happen *)
-  in
   let decisions = Hashtbl.create 16 in
   let trips_tbl = Hashtbl.create 16 in
   let hull = Array.copy (init_state prog) in
@@ -370,49 +306,31 @@ let analyze ?(prune = true) (p : Ir.Instr.program) : summary =
     | _ -> ());
     if prune then d else None
   in
-  let enter_for ~final:_ ~pos ~var ~lo ~hi ~step (pre : state) : state =
-    let fi = interf pos in
+  (* The checker rejects writes to a loop variable inside its body and
+     hoists any [hi] the body could change into a scalar assigned before
+     the loop, so both bounds hold still for the whole loop. *)
+  let enter_for ~final:_ ~pos:_ ~var ~lo ~hi ~step (pre : state) : state =
     let lov = eval_state pre lo and hiv = eval_state pre hi in
     (* at body entry the head test just passed, so for step = +1 the
-       variable is <= every-test-time hi and >= its initial lo — unless
-       the body interferes with the bound or the variable *)
+       variable is <= hi and >= its initial lo *)
     let binding =
-      if step >= 0 then
-        mk
-          (if fi.fi_writes_var then neg_infinity else lov.lo)
-          (if fi.fi_writes_hi then infinity else Float.max lov.hi hiv.hi)
-      else
-        mk
-          (if fi.fi_writes_hi then neg_infinity
-           else Float.min lov.lo hiv.lo)
-          (if fi.fi_writes_var then infinity else lov.hi)
+      if step >= 0 then mk lov.lo (Float.max lov.hi hiv.hi)
+      else mk (Float.min lov.lo hiv.lo) lov.hi
     in
     set pre var binding
   in
   let exit_for ~final ~pos ~var ~lo ~hi ~step ~(pre : state) (out : state) :
       state =
-    let fi = interf pos in
-    let lov = eval_state pre lo in
-    (* the flattened form re-evaluates [hi] at every head test: cover
-       all test-time states with the stable entry join (pre ∪ out) *)
-    let hiv = eval_state (state_join pre out) hi in
-    if final then begin
-      let t =
-        if fi.fi_writes_var || fi.fi_writes_hi then mk 0.0 infinity
-        else for_trips ~step ~lo:lov ~hi:hiv
-      in
-      Hashtbl.replace trips_tbl pos t
-    end;
+    let lov = eval_state pre lo and hiv = eval_state pre hi in
+    if final then Hashtbl.replace trips_tbl pos (for_trips ~step ~lo:lov ~hi:hiv);
     (* the exit value of the loop variable: the flattened form leaves
        the first failing value (<= hi + step), the sequential executor
        the last in-range one, and a zero-trip loop the initial [lo] (or
-       the untouched pre value) — cover all of them plus body writes *)
+       the untouched pre value) — cover all of them *)
     let exit_var =
-      if fi.fi_writes_var then top
-      else
-        join
-          (join out.(var) pre.(var))
-          (join lov (add hiv (point (float_of_int step))))
+      join
+        (join out.(var) pre.(var))
+        (join lov (add hiv (point (float_of_int step))))
     in
     if final then join_hull var exit_var;
     let st = state_join pre out in

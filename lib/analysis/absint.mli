@@ -66,10 +66,6 @@ val eval_state : state -> Zpl.Prog.sexpr -> ival
     literals by the front end. *)
 val init_state : Zpl.Prog.t -> state
 
-(** Scalar ids written anywhere in an instruction list, loop variables
-    of nested [For]s included. *)
-val writes_of : Ir.Instr.instr list -> int list
-
 (** Trip-count interval of a counted loop from its bound intervals
     ([max 0 (hi - lo + 1)] for [step = +1], mirrored for [-1]). *)
 val for_trips : step:int -> lo:ival -> hi:ival -> ival

@@ -180,7 +180,7 @@ let scale_of_quick quick = if quick then `Test else `Bench
 let baseline_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some non_dir_file) None
     & info [ "baseline" ] ~docv:"FILE"
         ~doc:
           "compare throughput keys against a previous BENCH_*.json and exit 3 \

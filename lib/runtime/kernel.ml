@@ -24,51 +24,6 @@ module A1 = Bigarray.Array1
 
 type buf = Store.buf
 
-type ctx = {
-  read : int -> int array -> float;  (** array id, global coordinates *)
-  scalar : int -> float;  (** numeric scalar value *)
-}
-
-(** [compile ctx e] builds a closure evaluating [e] at a global point. The
-    point buffer passed in is never retained. *)
-let rec compile (ctx : ctx) (e : Zpl.Prog.aexpr) : int array -> float =
-  match e with
-  | Zpl.Prog.AConst c -> fun _ -> c
-  | Zpl.Prog.AScalar id -> fun _ -> ctx.scalar id
-  | Zpl.Prog.AIndex d -> fun p -> float_of_int p.(d)
-  | Zpl.Prog.ARef (aid, off) ->
-      if Array.for_all (fun d -> d = 0) off then fun p -> ctx.read aid p
-      else
-        let n = Array.length off in
-        let scratch = Array.make n 0 in
-        fun p ->
-          for k = 0 to n - 1 do
-            scratch.(k) <- p.(k) + off.(k)
-          done;
-          ctx.read aid scratch
-  | Zpl.Prog.ABin (op, a, b) -> (
-      let fa = compile ctx a and fb = compile ctx b in
-      match op with
-      | Zpl.Ast.Add -> fun p -> fa p +. fb p
-      | Zpl.Ast.Sub -> fun p -> fa p -. fb p
-      | Zpl.Ast.Mul -> fun p -> fa p *. fb p
-      | Zpl.Ast.Div -> fun p -> fa p /. fb p
-      | Zpl.Ast.Pow -> fun p -> Float.pow (fa p) (fb p)
-      | Zpl.Ast.Lt | Zpl.Ast.Le | Zpl.Ast.Gt | Zpl.Ast.Ge | Zpl.Ast.Eq
-      | Zpl.Ast.Ne | Zpl.Ast.And | Zpl.Ast.Or ->
-          invalid_arg "comparison in array expression")
-  | Zpl.Prog.AUn (Zpl.Ast.Neg, a) ->
-      let fa = compile ctx a in
-      fun p -> -.fa p
-  | Zpl.Prog.AUn (Zpl.Ast.Not, _) -> invalid_arg "'not' in array expression"
-  | Zpl.Prog.ACall (f, [ a ]) ->
-      let fa = compile ctx a in
-      fun p -> Values.apply1 f (fa p)
-  | Zpl.Prog.ACall (f, [ a; b ]) ->
-      let fa = compile ctx a and fb = compile ctx b in
-      fun p -> Values.apply2 f (fa p) (fb p)
-  | Zpl.Prog.ACall (f, _) -> invalid_arg ("bad arity for intrinsic " ^ f)
-
 (** Whether the rhs reads the lhs through a nonzero shift — the case where
     in-place evaluation would observe freshly written cells, so the
     assignment must evaluate into a buffer first (array semantics). *)
@@ -105,15 +60,6 @@ let run_region ~(write : int array -> float -> unit) ~(region : Zpl.Region.t)
     else Zpl.Region.iter region (fun p -> write p (f p));
     Zpl.Region.size region
   end
-
-(** Execute an array assignment over [region] (already intersected with
-    ownership by the caller). [write] stores into the lhs array. Returns
-    the number of cells updated. *)
-let exec_assign (ctx : ctx) ~(write : int array -> float -> unit)
-    ~(region : Zpl.Region.t) (a : Zpl.Prog.assign_a) : int =
-  if Zpl.Region.is_empty region then 0
-  else
-    run_region ~write ~region ~buffered:(needs_buffer a) (compile ctx a.rhs)
 
 (** Fold a pre-compiled per-cell function over [region] with reduction
     operator [op]. Returns the partial (identity on empty regions) and the

@@ -26,30 +26,11 @@
 
 (* --- per-point path --- *)
 
-type ctx = {
-  read : int -> int array -> float;  (** array id, global coordinates *)
-  scalar : int -> float;  (** numeric scalar value *)
-}
-
-(** [compile ctx e] builds a closure evaluating [e] at a global point.
-    The point buffer passed in is never retained. *)
-val compile : ctx -> Zpl.Prog.aexpr -> int array -> float
-
 (** Whether the rhs reads the lhs through a nonzero shift — the case
     where in-place evaluation would observe freshly written cells, so
     the assignment must evaluate into a buffer first (array
     semantics). *)
 val needs_buffer : Zpl.Prog.assign_a -> bool
-
-(** Execute an array assignment over [region] (already intersected with
-    ownership by the caller) on the per-point path. [write] stores into
-    the lhs array. Returns the number of cells updated. *)
-val exec_assign :
-  ctx ->
-  write:(int array -> float -> unit) ->
-  region:Zpl.Region.t ->
-  Zpl.Prog.assign_a ->
-  int
 
 (* --- workspace and runtime environment --- *)
 

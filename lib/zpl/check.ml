@@ -29,6 +29,9 @@ type env = {
           ZPL's dynamic region scoping for straight-line code *)
   procs : (string, Ast.proc) Hashtbl.t;
   mutable inlining : string list;  (** call stack, for recursion detection *)
+  mutable loop_vars : int list;
+      (** variables of the enclosing [for] loops, which their bodies may
+          not assign *)
 }
 
 let lookup env loc name =
@@ -384,6 +387,27 @@ let resolve_region env loc (r : Ast.region_ref option) : Prog.dregion =
           Loc.fail loc
             "no region in scope: prefix the statement with [R] or [lo..hi, ...]")
 
+(* Scalars a checked statement list may write. Nested loop variables
+   are left out: each is fresh, so no enclosing bound can read one. *)
+let rec scalar_writes acc (stmts : Prog.stmt list) =
+  List.fold_left
+    (fun acc (st : Prog.stmt) ->
+      match st with
+      | Prog.AssignS { lhs; _ } -> lhs :: acc
+      | Prog.ReduceS r -> r.Prog.r_lhs :: acc
+      | Prog.AssignA _ -> acc
+      | Prog.Repeat (body, _) | Prog.For { body; _ } -> scalar_writes acc body
+      | Prog.If (_, a, b) -> scalar_writes (scalar_writes acc a) b)
+    acc stmts
+
+let rec reads_any ids (e : Prog.sexpr) =
+  match e with
+  | Prog.SVar id -> List.mem id ids
+  | Prog.SFloat _ | Prog.SInt _ | Prog.SBool _ -> false
+  | Prog.SUn (_, a) -> reads_any ids a
+  | Prog.SBin (_, a, b) -> reads_any ids a || reads_any ids b
+  | Prog.SCall (_, args) -> List.exists (reads_any ids) args
+
 let rec check_stmts env (stmts : Ast.stmt list) : Prog.stmt list =
   List.concat_map (check_stmt env) stmts
 
@@ -392,6 +416,10 @@ and check_stmt env (s : Ast.stmt) : Prog.stmt list =
   match s.Ast.s with
   | Ast.SAssign (rref, name, rhs) -> (
       match (lookup env s.sloc name, rhs.Ast.e) with
+      | KScalar id, _ when List.mem id env.loop_vars ->
+          Loc.fail s.sloc
+            "loop variable %S cannot be assigned inside its own 'for' body"
+            name
       | KScalar id, Ast.EReduce (op, body) ->
           let info = List.nth env.scalars (List.length env.scalars - 1 - id) in
           if info.P.s_ty <> Ast.TFloat then
@@ -468,12 +496,24 @@ and check_stmt env (s : Ast.stmt) : Prog.stmt list =
       let id = fresh_scalar env ~loc:s.sloc v Ast.TInt in
       let saved = env.table in
       env.table <- (v, KScalar id) :: env.table;
+      env.loop_vars <- id :: env.loop_vars;
       let tbody = check_stmts env body in
+      env.loop_vars <- List.tl env.loop_vars;
       env.table <- saved;
       let step = match dir with Ast.Upto -> 1 | Ast.Downto -> -1 in
-      [ P.For
-          { var = id; lo = fold_sexpr tlo; hi = fold_sexpr thi; step;
-            body = tbody } ]
+      let loop hi =
+        P.For { var = id; lo = fold_sexpr tlo; hi; step; body = tbody }
+      in
+      (* Both bounds are evaluated once, at loop entry. The flattened
+         loop re-reads [hi] at every head test, so a bound the body can
+         change is hoisted into a fresh scalar assigned just before the
+         loop. *)
+      let thi = fold_sexpr thi in
+      if reads_any (scalar_writes [] tbody) thi then begin
+        let h = fresh_scalar env ~loc:s.sloc (v ^ ".hi") Ast.TInt in
+        [ P.AssignS { lhs = h; rhs = thi; loc = s.sloc }; loop (P.SVar h) ]
+      end
+      else [ loop thi ]
   | Ast.SIf (cond, then_, else_) ->
       let tc, ty = check_sexpr env cond in
       if ty <> TBool then Loc.fail s.sloc "'if' condition must be boolean";
@@ -536,7 +576,7 @@ let check ?(defines : (string * float) list = []) ?entry ?(source_lines = 0)
     (prog : Ast.program) : Prog.t =
   let env =
     { table = []; arrays = []; scalars = []; consts = []; ambient = None;
-      procs = Hashtbl.create 8; inlining = [] }
+      procs = Hashtbl.create 8; inlining = []; loop_vars = [] }
   in
   List.iter (fun p -> Hashtbl.replace env.procs p.Ast.p_name p) prog.Ast.procs;
   let apply_define (d : Ast.decl) =

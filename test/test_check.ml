@@ -173,6 +173,46 @@ let test_dynamic_empty_reduction_accepted () =
     (compile
        "procedure main(); begin k := 0; [1..k, 1..n] x := max<< A; end;")
 
+(* The body may not assign its own loop variable, by assignment or by
+   reduction; the error points at the offending statement. *)
+let test_loop_var_write_rejected () =
+  expect_error
+    "procedure main(); begin for k := 1 to 3 do k := k + 1; end; end;"
+    "loop variable \"k\"";
+  expect_error
+    "procedure main(); begin for i := 1 to 3 do [R] i := max<< A; end; end;"
+    "own 'for' body";
+  match
+    compile
+      "procedure main();\nbegin\n  for k := 1 to 3 do\n    k := 2;\n  end;\nend;"
+  with
+  | _ -> Alcotest.fail "expected a loop-variable error"
+  | exception Loc.Error (loc, _) ->
+      Alcotest.(check int) "line of the assignment"
+        (List.length (String.split_on_char '\n' prelude) + 3)
+        loc.Loc.line
+
+(* A [for] bound the body may change is hoisted into a fresh scalar
+   assigned just before the loop; a bound the body leaves alone is kept
+   in place. *)
+let test_for_bound_hoisted () =
+  (match
+     (compile
+        "procedure main(); begin k := 3; for i := 1 to k do k := 1; end; end;")
+       .Prog.body
+   with
+  | [ _; Prog.AssignS { lhs = h; rhs = Prog.SVar 2; _ };
+      Prog.For { hi = Prog.SVar h'; _ } ] ->
+      Alcotest.(check int) "loop reads the hoisted scalar" h h'
+  | _ -> Alcotest.fail "expected k.hi := k before the loop");
+  match
+    (compile
+       "procedure main(); begin k := 3; for i := 1 to k do x := 1.0; end; end;")
+      .Prog.body
+  with
+  | [ _; Prog.For { hi = Prog.SVar 2; _ } ] -> ()
+  | _ -> Alcotest.fail "an unwritten bound stays in place"
+
 let test_index_arrays () =
   let p = compile "procedure main(); begin [R] A := Index1 + 2.0 * Index2; end;" in
   match p.Prog.body with
@@ -192,10 +232,13 @@ let () =
           Alcotest.test_case "flops estimate" `Quick test_flops_positive;
           Alcotest.test_case "fringe widths" `Quick test_fringe_widths;
           Alcotest.test_case "IndexD" `Quick test_index_arrays;
+          Alcotest.test_case "for bound hoisted" `Quick test_for_bound_hoisted;
           Alcotest.test_case "dynamic empty reduction accepted" `Quick
             test_dynamic_empty_reduction_accepted ] );
       ( "rejects",
         [ Alcotest.test_case "recursion" `Quick test_recursion_rejected;
           Alcotest.test_case "semantic errors" `Quick test_errors;
           Alcotest.test_case "empty reduction rejected" `Quick
-            test_empty_reduction_rejected ] ) ]
+            test_empty_reduction_rejected;
+          Alcotest.test_case "loop variable write rejected" `Quick
+            test_loop_var_write_rejected ] ) ]

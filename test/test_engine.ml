@@ -73,6 +73,36 @@ let test_replicated_scalars_agree () =
         (Sim.Engine.proc_env p))
     (Sim.Engine.procs res.Sim.Engine.engine)
 
+(* A [for] bound is read once, at loop entry, in both executors: a body
+   that lowers [m] must not cut the engine's loop short. *)
+let test_for_bound_read_once () =
+  let src =
+    {|
+region R = [1..4, 1..4];
+var A : [R] float;
+var m : int;
+procedure main();
+begin
+  [R] A := 0.0;
+  m := 3;
+  for k := 1 to m do
+    m := 1;
+    [R] A := A + 1.0;
+  end;
+end;
+|}
+  in
+  let prog = Zpl.Check.compile_string src in
+  let oracle = Runtime.Seqexec.run prog in
+  let res = Sim.Engine.run (make_engine src) in
+  let g = Sim.Engine.gather res.Sim.Engine.engine 0 in
+  Zpl.Region.iter (Zpl.Prog.array_info prog 0).a_region (fun p ->
+      Alcotest.(check (float 0.)) "engine cell == oracle cell"
+        (Runtime.Store.get oracle.Runtime.Seqexec.stores.(0) p)
+        (Runtime.Store.get g p));
+  Alcotest.(check (float 0.)) "engine ran three trips" 3.0
+    (Runtime.Store.get g [| 1; 1 |])
+
 let test_library_overheads_ordered () =
   let time lib = (Sim.Engine.run (make_engine ~lib stencil_src)).Sim.Engine.time in
   let csend = time Machine.Paragon.nx_sync in
@@ -554,7 +584,9 @@ let () =
         [ Alcotest.test_case "counts & time" `Quick test_counts_and_time;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "gather == oracle" `Quick test_gather_matches_oracle;
-          Alcotest.test_case "replicated scalars" `Quick test_replicated_scalars_agree ] );
+          Alcotest.test_case "replicated scalars" `Quick test_replicated_scalars_agree;
+          Alcotest.test_case "for bound read once == oracle" `Quick
+            test_for_bound_read_once ] );
       ( "geometry classes",
         [ Alcotest.test_case "even 8x8 mesh shares programs" `Quick
             test_even_mesh_classes;

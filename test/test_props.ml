@@ -787,9 +787,11 @@ let test_wireplan_boundaries () =
     both libraries, so cc-combined multi-array messages and SHMEM
     rendezvous tokens are all exercised) on a 3x3 mesh, whose uneven
     3/3/2 block split gives ranks different geometries and corner ranks
-    diagonal partners. Scalars are not compared: a [for] variable ends
-    one step past its bound in the flattened code the engine runs but
-    at its bound in the oracle. *)
+    diagonal partners. The final scalar environments agree too, except
+    in loop-variable slots: a [for] variable ends one step past its
+    bound in the flattened code the engine runs but at its bound in the
+    oracle, and the checker scopes it to its loop, so nothing reads it
+    afterwards. *)
 let prop_comm_matches_oracle =
   QCheck.Test.make ~name:"engine: comm runtime == Seqexec oracle (bitwise)"
     ~count:10 arb_prog (fun p ->
@@ -805,8 +807,20 @@ let prop_comm_matches_oracle =
             !cells)
           prog.Zpl.Prog.arrays
       in
+      let rec loop_vars acc = function
+        | Zpl.Prog.For { var; body; _ } -> List.fold_left loop_vars (var :: acc) body
+        | Zpl.Prog.Repeat (body, _) -> List.fold_left loop_vars acc body
+        | Zpl.Prog.If (_, a, b) ->
+            List.fold_left loop_vars (List.fold_left loop_vars acc a) b
+        | Zpl.Prog.AssignA _ | Zpl.Prog.AssignS _ | Zpl.Prog.ReduceS _ -> acc
+      in
+      let skip = List.fold_left loop_vars [] prog.Zpl.Prog.body in
+      let scalars env =
+        List.filteri (fun i _ -> not (List.mem i skip)) (Array.to_list env)
+      in
       let oracle = Runtime.Seqexec.run prog in
       let want = cell_bits (Array.get oracle.Runtime.Seqexec.stores) in
+      let want_env = scalars oracle.Runtime.Seqexec.env in
       List.for_all
         (fun (_, config, lib) ->
           let ir = Opt.Passes.compile config prog in
@@ -816,7 +830,11 @@ let prop_comm_matches_oracle =
                  (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib ~pr:3 ~pc:3
                     (Ir.Flat.flatten ir)))
           in
-          cell_bits (Sim.Engine.gather res.Sim.Engine.engine) = want)
+          let engine = res.Sim.Engine.engine in
+          cell_bits (Sim.Engine.gather engine) = want
+          && List.for_all2 Runtime.Values.equal_value
+               (scalars (Sim.Engine.final_env engine))
+               want_env)
         Report.Experiment.paper_rows)
 
 (* ------------------------------------------------------------------ *)

@@ -161,20 +161,43 @@ let test_halo_wide_offset () =
 (* Kernels and scalar values                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Run [a] over [region] on the per-point path the engine and Seqexec
+   fall back to: plan with [~row:false], bind the stores, execute. *)
+let exec_point ~stores ~scalar ~region (a : Zpl.Prog.assign_a) =
+  let ws = Runtime.Kernel.make_ws () in
+  let rc = { Runtime.Kernel.rstore = (fun aid -> stores.(aid)); rws = ws } in
+  let plan = Runtime.Kernel.plan_assign ~row:false rc a in
+  Alcotest.(check bool) "per-point plan" false (Runtime.Kernel.plan_is_row plan);
+  let env = Runtime.Kernel.make_env ~stores ~scalar (Runtime.Kernel.ws_spec ws) in
+  Runtime.Kernel.exec_plan plan ~env ~lhs:stores.(a.lhs) ~region
+
 let test_kernel_eval () =
-  let store = Runtime.Store.make info2 ~owned:(r2 0 9 0 9) ~fringe:0 in
+  let src = Runtime.Store.make info2 ~owned:(r2 0 9 0 9) ~fringe:0 in
   R.iter (r2 0 9 0 9) (fun p ->
-      Runtime.Store.set store p (float_of_int ((10 * p.(0)) + p.(1))));
-  let ctx =
-    { Runtime.Kernel.read = (fun _ p -> Runtime.Store.get store p);
-      scalar = (fun _ -> 2.0) }
+      Runtime.Store.set src p (float_of_int ((10 * p.(0)) + p.(1))));
+  let dst =
+    Runtime.Store.make { info2 with a_id = 1; a_name = "B" } ~owned:(r2 0 9 0 9)
+      ~fringe:0
   in
-  let e =
-    (* A@[0,1] * s + Index1 *)
-    Zpl.Prog.(ABin (Zpl.Ast.Add, ABin (Zpl.Ast.Mul, ARef (0, [| 0; 1 |]), AScalar 0), AIndex 0))
+  let a : Zpl.Prog.assign_a =
+    { region = Zpl.Prog.dregion_of_region (r2 3 3 4 4);
+      lhs = 1;
+      (* B := A@[0,1] * s + Index1 *)
+      rhs =
+        Zpl.Prog.(
+          ABin
+            ( Zpl.Ast.Add,
+              ABin (Zpl.Ast.Mul, ARef (0, [| 0; 1 |]), AScalar 0),
+              AIndex 0 ));
+      flops = 3 }
   in
-  let f = Runtime.Kernel.compile ctx e in
-  Alcotest.(check (float 1e-12)) "at (3,4)" ((35. *. 2.) +. 3.) (f [| 3; 4 |])
+  let cells =
+    exec_point ~stores:[| src; dst |] ~scalar:(fun _ -> 2.0)
+      ~region:(r2 3 3 4 4) a
+  in
+  Alcotest.(check int) "cells" 1 cells;
+  Alcotest.(check (float 1e-12)) "at (3,4)" ((35. *. 2.) +. 3.)
+    (Runtime.Store.get dst [| 3; 4 |])
 
 let test_buffered_assignment () =
   (* A := A@west over a row must read pre-assignment values (array
@@ -188,14 +211,8 @@ let test_buffered_assignment () =
       flops = 1 }
   in
   Alcotest.(check bool) "needs buffer" true (Runtime.Kernel.needs_buffer a);
-  let ctx =
-    { Runtime.Kernel.read = (fun _ p -> Runtime.Store.get store p);
-      scalar = (fun _ -> 0.) }
-  in
   let cells =
-    Runtime.Kernel.exec_assign ctx
-      ~write:(fun p v -> Runtime.Store.set store p v)
-      ~region:(r2 5 5 1 9) a
+    exec_point ~stores:[| store |] ~scalar:(fun _ -> 0.) ~region:(r2 5 5 1 9) a
   in
   Alcotest.(check int) "cells" 9 cells;
   (* every cell got its WEST neighbor's original value *)
