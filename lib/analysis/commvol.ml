@@ -9,11 +9,13 @@
       site charges each processor. Fringe transfers get their per-partner
       send/receive sides from {!Runtime.Halo.partner_sides} — the same
       function the engine builds its plans from — and synthesized
-      collective rounds get their role from {!Ir.Coll.role}. The CPU
-      coefficient replays the engine's charge formulas: [dr_over] per
-      expected message at DR (posted receives and readiness
-      notifications), [sr_over + bytes * send_byte] per message at SR,
-      [dn_over + bytes * unpack] per message at DN — where [unpack] is
+      collective rounds get theirs from {!Ir.Coll.role}; one function
+      turns either side lists into a coefficient, as one interpreter
+      runs both in the engine. The CPU coefficient replays the engine's
+      charge formulas: [dr_over] per expected message at DR (posted
+      receives and readiness notifications), [sr_over + bytes *
+      send_byte] per message at SR, [dn_over + bytes * unpack] per
+      message at DN — where [unpack] is
       zero iff the library posts receives (DR = [Post_recv]; the four
       calls of a transfer always share one basic block, so the posted
       receive is always consumed by its own activation's DN) or deposits
@@ -93,70 +95,34 @@ let lib_sv_cpu (lib : Machine.Library.t) ~sends =
       lib.Machine.Library.costs.Machine.Params.sv_over
   | _ -> 0.0
 
-(** Coefficients of one fringe transfer on processor [p]: sides from
-    {!Runtime.Halo.partner_sides}, charges per the engine's comm paths. *)
-let fringe_coeff (layout : Runtime.Layout.t) (prog : Zpl.Prog.t)
-    (lib : Machine.Library.t) (x : Ir.Transfer.t) ~p : coeff =
+(** Coefficients of one activation on one processor, from the byte
+    sizes of its per-partner send and receive messages: charges per the
+    engine's message protocol, which fringe transfers and collective
+    rounds share. *)
+let side_coeff (lib : Machine.Library.t) ~(sends : int list)
+    ~(recvs : int list) : coeff =
   let c = lib.Machine.Library.costs in
-  let sides dir =
-    Runtime.Halo.partner_sides layout prog ~arrays:x.Ir.Transfer.arrays
-      ~off:x.Ir.Transfer.off ~p ~dir
-  in
-  let recvs = sides `Recv and sends = sides `Send in
-  let bytes_of (pp : Runtime.Halo.partner_pieces) =
-    8 * pp.Runtime.Halo.pp_cells
-  in
-  let sbytes = List.fold_left (fun n s -> n + bytes_of s) 0 sends in
-  let rbytes = List.fold_left (fun n s -> n + bytes_of s) 0 recvs in
   let nsend = List.length sends and nrecv = List.length recvs in
   let unpack = lib_unpack lib in
   let cpu =
     lib_dr_cpu lib ~nrecv
     +. List.fold_left
-         (fun acc s ->
+         (fun acc bytes ->
            acc +. c.Machine.Params.sr_over
-           +. (float_of_int (bytes_of s) *. c.Machine.Params.send_byte))
+           +. (float_of_int bytes *. c.Machine.Params.send_byte))
          0.0 sends
     +. List.fold_left
-         (fun acc s ->
-           acc +. c.Machine.Params.dn_over
-           +. (float_of_int (bytes_of s) *. unpack))
+         (fun acc bytes ->
+           acc +. c.Machine.Params.dn_over +. (float_of_int bytes *. unpack))
          0.0 recvs
     +. lib_sv_cpu lib ~sends:(nsend > 0)
   in
   { c_msgs_sent = nsend;
-    c_bytes_sent = sbytes;
+    c_bytes_sent = List.fold_left ( + ) 0 sends;
     c_msgs_recv = nrecv;
-    c_bytes_recv = rbytes;
+    c_bytes_recv = List.fold_left ( + ) 0 recvs;
     c_xfer_sent = nsend > 0;
     c_xfer_recv = nrecv > 0;
-    c_cpu = cpu }
-
-(** Coefficients of one synthesized collective round on [rank]: at most
-    one send and one receive partner, [8 * count] bytes per message. *)
-let coll_coeff (lib : Machine.Library.t) (d : Ir.Coll.desc) ~rank : coeff =
-  let c = lib.Machine.Library.costs in
-  let r = Ir.Coll.role d ~rank in
-  let bytes = 8 * r.Ir.Coll.r_count in
-  let sends = r.Ir.Coll.r_to >= 0 and recv = r.Ir.Coll.r_from >= 0 in
-  let cpu =
-    (if recv then lib_dr_cpu lib ~nrecv:1 else 0.0)
-    +. (if sends then
-          c.Machine.Params.sr_over
-          +. (float_of_int bytes *. c.Machine.Params.send_byte)
-        else 0.0)
-    +. (if recv then
-          c.Machine.Params.dn_over
-          +. (float_of_int bytes *. lib_unpack lib)
-        else 0.0)
-    +. lib_sv_cpu lib ~sends
-  in
-  { c_msgs_sent = (if sends then 1 else 0);
-    c_bytes_sent = (if sends then bytes else 0);
-    c_msgs_recv = (if recv then 1 else 0);
-    c_bytes_recv = (if recv then bytes else 0);
-    c_xfer_sent = sends;
-    c_xfer_recv = recv;
     c_cpu = cpu }
 
 (* ------------------------------------------------------------------ *)
@@ -183,8 +149,24 @@ let analyze ?summary ~(lib : Machine.Library.t) ~pr ~pc
             "Commvol.analyze: collective round %s was synthesized for %d \
              processors, but the mesh is %dx%d"
             (Ir.Coll.describe d) d.Ir.Coll.cl_nprocs pr pc;
-        Array.init nprocs (fun rank -> coll_coeff lib d ~rank)
-    | None -> Array.init nprocs (fun q -> fringe_coeff layout prog lib x ~p:q)
+        Array.init nprocs (fun rank ->
+            (* at most one partner each way, [count] values per message *)
+            let r = Ir.Coll.role d ~rank in
+            let side partner =
+              if partner < 0 then [] else [ 8 * r.Ir.Coll.r_count ]
+            in
+            side_coeff lib ~sends:(side r.Ir.Coll.r_to)
+              ~recvs:(side r.Ir.Coll.r_from))
+    | None ->
+        Array.init nprocs (fun p ->
+            let sides dir =
+              List.map
+                (fun (pp : Runtime.Halo.partner_pieces) ->
+                  8 * pp.Runtime.Halo.pp_cells)
+                (Runtime.Halo.partner_sides layout prog
+                   ~arrays:x.Ir.Transfer.arrays ~off:x.Ir.Transfer.off ~p ~dir)
+            in
+            side_coeff lib ~sends:(sides `Send) ~recvs:(sides `Recv))
   in
   (* one entry per transfer, recorded at its first call's position; the
      emitter keeps all four calls of a transfer in one basic block, so

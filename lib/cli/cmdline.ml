@@ -217,10 +217,21 @@ let spec_term =
 
 (** Run [f], mapping failures to exit code 1 with an [error:] line.
     [Invalid_argument] is a failure too: [Sim.Engine.plan] raises it
-    for a mesh the program cannot be laid out on. *)
+    for a mesh the program cannot be laid out on. So are a simulation
+    that deadlocks and one that exceeds its instruction budget (a loop
+    that never ends). *)
 let handle f =
+  let fail msg =
+    Printf.eprintf "error: %s\n" msg;
+    1
+  in
   match Zpl.Loc.guard f with
   | Ok () -> 0
-  | Error msg | (exception (Failure msg | Invalid_argument msg)) ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+  | Error msg | (exception (Failure msg | Invalid_argument msg)) -> fail msg
+  | exception Sim.Engine.Deadlock msg -> fail ("deadlock: " ^ msg)
+  | exception Sim.Engine.Instruction_limit n ->
+      fail
+        (Printf.sprintf
+           "a processor exceeded the instruction limit of %d (a loop that \
+            never ends?)"
+           n)

@@ -12,12 +12,15 @@
     fully deterministic. One host domain drains the runnable ring.
 
     {b Communication} is compiled at {!plan} time: every (transfer,
-    processor, partner) side becomes a {!Runtime.Wireplan.t} — flat blit
-    descriptors against the local stores — with all member-array pieces
-    of one partner packed into a single staging buffer drawn from a
-    per-side pool. Messages travel through dense ring mailboxes indexed
-    by (source, transfer, kind), and every hot-path float lives in an
-    all-float record or float array, so a steady-state communication
+    processor, partner) side becomes one blueprint whose payload is
+    either a {!Runtime.Wireplan.t} — flat blit descriptors against the
+    local stores, with all member-array pieces of one partner packed into
+    a single staging buffer — or the role of a synthesized collective
+    round ({!Ir.Coll.role}), whose few scalars travel the same way. One
+    interpreter runs the four IRONMAN calls over both; buffers are drawn
+    from a per-side pool. Messages travel through dense ring mailboxes
+    indexed by (source, transfer, kind), and every hot-path float lives
+    in an all-float record or float array, so a steady-state communication
     activation allocates nothing: no payload lists, no closures, no
     boxed floats (regression-tested with [Gc.minor_words]). A staging
     buffer is acquired when the sender packs it — the send-time snapshot
@@ -38,63 +41,37 @@
     over a shared link serializes (see DESIGN.md). Link grants follow
     the drain's execution order, which is deterministic. *)
 
-(** One partner's share of a transfer on one processor, wire-compiled:
-    the blit plan against this processor's own stores, and the staging
-    pool buffers are drawn from. On send sides the pool is owned; on
-    recv sides it aliases the matching sender's pool, so releasing a
-    consumed buffer returns it to where the next send will look. *)
-type wside = {
-  w_partner : int;
-  w_bytes : int;
-  w_plan : Runtime.Wireplan.t;
-  w_route : int array;  (** link ids to [w_partner]; [[||]] under ideal *)
-  mutable w_pool : Runtime.Wireplan.pool;
-}
+(** What one side's messages carry: the member-array fringe pieces,
+    compiled into a blit plan against this processor's shape-only stores
+    (it depends only on the layout, never on cell data), or the scalars
+    of one synthesized collective round ({!Ir.Coll.role}). *)
+type payload = Fringe of Runtime.Wireplan.t | Round of Ir.Coll.desc
 
-type wplan = { w_recv : wside array; w_send : wside array }
-
-(** One rank's side of one synthesized collective round
-    ({!Ir.Coll.role}, frozen at {!plan} time): at most one send partner
-    and one receive partner, [c_count] scalar values per message. The
-    send pool is owned; the receive pool aliases the sender's, exactly
-    like {!wside}. *)
-type cside = {
-  c_to : int;  (** send partner, or -1 *)
-  c_from : int;  (** receive partner, or -1 *)
-  c_count : int;  (** scalar values per message this round *)
-  c_rto : int array;  (** link ids to [c_to] (round data) *)
-  c_rfrom : int array;  (** link ids to [c_from] (rendezvous token) *)
-  c_spool : Runtime.Wireplan.pool;
-  mutable c_rpool : Runtime.Wireplan.pool;
-}
-
-(** Immutable blueprint of one {!wside}: the blit plan (compiled against
-    shape-only stores, so it depends only on the layout, never on cell
-    data) plus everything needed to mint the per-engine pool.
-    [b_link] on receive sides is the index of the matching side in the
-    sender's send array, resolved and validated once at {!plan} time; it
-    is written during linking and frozen thereafter. *)
+(** Immutable blueprint of one partner's share of a transfer on one
+    processor: every message of a fringe transfer or of a collective
+    round is one of these, so both run through the same IRONMAN
+    interpreter. [b_link] on receive sides is the index of the matching
+    side in the sender's send array, resolved and validated once at
+    {!plan} time; it is written during linking and frozen thereafter. *)
 type wblue = {
   b_partner : int;
-  b_bytes : int;
   b_cells : int;
-  b_plan : Runtime.Wireplan.t;
+      (** values per message ([8 * b_cells] bytes): the blit plan's cell
+          count, or the round's value count *)
+  b_load : payload;
   b_route : int array;  (** link ids to [b_partner]; [[||]] under ideal *)
   mutable b_link : int;
 }
 
 type wbpair = { b_recv : wblue array; b_send : wblue array }
 
-(** Immutable blueprint of one {!cside}: the rank's role in a
-    synthesized collective round ({!Ir.Coll.role}, frozen at plan
-    time). *)
-type cblue = {
-  cb_to : int;
-  cb_from : int;
-  cb_count : int;
-  cb_rto : int array;  (** link ids to [cb_to]; [[||]] under ideal *)
-  cb_rfrom : int array;  (** link ids to [cb_from]; [[||]] under ideal *)
-}
+(** A blueprint minted into one engine: the shared side plus the staging
+    pool its buffers are drawn from. On send sides the pool is owned; on
+    receive sides it aliases the matching sender's pool, so releasing a
+    consumed buffer returns it to where the next send will look. *)
+type wside = { w_blue : wblue; w_pool : Runtime.Wireplan.pool }
+
+type wplan = { w_recv : wside array; w_send : wside array }
 
 (** Compiled form of one flat op on one rank: store-agnostic
     {!Runtime.Kernel} plans, built eagerly at {!plan} time against
@@ -132,8 +109,6 @@ type plans = {
   p_nslots : int;  (** collective slots *)
   p_dissem : bool array;  (** per slot: needs the allgathered partials *)
   p_wblue : wbpair array array;  (** [transfer id].(proc) *)
-  p_colls : Ir.Coll.desc option array;  (** per transfer: collective tag *)
-  p_cblue : cblue array array;  (** collective rounds: [transfer id].(proc) *)
   p_refchecks : Runtime.Kernel.refs array;
       (** per op index: the rhs's (array, shift) reads, extracted once *)
   p_kern : kprog array;
@@ -152,7 +127,7 @@ let wk_data = 1 (* wait_arg = transfer id *)
 
 let wk_tokens = 2 (* wait_arg = transfer id *)
 
-let wk_reduce = 3 (* wait_arg = reduction sequence number *)
+let wk_reduce = 3 (* waiting in the opaque reduction at [pc] *)
 
 (** Mutable float cell. All-float records are stored flat, so
     [c.fv <- c.fv +. dt] is an unboxed load/add/store; a mutable float
@@ -236,7 +211,6 @@ type proc = {
           against (see {!op_counts}). *)
   posted : int array;  (** per transfer: outstanding posted receives *)
   send_done : float array;  (** per transfer: when the last send drained *)
-  mutable reduce_seq : int;
   wmail : mbox array;  (** dense (src, xfer, kind) mailboxes *)
   scratch : float array;
       (** unboxed hot-path temporaries: [0] max-arrival accumulator
@@ -259,6 +233,9 @@ type proc = {
   stats : Stats.per_proc;
 }
 
+(** The opaque reduction in flight. Every rank blocks in it until the
+    last one arrives, so there is never more than one: {!finish_reduce}
+    resets the slot for the next. *)
 type reduce_slot = {
   mutable arrived : int;
   partials : float array;
@@ -281,12 +258,10 @@ type t = {
   procs : proc array;
   nx : int;  (** number of transfers *)
   wplans : wplan array array;  (** [transfer id].(proc) *)
-  colls : Ir.Coll.desc option array;  (** per transfer: its collective tag *)
-  csides : cside array array;  (** collective rounds: [transfer id].(proc) *)
   runnable : int array;  (** ring; capacity = nprocs ([queued] dedups) *)
   mutable run_head : int;
   mutable run_len : int;
-  reduce_slots : (int, reduce_slot) Hashtbl.t;
+  reduce : reduce_slot;
   stats : Stats.t;
   limit : int;
   kern : kprog array;  (** per rank: shared compiled kernel programs *)
@@ -302,10 +277,10 @@ exception Instruction_limit of int
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(** Compile the wire blueprints of one transfer: per processor, per
+(** Compile the blueprints of one fringe transfer: per processor, per
     partner, the blit descriptors against shape-only stores, whose owned
     boxes also give the pieces. *)
-let build_wblue (layout : Runtime.Layout.t) (prog : Zpl.Prog.t)
+let fringe_wblue (layout : Runtime.Layout.t) (prog : Zpl.Prog.t)
     (x : Ir.Transfer.t) ~(shapes : Runtime.Store.t array array)
     ~(topo : Machine.Topology.t) ~pr ~pc : wbpair array =
   let owned q aid = Runtime.Store.owned shapes.(q).(aid) in
@@ -313,12 +288,12 @@ let build_wblue (layout : Runtime.Layout.t) (prog : Zpl.Prog.t)
     Array.of_list
       (List.map
          (fun (pp : Runtime.Halo.partner_pieces) ->
+           let w =
+             Runtime.Wireplan.build ~stores:shapes.(p) pp.Runtime.Halo.pp_rects
+           in
            { b_partner = pp.Runtime.Halo.pp_partner;
-             b_bytes = 8 * pp.Runtime.Halo.pp_cells;
-             b_cells = pp.Runtime.Halo.pp_cells;
-             b_plan =
-               Runtime.Wireplan.build ~stores:shapes.(p)
-                 pp.Runtime.Halo.pp_rects;
+             b_cells = Runtime.Wireplan.cells w;
+             b_load = Fringe w;
              b_route =
                Machine.Topology.route topo ~pr ~pc ~src:p
                  ~dst:pp.Runtime.Halo.pp_partner;
@@ -329,11 +304,31 @@ let build_wblue (layout : Runtime.Layout.t) (prog : Zpl.Prog.t)
   Array.init (Array.length shapes) (fun p ->
       { b_recv = collect p `Recv; b_send = collect p `Send })
 
+(** Compile the blueprints of one synthesized collective round: each
+    rank's {!Ir.Coll.role} becomes at most one send and one receive
+    side. *)
+let round_wblue (d : Ir.Coll.desc) ~(topo : Machine.Topology.t) ~pr ~pc
+    ~nprocs : wbpair array =
+  let load = Round d in
+  Array.init nprocs (fun rank ->
+      let r = Ir.Coll.role d ~rank in
+      let side partner =
+        if partner < 0 then [||]
+        else
+          [| { b_partner = partner;
+               b_cells = r.Ir.Coll.r_count;
+               b_load = load;
+               b_route =
+                 Machine.Topology.route topo ~pr ~pc ~src:rank ~dst:partner;
+               b_link = -1 } |]
+      in
+      { b_recv = side r.Ir.Coll.r_from; b_send = side r.Ir.Coll.r_to })
+
 (** Resolve every receive blueprint's [b_link] to the matching side in
     the sender's send array, and check that both ends compiled the same
     staging layout. Runs once at {!plan} time; {!of_plans} only follows
-    the recorded indices. *)
-let link_wblue (xi : int) (bp : wbpair array) =
+    the recorded indices. Raises [Failure] naming the transfer. *)
+let link_wblue (prog : Zpl.Prog.t) (x : Ir.Transfer.t) (bp : wbpair array) =
   Array.iteri
     (fun p pair ->
       Array.iter
@@ -345,21 +340,16 @@ let link_wblue (xi : int) (bp : wbpair array) =
             sender.b_send;
           if !link < 0 then
             Fmt.failwith
-              "Engine.plan: transfer %d: proc %d expects data from %d, \
+              "Engine.plan: transfer %s: proc %d expects data from %d, \
                which plans no send back"
-              xi p rb.b_partner;
+              (Ir.Transfer.describe prog x) p rb.b_partner;
           let sb = sender.b_send.(!link) in
-          if
-            Runtime.Wireplan.cells sb.b_plan
-            <> Runtime.Wireplan.cells rb.b_plan
-            || sb.b_bytes <> rb.b_bytes
-          then
+          if sb.b_cells <> rb.b_cells then
             Fmt.failwith
-              "Engine.plan: transfer %d: procs %d and %d disagree on \
+              "Engine.plan: transfer %s: procs %d and %d disagree on \
                the message layout (%d vs %d cells)"
-              xi rb.b_partner p
-              (Runtime.Wireplan.cells sb.b_plan)
-              (Runtime.Wireplan.cells rb.b_plan);
+              (Ir.Transfer.describe prog x) rb.b_partner p sb.b_cells
+              rb.b_cells;
           rb.b_link <- !link)
         pair.b_recv)
     bp
@@ -391,32 +381,25 @@ let plan ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
        (%d x %d) of a %dx%d mesh"
       max_off mr mc pr pc;
   let fringe = Zpl.Prog.fringe_widths prog in
-  let colls =
-    Array.map (fun (x : Ir.Transfer.t) -> x.Ir.Transfer.coll)
-      flat.Ir.Flat.transfers
-  in
-  Array.iter
-    (function
-      | Some (d : Ir.Coll.desc) ->
-          if d.Ir.Coll.cl_nprocs <> nprocs then
-            Fmt.invalid_arg
-              "Engine.plan: collective round %s was synthesized for %d \
-               processors, but the engine mesh is %dx%d (%d) — recompile for \
-               this mesh"
-              (Ir.Coll.describe d) d.Ir.Coll.cl_nprocs pr pc nprocs
-      | None -> ())
-    colls;
   let nslots = Ir.Flat.coll_slots flat in
   (* slots whose algorithm gathers raw partials (dissemination) need the
      per-rank value array; derived from ops too, for the zero-round
      one-processor case *)
   let dissem_slot = Array.make nslots false in
   Array.iter
-    (function
-      | Some (d : Ir.Coll.desc) when d.Ir.Coll.cl_alg = Ir.Coll.Dissem ->
-          dissem_slot.(d.Ir.Coll.cl_slot) <- true
-      | _ -> ())
-    colls;
+    (fun (x : Ir.Transfer.t) ->
+      match x.Ir.Transfer.coll with
+      | Some d ->
+          if d.Ir.Coll.cl_nprocs <> nprocs then
+            Fmt.invalid_arg
+              "Engine.plan: collective round %s was synthesized for %d \
+               processors, but the engine mesh is %dx%d (%d) — recompile for \
+               this mesh"
+              (Ir.Coll.describe d) d.Ir.Coll.cl_nprocs pr pc nprocs;
+          if d.Ir.Coll.cl_alg = Ir.Coll.Dissem then
+            dissem_slot.(d.Ir.Coll.cl_slot) <- true
+      | None -> ())
+    flat.Ir.Flat.transfers;
   Array.iter
     (function
       | Ir.Flat.FCollPart w | Ir.Flat.FCollFin w ->
@@ -441,30 +424,13 @@ let plan ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
   let p_wblue =
     Array.map
       (fun (x : Ir.Transfer.t) ->
-        if Ir.Transfer.is_coll x then
-          Array.init nprocs (fun _ -> { b_recv = [||]; b_send = [||] })
-        else build_wblue layout prog x ~shapes ~topo:topology ~pr ~pc)
-      flat.Ir.Flat.transfers
-  in
-  Array.iteri link_wblue p_wblue;
-  let p_cblue =
-    Array.map
-      (fun (x : Ir.Transfer.t) ->
-        match x.Ir.Transfer.coll with
-        | None -> [||]
-        | Some d ->
-            Array.init nprocs (fun rank ->
-                let r = Ir.Coll.role d ~rank in
-                let route dst =
-                  if dst < 0 then [||]
-                  else
-                    Machine.Topology.route topology ~pr ~pc ~src:rank ~dst
-                in
-                { cb_to = r.Ir.Coll.r_to;
-                  cb_from = r.Ir.Coll.r_from;
-                  cb_count = r.Ir.Coll.r_count;
-                  cb_rto = route r.Ir.Coll.r_to;
-                  cb_rfrom = route r.Ir.Coll.r_from }))
+        let bp =
+          match x.Ir.Transfer.coll with
+          | Some d -> round_wblue d ~topo:topology ~pr ~pc ~nprocs
+          | None -> fringe_wblue layout prog x ~shapes ~topo:topology ~pr ~pc
+        in
+        link_wblue prog x bp;
+        bp)
       flat.Ir.Flat.transfers
   in
   let ops = flat.Ir.Flat.ops in
@@ -519,8 +485,6 @@ let plan ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
     p_nslots = nslots;
     p_dissem = dissem_slot;
     p_wblue;
-    p_colls = colls;
-    p_cblue;
     p_refchecks =
       Array.map
         (function
@@ -570,7 +534,6 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
           ops_run = Array.make (Array.length flat.Ir.Flat.ops) 0;
           posted = Array.make nx 0;
           send_done = Array.make nx 0.0;
-          reduce_seq = 0;
           wmail = Array.make (nprocs * nx * 2) unused_mbox;
           scratch = Array.make 2 0.0;
           cacc = Array.make nslots 0.0;
@@ -582,65 +545,34 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
           clipped = Array.make (Array.length flat.Ir.Flat.ops) [||];
           stats = Stats.fresh_proc () })
   in
-  (* fringe sides: shared blit plans, per-engine staging pools; receive
+  (* sides: the shared blueprint plus a per-engine staging pool; receive
      pools alias the matching sender's pool (resolved at plan time into
      [b_link]), so a consumed buffer is released to where the next send
      acquires *)
   let wplans =
     Array.map
       (fun (bp : wbpair array) ->
-        let mk (b : wblue) =
-          { w_partner = b.b_partner;
-            w_bytes = b.b_bytes;
-            w_plan = b.b_plan;
-            w_route = b.b_route;
-            w_pool = Runtime.Wireplan.make_pool ~cells:b.b_cells }
-        in
-        let sides =
+        let sends =
           Array.map
             (fun (pair : wbpair) ->
-              { w_recv = Array.map mk pair.b_recv;
-                w_send = Array.map mk pair.b_send })
+              Array.map
+                (fun (b : wblue) ->
+                  { w_blue = b;
+                    w_pool = Runtime.Wireplan.make_pool ~cells:b.b_cells })
+                pair.b_send)
             bp
         in
-        Array.iteri
+        Array.mapi
           (fun p (pair : wbpair) ->
-            Array.iteri
-              (fun i (rb : wblue) ->
-                sides.(p).w_recv.(i).w_pool <-
-                  sides.(rb.b_partner).w_send.(rb.b_link).w_pool)
-              pair.b_recv)
-          bp;
-        sides)
+            { w_recv =
+                Array.map
+                  (fun (b : wblue) ->
+                    { w_blue = b;
+                      w_pool = sends.(b.b_partner).(b.b_link).w_pool })
+                  pair.b_recv;
+              w_send = sends.(p) })
+          bp)
       sp.p_wblue
-  in
-  (* collective sides: same pool-aliasing discipline *)
-  let csides =
-    Array.map
-      (fun (cb : cblue array) ->
-        let sides =
-          Array.map
-            (fun (b : cblue) ->
-              let pool = Runtime.Wireplan.make_pool ~cells:b.cb_count in
-              { c_to = b.cb_to;
-                c_from = b.cb_from;
-                c_count = b.cb_count;
-                c_rto = b.cb_rto;
-                c_rfrom = b.cb_rfrom;
-                c_spool = pool;
-                c_rpool = pool })
-            cb
-        in
-        Array.iter
-          (fun s ->
-            if s.c_from >= 0 then begin
-              let sender = sides.(s.c_from) in
-              assert (sender.c_to >= 0 && sender.c_count = s.c_count);
-              s.c_rpool <- sender.c_spool
-            end)
-          sides;
-        sides)
-      sp.p_cblue
   in
   let t =
     { shared = sp;
@@ -659,12 +591,15 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
       procs;
       nx;
       wplans;
-      colls = sp.p_colls;
-      csides;
       runnable = Array.make (max 1 nprocs) 0;
       run_head = 0;
       run_len = 0;
-      reduce_slots = Hashtbl.create 8;
+      reduce =
+        { arrived = 0;
+          partials = Array.make nprocs 0.0;
+          times = Array.make nprocs 0.0;
+          op = Zpl.Ast.RSum;
+          lhs = 0 };
       stats = Stats.make nprocs;
       limit;
       kern = sp.p_kern;
@@ -673,33 +608,21 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
   (* materialize exactly the mailbox slots some plan delivers to: data
      flows sender -> receiver, tokens receiver -> sender *)
   Array.iteri
-    (fun xi wp ->
+    (fun xi bp ->
       Array.iteri
-        (fun p plan ->
+        (fun p (pair : wbpair) ->
           Array.iter
-            (fun (s : wside) ->
-              procs.(p).wmail.(wkey t ~src:s.w_partner ~xfer:xi kb_data) <-
+            (fun (b : wblue) ->
+              procs.(p).wmail.(wkey t ~src:b.b_partner ~xfer:xi kb_data) <-
                 fresh_mbox ())
-            plan.w_recv;
+            pair.b_recv;
           Array.iter
-            (fun (s : wside) ->
-              procs.(p).wmail.(wkey t ~src:s.w_partner ~xfer:xi kb_token) <-
+            (fun (b : wblue) ->
+              procs.(p).wmail.(wkey t ~src:b.b_partner ~xfer:xi kb_token) <-
                 fresh_mbox ())
-            plan.w_send)
-        wp)
-    wplans;
-  Array.iteri
-    (fun xi sides ->
-      Array.iteri
-        (fun p (s : cside) ->
-          if s.c_from >= 0 then
-            procs.(p).wmail.(wkey t ~src:s.c_from ~xfer:xi kb_data) <-
-              fresh_mbox ();
-          if s.c_to >= 0 then
-            procs.(p).wmail.(wkey t ~src:s.c_to ~xfer:xi kb_token) <-
-              fresh_mbox ())
-        sides)
-    csides;
+            pair.b_send)
+        bp)
+    sp.p_wblue;
   t
 
 let shared_plans (t : t) = t.shared
@@ -737,15 +660,15 @@ let take_runnable (t : t) : int =
     every (possibly re-executed) wait and must not allocate. *)
 let rec all_arrived (t : t) (p : proc) ~xfer ~kind_bit (sides : wside array) i =
   i >= Array.length sides
-  || (p.wmail.(wkey t ~src:sides.(i).w_partner ~xfer kind_bit).mb_n > 0
+  || (p.wmail.(wkey t ~src:sides.(i).w_blue.b_partner ~xfer kind_bit).mb_n > 0
      && all_arrived t p ~xfer ~kind_bit sides (i + 1))
 
 (** Partners with no pending message — deadlock diagnostics only. *)
 let missing_partners (t : t) (p : proc) ~xfer ~kind_bit (sides : wside array) =
   Array.to_list sides
   |> List.filter_map (fun (s : wside) ->
-         if p.wmail.(wkey t ~src:s.w_partner ~xfer kind_bit).mb_n = 0 then
-           Some s.w_partner
+         let q = s.w_blue.b_partner in
+         if p.wmail.(wkey t ~src:q ~xfer kind_bit).mb_n = 0 then Some q
          else None)
 
 (* ------------------------------------------------------------------ *)
@@ -911,10 +834,6 @@ let exec_kernel (t : t) (p : proc) idx (a : Zpl.Prog.assign_a) =
 
 (* --- communication calls --- *)
 
-let charge_comm (p : proc) dt =
-  p.time.fv <- p.time.fv +. dt;
-  p.stats.Stats.times.Stats.comm_cpu <- p.stats.Stats.times.Stats.comm_cpu +. dt
-
 (** Wait until the arrival time held in [scratch.(0)], charging the gap
     as wait time. The time travels through the scratch slot because a
     float parameter would be boxed at the call (no flambda). *)
@@ -926,25 +845,88 @@ let block_until_acc (p : proc) =
     p.time.fv <- a
   end
 
-(* --- fringe transfers: pooled staging buffers through ring mailboxes ---
+(* --- messages: pooled staging buffers through ring mailboxes ---
 
-   Nothing here allocates in steady state: costs are computed inline
-   into all-float records and scratch slots, payloads are packed into
-   pooled buffers, and queues are int-indexed rings. Keep helper calls
-   float-free — an OCaml float argument or return is boxed at every
-   non-inlined call. *)
+   Fringe transfers and synthesized collective rounds are the same
+   protocol here; only a side's payload decides how a staging buffer is
+   filled ({!Runtime.Wireplan.pack} or {!coll_pack}) and drained
+   ({!Runtime.Wireplan.unpack} or {!coll_combine}). Nothing here
+   allocates in steady state: costs are computed inline into all-float
+   records and scratch slots, payloads are packed into pooled buffers,
+   and queues are int-indexed rings. Keep helper calls float-free — an
+   OCaml float argument or return is boxed at every non-inlined call. *)
+
+(** Fill a round's staging buffer from this rank's collective state. *)
+let coll_pack (p : proc) (d : Ir.Coll.desc) (s : wblue)
+    (buf : Runtime.Store.buf) =
+  match (d.Ir.Coll.cl_alg, d.Ir.Coll.cl_phase) with
+  | Ir.Coll.Dissem, Ir.Coll.Gather ->
+      (* the window of [count] consecutive partials ending at our rank,
+         newest first: entry j originated at rank - j *)
+      let vals = p.cvals.(d.Ir.Coll.cl_slot) in
+      let np = d.Ir.Coll.cl_nprocs in
+      for j = 0 to s.b_cells - 1 do
+        Bigarray.Array1.unsafe_set buf j
+          vals.((((p.rank - j) mod np) + np) mod np)
+      done
+  | _ -> Bigarray.Array1.unsafe_set buf 0 p.cacc.(d.Ir.Coll.cl_slot)
+
+(** Fold a received round payload into this rank's collective state;
+    [s] is the receive side, so [s.b_partner] is the sender. The combine
+    expressions are fixed per (algorithm, phase) — see {!Ir.Coll} for
+    why each choice keeps the result bit-identical across ranks. *)
+let coll_combine (p : proc) (d : Ir.Coll.desc) (s : wblue)
+    (buf : Runtime.Store.buf) =
+  let slot = d.Ir.Coll.cl_slot in
+  let op = d.Ir.Coll.cl_op in
+  match (d.Ir.Coll.cl_alg, d.Ir.Coll.cl_phase) with
+  | Ir.Coll.Ring, Ir.Coll.Reduce ->
+      (* the chain prefix arrives; our partial folds on its right *)
+      p.cacc.(slot) <-
+        Runtime.Reduce.apply op (Bigarray.Array1.unsafe_get buf 0) p.cacc.(slot)
+  | Ir.Coll.Binomial, Ir.Coll.Reduce | Ir.Coll.Recdouble, Ir.Coll.Fold_in ->
+      (* lower rank holds the left operand *)
+      p.cacc.(slot) <-
+        Runtime.Reduce.apply op p.cacc.(slot) (Bigarray.Array1.unsafe_get buf 0)
+  | Ir.Coll.Recdouble, Ir.Coll.Reduce ->
+      (* both partners evaluate lower-rank-left, so their bits agree *)
+      if s.b_partner > p.rank then
+        p.cacc.(slot) <-
+          Runtime.Reduce.apply op p.cacc.(slot)
+            (Bigarray.Array1.unsafe_get buf 0)
+      else
+        p.cacc.(slot) <-
+          Runtime.Reduce.apply op
+            (Bigarray.Array1.unsafe_get buf 0)
+            p.cacc.(slot)
+  | Ir.Coll.Ring, Ir.Coll.Bcast
+  | Ir.Coll.Binomial, Ir.Coll.Bcast
+  | Ir.Coll.Recdouble, Ir.Coll.Fold_out ->
+      p.cacc.(slot) <- Bigarray.Array1.unsafe_get buf 0
+  | Ir.Coll.Dissem, Ir.Coll.Gather ->
+      let vals = p.cvals.(slot) in
+      let np = d.Ir.Coll.cl_nprocs in
+      for j = 0 to s.b_cells - 1 do
+        vals.((((s.b_partner - j) mod np) + np) mod np) <-
+          Bigarray.Array1.unsafe_get buf j
+      done
+  | _ -> assert false (* no role delivers data in these (alg, phase) *)
 
 let wire_send (t : t) (p : proc) ~xfer (s : wside) =
   let c = costs t in
   let m = t.machine in
+  let b = s.w_blue in
   let buf = Runtime.Wireplan.acquire s.w_pool in
-  Runtime.Wireplan.pack s.w_plan p.stores buf;
-  let bytes = float_of_int s.w_bytes in
+  (match b.b_load with
+  | Fringe w -> Runtime.Wireplan.pack w p.stores buf
+  | Round d -> coll_pack p d b buf);
+  let nbytes = 8 * b.b_cells in
+  let bytes = float_of_int nbytes in
   let cpu = c.Machine.Params.sr_over +. (bytes *. c.Machine.Params.send_byte) in
   p.time.fv <- p.time.fv +. cpu;
   p.stats.Stats.times.Stats.comm_cpu <-
     p.stats.Stats.times.Stats.comm_cpu +. cpu;
-  let q = t.procs.(s.w_partner) in
+  let q = t.procs.(b.b_partner) in
   let mb = q.wmail.(wkey t ~src:p.rank ~xfer kb_data) in
   let j = mbox_reserve mb in
   mb.mb_arr.(j) <-
@@ -953,17 +935,18 @@ let wire_send (t : t) (p : proc) ~xfer (s : wside) =
        +. (m.Machine.Params.wire_latency +. c.Machine.Params.msg_latency
           +. (bytes /. m.Machine.Params.bandwidth))
      else
-       route_arrival t ~from_time:p.time.fv ~bytes s.w_route
+       route_arrival t ~from_time:p.time.fv ~bytes b.b_route
        +. c.Machine.Params.msg_latency);
   mb.mb_buf.(j) <- buf;
   wake t q;
   let cand = p.time.fv +. (bytes /. m.Machine.Params.bandwidth) in
   if cand > p.send_done.(xfer) then p.send_done.(xfer) <- cand;
   p.stats.Stats.msgs_sent <- p.stats.Stats.msgs_sent + 1;
-  p.stats.Stats.bytes_sent <- p.stats.Stats.bytes_sent + s.w_bytes
+  p.stats.Stats.bytes_sent <- p.stats.Stats.bytes_sent + nbytes
 
-let exec_comm_wire (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) :
-    step =
+(** One IRONMAN call on one transfer, under the library's semantics for
+    it (Figure 5 of the paper). *)
+let exec_comm (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) : step =
   let wp = t.wplans.(xfer).(p.rank) in
   let c = costs t in
   match Machine.Library.semantics t.lib.Machine.Library.kind call with
@@ -980,11 +963,11 @@ let exec_comm_wire (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) :
       Continue
   | Machine.Library.Notify_ready ->
       for i = 0 to Array.length wp.w_recv - 1 do
-        let s = wp.w_recv.(i) in
+        let b = wp.w_recv.(i).w_blue in
         p.time.fv <- p.time.fv +. c.Machine.Params.dr_over;
         p.stats.Stats.times.Stats.comm_cpu <-
           p.stats.Stats.times.Stats.comm_cpu +. c.Machine.Params.dr_over;
-        let q = t.procs.(s.w_partner) in
+        let q = t.procs.(b.b_partner) in
         let mb = q.wmail.(wkey t ~src:p.rank ~xfer kb_token) in
         let j = mbox_reserve mb in
         mb.mb_arr.(j) <-
@@ -993,7 +976,7 @@ let exec_comm_wire (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) :
              +. t.machine.Machine.Params.wire_latency
              +. c.Machine.Params.token_latency
            else
-             route_arrival t ~from_time:p.time.fv ~bytes:0.0 s.w_route
+             route_arrival t ~from_time:p.time.fv ~bytes:0.0 b.b_route
              +. c.Machine.Params.token_latency);
         mb.mb_buf.(j) <- dummy_buf;
         wake t q
@@ -1021,7 +1004,7 @@ let exec_comm_wire (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) :
         p.scratch.(0) <- 0.0;
         for i = 0 to ns - 1 do
           let mb =
-            p.wmail.(wkey t ~src:wp.w_send.(i).w_partner ~xfer kb_token)
+            p.wmail.(wkey t ~src:wp.w_send.(i).w_blue.b_partner ~xfer kb_token)
           in
           let j = mbox_pop mb in
           if mb.mb_arr.(j) > p.scratch.(0) then p.scratch.(0) <- mb.mb_arr.(j)
@@ -1049,7 +1032,7 @@ let exec_comm_wire (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) :
         p.scratch.(0) <- 0.0;
         for i = 0 to nr - 1 do
           let mb =
-            p.wmail.(wkey t ~src:wp.w_recv.(i).w_partner ~xfer kb_data)
+            p.wmail.(wkey t ~src:wp.w_recv.(i).w_blue.b_partner ~xfer kb_data)
           in
           if mb.mb_arr.(mb.mb_head) > p.scratch.(0) then
             p.scratch.(0) <- mb.mb_arr.(mb.mb_head)
@@ -1064,21 +1047,25 @@ let exec_comm_wire (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) :
         else p.scratch.(1) <- c.Machine.Params.recv_byte;
         for i = 0 to nr - 1 do
           let s = wp.w_recv.(i) in
-          let mb = p.wmail.(wkey t ~src:s.w_partner ~xfer kb_data) in
+          let b = s.w_blue in
+          let mb = p.wmail.(wkey t ~src:b.b_partner ~xfer kb_data) in
           let j = mbox_pop mb in
           let buf = mb.mb_buf.(j) in
           mb.mb_buf.(j) <- dummy_buf;
+          let nbytes = 8 * b.b_cells in
           let dt =
             c.Machine.Params.dn_over
-            +. (float_of_int s.w_bytes *. p.scratch.(1))
+            +. (float_of_int nbytes *. p.scratch.(1))
           in
           p.time.fv <- p.time.fv +. dt;
           p.stats.Stats.times.Stats.comm_cpu <-
             p.stats.Stats.times.Stats.comm_cpu +. dt;
-          Runtime.Wireplan.unpack s.w_plan p.stores buf;
+          (match b.b_load with
+          | Fringe w -> Runtime.Wireplan.unpack w p.stores buf
+          | Round d -> coll_combine p d b buf);
           Runtime.Wireplan.release s.w_pool buf;
           p.stats.Stats.msgs_recv <- p.stats.Stats.msgs_recv + 1;
-          p.stats.Stats.bytes_recv <- p.stats.Stats.bytes_recv + s.w_bytes
+          p.stats.Stats.bytes_recv <- p.stats.Stats.bytes_recv + nbytes
         done;
         p.stats.Stats.xfers_recv <- p.stats.Stats.xfers_recv + 1;
         Continue
@@ -1093,202 +1080,10 @@ let exec_comm_wire (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) :
       end;
       Continue
 
-(* --- synthesized collective rounds ---
-
-   The payload is a handful of synthesized scalars rather than array
-   fringes, but rounds travel through the same dense mailboxes and
-   pooled staging buffers. Charge formulas and their float-accumulation
-   order are the fringe path's, with the round's [8 * count] bytes. *)
-
-let coll_send (t : t) (p : proc) ~xfer (d : Ir.Coll.desc) (s : cside) =
-  let c = costs t in
-  let m = t.machine in
-  let buf = Runtime.Wireplan.acquire s.c_spool in
-  (match (d.Ir.Coll.cl_alg, d.Ir.Coll.cl_phase) with
-  | Ir.Coll.Dissem, Ir.Coll.Gather ->
-      (* the window of [count] consecutive partials ending at our rank,
-         newest first: entry j originated at rank - j *)
-      let vals = p.cvals.(d.Ir.Coll.cl_slot) in
-      let np = d.Ir.Coll.cl_nprocs in
-      for j = 0 to s.c_count - 1 do
-        Bigarray.Array1.unsafe_set buf j
-          vals.((((p.rank - j) mod np) + np) mod np)
-      done
-  | _ -> Bigarray.Array1.unsafe_set buf 0 p.cacc.(d.Ir.Coll.cl_slot));
-  let bytes = float_of_int (8 * s.c_count) in
-  let cpu = c.Machine.Params.sr_over +. (bytes *. c.Machine.Params.send_byte) in
-  p.time.fv <- p.time.fv +. cpu;
-  p.stats.Stats.times.Stats.comm_cpu <-
-    p.stats.Stats.times.Stats.comm_cpu +. cpu;
-  let q = t.procs.(s.c_to) in
-  let mb = q.wmail.(wkey t ~src:p.rank ~xfer kb_data) in
-  let j = mbox_reserve mb in
-  mb.mb_arr.(j) <-
-    (if t.topo_ideal then
-       p.time.fv
-       +. (m.Machine.Params.wire_latency +. c.Machine.Params.msg_latency
-          +. (bytes /. m.Machine.Params.bandwidth))
-     else
-       route_arrival t ~from_time:p.time.fv ~bytes s.c_rto
-       +. c.Machine.Params.msg_latency);
-  mb.mb_buf.(j) <- buf;
-  wake t q;
-  let cand = p.time.fv +. (bytes /. m.Machine.Params.bandwidth) in
-  if cand > p.send_done.(xfer) then p.send_done.(xfer) <- cand;
-  p.stats.Stats.msgs_sent <- p.stats.Stats.msgs_sent + 1;
-  p.stats.Stats.bytes_sent <- p.stats.Stats.bytes_sent + (8 * s.c_count)
-
-(** Fold the received round payload into this rank's collective state.
-    The combine expressions are fixed per (algorithm, phase) — see
-    {!Ir.Coll} for why each choice keeps the result bit-identical across
-    ranks. *)
-let coll_combine (p : proc) (d : Ir.Coll.desc) (s : cside)
-    (buf : Runtime.Store.buf) =
-  let slot = d.Ir.Coll.cl_slot in
-  let op = d.Ir.Coll.cl_op in
-  match (d.Ir.Coll.cl_alg, d.Ir.Coll.cl_phase) with
-  | Ir.Coll.Ring, Ir.Coll.Reduce ->
-      (* the chain prefix arrives; our partial folds on its right *)
-      p.cacc.(slot) <-
-        Runtime.Reduce.apply op (Bigarray.Array1.unsafe_get buf 0) p.cacc.(slot)
-  | Ir.Coll.Binomial, Ir.Coll.Reduce | Ir.Coll.Recdouble, Ir.Coll.Fold_in ->
-      (* lower rank holds the left operand *)
-      p.cacc.(slot) <-
-        Runtime.Reduce.apply op p.cacc.(slot) (Bigarray.Array1.unsafe_get buf 0)
-  | Ir.Coll.Recdouble, Ir.Coll.Reduce ->
-      (* both partners evaluate lower-rank-left, so their bits agree *)
-      if s.c_from > p.rank then
-        p.cacc.(slot) <-
-          Runtime.Reduce.apply op p.cacc.(slot)
-            (Bigarray.Array1.unsafe_get buf 0)
-      else
-        p.cacc.(slot) <-
-          Runtime.Reduce.apply op
-            (Bigarray.Array1.unsafe_get buf 0)
-            p.cacc.(slot)
-  | Ir.Coll.Ring, Ir.Coll.Bcast
-  | Ir.Coll.Binomial, Ir.Coll.Bcast
-  | Ir.Coll.Recdouble, Ir.Coll.Fold_out ->
-      p.cacc.(slot) <- Bigarray.Array1.unsafe_get buf 0
-  | Ir.Coll.Dissem, Ir.Coll.Gather ->
-      let vals = p.cvals.(slot) in
-      let np = d.Ir.Coll.cl_nprocs in
-      for j = 0 to s.c_count - 1 do
-        vals.((((s.c_from - j) mod np) + np) mod np) <-
-          Bigarray.Array1.unsafe_get buf j
-      done
-  | _ -> assert false (* no role delivers data in these (alg, phase) *)
-
-let exec_comm_coll (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int)
-    (d : Ir.Coll.desc) : step =
-  let s = t.csides.(xfer).(p.rank) in
-  let c = costs t in
-  match Machine.Library.semantics t.lib.Machine.Library.kind call with
-  | Machine.Library.No_op -> Continue
-  | Machine.Library.Post_recv ->
-      if s.c_from >= 0 then begin
-        charge_comm p c.Machine.Params.dr_over;
-        p.posted.(xfer) <- p.posted.(xfer) + 1
-      end;
-      Continue
-  | Machine.Library.Notify_ready ->
-      if s.c_from >= 0 then begin
-        charge_comm p c.Machine.Params.dr_over;
-        let q = t.procs.(s.c_from) in
-        let mb = q.wmail.(wkey t ~src:p.rank ~xfer kb_token) in
-        let j = mbox_reserve mb in
-        mb.mb_arr.(j) <-
-          (if t.topo_ideal then
-             p.time.fv
-             +. t.machine.Machine.Params.wire_latency
-             +. c.Machine.Params.token_latency
-           else
-             route_arrival t ~from_time:p.time.fv ~bytes:0.0 s.c_rfrom
-             +. c.Machine.Params.token_latency);
-        mb.mb_buf.(j) <- dummy_buf;
-        wake t q
-      end;
-      Continue
-  | Machine.Library.Send_buffered ->
-      if s.c_to >= 0 then begin
-        coll_send t p ~xfer d s;
-        p.stats.Stats.xfers_sent <- p.stats.Stats.xfers_sent + 1
-      end;
-      Continue
-  | Machine.Library.Send_rendezvous ->
-      if s.c_to < 0 then Continue
-      else begin
-        let mb = p.wmail.(wkey t ~src:s.c_to ~xfer kb_token) in
-        if mb.mb_n = 0 then begin
-          p.wait_kind <- wk_tokens;
-          p.wait_arg <- xfer;
-          Blocked
-        end
-        else begin
-          p.wait_kind <- wk_none;
-          let j = mbox_pop mb in
-          p.scratch.(0) <- mb.mb_arr.(j);
-          block_until_acc p;
-          coll_send t p ~xfer d s;
-          p.stats.Stats.xfers_sent <- p.stats.Stats.xfers_sent + 1;
-          Continue
-        end
-      end
-  | Machine.Library.Wait_data ->
-      if s.c_from < 0 then Continue
-      else begin
-        let mb = p.wmail.(wkey t ~src:s.c_from ~xfer kb_data) in
-        if mb.mb_n = 0 then begin
-          p.wait_kind <- wk_data;
-          p.wait_arg <- xfer;
-          Blocked
-        end
-        else begin
-          p.wait_kind <- wk_none;
-          let j = mbox_pop mb in
-          p.scratch.(0) <- mb.mb_arr.(j);
-          block_until_acc p;
-          if p.posted.(xfer) > 0 then begin
-            p.posted.(xfer) <- p.posted.(xfer) - 1;
-            p.scratch.(1) <- 0.0
-          end
-          else if Machine.Library.deposits_directly t.lib.Machine.Library.kind
-          then p.scratch.(1) <- 0.0
-          else p.scratch.(1) <- c.Machine.Params.recv_byte;
-          let buf = mb.mb_buf.(j) in
-          mb.mb_buf.(j) <- dummy_buf;
-          let dt =
-            c.Machine.Params.dn_over
-            +. (float_of_int (8 * s.c_count) *. p.scratch.(1))
-          in
-          p.time.fv <- p.time.fv +. dt;
-          p.stats.Stats.times.Stats.comm_cpu <-
-            p.stats.Stats.times.Stats.comm_cpu +. dt;
-          coll_combine p d s buf;
-          Runtime.Wireplan.release s.c_rpool buf;
-          p.stats.Stats.msgs_recv <- p.stats.Stats.msgs_recv + 1;
-          p.stats.Stats.bytes_recv <-
-            p.stats.Stats.bytes_recv + (8 * s.c_count);
-          p.stats.Stats.xfers_recv <- p.stats.Stats.xfers_recv + 1;
-          Continue
-        end
-      end
-  | Machine.Library.Wait_send_done ->
-      if s.c_to >= 0 then begin
-        p.scratch.(0) <- p.send_done.(xfer);
-        block_until_acc p;
-        charge_comm p c.Machine.Params.sv_over
-      end;
-      Continue
-
-let exec_comm (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) : step =
-  match t.colls.(xfer) with
-  | Some d -> exec_comm_coll t p call xfer d
-  | None -> exec_comm_wire t p call xfer
-
 (* --- collective reduction --- *)
 
-let finish_reduce (t : t) seq (slot : reduce_slot) =
+let finish_reduce (t : t) =
+  let slot = t.reduce in
   let n = Array.length t.procs in
   let value = ref (Runtime.Reduce.identity slot.op) in
   for r = 0 to n - 1 do
@@ -1309,7 +1104,7 @@ let finish_reduce (t : t) seq (slot : reduce_slot) =
       q.pc <- q.pc + 1;
       wake t q)
     t.procs;
-  Hashtbl.remove t.reduce_slots seq
+  slot.arrived <- 0
 
 (** This rank's partial of the reduction at op [idx] over its local
     part of [r]'s region (dims 0-1 cut to the partition box), and the
@@ -1330,37 +1125,16 @@ let reduce_partial (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : int =
   cells
 
 let exec_reduce (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : step =
+  let slot = t.reduce in
   let cells = reduce_partial t p idx r in
-  let partial = p.scratch.(0) in
-  let dt =
-    t.machine.Machine.Params.kernel_overhead
-    +. (float_of_int (cells * r.r_flops) *. t.machine.Machine.Params.sec_per_flop)
-  in
-  p.time.fv <- p.time.fv +. dt;
-  p.stats.Stats.times.Stats.compute <- p.stats.Stats.times.Stats.compute +. dt;
-  p.stats.Stats.cells <- p.stats.Stats.cells + cells;
-  let seq = p.reduce_seq in
-  p.reduce_seq <- seq + 1;
-  let slot =
-    match Hashtbl.find_opt t.reduce_slots seq with
-    | Some s -> s
-    | None ->
-        let s =
-          { arrived = 0;
-            partials = Array.make (Array.length t.procs) 0.0;
-            times = Array.make (Array.length t.procs) 0.0;
-            op = r.r_op;
-            lhs = r.r_lhs }
-        in
-        Hashtbl.replace t.reduce_slots seq s;
-        s
-  in
-  slot.partials.(p.rank) <- partial;
+  slot.partials.(p.rank) <- p.scratch.(0);
+  charge_kernel t p ~cells ~flops:r.r_flops;
+  slot.op <- r.r_op;
+  slot.lhs <- r.r_lhs;
   slot.times.(p.rank) <- p.time.fv;
   slot.arrived <- slot.arrived + 1;
   p.wait_kind <- wk_reduce;
-  p.wait_arg <- seq;
-  if slot.arrived = Array.length t.procs then finish_reduce t seq slot;
+  if slot.arrived = Array.length t.procs then finish_reduce t;
   Blocked
 
 (* --- synthesized collective bookends --- *)
@@ -1372,14 +1146,7 @@ let exec_coll_part (t : t) (p : proc) idx (w : Ir.Instr.coll_work) =
   let r = w.Ir.Instr.cw_red in
   let cells = reduce_partial t p idx r in
   let partial = p.scratch.(0) in
-  let dt =
-    t.machine.Machine.Params.kernel_overhead
-    +. (float_of_int (cells * r.Zpl.Prog.r_flops)
-       *. t.machine.Machine.Params.sec_per_flop)
-  in
-  p.time.fv <- p.time.fv +. dt;
-  p.stats.Stats.times.Stats.compute <- p.stats.Stats.times.Stats.compute +. dt;
-  p.stats.Stats.cells <- p.stats.Stats.cells + cells;
+  charge_kernel t p ~cells ~flops:r.Zpl.Prog.r_flops;
   let slot = w.Ir.Instr.cw_slot in
   p.cacc.(slot) <- partial;
   match w.Ir.Instr.cw_alg with
@@ -1464,9 +1231,15 @@ let exec_one (t : t) (p : proc) : step =
       else p.pc <- target;
       Continue
   | Ir.Flat.FReduce r ->
-      count_instrs t p 1;
-      count_op p p.pc;
-      exec_reduce t p p.pc r
+      (* a rank that has arrived can still be woken by a message for a
+         transfer whose SR precedes the reduction and whose DN follows
+         it; it must keep waiting, not arrive again *)
+      if p.wait_kind = wk_reduce then Blocked
+      else begin
+        count_instrs t p 1;
+        count_op p p.pc;
+        exec_reduce t p p.pc r
+      end
   | Ir.Flat.FCollPart w ->
       count_instrs t p 1;
       count_op p p.pc;
@@ -1528,37 +1301,24 @@ let run (t : t) : result =
      Array.find_opt (fun (p : proc) -> not p.halted) t.procs
    with
   | Some p ->
-      let missing ~kind_bit pick =
-        let x = p.wait_arg in
-        missing_partners t p ~xfer:x ~kind_bit (pick t.wplans.(x).(p.rank))
-        |> List.map string_of_int |> String.concat ","
-      in
-      let coll_why kind =
-        (* a stuck synthesized round names its algorithm, phase, round
-           and the exact partner rank *)
-        let s = t.csides.(p.wait_arg).(p.rank) in
-        Printf.sprintf
-          "proc %d waiting for %s of collective round %s from proc %d"
-          p.rank kind
-          (Ir.Transfer.describe t.flat.Ir.Flat.prog
-             t.flat.Ir.Flat.transfers.(p.wait_arg))
-          (if kind = "data" then s.c_from else s.c_to)
-      in
       let why =
-        if
-          (p.wait_kind = wk_data || p.wait_kind = wk_tokens)
-          && t.colls.(p.wait_arg) <> None
-        then coll_why (if p.wait_kind = wk_data then "data" else "the token")
-        else if p.wait_kind = wk_data then
-          Printf.sprintf "proc %d waiting for data of transfer %d from %s"
-            p.rank p.wait_arg
-            (missing ~kind_bit:kb_data (fun wp -> wp.w_recv))
-        else if p.wait_kind = wk_tokens then
-          Printf.sprintf "proc %d waiting for tokens of transfer %d from %s"
-            p.rank p.wait_arg
-            (missing ~kind_bit:kb_token (fun wp -> wp.w_send))
+        if p.wait_kind = wk_data || p.wait_kind = wk_tokens then begin
+          let x = p.wait_arg in
+          let wp = t.wplans.(x).(p.rank) in
+          let data = p.wait_kind = wk_data in
+          Printf.sprintf "proc %d waiting for %s of transfer %s from %s"
+            p.rank
+            (if data then "data" else "tokens")
+            (Ir.Transfer.describe t.flat.Ir.Flat.prog
+               t.flat.Ir.Flat.transfers.(x))
+            (missing_partners t p ~xfer:x
+               ~kind_bit:(if data then kb_data else kb_token)
+               (if data then wp.w_recv else wp.w_send)
+            |> List.map string_of_int |> String.concat ",")
+        end
         else if p.wait_kind = wk_reduce then
-          Printf.sprintf "proc %d waiting in reduction %d" p.rank p.wait_arg
+          Printf.sprintf "proc %d waiting in the reduction at pc %d" p.rank
+            p.pc
         else Printf.sprintf "proc %d stopped at pc %d" p.rank p.pc
       in
       raise (Deadlock why)
@@ -1599,11 +1359,11 @@ let topology (t : t) = t.topology
     negative/NaN entries, phantom boundary links never claimed). *)
 let link_occupancy (t : t) : float array = Array.copy t.link_free
 
-(** Staging-pool accounting over all send sides (receive sides alias the
-    sender's pool): (buffers freshly allocated, acquires served from the
-    freelists). The split depends on drain interleaving — a sender
-    running ahead deepens its pools — so it is a runtime diagnostic, not
-    part of the deterministic {!Stats.t}. *)
+(** Staging-pool accounting over all send sides, fringe and collective
+    round alike (receive sides alias the sender's pool): (buffers freshly
+    allocated, acquires served from the freelists). The split depends on
+    drain interleaving — a sender running ahead deepens its pools — so it
+    is a runtime diagnostic, not part of the deterministic {!Stats.t}. *)
 let pool_counts (t : t) : int * int =
   let fresh = ref 0 and reused = ref 0 in
   Array.iter
@@ -1616,6 +1376,7 @@ let pool_counts (t : t) : int * int =
            wp.w_send))
     t.wplans;
   (!fresh, !reused)
+
 (** Completed executions per flat op index after a run (processor 0's
     counters; control flow is replicated, so every processor's counts
     are identical). [Ir.Flat.src_of_op] joins them back to structured

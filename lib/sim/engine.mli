@@ -5,9 +5,11 @@
     of every array, executes the flattened IR greedily on its own
     virtual clock, and blocks only on message availability. Every wait
     is a blocking wait, so processors may run ahead of each other and
-    the simulation is fully deterministic. Communication runs through
-    pre-compiled blit plans, pooled staging buffers and dense ring
-    mailboxes (see DESIGN.md section 7). *)
+    the simulation is fully deterministic. Fringe transfers and
+    synthesized collective rounds share one message protocol: every
+    side of a transfer is compiled once, its payload either a blit plan
+    or a round role, and runs through pooled staging buffers and dense
+    ring mailboxes (see DESIGN.md section 7). *)
 
 (** A running or finished engine. *)
 type t
@@ -17,7 +19,10 @@ type t
 type proc
 
 (** Raised when no processor can make progress (a library/program
-    mismatch, e.g. a receive with no matching send). *)
+    mismatch, e.g. a receive with no matching send). The message names
+    the lowest-ranked stuck processor and what it waits for: the
+    transfer ([Ir.Transfer.describe]) and the partners whose data or
+    tokens are missing, or the pc of the reduction it waits in. *)
 exception Deadlock of string
 
 (** Raised when some single processor exceeds the instruction budget
@@ -26,8 +31,9 @@ exception Deadlock of string
 exception Instruction_limit of int
 
 (** The immutable, shareable half of an engine: the compiled comm
-    schedule bound to a layout, the wire blit plans, the collective role
-    tables, the reference-check tables, and the store-agnostic kernel
+    schedule bound to a layout, the message sides of every transfer
+    (blit plans for fringes, roles for collective rounds), the
+    reference-check tables, and the store-agnostic kernel
     programs (row plans, per-point where row compilation declines,
     compiled against shape-only stores — see the store-binding contract in
     [Runtime.Kernel]), one per geometry class: ranks whose stores agree
@@ -46,7 +52,8 @@ type plans
 
     Raises [Invalid_argument] if a stencil shift exceeds the smallest
     block extent of the mesh, or if a synthesized collective round was
-    compiled for a different mesh. *)
+    compiled for a different mesh, and [Failure] if a receive side has
+    no matching send side or the two disagree on the message layout. *)
 val plan :
   ?topology:Machine.Topology.t ->
   machine:Machine.Params.t ->
@@ -112,8 +119,9 @@ val topology : t -> Machine.Topology.t
     never claimed. *)
 val link_occupancy : t -> float array
 
-(** After a run: (staging buffers freshly allocated by the wire pools,
-    acquires served from the freelists). The split is a runtime
+(** After a run: (staging buffers freshly allocated by the send-side
+    pools of fringe transfers and collective rounds, acquires served
+    from the freelists). The split is a runtime
     diagnostic — it depends on how far senders ran ahead — and is not
     part of the deterministic {!Stats.t}. *)
 val pool_counts : t -> int * int

@@ -165,25 +165,31 @@ let bench name =
 let test_predict_verifies_jacobi () =
   let b = bench "jacobi" in
   List.iter
-    (fun topology ->
+    (fun collective ->
       List.iter
-        (fun (label, config, lib) ->
-          let spec =
-            Run.Spec.(
-              default b.Programs.Bench_def.source
-              |> with_defines b.Programs.Bench_def.test_defines
-              |> with_config config |> with_lib lib |> with_mesh 2 2
-              |> with_topology topology)
-          in
-          let t = Run.Predict.analyze spec in
-          match Run.Predict.verify t with
-          | [] -> ()
-          | errs ->
-              Alcotest.failf "jacobi [%s] %s:\n%s" label
-                (Machine.Topology.name topology)
-                (String.concat "\n" errs))
-        Report.Experiment.paper_rows)
-    Machine.Topology.[ Ideal; Mesh; Torus ]
+        (fun topology ->
+          List.iter
+            (fun (label, config, lib) ->
+              let spec =
+                Run.Spec.(
+                  default b.Programs.Bench_def.source
+                  |> with_defines b.Programs.Bench_def.test_defines
+                  |> with_config config |> with_collective collective
+                  |> with_lib lib |> with_mesh 2 2
+                  |> with_topology topology)
+              in
+              let t = Run.Predict.analyze spec in
+              match Run.Predict.verify t with
+              | [] -> ()
+              | errs ->
+                  Alcotest.failf "jacobi [%s] %s --collective=%s:\n%s" label
+                    (Machine.Topology.name topology)
+                    (Opt.Config.collective_name collective)
+                    (String.concat "\n" errs))
+            Report.Experiment.paper_rows)
+        Machine.Topology.[ Ideal; Mesh; Torus ])
+    (Opt.Config.Opaque :: Opt.Config.Auto
+    :: List.map (fun a -> Opt.Config.Forced a) Ir.Coll.all_algs)
 
 let test_predict_summary_exact () =
   let b = bench "synth" in

@@ -103,6 +103,49 @@ end;
   Alcotest.(check (float 0.)) "engine ran three trips" 3.0
     (Runtime.Store.get g [| 1; 1 |])
 
+(* pl hoists SR(A, east) above [s := +<< C] and leaves its DN below,
+   so on SHMEM a rank that has arrived at the reduction is woken by a
+   rendezvous token while it waits there. It must not arrive a second
+   time: that would charge its partial twice and make the next
+   reduction fold a stale partial, which B's final values expose. *)
+let reduce_window_src =
+  {|
+constant n = 12;
+region R = [1..n, 1..n];
+region BigR = [0..n+1, 0..n+1];
+direction e = [0, 1]; direction w = [0, -1];
+var A, B, C, D : [BigR] float;
+var s, u : float;
+procedure main();
+begin
+  [BigR] A := Index1 + 10.0 * Index2;
+  [BigR] C := Index1;
+  [R] B := A@w;
+  [R] C := B@w;
+  [R] s := +<< C;
+  [R] D := A@e + s;
+  [R] u := max<< D;
+  [R] B := D + u;
+end;
+|}
+
+let test_reduction_inside_transfer () =
+  let c = compile reduce_window_src in
+  let oracle = run_oracle c in
+  List.iter
+    (fun (pr, pc) ->
+      let name = Printf.sprintf "%dx%d shmem" pr pc in
+      let res = simulate ~lib:Machine.T3d.shmem ~mesh:(pr, pc) c in
+      (match first_divergence ~tolerance:0.0 c res oracle with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s: %a" name pp_divergence d);
+      Array.iter
+        (fun (pp : Sim.Stats.per_proc) ->
+          Alcotest.(check int) (name ^ ": reductions joined") 2
+            pp.Sim.Stats.reduces)
+        res.Sim.Engine.stats.Sim.Stats.procs)
+    [ (1, 4); (2, 3); (4, 4) ]
+
 let test_library_overheads_ordered () =
   let time lib = (Sim.Engine.run (make_engine ~lib stencil_src)).Sim.Engine.time in
   let csend = time Machine.Paragon.nx_sync in
@@ -138,6 +181,62 @@ let test_instruction_limit () =
     (match Sim.Engine.run (make_engine ~limit:10 stencil_src) with
     | _ -> false
     | exception Sim.Engine.Instruction_limit _ -> true)
+
+(* Deadlock diagnostics: dropping the first SR of one transfer from
+   2x2 Jacobi's flat ops must end in [Deadlock], naming the stuck
+   processor, the transfer and the partner it waits for — the same
+   message for a fringe transfer and for synthesized collective rounds,
+   which run as ordinary sides. *)
+let jacobi_flat collective =
+  let b = Option.get (Programs.Suite.find "jacobi") in
+  let spec =
+    Run.Spec.(
+      default b.Programs.Bench_def.source
+      |> with_defines b.Programs.Bench_def.test_defines
+      |> with_collective collective |> with_mesh 2 2)
+  in
+  (Run.Spec.build spec).Run.Spec.a_flat
+
+(** [flat] with its first SR of a transfer satisfying [pick] replaced by
+    a jump to the next op. *)
+let drop_first_sr (flat : Ir.Flat.t) pick =
+  let ops = Array.copy flat.Ir.Flat.ops in
+  let rec find i =
+    match ops.(i) with
+    | Ir.Flat.FComm (Ir.Instr.SR, x) when pick flat.Ir.Flat.transfers.(x) -> i
+    | _ -> find (i + 1)
+  in
+  let i = find 0 in
+  ops.(i) <- Ir.Flat.FJump (i + 1);
+  { flat with Ir.Flat.ops }
+
+let test_deadlock_message () =
+  let fringe (x : Ir.Transfer.t) = not (Ir.Transfer.is_coll x) in
+  List.iter
+    (fun (label, collective, pick, want) ->
+      let flat = drop_first_sr (jacobi_flat collective) pick in
+      let eng =
+        Sim.Engine.of_plans
+          (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
+             ~pr:2 ~pc:2 flat)
+      in
+      match Sim.Engine.run eng with
+      | _ -> Alcotest.failf "%s: dropped SR ran to completion" label
+      | exception Sim.Engine.Deadlock msg ->
+          Alcotest.(check string) label want msg)
+    [ ("fringe", Opt.Config.Opaque, fringe,
+        "proc 0 waiting for data of transfer x0:A@east from 1");
+      (* proc 0 owns the west edge, so it expects nothing of a westward
+         shift and runs on into the next reduction *)
+      ("fringe, proc 0 in the reduction", Opt.Config.Opaque,
+        (fun x -> fringe x && snd x.Ir.Transfer.off < 0),
+        "proc 0 waiting in the reduction at pc 19");
+      ("ring round", Opt.Config.Forced Ir.Coll.Ring, Ir.Transfer.is_coll,
+        "proc 0 waiting for data of transfer x9:ring:bcast[2/6]#s0 from 1");
+      ("recdouble round", Opt.Config.Forced Ir.Coll.Recdouble,
+        Ir.Transfer.is_coll,
+        "proc 0 waiting for data of transfer x4:recdouble:reduce[0/2]#s0 \
+         from 1") ]
 
 let test_wavefront_serializes () =
   (* a row-sweep over a distributed dimension must take longer than the
@@ -586,7 +685,9 @@ let () =
           Alcotest.test_case "gather == oracle" `Quick test_gather_matches_oracle;
           Alcotest.test_case "replicated scalars" `Quick test_replicated_scalars_agree;
           Alcotest.test_case "for bound read once == oracle" `Quick
-            test_for_bound_read_once ] );
+            test_for_bound_read_once;
+          Alcotest.test_case "reduction in SR..DN window" `Quick
+            test_reduction_inside_transfer ] );
       ( "geometry classes",
         [ Alcotest.test_case "even 8x8 mesh shares programs" `Quick
             test_even_mesh_classes;
@@ -612,4 +713,6 @@ let () =
             test_dispatch_alloc_gate ] );
       ( "guards",
         [ Alcotest.test_case "wide shift rejected" `Quick test_rejects_wide_shift;
-          Alcotest.test_case "instruction limit" `Quick test_instruction_limit ] ) ]
+          Alcotest.test_case "instruction limit" `Quick test_instruction_limit;
+          Alcotest.test_case "deadlock message" `Quick
+            test_deadlock_message ] ) ]

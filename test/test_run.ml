@@ -483,6 +483,33 @@ let test_fine_mesh_exits_1 () =
   Alcotest.(check int) "exit code" 1
     (Cli.Cmdline.handle (fun () -> ignore (Run.Spec.run spec)))
 
+(* A loop that never ends must stop at the instruction budget and leave
+   through the same guard: an [error:] line and exit 1, not an uncaught
+   [Sim.Engine.Instruction_limit]. A small budget keeps it fast. *)
+let spin_src =
+  {|
+var x : float;
+procedure main();
+begin
+  repeat
+    x := x + 1.0;
+  until x < 0.0;
+end;
+|}
+
+let test_runaway_loop_exits_1 () =
+  let file = Filename.temp_file "spin" ".zpl" in
+  Out_channel.with_open_text file (fun oc -> output_string oc spin_src);
+  let spec =
+    Cli.Cmdline.make_spec file [] Opt.Config.pl_cum None
+      (Machine.T3d.machine, Machine.T3d.pvm)
+      (1, 1) Machine.Topology.Ideal
+    |> Run.Spec.with_limit 1000
+  in
+  let code = Cli.Cmdline.handle (fun () -> ignore (Run.Spec.run spec)) in
+  Sys.remove file;
+  Alcotest.(check int) "exit code" 1 code
+
 let () =
   Alcotest.run "run"
     [ ( "cache",
@@ -516,4 +543,6 @@ let () =
             test_sweep_hostile_label ] );
       ( "cli",
         [ Alcotest.test_case "mesh finer than the array exits 1" `Quick
-            test_fine_mesh_exits_1 ] ) ]
+            test_fine_mesh_exits_1;
+          Alcotest.test_case "runaway loop exits 1" `Quick
+            test_runaway_loop_exits_1 ] ) ]
