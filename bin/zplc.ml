@@ -3,7 +3,7 @@
     {v
     zplc check    prog.zpl                  parse + typecheck
     zplc dump     prog.zpl -O cc --stage ir dump a compilation stage
-    zplc counts   prog.zpl [--compare]      static counts per optimization level
+    zplc counts   prog.zpl                  static counts per optimization level
     zplc analyze  prog.zpl --verify-counts  static comm-volume prediction
     zplc lint     prog.zpl | --all          verify schedules (all experiment rows)
     zplc run      prog.zpl -O pl --lib shmem -p 4x4 --verify --check
@@ -60,16 +60,7 @@ let dump_cmd =
     Term.(const run $ Cmdline.spec_term $ stage_arg)
 
 let counts_cmd =
-  let compare_arg =
-    Arg.(
-      value & flag
-      & info [ "compare" ]
-          ~doc:
-            "per communication site, diff the static activation/volume \
-             prediction against the engine's dynamic counters (on the \
-             default 4x4 T3D/PVM target) and exit nonzero on any mismatch")
-  in
-  let run src defines compare =
+  let run src defines =
     Cmdline.handle (fun () ->
         let base =
           Run.Spec.(
@@ -77,49 +68,23 @@ let counts_cmd =
         in
         (* one cache across the five configs: the program parses once *)
         let cache = Run.Cache.create () in
-        let configs =
-          Opt.Config.[ baseline; rr_only; cc_cum; pl_cum; pl_max_latency ]
-        in
-        if not compare then
-          let rows =
-            List.map
-              (fun config ->
-                let c = of_spec ~cache (Run.Spec.with_config config base) in
-                [ Opt.Config.name config;
-                  string_of_int (static_count c);
-                  string_of_int (Ir.Count.static_member_count c.ir) ])
-              configs
-          in
-          print_endline
-            (Report.Table.render
-               ~header:
-                 [ "optimization"; "static transfers"; "member messages" ]
-               rows)
-        else begin
-          let bad = ref 0 in
-          List.iter
+        let rows =
+          List.map
             (fun config ->
-              let spec = Run.Spec.with_config config base in
-              let t = Run.Predict.analyze ~cache spec in
-              Printf.printf "== %s ==\n" (Opt.Config.name config);
-              print_endline
-                (Report.Table.render ~header:Run.Predict.site_header
-                   (Run.Predict.site_rows t));
-              match Run.Predict.verify t with
-              | [] -> Printf.printf "static = dynamic: OK\n\n"
-              | ms ->
-                  bad := !bad + List.length ms;
-                  List.iter (fun m -> Printf.printf "MISMATCH %s\n" m) ms;
-                  print_newline ())
-            configs;
-          if !bad > 0 then
-            Fmt.failwith "static/dynamic count comparison failed: %d mismatch(es)"
-              !bad
-        end)
+              let c = of_spec ~cache (Run.Spec.with_config config base) in
+              [ Opt.Config.name config;
+                string_of_int (static_count c);
+                string_of_int (Ir.Count.static_member_count c.ir) ])
+            Opt.Config.[ baseline; rr_only; cc_cum; pl_cum; pl_max_latency ]
+        in
+        print_endline
+          (Report.Table.render
+             ~header:[ "optimization"; "static transfers"; "member messages" ]
+             rows))
   in
   Cmd.v
     (Cmd.info "counts" ~doc:"static communication counts per optimization level")
-    Term.(const run $ Cmdline.src_arg $ Cmdline.defines_arg $ compare_arg)
+    Term.(const run $ Cmdline.src_arg $ Cmdline.defines_arg)
 
 let analyze_cmd =
   let all_arg =
@@ -292,15 +257,6 @@ let lint_cmd =
       & info [] ~docv:"PROG"
           ~doc:"mini-ZPL source files or bundled benchmark names")
   in
-  let flat_arg =
-    Arg.(
-      value & flag
-      & info [ "flat" ]
-          ~doc:
-            "additionally verify the flattened (jump-threaded) instruction \
-             vector with the fixpoint flat checker — the form the simulator \
-             actually executes")
-  in
   let prune_arg =
     Arg.(
       value & flag
@@ -310,7 +266,7 @@ let lint_cmd =
              infeasible (precision-only: anything accepted unpruned stays \
              accepted)")
   in
-  let run progs defines all collective (pr, pc) topology flat prune =
+  let run progs defines all collective (pr, pc) topology prune =
     Cmdline.handle (fun () ->
         let targets =
           (if all then
@@ -346,15 +302,7 @@ let lint_cmd =
                   Opt.Passes.compile ~machine:Machine.T3d.machine ~lib
                     ~mesh:(pr, pc) ~topology config prog
                 in
-                let diags =
-                  Analysis.Schedcheck.check ~prune ir
-                  @
-                  if flat then
-                    Analysis.Schedcheck.check_flat ~prune
-                      (Ir.Flat.flatten ir)
-                  else []
-                in
-                match diags with
+                match Analysis.Schedcheck.check ~prune ir with
                 | [] -> Printf.printf "%s [%s]: OK\n" name label
                 | diags ->
                     bad := !bad + List.length diags;
@@ -377,7 +325,7 @@ let lint_cmd =
     Term.(
       const run $ progs_arg $ Cmdline.defines_arg $ all_arg
       $ Cmdline.collective_arg $ Cmdline.mesh_arg $ Cmdline.topology_arg
-      $ flat_arg $ prune_arg)
+      $ prune_arg)
 
 let run_cmd =
   let verify_arg =

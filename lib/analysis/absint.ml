@@ -1,6 +1,6 @@
 (** Scalar abstract interpretation: a constant/interval domain over the
     replicated scalars, run forward over the final IRONMAN IR through
-    {!Dataflow} (structured form) and a worklist (flattened form).
+    {!Dataflow}.
 
     The concrete semantics being abstracted is {!Runtime.Values.eval_env}:
     every processor evaluates scalar statements identically (SPMD), so
@@ -346,78 +346,3 @@ let analyze ?(prune = true) (p : Ir.Instr.program) : summary =
       ~init p.Ir.Instr.code
   in
   { s_decisions = decisions; s_trips = trips_tbl; s_hull = hull; s_exit = exit }
-
-(* ------------------------------------------------------------------ *)
-(* Flat (jump-threaded) analysis                                       *)
-(* ------------------------------------------------------------------ *)
-
-type flat_summary = {
-  f_states : state option array;
-      (** abstract state {e before} each op; [None] = unreachable *)
-  f_decisions : bool option array;
-      (** per [FJumpIfNot] op index: [Some b] when the condition is
-          provably [b] on every execution reaching it *)
-}
-
-let reachable_flat (f : flat_summary) idx = f.f_states.(idx) <> None
-let decide_flat (f : flat_summary) idx = f.f_decisions.(idx)
-
-(* join rounds at one op before the flat analysis widens there; flat
-   join points see one join per incoming visit, so the budget is larger
-   than the structured widen_delay *)
-let flat_widen_delay = 12
-
-let analyze_flat (f : Ir.Flat.t) : flat_summary =
-  let n = Array.length f.Ir.Flat.ops in
-  let states : state option array = Array.make n None in
-  let joins = Array.make n 0 in
-  let work = Queue.create () in
-  let enqueue idx st =
-    match states.(idx) with
-    | None ->
-        states.(idx) <- Some st;
-        Queue.add idx work
-    | Some old ->
-        let merged = state_join old st in
-        if not (state_equal old merged) then begin
-          joins.(idx) <- joins.(idx) + 1;
-          let next =
-            if joins.(idx) > flat_widen_delay then state_widen old merged
-            else merged
-          in
-          states.(idx) <- Some next;
-          Queue.add idx work
-        end
-  in
-  enqueue 0 (init_state f.Ir.Flat.prog);
-  while not (Queue.is_empty work) do
-    let idx = Queue.pop work in
-    match states.(idx) with
-    | None -> assert false
-    | Some st -> (
-        match f.Ir.Flat.ops.(idx) with
-        | Ir.Flat.FHalt -> ()
-        | Ir.Flat.FComm _ | Ir.Flat.FKernel _ | Ir.Flat.FCollPart _ ->
-            enqueue (idx + 1) st
-        | Ir.Flat.FScalar { lhs; rhs } ->
-            enqueue (idx + 1) (set st lhs (eval_state st rhs))
-        | Ir.Flat.FReduce r -> enqueue (idx + 1) (set st r.Zpl.Prog.r_lhs top)
-        | Ir.Flat.FCollFin w ->
-            enqueue (idx + 1) (set st w.Ir.Instr.cw_red.Zpl.Prog.r_lhs top)
-        | Ir.Flat.FJump target -> enqueue target st
-        | Ir.Flat.FJumpIfNot (cond, target) -> (
-            match decide_bool (eval_state st cond) with
-            | Some true -> enqueue (idx + 1) st
-            | Some false -> enqueue target st
-            | None ->
-                enqueue (idx + 1) st;
-                enqueue target st))
-  done;
-  let decisions =
-    Array.init n (fun idx ->
-        match (f.Ir.Flat.ops.(idx), states.(idx)) with
-        | Ir.Flat.FJumpIfNot (cond, _), Some st ->
-            decide_bool (eval_state st cond)
-        | _ -> None)
-  in
-  { f_states = states; f_decisions = decisions }

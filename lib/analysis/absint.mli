@@ -1,7 +1,7 @@
 (** Scalar abstract interpretation over the final IRONMAN IR: a
     constant/interval domain for the replicated scalars, run forward
-    through {!Dataflow} (structured form) and a worklist over
-    {!Ir.Flat.t} (jump-threaded form).
+    through {!Dataflow} over the structured form. {!Schedcheck} maps its
+    decisions onto the flattened form through [src_of_op].
 
     The concrete semantics abstracted is {!Runtime.Values.eval_env} on the
     SPMD scalar environment: every processor evaluates scalar statements
@@ -75,7 +75,8 @@ val for_trips : step:int -> lo:ival -> hi:ival -> ival
 (* ------------------------------------------------------------------ *)
 
 (** The result of one structured analysis run. Positions are the stable
-    preorder indices of {!Ir.Instr.size} (the [zplc dump --ir] lines). *)
+    preorder indices of {!Ir.Instr.size} (the [zplc dump --stage ir]
+    lines). *)
 type summary = {
   s_decisions : (int, bool) Hashtbl.t;
       (** [If] position -> the arm every feasible execution takes *)
@@ -98,25 +99,3 @@ val trips : summary -> int -> ival option
     what an unpruned checker walks. Decisions and trip counts are
     recorded either way. *)
 val analyze : ?prune:bool -> Ir.Instr.program -> summary
-
-(* ------------------------------------------------------------------ *)
-(* Flat analysis                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(** The result of a worklist run over the flattened form: per-op entry
-    states and per-[FJumpIfNot] decisions. Op indices are the
-    {!Ir.Flat.t} [ops] indices (the [zplc dump --flat] lines). *)
-type flat_summary = {
-  f_states : state option array;
-      (** abstract state before each op; [None] = unreachable *)
-  f_decisions : bool option array;
-      (** per [FJumpIfNot] index: [Some b] when the condition is
-          provably [b] on every execution reaching it *)
-}
-
-(** [reachable_flat f idx] — whether any feasible execution reaches op
-    [idx] (per the abstract semantics; unreachable is definite). *)
-val reachable_flat : flat_summary -> int -> bool
-
-val decide_flat : flat_summary -> int -> bool option
-val analyze_flat : Ir.Flat.t -> flat_summary

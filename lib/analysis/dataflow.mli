@@ -3,13 +3,13 @@
     code, meet over the arms of [If], and reach a fixpoint over the
     bodies of [Repeat] and [For]. Positions handed to the client are the
     stable preorder indices of {!Ir.Instr.size} — the same numbering
-    [zplc dump --ir] prints — so diagnostics derived from a run point at
+    [zplc dump --stage ir] prints — so results keyed by position point at
     concrete dump lines.
 
-    The framework is deliberately independent of the optimizer's own
-    bookkeeping ({!Ir.Block}): it sees only the emitted instruction
-    stream, which is what makes {!Schedcheck} a translation-validation
-    layer rather than a re-run of the optimizer's reasoning. *)
+    Its one client is the {!Absint} interval analysis. The framework is
+    independent of the optimizer's own bookkeeping ({!Ir.Block}): it
+    sees only the emitted instruction stream. {!Schedcheck} does not run
+    on it; it checks the flattened form the engine executes. *)
 
 type 'a ops = {
   equal : 'a -> 'a -> bool;

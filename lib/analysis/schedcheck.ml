@@ -1,8 +1,8 @@
 (** Schedcheck implementation. See the interface for the contract.
 
     The protocol, race, availability and collective checkers share one
-    abstract state flowing through {!Dataflow} (or, post-flattening,
-    through a small CFG worklist over {!Ir.Flat.t}):
+    abstract state flowing through a worklist fixpoint over the op CFG
+    of {!Ir.Flat.t}, the form the engine executes:
 
     - [phases] — per transfer id, where in the DR/SR/DN/SV cycle the
       current activation stands. The lattice is the five-point flat
@@ -20,8 +20,8 @@
       from {!Ir.Coll.rounds}, independently of the synthesizer, so a
       dropped, duplicated or reordered round cannot agree with it.
 
-    The order checker is a separate syntactic scan: rendezvous order is
-    a property of maximal runs of adjacent communication calls, not of
+    The order checker is a separate scan: rendezvous order is a
+    property of maximal runs of adjacent communication calls, not of
     the dataflow state. *)
 
 type checker = Protocol | Race | Availability | Order | Collective
@@ -36,15 +36,14 @@ let checker_name = function
 type diag = {
   d_checker : checker;
   d_pos : int;
-  d_flat : bool;
   d_xfer : int option;
   d_msg : string;
 }
 
 let pp_diag ppf d =
-  let pos = if d.d_flat then Zpl.Loc.Flat d.d_pos else Zpl.Loc.Instr d.d_pos in
   Fmt.string ppf
-    (Zpl.Loc.format_error pos (checker_name d.d_checker ^ ": " ^ d.d_msg))
+    (Zpl.Loc.format_error (Zpl.Loc.Instr d.d_pos)
+       (checker_name d.d_checker ^ ": " ^ d.d_msg))
 
 let diag_to_string d = Fmt.str "%a" pp_diag d
 
@@ -84,7 +83,7 @@ let state_meet a b =
           if a.coll.(s) = b.coll.(s) then a.coll.(s) else -2) }
 
 (* ------------------------------------------------------------------ *)
-(* Context shared by the structured and flat passes                    *)
+(* Context                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (** Canonical shape of one collective slot, re-derived from the transfer
@@ -102,9 +101,8 @@ type ctx = {
   slots : slot_info option array;  (** per collective slot *)
 }
 
-let make_ctx (prog : Zpl.Prog.t) (transfers : Ir.Transfer.t array)
-    ~(nslots : int) : ctx =
-  let slots = Array.make nslots None in
+let make_ctx (f : Ir.Flat.t) : ctx =
+  let slots = Array.make (Ir.Flat.coll_slots f) None in
   Array.iter
     (fun (x : Ir.Transfer.t) ->
       match x.Ir.Transfer.coll with
@@ -118,41 +116,15 @@ let make_ctx (prog : Zpl.Prog.t) (transfers : Ir.Transfer.t array)
                     (Ir.Coll.rounds d.Ir.Coll.cl_alg
                        ~nprocs:d.Ir.Coll.cl_nprocs) }
       | _ -> ())
-    transfers;
-  { prog; transfers; slots }
-
-let nslots_of (transfers : Ir.Transfer.t array) code_slots =
-  let n = ref code_slots in
-  Array.iter
-    (fun (x : Ir.Transfer.t) ->
-      match x.Ir.Transfer.coll with
-      | Some d -> n := max !n (d.Ir.Coll.cl_slot + 1)
-      | None -> ())
-    transfers;
-  !n
-
-(** Slots referenced by [CollPart]/[CollFin] instructions (needed when a
-    one-processor mesh synthesizes zero rounds, so the table is empty). *)
-let rec code_slots (code : Ir.Instr.instr list) =
-  List.fold_left
-    (fun n i ->
-      max n
-        (match i with
-        | Ir.Instr.CollPart w | Ir.Instr.CollFin w -> w.Ir.Instr.cw_slot + 1
-        | Ir.Instr.Repeat (b, _) -> code_slots b
-        | Ir.Instr.For { body; _ } -> code_slots body
-        | Ir.Instr.If (_, a, b) -> max (code_slots a) (code_slots b)
-        | Ir.Instr.Comm _ | Ir.Instr.Kernel _ | Ir.Instr.ScalarK _
-        | Ir.Instr.ReduceK _ ->
-            0))
-    0 code
+    f.Ir.Flat.transfers;
+  { prog = f.Ir.Flat.prog; transfers = f.Ir.Flat.transfers; slots }
 
 (** Static consistency of the transfer table's collective tags: every
     round of a slot must agree on algorithm, operator and processor
     count, and carry a (phase, round) the algorithm actually has. These
     are table properties, not path properties, so they are checked once
     here rather than in the dataflow. *)
-let table_diags (cx : ctx) ~flat ~end_pos : diag list =
+let table_diags (cx : ctx) ~end_pos : diag list =
   let diags = ref [] in
   let emit xfer fmt =
     Printf.ksprintf
@@ -160,7 +132,6 @@ let table_diags (cx : ctx) ~flat ~end_pos : diag list =
         diags :=
           { d_checker = Collective;
             d_pos = end_pos;
-            d_flat = flat;
             d_xfer = Some xfer;
             d_msg = msg }
           :: !diags)
@@ -203,11 +174,10 @@ let table_diags (cx : ctx) ~flat ~end_pos : diag list =
 (* Protocol, race, availability, collective: one transfer function     *)
 (* ------------------------------------------------------------------ *)
 
-(** The shared transfer function over atomic instructions. [emit] is
-    called for every diagnostic (a pre-rendered message); the caller
-    decides whether [final] suppresses it (the fixpoint discipline).
-    Structured control flow is the caller's business ({!Dataflow} or the
-    flat CFG worklist). *)
+(** The transfer function over flat ops. [emit] is called for every
+    diagnostic (a pre-rendered message); the caller decides whether
+    [final] suppresses it (the fixpoint discipline). Jumps pass the state
+    through: control flow is the CFG worklist's business. *)
 let make_transfer (cx : ctx)
     ~(emit : final:bool -> pos:int -> checker -> int option -> string -> unit)
     =
@@ -326,9 +296,9 @@ let make_transfer (cx : ctx)
     (if k >= 0 then coll.(s) <- min (k + 1) (Array.length si.si_rounds));
     { st with coll }
   in
-  fun ~final ~pos (i : Ir.Instr.instr) st ->
-    match i with
-    | Ir.Instr.Comm (c, t) ->
+  fun ~final ~pos (op : Ir.Flat.finstr) st ->
+    match op with
+    | Ir.Flat.FComm (c, t) ->
         let expected, next =
           match c with
           | Ir.Instr.DR -> (Idle, Ready)
@@ -361,10 +331,10 @@ let make_transfer (cx : ctx)
           | Some d -> coll_round ~final ~pos st t d
           | None -> st
         else st
-    | Ir.Instr.Kernel a ->
+    | Ir.Flat.FKernel a ->
         work ~final ~pos ~writes:[ a.Zpl.Prog.lhs ] ~rhs:a.Zpl.Prog.rhs st
-    | Ir.Instr.ReduceK r -> work ~final ~pos ~writes:[] ~rhs:r.Zpl.Prog.r_rhs st
-    | Ir.Instr.CollPart w ->
+    | Ir.Flat.FReduce r -> work ~final ~pos ~writes:[] ~rhs:r.Zpl.Prog.r_rhs st
+    | Ir.Flat.FCollPart w ->
         let st =
           work ~final ~pos ~writes:[] ~rhs:w.Ir.Instr.cw_red.Zpl.Prog.r_rhs st
         in
@@ -381,7 +351,7 @@ let make_transfer (cx : ctx)
           coll.(s) <- 0;
           { st with coll }
         end
-    | Ir.Instr.CollFin w ->
+    | Ir.Flat.FCollFin w ->
         let s = w.Ir.Instr.cw_slot in
         if s >= Array.length st.coll then st
         else begin
@@ -411,11 +381,11 @@ let make_transfer (cx : ctx)
           coll.(s) <- -1;
           { st with coll }
         end
-    | Ir.Instr.ScalarK _ -> st
-    | Ir.Instr.Repeat _ | Ir.Instr.For _ | Ir.Instr.If _ ->
-        assert false (* structured instrs are handled by the framework *)
+    | Ir.Flat.FScalar _ | Ir.Flat.FJump _ | Ir.Flat.FJumpIfNot _
+    | Ir.Flat.FHalt ->
+        st
 
-let end_state_diags (cx : ctx) ~flat ~end_pos (exit : state) : diag list =
+let end_state_diags (cx : ctx) ~end_pos (exit : state) : diag list =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   Array.iteri
@@ -424,7 +394,6 @@ let end_state_diags (cx : ctx) ~flat ~end_pos (exit : state) : diag list =
         add
           { d_checker = Protocol;
             d_pos = end_pos;
-            d_flat = flat;
             d_xfer = Some t;
             d_msg =
               Printf.sprintf
@@ -443,7 +412,6 @@ let end_state_diags (cx : ctx) ~flat ~end_pos (exit : state) : diag list =
         add
           { d_checker = Collective;
             d_pos = end_pos;
-            d_flat = flat;
             d_xfer = None;
             d_msg =
               Printf.sprintf
@@ -453,58 +421,11 @@ let end_state_diags (cx : ctx) ~flat ~end_pos (exit : state) : diag list =
     exit.coll;
   List.rev !diags
 
-(** Branch decisions for pruned checking, replayed from an {!Absint}
-    summary: a decided [If] walks its live arm only, and a [Repeat]
-    whose trip count is pinned to exactly one iteration skips its back
-    edge. Decisions are static lookups by position, so the hook answers
-    identically on every fixpoint round. *)
-let absint_branch (summary : Absint.summary) ~final:_ ~pos
-    (kind : Dataflow.branch_kind) _cond _st : bool option =
-  match kind with
-  | `If -> Absint.decision summary pos
-  | `Until -> (
-      match Absint.trips summary pos with
-      | Some t when Absint.equal_ival t (Absint.point 1.0) -> Some true
-      | _ -> None)
-
-let dataflow_diags ?summary (p : Ir.Instr.program) : diag list =
-  let cx =
-    make_ctx p.Ir.Instr.prog p.Ir.Instr.transfers
-      ~nslots:(nslots_of p.Ir.Instr.transfers (code_slots p.Ir.Instr.code))
-  in
-  let diags = ref [] in
-  let emit ~final ~pos checker xfer msg =
-    if final then
-      diags :=
-        { d_checker = checker;
-          d_pos = pos;
-          d_flat = false;
-          d_xfer = xfer;
-          d_msg = msg }
-        :: !diags
-  in
-  let transfer = make_transfer cx ~emit in
-  let init =
-    { phases = Array.make (Array.length cx.transfers) Idle;
-      avail = Avail.empty;
-      coll = Array.make (Array.length cx.slots) (-1) }
-  in
-  let branch = Option.map absint_branch summary in
-  let exit =
-    Dataflow.run ?branch
-      { Dataflow.equal = state_equal; meet = state_meet; transfer }
-      ~init p.Ir.Instr.code
-  in
-  let end_pos = Ir.Instr.size_list p.Ir.Instr.code in
-  List.rev !diags
-  @ table_diags cx ~flat:false ~end_pos
-  @ end_state_diags cx ~flat:false ~end_pos exit
-
 (* ------------------------------------------------------------------ *)
-(* SPMD rendezvous order: a syntactic scan over call runs              *)
+(* SPMD rendezvous order: a scan over call runs                       *)
 (* ------------------------------------------------------------------ *)
 
-(** Every maximal run of consecutive [Comm] instructions is one
+(** Every maximal run of consecutive communication calls is one
     rendezvous group: the emitter puts all calls scheduled at one block
     position adjacent to each other, and every processor executes the
     identical sequence (control conditions are replicated scalars). The
@@ -520,7 +441,7 @@ let dataflow_diags ?summary (p : Ir.Instr.program) : diag list =
     rounds between [CollPart]/[CollFin] — non-communication
     instructions — so a collective run never legally mixes with fringe
     calls; a mixed run is itself a diagnostic. *)
-let order_check (prog : Zpl.Prog.t) (transfers : Ir.Transfer.t array) ~flat
+let order_check (prog : Zpl.Prog.t) (transfers : Ir.Transfer.t array)
     ~(emit_diag : diag -> unit) =
   let xdesc t = Ir.Transfer.describe prog transfers.(t) in
   let emit pos xfer fmt =
@@ -529,7 +450,6 @@ let order_check (prog : Zpl.Prog.t) (transfers : Ir.Transfer.t array) ~flat
         emit_diag
           { d_checker = Order;
             d_pos = pos;
-            d_flat = flat;
             d_xfer = Some xfer;
             d_msg = msg })
       fmt
@@ -650,139 +570,78 @@ let order_check (prog : Zpl.Prog.t) (transfers : Ir.Transfer.t array) ~flat
   in
   check_run
 
-let order_diags ?summary (p : Ir.Instr.program) : diag list =
-  let diags = ref [] in
-  let check_run =
-    order_check p.Ir.Instr.prog p.Ir.Instr.transfers ~flat:false
-      ~emit_diag:(fun d -> diags := d :: !diags)
-  in
-  (* When pruning, a decided [If] contributes only its live arm: the
-     dead arm's calls can never execute, so ordering diagnostics there
-     would be spurious. Precision-only: with no summary both arms are
-     walked, which can only add diagnostics. *)
-  let decide pos =
-    match summary with None -> None | Some s -> Absint.decision s pos
-  in
-  let flush run = if run <> [] then check_run (List.rev run) in
-  let rec go pos run = function
-    | [] -> flush run
-    | Ir.Instr.Comm (c, t) :: rest -> go (pos + 1) ((pos, c, t) :: run) rest
-    | i :: rest ->
-        flush run;
-        (match i with
-        | Ir.Instr.Repeat (body, _) -> go (pos + 1) [] body
-        | Ir.Instr.For { body; _ } -> go (pos + 1) [] body
-        | Ir.Instr.If (_, a, b) -> (
-            match decide pos with
-            | Some true -> go (pos + 1) [] a
-            | Some false -> go (pos + 1 + Ir.Instr.size_list a) [] b
-            | None ->
-                go (pos + 1) [] a;
-                go (pos + 1 + Ir.Instr.size_list a) [] b)
-        | Ir.Instr.Comm _ | Ir.Instr.Kernel _ | Ir.Instr.ScalarK _
-        | Ir.Instr.ReduceK _ | Ir.Instr.CollPart _ | Ir.Instr.CollFin _ ->
-            ());
-        go (pos + Ir.Instr.size i) [] rest
-  in
-  go 0 [] p.Ir.Instr.code;
-  List.rev !diags
-
 (* ------------------------------------------------------------------ *)
-(* Post-flattening: the same checkers over the flat CFG                *)
+(* The checker: a worklist over the op CFG, then the order scan        *)
 (* ------------------------------------------------------------------ *)
 
-(** Atomic view of a flat op, for the shared transfer function; [None]
-    for pure control flow (state passes through unchanged). *)
-let atom_of : Ir.Flat.finstr -> Ir.Instr.instr option = function
-  | Ir.Flat.FComm (c, x) -> Some (Ir.Instr.Comm (c, x))
-  | Ir.Flat.FKernel a -> Some (Ir.Instr.Kernel a)
-  | Ir.Flat.FScalar { lhs; rhs } -> Some (Ir.Instr.ScalarK { lhs; rhs })
-  | Ir.Flat.FReduce r -> Some (Ir.Instr.ReduceK r)
-  | Ir.Flat.FCollPart w -> Some (Ir.Instr.CollPart w)
-  | Ir.Flat.FCollFin w -> Some (Ir.Instr.CollFin w)
-  | Ir.Flat.FJump _ | Ir.Flat.FJumpIfNot _ | Ir.Flat.FHalt -> None
-
-let flat_succs ?(decide = fun _ -> None) (ops : Ir.Flat.finstr array) i =
+(** Successors of op [i]; [decisions.(i) = Some b] says a conditional
+    jump's condition is [b] on every execution reaching it. *)
+let flat_succs (decisions : bool option array) (ops : Ir.Flat.finstr array) i
+    =
   match ops.(i) with
   | Ir.Flat.FJump t -> [ t ]
   | Ir.Flat.FJumpIfNot (_, t) -> (
-      match decide i with
+      match decisions.(i) with
       | Some true -> [ i + 1 ]
       | Some false -> [ t ]
       | None -> [ i + 1; t ])
   | Ir.Flat.FHalt -> []
   | _ -> [ i + 1 ]
 
-let flat_dataflow_diags ?fsummary (f : Ir.Flat.t) : diag list =
+(** Every checker over [f], under the conditional-jump [decisions].
+    Positions are the structured positions [src_of_op] maps each op to;
+    end-of-program and table diagnostics sit one past the last of them. *)
+let verify (decisions : bool option array) (f : Ir.Flat.t) : diag list =
   let ops = f.Ir.Flat.ops in
   let n = Array.length ops in
-  let cx =
-    make_ctx f.Ir.Flat.prog f.Ir.Flat.transfers
-      ~nslots:(Ir.Flat.coll_slots f)
-  in
+  let src i = f.Ir.Flat.src_of_op.(i) in
+  let end_pos = 1 + Array.fold_left max (-1) f.Ir.Flat.src_of_op in
+  let cx = make_ctx f in
   let diags = ref [] in
   let emit ~final ~pos checker xfer msg =
     if final then
       diags :=
-        { d_checker = checker;
-          d_pos = pos;
-          d_flat = true;
-          d_xfer = xfer;
-          d_msg = msg }
+        { d_checker = checker; d_pos = pos; d_xfer = xfer; d_msg = msg }
         :: !diags
   in
   let transfer = make_transfer cx ~emit in
-  let step ~final pos st =
-    match atom_of ops.(pos) with
-    | Some a -> transfer ~final ~pos a st
-    | None -> st
-  in
-  let init =
-    { phases = Array.make (Array.length cx.transfers) Idle;
-      avail = Avail.empty;
-      coll = Array.make (Array.length cx.slots) (-1) }
-  in
-  (* With a flat abstract-interpretation summary, decided conditional
-     jumps contribute their live successor only; ops the pruned CFG
-     cannot reach never acquire an in-state and are never replayed.
-     Precision-only: pruning can only shrink the emitted set. *)
-  let decide i =
-    match fsummary with
-    | None -> None
-    | Some fs -> Absint.decide_flat fs i
-  in
+  let step ~final i st = transfer ~final ~pos:(src i) ops.(i) st in
   (* forward worklist fixpoint over the op CFG; the lattice has finite
-     height, so it terminates without widening *)
+     height, so it terminates without widening. Ops the decided jumps
+     cut off never acquire an in-state. *)
   let instate : state option array = Array.make n None in
-  instate.(0) <- Some init;
+  instate.(0) <-
+    Some
+      { phases = Array.make (Array.length cx.transfers) Idle;
+        avail = Avail.empty;
+        coll = Array.make (Array.length cx.slots) (-1) };
   let work = Queue.create () in
   Queue.push 0 work;
   let rounds = ref 0 in
   while not (Queue.is_empty work) do
     incr rounds;
     if !rounds > n * 10000 then
-      failwith "Schedcheck.check_flat: fixpoint did not converge";
+      failwith "Schedcheck: fixpoint did not converge";
     let i = Queue.pop work in
-    match instate.(i) with
-    | None -> assert false
-    | Some st ->
-        let out = step ~final:false i st in
-        List.iter
-          (fun j ->
-            if j >= 0 && j < n then
-              match instate.(j) with
-              | None ->
-                  instate.(j) <- Some out;
-                  Queue.push j work
-              | Some old ->
-                  let m = state_meet old out in
-                  if not (state_equal m old) then begin
-                    instate.(j) <- Some m;
-                    Queue.push j work
-                  end)
-          (flat_succs ~decide ops i)
+    let out = step ~final:false i (Option.get instate.(i)) in
+    List.iter
+      (fun j ->
+        if j >= 0 && j < n then
+          match instate.(j) with
+          | None ->
+              instate.(j) <- Some out;
+              Queue.push j work
+          | Some old ->
+              let m = state_meet old out in
+              if not (state_equal m old) then begin
+                instate.(j) <- Some m;
+                Queue.push j work
+              end)
+      (flat_succs decisions ops i)
   done;
-  (* replay every reachable op once from its stable in-state, emitting *)
+  (* replay every reachable op once from its stable in-state, emitting;
+     each [FHalt] reached checks the end state *)
+  let ends = ref [] in
   Array.iteri
     (fun i st ->
       match st with
@@ -790,35 +649,23 @@ let flat_dataflow_diags ?fsummary (f : Ir.Flat.t) : diag list =
       | Some st -> (
           ignore (step ~final:true i st);
           match ops.(i) with
-          | Ir.Flat.FHalt ->
-              List.iter
-                (fun d -> diags := d :: !diags)
-                (List.rev (end_state_diags cx ~flat:true ~end_pos:i st))
+          | Ir.Flat.FHalt -> ends := !ends @ end_state_diags cx ~end_pos st
           | _ -> ()))
     instate;
-  List.rev !diags @ table_diags cx ~flat:true ~end_pos:(n - 1)
-
-let flat_order_diags ?fsummary (f : Ir.Flat.t) : diag list =
-  let ops = f.Ir.Flat.ops in
-  let n = Array.length ops in
-  let diags = ref [] in
+  let flow = List.rev !diags @ table_diags cx ~end_pos @ !ends in
+  (* Rendezvous order over maximal runs of reachable [FComm]s. A jump
+     target starts a new run: two processors may reach it along
+     different paths, so adjacency across the boundary is not an SPMD
+     property. *)
+  let order = ref [] in
   let check_run =
-    order_check f.Ir.Flat.prog f.Ir.Flat.transfers ~flat:true
-      ~emit_diag:(fun d -> diags := d :: !diags)
+    order_check cx.prog cx.transfers ~emit_diag:(fun d -> order := d :: !order)
   in
-  let reachable i =
-    match fsummary with
-    | None -> true
-    | Some fs -> Absint.reachable_flat fs i
-  in
-  (* a jump target starts a new rendezvous group: two processors may
-     reach it along different paths, so adjacency across the boundary is
-     not an SPMD property *)
   let target = Array.make (n + 1) false in
   Array.iter
     (function
-      | Ir.Flat.FJump t -> if t >= 0 && t <= n then target.(t) <- true
-      | Ir.Flat.FJumpIfNot (_, t) -> if t >= 0 && t <= n then target.(t) <- true
+      | Ir.Flat.FJump t | Ir.Flat.FJumpIfNot (_, t) ->
+          if t >= 0 && t <= n then target.(t) <- true
       | _ -> ())
     ops;
   let run = ref [] in
@@ -829,33 +676,56 @@ let flat_order_diags ?fsummary (f : Ir.Flat.t) : diag list =
   Array.iteri
     (fun i op ->
       if target.(i) then flush ();
-      if not (reachable i) then flush ()
+      if Option.is_none instate.(i) then flush ()
       else
         match op with
-        | Ir.Flat.FComm (c, t) -> run := (i, c, t) :: !run
+        | Ir.Flat.FComm (c, t) -> run := (src i, c, t) :: !run
         | _ -> flush ())
     ops;
   flush ();
-  List.rev !diags
+  List.stable_sort
+    (fun a b -> compare a.d_pos b.d_pos)
+    (flow @ List.rev !order)
+
+(** Conditional-jump decisions for pruned checking, mapped from the
+    structured {!Absint} summary through [src_of_op]: the jump of a
+    decided [If] takes its live arm, a [Repeat] whose trip count is
+    exactly 1 never loops back, and a [For] whose trip count is exactly
+    0 never enters its body. [Repeat] is the only construct that jumps
+    backward, and [For] the only one with a zero trip count. *)
+let pruned_decisions (p : Ir.Instr.program) (f : Ir.Flat.t) :
+    bool option array =
+  let s = Absint.analyze p in
+  let trips_are v pos =
+    match Absint.trips s pos with
+    | Some t -> Absint.equal_ival t (Absint.point v)
+    | None -> false
+  in
+  Array.mapi
+    (fun i op ->
+      match op with
+      | Ir.Flat.FJumpIfNot (_, target) -> (
+          let pos = f.Ir.Flat.src_of_op.(i) in
+          match Absint.decision s pos with
+          | Some _ as d -> d
+          | None ->
+              if target <= i then
+                if trips_are 1.0 pos then Some true else None
+              else if trips_are 0.0 pos then Some false
+              else None)
+      | _ -> None)
+    f.Ir.Flat.ops
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let check ?(prune = false) (p : Ir.Instr.program) : diag list =
-  let summary = if prune then Some (Absint.analyze p) else None in
-  List.stable_sort
-    (fun a b -> compare a.d_pos b.d_pos)
-    (dataflow_diags ?summary p @ order_diags ?summary p)
+let check_flat (f : Ir.Flat.t) : diag list =
+  verify (Array.make (Array.length f.Ir.Flat.ops) None) f
 
-(** The same checkers over the flattened op vector: the flattener (jump
-    threading) and collective expansion ordering sit inside the verified
-    boundary. Positions are flat op indices ([flat#N]). *)
-let check_flat ?(prune = false) (f : Ir.Flat.t) : diag list =
-  let fsummary = if prune then Some (Absint.analyze_flat f) else None in
-  List.stable_sort
-    (fun a b -> compare a.d_pos b.d_pos)
-    (flat_dataflow_diags ?fsummary f @ flat_order_diags ?fsummary f)
+let check ?(prune = false) (p : Ir.Instr.program) : diag list =
+  let f = Ir.Flat.flatten p in
+  if prune then verify (pruned_decisions p f) f else check_flat f
 
 let check_exn ?prune (p : Ir.Instr.program) : unit =
   match check ?prune p with
@@ -863,17 +733,6 @@ let check_exn ?prune (p : Ir.Instr.program) : unit =
   | ds ->
       failwith
         (Printf.sprintf "schedule verification failed (%d diagnostic%s):\n%s"
-           (List.length ds)
-           (if List.length ds = 1 then "" else "s")
-           (String.concat "\n" (List.map diag_to_string ds)))
-
-let check_flat_exn ?prune (f : Ir.Flat.t) : unit =
-  match check_flat ?prune f with
-  | [] -> ()
-  | ds ->
-      failwith
-        (Printf.sprintf
-           "flat schedule verification failed (%d diagnostic%s):\n%s"
            (List.length ds)
            (if List.length ds = 1 then "" else "s")
            (String.concat "\n" (List.map diag_to_string ds)))

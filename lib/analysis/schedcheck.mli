@@ -10,10 +10,14 @@
     run). Schedcheck closes the gap in the translation-validation style:
     it re-derives correctness of the {e final} {!Ir.Instr.program} from
     the instruction stream alone, using none of the optimizer's
-    bookkeeping.
+    bookkeeping. It checks the program in the form the engine executes:
+    {!Ir.Flat.flatten}'s op vector, so the jump threading and the
+    placement of collective rounds relative to back edges sit inside the
+    verified boundary.
 
-    Five checkers run over one forward {!Dataflow} pass (plus one
-    syntactic scan):
+    Five checkers run over one forward worklist fixpoint on the op CFG
+    (fallthrough, [FJump], both arms of [FJumpIfNot]), plus one scan of
+    the communication runs:
 
     - {b protocol} — on every path, each transfer's calls occur in
       DR ≤ SR ≤ DN ≤ SV order, exactly once per activation; no orphan,
@@ -44,9 +48,10 @@
 
     Positions in diagnostics are the stable preorder instruction indices
     of {!Ir.Instr.size}, i.e. the [N:] lines of
-    {!Ir.Printer.program_to_annotated_string} ([zplc dump --ir]); for
-    {!check_flat} they are flat op indices, the [N:] lines of
-    [zplc dump --flat], rendered as [flat#N]. *)
+    {!Ir.Printer.program_to_annotated_string} ([zplc dump --stage ir]),
+    rendered as [ir#N]: each op is mapped back through the [src_of_op]
+    of {!Ir.Flat.t}. Diagnostics about the end of the program or the
+    transfer table sit one past the last structured position. *)
 
 type checker = Protocol | Race | Availability | Order | Collective
 
@@ -54,8 +59,7 @@ val checker_name : checker -> string
 
 type diag = {
   d_checker : checker;
-  d_pos : int;  (** stable instruction index (or flat op index when [d_flat]); one past the last for end-of-program diagnostics *)
-  d_flat : bool;  (** position is a flat op index ([flat#N]) *)
+  d_pos : int;  (** stable instruction index; one past the last for end-of-program diagnostics *)
   d_xfer : int option;  (** transfer id, when one is implicated *)
   d_msg : string;  (** includes the {!Ir.Transfer.describe} string *)
 }
@@ -64,37 +68,26 @@ val pp_diag : Format.formatter -> diag -> unit
 val diag_to_string : diag -> string
 
 (** All diagnostics, sorted by position. [[]] means the schedule passed
-    every checker.
+    every checker. [p] is flattened and the op vector checked; a jump
+    target starts a new rendezvous group for the order checker, since
+    adjacency across a join is not an SPMD property.
 
     [~prune:true] (default [false]) first runs the {!Absint} scalar
-    interval analysis and skips branches it proves infeasible: a decided
-    [If] contributes only its live arm (to every checker, including the
-    syntactic order scan), and a [Repeat] whose trip count is pinned to
-    exactly one iteration skips its back edge. The contract is
-    {e precision-only}: pruning can only remove diagnostics, never add
-    them — any schedule accepted unpruned is accepted pruned, so callers
-    may enable it freely to avoid false positives in statically-dead
-    code. *)
+    interval analysis of [p] and maps it onto the flat conditional
+    jumps: a decided [If] takes its live arm only, a [Repeat] whose trip
+    count is exactly 1 never loops back, and a [For] whose trip count is
+    exactly 0 never enters its body. Ops the pruned CFG cannot reach are
+    checked by no checker. The contract is {e precision-only}: pruning
+    can only remove diagnostics, never add them — any schedule accepted
+    unpruned is accepted pruned, so callers may enable it freely to
+    avoid false positives in statically-dead code. *)
 val check : ?prune:bool -> Ir.Instr.program -> diag list
 
-(** The same checkers over the flattened op vector, so the flattener's
-    jump threading and the placement of collective rounds relative to
-    back edges sit inside the verified boundary. Control flow is the op
-    CFG (fallthrough, [FJump], both arms of [FJumpIfNot]), solved by a
-    worklist fixpoint; every [FHalt] must be reached with all transfers
-    idle and no collective open. A jump target starts a new rendezvous
-    group for the order checker: adjacency across a join is not an SPMD
-    property.
-
-    [~prune:true] uses {!Absint.analyze_flat}: decided conditional jumps
-    contribute their live successor only, and ops the pruned CFG cannot
-    reach are checked by no checker. Same precision-only contract as
-    {!check}. *)
-val check_flat : ?prune:bool -> Ir.Flat.t -> diag list
+(** The same checkers, unpruned, over an op vector given directly — for
+    checking a vector edited after flattening. Positions still go
+    through its [src_of_op]. *)
+val check_flat : Ir.Flat.t -> diag list
 
 (** [check_exn p] raises [Failure] with one rendered diagnostic per line
     if {!check} finds anything. *)
 val check_exn : ?prune:bool -> Ir.Instr.program -> unit
-
-(** [check_flat_exn f] likewise for {!check_flat}. *)
-val check_flat_exn : ?prune:bool -> Ir.Flat.t -> unit

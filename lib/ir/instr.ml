@@ -53,7 +53,7 @@ type program = {
     is the shared coordinate system of [Printer] (annotated dumps) and
     [Analysis] (schedcheck diagnostics): both walk in preorder, so an
     [ir#N] position in a diagnostic is the [N:]-prefixed line of
-    [zplc dump --ir]. *)
+    [zplc dump --stage ir]. *)
 let rec size = function
   | Comm _ | Kernel _ | ScalarK _ | ReduceK _ | CollPart _ | CollFin _ -> 1
   | Repeat (body, _) -> 1 + size_list body

@@ -37,7 +37,8 @@ let optimize ?prog (config : Config.t) (code : Ir.Block.code) : Ir.Block.code =
   |> pass "pl" config.Config.pl Pipeline.run
 
 (** Compile a typed program under [config] to the final IR. [check]
-    additionally runs the schedcheck verifier on the emitted program.
+    additionally runs the schedcheck verifier on the emitted program's
+    flattened form.
     [machine]/[lib]/[mesh]/[topology] only matter when
     [config.collective] is not [Opaque]: collective synthesis bakes the
     mesh size into its round structure and searches the machine's cost

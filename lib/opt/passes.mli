@@ -21,8 +21,8 @@ val optimize : ?prog:Zpl.Prog.t -> Config.t -> Ir.Block.code -> Ir.Block.code
 (** Full pipeline: typed program to final IRONMAN IR. With [~check:true]
     the emitted program is additionally verified by
     {!Analysis.Schedcheck.check_exn} — an independent dataflow pass over
-    the final instruction stream ([Failure] carries one diagnostic per
-    line). [machine]/[lib]/[mesh]/[topology] (defaults: T3D, PVM, 4x4,
+    the flattened form the engine executes, with [ir#N] positions in
+    this program ([Failure] carries one diagnostic per line). [machine]/[lib]/[mesh]/[topology] (defaults: T3D, PVM, 4x4,
     ideal) are the collective-synthesis targets — the cost model
     searched (hop- and congestion-aware under mesh/torus) and the mesh
     size baked into the synthesized round structure; irrelevant under

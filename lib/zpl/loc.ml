@@ -10,16 +10,13 @@ let pp ppf { line; col } = Fmt.pf ppf "%d:%d" line col
     lexer, parser and checker) point at source text by line:col; IR-level
     diagnostics (schedcheck) point at the stable instruction index of the
     final communication IR, the [ir#N] of the [N:]-prefixed lines of
-    [zplc dump --ir]; post-flattening diagnostics point at the op index
-    of the flat instruction vector, the [flat#N] of [zplc dump --flat].
-    All render through {!format_error}, so every diagnostic in the
-    system reads "<position>: <message>". *)
-type pos = Src of t | Instr of int | Flat of int
+    [zplc dump --stage ir]. Both render through {!format_error}, so every
+    diagnostic in the system reads "<position>: <message>". *)
+type pos = Src of t | Instr of int
 
 let pp_pos ppf = function
   | Src l -> pp ppf l
   | Instr i -> Fmt.pf ppf "ir#%d" i
-  | Flat i -> Fmt.pf ppf "flat#%d" i
 
 (** The one diagnostic shape: "<position>: <message>". *)
 let format_error pos msg = Fmt.str "%a: %s" pp_pos pos msg

@@ -130,31 +130,6 @@ end;
       Alcotest.(check bool) "unbounded above" true (t.A.hi = Float.infinity)
   | _ -> Alcotest.fail "expected exactly one loop summary"
 
-let test_flat_reachability () =
-  let ir =
-    compile_nodbe
-      (prelude
-     ^ {|
-constant flag = 0;
-var x : float;
-procedure main();
-begin
-  if flag > 0 then x := 1.0; end;
-  [R] A := 1.0;
-end;
-|})
-  in
-  let f = Ir.Flat.flatten ir in
-  let fs = A.analyze_flat f in
-  let decided = Array.to_list fs.A.f_decisions |> List.filter_map Fun.id in
-  Alcotest.(check (list bool)) "the guard jump is decided" [ false ] decided;
-  let dead = ref 0 in
-  Array.iteri
-    (fun i _ -> if not (A.reachable_flat fs i) then incr dead)
-    f.Ir.Flat.ops;
-  Alcotest.(check bool) "the dead arm's ops are unreachable" true (!dead > 0);
-  Alcotest.(check bool) "entry reachable" true (A.reachable_flat fs 0)
-
 (* ------------------------------------------------------------------ *)
 (* Commvol + Predict: engine-validated static predictions              *)
 (* ------------------------------------------------------------------ *)
@@ -322,9 +297,7 @@ let () =
         [ Alcotest.test_case "decisions, trips, hull" `Quick
             test_structured_summary;
           Alcotest.test_case "repeat widening terminates" `Quick
-            test_repeat_widening_terminates;
-          Alcotest.test_case "flat reachability" `Quick test_flat_reachability
-        ] );
+            test_repeat_widening_terminates ] );
       ( "predict",
         [ Alcotest.test_case "jacobi verified on all rows x topologies"
             `Quick test_predict_verifies_jacobi;

@@ -118,7 +118,7 @@ let auto_picks_choice () =
 (* ------------------------------------------------------------------ *)
 
 (** Every benchmark x experiment row x forced algorithm (and auto) must
-    be clean under both the structured checker and the flat checker. *)
+    be schedcheck-clean. *)
 let schedcheck_clean_case (b : Programs.Bench_def.t) =
   Alcotest.test_case b.Programs.Bench_def.name `Quick (fun () ->
       let modes =
@@ -130,18 +130,11 @@ let schedcheck_clean_case (b : Programs.Bench_def.t) =
             (fun collective ->
               let config = { config with Opt.Config.collective } in
               let c = compile_bench ~config ~lib ~mesh:(2, 2) b in
-              (match Analysis.Schedcheck.check c.ir with
+              match Analysis.Schedcheck.check c.ir with
               | [] -> ()
               | d :: _ ->
                   Alcotest.failf "%s/%s/%s: %s" b.Programs.Bench_def.name
                     label
-                    (Opt.Config.collective_name collective)
-                    (Analysis.Schedcheck.diag_to_string d));
-              match Analysis.Schedcheck.check_flat c.flat with
-              | [] -> ()
-              | d :: _ ->
-                  Alcotest.failf "%s/%s/%s (flat): %s"
-                    b.Programs.Bench_def.name label
                     (Opt.Config.collective_name collective)
                     (Analysis.Schedcheck.diag_to_string d))
             modes)
@@ -381,9 +374,6 @@ let random_programs_agree () =
         Alcotest.(check (list Alcotest.reject))
           "random program schedcheck-clean" []
           (Analysis.Schedcheck.check c.ir);
-        Alcotest.(check (list Alcotest.reject))
-          "random program flat-clean" []
-          (Analysis.Schedcheck.check_flat c.flat);
         let res = verify ~mesh ~tolerance:1e-9 c in
         check_replication (Ir.Coll.alg_name alg) res;
         check_arrays (Ir.Coll.alg_name alg) ~tolerance:1e-9 c.prog opaque_res
@@ -474,7 +464,7 @@ let mutation_dropped_round () =
            diags)
 
 (** The same dropped-rendezvous mutation applied post-flattening must be
-    caught by [check_flat] — the pass [zplc lint --flat] exposes. *)
+    caught by [check_flat], which checks an edited op vector directly. *)
 let mutation_flat () =
   let b = List.hd benches in
   let c = compile_bench ~config:(forced Ir.Coll.Binomial) ~mesh:(2, 2) b in

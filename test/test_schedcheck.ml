@@ -72,6 +72,28 @@ let swap_adjacent p1 p2 code =
 
 let is_comm c t = fun i -> i = I.Comm (c, t)
 
+(** Replace the [k]-th [Comm] (in {!map_lists} visiting order) by
+    [f] of it. *)
+let edit_nth_comm k f code =
+  let seen = ref (-1) in
+  map_lists
+    (List.concat_map (function
+      | I.Comm _ as i ->
+          incr seen;
+          if !seen = k then f i else [ i ]
+      | i -> [ i ]))
+    code
+
+let count_comms code =
+  let n = ref 0 in
+  ignore
+    (map_lists
+       (List.map (fun i ->
+            (match i with I.Comm _ -> incr n | _ -> ());
+            i))
+       code);
+  !n
+
 (* ------------------------------------------------------------------ *)
 (* Fixture: a two-statement loop whose schedule we know exactly        *)
 (* ------------------------------------------------------------------ *)
@@ -229,6 +251,62 @@ let test_split_dn_sv_pair () =
   assert_rejected ~name:"split DN/SV pair" ~intended:S.Order ~xfer:0
     (swap_adjacent (is_comm I.SV 0) (is_comm I.DN 1))
 
+let jacobi_2x2 () =
+  let b = Option.get (Programs.Suite.find "jacobi") in
+  Opt.Passes.compile ~mesh:(2, 2) Opt.Config.pl_cum
+    (Programs.Suite.compile ~scale:`Test b)
+
+let test_loop_head_group () =
+  (* jacobi's repeat body opens with DR(x0) at ir#3, a jump target of
+     the flat form: the group starting there still contains that call,
+     so a duplicate right after it breaks the group's id order *)
+  let ir = jacobi_2x2 () in
+  let ir' = { ir with I.code = dup (is_comm I.DR 0) ir.I.code } in
+  Alcotest.(check (list (pair string int)))
+    "protocol and order at the duplicate"
+    [ ("protocol", 4); ("order", 4) ]
+    (List.map (fun d -> (S.checker_name d.S.d_checker, d.S.d_pos)) (S.check ir'))
+
+let test_mutation_grid () =
+  (* drop or duplicate each call in turn, on jacobi and tomcatv under
+     every experiment row, opaque and synthesized: every mutant must be
+     caught with and without pruning, and the pruned diagnostics must
+     be a subset of the unpruned ones (the precision-only contract) *)
+  List.iter
+    (fun name ->
+      let b = Option.get (Programs.Suite.find name) in
+      let prog = Programs.Suite.compile ~scale:`Test b in
+      List.iter
+        (fun (label, (config : Opt.Config.t), lib) ->
+          List.iter
+            (fun collective ->
+              let config = { config with Opt.Config.collective } in
+              let ir = Opt.Passes.compile ~lib ~mesh:(2, 2) config prog in
+              for k = 0 to count_comms ir.I.code - 1 do
+                List.iter
+                  (fun (what, f) ->
+                    let m = { ir with I.code = edit_nth_comm k f ir.I.code } in
+                    let diags prune =
+                      List.map S.diag_to_string (S.check ~prune m)
+                    in
+                    let full = diags false and pruned = diags true in
+                    let where =
+                      Printf.sprintf "%s [%s] %s: %s call %d" name label
+                        (Opt.Config.collective_name collective)
+                        what k
+                    in
+                    if pruned = [] then Alcotest.failf "%s: not caught" where;
+                    List.iter
+                      (fun d ->
+                        if not (List.mem d full) then
+                          Alcotest.failf "%s: pruning added %s" where d)
+                      pruned)
+                  [ ("drop", fun _ -> []); ("duplicate", fun i -> [ i; i ]) ]
+              done)
+            [ Opt.Config.Opaque; Opt.Config.Forced Ir.Coll.Binomial ])
+        Report.Experiment.paper_rows)
+    [ "jacobi"; "tomcatv" ]
+
 (* ------------------------------------------------------------------ *)
 (* Branch pruning: statically-infeasible arms                          *)
 (* ------------------------------------------------------------------ *)
@@ -268,13 +346,7 @@ let test_prune_infeasible_branch () =
       Alcotest.(check bool) "protocol fired unpruned" true
         (List.mem S.Protocol (checkers ds)));
   Alcotest.(check (list string)) "pruned accepts" []
-    (List.map S.diag_to_string (S.check ~prune:true ir'));
-  let f = Ir.Flat.flatten ir' in
-  (match S.check_flat f with
-  | [] -> Alcotest.fail "unpruned flat check accepted the guarded violation"
-  | _ -> ());
-  Alcotest.(check (list string)) "pruned flat accepts" []
-    (List.map S.diag_to_string (S.check_flat ~prune:true f))
+    (List.map S.diag_to_string (S.check ~prune:true ir'))
 
 let test_prune_keeps_live_arm () =
   (* a decided-true guard: pruning must still check the live arm *)
@@ -320,14 +392,29 @@ let test_prune_undecided_guard_reported () =
       | ds ->
           Alcotest.(check bool) "protocol fired" true
             (List.mem S.Protocol (checkers ds)))
-    [ false; true ];
-  let f = Ir.Flat.flatten ir' in
-  List.iter
-    (fun prune ->
-      if S.check_flat ~prune f = [] then
-        Alcotest.failf "undecided guard pruned away in flat form (prune=%b)"
-          prune)
     [ false; true ]
+
+let test_prune_zero_trip_loop () =
+  (* [for i := 1 to 0 do DN(x0) end] appended to jacobi: the body never
+     runs, so pruning must not check it — the head test is decided
+     false on entry *)
+  let ir = jacobi_2x2 () in
+  let zero_trip =
+    I.For
+      { var = 0;
+        lo = Zpl.Prog.SInt 1;
+        hi = Zpl.Prog.SInt 0;
+        step = 1;
+        body = [ stray_dn ] }
+  in
+  let ir' = { ir with I.code = ir.I.code @ [ zero_trip ] } in
+  (match S.check ir' with
+  | [] -> Alcotest.fail "unpruned check accepted the zero-trip body"
+  | ds ->
+      Alcotest.(check bool) "protocol fired unpruned" true
+        (List.mem S.Protocol (checkers ds)));
+  Alcotest.(check (list string)) "pruned accepts" []
+    (List.map S.diag_to_string (S.check ~prune:true ir'))
 
 let test_prune_grid_unchanged () =
   (* on the real benchmark grid (no infeasible branches) pruning must
@@ -481,7 +568,11 @@ let () =
           Alcotest.test_case "split DN/SV pair -> order" `Quick
             test_split_dn_sv_pair;
           Alcotest.test_case "incomplete activation at end" `Quick
-            test_incomplete_at_end ] );
+            test_incomplete_at_end;
+          Alcotest.test_case "duplicate call opening a loop body -> order"
+            `Quick test_loop_head_group;
+          Alcotest.test_case "every dropped or duplicated call caught" `Quick
+            test_mutation_grid ] );
       ( "pruning",
         [ Alcotest.test_case "infeasible arm: pruned accepts, unpruned reports"
             `Quick test_prune_infeasible_branch;
@@ -489,6 +580,8 @@ let () =
             test_prune_keeps_live_arm;
           Alcotest.test_case "undecided guard reported either way" `Quick
             test_prune_undecided_guard_reported;
+          Alcotest.test_case "zero-trip for: pruned accepts, unpruned reports"
+            `Quick test_prune_zero_trip_loop;
           Alcotest.test_case "benchmark grid clean with pruning" `Quick
             test_prune_grid_unchanged ] );
       ( "pipeline",
