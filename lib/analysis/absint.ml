@@ -1,6 +1,7 @@
 (** Scalar abstract interpretation: a constant/interval domain over the
-    replicated scalars, run forward over the final IRONMAN IR through
-    {!Dataflow}.
+    replicated scalars, run two ways — a fixpoint analysis over the
+    final IRONMAN IR ({!analyze}) and a fixpoint-free feasible-path walk
+    over the typed program ({!live_body}).
 
     The concrete semantics being abstracted is {!Runtime.Values.eval_env}:
     every processor evaluates scalar statements identically (SPMD), so
@@ -220,8 +221,8 @@ let state_join (a : state) (b : state) : state =
 let state_widen (old : state) (nw : state) : state =
   Array.init (Array.length old) (fun i -> widen_ival old.(i) nw.(i))
 
-(* states are persistent: the dataflow framework replays instruction
-   lists from saved states, so writes copy *)
+(* states are persistent: the fixpoint replays loop bodies from saved
+   states, so writes copy *)
 let set (st : state) id v =
   let st = Array.copy st in
   st.(id) <- v;
@@ -243,7 +244,7 @@ let init_state (p : Zpl.Prog.t) : state =
 let widen_delay = 4
 
 (* ------------------------------------------------------------------ *)
-(* Structured analysis over Dataflow                                   *)
+(* Fixpoint analysis over the final IR                                 *)
 (* ------------------------------------------------------------------ *)
 
 type summary = {
@@ -270,79 +271,160 @@ let for_trips ~(step : int) ~(lo : ival) ~(hi : ival) : ival =
     mk (clamp0 (hi.lo -. lo.hi +. 1.0)) (clamp0 (hi.hi -. lo.lo +. 1.0))
   else mk (clamp0 (lo.lo -. hi.hi +. 1.0)) (clamp0 (lo.hi -. hi.lo +. 1.0))
 
-let analyze ?(prune = true) (p : Ir.Instr.program) : summary =
-  let prog = p.Ir.Instr.prog in
+(* The walk threads [final]: [false] during fixpoint rounds, [true] on
+   the one replay of each instruction from its stable state, which is
+   the only time decisions, trip counts and hull writes are recorded. *)
+let analyze (p : Ir.Instr.program) : summary =
   let decisions = Hashtbl.create 16 in
   let trips_tbl = Hashtbl.create 16 in
-  let hull = Array.copy (init_state prog) in
-  let join_hull id v = hull.(id) <- join hull.(id) v in
-  let transfer ~final ~pos:_ (i : Ir.Instr.instr) (st : state) : state =
+  let hull = init_state p.Ir.Instr.prog in
+  let write ~final st id v =
+    if final then hull.(id) <- join hull.(id) v;
+    set st id v
+  in
+  let rec exec_list ~final pos st = function
+    | [] -> st
+    | i :: rest ->
+        exec_list ~final (pos + Ir.Instr.size i) (exec ~final pos st i) rest
+  and exec ~final pos st (i : Ir.Instr.instr) =
     match i with
     | Ir.Instr.Comm _ | Ir.Instr.Kernel _ | Ir.Instr.CollPart _ -> st
-    | Ir.Instr.ScalarK { lhs; rhs } ->
-        let v = eval_state st rhs in
-        if final then join_hull lhs v;
-        set st lhs v
-    | Ir.Instr.ReduceK r ->
-        if final then join_hull r.Zpl.Prog.r_lhs top;
-        set st r.Zpl.Prog.r_lhs top
+    | Ir.Instr.ScalarK { lhs; rhs } -> write ~final st lhs (eval_state st rhs)
+    | Ir.Instr.ReduceK r -> write ~final st r.Zpl.Prog.r_lhs top
     | Ir.Instr.CollFin w ->
-        let lhs = w.Ir.Instr.cw_red.Zpl.Prog.r_lhs in
-        if final then join_hull lhs top;
-        set st lhs top
-    | Ir.Instr.Repeat _ | Ir.Instr.For _ | Ir.Instr.If _ ->
-        assert false (* structured instrs stay in the framework *)
-  in
-  let branch ~final ~pos (kind : Dataflow.branch_kind) cond (st : state) =
-    let d = decide_bool (eval_state st cond) in
-    (match (kind, final) with
-    | `If, true -> (
-        match d with Some b -> Hashtbl.replace decisions pos b | None -> ())
-    | `Until, true ->
-        (* body executions: exactly 1 when the exit test is provably
-           true after the first pass, otherwise at least 1 *)
-        let t = match d with Some true -> point 1.0 | _ -> mk 1.0 infinity in
-        Hashtbl.replace trips_tbl pos t
-    | _ -> ());
-    if prune then d else None
-  in
-  (* The checker rejects writes to a loop variable inside its body and
-     hoists any [hi] the body could change into a scalar assigned before
-     the loop, so both bounds hold still for the whole loop. *)
-  let enter_for ~final:_ ~pos:_ ~var ~lo ~hi ~step (pre : state) : state =
-    let lov = eval_state pre lo and hiv = eval_state pre hi in
-    (* at body entry the head test just passed, so for step = +1 the
-       variable is <= hi and >= its initial lo *)
-    let binding =
-      if step >= 0 then mk lov.lo (Float.max lov.hi hiv.hi)
-      else mk (Float.min lov.lo hiv.lo) lov.hi
+        write ~final st w.Ir.Instr.cw_red.Zpl.Prog.r_lhs top
+    | Ir.Instr.If (cond, a, b) -> (
+        let bpos = pos + 1 + Ir.Instr.size_list a in
+        (* a decided branch walks only its live arm *)
+        match decide_bool (eval_state st cond) with
+        | Some d ->
+            if final then Hashtbl.replace decisions pos d;
+            if d then exec_list ~final (pos + 1) st a
+            else exec_list ~final bpos st b
+        | None ->
+            state_join
+              (exec_list ~final (pos + 1) st a)
+              (exec_list ~final bpos st b))
+    | Ir.Instr.Repeat (body, cond) ->
+        (* do-until: an exit test that holds after the first pass means
+           exactly one iteration, and the back edge never fires *)
+        let first = exec_list ~final:false (pos + 1) st body in
+        let out =
+          if decide_bool (eval_state first cond) = Some true then
+            if final then exec_list ~final (pos + 1) st body else first
+          else loop ~final (pos + 1) body st
+        in
+        if final then
+          Hashtbl.replace trips_tbl pos
+            (match decide_bool (eval_state out cond) with
+            | Some true -> point 1.0
+            | _ -> mk 1.0 infinity);
+        out
+    | Ir.Instr.For { var; lo; hi; step; body } ->
+        (* The checker rejects writes to a loop variable inside its body
+           and hoists any [hi] the body could change into a scalar
+           assigned before the loop, so both bounds hold still for the
+           whole loop. At body entry the head test just passed, so for
+           step = +1 the variable is <= hi and >= its initial lo. *)
+        let lov = eval_state st lo and hiv = eval_state st hi in
+        let binding =
+          if step >= 0 then mk lov.lo (Float.max lov.hi hiv.hi)
+          else mk (Float.min lov.lo hiv.lo) lov.hi
+        in
+        let out = loop ~final (pos + 1) body (set st var binding) in
+        if final then
+          Hashtbl.replace trips_tbl pos (for_trips ~step ~lo:lov ~hi:hiv);
+        (* the exit value of the loop variable: the flattened form leaves
+           the first failing value (<= hi + step), the sequential
+           executor the last in-range one, and a zero-trip loop the
+           initial [lo] (or the untouched pre value) — cover all of
+           them; the other scalars join the zero-trip pre-state *)
+        let exit_var =
+          join
+            (join out.(var) st.(var))
+            (join lov (add hiv (point (float_of_int step))))
+        in
+        write ~final (state_join st out) var exit_var
+  (* Iterate the body from [pre] joined with its own output (the back
+     edge) until the entry is stable, widening after [widen_delay]
+     rounds — every endpoint then moves at most once more, to
+     infinity, so the loop terminates — then replay once from the
+     stable entry with [final] inherited. *)
+  and loop ~final body_pos body pre =
+    let rec fix entry n =
+      let out = exec_list ~final:false body_pos entry body in
+      let merged = state_join pre out in
+      let entry' =
+        if n < widen_delay then merged else state_widen entry merged
+      in
+      if state_equal entry entry' then (entry, out) else fix entry' (n + 1)
     in
-    set pre var binding
+    let entry, out = fix pre 0 in
+    if final then exec_list ~final body_pos entry body else out
   in
-  let exit_for ~final ~pos ~var ~lo ~hi ~step ~(pre : state) (out : state) :
-      state =
-    let lov = eval_state pre lo and hiv = eval_state pre hi in
-    if final then Hashtbl.replace trips_tbl pos (for_trips ~step ~lo:lov ~hi:hiv);
-    (* the exit value of the loop variable: the flattened form leaves
-       the first failing value (<= hi + step), the sequential executor
-       the last in-range one, and a zero-trip loop the initial [lo] (or
-       the untouched pre value) — cover all of them *)
-    let exit_var =
-      join
-        (join out.(var) pre.(var))
-        (join lov (add hiv (point (float_of_int step))))
-    in
-    if final then join_hull var exit_var;
-    let st = state_join pre out in
-    set st var exit_var
-  in
-  let widen ~iter old merged =
-    if iter < widen_delay then merged else state_widen old merged
-  in
-  let init = init_state prog in
   let exit =
-    Dataflow.run ~widen ~branch ~enter_for ~exit_for
-      { equal = state_equal; meet = state_join; transfer }
-      ~init p.Ir.Instr.code
+    exec_list ~final:true 0 (init_state p.Ir.Instr.prog) p.Ir.Instr.code
   in
   { s_decisions = decisions; s_trips = trips_tbl; s_hull = hull; s_exit = exit }
+
+(* ------------------------------------------------------------------ *)
+(* Feasible-path walk over the typed program                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Scalar ids a statement list writes: scalar assignments, scalar
+   reductions and [for] variables. *)
+let rec writes (stmts : Zpl.Prog.stmt list) : int list =
+  List.concat_map
+    (function
+      | Zpl.Prog.AssignS { lhs; _ } -> [ lhs ]
+      | Zpl.Prog.ReduceS r -> [ r.Zpl.Prog.r_lhs ]
+      | Zpl.Prog.AssignA _ -> []
+      | Zpl.Prog.Repeat (body, _) -> writes body
+      | Zpl.Prog.For { var; body; _ } -> var :: writes body
+      | Zpl.Prog.If (_, a, b) -> writes a @ writes b)
+    stmts
+
+let havoc (st : state) ids =
+  let st = Array.copy st in
+  List.iter (fun v -> st.(v) <- top) ids;
+  st
+
+let live_body ?(visit = fun (_ : Zpl.Prog.stmt) -> ()) (p : Zpl.Prog.t) :
+    Zpl.Prog.stmt list =
+  let rec go st (stmts : Zpl.Prog.stmt list) =
+    let acc, st =
+      List.fold_left
+        (fun (acc, st) (s : Zpl.Prog.stmt) ->
+          visit s;
+          match s with
+          | Zpl.Prog.AssignS { lhs; rhs; _ } ->
+              (s :: acc, set st lhs (eval_state st rhs))
+          | Zpl.Prog.AssignA _ -> (s :: acc, st)
+          | Zpl.Prog.ReduceS r -> (s :: acc, set st r.Zpl.Prog.r_lhs top)
+          | Zpl.Prog.Repeat (body, cond) ->
+              let body, st = go (havoc st (writes body)) body in
+              (Zpl.Prog.Repeat (body, cond) :: acc, st)
+          | Zpl.Prog.For ({ var; body; _ } as f) ->
+              (* the havocked entry state is the loop invariant and the
+                 post-state: it covers every body post-state and the
+                 zero-trip run, where scalars keep their pre-loop values *)
+              let st = havoc st (var :: writes body) in
+              let body, _ = go st body in
+              (Zpl.Prog.For { f with body } :: acc, st)
+          | Zpl.Prog.If (cond, a, b) -> (
+              match decide_bool (eval_state st cond) with
+              | Some true ->
+                  let a, st = go st a in
+                  (List.rev_append a acc, st)
+              | Some false ->
+                  let b, st = go st b in
+                  (List.rev_append b acc, st)
+              | None ->
+                  let a, sa = go st a in
+                  let b, sb = go st b in
+                  (Zpl.Prog.If (cond, a, b) :: acc, state_join sa sb)))
+        ([], st) stmts
+    in
+    (List.rev acc, st)
+  in
+  fst (go (init_state p) p.Zpl.Prog.body)

@@ -1,19 +1,23 @@
-(** Scalar abstract interpretation over the final IRONMAN IR: a
-    constant/interval domain for the replicated scalars, run forward
-    through {!Dataflow} over the structured form. {!Schedcheck} maps its
-    decisions onto the flattened form through [src_of_op].
+(** Scalar abstract interpretation: a constant/interval domain for the
+    replicated scalars, run two ways. {!analyze} is the fixpoint
+    analysis over the final IRONMAN IR, whose [ir#N] positions
+    {!Commvol} and pruned {!Schedcheck} key on ({!Schedcheck} maps its
+    decisions onto the flattened form through [src_of_op]).
+    {!live_body} is the fixpoint-free feasible-path walk over the typed
+    program, which dead-branch elimination ({!Opt.Passes.compile}) and
+    the dead-scalar lint ({!Deadscalar}) share.
 
     The concrete semantics abstracted is {!Runtime.Values.eval_env} on the
     SPMD scalar environment: every processor evaluates scalar statements
-    identically, so one abstract state covers them all. The analysis is
+    identically, so one abstract state covers them all. Both are
     {e sound}: for every concrete execution, every scalar's value at
     every program point lies inside the abstract interval at that point
     ([ReduceK]/[CollFin] results are data-dependent and go to top), and
     a branch decided [Some b] takes arm [b] on {e every} feasible
-    execution. It is {e not} complete — undecided conditions and joined
-    loop states lose precision — which is exactly the contract
-    {!Schedcheck} pruning and {!Opt.Deadbranch} rely on: pruning may
-    keep a dead branch, never drop a live one. *)
+    execution. Neither is complete — undecided conditions and joined
+    loop states lose precision — which is exactly the contract pruning
+    and dead-branch elimination rely on: they may keep a dead branch,
+    never drop a live one. *)
 
 (** A closed interval [\[lo, hi\]] of scalar values (booleans embed as
     0/1). Invariant: every non-top interval excludes NaN; the top
@@ -71,10 +75,10 @@ val init_state : Zpl.Prog.t -> state
 val for_trips : step:int -> lo:ival -> hi:ival -> ival
 
 (* ------------------------------------------------------------------ *)
-(* Structured analysis                                                 *)
+(* Fixpoint analysis over the final IR                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** The result of one structured analysis run. Positions are the stable
+(** The result of one {!analyze} run. Positions are the stable
     preorder indices of {!Ir.Instr.size} (the [zplc dump --stage ir]
     lines). *)
 type summary = {
@@ -92,10 +96,23 @@ type summary = {
 val decision : summary -> int -> bool option
 val trips : summary -> int -> ival option
 
-(** [analyze ?prune p] runs the interval analysis over [p.code] from the
-    exact initial state. With [prune] (default), decided [If]s
-    contribute only their live arm to the analysis (and are recorded in
-    [s_decisions]); with [~prune:false] both arms always join, matching
-    what an unpruned checker walks. Decisions and trip counts are
-    recorded either way. *)
-val analyze : ?prune:bool -> Ir.Instr.program -> summary
+(** [analyze p] runs the interval analysis over [p.code] from the
+    exact initial state. A decided [If] walks only its live arm and is
+    recorded in [s_decisions]; a [Repeat] whose exit test holds after
+    one pass runs once; other loops iterate to a widened fixpoint. *)
+val analyze : Ir.Instr.program -> summary
+
+(* ------------------------------------------------------------------ *)
+(* Feasible-path walk                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(** [live_body ?visit p] walks [p.body] once from the exact initial
+    state, without a fixpoint: a loop body sees every scalar the loop
+    writes (a [For] variable included) as top, and a [For] leaves that
+    havocked state behind, which covers the zero-trip run. It returns
+    the body with each decided [If] replaced by its live arm, and calls
+    [visit] on every statement it reaches, in program order, before
+    walking into it; the statements of a reached body or live arm get
+    calls of their own. *)
+val live_body :
+  ?visit:(Zpl.Prog.stmt -> unit) -> Zpl.Prog.t -> Zpl.Prog.stmt list

@@ -27,10 +27,11 @@
     - {b activation bounds}: how many times each site executes, as an
       {!Absint.ival} — the product of the enclosing loops' trip-count
       intervals and [\[0,1\]] factors for undecided conditionals, using
-      the scalar interval analysis of {!Absint}. Sites inside branches
-      the analysis proves dead get the exact bound [\[0,0\]]. Bounds are
-      symbolic in whatever the interval analysis cannot pin: a
-      do-until loop with a data-dependent exit contributes [\[1,inf)].
+      the fixpoint interval analysis {!Absint.analyze} over the same IR.
+      Sites inside branches the analysis proves dead get the exact bound
+      [\[0,0\]]. Bounds are symbolic in whatever the interval analysis
+      cannot pin: a do-until loop with a data-dependent exit contributes
+      [\[1,inf)].
 
     Static bound = coefficient x activation interval. Engine-validated
     prediction = coefficient x {e measured} activation count (the
@@ -69,7 +70,6 @@ type site = {
 type t = {
   cv_nprocs : int;
   cv_sites : site list;  (** in preorder position order *)
-  cv_summary : Absint.summary;  (** the scalar analysis the bounds used *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -133,12 +133,9 @@ let repeat_default = Absint.mk 1.0 infinity
 let for_default = Absint.mk 0.0 infinity
 let maybe = Absint.mk 0.0 1.0
 
-let analyze ?summary ~(lib : Machine.Library.t) ~pr ~pc
-    (p : Ir.Instr.program) : t =
+let analyze ~(lib : Machine.Library.t) ~pr ~pc (p : Ir.Instr.program) : t =
   let prog = p.Ir.Instr.prog in
-  let summary =
-    match summary with Some s -> s | None -> Absint.analyze p
-  in
+  let summary = Absint.analyze p in
   let layout = Runtime.Layout.for_program ~pr ~pc prog in
   let nprocs = Runtime.Layout.nprocs layout in
   let coeffs_of (x : Ir.Transfer.t) : coeff array =
@@ -230,7 +227,7 @@ let analyze ?summary ~(lib : Machine.Library.t) ~pr ~pc
   let sites =
     List.sort (fun a b -> compare a.st_pos b.st_pos) !sites
   in
-  { cv_nprocs = nprocs; cv_sites = sites; cv_summary = summary }
+  { cv_nprocs = nprocs; cv_sites = sites }
 
 (* ------------------------------------------------------------------ *)
 (* Bounds and predictions                                              *)

@@ -37,16 +37,14 @@ type site = {
 type t = {
   cv_nprocs : int;
   cv_sites : site list;  (** in preorder position order *)
-  cv_summary : Absint.summary;  (** the scalar analysis the bounds used *)
 }
 
-(** [analyze ?summary ~lib ~pr ~pc p] — coefficients for the [pr x pc]
-    mesh under [lib]'s cost model, activation bounds from [summary]
-    (default: a fresh {!Absint.analyze}). Counts and comm-CPU are
+(** [analyze ~lib ~pr ~pc p] — coefficients for the [pr x pc] mesh
+    under [lib]'s cost model, activation bounds from {!Absint.analyze}
+    on [p]. Counts and comm-CPU are
     topology-invariant (the interconnect shifts arrival and wait times
     only), so no topology parameter exists. *)
 val analyze :
-  ?summary:Absint.summary ->
   lib:Machine.Library.t ->
   pr:int ->
   pc:int ->

@@ -1,17 +1,16 @@
 (** Dead-scalar detection over the typed program, fed by the {!Absint}
-    interval domain: a scalar (or [-D]-overridable constant) is {e dead}
-    when no feasible path ever reads it — reads inside branches the
-    abstract interpretation proves infeasible do not count.
+    feasible-path walk: a scalar (or [-D]-overridable constant) is
+    {e dead} when no feasible path ever reads it — reads inside branches
+    the walk proves infeasible do not count.
 
-    Soundness direction: reads are {e over}-approximated. Loop bodies
-    are walked under havocked states (every scalar the body writes goes
-    to top, as in {!Opt.Deadbranch}), so every branch decision that
-    excludes an arm holds on all feasible executions; an undecided
-    branch contributes the reads of both arms. A warning therefore means
-    the value is provably never consumed, while a scalar that is read
-    only under data-dependent conditions stays silent. *)
-
-module A = Absint
+    Soundness direction: reads are {e over}-approximated. The lint marks
+    the reads of every statement {!Absint.live_body} reaches, and that
+    walk is the one dead-branch elimination uses: loop bodies see every
+    scalar they write as top, a [for] leaves its havocked state behind
+    (covering the zero-trip run), and an undecided branch contributes
+    the reads of both arms. A warning therefore means the value is
+    provably never consumed, while a scalar that is read only under
+    data-dependent conditions stays silent. *)
 
 type warning = { w_loc : Zpl.Loc.t; w_msg : string }
 
@@ -49,81 +48,29 @@ let dregion_reads mark (r : Zpl.Prog.dregion) =
       Option.iter mark hi.Zpl.Prog.bvar)
     r
 
-(* ------------------------------------------------------------------ *)
-(* Scalar writes of a statement list (for loop havoc)                  *)
-(* ------------------------------------------------------------------ *)
-
-let rec stmt_writes (stmts : Zpl.Prog.stmt list) : int list =
-  List.concat_map
-    (function
-      | Zpl.Prog.AssignS { lhs; _ } -> [ lhs ]
-      | Zpl.Prog.ReduceS r -> [ r.Zpl.Prog.r_lhs ]
-      | Zpl.Prog.AssignA _ -> []
-      | Zpl.Prog.Repeat (body, _) -> stmt_writes body
-      | Zpl.Prog.For { var; body; _ } -> var :: stmt_writes body
-      | Zpl.Prog.If (_, a, b) -> stmt_writes a @ stmt_writes b)
-    stmts
-
-(* ------------------------------------------------------------------ *)
-(* The feasible-path walk                                              *)
-(* ------------------------------------------------------------------ *)
-
-type acc = {
-  read : bool array;  (** scalar id read on some feasible path *)
-  mutable assigns : (Zpl.Loc.t * int) list;
-      (** feasible [AssignS] sites, reversed *)
-  mutable for_vars : int list;
-}
-
-let havoc (st : A.state) ids =
-  let st = Array.copy st in
-  List.iter (fun v -> st.(v) <- A.top) ids;
-  st
-
 let run (p : Zpl.Prog.t) : warning list =
-  let nscalars = Array.length p.Zpl.Prog.scalars in
-  let acc = { read = Array.make nscalars false; assigns = []; for_vars = [] } in
-  let mark v = acc.read.(v) <- true in
-  let rec go st (stmts : Zpl.Prog.stmt list) : A.state =
-    List.fold_left
-      (fun st stmt ->
-        match stmt with
-        | Zpl.Prog.AssignS { lhs; rhs; loc } ->
-            sexpr_reads mark rhs;
-            acc.assigns <- (loc, lhs) :: acc.assigns;
-            let st = Array.copy st in
-            st.(lhs) <- A.eval_state st rhs;
-            st
-        | Zpl.Prog.AssignA { region; rhs; _ } ->
-            dregion_reads mark region;
-            aexpr_reads mark rhs;
-            st
-        | Zpl.Prog.ReduceS r ->
-            dregion_reads mark r.Zpl.Prog.r_region;
-            aexpr_reads mark r.Zpl.Prog.r_rhs;
-            let st = Array.copy st in
-            st.(r.Zpl.Prog.r_lhs) <- A.top;
-            st
-        | Zpl.Prog.Repeat (body, cond) ->
-            let st = havoc st (stmt_writes body) in
-            let st = go st body in
-            sexpr_reads mark cond;
-            st
-        | Zpl.Prog.For { var; lo; hi; body; _ } ->
-            sexpr_reads mark lo;
-            sexpr_reads mark hi;
-            acc.for_vars <- var :: acc.for_vars;
-            let st = havoc st (var :: stmt_writes body) in
-            go st body
-        | Zpl.Prog.If (cond, a, b) -> (
-            sexpr_reads mark cond;
-            match A.decide_bool (A.eval_state st cond) with
-            | Some true -> go st a
-            | Some false -> go st b
-            | None -> A.state_join (go st a) (go st b)))
-      st stmts
+  let read = Array.make (Array.length p.Zpl.Prog.scalars) false in
+  let mark v = read.(v) <- true in
+  (* feasible [AssignS] sites, reversed, and the reached [for] variables *)
+  let assigns = ref [] and for_vars = ref [] in
+  let visit : Zpl.Prog.stmt -> unit = function
+    | Zpl.Prog.AssignS { lhs; rhs; loc } ->
+        sexpr_reads mark rhs;
+        assigns := (loc, lhs) :: !assigns
+    | Zpl.Prog.AssignA { region; rhs; _ } ->
+        dregion_reads mark region;
+        aexpr_reads mark rhs
+    | Zpl.Prog.ReduceS r ->
+        dregion_reads mark r.Zpl.Prog.r_region;
+        aexpr_reads mark r.Zpl.Prog.r_rhs
+    | Zpl.Prog.Repeat (_, cond) | Zpl.Prog.If (cond, _, _) ->
+        sexpr_reads mark cond
+    | Zpl.Prog.For { var; lo; hi; _ } ->
+        sexpr_reads mark lo;
+        sexpr_reads mark hi;
+        for_vars := var :: !for_vars
   in
-  ignore (go (A.init_state p) p.Zpl.Prog.body);
+  ignore (Absint.live_body ~visit p);
   let warns = ref [] in
   let warn loc fmt = Fmt.kstr (fun m -> warns := { w_loc = loc; w_msg = m } :: !warns) fmt in
   List.iter
@@ -140,16 +87,16 @@ let run (p : Zpl.Prog.t) : warning list =
   Array.iter
     (fun (s : Zpl.Prog.scalar_info) ->
       if
-        (not acc.read.(s.Zpl.Prog.s_id))
-        && not (List.mem s.Zpl.Prog.s_id acc.for_vars)
+        (not read.(s.Zpl.Prog.s_id))
+        && not (List.mem s.Zpl.Prog.s_id !for_vars)
       then
         warn s.Zpl.Prog.s_loc "scalar %S is never read on any feasible path"
           s.Zpl.Prog.s_name)
     p.Zpl.Prog.scalars;
   List.iter
     (fun (loc, lhs) ->
-      if not acc.read.(lhs) then
+      if not read.(lhs) then
         warn loc "assignment to %S is never read on any feasible path"
           (Zpl.Prog.scalar_info p lhs).Zpl.Prog.s_name)
-    (List.rev acc.assigns);
+    (List.rev !assigns);
   List.rev !warns

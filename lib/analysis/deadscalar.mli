@@ -1,9 +1,11 @@
 (** Dead-scalar lint over the typed program: scalars, [-D] defines and
-    scalar assignments the {!Absint} interval domain proves are never
+    scalar assignments the {!Absint.live_body} walk proves are never
     read on any feasible path, plus [-D] names matching no [constant]
-    declaration. Reads are over-approximated (loop bodies are walked
-    under havocked states; undecided branches contribute both arms), so
-    every warning is a proof of deadness, not a heuristic. Warnings —
+    declaration. Reads are over-approximated (the lint marks the reads
+    of every statement the walk dead-branch elimination uses reaches:
+    loop bodies under havocked states, a [for] leaving its havocked
+    state behind, both arms of an undecided branch), so every warning
+    is a proof of deadness, not a heuristic. Warnings —
     they never fail a build; [zplc lint] prints them. *)
 
 type warning = { w_loc : Zpl.Loc.t; w_msg : string }

@@ -5,6 +5,7 @@
     {v
     mini-ZPL source
       --parse/check-->   Zpl.Prog.t        (typed whole-array program)
+      --dbe---------->   Zpl.Prog.t        (decided branches spliced)
       --lower-------->   Ir.Block.code     (baseline vectorized comm)
       --optimize----->   Ir.Block.code     (rr / cc / pl applied)
       --emit--------->   Ir.Instr.program  (IRONMAN DR/SR/DN/SV calls)

@@ -1,6 +1,7 @@
 (** Optimization selection. The paper's instrumented compiler "considers
     all optimizations simultaneously, [but] the optimizations can be turned
-    on and off individually" — this record is that switchboard. *)
+    on and off individually" — this record is that switchboard.
+    Dead-branch elimination always runs (see {!Passes.compile}). *)
 
 type heuristic =
   | Max_combine  (** combine without regard for send/receive distance *)
@@ -17,7 +18,6 @@ type t = {
   rr : bool;  (** redundant communication removal *)
   cc : bool;  (** communication combination *)
   pl : bool;  (** communication pipelining *)
-  dbe : bool;  (** dead-branch elimination (before rr/cc/pl) *)
   heuristic : heuristic;
   collective : collective;  (** full-reduction synthesis *)
 }
@@ -27,11 +27,8 @@ let baseline =
   { rr = false;
     cc = false;
     pl = false;
-    dbe = true;
     heuristic = Max_combine;
     collective = Opaque }
-
-let with_dbe dbe c = { c with dbe }
 
 (** The cumulative experiment rows of the paper's Figure 9. *)
 let rr_only = { baseline with rr = true }
@@ -67,9 +64,6 @@ let name c =
           (if pl then "pl+" else "")
           (match h with Max_combine -> "maxcc" | Max_latency -> "maxlat")
   in
-  let base =
-    match c.collective with
-    | Opaque -> base
-    | coll -> base ^ "+coll=" ^ collective_name coll
-  in
-  if c.dbe then base else base ^ "+nodbe"
+  match c.collective with
+  | Opaque -> base
+  | coll -> base ^ "+coll=" ^ collective_name coll

@@ -1,7 +1,9 @@
 (** Optimization selection — the switchboard of the paper's instrumented
     compiler: each of the three optimizations can be turned on and off
     individually, and communication combination can run under either of
-    the two heuristics of the paper's Figure 2. *)
+    the two heuristics of the paper's Figure 2. Dead-branch elimination
+    is not a switch: {!Passes.compile} always runs it, since it only
+    removes code no execution runs. *)
 
 type heuristic =
   | Max_combine  (** combine without regard for send/receive distance *)
@@ -33,11 +35,6 @@ type t = {
   rr : bool;  (** redundant communication removal *)
   cc : bool;  (** communication combination *)
   pl : bool;  (** communication pipelining *)
-  dbe : bool;
-      (** dead-branch elimination: splice statically-decided [CIf]s
-          before rr/cc/pl run (see {!Deadbranch}). On in every preset —
-          it only removes code no execution runs — and off only for
-          A/B-ing the straightening effect. *)
   heuristic : heuristic;
   collective : collective;  (** full-reduction synthesis *)
 }
@@ -48,9 +45,6 @@ val equal : t -> t -> bool
 
 (** Message vectorization only — the paper's baseline. *)
 val baseline : t
-
-(** [with_dbe b c] — [c] with dead-branch elimination set to [b]. *)
-val with_dbe : bool -> t -> t
 
 (** The cumulative rows of the paper's Figure 9. *)
 val rr_only : t

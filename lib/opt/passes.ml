@@ -1,6 +1,7 @@
-(** The pass driver: lower to the baseline (message-vectorized) block form,
-    apply the selected optimizations in the paper's order (rr, then cc,
-    then pl), validate invariants, and emit the final IRONMAN IR. *)
+(** The pass pipeline: splice decided branches out of the typed program,
+    lower to the baseline (message-vectorized) block form, apply the
+    selected optimizations in the paper's order (rr, then cc, then pl),
+    validate invariants, and emit the final IRONMAN IR. *)
 
 type report = {
   config : Config.t;
@@ -20,23 +21,18 @@ let pass name enabled f (code : Ir.Block.code) : Ir.Block.code =
     code
   end
 
-(* Dead-branch elimination runs first so rr/cc/pl see straight code; it
-   needs the program's scalar table for the initial abstract state, so
-   callers without one ([?prog] absent) get the pass silently skipped —
-   the comm passes are correct either way, dbe only straightens. *)
-let optimize ?prog (config : Config.t) (code : Ir.Block.code) : Ir.Block.code =
+let optimize (config : Config.t) (code : Ir.Block.code) : Ir.Block.code =
   Ir.Block.check_invariants ~pass:"lower" code;
-  let code =
-    match prog with
-    | Some p -> pass "dbe" config.Config.dbe (Deadbranch.run p) code
-    | None -> code
-  in
   code
   |> pass "rr" config.Config.rr Redundant.run
   |> pass "cc" config.Config.cc (Combine.run config.Config.heuristic)
   |> pass "pl" config.Config.pl Pipeline.run
 
-(** Compile a typed program under [config] to the final IR. [check]
+(** Compile a typed program under [config] to the final IR. Dead-branch
+    elimination runs first, on the typed program: every [If] the
+    {!Analysis.Absint.live_body} walk decides is replaced by its live
+    arm before lowering, so that arm joins its neighbours in one basic
+    block and rr/cc/pl see straight code. [check]
     additionally runs the schedcheck verifier on the emitted program's
     flattened form.
     [machine]/[lib]/[mesh]/[topology] only matter when
@@ -49,7 +45,8 @@ let compile ?(check = false) ?(machine = Machine.T3d.machine)
     ?(lib = Machine.T3d.pvm) ?(mesh = (4, 4))
     ?(topology = Machine.Topology.Ideal) (config : Config.t)
     (p : Zpl.Prog.t) : Ir.Instr.program =
-  let ir = Ir.Instr.of_code p (optimize ~prog:p config (Lower.lower p)) in
+  let live = { p with Zpl.Prog.body = Analysis.Absint.live_body p } in
+  let ir = Ir.Instr.of_code p (optimize config (Lower.lower live)) in
   let pr, pc = mesh in
   let ir =
     Collective.expand ~topology ~mesh ~collective:config.Config.collective

@@ -1,7 +1,8 @@
-(** The optimizer's pass driver: lower to the baseline (message-vectorized)
-    block form, apply the selected optimizations in the paper's order (rr,
-    then cc, then pl), validate invariants after every pass, and emit the
-    final IRONMAN IR. *)
+(** The optimizer's pass pipeline: splice decided branches out of the typed
+    program, lower to the baseline (message-vectorized) block form, apply
+    the selected optimizations in the paper's order (rr, then cc, then
+    pl), validate invariants after every pass, and emit the final
+    IRONMAN IR. *)
 
 type report = {
   config : Config.t;
@@ -12,13 +13,13 @@ type report = {
 
 (** Apply the selected passes in place. {!Ir.Block.check_invariants}
     runs unconditionally on the input and after each enabled pass; a
-    violation fails with the responsible pass named in the message.
-    [?prog] enables {!Deadbranch} elimination (when [config.dbe]) ahead
-    of rr/cc/pl — it needs the scalar table for the initial abstract
-    state, so without it the pass is skipped. *)
-val optimize : ?prog:Zpl.Prog.t -> Config.t -> Ir.Block.code -> Ir.Block.code
+    violation fails with the responsible pass named in the message. *)
+val optimize : Config.t -> Ir.Block.code -> Ir.Block.code
 
-(** Full pipeline: typed program to final IRONMAN IR. With [~check:true]
+(** Full pipeline: typed program to final IRONMAN IR. Dead-branch
+    elimination comes first: {!Analysis.Absint.live_body} replaces every
+    [If] it decides by its live arm, so lowering puts that arm in one
+    basic block with its neighbours. With [~check:true]
     the emitted program is additionally verified by
     {!Analysis.Schedcheck.check_exn} — an independent dataflow pass over
     the flattened form the engine executes, with [ir#N] positions in

@@ -113,7 +113,6 @@ let add_config b (c : Opt.Config.t) =
   add_b b c.Opt.Config.rr;
   add_b b c.Opt.Config.cc;
   add_b b c.Opt.Config.pl;
-  add_b b c.Opt.Config.dbe;
   Buffer.add_char b
     (match c.Opt.Config.heuristic with
     | Opt.Config.Max_combine -> 'C'

@@ -1,8 +1,8 @@
 (** Abstract interpretation (Absint), static communication volume
     (Commvol + Run.Predict), and the dead-scalar lint (Deadscalar):
     interval algebra, decided branches and trip counts on the final IR,
-    flat-form reachability, engine-validated exact predictions, and the
-    lint's feasible-path read analysis. *)
+    engine-validated exact predictions, and the lint's feasible-path
+    read analysis. *)
 
 open Commopt
 module A = Analysis.Absint
@@ -63,12 +63,13 @@ region R = [1..n, 1..n];
 var A : [R] float;
 |}
 
-(* dbe would splice decided branches out of the IR before the analysis
-   under test ever sees them, so these fixtures compile without it *)
+(* Opt.Passes.compile would splice decided branches out of the program
+   before the analysis under test ever sees them, so these fixtures
+   lower the unspliced program directly *)
 let compile_nodbe src =
-  Opt.Passes.compile
-    Opt.Config.(with_dbe false baseline)
-    (Zpl.Check.compile_string src)
+  let p = Zpl.Check.compile_string src in
+  Ir.Instr.of_code p
+    (Opt.Passes.optimize Opt.Config.baseline (Opt.Lower.lower p))
 
 let test_structured_summary () =
   let ir =
@@ -275,6 +276,31 @@ end;
   Alcotest.(check bool) "read under undecided guard -> live" false
     (has ws "\"g\" is never read")
 
+let test_lint_zero_trip_for () =
+  (* the for body never runs, so x keeps its initial 0 and the else
+     arm, the only reader of z, runs on every execution *)
+  let ws =
+    lint
+      {|
+constant n = 4;
+region R = [1..n, 1..n];
+var A : [R] float;
+var x, z : float;
+procedure main();
+begin
+  z := 2.0;
+  for i := 1 to 0 do x := 1.0; end;
+  if x = 1.0 then
+    [R] A := 0.0;
+  else
+    [R] A := z;
+  end;
+end;
+|}
+  in
+  Alcotest.(check (list string)) "no warning names z" []
+    (List.filter (fun w -> contains_str w "\"z\"") ws)
+
 let test_lint_warnings_carry_positions () =
   List.iter
     (fun w ->
@@ -309,5 +335,7 @@ let () =
             test_lint_dead_scalar;
           Alcotest.test_case "unknown -D" `Quick test_lint_unknown_define;
           Alcotest.test_case "feasible-path reads" `Quick test_lint_feasibility;
+          Alcotest.test_case "zero-trip for keeps the else arm" `Quick
+            test_lint_zero_trip_for;
           Alcotest.test_case "warnings carry positions" `Quick
             test_lint_warnings_carry_positions ] ) ]

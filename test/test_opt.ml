@@ -239,11 +239,13 @@ end;
 let test_dbe_removes_dead_transfer () =
   (* the guard folds to the literal 0 > 0: dbe proves the then-arm
      infeasible and the A@east transfer disappears from the static
-     schedule; with dbe off both branches survive *)
+     schedule; lowered without dbe, both branches survive *)
   Alcotest.(check int) "dbe drops the dead transfer" 1
     (static Opt.Config.baseline dbe_body);
+  let unspliced = program dbe_body in
   Alcotest.(check int) "without dbe both arms survive" 2
-    (static Opt.Config.(with_dbe false baseline) dbe_body);
+    (Ir.Count.static_count
+       (Ir.Instr.of_code unspliced (Opt.Lower.lower unspliced)));
   (* -D re-deciding the guard resurrects the transfer *)
   let prog =
     Zpl.Check.compile_string ~defines:[ ("use_east", 1.) ] (prelude ^ dbe_body)
@@ -309,10 +311,34 @@ end;
       Alcotest.(check (float 0.0)) "else-arm ran after zero-trip loop" 2.0 v
   | _ -> Alcotest.fail "x is not a float"
 
-let test_dbe_config_name () =
-  Alcotest.(check string) "nodbe suffix"
-    "baseline+nodbe"
-    (Opt.Config.name Opt.Config.(with_dbe false baseline))
+(* the dead arm splits the straight-line code around it unless dbe runs
+   before lowering *)
+let joined_body =
+  {|
+constant dbg = 0;
+procedure main();
+begin
+  [BigR] A := Index1 + 0.5 * Index2;
+  [R] C := A@east;
+  if dbg > 0 then
+    [R] A := A@west;
+  end;
+  [R] D := A@east;
+end;
+|}
+
+let test_dbe_joins_blocks () =
+  (* dbe splices the decided guard out of the typed program, so both
+     reads of A@east lower into one basic block and rr keeps one of the
+     two transfers *)
+  Alcotest.(check int) "baseline" 2 (static Opt.Config.baseline joined_body);
+  List.iter
+    (fun config ->
+      Alcotest.(check int) (Opt.Config.name config) 1 (static config joined_body);
+      ignore
+        (Commopt.verify ~mesh:(2, 2)
+           (Commopt.compile ~config ~mesh:(2, 2) (prelude ^ joined_body))))
+    Opt.Config.[ rr_only; cc_cum; pl_cum ]
 
 let test_pass_report () =
   let report, _ =
@@ -351,7 +377,8 @@ let () =
             test_dbe_keeps_undecided_branch;
           Alcotest.test_case "zero-trip for keeps both arms" `Quick
             test_dbe_zero_trip_for;
-          Alcotest.test_case "+nodbe config name" `Quick test_dbe_config_name ]
+          Alcotest.test_case "spliced arm joins its block" `Quick
+            test_dbe_joins_blocks ]
       );
       ( "emission",
         [ Alcotest.test_case "call order" `Quick test_emitted_call_order;

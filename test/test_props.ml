@@ -15,16 +15,23 @@ open Commopt
 (* time loop, optionally nested (two levels deep) under if / for /     *)
 (* repeat — so the optimizer, the simulator and schedcheck all see     *)
 (* communication inside every control shape, including loops the       *)
-(* passes must treat as opaque and branches whose arms disagree.       *)
+(* passes must treat as opaque and branches whose arms disagree. Some  *)
+(* guards test a declared constant, so dead-branch elimination splices *)
+(* their live arm into the code around it.                             *)
 (* ------------------------------------------------------------------ *)
 
 type rstmt = { lhs : int; terms : (int * (int * int)) list }
 
+type guard =
+  | Time of bool
+      (** [t < 2] (true on the first outer iteration only) or [t >= 2] *)
+  | Flag of bool
+      (** [dbg = 0] or [dbg > 0] on the declared [constant dbg = 0]:
+          decided statically, so dbe splices the live arm *)
+
 type rnode =
   | RAssign of rstmt
-  | RIf of bool * rnode list * rnode list
-      (** condition [t < 2] (true on the first outer iteration only) or
-          [t >= 2]; the else-arm may be empty *)
+  | RIf of guard * rnode list * rnode list  (** the else-arm may be empty *)
   | RFor of int * rnode list  (** [for sN := 1 to k do ... end] *)
   | RRepeat of int * rnode list
       (** [uN := 0; repeat uN := uN + 1; ... until uN >= k] *)
@@ -52,7 +59,7 @@ let gen_node =
           frequency
             [ (6, leaf);
               (1,
-               let* c = bool in
+               let* c = oneofl [ Time true; Time false; Flag true; Flag false ] in
                let* a = list_size (int_range 1 2) (self (depth - 1)) in
                let* b = list_size (int_range 0 2) (self (depth - 1)) in
                return (RIf (c, a, b)));
@@ -78,6 +85,7 @@ let prog_to_source (p : rprog) : string =
   Buffer.add_string buf
     {|
 constant n = 8;
+constant dbg = 0;
 region R = [1..n, 1..n];
 region BigR = [0..n+1, 0..n+1];
 var A, B, C, D : [BigR] float;
@@ -111,7 +119,12 @@ begin
           (String.concat " + " terms) !sid;
         incr sid
     | RIf (c, a, b) ->
-        bpf "%sif t %s then\n" ind (if c then "< 2" else ">= 2");
+        bpf "%sif %s then\n" ind
+          (match c with
+          | Time true -> "t < 2"
+          | Time false -> "t >= 2"
+          | Flag true -> "dbg = 0"
+          | Flag false -> "dbg > 0");
         emit (ind ^ "  ") level a;
         if b <> [] then begin
           bpf "%selse\n" ind;
