@@ -5,7 +5,7 @@
     tables, wire blit plans and collective schedule ({!Spec.artifact},
     whose pieces are immutable after compile) without recompiling
     anything; {!engine} then mints only the mutable per-engine state
-    (stores, mailboxes, staging pools, statistics) around the shared
+    (stores, channels, statistics) around the shared
     plans. Mutable state is never cached — see DESIGN.md on spec
     canonicalization and cache keying.
 

@@ -65,15 +65,22 @@ let shape ~(owned : Zpl.Region.t) ~fringe =
   done;
   (alloc, strides)
 
-let make (info : Zpl.Prog.array_info) ~(owned : Zpl.Region.t) ~fringe : t =
-  let alloc, strides = shape ~owned ~fringe in
-  let cells = if Zpl.Region.is_empty alloc then 0 else Zpl.Region.size alloc in
-  { info; owned; alloc; strides; data = alloc_buf cells }
+(* the buffer of every shape-only store: nothing reads or writes it *)
+let no_cells = alloc_buf 0
 
 let make_shape (info : Zpl.Prog.array_info) ~(owned : Zpl.Region.t) ~fringe : t
     =
   let alloc, strides = shape ~owned ~fringe in
-  { info; owned; alloc; strides; data = alloc_buf 0 }
+  { info; owned; alloc; strides; data = no_cells }
+
+let of_shape (s : t) : t =
+  let cells =
+    if Zpl.Region.is_empty s.alloc then 0 else Zpl.Region.size s.alloc
+  in
+  { s with data = alloc_buf cells }
+
+let make (info : Zpl.Prog.array_info) ~(owned : Zpl.Region.t) ~fringe : t =
+  of_shape (make_shape info ~owned ~fringe)
 
 let index (s : t) (p : int array) =
   let idx = ref 0 in

@@ -29,6 +29,12 @@ val make : Zpl.Prog.array_info -> owned:Zpl.Region.t -> fringe:int -> t
     error. *)
 val make_shape : Zpl.Prog.array_info -> owned:Zpl.Region.t -> fringe:int -> t
 
+(** [of_shape s] is a store with [s]'s geometry and zero-filled cells —
+    what {!make} would return for the arguments that built [s]. The
+    geometry (regions and strides) is shared with [s], never copied:
+    nothing mutates a store's geometry after it is built. *)
+val of_shape : t -> t
+
 val info : t -> Zpl.Prog.array_info
 
 (** Owned part of the declared region; may be empty. *)

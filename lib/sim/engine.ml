@@ -17,16 +17,18 @@
     local stores, with all member-array pieces of one partner packed into
     a single staging buffer — or the role of a synthesized collective
     round ({!Ir.Coll.role}), whose few scalars travel the same way. One
-    interpreter runs the four IRONMAN calls over both; buffers are drawn
-    from a per-side pool. Messages travel through dense ring mailboxes
-    indexed by (source, transfer, kind), and every hot-path float lives
-    in an all-float record or float array, so a steady-state communication
-    activation allocates nothing: no payload lists, no closures, no
-    boxed floats (regression-tested with [Gc.minor_words]). A staging
-    buffer is acquired when the sender packs it — the send-time snapshot
-    of the fringe — and returns to the {e sender's} pool only when the
-    receiver unpacks it, so senders running ahead simply deepen the pool
-    to the in-flight high-water mark. The tests check gathered results
+    interpreter runs the four IRONMAN calls over both. Each linked
+    (send side, receive side) pair shares one {!chan}: the staging pool
+    the sender draws buffers from, a data ring to the receiver and a
+    token ring back, minted per side so an engine's state grows with its
+    message sides, not with the square of the mesh. Every hot-path float
+    lives in an all-float record or float array, so a steady-state
+    communication activation allocates nothing: no payload lists, no
+    closures, no boxed floats (regression-tested with [Gc.minor_words]).
+    A staging buffer is acquired when the sender packs it — the
+    send-time snapshot of the fringe — and returns to the {e sender's}
+    pool only when the receiver unpacks it, so senders running ahead
+    simply deepen the pool to the in-flight high-water mark. The tests check gathered results
     against the sequential oracle ({!Runtime.Seqexec}).
 
     The network model charges per-message CPU overheads and per-byte
@@ -65,14 +67,6 @@ type wblue = {
 
 type wbpair = { b_recv : wblue array; b_send : wblue array }
 
-(** A blueprint minted into one engine: the shared side plus the staging
-    pool its buffers are drawn from. On send sides the pool is owned; on
-    receive sides it aliases the matching sender's pool, so releasing a
-    consumed buffer returns it to where the next send will look. *)
-type wside = { w_blue : wblue; w_pool : Runtime.Wireplan.pool }
-
-type wplan = { w_recv : wside array; w_send : wside array }
-
 (** Compiled form of one flat op on one rank: store-agnostic
     {!Runtime.Kernel} plans, built eagerly at {!plan} time against
     shape-only stores. *)
@@ -92,10 +86,10 @@ type kprog = {
     state: the compiled, immutable, shareable half of an engine. Two
     engines built from one [plans] value share these artifacts
     physically ([==]); each {!of_plans} call mints only the mutable
-    half (stores, kernel workspaces, mailboxes, staging pools,
-    statistics) and performs {e no kernel compilation} — the kernel
-    programs in [p_kern] are store-agnostic and bind stores through a
-    per-engine {!Runtime.Kernel.env}. *)
+    half (stores, kernel workspaces, channels, statistics) and performs
+    {e no kernel compilation} — the kernel programs in [p_kern] are
+    store-agnostic and bind stores through a per-engine
+    {!Runtime.Kernel.env}. *)
 type plans = {
   p_flat : Ir.Flat.t;
   p_machine : Machine.Params.t;
@@ -104,8 +98,10 @@ type plans = {
   p_pc : int;
   p_layout : Runtime.Layout.t;
   p_topology : Machine.Topology.t;
-  p_fringe : int array;  (** per array id: fringe width *)
-  p_nx : int;  (** number of transfers *)
+  p_shapes : Runtime.Store.t array array;
+      (** [rank].(array id): shape-only stores, the geometry every
+          artifact here is compiled against; {!of_plans} mints each
+          engine's stores from them ({!Runtime.Store.of_shape}) *)
   p_nslots : int;  (** collective slots *)
   p_dissem : bool array;  (** per slot: needs the allgathered partials *)
   p_wblue : wbpair array array;  (** [transfer id].(proc) *)
@@ -134,7 +130,7 @@ let wk_reduce = 3 (* waiting in the opaque reduction at [pc] *)
     field in the mixed [proc] record would box every update. *)
 type fcell = { mutable fv : float }
 
-(** Ring mailbox of one (source, transfer, kind) slot: arrival times and
+(** Ring mailbox of one direction of a {!chan}: arrival times and
     staging buffers side by side so neither push nor pop allocates.
     Capacity is a power of two (grow-on-full); [mb_head] indexes the
     oldest entry. Token entries carry {!dummy_buf}. *)
@@ -146,11 +142,6 @@ type mbox = {
 }
 
 let dummy_buf : Runtime.Store.buf = Runtime.Store.alloc_buf 0
-
-(** Shared sentinel for (source, transfer, kind) slots no plan delivers
-    to; keeps the dense mailbox array total without per-slot rings. *)
-let unused_mbox : mbox =
-  { mb_arr = [||]; mb_buf = [||]; mb_head = 0; mb_n = 0 }
 
 let fresh_mbox () : mbox =
   { mb_arr = [||]; mb_buf = [||]; mb_head = 0; mb_n = 0 }
@@ -186,6 +177,26 @@ let mbox_pop (mb : mbox) : int =
   mb.mb_n <- mb.mb_n - 1;
   i
 
+(** The per-engine state of one linked (send side, receive side) pair:
+    the staging pool the sender draws buffers from, the data ring from
+    sender to receiver and the token ring from receiver to sender. Each
+    side has one fixed partner, and a transfer packs all pieces for one
+    partner into one side, so a pair's rings are exactly the FIFO per
+    (source, transfer, kind) the protocol needs. *)
+type chan = { c_pool : Runtime.Wireplan.pool; c_data : mbox; c_tok : mbox }
+
+(** A blueprint minted into one engine: the shared side plus its pair's
+    channel. A send side owns its channel; a receive side shares the
+    matching sender's, so releasing a consumed buffer returns it to where
+    the next send will look. *)
+type wside = { w_blue : wblue; w_chan : chan }
+
+type wplan = { w_recv : wside array; w_send : wside array }
+
+(** The ring a wait on [side] reads: data on receive sides, tokens on
+    send sides. *)
+let mbox_of ~data (s : wside) = if data then s.w_chan.c_data else s.w_chan.c_tok
+
 type proc = {
   rank : int;
   box_lo0 : int;
@@ -202,16 +213,8 @@ type proc = {
   mutable halted : bool;
   mutable queued : bool;
   mutable instrs : int;  (** instructions executed by this processor *)
-  ops_run : int array;
-      (** per flat op index: completed executions on this processor.
-          Communication calls count on completion only (like [instrs]),
-          so an op's count is its activation count; control flow is
-          replicated, so the counts are identical across processors —
-          the join key static communication predictions are validated
-          against (see {!op_counts}). *)
   posted : int array;  (** per transfer: outstanding posted receives *)
   send_done : float array;  (** per transfer: when the last send drained *)
-  wmail : mbox array;  (** dense (src, xfer, kind) mailboxes *)
   scratch : float array;
       (** unboxed hot-path temporaries: [0] max-arrival accumulator
           (also {!block_until_acc}'s argument) and a reduction's local
@@ -256,7 +259,13 @@ type t = {
       (** per directed link: when it next frees up; [[||]] under ideal.
           Mutated at send time in drain execution order. *)
   procs : proc array;
-  nx : int;  (** number of transfers *)
+  ops_run : int array;
+      (** per flat op index: completed executions on rank 0.
+          Communication calls count on completion only (like [instrs]),
+          so an op's count is its activation count; control flow is
+          replicated, so every rank would count the same — the join key
+          static communication predictions are validated against (see
+          {!op_counts}). *)
   wplans : wplan array array;  (** [transfer id].(proc) *)
   runnable : int array;  (** ring; capacity = nprocs ([queued] dedups) *)
   mutable run_head : int;
@@ -354,13 +363,6 @@ let link_wblue (prog : Zpl.Prog.t) (x : Ir.Transfer.t) (bp : wbpair array) =
         pair.b_recv)
     bp
 
-(** Index of the (source, transfer, kind) slot in a proc's dense mailbox
-    array. *)
-let wkey (t : t) ~src ~xfer kind_bit = (((src * t.nx) + xfer) * 2) + kind_bit
-
-let kb_data = 0
-let kb_token = 1
-
 let plan ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
     ~(lib : Machine.Library.t) ~pr ~pc (flat : Ir.Flat.t) : plans =
   let prog = flat.Ir.Flat.prog in
@@ -409,9 +411,8 @@ let plan ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
     flat.Ir.Flat.ops;
   (* blit plans and row kernels only read shapes and strides, so
      compile both against data-free stores — no cell allocation at
-     plan time. The geometry (rank, strides, allocation) is identical
-     to the real stores {!of_plans} mints, which is what makes the
-     compiled flat shifts valid against them. *)
+     plan time. {!of_plans} mints the real stores from these shapes, so
+     the compiled flat shifts are valid against them by construction. *)
   let shapes =
     Array.init nprocs (fun rank ->
         Array.map
@@ -480,8 +481,7 @@ let plan ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
     p_pc = pc;
     p_layout = layout;
     p_topology = topology;
-    p_fringe = fringe;
-    p_nx = Array.length flat.Ir.Flat.transfers;
+    p_shapes = shapes;
     p_nslots = nslots;
     p_dissem = dissem_slot;
     p_wblue;
@@ -502,18 +502,11 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
   let layout = sp.p_layout in
   let topo_ideal = sp.p_topology = Machine.Topology.Ideal in
   let nprocs = Runtime.Layout.nprocs layout in
-  let nx = sp.p_nx in
+  let nx = Array.length flat.Ir.Flat.transfers in
   let nslots = sp.p_nslots in
   let procs =
     Array.init nprocs (fun rank ->
-        let stores =
-          Array.map
-            (fun (info : Zpl.Prog.array_info) ->
-              Runtime.Store.make info
-                ~owned:(Runtime.Halo.owned_of layout info rank)
-                ~fringe:sp.p_fringe.(info.a_id))
-            prog.Zpl.Prog.arrays
-        in
+        let stores = Array.map Runtime.Store.of_shape sp.p_shapes.(rank) in
         let env = Runtime.Values.make_env prog in
         let kenv =
           Runtime.Kernel.make_env ~stores
@@ -531,10 +524,8 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
           wait_kind = wk_none; wait_arg = 0;
           halted = false; queued = false;
           instrs = 0;
-          ops_run = Array.make (Array.length flat.Ir.Flat.ops) 0;
           posted = Array.make nx 0;
           send_done = Array.make nx 0.0;
-          wmail = Array.make (nprocs * nx * 2) unused_mbox;
           scratch = Array.make 2 0.0;
           cacc = Array.make nslots 0.0;
           cvals =
@@ -545,10 +536,8 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
           clipped = Array.make (Array.length flat.Ir.Flat.ops) [||];
           stats = Stats.fresh_proc () })
   in
-  (* sides: the shared blueprint plus a per-engine staging pool; receive
-     pools alias the matching sender's pool (resolved at plan time into
-     [b_link]), so a consumed buffer is released to where the next send
-     acquires *)
+  (* one channel per send side; each receive side takes its sender's
+     (resolved at plan time into [b_link]) *)
   let wplans =
     Array.map
       (fun (bp : wbpair array) ->
@@ -558,7 +547,10 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
               Array.map
                 (fun (b : wblue) ->
                   { w_blue = b;
-                    w_pool = Runtime.Wireplan.make_pool ~cells:b.b_cells })
+                    w_chan =
+                      { c_pool = Runtime.Wireplan.make_pool ~cells:b.b_cells;
+                        c_data = fresh_mbox ();
+                        c_tok = fresh_mbox () } })
                 pair.b_send)
             bp
         in
@@ -568,62 +560,38 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
                 Array.map
                   (fun (b : wblue) ->
                     { w_blue = b;
-                      w_pool = sends.(b.b_partner).(b.b_link).w_pool })
+                      w_chan = sends.(b.b_partner).(b.b_link).w_chan })
                   pair.b_recv;
               w_send = sends.(p) })
           bp)
       sp.p_wblue
   in
-  let t =
-    { shared = sp;
-      flat;
-      machine = sp.p_machine;
-      lib = sp.p_lib;
-      layout;
-      topology = sp.p_topology;
-      topo_ideal;
-      link_free =
-        (if topo_ideal then [||]
-         else
-           Array.make
-             (Machine.Topology.nlinks ~pr:sp.p_pr ~pc:sp.p_pc)
-             0.0);
-      procs;
-      nx;
-      wplans;
-      runnable = Array.make (max 1 nprocs) 0;
-      run_head = 0;
-      run_len = 0;
-      reduce =
-        { arrived = 0;
-          partials = Array.make nprocs 0.0;
-          times = Array.make nprocs 0.0;
-          op = Zpl.Ast.RSum;
-          lhs = 0 };
-      stats = Stats.make nprocs;
-      limit;
-      kern = sp.p_kern;
-      refchecks = sp.p_refchecks }
-  in
-  (* materialize exactly the mailbox slots some plan delivers to: data
-     flows sender -> receiver, tokens receiver -> sender *)
-  Array.iteri
-    (fun xi bp ->
-      Array.iteri
-        (fun p (pair : wbpair) ->
-          Array.iter
-            (fun (b : wblue) ->
-              procs.(p).wmail.(wkey t ~src:b.b_partner ~xfer:xi kb_data) <-
-                fresh_mbox ())
-            pair.b_recv;
-          Array.iter
-            (fun (b : wblue) ->
-              procs.(p).wmail.(wkey t ~src:b.b_partner ~xfer:xi kb_token) <-
-                fresh_mbox ())
-            pair.b_send)
-        bp)
-    sp.p_wblue;
-  t
+  { shared = sp;
+    flat;
+    machine = sp.p_machine;
+    lib = sp.p_lib;
+    layout;
+    topology = sp.p_topology;
+    topo_ideal;
+    link_free =
+      (if topo_ideal then [||]
+       else Array.make (Machine.Topology.nlinks ~pr:sp.p_pr ~pc:sp.p_pc) 0.0);
+    procs;
+    ops_run = Array.make (Array.length flat.Ir.Flat.ops) 0;
+    wplans;
+    runnable = Array.make (max 1 nprocs) 0;
+    run_head = 0;
+    run_len = 0;
+    reduce =
+      { arrived = 0;
+        partials = Array.make nprocs 0.0;
+        times = Array.make nprocs 0.0;
+        op = Zpl.Ast.RSum;
+        lhs = 0 };
+    stats = Stats.make nprocs;
+    limit;
+    kern = sp.p_kern;
+    refchecks = sp.p_refchecks }
 
 let shared_plans (t : t) = t.shared
 
@@ -658,18 +626,15 @@ let take_runnable (t : t) : int =
 (** True when every side's next message has arrived. Top-level
     recursion, not a local closure — the empty-mailbox check runs on
     every (possibly re-executed) wait and must not allocate. *)
-let rec all_arrived (t : t) (p : proc) ~xfer ~kind_bit (sides : wside array) i =
+let rec all_arrived ~data (sides : wside array) i =
   i >= Array.length sides
-  || (p.wmail.(wkey t ~src:sides.(i).w_blue.b_partner ~xfer kind_bit).mb_n > 0
-     && all_arrived t p ~xfer ~kind_bit sides (i + 1))
+  || ((mbox_of ~data sides.(i)).mb_n > 0 && all_arrived ~data sides (i + 1))
 
 (** Partners with no pending message — deadlock diagnostics only. *)
-let missing_partners (t : t) (p : proc) ~xfer ~kind_bit (sides : wside array) =
+let missing_partners ~data (sides : wside array) =
   Array.to_list sides
   |> List.filter_map (fun (s : wside) ->
-         let q = s.w_blue.b_partner in
-         if p.wmail.(wkey t ~src:q ~xfer kind_bit).mb_n = 0 then Some q
-         else None)
+         if (mbox_of ~data s).mb_n = 0 then Some s.w_blue.b_partner else None)
 
 (* ------------------------------------------------------------------ *)
 (* Cost helpers                                                        *)
@@ -845,7 +810,7 @@ let block_until_acc (p : proc) =
     p.time.fv <- a
   end
 
-(* --- messages: pooled staging buffers through ring mailboxes ---
+(* --- messages: pooled staging buffers through channel rings ---
 
    Fringe transfers and synthesized collective rounds are the same
    protocol here; only a side's payload decides how a staging buffer is
@@ -916,7 +881,7 @@ let wire_send (t : t) (p : proc) ~xfer (s : wside) =
   let c = costs t in
   let m = t.machine in
   let b = s.w_blue in
-  let buf = Runtime.Wireplan.acquire s.w_pool in
+  let buf = Runtime.Wireplan.acquire s.w_chan.c_pool in
   (match b.b_load with
   | Fringe w -> Runtime.Wireplan.pack w p.stores buf
   | Round d -> coll_pack p d b buf);
@@ -927,7 +892,7 @@ let wire_send (t : t) (p : proc) ~xfer (s : wside) =
   p.stats.Stats.times.Stats.comm_cpu <-
     p.stats.Stats.times.Stats.comm_cpu +. cpu;
   let q = t.procs.(b.b_partner) in
-  let mb = q.wmail.(wkey t ~src:p.rank ~xfer kb_data) in
+  let mb = s.w_chan.c_data in
   let j = mbox_reserve mb in
   mb.mb_arr.(j) <-
     (if t.topo_ideal then
@@ -963,12 +928,13 @@ let exec_comm (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) : step =
       Continue
   | Machine.Library.Notify_ready ->
       for i = 0 to Array.length wp.w_recv - 1 do
-        let b = wp.w_recv.(i).w_blue in
+        let s = wp.w_recv.(i) in
+        let b = s.w_blue in
         p.time.fv <- p.time.fv +. c.Machine.Params.dr_over;
         p.stats.Stats.times.Stats.comm_cpu <-
           p.stats.Stats.times.Stats.comm_cpu +. c.Machine.Params.dr_over;
         let q = t.procs.(b.b_partner) in
-        let mb = q.wmail.(wkey t ~src:p.rank ~xfer kb_token) in
+        let mb = s.w_chan.c_tok in
         let j = mbox_reserve mb in
         mb.mb_arr.(j) <-
           (if t.topo_ideal then
@@ -994,7 +960,7 @@ let exec_comm (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) : step =
   | Machine.Library.Send_rendezvous ->
       let ns = Array.length wp.w_send in
       if ns = 0 then Continue
-      else if not (all_arrived t p ~xfer ~kind_bit:kb_token wp.w_send 0) then begin
+      else if not (all_arrived ~data:false wp.w_send 0) then begin
         p.wait_kind <- wk_tokens;
         p.wait_arg <- xfer;
         Blocked
@@ -1003,9 +969,7 @@ let exec_comm (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) : step =
         p.wait_kind <- wk_none;
         p.scratch.(0) <- 0.0;
         for i = 0 to ns - 1 do
-          let mb =
-            p.wmail.(wkey t ~src:wp.w_send.(i).w_blue.b_partner ~xfer kb_token)
-          in
+          let mb = wp.w_send.(i).w_chan.c_tok in
           let j = mbox_pop mb in
           if mb.mb_arr.(j) > p.scratch.(0) then p.scratch.(0) <- mb.mb_arr.(j)
         done;
@@ -1019,7 +983,7 @@ let exec_comm (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) : step =
   | Machine.Library.Wait_data ->
       let nr = Array.length wp.w_recv in
       if nr = 0 then Continue
-      else if not (all_arrived t p ~xfer ~kind_bit:kb_data wp.w_recv 0) then begin
+      else if not (all_arrived ~data:true wp.w_recv 0) then begin
         p.wait_kind <- wk_data;
         p.wait_arg <- xfer;
         Blocked
@@ -1031,9 +995,7 @@ let exec_comm (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) : step =
            round differently *)
         p.scratch.(0) <- 0.0;
         for i = 0 to nr - 1 do
-          let mb =
-            p.wmail.(wkey t ~src:wp.w_recv.(i).w_blue.b_partner ~xfer kb_data)
-          in
+          let mb = wp.w_recv.(i).w_chan.c_data in
           if mb.mb_arr.(mb.mb_head) > p.scratch.(0) then
             p.scratch.(0) <- mb.mb_arr.(mb.mb_head)
         done;
@@ -1048,7 +1010,7 @@ let exec_comm (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) : step =
         for i = 0 to nr - 1 do
           let s = wp.w_recv.(i) in
           let b = s.w_blue in
-          let mb = p.wmail.(wkey t ~src:b.b_partner ~xfer kb_data) in
+          let mb = s.w_chan.c_data in
           let j = mbox_pop mb in
           let buf = mb.mb_buf.(j) in
           mb.mb_buf.(j) <- dummy_buf;
@@ -1063,7 +1025,7 @@ let exec_comm (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) : step =
           (match b.b_load with
           | Fringe w -> Runtime.Wireplan.unpack w p.stores buf
           | Round d -> coll_combine p d b buf);
-          Runtime.Wireplan.release s.w_pool buf;
+          Runtime.Wireplan.release s.w_chan.c_pool buf;
           p.stats.Stats.msgs_recv <- p.stats.Stats.msgs_recv + 1;
           p.stats.Stats.bytes_recv <- p.stats.Stats.bytes_recv + nbytes
         done;
@@ -1186,46 +1148,39 @@ let exec_coll_fin (t : t) (p : proc) (w : Ir.Instr.coll_work) =
 
 (* --- main dispatch --- *)
 
-(** Count [k] executed instructions against [p]'s budget. The limit is
-    per processor, so a runaway processor trips it however the drain
+(** Count one completed execution of op [p.pc]: against [p]'s
+    instruction budget and, on rank 0, in {!t.ops_run}. The limit is per
+    processor, so a runaway processor trips it however the drain
     interleaves the others. *)
-let count_instrs (t : t) (p : proc) k =
-  p.instrs <- p.instrs + k;
-  if p.instrs > t.limit then raise (Instruction_limit t.limit)
-
-(** Record one completed execution of op [idx] — same completion-only
-    discipline as {!count_instrs}, but per op index. *)
-let count_op (p : proc) idx = p.ops_run.(idx) <- p.ops_run.(idx) + 1
+let count_done (t : t) (p : proc) =
+  p.instrs <- p.instrs + 1;
+  if p.instrs > t.limit then raise (Instruction_limit t.limit);
+  if p.rank = 0 then t.ops_run.(p.pc) <- t.ops_run.(p.pc) + 1
 
 let exec_one (t : t) (p : proc) : step =
   match t.flat.Ir.Flat.ops.(p.pc) with
   | Ir.Flat.FHalt ->
-      count_instrs t p 1;
-      count_op p p.pc;
+      count_done t p;
       p.halted <- true;
       p.stats.Stats.times.Stats.finish <- p.time.fv;
       Halted
   | Ir.Flat.FKernel a ->
-      count_instrs t p 1;
-      count_op p p.pc;
+      count_done t p;
       exec_kernel t p p.pc a;
       p.pc <- p.pc + 1;
       Continue
   | Ir.Flat.FScalar { lhs; rhs } ->
-      count_instrs t p 1;
-      count_op p p.pc;
+      count_done t p;
       p.env.(lhs) <- Runtime.Values.eval_env p.env rhs;
       p.time.fv <- p.time.fv +. t.machine.Machine.Params.scalar_op_cost;
       p.pc <- p.pc + 1;
       Continue
   | Ir.Flat.FJump target ->
-      count_instrs t p 1;
-      count_op p p.pc;
+      count_done t p;
       p.pc <- target;
       Continue
   | Ir.Flat.FJumpIfNot (cond, target) ->
-      count_instrs t p 1;
-      count_op p p.pc;
+      count_done t p;
       p.time.fv <- p.time.fv +. t.machine.Machine.Params.scalar_op_cost;
       if Runtime.Values.eval_bool p.env cond then p.pc <- p.pc + 1
       else p.pc <- target;
@@ -1236,19 +1191,16 @@ let exec_one (t : t) (p : proc) : step =
          it; it must keep waiting, not arrive again *)
       if p.wait_kind = wk_reduce then Blocked
       else begin
-        count_instrs t p 1;
-        count_op p p.pc;
+        count_done t p;
         exec_reduce t p p.pc r
       end
   | Ir.Flat.FCollPart w ->
-      count_instrs t p 1;
-      count_op p p.pc;
+      count_done t p;
       exec_coll_part t p p.pc w;
       p.pc <- p.pc + 1;
       Continue
   | Ir.Flat.FCollFin w ->
-      count_instrs t p 1;
-      count_op p p.pc;
+      count_done t p;
       exec_coll_fin t p w;
       p.pc <- p.pc + 1;
       Continue
@@ -1258,8 +1210,7 @@ let exec_one (t : t) (p : proc) : step =
           (* counted only on completion: a blocked call re-executes when
              woken, and the number of attempts depends on the wake order,
              not on the program *)
-          count_instrs t p 1;
-          count_op p p.pc;
+          count_done t p;
           p.pc <- p.pc + 1;
           Continue
       | other -> other)
@@ -1311,9 +1262,7 @@ let run (t : t) : result =
             (if data then "data" else "tokens")
             (Ir.Transfer.describe t.flat.Ir.Flat.prog
                t.flat.Ir.Flat.transfers.(x))
-            (missing_partners t p ~xfer:x
-               ~kind_bit:(if data then kb_data else kb_token)
-               (if data then wp.w_recv else wp.w_send)
+            (missing_partners ~data (if data then wp.w_recv else wp.w_send)
             |> List.map string_of_int |> String.concat ",")
         end
         else if p.wait_kind = wk_reduce then
@@ -1370,16 +1319,16 @@ let pool_counts (t : t) : int * int =
     (Array.iter (fun (wp : wplan) ->
          Array.iter
            (fun (s : wside) ->
-             let f, r = Runtime.Wireplan.pool_stats s.w_pool in
+             let f, r = Runtime.Wireplan.pool_stats s.w_chan.c_pool in
              fresh := !fresh + f;
              reused := !reused + r)
            wp.w_send))
     t.wplans;
   (!fresh, !reused)
 
-(** Completed executions per flat op index after a run (processor 0's
-    counters; control flow is replicated, so every processor's counts
-    are identical). [Ir.Flat.src_of_op] joins them back to structured
-    positions — the measured activation counts static communication
-    predictions are validated against. *)
-let op_counts (t : t) : int array = Array.copy t.procs.(0).ops_run
+(** Completed executions per flat op index after a run (counted on
+    processor 0; control flow is replicated, so every processor's counts
+    would be identical). [Ir.Flat.src_of_op] joins them back to
+    structured positions — the measured activation counts static
+    communication predictions are validated against. *)
+let op_counts (t : t) : int array = Array.copy t.ops_run

@@ -8,8 +8,9 @@
     the simulation is fully deterministic. Fringe transfers and
     synthesized collective rounds share one message protocol: every
     side of a transfer is compiled once, its payload either a blit plan
-    or a round role, and runs through pooled staging buffers and dense
-    ring mailboxes (see DESIGN.md section 7). *)
+    or a round role, and each linked send/receive side pair shares one
+    channel: a staging pool, a data ring and a token ring (see DESIGN.md
+    section 7). *)
 
 (** A running or finished engine. *)
 type t
@@ -39,10 +40,10 @@ exception Instruction_limit of int
     [Runtime.Kernel]), one per geometry class: ranks whose stores agree
     on every array's rank and strides share one program. Engines minted
     from one [plans] value by {!of_plans} share all of it physically
-    ([==]); only per-engine
-    mutable state (stores, kernel workspaces, mailboxes, staging pools,
-    statistics) is rebuilt — {e no kernel compilation happens at mint
-    time}. This is the unit [Run.Cache] stores, keyed by [Run.Spec]. *)
+    ([==]); only per-engine mutable state (stores, kernel workspaces,
+    channels, statistics) is rebuilt — {e no kernel compilation happens
+    at mint time}. This is the unit [Run.Cache] stores, keyed by
+    [Run.Spec]. *)
 type plans
 
 (** [plan ~machine ~lib ~pr ~pc flat] compiles every artifact of an
@@ -64,9 +65,10 @@ val plan :
   plans
 
 (** [of_plans plans] readies one virtual processor per mesh point:
-    fresh stores, kernel workspaces, mailboxes, staging pools and
-    statistics around the shared compiled artifacts. The per-rank
-    kernel programs in [plans] are bound to the fresh stores through a
+    fresh stores (minted from the plan's shape-only stores), kernel
+    workspaces, one channel per message side pair, and statistics around
+    the shared compiled artifacts. The per-rank kernel programs in
+    [plans] are bound to the fresh stores through a
     [Runtime.Kernel.env] — store binding, not recompilation, so a
     cache hit mints a ready-to-run engine. [limit] bounds instructions {e per
     processor} (default [1e9]); it does not affect the compiled

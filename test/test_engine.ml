@@ -182,28 +182,31 @@ let test_instruction_limit () =
     | _ -> false
     | exception Sim.Engine.Instruction_limit _ -> true)
 
-(* Deadlock diagnostics: dropping the first SR of one transfer from
-   2x2 Jacobi's flat ops must end in [Deadlock], naming the stuck
-   processor, the transfer and the partner it waits for — the same
-   message for a fringe transfer and for synthesized collective rounds,
-   which run as ordinary sides. *)
-let jacobi_flat collective =
+(* Deadlock diagnostics: dropping the first SR (or, under SHMEM, the
+   first DR) of one transfer from 2x2 Jacobi's flat ops must end in
+   [Deadlock], naming the stuck processor, the transfer and the partners
+   whose data or tokens it waits for — the same message for a fringe
+   transfer and for synthesized collective rounds, which run as ordinary
+   sides. *)
+let jacobi_flat (machine, lib) collective =
   let b = Option.get (Programs.Suite.find "jacobi") in
   let spec =
     Run.Spec.(
       default b.Programs.Bench_def.source
       |> with_defines b.Programs.Bench_def.test_defines
-      |> with_collective collective |> with_mesh 2 2)
+      |> with_collective collective |> with_target machine lib
+      |> with_mesh 2 2)
   in
   (Run.Spec.build spec).Run.Spec.a_flat
 
-(** [flat] with its first SR of a transfer satisfying [pick] replaced by
-    a jump to the next op. *)
-let drop_first_sr (flat : Ir.Flat.t) pick =
+(** [flat] with its first [call] of a transfer satisfying [pick]
+    replaced by a jump to the next op. *)
+let drop_first call (flat : Ir.Flat.t) pick =
   let ops = Array.copy flat.Ir.Flat.ops in
   let rec find i =
     match ops.(i) with
-    | Ir.Flat.FComm (Ir.Instr.SR, x) when pick flat.Ir.Flat.transfers.(x) -> i
+    | Ir.Flat.FComm (c, x) when c = call && pick flat.Ir.Flat.transfers.(x) ->
+        i
     | _ -> find (i + 1)
   in
   let i = find 0 in
@@ -212,31 +215,36 @@ let drop_first_sr (flat : Ir.Flat.t) pick =
 
 let test_deadlock_message () =
   let fringe (x : Ir.Transfer.t) = not (Ir.Transfer.is_coll x) in
+  let west x = fringe x && snd x.Ir.Transfer.off < 0 in
+  let pvm = (Machine.T3d.machine, Machine.T3d.pvm)
+  and shmem = (Machine.T3d.machine, Machine.T3d.shmem) in
   List.iter
-    (fun (label, collective, pick, want) ->
-      let flat = drop_first_sr (jacobi_flat collective) pick in
+    (fun (label, ((machine, lib) as target), collective, call, pick, want) ->
+      let flat = drop_first call (jacobi_flat target collective) pick in
       let eng =
-        Sim.Engine.of_plans
-          (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
-             ~pr:2 ~pc:2 flat)
+        Sim.Engine.of_plans (Sim.Engine.plan ~machine ~lib ~pr:2 ~pc:2 flat)
       in
       match Sim.Engine.run eng with
-      | _ -> Alcotest.failf "%s: dropped SR ran to completion" label
+      | _ -> Alcotest.failf "%s: dropped call ran to completion" label
       | exception Sim.Engine.Deadlock msg ->
           Alcotest.(check string) label want msg)
-    [ ("fringe", Opt.Config.Opaque, fringe,
+    [ ("fringe", pvm, Opt.Config.Opaque, Ir.Instr.SR, fringe,
         "proc 0 waiting for data of transfer x0:A@east from 1");
       (* proc 0 owns the west edge, so it expects nothing of a westward
          shift and runs on into the next reduction *)
-      ("fringe, proc 0 in the reduction", Opt.Config.Opaque,
-        (fun x -> fringe x && snd x.Ir.Transfer.off < 0),
-        "proc 0 waiting in the reduction at pc 19");
-      ("ring round", Opt.Config.Forced Ir.Coll.Ring, Ir.Transfer.is_coll,
-        "proc 0 waiting for data of transfer x9:ring:bcast[2/6]#s0 from 1");
-      ("recdouble round", Opt.Config.Forced Ir.Coll.Recdouble,
+      ("fringe, proc 0 in the reduction", pvm, Opt.Config.Opaque,
+        Ir.Instr.SR, west, "proc 0 waiting in the reduction at pc 19");
+      ("ring round", pvm, Opt.Config.Forced Ir.Coll.Ring, Ir.Instr.SR,
         Ir.Transfer.is_coll,
+        "proc 0 waiting for data of transfer x9:ring:bcast[2/6]#s0 from 1");
+      ("recdouble round", pvm, Opt.Config.Forced Ir.Coll.Recdouble,
+        Ir.Instr.SR, Ir.Transfer.is_coll,
         "proc 0 waiting for data of transfer x4:recdouble:reduce[0/2]#s0 \
-         from 1") ]
+         from 1");
+      (* SHMEM sends only once the receiver's DR token arrived: proc 1
+         never posts its westward DR, so proc 0 waits in its SR *)
+      ("rendezvous token", shmem, Opt.Config.Opaque, Ir.Instr.DR, west,
+        "proc 0 waiting for tokens of transfer x1:A@west from 1") ]
 
 let test_wavefront_serializes () =
   (* a row-sweep over a distributed dimension must take longer than the
@@ -677,6 +685,44 @@ let test_dispatch_alloc_gate () =
     true
     (per_instr <= 1.25)
 
+(** Words one {!Sim.Engine.of_plans} allocates per rank (minor plus
+    major minus promoted) for TOMCATV pl at n = 16 m on an [m x m]
+    mesh. A minor collection on both sides flushes the counters, which
+    lag the allocation otherwise. *)
+let mint_words_per_rank m =
+  let c =
+    compile
+      ~defines:[ ("n", float_of_int (16 * m)); ("iters", 2.) ]
+      Programs.Suite.tomcatv.Programs.Bench_def.source
+  in
+  let plans =
+    Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm ~pr:m
+      ~pc:m c.flat
+  in
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let eng = Sim.Engine.of_plans plans in
+  let w = words () -. w0 in
+  ignore (Sys.opaque_identity eng);
+  w /. float_of_int (m * m)
+
+(** Per-engine state grows with the ranks, not with their square:
+    every message side mints its own channel, and nothing is sized
+    ranks x transfers per rank. Measured 2,168 and 2,211 words per rank
+    at 8x8 and 16x16 (OCaml 5.1); per-rank state sized ranks x
+    transfers roughly doubles the ratio. *)
+let test_mint_scaling () =
+  let w8 = mint_words_per_rank 8 and w16 = mint_words_per_rank 16 in
+  Alcotest.(check bool)
+    (Printf.sprintf "mint words per rank: %.0f at 8x8, %.0f at 16x16 \
+                     (want ratio <= 1.15)" w8 w16)
+    true
+    (w16 <= 1.15 *. w8)
+
 let () =
   Alcotest.run "engine"
     [ ( "execution",
@@ -710,7 +756,9 @@ let () =
             test_float_region_bound ] );
       ( "allocation",
         [ Alcotest.test_case "kernel dispatch words per instruction" `Quick
-            test_dispatch_alloc_gate ] );
+            test_dispatch_alloc_gate;
+          Alcotest.test_case "mint words scale with ranks" `Quick
+            test_mint_scaling ] );
       ( "guards",
         [ Alcotest.test_case "wide shift rejected" `Quick test_rejects_wide_shift;
           Alcotest.test_case "instruction limit" `Quick test_instruction_limit;
