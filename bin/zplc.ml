@@ -62,16 +62,12 @@ let dump_cmd =
 let counts_cmd =
   let run src defines =
     Cmdline.handle (fun () ->
-        let base =
-          Run.Spec.(
-            default (Cmdline.load_source src) |> with_defines defines)
-        in
-        (* one cache across the five configs: the program parses once *)
-        let cache = Run.Cache.create () in
+        (* the program parses once; no engine is planned *)
+        let c = compile ~defines (Cmdline.load_source src) in
         let rows =
           List.map
             (fun config ->
-              let c = of_spec ~cache (Run.Spec.with_config config base) in
+              let c = recompile ~config c in
               [ Opt.Config.name config;
                 string_of_int (static_count c);
                 string_of_int (Ir.Count.static_member_count c.ir) ])

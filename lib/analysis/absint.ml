@@ -3,10 +3,11 @@
     final IRONMAN IR ({!analyze}) and a fixpoint-free feasible-path walk
     over the typed program ({!live_body}).
 
-    The concrete semantics being abstracted is {!Runtime.Values.eval_env}:
-    every processor evaluates scalar statements identically (SPMD), so
-    one abstract environment describes them all. Scalars start at their
-    type's zero ({!Runtime.Values.default_of}), and [-D] defines are
+    The concrete semantics being abstracted is the scalar code
+    {!Runtime.Values} compiles: every processor runs it identically
+    (SPMD), so one abstract environment describes them all. Scalars
+    start at their type's zero ({!Runtime.Values.make_slots}), and [-D]
+    defines are
     already folded to literals by {!Zpl.Check} — the initial state is
     therefore exact, and precision is lost only at joins, widenings and
     data-dependent writes ([ReduceK]/[CollFin] results come from array
@@ -110,7 +111,7 @@ let decide_bool (i : ival) : bool option =
 
 let eval_call1 (f : string) (a : ival) : ival =
   if is_point a then
-    match Runtime.Values.apply1 f a.lo with
+    match Runtime.Values.resolve1 f a.lo with
     | v -> point v
     | exception Invalid_argument _ -> top
   else
@@ -134,7 +135,7 @@ let eval_call1 (f : string) (a : ival) : ival =
 
 let eval_call2 (f : string) (a : ival) (b : ival) : ival =
   if is_point a && is_point b then
-    match Runtime.Values.apply2 f a.lo b.lo with
+    match Runtime.Values.resolve2 f a.lo b.lo with
     | v -> point v
     | exception Invalid_argument _ -> top
   else
@@ -143,18 +144,25 @@ let eval_call2 (f : string) (a : ival) (b : ival) : ival =
     | "max" -> mk (Float.max a.lo b.lo) (Float.max a.hi b.hi)
     | _ -> top
 
-(** [eval lookup e] abstracts {!Runtime.Values.eval_env}: for any concrete
-    environment within [lookup]'s intervals, the concrete result lies in
-    the returned interval (with the NaN convention above). Comparisons
-    and logic return 0/1 intervals, the abstraction of the concrete
-    booleans. *)
-let rec eval (lookup : int -> ival) (e : Zpl.Prog.sexpr) : ival =
+(** [eval ~scalars lookup e] abstracts {!Runtime.Values}' scalar code: for
+    any concrete environment within [lookup]'s intervals, the concrete
+    result lies in the returned interval (with the NaN convention
+    above). Comparisons and logic return 0/1 intervals, the abstraction
+    of the concrete booleans. Int [+ - *] wraps at 63 bits, and float
+    endpoint arithmetic rounds beyond 2^53, so an int result ([arith])
+    is kept only while both endpoints lie within +-2^53. *)
+let rec eval ~scalars (lookup : int -> ival) (e : Zpl.Prog.sexpr) : ival =
+  let eval = eval ~scalars and m = 9007199254740992.0 in
+  let arith v =
+    if Runtime.Values.is_float scalars e || (v.lo >= -.m && v.hi <= m) then v
+    else top
+  in
   match e with
   | Zpl.Prog.SFloat f -> point f
   | Zpl.Prog.SInt i -> point (float_of_int i)
   | Zpl.Prog.SBool b -> of_bool b
   | Zpl.Prog.SVar id -> lookup id
-  | Zpl.Prog.SUn (Zpl.Ast.Neg, a) -> neg (eval lookup a)
+  | Zpl.Prog.SUn (Zpl.Ast.Neg, a) -> arith (neg (eval lookup a))
   | Zpl.Prog.SUn (Zpl.Ast.Not, a) -> (
       match to_bool3 (eval lookup a) with
       | True -> ff
@@ -177,9 +185,9 @@ let rec eval (lookup : int -> ival) (e : Zpl.Prog.sexpr) : ival =
       in
       let not3 = function True -> False | False -> True | Unknown -> Unknown in
       match op with
-      | Zpl.Ast.Add -> add va vb
-      | Zpl.Ast.Sub -> sub va vb
-      | Zpl.Ast.Mul -> mul va vb
+      | Zpl.Ast.Add -> arith (add va vb)
+      | Zpl.Ast.Sub -> arith (sub va vb)
+      | Zpl.Ast.Mul -> arith (mul va vb)
       | Zpl.Ast.Div -> div va vb
       | Zpl.Ast.Pow ->
           if is_point va && is_point vb then point (Float.pow va.lo vb.lo)
@@ -228,16 +236,15 @@ let set (st : state) id v =
   st.(id) <- v;
   st
 
-let eval_state (st : state) e = eval (fun id -> st.(id)) e
+let eval_state ~scalars (st : state) e = eval ~scalars (fun id -> st.(id)) e
 
 (** The exact initial state: every scalar at its type's zero. *)
 let init_state (p : Zpl.Prog.t) : state =
   Array.map
     (fun (s : Zpl.Prog.scalar_info) ->
-      match Runtime.Values.default_of s.s_ty with
-      | Runtime.Values.VFloat f -> point f
-      | Runtime.Values.VInt i -> point (float_of_int i)
-      | Runtime.Values.VBool b -> of_bool b)
+      match s.s_ty with
+      | Zpl.Ast.TFloat | Zpl.Ast.TInt -> point 0.0
+      | Zpl.Ast.TBool -> of_bool false)
     p.Zpl.Prog.scalars
 
 (* fixpoint rounds before widening kicks in *)
@@ -278,6 +285,9 @@ let analyze (p : Ir.Instr.program) : summary =
   let decisions = Hashtbl.create 16 in
   let trips_tbl = Hashtbl.create 16 in
   let hull = init_state p.Ir.Instr.prog in
+  let eval_state =
+    eval_state ~scalars:(Runtime.Values.layout_of_prog p.Ir.Instr.prog)
+  in
   let write ~final st id v =
     if final then hull.(id) <- join hull.(id) v;
     set st id v
@@ -391,6 +401,7 @@ let havoc (st : state) ids =
 
 let live_body ?(visit = fun (_ : Zpl.Prog.stmt) -> ()) (p : Zpl.Prog.t) :
     Zpl.Prog.stmt list =
+  let eval_state = eval_state ~scalars:(Runtime.Values.layout_of_prog p) in
   let rec go st (stmts : Zpl.Prog.stmt list) =
     let acc, st =
       List.fold_left

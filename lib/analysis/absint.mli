@@ -7,7 +7,7 @@
     program, which dead-branch elimination ({!Opt.Passes.compile}) and
     the dead-scalar lint ({!Deadscalar}) share.
 
-    The concrete semantics abstracted is {!Runtime.Values.eval_env} on the
+    The concrete semantics abstracted is {!Runtime.Values}' scalar code on the
     SPMD scalar environment: every processor evaluates scalar statements
     identically, so one abstract state covers them all. Both are
     {e sound}: for every concrete execution, every scalar's value at
@@ -53,9 +53,13 @@ val div : ival -> ival -> ival
 (** [Some b] iff a 0/1 condition interval is provably [b]. *)
 val decide_bool : ival -> bool option
 
-(** Abstract counterpart of {!Runtime.Values.eval_env}: sound for any
-    concrete environment within [lookup]'s intervals. *)
-val eval : (int -> ival) -> Zpl.Prog.sexpr -> ival
+(** Abstract counterpart of the scalar code {!Runtime.Values} compiles:
+    sound for any concrete environment within [lookup]'s intervals.
+    [scalars] gives the scalars' types: int arithmetic whose interval
+    leaves +-2^53 (where it could wrap at 63 bits, or its float
+    endpoints round) goes to top. *)
+val eval :
+  scalars:Runtime.Values.layout -> (int -> ival) -> Zpl.Prog.sexpr -> ival
 
 (** Abstract scalar environment, indexed by scalar id. Persistent:
     updates copy. *)
@@ -63,11 +67,12 @@ type state = ival array
 
 val state_equal : state -> state -> bool
 val state_join : state -> state -> state
-val eval_state : state -> Zpl.Prog.sexpr -> ival
+val eval_state :
+  scalars:Runtime.Values.layout -> state -> Zpl.Prog.sexpr -> ival
 
-(** The exact initial state: every scalar at its type's zero
-    ({!Runtime.Values.default_of}); [-D] defines are already folded to
-    literals by the front end. *)
+(** The exact initial state: every scalar at its type's zero (as
+    {!Runtime.Values.make_slots} mints them); [-D] defines are already
+    folded to literals by the front end. *)
 val init_state : Zpl.Prog.t -> state
 
 (** Trip-count interval of a counted loop from its bound intervals

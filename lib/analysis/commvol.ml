@@ -52,10 +52,6 @@ type coeff = {
   c_cpu : float;  (** comm-CPU seconds per activation *)
 }
 
-let zero_coeff =
-  { c_msgs_sent = 0; c_bytes_sent = 0; c_msgs_recv = 0; c_bytes_recv = 0;
-    c_xfer_sent = false; c_xfer_recv = false; c_cpu = 0.0 }
-
 (** One communication site: one transfer (one DR/SR/DN/SV quadruple —
     the unit the paper counts) at one program point. *)
 type site = {

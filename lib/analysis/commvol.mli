@@ -23,8 +23,6 @@ type coeff = {
   c_cpu : float;  (** comm-CPU seconds per activation *)
 }
 
-val zero_coeff : coeff
-
 type site = {
   st_xfer : int;  (** transfer id *)
   st_pos : int;  (** preorder position of the site's first call *)

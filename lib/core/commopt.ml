@@ -56,17 +56,16 @@ let recompile ?check ?machine ?lib ?mesh ~(config : Opt.Config.t)
 (** The spec-based entry: compile the artifacts described by a
     {!Run.Spec.t}, answered from [cache] when given (identical specs
     then share everything, including the engine plans behind
-    [Run.Cache.engine]). *)
+    [Run.Cache.engine]). Without a cache no engine is planned. *)
 let of_spec ?cache (spec : Run.Spec.t) : compiled =
-  let art =
+  let prog, ir, flat =
     match cache with
-    | Some c -> Run.Cache.artifact c spec
-    | None -> Run.Spec.build spec
+    | Some c ->
+        let a = Run.Cache.artifact c spec in
+        Run.Spec.(a.a_prog, a.a_ir, a.a_flat)
+    | None -> Run.Spec.compile spec
   in
-  { prog = art.Run.Spec.a_prog;
-    config = spec.Run.Spec.config;
-    ir = art.Run.Spec.a_ir;
-    flat = art.Run.Spec.a_flat }
+  { prog; config = spec.Run.Spec.config; ir; flat }
 
 let static_count (c : compiled) = Ir.Count.static_count c.ir
 

@@ -201,7 +201,7 @@ type artifact = {
   a_plans : Sim.Engine.plans;
 }
 
-let build ?prog (spec : t) : artifact =
+let compile ?prog (spec : t) =
   let prog =
     match prog with
     | Some p -> p
@@ -211,7 +211,10 @@ let build ?prog (spec : t) : artifact =
     Opt.Passes.compile ~check:spec.check ~machine:spec.machine ~lib:spec.lib
       ~mesh:spec.mesh ~topology:spec.topology spec.config prog
   in
-  let flat = Ir.Flat.flatten ir in
+  (prog, ir, Ir.Flat.flatten ir)
+
+let build ?prog (spec : t) : artifact =
+  let prog, ir, flat = compile ?prog spec in
   let pr, pc = spec.mesh in
   let plans =
     Sim.Engine.plan ~topology:spec.topology ~machine:spec.machine

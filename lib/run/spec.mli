@@ -90,11 +90,16 @@ type artifact = private {
   a_plans : Sim.Engine.plans;
 }
 
-(** Compile a spec end to end (parse/check, optimize against the spec's
-    machine/lib/mesh, flatten, compile engine plans). [prog] short-cuts
-    the parse when the caller already holds the program for
-    {!program_digest} (the cache's memo). Raises like the pipeline
-    stages it runs. *)
+(** The front half of {!build}: parse/check, optimize against the spec's
+    machine/lib/mesh, flatten — no engine plans, so its cost does not
+    grow with the simulated mesh or the array sizes. *)
+val compile :
+  ?prog:Zpl.Prog.t -> t -> Zpl.Prog.t * Ir.Instr.program * Ir.Flat.t
+
+(** Compile a spec end to end ({!compile}, then the engine plans).
+    [prog] short-cuts the parse when the caller already holds the
+    program for {!program_digest} (the cache's memo). Raises like the
+    pipeline stages it runs. *)
 val build : ?prog:Zpl.Prog.t -> t -> artifact
 
 (** A fresh engine over an artifact's shared plans, using the spec's

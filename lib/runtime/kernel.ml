@@ -62,16 +62,12 @@ let run_region ~(write : int array -> float -> unit) ~(region : Zpl.Region.t)
   end
 
 (** Fold a pre-compiled per-cell function over [region] with reduction
-    operator [op]. Returns the partial (identity on empty regions) and the
-    cell count. *)
+    operator [op]: the partial (the identity on empty regions). *)
 let run_reduce ~(region : Zpl.Region.t) (op : Zpl.Ast.redop)
-    (f : int array -> float) : float * int =
-  if Zpl.Region.is_empty region then (Reduce.identity op, 0)
-  else begin
-    let acc = ref (Reduce.identity op) in
-    Zpl.Region.iter region (fun p -> acc := Reduce.apply op !acc (f p));
-    (!acc, Zpl.Region.size region)
-  end
+    (f : int array -> float) : float =
+  let acc = ref (Reduce.identity op) in
+  Zpl.Region.iter region (fun p -> acc := Reduce.apply op !acc (f p));
+  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Runtime environment: the store-binding contract                     *)
@@ -90,13 +86,15 @@ let empty_buf : buf = A1.create Bigarray.float64 Bigarray.c_layout 0
 
 (** Workspace slot allocator threaded through one compile pass. *)
 type ws = {
+  wscalars : Values.layout;  (** where each broadcast scalar lives *)
   mutable wbufs : int;  (** row-buffer slots handed out *)
   mutable wchains : int list;  (** chain slot lengths, reversed *)
   mutable wnchains : int;
   mutable wipt : int;  (** 1 + max rank needing integer point scratch *)
 }
 
-let make_ws () : ws = { wbufs = 0; wchains = []; wnchains = 0; wipt = 0 }
+let make_ws scalars : ws =
+  { wscalars = scalars; wbufs = 0; wchains = []; wnchains = 0; wipt = 0 }
 
 let ws_buf (ws : ws) : int =
   let id = ws.wbufs in
@@ -129,11 +127,11 @@ type chain_ws = {
 }
 
 (** The runtime environment every [exec_*] entry takes: the executor's
-    stores (indexed by array id), its scalar reader, and the mutable
+    stores (indexed by array id), its scalar slots, and the mutable
     workspace the plan's slot ids index into. *)
 type env = {
   e_stores : Store.t array;
-  e_scalar : int -> float;
+  e_slots : Values.slots;
   e_bufs : buf ref array;  (** row buffers, grown on demand *)
   e_chains : chain_ws array;
   e_ipt : int array array;  (** integer point scratch, indexed by rank *)
@@ -143,10 +141,10 @@ type env = {
           inside a row *)
 }
 
-let make_env ~(stores : Store.t array) ~(scalar : int -> float)
+let make_env ~(stores : Store.t array) ~(slots : Values.slots)
     (spec : envspec) : env =
   { e_stores = stores;
-    e_scalar = scalar;
+    e_slots = slots;
     e_bufs = Array.init spec.es_bufs (fun _ -> ref empty_buf);
     e_chains =
       Array.map
@@ -166,7 +164,11 @@ let rec compile_env (ws : ws) (e : Zpl.Prog.aexpr) :
     env -> int array -> float =
   match e with
   | Zpl.Prog.AConst c -> fun _ _ -> c
-  | Zpl.Prog.AScalar id -> fun env _ -> env.e_scalar id
+  | Zpl.Prog.AScalar id ->
+      let k = Values.slot ws.wscalars id in
+      if Values.is_int ws.wscalars id then fun env _ ->
+        float_of_int env.e_slots.Values.i.(k)
+      else fun env _ -> env.e_slots.Values.f.(k)
   | Zpl.Prog.AIndex d -> fun _ p -> float_of_int p.(d)
   | Zpl.Prog.ARef (aid, off) ->
       if Array.for_all (fun d -> d = 0) off then fun env p ->
@@ -197,11 +199,12 @@ let rec compile_env (ws : ws) (e : Zpl.Prog.aexpr) :
       fun env p -> -.fa env p
   | Zpl.Prog.AUn (Zpl.Ast.Not, _) -> invalid_arg "'not' in array expression"
   | Zpl.Prog.ACall (f, [ a ]) ->
-      let fa = compile_env ws a in
-      fun env p -> Values.apply1 f (fa env p)
+      let g = Values.resolve1 f and fa = compile_env ws a in
+      fun env p -> g (fa env p)
   | Zpl.Prog.ACall (f, [ a; b ]) ->
+      let g = Values.resolve2 f in
       let fa = compile_env ws a and fb = compile_env ws b in
-      fun env p -> Values.apply2 f (fa env p) (fb env p)
+      fun env p -> g (fa env p) (fb env p)
   | Zpl.Prog.ACall (f, _) -> invalid_arg ("bad arity for intrinsic " ^ f)
 
 (* ------------------------------------------------------------------ *)
@@ -241,6 +244,10 @@ type rowsrc =
   | RConst of float  (** the same value in every cell *)
   | RRow of (env -> int array -> float)
       (** row-invariant: one eval per row *)
+  | RScalar of int * bool
+      (** a scalar broadcast (its slot, and whether that is an int
+          slot): read in place from the env's slots once per row, never
+          boxed *)
   | RRef of int * int
       (** full-rank shifted ref: array id and flat shift; flat cell
           [index p0 + shift + k] of the env's store *)
@@ -267,7 +274,7 @@ let ensure : buf ref -> int -> buf = Store.grow_buf
    and [A1.fill]/[A1.blit] dispatch into C — at our row lengths that
    costs more than the copy itself, so the hot paths never use them. *)
 
-let buf_fill (dst : buf) d0 len v =
+let[@inline] buf_fill (dst : buf) d0 len v =
   for k = d0 to d0 + len - 1 do
     A1.unsafe_set dst k v
   done
@@ -277,12 +284,24 @@ let buf_blit (src : buf) s0 (dst : buf) d0 len =
     A1.unsafe_set dst (d0 + k) (A1.unsafe_get src (s0 + k))
   done
 
+(** The row-invariant value of [src] (a constant, [RRow] or [RScalar])
+    for the row at [p0]. Callers inline it, so a scalar's slot is read
+    without boxing: [x +. -0.0] is [x] bit for bit (negative zero is the
+    additive identity), and makes every arm a fresh float, which lets
+    the compiler keep the result unboxed. *)
+let[@inline] inv (src : rowsrc) (env : env) (p0 : int array) : float =
+  match src with
+  | RScalar (id, false) -> env.e_slots.Values.f.(id)
+  | RScalar (id, true) -> float_of_int env.e_slots.Values.i.(id)
+  | RConst v -> v +. -0.0
+  | RRow f -> f env p0 +. -0.0
+  | RRef _ | RIndexLast | RFill _ -> raise Row_fallback
+
 (** Materialize a row source into [dst.(d0 .. d0+len-1)]. *)
 let fill (src : rowsrc) (env : env) (p0 : int array) (len : int) (dst : buf)
     (d0 : int) : unit =
   match src with
-  | RConst v -> buf_fill dst d0 len v
-  | RRow f -> buf_fill dst d0 len (f env p0)
+  | RConst _ | RRow _ | RScalar _ -> buf_fill dst d0 len (inv src env p0)
   | RRef (aid, dshift) ->
       let s = env.e_stores.(aid) in
       let base = ref_base s dshift p0 len in
@@ -299,8 +318,7 @@ type slice = SConst of float | SVec of buf * int
 
 let slice_of (src : rowsrc) (env : env) (scratch : buf ref) p0 len : slice =
   match src with
-  | RConst v -> SConst v
-  | RRow f -> SConst (f env p0)
+  | RConst _ | RRow _ | RScalar _ -> SConst (inv src env p0)
   | RRef (aid, dshift) ->
       let s = env.e_stores.(aid) in
       SVec (Store.read_only s, ref_base s dshift p0 len)
@@ -311,125 +329,93 @@ let slice_of (src : rowsrc) (env : env) (scratch : buf ref) p0 len : slice =
 
 (* Monomorphic combine loops: one [match] per row, zero dispatch per cell.
    Index ranges are validated by the callers ([ref_base] for slices, the
-   region-subset check in {!run_region_rows} for destinations). *)
+   region-subset check in {!run_region_rows} for destinations). Each is
+   inlined, so a row-invariant [v] reaches its loop unboxed; [dst] may be
+   one of the sources at the same offset (each cell is read before it is
+   written). *)
 
-(** [dst.(k) <- dst.(k) op v] over the row. *)
-let map_vs (op : Zpl.Ast.binop) (dst : buf) d0 len v =
-  match op with
-  | Zpl.Ast.Add ->
-      for k = d0 to d0 + len - 1 do
-        A1.unsafe_set dst k (A1.unsafe_get dst k +. v)
-      done
-  | Zpl.Ast.Sub ->
-      for k = d0 to d0 + len - 1 do
-        A1.unsafe_set dst k (A1.unsafe_get dst k -. v)
-      done
-  | Zpl.Ast.Mul ->
-      for k = d0 to d0 + len - 1 do
-        A1.unsafe_set dst k (A1.unsafe_get dst k *. v)
-      done
-  | Zpl.Ast.Div ->
-      for k = d0 to d0 + len - 1 do
-        A1.unsafe_set dst k (A1.unsafe_get dst k /. v)
-      done
-  | Zpl.Ast.Pow ->
-      for k = d0 to d0 + len - 1 do
-        A1.unsafe_set dst k (Float.pow (A1.unsafe_get dst k) v)
-      done
-  | _ -> raise Row_fallback
-
-(** [dst.(k) <- v op dst.(k)] over the row. *)
-let map_sv (op : Zpl.Ast.binop) v (dst : buf) d0 len =
-  match op with
-  | Zpl.Ast.Add ->
-      for k = d0 to d0 + len - 1 do
-        A1.unsafe_set dst k (v +. A1.unsafe_get dst k)
-      done
-  | Zpl.Ast.Sub ->
-      for k = d0 to d0 + len - 1 do
-        A1.unsafe_set dst k (v -. A1.unsafe_get dst k)
-      done
-  | Zpl.Ast.Mul ->
-      for k = d0 to d0 + len - 1 do
-        A1.unsafe_set dst k (v *. A1.unsafe_get dst k)
-      done
-  | Zpl.Ast.Div ->
-      for k = d0 to d0 + len - 1 do
-        A1.unsafe_set dst k (v /. A1.unsafe_get dst k)
-      done
-  | Zpl.Ast.Pow ->
-      for k = d0 to d0 + len - 1 do
-        A1.unsafe_set dst k (Float.pow v (A1.unsafe_get dst k))
-      done
-  | _ -> raise Row_fallback
-
-(** [dst.(k) <- dst.(k) op src.(s0 + k - d0)] over the row. *)
-let map_vv (op : Zpl.Ast.binop) (dst : buf) d0 (src : buf) s0 len =
+(** [dst.(d0+k) <- a.(ia+k) op b.(ib+k)] over the row. *)
+let[@inline] map_vv (op : Zpl.Ast.binop) (a : buf) ia (b : buf) ib (dst : buf)
+    d0 len =
   match op with
   | Zpl.Ast.Add ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k)
-          (A1.unsafe_get dst (d0 + k) +. A1.unsafe_get src (s0 + k))
+          (A1.unsafe_get a (ia + k) +. A1.unsafe_get b (ib + k))
       done
   | Zpl.Ast.Sub ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k)
-          (A1.unsafe_get dst (d0 + k) -. A1.unsafe_get src (s0 + k))
+          (A1.unsafe_get a (ia + k) -. A1.unsafe_get b (ib + k))
       done
   | Zpl.Ast.Mul ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k)
-          (A1.unsafe_get dst (d0 + k) *. A1.unsafe_get src (s0 + k))
+          (A1.unsafe_get a (ia + k) *. A1.unsafe_get b (ib + k))
       done
   | Zpl.Ast.Div ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k)
-          (A1.unsafe_get dst (d0 + k) /. A1.unsafe_get src (s0 + k))
+          (A1.unsafe_get a (ia + k) /. A1.unsafe_get b (ib + k))
       done
   | Zpl.Ast.Pow ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k)
-          (Float.pow
-             (A1.unsafe_get dst (d0 + k))
-             (A1.unsafe_get src (s0 + k)))
+          (Float.pow (A1.unsafe_get a (ia + k)) (A1.unsafe_get b (ib + k)))
       done
   | _ -> raise Row_fallback
 
-(** [dst.(k) <- src.(s0 + k - d0) op dst.(k)] over the row — the reversed
-    accumulate, used when the {e left} operand is a plain ref and the
-    right one already lives in [dst]. *)
-let map_rv (op : Zpl.Ast.binop) (src : buf) s0 (dst : buf) d0 len =
+(** [dst.(d0+k) <- a.(ia+k) op v] over the row. *)
+let[@inline] map_vs (op : Zpl.Ast.binop) (a : buf) ia v (dst : buf) d0 len =
   match op with
   | Zpl.Ast.Add ->
       for k = 0 to len - 1 do
-        A1.unsafe_set dst (d0 + k)
-          (A1.unsafe_get src (s0 + k) +. A1.unsafe_get dst (d0 + k))
+        A1.unsafe_set dst (d0 + k) (A1.unsafe_get a (ia + k) +. v)
       done
   | Zpl.Ast.Sub ->
       for k = 0 to len - 1 do
-        A1.unsafe_set dst (d0 + k)
-          (A1.unsafe_get src (s0 + k) -. A1.unsafe_get dst (d0 + k))
+        A1.unsafe_set dst (d0 + k) (A1.unsafe_get a (ia + k) -. v)
       done
   | Zpl.Ast.Mul ->
       for k = 0 to len - 1 do
-        A1.unsafe_set dst (d0 + k)
-          (A1.unsafe_get src (s0 + k) *. A1.unsafe_get dst (d0 + k))
+        A1.unsafe_set dst (d0 + k) (A1.unsafe_get a (ia + k) *. v)
       done
   | Zpl.Ast.Div ->
       for k = 0 to len - 1 do
-        A1.unsafe_set dst (d0 + k)
-          (A1.unsafe_get src (s0 + k) /. A1.unsafe_get dst (d0 + k))
+        A1.unsafe_set dst (d0 + k) (A1.unsafe_get a (ia + k) /. v)
       done
   | Zpl.Ast.Pow ->
       for k = 0 to len - 1 do
-        A1.unsafe_set dst (d0 + k)
-          (Float.pow
-             (A1.unsafe_get src (s0 + k))
-             (A1.unsafe_get dst (d0 + k)))
+        A1.unsafe_set dst (d0 + k) (Float.pow (A1.unsafe_get a (ia + k)) v)
       done
   | _ -> raise Row_fallback
 
-let apply_bin (op : Zpl.Ast.binop) x y =
+(** [dst.(d0+k) <- v op b.(ib+k)] over the row. *)
+let[@inline] map_sv (op : Zpl.Ast.binop) v (b : buf) ib (dst : buf) d0 len =
+  match op with
+  | Zpl.Ast.Add ->
+      for k = 0 to len - 1 do
+        A1.unsafe_set dst (d0 + k) (v +. A1.unsafe_get b (ib + k))
+      done
+  | Zpl.Ast.Sub ->
+      for k = 0 to len - 1 do
+        A1.unsafe_set dst (d0 + k) (v -. A1.unsafe_get b (ib + k))
+      done
+  | Zpl.Ast.Mul ->
+      for k = 0 to len - 1 do
+        A1.unsafe_set dst (d0 + k) (v *. A1.unsafe_get b (ib + k))
+      done
+  | Zpl.Ast.Div ->
+      for k = 0 to len - 1 do
+        A1.unsafe_set dst (d0 + k) (v /. A1.unsafe_get b (ib + k))
+      done
+  | Zpl.Ast.Pow ->
+      for k = 0 to len - 1 do
+        A1.unsafe_set dst (d0 + k) (Float.pow v (A1.unsafe_get b (ib + k)))
+      done
+  | _ -> raise Row_fallback
+
+let[@inline] float_bin (op : Zpl.Ast.binop) x y =
   match op with
   | Zpl.Ast.Add -> x +. y
   | Zpl.Ast.Sub -> x -. y
@@ -438,133 +424,42 @@ let apply_bin (op : Zpl.Ast.binop) x y =
   | Zpl.Ast.Pow -> Float.pow x y
   | _ -> raise Row_fallback
 
-let row_value : rowsrc -> env -> int array -> float = function
-  | RConst v -> fun _ _ -> v
-  | RRow f -> f
-  | _ -> assert false
-
 (* --- single-pass binary kernels over plain refs --- *)
+
+(* raises [Row_fallback] unless [op] is arithmetic *)
+let arith_only (op : Zpl.Ast.binop) = ignore (float_bin op 0.0 0.0)
 
 (** [dst.(d0+k) <- a.(ia+k) op b.(ib+k)] in one pass, no intermediate
     row. Same per-cell operation as fill-then-combine, one memory
     traversal instead of two. *)
 let fill_vv2 (op : Zpl.Ast.binop) ((aa, da) : int * int)
     ((ab, db) : int * int) : rowsrc =
-  let body : buf -> int -> buf -> int -> buf -> int -> int -> unit =
-    match op with
-    | Zpl.Ast.Add ->
-        fun a ia b ib dst d0 len ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k)
-              (A1.unsafe_get a (ia + k) +. A1.unsafe_get b (ib + k))
-          done
-    | Zpl.Ast.Sub ->
-        fun a ia b ib dst d0 len ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k)
-              (A1.unsafe_get a (ia + k) -. A1.unsafe_get b (ib + k))
-          done
-    | Zpl.Ast.Mul ->
-        fun a ia b ib dst d0 len ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k)
-              (A1.unsafe_get a (ia + k) *. A1.unsafe_get b (ib + k))
-          done
-    | Zpl.Ast.Div ->
-        fun a ia b ib dst d0 len ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k)
-              (A1.unsafe_get a (ia + k) /. A1.unsafe_get b (ib + k))
-          done
-    | Zpl.Ast.Pow ->
-        fun a ia b ib dst d0 len ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k)
-              (Float.pow (A1.unsafe_get a (ia + k)) (A1.unsafe_get b (ib + k)))
-          done
-    | _ -> raise Row_fallback
-  in
+  arith_only op;
   RFill
     (fun env p0 len dst d0 ->
       let sa = env.e_stores.(aa) and sb = env.e_stores.(ab) in
       let ia = ref_base sa da p0 len and ib = ref_base sb db p0 len in
-      body (Store.read_only sa) ia (Store.read_only sb) ib dst d0 len)
+      map_vv op (Store.read_only sa) ia (Store.read_only sb) ib dst d0 len)
 
-(** [dst.(d0+k) <- a.(ia+k) op v] in one pass. *)
-let fill_vs2 (op : Zpl.Ast.binop) ((aa, da) : int * int)
-    (fv : env -> int array -> float) : rowsrc =
-  let body : buf -> int -> float -> buf -> int -> int -> unit =
-    match op with
-    | Zpl.Ast.Add ->
-        fun a ia v dst d0 len ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k) (A1.unsafe_get a (ia + k) +. v)
-          done
-    | Zpl.Ast.Sub ->
-        fun a ia v dst d0 len ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k) (A1.unsafe_get a (ia + k) -. v)
-          done
-    | Zpl.Ast.Mul ->
-        fun a ia v dst d0 len ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k) (A1.unsafe_get a (ia + k) *. v)
-          done
-    | Zpl.Ast.Div ->
-        fun a ia v dst d0 len ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k) (A1.unsafe_get a (ia + k) /. v)
-          done
-    | Zpl.Ast.Pow ->
-        fun a ia v dst d0 len ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k) (Float.pow (A1.unsafe_get a (ia + k)) v)
-          done
-    | _ -> raise Row_fallback
-  in
+(** [dst.(d0+k) <- a.(ia+k) op v] in one pass, [v] row-invariant. *)
+let fill_vs2 (op : Zpl.Ast.binop) ((aa, da) : int * int) (rv : rowsrc) :
+    rowsrc =
+  arith_only op;
   RFill
     (fun env p0 len dst d0 ->
       let sa = env.e_stores.(aa) in
       let ia = ref_base sa da p0 len in
-      body (Store.read_only sa) ia (fv env p0) dst d0 len)
+      map_vs op (Store.read_only sa) ia (inv rv env p0) dst d0 len)
 
 (** [dst.(d0+k) <- v op b.(ib+k)] in one pass. *)
-let fill_sv2 (op : Zpl.Ast.binop) (fv : env -> int array -> float)
-    ((ab, db) : int * int) : rowsrc =
-  let body : float -> buf -> int -> buf -> int -> int -> unit =
-    match op with
-    | Zpl.Ast.Add ->
-        fun v b ib dst d0 len ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k) (v +. A1.unsafe_get b (ib + k))
-          done
-    | Zpl.Ast.Sub ->
-        fun v b ib dst d0 len ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k) (v -. A1.unsafe_get b (ib + k))
-          done
-    | Zpl.Ast.Mul ->
-        fun v b ib dst d0 len ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k) (v *. A1.unsafe_get b (ib + k))
-          done
-    | Zpl.Ast.Div ->
-        fun v b ib dst d0 len ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k) (v /. A1.unsafe_get b (ib + k))
-          done
-    | Zpl.Ast.Pow ->
-        fun v b ib dst d0 len ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k) (Float.pow v (A1.unsafe_get b (ib + k)))
-          done
-    | _ -> raise Row_fallback
-  in
+let fill_sv2 (op : Zpl.Ast.binop) (rv : rowsrc) ((ab, db) : int * int) :
+    rowsrc =
+  arith_only op;
   RFill
     (fun env p0 len dst d0 ->
       let sb = env.e_stores.(ab) in
       let ib = ref_base sb db p0 len in
-      body (fv env p0) (Store.read_only sb) ib dst d0 len)
+      map_sv op (inv rv env p0) (Store.read_only sb) ib dst d0 len)
 
 (** [dst.(d0+k) <- (a*b) op (c*d)] in one pass — the shape of the
     metric-coefficient statements ([AA := 0.25*(XY*XY + YY*YY)] and
@@ -635,8 +530,8 @@ let fill_refprod (op : [ `Add | `Sub ]) (aa, da) (ac, dc) (ad, dd) : rowsrc =
     order the per-point evaluator uses. *)
 type scale_kind =
   | KNone
-  | KLeft of Zpl.Ast.binop * (env -> int array -> float)  (** [s op chain] *)
-  | KRight of Zpl.Ast.binop * (env -> int array -> float)
+  | KLeft of Zpl.Ast.binop * rowsrc  (** [s op chain] *)
+  | KRight of Zpl.Ast.binop * rowsrc
       (** [chain op s] *)
 
 (** One chain term: a full-rank ref (array id and flat shift) with an
@@ -644,7 +539,7 @@ type scale_kind =
     [c * A@d]. *)
 type cterm = {
   t_ref : int * int;
-  t_coeff : (env -> int array -> float) option;
+  t_coeff : rowsrc option;  (** row-invariant, see {!inv} *)
 }
 
 (** A left-associated +/- chain of (optionally scaled) full-rank refs,
@@ -816,13 +711,13 @@ let fill_chain (ws : ws) (terms : cterm array) (sub : bool array)
         cw.cw_datas.(t) <- Store.read_only s;
         cw.cw_bases.(t) <- ref_base s shift p0 len;
         cw.cw_cvals.(t) <-
-          (match t_coeff with None -> 1.0 | Some f -> f env p0)
+          (match t_coeff with None -> 1.0 | Some c -> inv c env p0)
       done;
       core cw dst d0 len;
       match kind with
       | KNone -> ()
-      | KLeft (op, f) -> map_sv op (f env p0) dst d0 len
-      | KRight (op, f) -> map_vs op dst d0 len (f env p0))
+      | KLeft (op, s) -> map_sv op (inv s env p0) dst d0 dst d0 len
+      | KRight (op, s) -> map_vs op dst d0 (inv s env p0) dst d0 len)
 
 (** [compile_row rc ~rank e] row-compiles [e] for iteration regions of
     rank [rank]; [None] means the caller must use the per-point path. *)
@@ -874,7 +769,9 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
   let rec go (e : Zpl.Prog.aexpr) : rowsrc =
     match e with
     | Zpl.Prog.AConst c -> RConst c
-    | Zpl.Prog.AScalar id -> RRow (fun env _ -> env.e_scalar id)
+    | Zpl.Prog.AScalar id ->
+        let l = rc.rws.wscalars in
+        RScalar (Values.slot l id, Values.is_int l id)
     | Zpl.Prog.AIndex d ->
         if d = rank - 1 then RIndexLast
         else if d >= 0 && d < rank - 1 then
@@ -919,10 +816,10 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
           else None
         with
         | Some (RConst x) -> RConst (x *. x)
-        | Some (RRow f) ->
+        | Some ((RRow _ | RScalar _) as ra) ->
             RRow
               (fun env p0 ->
-                let v = f env p0 in
+                let v = inv ra env p0 in
                 v *. v)
         | Some (RRef (aa, da)) -> fill_vv2 Zpl.Ast.Mul (aa, da) (aa, da)
         | Some ra ->
@@ -936,15 +833,16 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
         | None -> (
             let ra = go a and rb = go b in
             match (ra, rb) with
-            | RConst x, RConst y -> RConst (apply_bin op x y)
-            | (RConst _ | RRow _), (RConst _ | RRow _) ->
-                let fa = row_value ra and fb = row_value rb in
-                RRow (fun env p0 -> apply_bin op (fa env p0) (fb env p0))
+            | RConst x, RConst y -> RConst (float_bin op x y)
+            | (RConst _ | RRow _ | RScalar _), (RConst _ | RRow _ | RScalar _)
+              ->
+                RRow
+                  (fun env p0 -> float_bin op (inv ra env p0) (inv rb env p0))
             | RRef (aa, da), RRef (ab, db) -> fill_vv2 op (aa, da) (ab, db)
-            | RRef (aa, da), (RConst _ | RRow _) ->
-                fill_vs2 op (aa, da) (row_value rb)
-            | (RConst _ | RRow _), RRef (ab, db) ->
-                fill_sv2 op (row_value ra) (ab, db)
+            | RRef (aa, da), (RConst _ | RRow _ | RScalar _) ->
+                fill_vs2 op (aa, da) rb
+            | (RConst _ | RRow _ | RScalar _), RRef (ab, db) ->
+                fill_sv2 op ra (ab, db)
             | RRef (aa, da), _ ->
                 (* evaluate the composite right side into dst, then fold
                    in the left ref slice reversed — no scratch row *)
@@ -953,38 +851,36 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
                     fill rb env p0 len dst d0;
                     let s = env.e_stores.(aa) in
                     let ia = ref_base s da p0 len in
-                    map_rv op (Store.read_only s) ia dst d0 len)
-            | _, (RConst _ | RRow _) ->
-                let fb = row_value rb in
+                    map_vv op (Store.read_only s) ia dst d0 dst d0 len)
+            | _, (RConst _ | RRow _ | RScalar _) ->
                 RFill
                   (fun env p0 len dst d0 ->
                     fill ra env p0 len dst d0;
-                    map_vs op dst d0 len (fb env p0))
-            | (RConst _ | RRow _), _ ->
-                let fa = row_value ra in
+                    map_vs op dst d0 (inv rb env p0) dst d0 len)
+            | (RConst _ | RRow _ | RScalar _), _ ->
                 RFill
                   (fun env p0 len dst d0 ->
                     fill rb env p0 len dst d0;
-                    map_sv op (fa env p0) dst d0 len)
+                    map_sv op (inv ra env p0) dst d0 dst d0 len)
             | _, RRef (ab, db) ->
                 RFill
                   (fun env p0 len dst d0 ->
                     fill ra env p0 len dst d0;
                     let s = env.e_stores.(ab) in
                     let ib = ref_base s db p0 len in
-                    map_vv op dst d0 (Store.read_only s) ib len)
+                    map_vv op dst d0 (Store.read_only s) ib dst d0 len)
             | _, _ ->
                 let slot = ws_buf rc.rws in
                 RFill
                   (fun env p0 len dst d0 ->
                     fill ra env p0 len dst d0;
                     match slice_of rb env env.e_bufs.(slot) p0 len with
-                    | SConst v -> map_vs op dst d0 len v
-                    | SVec (src, s0) -> map_vv op dst d0 src s0 len)))
+                    | SConst v -> map_vs op dst d0 v dst d0 len
+                    | SVec (src, s0) -> map_vv op dst d0 src s0 dst d0 len)))
     | Zpl.Prog.AUn (Zpl.Ast.Neg, a) -> (
         match go a with
         | RConst v -> RConst (-.v)
-        | RRow f -> RRow (fun env p0 -> -.f env p0)
+        | (RRow _ | RScalar _) as ra -> RRow (fun env p0 -> -.inv ra env p0)
         | ra ->
             RFill
               (fun env p0 len dst d0 ->
@@ -999,7 +895,7 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
         in
         match go a with
         | RConst v -> RConst (g v)
-        | RRow fa -> RRow (fun env p0 -> g (fa env p0))
+        | (RRow _ | RScalar _) as ra -> RRow (fun env p0 -> g (inv ra env p0))
         | ra ->
             let apply =
               (* keep the hottest intrinsics call-free in the loop *)
@@ -1031,9 +927,8 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
         let ra = go a and rb = go b in
         match (ra, rb) with
         | RConst x, RConst y -> RConst (g x y)
-        | (RConst _ | RRow _), (RConst _ | RRow _) ->
-            let fa = row_value ra and fb = row_value rb in
-            RRow (fun env p0 -> g (fa env p0) (fb env p0))
+        | (RConst _ | RRow _ | RScalar _), (RConst _ | RRow _ | RScalar _) ->
+            RRow (fun env p0 -> g (inv ra env p0) (inv rb env p0))
         | _ ->
             let slot = ws_buf rc.rws in
             RFill
@@ -1056,9 +951,8 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
   and chain (e : Zpl.Prog.aexpr) : rowsrc option =
     let try_scalar e =
       match go e with
-      | RConst v -> Some (fun (_ : env) (_ : int array) -> v)
-      | RRow f -> Some f
-      | _ -> None
+      | (RConst _ | RRow _ | RScalar _) as s -> Some s
+      | RRef _ | RIndexLast | RFill _ -> None
       | exception Row_fallback -> None
     in
     (* one chain term: a plain full-rank ref, or one under a
@@ -1193,54 +1087,38 @@ let fold_rows (env : env) ~(slot : int) (op : Zpl.Ast.redop) (src : rowsrc)
     let scratch = env.e_bufs.(slot) in
     Zpl.Region.first_row region p0;
     for _ = 1 to rows do
-      (match src with
-      | RConst _ | RRow _ ->
-          let v =
-            match src with
-            | RConst v -> v
-            | RRow f -> f env p0
-            | RRef _ | RIndexLast | RFill _ -> assert false
-          in
-          let a = ref !acc in
-          (match op with
-          | Zpl.Ast.RSum -> for _ = 1 to len do a := !a +. v done
-          | Zpl.Ast.RProd -> for _ = 1 to len do a := !a *. v done
-          | Zpl.Ast.RMax -> for _ = 1 to len do a := Float.max !a v done
-          | Zpl.Ast.RMin -> for _ = 1 to len do a := Float.min !a v done);
-          acc := !a
-      | RRef _ | RIndexLast | RFill _ ->
-          let data =
-            match src with
-            | RRef (aid, _) -> Store.read_only env.e_stores.(aid)
-            | RConst _ | RRow _ | RIndexLast | RFill _ ->
-                let b = ensure scratch len in
-                fill src env p0 len b 0;
-                b
-          in
-          let s0 =
-            match src with
-            | RRef (aid, dshift) -> ref_base env.e_stores.(aid) dshift p0 len
-            | _ -> 0
-          in
-          let a = ref !acc in
-          (match op with
-          | Zpl.Ast.RSum ->
-              for k = s0 to s0 + len - 1 do
-                a := !a +. A1.unsafe_get data k
-              done
-          | Zpl.Ast.RProd ->
-              for k = s0 to s0 + len - 1 do
-                a := !a *. A1.unsafe_get data k
-              done
-          | Zpl.Ast.RMax ->
-              for k = s0 to s0 + len - 1 do
-                a := Float.max !a (A1.unsafe_get data k)
-              done
-          | Zpl.Ast.RMin ->
-              for k = s0 to s0 + len - 1 do
-                a := Float.min !a (A1.unsafe_get data k)
-              done);
-          acc := !a);
+      let data =
+        match src with
+        | RRef (aid, _) -> Store.read_only env.e_stores.(aid)
+        | RConst _ | RRow _ | RScalar _ | RIndexLast | RFill _ ->
+            let b = ensure scratch len in
+            fill src env p0 len b 0;
+            b
+      in
+      let s0 =
+        match src with
+        | RRef (aid, dshift) -> ref_base env.e_stores.(aid) dshift p0 len
+        | _ -> 0
+      in
+      let a = ref !acc in
+      (match op with
+      | Zpl.Ast.RSum ->
+          for k = s0 to s0 + len - 1 do
+            a := !a +. A1.unsafe_get data k
+          done
+      | Zpl.Ast.RProd ->
+          for k = s0 to s0 + len - 1 do
+            a := !a *. A1.unsafe_get data k
+          done
+      | Zpl.Ast.RMax ->
+          for k = s0 to s0 + len - 1 do
+            a := Float.max !a (A1.unsafe_get data k)
+          done
+      | Zpl.Ast.RMin ->
+          for k = s0 to s0 + len - 1 do
+            a := Float.min !a (A1.unsafe_get data k)
+          done);
+      acc := !a;
       Zpl.Region.next_row region p0
     done
   end;
@@ -1260,6 +1138,7 @@ type plan =
     per-point fallback (used by differential tests and the benchmark
     harness). *)
 let plan_assign ?(row = true) (rc : rowctx) (a : Zpl.Prog.assign_a) : plan =
+  Values.check_dregion rc.rws.wscalars a.region;
   let rank = Array.length a.region in
   match if row then compile_row rc ~rank a.rhs else None with
   | Some src ->
@@ -1287,6 +1166,7 @@ type rplan =
   | PointRed of (env -> int array -> float)
 
 let plan_reduce ?(row = true) (rc : rowctx) (r : Zpl.Prog.reduce_s) : rplan =
+  Values.check_dregion rc.rws.wscalars r.r_region;
   let rank = Array.length r.r_region in
   match if row then compile_row rc ~rank r.r_rhs else None with
   | Some src -> RowRed (ws_buf rc.rws, src)
@@ -1298,7 +1178,7 @@ let exec_rplan (plan : rplan) ~(env : env) ~(region : Zpl.Region.t)
     (op : Zpl.Ast.redop) : float =
   match plan with
   | RowRed (slot, src) -> fold_rows env ~slot op src region
-  | PointRed f -> fst (run_reduce ~region op (fun p -> f env p))
+  | PointRed f -> run_reduce ~region op (fun p -> f env p)
 
 (** The distinct (array, shift) reads of an expression, extracted once
     at plan time so the per-execution bounds check — still needed on

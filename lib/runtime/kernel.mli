@@ -19,7 +19,7 @@
     structure — never a store's cells, a scalar value, or mutable
     scratch. Everything mutable is passed at execution time inside an
     {!env}: the executor's stores (same geometry as the compile-time
-    blueprints), its scalar reader, and a workspace minted by
+    blueprints), its scalar slots ({!Values.slots}), and a workspace minted by
     {!make_env} from the {!envspec} the compile pass records. One plan
     set may therefore be shared by many concurrent executors, each with
     its own env. *)
@@ -39,7 +39,10 @@ val needs_buffer : Zpl.Prog.assign_a -> bool
     the final spec). *)
 type ws
 
-val make_ws : unit -> ws
+(** [make_ws l] starts a plan set for a program whose scalars live as
+    [l] says: a broadcast scalar is read from its float slot, or
+    converted from its int slot, by a choice made at compile time. *)
+val make_ws : Values.layout -> ws
 
 (** Frozen workspace requirements of a compiled plan set: how many row
     buffers, chain workspaces (and their widths), and integer
@@ -51,17 +54,18 @@ type envspec
 val ws_spec : ws -> envspec
 
 (** The runtime environment every [exec_*] entry takes: stores indexed
-    by array id, the scalar reader, and this executor's mutable
+    by array id, the executor's scalar slots, and its mutable
     workspace. Envs are cheap; mint one per executor and never share
     one across threads. *)
 type env
 
-(** [make_env ~stores ~scalar spec] binds an executor's stores and
-    scalar reader to a fresh workspace satisfying [spec]. The stores
+(** [make_env ~stores ~slots spec] binds an executor's stores and
+    scalar slots to a fresh workspace satisfying [spec]. The stores
     must have the same geometry (rank, strides, allocation) as the
-    compile-time blueprints the plans were compiled against. *)
+    compile-time blueprints the plans were compiled against. Kernels
+    read broadcast scalars from [slots] in place, without boxing. *)
 val make_env :
-  stores:Store.t array -> scalar:(int -> float) -> envspec -> env
+  stores:Store.t array -> slots:Values.slots -> envspec -> env
 
 (* --- execution plans (row path with per-point fallback) --- *)
 

@@ -3,18 +3,23 @@
     configuration and machine model is tested against. Array statements
     run one at a time through the row-compiled fast path by default,
     like the simulator's, and the per-point interpreter is the fallback
-    and differential-testing oracle. *)
+    and differential-testing oracle. Scalar code is compiled once by
+    {!Values} into closures over typed slots, shared with the simulator:
+    the two executors cannot disagree on scalar semantics, which
+    [test_runtime]'s edge-semantics table pins from outside. *)
 
 type t = {
   prog : Zpl.Prog.t;
   stores : Store.t array;  (** one global store per array *)
-  env : Values.env;
-  row_path : bool;  (** whether array statements may use the row path *)
-  on_scalar : int -> Values.value -> unit;
+  scalars : Values.layout;  (** where each scalar lives in [slots] *)
+  slots : Values.slots;  (** the scalars, by id (see {!scalar_value}) *)
+  kenv : Kernel.env;  (** the kernels' binding of [stores] and [slots] *)
+  on_scalar : (int -> Values.value -> unit) option;
       (** observation hook, called with (scalar id, new value) after
           every scalar write — loop variable updates included. Used by
           the Absint soundness property to check every concrete scalar
-          trace against the abstract hull. Default: no-op. *)
+          trace against the abstract hull. *)
+  limit : int;  (** the statement budget *)
   mutable steps : int;  (** simple statements executed *)
   mutable cells : int;  (** array cells updated or reduced *)
 }
@@ -22,17 +27,12 @@ type t = {
 (** Raised when the statement budget is exhausted (runaway [repeat]). *)
 exception Step_limit of int
 
-val make :
-  ?row_path:bool ->
-  ?on_scalar:(int -> Values.value -> unit) ->
-  Zpl.Prog.t ->
-  t
-
 (** Run to completion. [limit] bounds executed simple statements
     (default 10 million). [row_path] defaults to [true]; [false] forces
     the per-point fallback everywhere. Results (stores, scalars, steps,
     cells) are bit-identical either way — property-tested in
-    [test_props.ml]. *)
+    [test_props.ml]. Raises [Invalid_argument] before running anything
+    if the program is ill-typed (which the checker rules out). *)
 val run :
   ?limit:int ->
   ?row_path:bool ->
@@ -40,5 +40,7 @@ val run :
   Zpl.Prog.t ->
   t
 
+(** A scalar read at its declared type: a float scalar assigned an int
+    expression reads back as [VFloat]. *)
 val scalar_value : t -> string -> Values.value option
 val array_store : t -> string -> Store.t option

@@ -109,8 +109,6 @@ let get_unsafe (s : t) (p : int array) : float =
 let set_unsafe (s : t) (p : int array) (v : float) =
   Bigarray.Array1.unsafe_set s.data (index s p) v
 
-let get_flat (s : t) (i : int) : float = Bigarray.Array1.get s.data i
-let set_flat (s : t) (i : int) (v : float) = Bigarray.Array1.set s.data i v
 
 let fill_flat (s : t) (f : int -> float) =
   for i = 0 to length s - 1 do

@@ -65,11 +65,6 @@ val get_unsafe : t -> int array -> float
 
 val set_unsafe : t -> int array -> float -> unit
 
-(** Checked flat-index accessors (Bigarray bounds checks apply). *)
-val get_flat : t -> int -> float
-
-val set_flat : t -> int -> float -> unit
-
 (** [fill_flat s f] sets every cell [i] of the flat buffer to [f i];
     test/benchmark seeding helper. *)
 val fill_flat : t -> (int -> float) -> unit

@@ -1,148 +1,246 @@
-(** Replicated scalar values and scalar-expression evaluation. Every
-    processor evaluates scalar statements identically, so control flow is
-    SPMD-consistent by construction. *)
+(** Replicated scalars: typed slots and the plan-time compiler over
+    them (see the interface). *)
 
 type value = VFloat of float | VInt of int | VBool of bool
 [@@deriving show, eq]
 
-let as_float = function
-  | VFloat f -> f
-  | VInt i -> float_of_int i
-  | VBool _ -> invalid_arg "boolean used as number"
+(* Intrinsics resolve to a constructor once; [unary] is inlined into
+   each closure, since a call through a [float -> float] closure boxes
+   its argument and result. *)
+type unary = Abs | Sqrt | Exp | Log | Sin | Cos | Tan | Floor | Sign
 
-let as_int = function
-  | VInt i -> i
-  | VFloat f when Float.is_integer f -> int_of_float f
-  | VFloat _ -> invalid_arg "non-integral float used as int"
-  | VBool _ -> invalid_arg "boolean used as int"
+let unary_of_name = function
+  | "abs" -> Abs
+  | "sqrt" -> Sqrt
+  | "exp" -> Exp
+  | "ln" | "log" -> Log
+  | "sin" -> Sin
+  | "cos" -> Cos
+  | "tan" -> Tan
+  | "floor" -> Floor
+  | "sign" -> Sign
+  | name -> invalid_arg ("unknown unary intrinsic " ^ name)
 
-let as_bool = function
-  | VBool b -> b
-  | VInt _ | VFloat _ -> invalid_arg "number used as boolean"
+let[@inline] unary u x =
+  match u with
+  | Abs -> Float.abs x
+  | Sqrt -> sqrt x
+  | Exp -> exp x
+  | Log -> log x
+  | Sin -> sin x
+  | Cos -> cos x
+  | Tan -> tan x
+  | Floor -> Float.floor x
+  | Sign -> if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0
 
-let default_of = function
-  | Zpl.Ast.TFloat -> VFloat 0.0
-  | Zpl.Ast.TInt -> VInt 0
-  | Zpl.Ast.TBool -> VBool false
+let resolve1 name =
+  let u = unary_of_name name in
+  fun x -> unary u x
 
-(** [resolve1 name] resolves a unary intrinsic to its function once, so
-    hot loops pay no per-call string match. *)
-let resolve1 name : float -> float =
-  match name with
-  | "abs" -> Float.abs
-  | "sqrt" -> sqrt
-  | "exp" -> exp
-  | "ln" | "log" -> log
-  | "sin" -> sin
-  | "cos" -> cos
-  | "tan" -> tan
-  | "floor" -> Float.floor
-  | "sign" -> fun x -> if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0
-  | _ -> invalid_arg ("unknown unary intrinsic " ^ name)
+let is_max = function
+  | "max" -> true
+  | "min" -> false
+  | name -> invalid_arg ("unknown binary intrinsic " ^ name)
 
-let apply1 name (x : float) : float = (resolve1 name) x
+let[@inline] binary mx x y = if mx then Float.max x y else Float.min x y
+let resolve2 name = binary (is_max name)
 
-(** Binary counterpart of {!resolve1}. *)
-let resolve2 name : float -> float -> float =
-  match name with
-  | "min" -> Float.min
-  | "max" -> Float.max
-  | _ -> invalid_arg ("unknown binary intrinsic " ^ name)
+(* ------------------------------------------------------------------ *)
+(* Slots                                                               *)
+(* ------------------------------------------------------------------ *)
 
-let apply2 name (x : float) (y : float) : float = (resolve2 name) x y
+type slots = { f : float array; i : int array }
+type layout = { tys : Zpl.Ast.elem array; slot : int array; nint : int }
 
-(* Operator application on evaluated operands. Top-level functions
-   rather than local closures over the operands, so evaluating an
-   operator allocates only its result. *)
-
-let negate = function
-  | VInt i -> VInt (-i)
-  | VFloat f -> VFloat (-.f)
-  | VBool _ -> invalid_arg "cannot negate a boolean"
-
-(* Comparisons convert both operands to float, as [as_float] does; two
-   ints convert inline, so comparing them boxes nothing. *)
-let compare_values (op : Zpl.Ast.binop) (va : value) (vb : value) : bool =
-  let x, y =
-    match (va, vb) with
-    | VInt x, VInt y -> (float_of_int x, float_of_int y)
-    | _ -> (as_float va, as_float vb)
+let layout (tys : Zpl.Ast.elem array) : layout =
+  let n = [| 0; 0 |] (* float, int slots handed out *) in
+  let next k = n.(k) <- n.(k) + 1; n.(k) - 1 in
+  let slot =
+    Array.map (fun ty -> next (Bool.to_int (ty <> Zpl.Ast.TFloat))) tys
   in
+  { tys; slot; nint = n.(1) }
+
+let layout_of_prog (p : Zpl.Prog.t) =
+  layout (Array.map (fun (s : Zpl.Prog.scalar_info) -> s.s_ty) p.scalars)
+
+let slot (l : layout) id = l.slot.(id)
+let is_int (l : layout) id = l.tys.(id) <> Zpl.Ast.TFloat
+
+let read_value (l : layout) (s : slots) id =
+  let k = l.slot.(id) in
+  match l.tys.(id) with
+  | Zpl.Ast.TFloat -> VFloat s.f.(k)
+  | Zpl.Ast.TInt -> VInt s.i.(k)
+  | Zpl.Ast.TBool -> VBool (s.i.(k) <> 0)
+
+let read_all l s = Array.init (Array.length l.tys) (read_value l s)
+
+(* ------------------------------------------------------------------ *)
+(* The compiler                                                        *)
+(*                                                                     *)
+(* A closure returning a float boxes it, so a float node compiles to   *)
+(* a [slots -> unit] writing its value into a float slot (the target   *)
+(* or a temp its parent reads). Int and bool nodes (bools as 0/1)      *)
+(* return their value unboxed. A node's type follows from the folded   *)
+(* expression: literals and scalars have their own, int [+ - *] of two *)
+(* ints is int, other arithmetic is float, comparisons and connectives *)
+(* are bools.                                                          *)
+(* ------------------------------------------------------------------ *)
+
+type compiler = { l : layout; mutable nf : int  (** float slots handed out *) }
+
+let compiler l = { l; nf = Array.length l.tys - l.nint }
+
+let fresh c =
+  c.nf <- c.nf + 1;
+  c.nf - 1
+
+let rec is_float l (e : Zpl.Prog.sexpr) =
+  match e with
+  | Zpl.Prog.SFloat _ | Zpl.Prog.SCall _
+  | Zpl.Prog.SBin ((Zpl.Ast.Div | Zpl.Ast.Pow), _, _) ->
+      true
+  | Zpl.Prog.SVar v -> not (is_int l v)
+  | Zpl.Prog.SBin ((Zpl.Ast.Add | Zpl.Ast.Sub | Zpl.Ast.Mul), a, b) ->
+      is_float l a || is_float l b
+  | Zpl.Prog.SUn (Zpl.Ast.Neg, a) -> is_float l a
+  | Zpl.Prog.SInt _ | Zpl.Prog.SBool _ | Zpl.Prog.SBin _ | Zpl.Prog.SUn _ ->
+      false
+
+let ill_typed e = invalid_arg ("Values: ill-typed " ^ Zpl.Prog.show_sexpr e)
+
+let[@inline] arith op (x : float) y =
+  match op with
+  | Zpl.Ast.Add -> x +. y
+  | Zpl.Ast.Sub -> x -. y
+  | Zpl.Ast.Mul -> x *. y
+  | Zpl.Ast.Div -> x /. y
+  | _ -> Float.pow x y
+
+let[@inline] compare op (x : float) y =
   match op with
   | Zpl.Ast.Lt -> x < y
   | Zpl.Ast.Le -> x <= y
   | Zpl.Ast.Gt -> x > y
   | Zpl.Ast.Ge -> x >= y
   | Zpl.Ast.Eq -> x = y
-  | Zpl.Ast.Ne -> x <> y
-  | Zpl.Ast.Add | Zpl.Ast.Sub | Zpl.Ast.Mul | Zpl.Ast.Div | Zpl.Ast.Pow
-  | Zpl.Ast.And | Zpl.Ast.Or ->
-      invalid_arg "Values.compare_values: not a comparison"
+  | _ -> x <> y
 
-let apply_bin (op : Zpl.Ast.binop) (va : value) (vb : value) : value =
-  match op with
-  | Zpl.Ast.Add -> (
-      match (va, vb) with
-      | VInt x, VInt y -> VInt (x + y)
-      | _ -> VFloat (as_float va +. as_float vb))
-  | Zpl.Ast.Sub -> (
-      match (va, vb) with
-      | VInt x, VInt y -> VInt (x - y)
-      | _ -> VFloat (as_float va -. as_float vb))
-  | Zpl.Ast.Mul -> (
-      match (va, vb) with
-      | VInt x, VInt y -> VInt (x * y)
-      | _ -> VFloat (as_float va *. as_float vb))
-  | Zpl.Ast.Div -> VFloat (as_float va /. as_float vb)
-  | Zpl.Ast.Pow -> VFloat (Float.pow (as_float va) (as_float vb))
-  | Zpl.Ast.Lt | Zpl.Ast.Le | Zpl.Ast.Gt | Zpl.Ast.Ge | Zpl.Ast.Eq
-  | Zpl.Ast.Ne ->
-      VBool (compare_values op va vb)
-  | Zpl.Ast.And -> VBool (as_bool va && as_bool vb)
-  | Zpl.Ast.Or -> VBool (as_bool va || as_bool vb)
-
-(** A mutable environment for one (simulated or sequential) processor. *)
-type env = value array
-
-let make_env (p : Zpl.Prog.t) : env =
-  Array.map (fun (s : Zpl.Prog.scalar_info) -> default_of s.s_ty) p.scalars
-
-(* Variables are read from the env array directly: a lookup closure
-   would be allocated on every scalar op and branch the engine runs. *)
-let rec eval_env (env : env) (e : Zpl.Prog.sexpr) : value =
+(** An int or bool node. Comparisons read both sides as floats. *)
+let rec cint c (e : Zpl.Prog.sexpr) : slots -> int =
   match e with
-  | Zpl.Prog.SFloat f -> VFloat f
-  | Zpl.Prog.SInt i -> VInt i
-  | Zpl.Prog.SBool b -> VBool b
-  | Zpl.Prog.SVar id -> env.(id)
-  | Zpl.Prog.SUn (Zpl.Ast.Neg, a) -> negate (eval_env env a)
-  | Zpl.Prog.SUn (Zpl.Ast.Not, a) -> VBool (not (as_bool (eval_env env a)))
-  | Zpl.Prog.SBin (op, a, b) ->
-      let va = eval_env env a and vb = eval_env env b in
-      apply_bin op va vb
-  | Zpl.Prog.SCall (f, [ a ]) -> VFloat (apply1 f (as_float (eval_env env a)))
-  | Zpl.Prog.SCall (f, [ a; b ]) ->
-      VFloat
-        (apply2 f (as_float (eval_env env a)) (as_float (eval_env env b)))
-  | Zpl.Prog.SCall (f, _) -> invalid_arg ("bad arity for intrinsic " ^ f)
-
-(* A comparison, the usual branch condition, yields its bool without
-   the [VBool] a full evaluation would build. *)
-let eval_bool (env : env) (e : Zpl.Prog.sexpr) =
-  match e with
+  | Zpl.Prog.SInt k -> fun _ -> k
+  | Zpl.Prog.SBool b ->
+      let k = Bool.to_int b in
+      fun _ -> k
+  | Zpl.Prog.SVar v when is_int c.l v ->
+      let v = c.l.slot.(v) in
+      fun s -> s.i.(v)
+  | Zpl.Prog.SUn (op, a) ->
+      let fa = cint c a in
+      if op = Zpl.Ast.Neg then fun s -> -fa s else fun s -> 1 - fa s
+  | Zpl.Prog.SBin
+      ( ((Zpl.Ast.Add | Zpl.Ast.Sub | Zpl.Ast.Mul | Zpl.Ast.And | Zpl.Ast.Or)
+         as op),
+        a,
+        b ) -> (
+      let fa = cint c a and fb = cint c b in
+      match op with
+      | Zpl.Ast.Add -> fun s -> fa s + fb s
+      | Zpl.Ast.Sub -> fun s -> fa s - fb s
+      | Zpl.Ast.Mul -> fun s -> fa s * fb s
+      | Zpl.Ast.And -> fun s -> fa s land fb s
+      | _ -> fun s -> fa s lor fb s)
   | Zpl.Prog.SBin
       ( ((Zpl.Ast.Lt | Zpl.Ast.Le | Zpl.Ast.Gt | Zpl.Ast.Ge | Zpl.Ast.Eq
          | Zpl.Ast.Ne) as op),
         a,
         b ) ->
-      let va = eval_env env a and vb = eval_env env b in
-      compare_values op va vb
-  | _ -> as_bool (eval_env env e)
+      if not (is_float c.l a || is_float c.l b) then
+        let fa = cint c a and fb = cint c b in
+        fun s ->
+          Bool.to_int (compare op (float_of_int (fa s)) (float_of_int (fb s)))
+      else
+        let x = fresh c and y = fresh c in
+        let fa = cfloat c a ~dst:x and fb = cfloat c b ~dst:y in
+        fun s ->
+          fa s;
+          fb s;
+          Bool.to_int (compare op s.f.(x) s.f.(y))
+  | _ -> ill_typed e
 
-let eval_int_bound (env : env) (b : Zpl.Prog.bound) =
-  match b.bvar with
-  | None -> b.base
-  | Some v -> b.base + as_int env.(v)
+(** Code writing [e], an int or float node, into float slot [dst]. *)
+and cfloat c (e : Zpl.Prog.sexpr) ~dst : slots -> unit =
+  let arg e =
+    let x = fresh c in
+    (cfloat c e ~dst:x, x)
+  in
+  match e with
+  | _ when not (is_float c.l e) ->
+      let fi = cint c e in
+      fun s -> s.f.(dst) <- float_of_int (fi s)
+  | Zpl.Prog.SFloat x -> fun s -> s.f.(dst) <- x
+  | Zpl.Prog.SVar v ->
+      let v = c.l.slot.(v) in
+      fun s -> s.f.(dst) <- s.f.(v)
+  | Zpl.Prog.SBin (op, a, b) ->
+      let fa, x = arg a and fb, y = arg b in
+      fun s ->
+        fa s;
+        fb s;
+        s.f.(dst) <- arith op s.f.(x) s.f.(y)
+  | Zpl.Prog.SUn (_, a) ->
+      let fa, x = arg a in
+      fun s ->
+        fa s;
+        s.f.(dst) <- -.s.f.(x)
+  | Zpl.Prog.SCall (f, [ a ]) ->
+      let u = unary_of_name f and fa, x = arg a in
+      fun s ->
+        fa s;
+        s.f.(dst) <- unary u s.f.(x)
+  | Zpl.Prog.SCall (f, [ a; b ]) ->
+      let mx = is_max f and fa, x = arg a and fb, y = arg b in
+      fun s ->
+        fa s;
+        fb s;
+        s.f.(dst) <- binary mx s.f.(x) s.f.(y)
+  | _ -> ill_typed e
 
-let eval_dregion (env : env) (dr : Zpl.Prog.dregion) : Zpl.Region.t =
-  Zpl.Prog.eval_dregion (fun v -> as_int env.(v)) dr
+(* [cint] meets a float leaf in any float expression, and rejects it *)
+let int_expr = cint
+
+let assign c ~lhs (e : Zpl.Prog.sexpr) : slots -> unit =
+  let k = c.l.slot.(lhs) in
+  if is_int c.l lhs then
+    let fi = cint c e in
+    fun s -> s.i.(k) <- fi s
+  else cfloat c e ~dst:k
+
+let cond c e =
+  let fb = cint c e in
+  fun s -> fb s <> 0
+
+let check_dregion (l : layout) (dr : Zpl.Prog.dregion) =
+  Array.iter
+    (fun ((lo : Zpl.Prog.bound), (hi : Zpl.Prog.bound)) ->
+      List.iter
+        (function
+          | Some v when l.tys.(v) <> Zpl.Ast.TInt ->
+              Fmt.invalid_arg "Values: region bound reads non-int scalar %d" v
+          | _ -> ())
+        [ lo.bvar; hi.bvar ])
+    dr
+
+let[@inline] bound (l : layout) (s : slots) (b : Zpl.Prog.bound) =
+  match b.bvar with None -> b.base | Some v -> b.base + s.i.(l.slot.(v))
+
+let region l (s : slots) (dr : Zpl.Prog.dregion) : Zpl.Region.t =
+  Array.map
+    (fun (lo, hi) -> { Zpl.Region.lo = bound l s lo; hi = bound l s hi })
+    dr
+
+type spec = int * int
+
+let spec c = (c.nf, c.l.nint)
+let make_slots (nf, ni) = { f = Array.make nf 0.0; i = Array.make ni 0 }

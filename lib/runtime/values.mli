@@ -1,52 +1,71 @@
-(** Replicated scalar values and scalar-expression evaluation. Every
-    processor evaluates scalar statements identically, so control flow
-    is SPMD-consistent by construction. *)
+(** Replicated scalars. Each scalar owns a slot in one [float array] or
+    one [int array] (bools are 0/1 ints), chosen by its checked type.
+    Scalar code compiles once, at plan time, into closures over those
+    slots; every processor runs the same code, so control flow is
+    SPMD-consistent by construction. The closures allocate nothing and
+    capture no executor state: one compiled program serves every
+    executor, each with its own {!slots}.
 
+    Semantics: int [+ - *] of two ints stays int and wraps at 63 bits;
+    mixed int/float arithmetic is float; [/], [^] and intrinsics always
+    yield a float; comparisons convert both sides to float (so
+    [2^53 + 1 = 2^53] holds). A float scalar assigned an int expression
+    stores its float conversion. The checker rules out ill-typed code;
+    the compiler raises [Invalid_argument] on any it meets. *)
+
+(** A scalar read back at its declared type. *)
 type value = VFloat of float | VInt of int | VBool of bool
 [@@deriving show, eq]
 
-(** Numeric coercions. Each raises [Invalid_argument] on a type
-    mismatch — the type checker should have ruled those out, so a raise
-    here is a compiler bug, not a user error. *)
-
-val as_float : value -> float
-val as_int : value -> int
-val as_bool : value -> bool
-
-(** Zero value of a scalar type, used to initialise environments. *)
-val default_of : Zpl.Ast.elem -> value
-
 (** [resolve1 name] resolves a unary intrinsic ([abs], [sqrt], [exp],
     [ln]/[log], [sin], [cos], [tan], [floor], [sign]) to its function
-    once, so hot loops pay no per-call string match. Raises
-    [Invalid_argument] on an unknown name. *)
+    once, so hot loops pay no per-call string match; [resolve2] a
+    binary one ([min], [max]). Both raise [Invalid_argument] on an
+    unknown name. *)
 val resolve1 : string -> float -> float
 
-val apply1 : string -> float -> float
-
-(** Binary counterpart of {!resolve1}: [min], [max]. *)
 val resolve2 : string -> float -> float -> float
 
-val apply2 : string -> float -> float -> float
+(** One executor's scalars: float scalars in [f], int and bool scalars
+    in [i], each at its {!slot}; float slots past the float scalars are
+    the compiled code's temps. *)
+type slots = { f : float array; i : int array }
 
-(** A mutable environment for one (simulated or sequential) processor,
-    indexed by scalar id. *)
-type env = value array
+(** Where each scalar of a program lives: the float scalars take the
+    float slots in id order, the others the int slots. *)
+type layout
 
-val make_env : Zpl.Prog.t -> env
+val layout : Zpl.Ast.elem array -> layout
+val layout_of_prog : Zpl.Prog.t -> layout
+val slot : layout -> int -> int
+val is_int : layout -> int -> bool
+val read_value : layout -> slots -> int -> value
 
-(** [eval_env env e] evaluates a scalar expression against [env].
-    Integer arithmetic stays integral; [Div] and [Pow] are always
-    float; comparisons compare both operands as floats. *)
-val eval_env : env -> Zpl.Prog.sexpr -> value
+(** Whether an expression is a float (else an int or a bool). *)
+val is_float : layout -> Zpl.Prog.sexpr -> bool
+val read_all : layout -> slots -> value array
 
-(** [as_bool (eval_env env e)], without building the [VBool] when [e]
-    is a comparison. *)
-val eval_bool : env -> Zpl.Prog.sexpr -> bool
+(** Compiler state over one layout: it hands out the temp slots of the
+    code it emits. Compile a program's scalar code with one compiler —
+    assignments to scalar [lhs], conditions, [for] bounds — then mint
+    slots from its {!spec}. *)
+type compiler
 
-(** Evaluate one region bound, adding the value of its scalar variable
-    if present. *)
-val eval_int_bound : env -> Zpl.Prog.bound -> int
+val compiler : layout -> compiler
+val assign : compiler -> lhs:int -> Zpl.Prog.sexpr -> slots -> unit
+val cond : compiler -> Zpl.Prog.sexpr -> slots -> bool
+val int_expr : compiler -> Zpl.Prog.sexpr -> slots -> int
 
-(** Evaluate a dynamic region to a concrete one under [env]. *)
-val eval_dregion : env -> Zpl.Prog.dregion -> Zpl.Region.t
+(** Raise [Invalid_argument] if a region bound reads a scalar that is
+    not an int, so that {!bound} reads int slots unchecked. *)
+val check_dregion : layout -> Zpl.Prog.dregion -> unit
+
+val bound : layout -> slots -> Zpl.Prog.bound -> int
+val region : layout -> slots -> Zpl.Prog.dregion -> Zpl.Region.t
+
+type spec
+
+val spec : compiler -> spec
+
+(** Fresh slots, every scalar at its type's zero. *)
+val make_slots : spec -> slots

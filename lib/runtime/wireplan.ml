@@ -103,8 +103,6 @@ type pool = {
 let make_pool ~cells =
   { p_cells = cells; p_bufs = [||]; p_n = 0; p_fresh = 0; p_reused = 0 }
 
-let pool_cells (p : pool) = p.p_cells
-
 (** (fresh allocations, freelist reuses) so far. *)
 let pool_stats (p : pool) = (p.p_fresh, p.p_reused)
 

@@ -36,7 +36,6 @@ val unpack : t -> Store.t array -> Store.buf -> unit
 type pool
 
 val make_pool : cells:int -> pool
-val pool_cells : pool -> int
 
 (** (fresh allocations, freelist reuses) so far; steady state means the
     fresh count stops growing. *)

@@ -69,11 +69,14 @@ type wbpair = { b_recv : wblue array; b_send : wblue array }
 
 (** Compiled form of one flat op on one rank: store-agnostic
     {!Runtime.Kernel} plans, built eagerly at {!plan} time against
-    shape-only stores. *)
+    shape-only stores, and {!Runtime.Values} scalar code, which is
+    rank-independent and shared by every class. *)
 type ckern =
-  | KNone  (** op carries no kernel (control flow, comm, halt) *)
+  | KNone  (** op carries no compiled code (comm, jumps, halt) *)
   | KAssign of Runtime.Kernel.plan
   | KReduce of Runtime.Kernel.rplan
+  | KScalar of (Runtime.Values.slots -> unit)  (** [FScalar] *)
+  | KCond of (Runtime.Values.slots -> bool)  (** [FJumpIfNot] *)
 
 type kprog = {
   k_ops : ckern array;  (** per op index *)
@@ -112,6 +115,9 @@ type plans = {
           geometry class. Ranks of one class share it physically; uneven
           block splits give other classes' stores different strides, so
           their flat shifts differ. *)
+  p_scalars : Runtime.Values.layout;  (** where each scalar lives *)
+  p_slots : Runtime.Values.spec;
+      (** the scalar slots {!of_plans} mints per rank *)
 }
 
 (* Blocked-state encoding. An option-of-variant would allocate on every
@@ -207,7 +213,7 @@ type proc = {
   mutable pc : int;
   time : fcell;
   stores : Runtime.Store.t array;
-  env : Runtime.Values.env;
+  slots : Runtime.Values.slots;  (** this rank's replicated scalars *)
   mutable wait_kind : int;  (** one of the [wk_*] codes *)
   mutable wait_arg : int;
   mutable halted : bool;
@@ -224,8 +230,8 @@ type proc = {
       (** per collective slot used by dissemination: the allgathered
           partials, indexed by source rank; [[||]] for other slots *)
   kenv : Runtime.Kernel.env;
-      (** this rank's binding of its stores and scalar env to the shared
-          kernel program's workspace spec *)
+      (** this rank's binding of its stores and scalar slots to the
+          shared kernel program's workspace spec *)
   clip : int array;
       (** the region of the statement being dispatched, (lo, hi) per
           dim, clipped in place (see {!clip_local}) *)
@@ -244,7 +250,7 @@ type reduce_slot = {
   partials : float array;
   times : float array;
   mutable op : Zpl.Ast.redop;
-  mutable lhs : int;
+  mutable lhs : int;  (** float slot of the target scalar *)
 }
 
 type t = {
@@ -435,20 +441,32 @@ let plan ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
       flat.Ir.Flat.transfers
   in
   let ops = flat.Ir.Flat.ops in
-  (* Store-agnostic kernel compilation at plan time. Engines minted
-     from this plan set never compile kernels — they bind stores through
-     a per-engine env. *)
+  (* Store-agnostic kernel and scalar compilation at plan time. Engines
+     minted from this plan set never compile — they bind stores and
+     scalar slots through a per-engine env. Scalar code is
+     rank-independent, so every geometry class shares it. *)
+  let scalars = Runtime.Values.layout_of_prog prog in
+  let sc = Runtime.Values.compiler scalars in
+  let scode =
+    Array.map
+      (function
+        | Ir.Flat.FScalar { lhs; rhs } ->
+            KScalar (Runtime.Values.assign sc ~lhs rhs)
+        | Ir.Flat.FJumpIfNot (cond, _) -> KCond (Runtime.Values.cond sc cond)
+        | _ -> KNone)
+      ops
+  in
   let compile_kprog (shape : Runtime.Store.t array) =
-    let ws = Runtime.Kernel.make_ws () in
+    let ws = Runtime.Kernel.make_ws scalars in
     let rc = { Runtime.Kernel.rstore = (fun aid -> shape.(aid)); rws = ws } in
     let k_ops =
-      Array.map
-        (function
+      Array.mapi
+        (fun i -> function
           | Ir.Flat.FKernel a -> KAssign (Runtime.Kernel.plan_assign rc a)
           | Ir.Flat.FReduce r -> KReduce (Runtime.Kernel.plan_reduce rc r)
           | Ir.Flat.FCollPart w ->
               KReduce (Runtime.Kernel.plan_reduce rc w.Ir.Instr.cw_red)
-          | _ -> KNone)
+          | _ -> scode.(i))
         ops
     in
     { k_ops; k_spec = Runtime.Kernel.ws_spec ws }
@@ -494,11 +512,12 @@ let plan ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
               Runtime.Kernel.refs_of w.Ir.Instr.cw_red.Zpl.Prog.r_rhs
           | _ -> [||])
         ops;
-    p_kern }
+    p_kern;
+    p_scalars = scalars;
+    p_slots = Runtime.Values.spec sc }
 
 let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
   let flat = sp.p_flat in
-  let prog = flat.Ir.Flat.prog in
   let layout = sp.p_layout in
   let topo_ideal = sp.p_topology = Machine.Topology.Ideal in
   let nprocs = Runtime.Layout.nprocs layout in
@@ -507,11 +526,9 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
   let procs =
     Array.init nprocs (fun rank ->
         let stores = Array.map Runtime.Store.of_shape sp.p_shapes.(rank) in
-        let env = Runtime.Values.make_env prog in
+        let slots = Runtime.Values.make_slots sp.p_slots in
         let kenv =
-          Runtime.Kernel.make_env ~stores
-            ~scalar:(fun id -> Runtime.Values.as_float env.(id))
-            sp.p_kern.(rank).k_spec
+          Runtime.Kernel.make_env ~stores ~slots sp.p_kern.(rank).k_spec
         in
         let box = Runtime.Layout.box layout rank in
         { rank;
@@ -520,7 +537,7 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
           box_lo1 = box.(1).Zpl.Region.lo;
           box_hi1 = box.(1).Zpl.Region.hi;
           pc = 0; time = { fv = 0.0 }; stores;
-          env;
+          slots;
           wait_kind = wk_none; wait_arg = 0;
           halted = false; queued = false;
           instrs = 0;
@@ -686,12 +703,12 @@ type step = Continue | Blocked | Halted
 let assign_plan (t : t) (p : proc) idx =
   match t.kern.(p.rank).k_ops.(idx) with
   | KAssign plan -> plan
-  | KNone | KReduce _ -> assert false
+  | _ -> assert false
 
 let reduce_plan (t : t) (p : proc) idx =
   match t.kern.(p.rank).k_ops.(idx) with
   | KReduce plan -> plan
-  | KNone | KAssign _ -> assert false
+  | _ -> assert false
 
 (* --- kernel dispatch ---
 
@@ -709,17 +726,15 @@ let imin (a : int) b = if a < b then a else b
 
 (** Evaluate [dr] under [p]'s scalars into [p.clip] and cut dims 0-1 to
     the partition box: the ints [Zpl.Region.inter] of the evaluated
-    region and the box would hold. Bounds are evaluated in
-    {!Zpl.Prog.eval_dregion}'s order, so a bad scalar raises the same
-    [Invalid_argument]. Returns the region's rank. *)
-let clip_local (p : proc) (dr : Zpl.Prog.dregion) : int =
+    region and the box would hold. {!plan} checked every bound's scalar
+    to be an int. Returns the region's rank. *)
+let clip_local (t : t) (p : proc) (dr : Zpl.Prog.dregion) : int =
   let n = Array.length dr in
   let c = p.clip in
   for d = 0 to n - 1 do
     let lo, hi = dr.(d) in
-    let h = Runtime.Values.eval_int_bound p.env hi in
-    c.((2 * d) + 1) <- h;
-    c.(2 * d) <- Runtime.Values.eval_int_bound p.env lo
+    c.(2 * d) <- Runtime.Values.bound t.shared.p_scalars p.slots lo;
+    c.((2 * d) + 1) <- Runtime.Values.bound t.shared.p_scalars p.slots hi
   done;
   assert (n >= 2) (* statement regions have the rank of an array *);
   c.(0) <- imax c.(0) p.box_lo0;
@@ -782,7 +797,7 @@ let charge_kernel (t : t) (p : proc) ~cells ~flops =
   p.stats.Stats.cells <- p.stats.Stats.cells + cells
 
 let exec_kernel (t : t) (p : proc) idx (a : Zpl.Prog.assign_a) =
-  let n = clip_local p a.region in
+  let n = clip_local t p a.region in
   let store = p.stores.(a.lhs) in
   clip_owned p n (Runtime.Store.owned store);
   let cells =
@@ -1055,17 +1070,17 @@ let finish_reduce (t : t) =
   let finish =
     arrive +. (float_of_int (reduce_stages t) *. reduce_stage_cost t)
   in
-  Array.iter
-    (fun (q : proc) ->
-      q.stats.Stats.times.Stats.wait <-
-        q.stats.Stats.times.Stats.wait +. Float.max 0.0 (finish -. q.time.fv);
-      q.time.fv <- Float.max q.time.fv finish;
-      q.env.(slot.lhs) <- Runtime.Values.VFloat !value;
-      q.stats.Stats.reduces <- q.stats.Stats.reduces + 1;
-      q.wait_kind <- wk_none;
-      q.pc <- q.pc + 1;
-      wake t q)
-    t.procs;
+  for r = 0 to n - 1 do
+    let q = t.procs.(r) in
+    q.stats.Stats.times.Stats.wait <-
+      q.stats.Stats.times.Stats.wait +. Float.max 0.0 (finish -. q.time.fv);
+    q.time.fv <- Float.max q.time.fv finish;
+    q.slots.Runtime.Values.f.(slot.lhs) <- !value;
+    q.stats.Stats.reduces <- q.stats.Stats.reduces + 1;
+    q.wait_kind <- wk_none;
+    q.pc <- q.pc + 1;
+    wake t q
+  done;
   slot.arrived <- 0
 
 (** This rank's partial of the reduction at op [idx] over its local
@@ -1073,7 +1088,7 @@ let finish_reduce (t : t) =
     cells it reduced: the identity and 0 when that part is empty. The
     partial travels through [p.scratch.(0)] so no float is boxed. *)
 let reduce_partial (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : int =
-  let n = clip_local p r.r_region in
+  let n = clip_local t p r.r_region in
   let cells = clip_cells p n in
   if cells = 0 then p.scratch.(0) <- Runtime.Reduce.identity r.r_op
   else begin
@@ -1092,7 +1107,7 @@ let exec_reduce (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : step =
   slot.partials.(p.rank) <- p.scratch.(0);
   charge_kernel t p ~cells ~flops:r.r_flops;
   slot.op <- r.r_op;
-  slot.lhs <- r.r_lhs;
+  slot.lhs <- Runtime.Values.slot t.shared.p_scalars r.r_lhs;
   slot.times.(p.rank) <- p.time.fv;
   slot.arrived <- slot.arrived + 1;
   p.wait_kind <- wk_reduce;
@@ -1142,7 +1157,8 @@ let exec_coll_fin (t : t) (p : proc) (w : Ir.Instr.coll_work) =
         !v
     | Ir.Coll.Ring | Ir.Coll.Binomial | Ir.Coll.Recdouble -> p.cacc.(slot)
   in
-  p.env.(r.Zpl.Prog.r_lhs) <- Runtime.Values.VFloat value;
+  let lhs = Runtime.Values.slot t.shared.p_scalars r.Zpl.Prog.r_lhs in
+  p.slots.Runtime.Values.f.(lhs) <- value;
   p.time.fv <- p.time.fv +. t.machine.Machine.Params.scalar_op_cost;
   p.stats.Stats.reduces <- p.stats.Stats.reduces + 1
 
@@ -1169,9 +1185,11 @@ let exec_one (t : t) (p : proc) : step =
       exec_kernel t p p.pc a;
       p.pc <- p.pc + 1;
       Continue
-  | Ir.Flat.FScalar { lhs; rhs } ->
+  | Ir.Flat.FScalar _ ->
       count_done t p;
-      p.env.(lhs) <- Runtime.Values.eval_env p.env rhs;
+      (match t.kern.(p.rank).k_ops.(p.pc) with
+      | KScalar f -> f p.slots
+      | _ -> assert false);
       p.time.fv <- p.time.fv +. t.machine.Machine.Params.scalar_op_cost;
       p.pc <- p.pc + 1;
       Continue
@@ -1179,11 +1197,12 @@ let exec_one (t : t) (p : proc) : step =
       count_done t p;
       p.pc <- target;
       Continue
-  | Ir.Flat.FJumpIfNot (cond, target) ->
+  | Ir.Flat.FJumpIfNot (_, target) ->
       count_done t p;
       p.time.fv <- p.time.fv +. t.machine.Machine.Params.scalar_op_cost;
-      if Runtime.Values.eval_bool p.env cond then p.pc <- p.pc + 1
-      else p.pc <- target;
+      (match t.kern.(p.rank).k_ops.(p.pc) with
+      | KCond f -> p.pc <- (if f p.slots then p.pc + 1 else target)
+      | _ -> assert false);
       Continue
   | Ir.Flat.FReduce r ->
       (* a rank that has arrived can still be woken by a message for a
@@ -1294,12 +1313,14 @@ let gather (t : t) (aid : int) : Runtime.Store.t =
   global
 
 (** Scalars after the run (replicated; proc 0's copy). *)
-let final_env (t : t) : Runtime.Values.env = t.procs.(0).env
+let proc_env (t : t) (p : proc) : Runtime.Values.value array =
+  Runtime.Values.read_all t.shared.p_scalars p.slots
+
+let final_env (t : t) = proc_env t t.procs.(0)
 
 (* accessors for tests and tools that inspect a finished engine *)
 
 let procs (t : t) = t.procs
-let proc_env (p : proc) = p.env
 let proc_stores (p : proc) = p.stores
 let topology (t : t) = t.topology
 

@@ -65,11 +65,12 @@ val plan :
   plans
 
 (** [of_plans plans] readies one virtual processor per mesh point:
-    fresh stores (minted from the plan's shape-only stores), kernel
-    workspaces, one channel per message side pair, and statistics around
-    the shared compiled artifacts. The per-rank kernel programs in
-    [plans] are bound to the fresh stores through a
-    [Runtime.Kernel.env] — store binding, not recompilation, so a
+    fresh stores (minted from the plan's shape-only stores), scalar
+    slots, kernel workspaces, one channel per message side pair, and
+    statistics around the shared compiled artifacts. The per-rank kernel
+    programs and the scalar code in [plans] (compiled by
+    [Runtime.Values] at {!plan} time) are bound to the fresh stores and
+    slots through a [Runtime.Kernel.env] — binding, not recompilation, so a
     cache hit mints a ready-to-run engine. [limit] bounds instructions {e per
     processor} (default [1e9]); it does not affect the compiled
     artifacts, which is why it lives here and not in the cache key. *)
@@ -100,14 +101,15 @@ val run : t -> result
     sequential oracle. *)
 val gather : t -> int -> Runtime.Store.t
 
-(** Scalar environment after the run (replicated; proc 0's copy). *)
-val final_env : t -> Runtime.Values.env
+(** Every scalar after the run, by id, read at its declared type
+    (replicated; proc 0's copy). *)
+val final_env : t -> Runtime.Values.value array
 
 (** The virtual processors, indexed by rank. *)
 val procs : t -> proc array
 
-(** A processor's scalar environment. *)
-val proc_env : proc -> Runtime.Values.env
+(** A processor's scalars, as {!final_env} reads them. *)
+val proc_env : t -> proc -> Runtime.Values.value array
 
 (** A processor's local array blocks, indexed by array id. *)
 val proc_stores : proc -> Runtime.Store.t array

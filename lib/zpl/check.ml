@@ -125,11 +125,6 @@ let rec fold_sexpr (e : Prog.sexpr) : Prog.sexpr =
   | P.SCall (f, args) -> P.SCall (f, List.map fold_sexpr args)
   | e -> e
 
-let _static_int loc (e : Prog.sexpr) =
-  match fold_sexpr e with
-  | Prog.SInt i -> i
-  | _ -> Loc.fail loc "expected a compile-time integer expression"
-
 (* ------------------------------------------------------------------ *)
 (* Scalar expressions                                                  *)
 (* ------------------------------------------------------------------ *)

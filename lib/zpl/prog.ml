@@ -172,17 +172,6 @@ let rec flops_of_aexpr = function
   | ACall (f, args) ->
       call_flops f + List.fold_left (fun n a -> n + flops_of_aexpr a) 0 args
 
-(** Evaluate a possibly loop-variant region against concrete scalar values.
-    [lookup] must return the current integer value of an int scalar. *)
-let eval_dregion (lookup : int -> int) (dr : dregion) : Region.t =
-  Array.map
-    (fun (lo, hi) ->
-      let v { base; bvar } =
-        match bvar with None -> base | Some s -> base + lookup s
-      in
-      { Region.lo = v lo; hi = v hi })
-    dr
-
 (** A static region, if the bounds reference no variables. *)
 let static_region (dr : dregion) : Region.t option =
   if

@@ -146,8 +146,8 @@ let schedcheck_clean_case (b : Programs.Bench_def.t) =
 
 let float_bits = Int64.bits_of_float
 
-let check_env_bitident what (want : Runtime.Values.env)
-    (got : Runtime.Values.env) =
+let check_env_bitident what (want : Runtime.Values.value array)
+    (got : Runtime.Values.value array) =
   Alcotest.(check int)
     (what ^ ": env size") (Array.length want) (Array.length got);
   Array.iteri
@@ -184,12 +184,13 @@ let check_arrays what ~tolerance (prog : Zpl.Prog.t)
     every simulated processor. *)
 let check_replication what (res : Sim.Engine.result) =
   let procs = Sim.Engine.procs res.Sim.Engine.engine in
-  let e0 = Sim.Engine.proc_env procs.(0) in
+  let env = Sim.Engine.proc_env res.Sim.Engine.engine in
+  let e0 = env procs.(0) in
   Array.iteri
     (fun rank p ->
       check_env_bitident
         (Printf.sprintf "%s: proc %d vs proc 0" what rank)
-        e0 (Sim.Engine.proc_env p))
+        e0 (env p))
     procs
 
 (** One benchmark under one library: simulate opaque and each forced

@@ -173,6 +173,29 @@ let test_loc_guard () =
   | Ok _ -> Alcotest.fail "should not parse"
   | Error msg -> Alcotest.(check bool) "located" true (String.length msg > 3))
 
+(* Without a cache [of_spec] stops at the flat program: planning the
+   engine for tomcatv at n = 100000 would allocate the 4x4 mesh's
+   stores and blit plans, 38.6M words (minor plus major minus promoted,
+   flushed by a minor collection on both sides). *)
+let test_of_spec_plans_nothing () =
+  let spec =
+    Run.Spec.(
+      default Programs.Suite.tomcatv.Programs.Bench_def.source
+      |> with_defines [ ("n", 100000.) ])
+  in
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let c = of_spec spec in
+  let w = words () -. w0 in
+  ignore (Sys.opaque_identity c);
+  Alcotest.(check bool)
+    (Printf.sprintf "of_spec allocates %.0f words (want < 100000)" w)
+    true (w < 100_000.)
+
 let () =
   Alcotest.run "core-api"
     [ ( "api",
@@ -192,4 +215,6 @@ let () =
             test_opposite_infinities_diverge;
           Alcotest.test_case "dynamic empty reduction identity" `Quick
             test_dynamic_empty_reduction_identity;
-          Alcotest.test_case "error guard" `Quick test_loc_guard ] ) ]
+          Alcotest.test_case "error guard" `Quick test_loc_guard;
+          Alcotest.test_case "of_spec plans no engine" `Quick
+            test_of_spec_plans_nothing ] ) ]

@@ -70,7 +70,7 @@ let test_replicated_scalars_agree () =
         (fun i v ->
           if not (Runtime.Values.equal_value v env0.(i)) then
             Alcotest.fail "scalar env diverged between processors")
-        (Sim.Engine.proc_env p))
+        (Sim.Engine.proc_env res.Sim.Engine.engine p))
     (Sim.Engine.procs res.Sim.Engine.engine)
 
 (* A [for] bound is read once, at loop entry, in both executors: a body
@@ -569,7 +569,10 @@ let test_read_past_alloc () =
   in
   let loop_var =
     Array.map
-      (fun p -> Runtime.Values.as_int (Sim.Engine.proc_env p).(i))
+      (fun p ->
+        match (Sim.Engine.proc_env eng p).(i) with
+        | Runtime.Values.VInt v -> v
+        | _ -> Alcotest.fail "loop variable is not an int")
       (Sim.Engine.procs eng)
   in
   (* ranks 0-1 finished the loop (the flat loop variable ends one past
@@ -582,7 +585,9 @@ let test_read_past_alloc () =
     (Sim.Engine.op_counts eng)
 
 (* Point every region-bound variable at scalar [into]: a float scalar in
-   a region bound, which the checker would refuse, built directly. *)
+   a region bound, which the checker would refuse, built directly. Both
+   executors reject it when they compile the program, before running
+   anything: bounds are read from int slots. *)
 let rec swap_bound_var ~into (s : Zpl.Prog.stmt) : Zpl.Prog.stmt =
   let bound (b : Zpl.Prog.bound) =
     if b.Zpl.Prog.bvar = None then b else { b with Zpl.Prog.bvar = Some into }
@@ -624,7 +629,10 @@ end;
     { prog with
       Zpl.Prog.body = List.map (swap_bound_var ~into:x) prog.body }
   in
-  let want = Invalid_argument "non-integral float used as int" in
+  let want =
+    Invalid_argument
+      (Printf.sprintf "Values: region bound reads non-int scalar %d" x)
+  in
   Alcotest.check_raises "oracle" want (fun () ->
       ignore (Runtime.Seqexec.run prog));
   List.iter
@@ -668,11 +676,11 @@ let tomcatv_run_words ~iters =
 (** Differential allocation per executed instruction, the way
     test_comm.ml isolates steady-state communication: set-up costs are
     the same at both iteration counts, so the delta over the delta in
-    instructions is the steady-state cost of dispatch. Measured 1.075
-    words per instruction (OCaml 5.1, dev profile; 26.1 before kernel
-    regions were clipped in place). What is left is scalar values (a
-    loop step allocates its [VInt]s), one range per new row of a row
-    sweep on the ranks that own it, and the opaque reductions' slots. *)
+    instructions is the steady-state cost of dispatch. Measured 0.437
+    words per instruction (OCaml 5.1, dev profile; 1.075 with boxed
+    scalar values, 26.1 before kernel regions were clipped in place).
+    What is left is one range per new row of a row sweep on the ranks
+    that own it, and the opaque reductions' fold. *)
 let test_dispatch_alloc_gate () =
   ignore (tomcatv_run_words ~iters:1);
   let w_lo, i_lo = tomcatv_run_words ~iters:2
@@ -684,6 +692,73 @@ let test_dispatch_alloc_gate () =
        per_instr)
     true
     (per_instr <= 1.25)
+
+(** A scalar-heavy loop: float, int and bool assigns and a
+    comparison-guarded [if] per trip, nothing else. *)
+let scalar_loop_src trips =
+  Printf.sprintf
+    {|
+constant trips = %d;
+var A : [1..4, 1..4] float;
+var x, y : float;
+var k, m : int;
+var b : bool;
+procedure main();
+begin
+  y := 3.0;
+  for k := 1 to trips do
+    x := x + 0.5 * y - 1.0;
+    m := m + k * 2;
+    b := x > y and not (m < k);
+    if x >= 2.0 * y then
+      y := y + 1.0;
+    else
+      x := x - 0.25;
+    end;
+  end;
+end;
+|}
+    trips
+
+(** Minor words and instructions of one engine run (2x2 PVM) of
+    {!scalar_loop_src}, and minor words and steps of one Seqexec run. *)
+let scalar_loop_words trips =
+  let c = compile (scalar_loop_src trips) in
+  let eng =
+    Sim.Engine.of_plans
+      (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm ~pr:2
+         ~pc:2 c.flat)
+  in
+  let w0 = Gc.minor_words () in
+  let res = Sim.Engine.run eng in
+  let w_eng = Gc.minor_words () -. w0 in
+  let w0 = Gc.minor_words () in
+  let t = Runtime.Seqexec.run c.prog in
+  let w_seq = Gc.minor_words () -. w0 in
+  ( (w_eng, res.Sim.Engine.stats.Sim.Stats.instructions),
+    (w_seq, t.Runtime.Seqexec.steps) )
+
+(** Scalar code runs on typed slots: no op allocates, so the
+    differential words per engine instruction and per Seqexec step
+    (1,000 vs 11,000 trips) stay near zero. The boxed-value executors
+    they replace read 5.40 and 10.67 (OCaml 5.1, dev profile). *)
+let test_scalar_alloc_gate () =
+  ignore (scalar_loop_words 10);
+  let (we_lo, i_lo), (ws_lo, s_lo) = scalar_loop_words 1_000
+  and (we_hi, i_hi), (ws_hi, s_hi) = scalar_loop_words 11_000 in
+  let per_instr = (we_hi -. we_lo) /. float_of_int (i_hi - i_lo)
+  and per_step = (ws_hi -. ws_lo) /. float_of_int (s_hi - s_lo) in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "scalar loop allocates %.3f minor words per engine instruction \
+        (want <= 0.1)"
+       per_instr)
+    true (per_instr <= 0.1);
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "scalar loop allocates %.3f minor words per Seqexec step (want <= 0.1)"
+       per_step)
+    true (per_step <= 0.1)
 
 (** Words one {!Sim.Engine.of_plans} allocates per rank (minor plus
     major minus promoted) for TOMCATV pl at n = 16 m on an [m x m]
@@ -758,7 +833,9 @@ let () =
         [ Alcotest.test_case "kernel dispatch words per instruction" `Quick
             test_dispatch_alloc_gate;
           Alcotest.test_case "mint words scale with ranks" `Quick
-            test_mint_scaling ] );
+            test_mint_scaling;
+          Alcotest.test_case "scalar loop words per instruction" `Quick
+            test_scalar_alloc_gate ] );
       ( "guards",
         [ Alcotest.test_case "wide shift rejected" `Quick test_rejects_wide_shift;
           Alcotest.test_case "instruction limit" `Quick test_instruction_limit;

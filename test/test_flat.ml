@@ -16,9 +16,20 @@ var i : int;
 |}
 
 (** Execute only the scalar/jump part of a flat program, ignoring kernels;
-    returns the trace of executed opcode names and the final env. *)
+    returns the trace of executed opcode names and the final scalars. *)
 let abstract_run (f : Ir.Flat.t) =
-  let env = Runtime.Values.make_env f.Ir.Flat.prog in
+  let prog = f.Ir.Flat.prog in
+  let scalars = Runtime.Values.layout_of_prog prog in
+  let sc = Runtime.Values.compiler scalars in
+  let code =
+    Array.map
+      (function
+        | Ir.Flat.FScalar { lhs; rhs } -> `Assign (Runtime.Values.assign sc ~lhs rhs)
+        | Ir.Flat.FJumpIfNot (c, _) -> `Cond (Runtime.Values.cond sc c)
+        | _ -> `None)
+      f.Ir.Flat.ops
+  in
+  let slots = Runtime.Values.make_slots (Runtime.Values.spec sc) in
   let trace = ref [] in
   let pc = ref 0 in
   let steps = ref 0 in
@@ -42,18 +53,22 @@ let abstract_run (f : Ir.Flat.t) =
     | Ir.Flat.FCollPart _ | Ir.Flat.FCollFin _ ->
         trace := "coll" :: !trace;
         incr pc
-    | Ir.Flat.FScalar { lhs; rhs } ->
-        env.(lhs) <- Runtime.Values.eval_env env rhs;
+    | Ir.Flat.FScalar _ ->
+        (match code.(!pc) with `Assign a -> a slots | _ -> assert false);
         trace := "scalar" :: !trace;
         incr pc
     | Ir.Flat.FJump t ->
         trace := "jump" :: !trace;
         pc := t
-    | Ir.Flat.FJumpIfNot (c, t) ->
+    | Ir.Flat.FJumpIfNot (_, t) ->
         trace := "cond" :: !trace;
-        if Runtime.Values.eval_bool env c then incr pc else pc := t)
+        let c = match code.(!pc) with `Cond c -> c | _ -> assert false in
+        if c slots then incr pc else pc := t)
   done;
-  (List.rev !trace, env)
+  (List.rev !trace, Runtime.Values.read_all scalars slots)
+
+let int_of = function Runtime.Values.VInt i -> i | _ -> Alcotest.fail "not an int"
+let float_of = function Runtime.Values.VFloat f -> f | _ -> Alcotest.fail "not a float"
 
 let count what trace = List.length (List.filter (( = ) what) trace)
 
@@ -67,7 +82,7 @@ let test_for_loop_repeats_body () =
   Alcotest.(check int) "5 kernel executions" 5 (count "kernel" trace);
   (* the loop variable is the freshest scalar (the checker creates it) *)
   Alcotest.(check bool) "loop var ran past bound" true
-    (Runtime.Values.as_int env.(Array.length env - 1) = 6)
+    (int_of env.(Array.length env - 1) = 6)
 
 let test_downto_loop () =
   let f =
@@ -78,7 +93,7 @@ let test_downto_loop () =
   let trace, env = abstract_run f in
   Alcotest.(check int) "4 kernel executions" 4 (count "kernel" trace);
   Alcotest.(check int) "final value" 1
-    (Runtime.Values.as_int env.(Array.length env - 1))
+    (int_of env.(Array.length env - 1))
 
 let test_empty_for_loop () =
   let f =
@@ -98,7 +113,7 @@ let test_repeat_until () =
   let trace, env = abstract_run f in
   (* body runs 3 times: x = 1, 2, 3 *)
   Alcotest.(check int) "3 body scalars + init" 4 (count "scalar" trace);
-  Alcotest.(check (float 0.)) "final x" 3.0 (Runtime.Values.as_float env.(0))
+  Alcotest.(check (float 0.)) "final x" 3.0 (float_of env.(0))
 
 let test_if_else_paths () =
   let body cond =
@@ -110,7 +125,7 @@ let test_if_else_paths () =
   in
   let run c =
     let _, env = abstract_run (flatten (body c)) in
-    Runtime.Values.as_float env.(0)
+    float_of env.(0)
   in
   Alcotest.(check (float 0.)) "then" 10.0 (run "1.0");
   Alcotest.(check (float 0.)) "else" 20.0 (run "-1.0")
@@ -122,7 +137,7 @@ let test_if_without_else () =
      ^ "procedure main(); begin x := 1.0; if x < 0.0 then x := 9.0; end; end;")
   in
   let _, env = abstract_run f in
-  Alcotest.(check (float 0.)) "untouched" 1.0 (Runtime.Values.as_float env.(0))
+  Alcotest.(check (float 0.)) "untouched" 1.0 (float_of env.(0))
 
 let test_nested_control () =
   let f =
@@ -142,7 +157,7 @@ end;
   in
   let _, env = abstract_run f in
   (* inner repeat runs to 101 the first time, then once per outer iter *)
-  Alcotest.(check (float 0.)) "nested loops" 103.0 (Runtime.Values.as_float env.(0))
+  Alcotest.(check (float 0.)) "nested loops" 103.0 (float_of env.(0))
 
 let test_jump_targets_in_range () =
   List.iter

@@ -311,6 +311,41 @@ end;
       Alcotest.(check (float 0.0)) "else-arm ran after zero-trip loop" 2.0 v
   | _ -> Alcotest.fail "x is not a float"
 
+(* int [+] wraps at 63 bits: max_int + 1 is negative, so the guard is
+   false at run time. Float interval arithmetic reads it as 2^62 > 0, and
+   deciding the branch on that would splice the wrong arm. *)
+let test_dbe_int_wrap () =
+  let body =
+    {|
+var i : int;
+procedure main();
+begin
+  i := 4611686018427387903;
+  i := i + 1;
+  if i > 0 then
+    [R] C := A;
+    x := 1.0;
+  else
+    [R] C := A@east;
+    x := 2.0;
+  end;
+end;
+|}
+  in
+  Alcotest.(check int) "both arms survive" 1 (static Opt.Config.baseline body);
+  let prog = program body in
+  let res =
+    Sim.Engine.run
+      (Sim.Engine.of_plans
+         (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
+            ~pr:2 ~pc:2
+            (Ir.Flat.flatten (Opt.Passes.compile Opt.Config.baseline prog))))
+  in
+  let x = Option.get (Zpl.Prog.find_scalar prog "x") in
+  Alcotest.(check bool) "else-arm ran" true
+    ((Sim.Engine.final_env res.Sim.Engine.engine).(x.Zpl.Prog.s_id)
+    = Runtime.Values.VFloat 2.0)
+
 (* the dead arm splits the straight-line code around it unless dbe runs
    before lowering *)
 let joined_body =
@@ -377,6 +412,8 @@ let () =
             test_dbe_keeps_undecided_branch;
           Alcotest.test_case "zero-trip for keeps both arms" `Quick
             test_dbe_zero_trip_for;
+          Alcotest.test_case "int wrap keeps both arms" `Quick
+            test_dbe_int_wrap;
           Alcotest.test_case "spliced arm joins its block" `Quick
             test_dbe_joins_blocks ]
       );

@@ -152,39 +152,210 @@ let arb_prog =
 let all_configs =
   Opt.Config.[ baseline; rr_only; cc_cum; pl_cum; pl_max_latency ]
 
-let oracle_distance prog (lib : Machine.Library.t) config ~pr ~pc =
-  let ir = Opt.Passes.compile config prog in
+(* ------------------------------------------------------------------ *)
+(* Random scalar-heavy programs                                        *)
+(*                                                                     *)
+(* Float, int and bool scalars under random assignments: mixed         *)
+(* int/float arithmetic, int overflow (large literals, repeated        *)
+(* products), [/], [^] and intrinsics, [and]/[or]/[not] — nested under *)
+(* [if], [for] over scalar bounds both ways (zero-trip included) and   *)
+(* [repeat]. Array statements broadcast float and int scalars, and     *)
+(* [max<<]/[min<<] reductions read array data back into scalar code    *)
+(* ([+<<] would round differently per mesh, as any parallel sum does). *)
+(* ------------------------------------------------------------------ *)
+
+let gen_scalar_src : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  let paren fmt = Printf.ksprintf (fun s -> "(" ^ s ^ ")") fmt in
+  let fvar = oneofl [ "f1"; "f2"; "f3" ] and ivar = oneofl [ "i1"; "i2"; "i3" ] in
+  let ilit =
+    frequency
+      [ (4, map (fun k -> paren "%d" k) (int_range (-5) 9));
+        (1, oneofl [ "4611686018427387903"; "1000003"; "9007199254740993" ]) ]
+  in
+  let flit = map (fun x -> paren "%.3f" x) (float_range (-4.0) 4.0) in
+  let bin ops a b = map3 (paren "%s %s %s") a (oneofl ops) b in
+  let iexpr =
+    fix
+      (fun self d ->
+        if d = 0 then oneof [ ivar; ilit ]
+        else
+          frequency
+            [ (2, oneof [ ivar; ilit ]);
+              (3, bin [ "+"; "-"; "*" ] (self (d - 1)) (self (d - 1)));
+              (1, map (paren "-%s") (self (d - 1))) ])
+      2
+  in
+  let fexpr =
+    fix
+      (fun self d ->
+        let leaf = oneof [ fvar; flit; ivar; ilit ] in
+        if d = 0 then leaf
+        else
+          let sub = self (d - 1) in
+          frequency
+            [ (2, leaf);
+              (4, bin [ "+"; "-"; "*"; "/"; "^" ] sub (oneof [ sub; iexpr ]));
+              (1, map (paren "-%s") sub);
+              ( 2,
+                map2 (Printf.sprintf "%s(%s)")
+                  (oneofl
+                     [ "abs"; "sqrt"; "exp"; "ln"; "sin"; "cos"; "tan"; "floor";
+                       "sign" ])
+                  sub );
+              (1, map3 (Printf.sprintf "%s(%s, %s)") (oneofl [ "min"; "max" ]) sub sub) ])
+      2
+  in
+  let num = oneof [ fexpr; iexpr ] in
+  let bexpr =
+    fix
+      (fun self d ->
+        let cmp = bin [ "<"; "<="; ">"; ">="; "="; "!=" ] num num in
+        if d = 0 then oneof [ cmp; oneofl [ "b1"; "b2"; "true" ] ]
+        else
+          frequency
+            [ (3, cmp);
+              (1, oneofl [ "b1"; "b2" ]);
+              (2, bin [ "and"; "or" ] (self (d - 1)) (self (d - 1)));
+              (1, map (paren "not %s") (self (d - 1))) ])
+      1
+  in
+  (* [outer]: the enclosing loop's variable, a bound for inner loops *)
+  let bound outer =
+    oneof (map string_of_int (int_range (-1) 3) :: List.map return outer)
+  in
+  let rec stmts ind level outer d : string t =
+    map (String.concat "") (list_size (int_range 1 3) (stmt ind level outer d))
+  and stmt ind level outer d : string t =
+    let pf fmt = Printf.sprintf ("%s" ^^ fmt ^^ "\n") ind in
+    let simple =
+      [ (3, map2 (pf "%s := %s;") fvar fexpr);
+        (3, map2 (pf "%s := %s;") ivar iexpr);
+        (2, map2 (pf "%s := %s;") (oneofl [ "b1"; "b2" ]) bexpr);
+        ( 1,
+          map3 (pf "[R] %s := %s<< %s;") fvar (oneofl [ "max"; "min" ])
+            (oneofl [ "A"; "(A * f2)"; "(B + i1)"; "(A@[0,1] - B)" ]) );
+        ( 1,
+          map2 (pf "[R] A := 0.5 * A + %s * 0.25 + %s;") fvar ivar );
+        (1, map (pf "[R] B := 0.5 * (A@[0,1] + A@[1,0]) - %s;") num) ]
+    in
+    if d = 0 || level > 2 then frequency simple
+    else
+      let body = stmts (ind ^ "  ") (level + 1) outer (d - 1) in
+      let k = Printf.sprintf "k%d" level in
+      frequency
+        (simple
+        @ [ ( 1,
+              map3
+                (fun c a b -> pf "if %s then\n%s%selse\n%s%send;" c a ind b ind)
+                bexpr body body );
+            ( 1,
+              map4
+                (fun lo dir hi b -> pf "for %s := %s %s %s do\n%s%send;" k lo dir hi b ind)
+                (bound outer) (oneofl [ "to"; "downto" ]) (bound outer)
+                (stmts (ind ^ "  ") (level + 1) [ k ] (d - 1)) );
+            ( 1,
+              map2
+                (fun k b ->
+                  pf "r%d := 0;\n%srepeat\n%s%s  r%d := r%d + 1;\n%suntil r%d >= %d;"
+                    level ind b ind level level ind level k)
+                (int_range 1 3) body ) ])
+  in
+  map
+    (fun body ->
+      {|
+constant n = 6;
+region R = [1..n, 1..n];
+region BigR = [0..n+1, 0..n+1];
+var A, B : [BigR] float;
+var f1, f2, f3 : float;
+var i1, i2, i3, k1, k2, r1, r2 : int;
+var b1, b2 : bool;
+procedure main();
+begin
+  [BigR] A := Index1 * 0.5 + Index2;
+  [BigR] B := Index2 - Index1 * 0.25;
+  f1 := 1.5; f2 := -0.75; i1 := 3; i2 := -2; b2 := true;
+|}
+      ^ body ^ "end;\n")
+    (stmts "  " 1 [] 2)
+
+(** A stencil program and a scalar-heavy one, checked by the same
+    property. *)
+let arb_both =
+  QCheck.make
+    ~print:(fun (p, s) -> prog_to_source p ^ "\n-- and --\n" ^ s)
+    QCheck.Gen.(pair gen_prog gen_scalar_src)
+
+let bits = Int64.bits_of_float
+
+(** What a run leaves: every declared cell's bits, and every scalar's
+    but the [for] variables' (a flat loop variable ends one step past
+    its bound, the oracle's at its bound; the checker scopes it to its
+    loop, so nothing reads it afterwards). *)
+let outcome (prog : Zpl.Prog.t) store_of (env : Runtime.Values.value array) =
+  let cells =
+    Array.map
+      (fun (info : Zpl.Prog.array_info) ->
+        let s = store_of info.a_id in
+        let cells = ref [] in
+        Zpl.Region.iter info.a_region (fun pt ->
+            cells := bits (Runtime.Store.get s pt) :: !cells);
+        !cells)
+      prog.Zpl.Prog.arrays
+  in
+  let rec loop_vars acc = function
+    | Zpl.Prog.For { var; body; _ } -> List.fold_left loop_vars (var :: acc) body
+    | Zpl.Prog.Repeat (body, _) -> List.fold_left loop_vars acc body
+    | Zpl.Prog.If (_, a, b) ->
+        List.fold_left loop_vars (List.fold_left loop_vars acc a) b
+    | Zpl.Prog.AssignA _ | Zpl.Prog.AssignS _ | Zpl.Prog.ReduceS _ -> acc
+  in
+  let skip = List.fold_left loop_vars [] prog.Zpl.Prog.body in
+  let scalars =
+    List.filteri (fun i _ -> not (List.mem i skip)) (Array.to_list env)
+    |> List.map (function
+         | Runtime.Values.VFloat f -> bits f
+         | Runtime.Values.VInt i -> Int64.of_int i
+         | Runtime.Values.VBool b -> if b then 1L else 0L)
+  in
+  (cells, scalars)
+
+let oracle_outcome prog =
+  let t = Runtime.Seqexec.run prog in
+  outcome prog
+    (Array.get t.Runtime.Seqexec.stores)
+    (Runtime.Values.read_all t.Runtime.Seqexec.scalars t.Runtime.Seqexec.slots)
+
+let engine_outcome prog (ir : Ir.Instr.program) lib ~pr ~pc =
   let res =
     Sim.Engine.run
       (Sim.Engine.of_plans
          (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib ~pr ~pc
             (Ir.Flat.flatten ir)))
   in
-  let oracle = Runtime.Seqexec.run prog in
-  let worst = ref 0.0 in
-  Array.iteri
-    (fun aid (info : Zpl.Prog.array_info) ->
-      let par = Sim.Engine.gather res.Sim.Engine.engine aid in
-      let sq = oracle.Runtime.Seqexec.stores.(aid) in
-      Zpl.Region.iter info.a_region (fun pt ->
-          let a = Runtime.Store.get sq pt and b = Runtime.Store.get par pt in
-          let d = Float.abs (a -. b) in
-          if d > !worst then worst := d))
-    prog.Zpl.Prog.arrays;
-  !worst
+  let e = res.Sim.Engine.engine in
+  outcome prog (Sim.Engine.gather e) (Sim.Engine.final_env e)
 
 (** The headline property: every optimization level, on both T3D
-    libraries, computes bit-identical results to the sequential oracle. *)
+    libraries, computes bit-identical arrays and scalars to the
+    sequential oracle — on a stencil program and on a scalar-heavy one
+    per case. *)
 let prop_optimizer_preserves_semantics =
-  QCheck.Test.make ~name:"optimizer preserves semantics" ~count:30 arb_prog
-    (fun p ->
-      let prog = Zpl.Check.compile_string (prog_to_source p) in
+  QCheck.Test.make ~name:"optimizer preserves semantics" ~count:30 arb_both
+    (fun (p, scalar_src) ->
       List.for_all
-        (fun config ->
+        (fun src ->
+          let prog = Zpl.Check.compile_string src in
+          let want = oracle_outcome prog in
           List.for_all
-            (fun lib -> oracle_distance prog lib config ~pr:2 ~pc:2 = 0.0)
-            [ Machine.T3d.pvm; Machine.T3d.shmem ])
-        all_configs)
+            (fun config ->
+              let ir = Opt.Passes.compile config prog in
+              List.for_all
+                (fun lib -> engine_outcome prog ir lib ~pr:2 ~pc:2 = want)
+                [ Machine.T3d.pvm; Machine.T3d.shmem ])
+            all_configs)
+        [ prog_to_source p; scalar_src ])
 
 (** Counts behave monotonically under the passes. *)
 let prop_counts_monotone =
@@ -273,8 +444,9 @@ let prop_never_slower =
     too, since a scalar's last value is its initial value or some write. *)
 let prop_absint_hull_sound =
   QCheck.Test.make ~name:"absint hull bounds every scalar trace" ~count:30
-    arb_prog (fun p ->
-      let prog = Zpl.Check.compile_string (prog_to_source p) in
+    arb_both (fun (p, scalar_src) ->
+      List.for_all (fun src ->
+      let prog = Zpl.Check.compile_string src in
       List.for_all
         (fun config ->
           let ir = Opt.Passes.compile config prog in
@@ -291,6 +463,10 @@ let prop_absint_hull_sound =
             then escapes := (id, f) :: !escapes
           in
           let t = Runtime.Seqexec.run ~on_scalar prog in
+          let final =
+            Runtime.Values.read_all t.Runtime.Seqexec.scalars
+              t.Runtime.Seqexec.slots
+          in
           Array.iteri
             (fun id v ->
               if
@@ -298,7 +474,7 @@ let prop_absint_hull_sound =
                   (Analysis.Absint.contains s.Analysis.Absint.s_hull.(id)
                      (to_float v))
               then escapes := (id, to_float v) :: !escapes)
-            t.Runtime.Seqexec.env;
+            final;
           if !escapes <> [] then
             QCheck.Test.fail_reportf "escaped hull under %s: %s"
               (Opt.Config.name config)
@@ -310,6 +486,7 @@ let prop_absint_hull_sound =
                     !escapes))
           else true)
         all_configs)
+        [ prog_to_source p; scalar_src ])
 
 (** Commvol's static bounds and exact predictions agree with the engine
     on random control shapes across all six paper rows: per-processor
@@ -420,7 +597,6 @@ let prop_halo_covers =
 
 let narrays = 3
 
-let bits = Int64.bits_of_float
 
 (* Deterministic pseudo-random fill so failures reproduce from the seed. *)
 let fill_store (s : Runtime.Store.t) seed =
@@ -514,7 +690,9 @@ let arb_kcase =
         c.kseed)
     gen_kcase
 
-let kscalar i = [| 0.5; -1.25 |].(i)
+(* scalar 0 is a float, scalar 1 an int the kernels convert *)
+let kscalars = Runtime.Values.layout [| Zpl.Ast.TFloat; Zpl.Ast.TInt |]
+let kslots () = { Runtime.Values.f = [| 0.5 |]; i = [| -3 |] }
 
 (* Plans are store-agnostic: compile against [stores] (any store of the
    right geometry works), then bind the actual stores and scalars into
@@ -524,10 +702,10 @@ let kcase_stores (c : kcase) =
   let stores =
     Array.init narrays (fun aid -> mk_store aid c.krank alloc c.kseed)
   in
-  let ws = Runtime.Kernel.make_ws () in
+  let ws = Runtime.Kernel.make_ws kscalars in
   let rc = { Runtime.Kernel.rstore = (fun aid -> stores.(aid)); rws = ws } in
   let mkenv () =
-    Runtime.Kernel.make_env ~stores ~scalar:kscalar
+    Runtime.Kernel.make_env ~stores ~slots:(kslots ())
       (Runtime.Kernel.ws_spec ws)
   in
   (stores, rc, mkenv)
@@ -809,45 +987,11 @@ let prop_comm_matches_oracle =
   QCheck.Test.make ~name:"engine: comm runtime == Seqexec oracle (bitwise)"
     ~count:10 arb_prog (fun p ->
       let prog = Zpl.Check.compile_string (prog_to_source p) in
-      (* every declared cell's bits, whatever the store's fringe *)
-      let cell_bits store_of =
-        Array.map
-          (fun (info : Zpl.Prog.array_info) ->
-            let s = store_of info.a_id in
-            let cells = ref [] in
-            Zpl.Region.iter info.a_region (fun pt ->
-                cells := bits (Runtime.Store.get s pt) :: !cells);
-            !cells)
-          prog.Zpl.Prog.arrays
-      in
-      let rec loop_vars acc = function
-        | Zpl.Prog.For { var; body; _ } -> List.fold_left loop_vars (var :: acc) body
-        | Zpl.Prog.Repeat (body, _) -> List.fold_left loop_vars acc body
-        | Zpl.Prog.If (_, a, b) ->
-            List.fold_left loop_vars (List.fold_left loop_vars acc a) b
-        | Zpl.Prog.AssignA _ | Zpl.Prog.AssignS _ | Zpl.Prog.ReduceS _ -> acc
-      in
-      let skip = List.fold_left loop_vars [] prog.Zpl.Prog.body in
-      let scalars env =
-        List.filteri (fun i _ -> not (List.mem i skip)) (Array.to_list env)
-      in
-      let oracle = Runtime.Seqexec.run prog in
-      let want = cell_bits (Array.get oracle.Runtime.Seqexec.stores) in
-      let want_env = scalars oracle.Runtime.Seqexec.env in
+      let want = oracle_outcome prog in
       List.for_all
         (fun (_, config, lib) ->
-          let ir = Opt.Passes.compile config prog in
-          let res =
-            Sim.Engine.run
-              (Sim.Engine.of_plans
-                 (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib ~pr:3 ~pc:3
-                    (Ir.Flat.flatten ir)))
-          in
-          let engine = res.Sim.Engine.engine in
-          cell_bits (Sim.Engine.gather engine) = want
-          && List.for_all2 Runtime.Values.equal_value
-               (scalars (Sim.Engine.final_env engine))
-               want_env)
+          engine_outcome prog (Opt.Passes.compile config prog) lib ~pr:3 ~pc:3
+          = want)
         Report.Experiment.paper_rows)
 
 (* ------------------------------------------------------------------ *)

@@ -164,11 +164,12 @@ let test_halo_wide_offset () =
 (* Run [a] over [region] on the per-point path the engine and Seqexec
    fall back to: plan with [~row:false], bind the stores, execute. *)
 let exec_point ~stores ~scalar ~region (a : Zpl.Prog.assign_a) =
-  let ws = Runtime.Kernel.make_ws () in
+  let ws = Runtime.Kernel.make_ws (Runtime.Values.layout [| Zpl.Ast.TFloat |]) in
   let rc = { Runtime.Kernel.rstore = (fun aid -> stores.(aid)); rws = ws } in
   let plan = Runtime.Kernel.plan_assign ~row:false rc a in
   Alcotest.(check bool) "per-point plan" false (Runtime.Kernel.plan_is_row plan);
-  let env = Runtime.Kernel.make_env ~stores ~scalar (Runtime.Kernel.ws_spec ws) in
+  let slots = { Runtime.Values.f = [| scalar |]; i = [| 0 |] } in
+  let env = Runtime.Kernel.make_env ~stores ~slots (Runtime.Kernel.ws_spec ws) in
   Runtime.Kernel.exec_plan plan ~env ~lhs:stores.(a.lhs) ~region
 
 let test_kernel_eval () =
@@ -192,7 +193,7 @@ let test_kernel_eval () =
       flops = 3 }
   in
   let cells =
-    exec_point ~stores:[| src; dst |] ~scalar:(fun _ -> 2.0)
+    exec_point ~stores:[| src; dst |] ~scalar:2.0
       ~region:(r2 3 3 4 4) a
   in
   Alcotest.(check int) "cells" 1 cells;
@@ -212,7 +213,7 @@ let test_buffered_assignment () =
   in
   Alcotest.(check bool) "needs buffer" true (Runtime.Kernel.needs_buffer a);
   let cells =
-    exec_point ~stores:[| store |] ~scalar:(fun _ -> 0.) ~region:(r2 5 5 1 9) a
+    exec_point ~stores:[| store |] ~scalar:0. ~region:(r2 5 5 1 9) a
   in
   Alcotest.(check int) "cells" 9 cells;
   (* every cell got its WEST neighbor's original value *)
@@ -229,17 +230,74 @@ let test_check_refs_catches () =
       Runtime.Kernel.check_ref_bounds ~region:(r2 0 0 0 9) ~stores:[| s |]
         (Runtime.Kernel.refs_of (Zpl.Prog.ARef (0, [| -1; 0 |]))))
 
+(* Edge semantics of scalar code, pinned to fixed values from outside:
+   the engine and Seqexec run one compiled scalar program, so they cannot
+   catch each other's errors. Each scalar is read back at its declared
+   type from the oracle and from the engine on 2x2 under PVM and SHMEM. *)
+let edge_src =
+  {|
+constant n = 4;
+region R = [1..n, 1..n];
+var A : [R] float;
+var i, j, k, p, q, h, two : int;
+var r, pw, fx, s, u : float;
+var t, t2 : bool;
+procedure main();
+begin
+  i := 4611686018427387903;
+  j := i + 1;
+  k := -j;
+  p := 9007199254740992;
+  q := p + 1;
+  t := q = p;
+  t2 := not (q > p) and (p < q or t);
+  h := 7;
+  two := 2;
+  r := h / two;
+  pw := two ^ 3;
+  fx := h * two;
+  [R] A := 0.5 + h;
+  [R] s := +<< A;
+  u := s * 2.0;
+end;
+|}
+
+let edge_cases =
+  Runtime.Values.
+    [ ("max_int + 1 wraps", "j", VInt min_int);
+      ("-min_int wraps", "k", VInt min_int);
+      ("2^53 + 1 = 2^53 compares as floats", "t", VBool true);
+      ("bool connectives", "t2", VBool true);
+      ("int / int is a float", "r", VFloat 3.5);
+      ("int ^ int is a float", "pw", VFloat 8.0);
+      ("float scalar assigned an int", "fx", VFloat 14.0);
+      ("int scalar in an array expression", "s", VFloat 120.0);
+      ("scalar read after a reduction", "u", VFloat 240.0) ]
+
 let test_values_eval () =
-  let env = [| Runtime.Values.VInt 3; Runtime.Values.VFloat 1.5 |] in
-  let v e = Runtime.Values.eval_env env e in
-  Alcotest.(check bool) "int arith stays int" true
-    (v Zpl.Prog.(SBin (Zpl.Ast.Add, SVar 0, SInt 4)) = Runtime.Values.VInt 7);
-  Alcotest.(check bool) "mixed promotes" true
-    (v Zpl.Prog.(SBin (Zpl.Ast.Mul, SVar 0, SVar 1)) = Runtime.Values.VFloat 4.5);
-  Alcotest.(check bool) "comparison" true
-    (v Zpl.Prog.(SBin (Zpl.Ast.Lt, SVar 1, SInt 2)) = Runtime.Values.VBool true);
-  Alcotest.(check bool) "intrinsic" true
-    (v Zpl.Prog.(SCall ("max", [ SVar 0; SVar 1 ])) = Runtime.Values.VFloat 3.)
+  let c = compile ~config:Opt.Config.pl_cum edge_src in
+  let check who read =
+    List.iter
+      (fun (what, name, want) ->
+        let got = read name in
+        if got <> Some want then
+          Alcotest.failf "%s (%s): %s = %s, want %s" what who name
+            (match got with
+            | Some v -> Runtime.Values.show_value v
+            | None -> "missing")
+            (Runtime.Values.show_value want))
+      edge_cases
+  in
+  check "seqexec" (Runtime.Seqexec.scalar_value (run_oracle c));
+  List.iter
+    (fun (who, lib) ->
+      let res = simulate ~lib ~mesh:(2, 2) c in
+      let env = Sim.Engine.final_env res.Sim.Engine.engine in
+      check who (fun name ->
+          Option.map
+            (fun (s : Zpl.Prog.scalar_info) -> env.(s.s_id))
+            (Zpl.Prog.find_scalar c.prog name)))
+    [ ("engine 2x2 PVM", Machine.T3d.pvm); ("engine 2x2 SHMEM", Machine.T3d.shmem) ]
 
 let test_reduce_ops () =
   Alcotest.(check (float 0.)) "sum identity" 0. (Runtime.Reduce.identity Zpl.Ast.RSum);
