@@ -1,6 +1,12 @@
 type entry = { art : Spec.artifact; mutable last_use : int }
 type pentry = { prog : Zpl.Prog.t; mutable p_last_use : int }
 
+type gentry = {
+  g_prog : Zpl.Prog.t;  (** the program it was built over *)
+  geom : Sim.Engine.geometry;
+  mutable g_last_use : int;
+}
+
 type counters = { hits : int; misses : int; evictions : int }
 
 type t = {
@@ -8,6 +14,8 @@ type t = {
   cap : int;
   tbl : (string, entry) Hashtbl.t;  (** Spec.key -> compiled artifact *)
   progs : (string, pentry) Hashtbl.t;  (** program_digest -> parsed prog *)
+  geoms : (string * int * int, gentry) Hashtbl.t;
+      (** (program_digest, pr, pc) -> the plans' shared geometry *)
   mutable tick : int;  (** LRU clock, bumped per lookup *)
   mutable hits : int;
   mutable misses : int;
@@ -19,6 +27,7 @@ let create ?(capacity = 256) () =
     cap = max 1 capacity;
     tbl = Hashtbl.create 64;
     progs = Hashtbl.create 64;
+    geoms = Hashtbl.create 64;
     tick = 0;
     hits = 0;
     misses = 0;
@@ -40,12 +49,13 @@ let length t = locked t (fun () -> Hashtbl.length t.tbl)
 let clear t =
   locked t (fun () ->
       Hashtbl.reset t.tbl;
-      Hashtbl.reset t.progs)
+      Hashtbl.reset t.progs;
+      Hashtbl.reset t.geoms)
 
 (* Linear-scan LRU eviction: capacities are in the tens or hundreds, so
    a scan per insert-at-capacity is cheaper than maintaining an intrusive
    list, and it keeps the locked sections trivially correct. *)
-let evict_lru (type e) (tbl : (string, e) Hashtbl.t) (use : e -> int) =
+let evict_lru (type k e) (tbl : (k, e) Hashtbl.t) (use : e -> int) =
   let victim = ref None in
   Hashtbl.iter
     (fun k e ->
@@ -54,6 +64,35 @@ let evict_lru (type e) (tbl : (string, e) Hashtbl.t) (use : e -> int) =
       | _ -> victim := Some (k, use e))
     tbl;
   match !victim with None -> () | Some (k, _) -> Hashtbl.remove tbl k
+
+(* The geometry of (program, mesh): found by digest and mesh, and used
+   only if it was built over this very program (an evicted and re-parsed
+   program gets a fresh one). Built outside the lock; a racing duplicate
+   yields to the first insert. *)
+let geometry t pdigest ~pr ~pc (prog : Zpl.Prog.t) : Sim.Engine.geometry =
+  let gkey = (pdigest, pr, pc) in
+  let cached () =
+    match Hashtbl.find_opt t.geoms gkey with
+    | Some ge when ge.g_prog == prog ->
+        ge.g_last_use <- t.tick;
+        Some ge.geom
+    | _ -> None
+  in
+  match locked t cached with
+  | Some g -> g
+  | None ->
+      let g = Sim.Engine.geometry ~pr ~pc prog in
+      locked t (fun () ->
+          match cached () with
+          | Some first -> first
+          | None ->
+              if
+                (not (Hashtbl.mem t.geoms gkey))
+                && Hashtbl.length t.geoms >= t.cap
+              then evict_lru t.geoms (fun ge -> ge.g_last_use);
+              Hashtbl.replace t.geoms gkey
+                { g_prog = prog; geom = g; g_last_use = t.tick };
+              g)
 
 let find t (spec : Spec.t) : Spec.artifact * bool =
   let key = Spec.key spec in
@@ -74,24 +113,35 @@ let find t (spec : Spec.t) : Spec.artifact * bool =
   | None ->
       (* compile outside the lock: concurrent misses on different specs
          proceed in parallel; a racing duplicate of the same spec is
-         benign (both compiles are correct, the first insert wins) *)
+         benign (both compiles are correct, the first insert wins). The
+         program is published to the memo before anything is built over
+         it, and a racing duplicate parse yields to the memo's, so every
+         geometry of one digest is built over one program. *)
       let pdigest = Spec.program_digest spec in
-      let prog =
-        locked t (fun () ->
-            match Hashtbl.find_opt t.progs pdigest with
-            | Some pe ->
-                pe.p_last_use <- t.tick;
-                Some pe.prog
-            | None -> None)
+      let memo_prog () =
+        match Hashtbl.find_opt t.progs pdigest with
+        | Some pe ->
+            pe.p_last_use <- t.tick;
+            Some pe.prog
+        | None -> None
       in
-      let art = Spec.build ?prog spec in
+      let prog =
+        match locked t memo_prog with
+        | Some p -> p
+        | None ->
+            let p = Spec.parse spec in
+            locked t (fun () ->
+                match memo_prog () with
+                | Some first -> first
+                | None ->
+                    if Hashtbl.length t.progs >= t.cap then
+                      evict_lru t.progs (fun pe -> pe.p_last_use);
+                    Hashtbl.replace t.progs pdigest
+                      { prog = p; p_last_use = t.tick };
+                    p)
+      in
+      let art = Spec.build ~prog ~geometry:(geometry t pdigest) spec in
       locked t (fun () ->
-          if not (Hashtbl.mem t.progs pdigest) then begin
-            if Hashtbl.length t.progs >= t.cap then
-              evict_lru t.progs (fun pe -> pe.p_last_use);
-            Hashtbl.replace t.progs pdigest
-              { prog = art.Spec.a_prog; p_last_use = t.tick }
-          end;
           match Hashtbl.find_opt t.tbl key with
           | Some e ->
               (* another thread compiled the same spec first; share its

@@ -9,6 +9,13 @@
     plans. Mutable state is never cached — see DESIGN.md on spec
     canonicalization and cache keying.
 
+    Next to the artifacts the cache keeps a parsed-program memo by
+    {!Spec.program_digest} and one {!Sim.Engine.geometry} per (program
+    digest, mesh): the spec-independent half of the plans, whose fringe
+    blueprints are built once and shared by every spec over that program
+    and mesh (rows, libraries, machines, topologies), so a miss plans
+    only what differs between specs.
+
     The cache is thread-safe (one mutex around the index; compilation
     itself runs outside the lock, so concurrent misses on different
     specs compile in parallel) and bounded: inserting beyond [capacity]
@@ -18,9 +25,10 @@
 type t
 
 (** [create ?capacity ()] — an empty cache holding at most [capacity]
-    artifacts (default 256) plus a parsed-program memo of the same
-    bound, so several specs over one program (the six paper rows) parse
-    and type-check it once. *)
+    artifacts (default 256), plus a parsed-program memo and a geometry
+    table under the same LRU bound each, so several specs over one
+    program (the six paper rows) parse and type-check it once and share
+    one geometry per mesh. *)
 val create : ?capacity:int -> unit -> t
 
 (** A process-wide cache (capacity 256) for long-lived services; one-off

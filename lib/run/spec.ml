@@ -201,24 +201,24 @@ type artifact = {
   a_plans : Sim.Engine.plans;
 }
 
+let parse (spec : t) =
+  Zpl.Check.compile_string ~defines:spec.defines spec.source
+
 let compile ?prog (spec : t) =
-  let prog =
-    match prog with
-    | Some p -> p
-    | None -> Zpl.Check.compile_string ~defines:spec.defines spec.source
-  in
+  let prog = match prog with Some p -> p | None -> parse spec in
   let ir =
     Opt.Passes.compile ~check:spec.check ~machine:spec.machine ~lib:spec.lib
       ~mesh:spec.mesh ~topology:spec.topology spec.config prog
   in
   (prog, ir, Ir.Flat.flatten ir)
 
-let build ?prog (spec : t) : artifact =
+let build ?prog ?(geometry = Sim.Engine.geometry) (spec : t) : artifact =
   let prog, ir, flat = compile ?prog spec in
   let pr, pc = spec.mesh in
   let plans =
-    Sim.Engine.plan ~topology:spec.topology ~machine:spec.machine
-      ~lib:spec.lib ~pr ~pc flat
+    Sim.Engine.plan ~topology:spec.topology
+      ~geometry:(geometry ~pr ~pc prog) ~machine:spec.machine ~lib:spec.lib
+      ~pr ~pc flat
   in
   { a_spec = spec; a_prog = prog; a_ir = ir; a_flat = flat; a_plans = plans }
 

@@ -90,6 +90,9 @@ type artifact = private {
   a_plans : Sim.Engine.plans;
 }
 
+(** Parse and type-check the spec's program (source and defines). *)
+val parse : t -> Zpl.Prog.t
+
 (** The front half of {!build}: parse/check, optimize against the spec's
     machine/lib/mesh, flatten — no engine plans, so its cost does not
     grow with the simulated mesh or the array sizes. *)
@@ -98,9 +101,16 @@ val compile :
 
 (** Compile a spec end to end ({!compile}, then the engine plans).
     [prog] short-cuts the parse when the caller already holds the
-    program for {!program_digest} (the cache's memo). Raises like the
-    pipeline stages it runs. *)
-val build : ?prog:Zpl.Prog.t -> t -> artifact
+    program for {!program_digest} (the cache's memo). [geometry]
+    supplies the spec-independent half of the plans for the program and
+    mesh (default: a fresh {!Sim.Engine.geometry}); the cache passes one
+    that shares it across specs. Raises like the pipeline stages it
+    runs. *)
+val build :
+  ?prog:Zpl.Prog.t ->
+  ?geometry:(pr:int -> pc:int -> Zpl.Prog.t -> Sim.Engine.geometry) ->
+  t ->
+  artifact
 
 (** A fresh engine over an artifact's shared plans, using the spec's
     [limit]. *)

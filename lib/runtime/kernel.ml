@@ -14,11 +14,11 @@
     (array ids, flat shifts computed from strides), operator structure
     and coefficient structure — never a store's cells, a scalar value,
     or any mutable scratch. Everything mutable lives in a runtime
-    {!env}, allocated once per executor from the {!envspec} the compile
-    pass records in its workspace ({!ws}), and passed to every [exec_*]
-    entry. One compiled plan may therefore be shared by many concurrent
-    executors (engines minted from one cached plan set), each binding
-    its own stores and workspace. *)
+    {!env}: the executor's stores and scalars, bound to a {!workspace}
+    minted from the {!envspec} the compile pass records ({!ws}), and
+    passed to every [exec_*] entry. One compiled plan may therefore be
+    shared by many concurrent executors (engines minted from one cached
+    plan set), each binding its own stores and workspace. *)
 
 module A1 = Bigarray.Array1
 
@@ -77,9 +77,13 @@ let run_reduce ~(region : Zpl.Region.t) (op : Zpl.Ast.redop)
 (* scalar values, or any mutable scratch: those arrive at execution    *)
 (* time inside an [env]. The compile pass allocates workspace slots    *)
 (* (row buffers, chain workspaces, integer point scratch) from a [ws]  *)
-(* builder; [ws_spec] freezes the slot counts into an [envspec], and   *)
-(* [make_env] mints one mutable workspace per executor from it. Two    *)
-(* engines sharing one compiled plan never share workspace.            *)
+(* builder, numbering restarting at every statement: a kernel keeps    *)
+(* nothing in its workspace between executions, so statements that     *)
+(* never run at once may share slots. [ws_spec] freezes the widest     *)
+(* statement's needs into an [envspec], [make_workspace] mints one     *)
+(* workspace from it, and [make_env] binds an executor's stores and    *)
+(* scalars to a workspace. Executors that may run kernels at the same  *)
+(* time never share one.                                               *)
 (* ------------------------------------------------------------------ *)
 
 let empty_buf : buf = A1.create Bigarray.float64 Bigarray.c_layout 0
@@ -87,24 +91,34 @@ let empty_buf : buf = A1.create Bigarray.float64 Bigarray.c_layout 0
 (** Workspace slot allocator threaded through one compile pass. *)
 type ws = {
   wscalars : Values.layout;  (** where each broadcast scalar lives *)
-  mutable wbufs : int;  (** row-buffer slots handed out *)
-  mutable wchains : int list;  (** chain slot lengths, reversed *)
-  mutable wnchains : int;
+  mutable wbufs : int;  (** row-buffer slots of the current statement *)
+  mutable wmaxbufs : int;  (** most row-buffer slots of any statement *)
+  mutable wnchains : int;  (** chain slots of the current statement *)
+  mutable wchains : int array;  (** per chain slot: widest chain *)
   mutable wipt : int;  (** 1 + max rank needing integer point scratch *)
 }
 
 let make_ws scalars : ws =
-  { wscalars = scalars; wbufs = 0; wchains = []; wnchains = 0; wipt = 0 }
+  { wscalars = scalars; wbufs = 0; wmaxbufs = 0; wnchains = 0;
+    wchains = [||]; wipt = 0 }
+
+(** Start a statement: its slots number from zero again. *)
+let ws_stmt (ws : ws) =
+  ws.wbufs <- 0;
+  ws.wnchains <- 0
 
 let ws_buf (ws : ws) : int =
   let id = ws.wbufs in
   ws.wbufs <- id + 1;
+  ws.wmaxbufs <- max ws.wmaxbufs ws.wbufs;
   id
 
 let ws_chain (ws : ws) (n : int) : int =
   let id = ws.wnchains in
   ws.wnchains <- id + 1;
-  ws.wchains <- n :: ws.wchains;
+  if id = Array.length ws.wchains then
+    ws.wchains <- Array.append ws.wchains [| n |]
+  else ws.wchains.(id) <- max ws.wchains.(id) n;
   id
 
 let ws_ipt (ws : ws) (rank : int) : unit =
@@ -114,9 +128,14 @@ let ws_ipt (ws : ws) (rank : int) : unit =
 type envspec = { es_bufs : int; es_chains : int array; es_ipt : int }
 
 let ws_spec (ws : ws) : envspec =
-  { es_bufs = ws.wbufs;
-    es_chains = Array.of_list (List.rev ws.wchains);
-    es_ipt = ws.wipt }
+  { es_bufs = ws.wmaxbufs; es_chains = Array.copy ws.wchains; es_ipt = ws.wipt }
+
+let join_spec (a : envspec) (b : envspec) : envspec =
+  let na = Array.length a.es_chains and nb = Array.length b.es_chains in
+  let width s i = if i < Array.length s.es_chains then s.es_chains.(i) else 0 in
+  { es_bufs = max a.es_bufs b.es_bufs;
+    es_chains = Array.init (max na nb) (fun i -> max (width a i) (width b i));
+    es_ipt = max a.es_ipt b.es_ipt }
 
 (** Per-chain-kernel workspace: resolved term buffers, per-row base
     indices and coefficient values, refilled on every row. *)
@@ -126,35 +145,52 @@ type chain_ws = {
   cw_cvals : float array;
 }
 
-(** The runtime environment every [exec_*] entry takes: the executor's
-    stores (indexed by array id), its scalar slots, and the mutable
-    workspace the plan's slot ids index into. *)
-type env = {
-  e_stores : Store.t array;
-  e_slots : Values.slots;
-  e_bufs : buf ref array;  (** row buffers, grown on demand *)
-  e_chains : chain_ws array;
-  e_ipt : int array array;  (** integer point scratch, indexed by rank *)
-  e_row : int array array;
+(** The mutable scratch of a plan set's kernels. *)
+type workspace = {
+  w_bufs : buf ref array;  (** row buffers, grown on demand *)
+  w_chains : chain_ws array;
+  w_ipt : int array array;  (** integer point scratch, indexed by rank *)
+  w_row : int array array;
       (** row-start point buffers of the row walkers, indexed by rank
-          (1-3); separate from [e_ipt], which per-point closures use
+          (1-3); separate from [w_ipt], which per-point closures use
           inside a row *)
 }
 
-let make_env ~(stores : Store.t array) ~(slots : Values.slots)
-    (spec : envspec) : env =
-  { e_stores = stores;
-    e_slots = slots;
-    e_bufs = Array.init spec.es_bufs (fun _ -> ref empty_buf);
-    e_chains =
+let make_workspace (spec : envspec) : workspace =
+  { w_bufs = Array.init spec.es_bufs (fun _ -> ref empty_buf);
+    w_chains =
       Array.map
         (fun n ->
           { cw_datas = Array.make n empty_buf;
             cw_bases = Array.make n 0;
             cw_cvals = Array.make n 1.0 })
         spec.es_chains;
-    e_ipt = Array.init spec.es_ipt (fun r -> Array.make r 0);
-    e_row = Array.init 4 (fun r -> Array.make r 0) }
+    w_ipt = Array.init spec.es_ipt (fun r -> Array.make r 0);
+    w_row = Array.init 4 (fun r -> Array.make r 0) }
+
+let workspace_words (w : workspace) = Obj.reachable_words (Obj.repr w)
+
+(** The runtime environment every [exec_*] entry takes: the executor's
+    stores (indexed by array id), its scalar slots, and the fields of
+    the workspace the plan's slot ids index into, copied flat so a
+    kernel reaches them in one load. *)
+type env = {
+  e_stores : Store.t array;
+  e_slots : Values.slots;
+  e_bufs : buf ref array;
+  e_chains : chain_ws array;
+  e_ipt : int array array;
+  e_row : int array array;
+}
+
+let make_env ~(stores : Store.t array) ~(slots : Values.slots)
+    (w : workspace) : env =
+  { e_stores = stores;
+    e_slots = slots;
+    e_bufs = w.w_bufs;
+    e_chains = w.w_chains;
+    e_ipt = w.w_ipt;
+    e_row = w.w_row }
 
 (** Store-agnostic per-point compiler: the same value, operation by
     operation, as {!compile} over a ctx reading the env's stores — but
@@ -1139,6 +1175,7 @@ type plan =
     harness). *)
 let plan_assign ?(row = true) (rc : rowctx) (a : Zpl.Prog.assign_a) : plan =
   Values.check_dregion rc.rws.wscalars a.region;
+  ws_stmt rc.rws;
   let rank = Array.length a.region in
   match if row then compile_row rc ~rank a.rhs else None with
   | Some src ->
@@ -1167,6 +1204,7 @@ type rplan =
 
 let plan_reduce ?(row = true) (rc : rowctx) (r : Zpl.Prog.reduce_s) : rplan =
   Values.check_dregion rc.rws.wscalars r.r_region;
+  ws_stmt rc.rws;
   let rank = Array.length r.r_region in
   match if row then compile_row rc ~rank r.r_rhs else None with
   | Some src -> RowRed (ws_buf rc.rws, src)

@@ -19,10 +19,23 @@
     structure — never a store's cells, a scalar value, or mutable
     scratch. Everything mutable is passed at execution time inside an
     {!env}: the executor's stores (same geometry as the compile-time
-    blueprints), its scalar slots ({!Values.slots}), and a workspace minted by
-    {!make_env} from the {!envspec} the compile pass records. One plan
-    set may therefore be shared by many concurrent executors, each with
-    its own env. *)
+    blueprints), its scalar slots ({!Values.slots}), and a {!workspace}
+    minted by {!make_workspace} from the {!envspec} the compile pass
+    records. One plan set may therefore be shared by many concurrent
+    executors, each with its own env.
+
+    {b The workspace contract.} A kernel keeps nothing in its workspace
+    between executions: every row buffer, chain workspace and point
+    scratch is written before it is read within one [exec_*] call.
+    Workspace slots are therefore numbered per statement (numbering
+    restarts at every {!plan_assign} and {!plan_reduce}), an {!envspec}
+    is the maximum over statements rather than the sum, and one
+    workspace may be bound into the envs of many executors — stores and
+    scalars differing — as long as no two of them run a kernel at the
+    same time. The engine binds every rank of one engine to one
+    workspace: an engine runs one kernel at a time, on one domain.
+    Executors that may run concurrently (engines on different domains)
+    never share one. *)
 
 (* --- per-point path --- *)
 
@@ -35,8 +48,8 @@ val needs_buffer : Zpl.Prog.assign_a -> bool
 (* --- workspace and runtime environment --- *)
 
 (** Workspace slot allocator threaded through one compile pass (one
-    [ws] per plan set; plans record slot ids into the env built from
-    the final spec). *)
+    [ws] per plan set; plans record slot ids, numbered per statement,
+    into the workspace minted from the final spec). *)
 type ws
 
 (** [make_ws l] starts a plan set for a program whose scalars live as
@@ -46,26 +59,39 @@ val make_ws : Values.layout -> ws
 
 (** Frozen workspace requirements of a compiled plan set: how many row
     buffers, chain workspaces (and their widths), and integer
-    point-scratch ranks the plans' slot ids index into. *)
+    point-scratch ranks the plans' slot ids index into — the maximum
+    over the set's statements. *)
 type envspec
 
 (** Freeze a workspace builder. Call once, after every plan of the set
     has been compiled. *)
 val ws_spec : ws -> envspec
 
+(** The least spec satisfying both: one workspace minted from it serves
+    the plan sets of both (the engine joins its geometry classes'). *)
+val join_spec : envspec -> envspec -> envspec
+
+(** Mutable kernel scratch satisfying an {!envspec}. See the workspace
+    contract above for who may share one. *)
+type workspace
+
+val make_workspace : envspec -> workspace
+
+(** Heap words the workspace holds (buffers grown since minting
+    included). *)
+val workspace_words : workspace -> int
+
 (** The runtime environment every [exec_*] entry takes: stores indexed
-    by array id, the executor's scalar slots, and its mutable
-    workspace. Envs are cheap; mint one per executor and never share
-    one across threads. *)
+    by array id, the executor's scalar slots, and a workspace. *)
 type env
 
-(** [make_env ~stores ~slots spec] binds an executor's stores and
-    scalar slots to a fresh workspace satisfying [spec]. The stores
-    must have the same geometry (rank, strides, allocation) as the
-    compile-time blueprints the plans were compiled against. Kernels
-    read broadcast scalars from [slots] in place, without boxing. *)
-val make_env :
-  stores:Store.t array -> slots:Values.slots -> envspec -> env
+(** [make_env ~stores ~slots w] binds an executor's stores and scalar
+    slots to workspace [w]. The stores must have the same geometry
+    (rank, strides, allocation) as the compile-time blueprints the plans
+    were compiled against, and [w] must be minted from a spec at least
+    the plans' own ({!ws_spec}, or a {!join_spec} of it). Kernels read
+    broadcast scalars from [slots] in place, without boxing. *)
+val make_env : stores:Store.t array -> slots:Values.slots -> workspace -> env
 
 (* --- execution plans (row path with per-point fallback) --- *)
 

@@ -121,7 +121,8 @@ let run ?(limit = 10_000_000) ?(row_path = true) ?on_scalar (prog : Zpl.Prog.t)
   let rc = { Kernel.rstore = (fun aid -> stores.(aid)); rws = ws } in
   let code = compile_block ~row:row_path sc rc prog.body in
   let slots = Values.make_slots (Values.spec sc) in
-  let kenv = Kernel.make_env ~stores ~slots (Kernel.ws_spec ws) in
+  let kenv = Kernel.make_env ~stores ~slots
+      (Kernel.make_workspace (Kernel.ws_spec ws)) in
   let t =
     { prog; stores; scalars; slots; kenv; on_scalar; limit; steps = 0;
       cells = 0 }

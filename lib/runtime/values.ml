@@ -84,7 +84,8 @@ let read_all l s = Array.init (Array.length l.tys) (read_value l s)
 (* return their value unboxed. A node's type follows from the folded   *)
 (* expression: literals and scalars have their own, int [+ - *] of two *)
 (* ints is int, other arithmetic is float, comparisons and connectives *)
-(* are bools.                                                          *)
+(* are bools. The operators themselves are [Zpl.Arith]'s, which the   *)
+(* constant folder evaluates through too.                              *)
 (* ------------------------------------------------------------------ *)
 
 type compiler = { l : layout; mutable nf : int  (** float slots handed out *) }
@@ -101,30 +102,13 @@ let rec is_float l (e : Zpl.Prog.sexpr) =
   | Zpl.Prog.SBin ((Zpl.Ast.Div | Zpl.Ast.Pow), _, _) ->
       true
   | Zpl.Prog.SVar v -> not (is_int l v)
-  | Zpl.Prog.SBin ((Zpl.Ast.Add | Zpl.Ast.Sub | Zpl.Ast.Mul), a, b) ->
+  | Zpl.Prog.SBin (op, a, b) when Zpl.Arith.int_result op ->
       is_float l a || is_float l b
   | Zpl.Prog.SUn (Zpl.Ast.Neg, a) -> is_float l a
   | Zpl.Prog.SInt _ | Zpl.Prog.SBool _ | Zpl.Prog.SBin _ | Zpl.Prog.SUn _ ->
       false
 
 let ill_typed e = invalid_arg ("Values: ill-typed " ^ Zpl.Prog.show_sexpr e)
-
-let[@inline] arith op (x : float) y =
-  match op with
-  | Zpl.Ast.Add -> x +. y
-  | Zpl.Ast.Sub -> x -. y
-  | Zpl.Ast.Mul -> x *. y
-  | Zpl.Ast.Div -> x /. y
-  | _ -> Float.pow x y
-
-let[@inline] compare op (x : float) y =
-  match op with
-  | Zpl.Ast.Lt -> x < y
-  | Zpl.Ast.Le -> x <= y
-  | Zpl.Ast.Gt -> x > y
-  | Zpl.Ast.Ge -> x >= y
-  | Zpl.Ast.Eq -> x = y
-  | _ -> x <> y
 
 (** An int or bool node. Comparisons read both sides as floats. *)
 let rec cint c (e : Zpl.Prog.sexpr) : slots -> int =
@@ -139,34 +123,25 @@ let rec cint c (e : Zpl.Prog.sexpr) : slots -> int =
   | Zpl.Prog.SUn (op, a) ->
       let fa = cint c a in
       if op = Zpl.Ast.Neg then fun s -> -fa s else fun s -> 1 - fa s
-  | Zpl.Prog.SBin
-      ( ((Zpl.Ast.Add | Zpl.Ast.Sub | Zpl.Ast.Mul | Zpl.Ast.And | Zpl.Ast.Or)
-         as op),
-        a,
-        b ) -> (
+  | Zpl.Prog.SBin (op, a, b) when Zpl.Arith.int_result op ->
       let fa = cint c a and fb = cint c b in
-      match op with
-      | Zpl.Ast.Add -> fun s -> fa s + fb s
-      | Zpl.Ast.Sub -> fun s -> fa s - fb s
-      | Zpl.Ast.Mul -> fun s -> fa s * fb s
-      | Zpl.Ast.And -> fun s -> fa s land fb s
-      | _ -> fun s -> fa s lor fb s)
-  | Zpl.Prog.SBin
-      ( ((Zpl.Ast.Lt | Zpl.Ast.Le | Zpl.Ast.Gt | Zpl.Ast.Ge | Zpl.Ast.Eq
-         | Zpl.Ast.Ne) as op),
-        a,
-        b ) ->
+      fun s -> Zpl.Arith.int_arith op (fa s) (fb s)
+  | Zpl.Prog.SBin (((Zpl.Ast.And | Zpl.Ast.Or) as op), a, b) ->
+      let fa = cint c a and fb = cint c b in
+      if op = Zpl.Ast.And then fun s -> fa s land fb s
+      else fun s -> fa s lor fb s
+  | Zpl.Prog.SBin (op, a, b) when Zpl.Arith.is_compare op ->
       if not (is_float c.l a || is_float c.l b) then
         let fa = cint c a and fb = cint c b in
         fun s ->
-          Bool.to_int (compare op (float_of_int (fa s)) (float_of_int (fb s)))
+          Bool.to_int (Zpl.Arith.compare_ints op (fa s) (fb s))
       else
         let x = fresh c and y = fresh c in
         let fa = cfloat c a ~dst:x and fb = cfloat c b ~dst:y in
         fun s ->
           fa s;
           fb s;
-          Bool.to_int (compare op s.f.(x) s.f.(y))
+          Bool.to_int (Zpl.Arith.compare_slots op s.f x y)
   | _ -> ill_typed e
 
 (** Code writing [e], an int or float node, into float slot [dst]. *)
@@ -188,7 +163,7 @@ and cfloat c (e : Zpl.Prog.sexpr) ~dst : slots -> unit =
       fun s ->
         fa s;
         fb s;
-        s.f.(dst) <- arith op s.f.(x) s.f.(y)
+        Zpl.Arith.set_float_arith op s.f ~dst x y
   | Zpl.Prog.SUn (_, a) ->
       let fa, x = arg a in
       fun s ->

@@ -53,19 +53,52 @@ type payload = Fringe of Runtime.Wireplan.t | Round of Ir.Coll.desc
     processor: every message of a fringe transfer or of a collective
     round is one of these, so both run through the same IRONMAN
     interpreter. [b_link] on receive sides is the index of the matching
-    side in the sender's send array, resolved and validated once at
-    {!plan} time; it is written during linking and frozen thereafter. *)
+    side in the sender's send array, resolved and validated once, before
+    the blueprint is shared; it is written during linking and frozen
+    thereafter. A blueprint holds nothing of the topology, so one fringe
+    blueprint serves every spec of its program and mesh. *)
 type wblue = {
   b_partner : int;
   b_cells : int;
       (** values per message ([8 * b_cells] bytes): the blit plan's cell
           count, or the round's value count *)
   b_load : payload;
-  b_route : int array;  (** link ids to [b_partner]; [[||]] under ideal *)
   mutable b_link : int;
 }
 
 type wbpair = { b_recv : wblue array; b_send : wblue array }
+
+(** Per (transfer, processor), parallel to a {!wbpair}: each side's
+    directed-link route to its partner under the plan's topology. *)
+type rpair = { r_recv : int array array; r_send : int array array }
+
+(** The spec-independent half of a plan: everything that depends only
+    on the checked program and the mesh. Specs that differ in
+    optimization, library, machine or topology but share program and
+    mesh may share one geometry ([Run.Cache] keeps one per program
+    digest and mesh). The fringe blueprints are built on first use and
+    published linked; nothing in a published entry is written again, so
+    plans on several domains may read and fill one geometry at once. *)
+type geometry = {
+  g_prog : Zpl.Prog.t;
+  g_pr : int;
+  g_pc : int;
+  g_layout : Runtime.Layout.t;
+  g_shapes : Runtime.Store.t array array;
+      (** [rank].(array id): shape-only stores, the geometry every
+          artifact is compiled against; {!of_plans} mints each engine's
+          stores from them ({!Runtime.Store.of_shape}) *)
+  g_class : int array;
+      (** per rank: its geometry class. Ranks whose stores agree on
+          every array's rank and strides share one kernel program; uneven
+          block splits give other classes' stores different strides, so
+          their flat shifts differ. *)
+  g_reps : int array;  (** per class: its first rank *)
+  g_lock : Mutex.t;  (** guards [g_fringe] *)
+  g_fringe : (int list * (int * int), wbpair array) Hashtbl.t;
+      (** linked fringe blueprints, [.(proc)], by (member arrays,
+          offset) *)
+}
 
 (** Compiled form of one flat op on one rank: store-agnostic
     {!Runtime.Kernel} plans, built eagerly at {!plan} time against
@@ -78,43 +111,37 @@ type ckern =
   | KScalar of (Runtime.Values.slots -> unit)  (** [FScalar] *)
   | KCond of (Runtime.Values.slots -> bool)  (** [FJumpIfNot] *)
 
-type kprog = {
-  k_ops : ckern array;  (** per op index *)
-  k_spec : Runtime.Kernel.envspec;
-      (** workspace requirements of this rank's plans; {!of_plans}
-          mints one {!Runtime.Kernel.env} per engine from it *)
-}
-
 (** Everything the engine needs that does not depend on run-time
     state: the compiled, immutable, shareable half of an engine. Two
     engines built from one [plans] value share these artifacts
     physically ([==]); each {!of_plans} call mints only the mutable
-    half (stores, kernel workspaces, channels, statistics) and performs
-    {e no kernel compilation} — the kernel programs in [p_kern] are
-    store-agnostic and bind stores through a per-engine
+    half (stores, one kernel workspace, channels, statistics) and
+    performs {e no kernel compilation} — the kernel programs in
+    [p_kern] are store-agnostic and bind stores through a per-rank
     {!Runtime.Kernel.env}. *)
 type plans = {
   p_flat : Ir.Flat.t;
   p_machine : Machine.Params.t;
   p_lib : Machine.Library.t;
-  p_pr : int;
-  p_pc : int;
-  p_layout : Runtime.Layout.t;
   p_topology : Machine.Topology.t;
-  p_shapes : Runtime.Store.t array array;
-      (** [rank].(array id): shape-only stores, the geometry every
-          artifact here is compiled against; {!of_plans} mints each
-          engine's stores from them ({!Runtime.Store.of_shape}) *)
+  p_geom : geometry;  (** the spec-independent half *)
   p_nslots : int;  (** collective slots *)
   p_dissem : bool array;  (** per slot: needs the allgathered partials *)
-  p_wblue : wbpair array array;  (** [transfer id].(proc) *)
+  p_wblue : wbpair array array;
+      (** [transfer id].(proc); a fringe transfer's entry is the
+          geometry's, shared by every plan over it *)
+  p_routes : rpair array array;
+      (** [transfer id].(proc), parallel to [p_wblue]; [[||]] under
+          ideal, where no message walks links *)
   p_refchecks : Runtime.Kernel.refs array;
       (** per op index: the rhs's (array, shift) reads, extracted once *)
-  p_kern : kprog array;
-      (** per rank: the compiled, store-agnostic kernel program of its
-          geometry class. Ranks of one class share it physically; uneven
-          block splits give other classes' stores different strides, so
-          their flat shifts differ. *)
+  p_kern : ckern array array;
+      (** per rank, per op index: the compiled, store-agnostic kernel
+          program of its geometry class, shared physically within the
+          class *)
+  p_wspec : Runtime.Kernel.envspec;
+      (** the join of every class's workspace needs: {!of_plans} mints
+          one workspace per engine from it *)
   p_scalars : Runtime.Values.layout;  (** where each scalar lives *)
   p_slots : Runtime.Values.spec;
       (** the scalar slots {!of_plans} mints per rank *)
@@ -191,11 +218,11 @@ let mbox_pop (mb : mbox) : int =
     (source, transfer, kind) the protocol needs. *)
 type chan = { c_pool : Runtime.Wireplan.pool; c_data : mbox; c_tok : mbox }
 
-(** A blueprint minted into one engine: the shared side plus its pair's
-    channel. A send side owns its channel; a receive side shares the
-    matching sender's, so releasing a consumed buffer returns it to where
-    the next send will look. *)
-type wside = { w_blue : wblue; w_chan : chan }
+(** A blueprint minted into one engine: the shared side, its route and
+    its pair's channel. A send side owns its channel; a receive side
+    shares the matching sender's, so releasing a consumed buffer returns
+    it to where the next send will look. *)
+type wside = { w_blue : wblue; w_route : int array; w_chan : chan }
 
 type wplan = { w_recv : wside array; w_send : wside array }
 
@@ -230,8 +257,8 @@ type proc = {
       (** per collective slot used by dissemination: the allgathered
           partials, indexed by source rank; [[||]] for other slots *)
   kenv : Runtime.Kernel.env;
-      (** this rank's binding of its stores and scalar slots to the
-          shared kernel program's workspace spec *)
+      (** this rank's stores and scalar slots, bound to the engine's one
+          kernel workspace *)
   clip : int array;
       (** the region of the statement being dispatched, (lo, hi) per
           dim, clipped in place (see {!clip_local}) *)
@@ -279,7 +306,10 @@ type t = {
   reduce : reduce_slot;
   stats : Stats.t;
   limit : int;
-  kern : kprog array;  (** per rank: shared compiled kernel programs *)
+  kern : ckern array array;  (** per rank: shared compiled kernel programs *)
+  kws : Runtime.Kernel.workspace;
+      (** the one kernel workspace every rank's env binds: the drain
+          runs one kernel at a time *)
   refchecks : Runtime.Kernel.refs array;
       (** per op index: the rhs's (array, shift) reads, extracted once so
           the per-execution bounds check is allocation-free *)
@@ -292,12 +322,69 @@ exception Instruction_limit of int
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(** The spec-independent half of a plan over [prog] on a [pr x pc] mesh:
+    layout, shape-only stores, geometry classes and an empty fringe
+    blueprint table. *)
+let geometry ~pr ~pc (prog : Zpl.Prog.t) : geometry =
+  let layout = Runtime.Layout.for_program ~pr ~pc prog in
+  let nprocs = Runtime.Layout.nprocs layout in
+  let fringe = Zpl.Prog.fringe_widths prog in
+  (* blit plans and row kernels only read shapes and strides, so
+     compile both against data-free stores — no cell allocation at
+     plan time. {!of_plans} mints the real stores from these shapes, so
+     the compiled flat shifts are valid against them by construction. *)
+  let shapes =
+    Array.init nprocs (fun rank ->
+        Array.map
+          (fun (info : Zpl.Prog.array_info) ->
+            Runtime.Store.make_shape info
+              ~owned:(Runtime.Halo.owned_of layout info rank)
+              ~fringe:fringe.(info.a_id))
+          prog.Zpl.Prog.arrays)
+  in
+  (* The kernel compiler reads only each array's rank and strides from
+     its store, so ranks whose stores agree on that whole vector — one
+     geometry class — share one program, compiled for the class's first
+     rank. *)
+  let classes = Hashtbl.create 16 and reps = ref [] in
+  let g_class =
+    Array.mapi
+      (fun rank shape ->
+        let geom =
+          Array.map
+            (fun s -> Array.init (Runtime.Store.rank s) (Runtime.Store.stride s))
+            shape
+        in
+        match Hashtbl.find_opt classes geom with
+        | Some c -> c
+        | None ->
+            let c = Hashtbl.length classes in
+            Hashtbl.add classes geom c;
+            reps := rank :: !reps;
+            c)
+      shapes
+  in
+  { g_prog = prog;
+    g_pr = pr;
+    g_pc = pc;
+    g_layout = layout;
+    g_shapes = shapes;
+    g_class;
+    g_reps = Array.of_list (List.rev !reps);
+    g_lock = Mutex.create ();
+    g_fringe = Hashtbl.create 16 }
+
+let blueprint_sets (g : geometry) =
+  Mutex.lock g.g_lock;
+  let n = Hashtbl.length g.g_fringe in
+  Mutex.unlock g.g_lock;
+  n
+
 (** Compile the blueprints of one fringe transfer: per processor, per
     partner, the blit descriptors against shape-only stores, whose owned
     boxes also give the pieces. *)
-let fringe_wblue (layout : Runtime.Layout.t) (prog : Zpl.Prog.t)
-    (x : Ir.Transfer.t) ~(shapes : Runtime.Store.t array array)
-    ~(topo : Machine.Topology.t) ~pr ~pc : wbpair array =
+let fringe_wblue (g : geometry) (x : Ir.Transfer.t) : wbpair array =
+  let shapes = g.g_shapes in
   let owned q aid = Runtime.Store.owned shapes.(q).(aid) in
   let collect p dir =
     Array.of_list
@@ -309,11 +396,8 @@ let fringe_wblue (layout : Runtime.Layout.t) (prog : Zpl.Prog.t)
            { b_partner = pp.Runtime.Halo.pp_partner;
              b_cells = Runtime.Wireplan.cells w;
              b_load = Fringe w;
-             b_route =
-               Machine.Topology.route topo ~pr ~pc ~src:p
-                 ~dst:pp.Runtime.Halo.pp_partner;
              b_link = -1 })
-         (Runtime.Halo.partner_sides ~owned layout prog
+         (Runtime.Halo.partner_sides ~owned g.g_layout g.g_prog
             ~arrays:x.Ir.Transfer.arrays ~off:x.Ir.Transfer.off ~p ~dir))
   in
   Array.init (Array.length shapes) (fun p ->
@@ -322,8 +406,7 @@ let fringe_wblue (layout : Runtime.Layout.t) (prog : Zpl.Prog.t)
 (** Compile the blueprints of one synthesized collective round: each
     rank's {!Ir.Coll.role} becomes at most one send and one receive
     side. *)
-let round_wblue (d : Ir.Coll.desc) ~(topo : Machine.Topology.t) ~pr ~pc
-    ~nprocs : wbpair array =
+let round_wblue (d : Ir.Coll.desc) ~nprocs : wbpair array =
   let load = Round d in
   Array.init nprocs (fun rank ->
       let r = Ir.Coll.role d ~rank in
@@ -333,16 +416,15 @@ let round_wblue (d : Ir.Coll.desc) ~(topo : Machine.Topology.t) ~pr ~pc
           [| { b_partner = partner;
                b_cells = r.Ir.Coll.r_count;
                b_load = load;
-               b_route =
-                 Machine.Topology.route topo ~pr ~pc ~src:rank ~dst:partner;
                b_link = -1 } |]
       in
       { b_recv = side r.Ir.Coll.r_from; b_send = side r.Ir.Coll.r_to })
 
 (** Resolve every receive blueprint's [b_link] to the matching side in
     the sender's send array, and check that both ends compiled the same
-    staging layout. Runs once at {!plan} time; {!of_plans} only follows
-    the recorded indices. Raises [Failure] naming the transfer. *)
+    staging layout. Runs once per blueprint set, before it is shared;
+    {!of_plans} only follows the recorded indices. Raises [Failure]
+    naming the transfer. *)
 let link_wblue (prog : Zpl.Prog.t) (x : Ir.Transfer.t) (bp : wbpair array) =
   Array.iteri
     (fun p pair ->
@@ -369,10 +451,44 @@ let link_wblue (prog : Zpl.Prog.t) (x : Ir.Transfer.t) (bp : wbpair array) =
         pair.b_recv)
     bp
 
-let plan ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
-    ~(lib : Machine.Library.t) ~pr ~pc (flat : Ir.Flat.t) : plans =
+(** The linked blueprints of fringe transfer [x] from the geometry's
+    table, built and linked outside the lock on first use; a racing
+    duplicate build is discarded, and the first published set wins. *)
+let fringe_sides (g : geometry) (x : Ir.Transfer.t) : wbpair array =
+  let key = (x.Ir.Transfer.arrays, x.Ir.Transfer.off) in
+  Mutex.lock g.g_lock;
+  let hit = Hashtbl.find_opt g.g_fringe key in
+  Mutex.unlock g.g_lock;
+  match hit with
+  | Some bp -> bp
+  | None ->
+      let bp = fringe_wblue g x in
+      link_wblue g.g_prog x bp;
+      Mutex.lock g.g_lock;
+      let bp =
+        match Hashtbl.find_opt g.g_fringe key with
+        | Some first -> first
+        | None ->
+            Hashtbl.add g.g_fringe key bp;
+            bp
+      in
+      Mutex.unlock g.g_lock;
+      bp
+
+let plan ?(topology = Machine.Topology.Ideal) ?geometry:geom
+    ~(machine : Machine.Params.t) ~(lib : Machine.Library.t) ~pr ~pc
+    (flat : Ir.Flat.t) : plans =
   let prog = flat.Ir.Flat.prog in
-  let layout = Runtime.Layout.for_program ~pr ~pc prog in
+  let g =
+    match geom with
+    | None -> geometry ~pr ~pc prog
+    | Some g ->
+        if g.g_prog != prog || g.g_pr <> pr || g.g_pc <> pc then
+          invalid_arg
+            "Engine.plan: the geometry was built for another program or mesh";
+        g
+  in
+  let layout = g.g_layout in
   let nprocs = Runtime.Layout.nprocs layout in
   (* fringe shifts must stay within adjacent blocks *)
   let max_off =
@@ -388,7 +504,6 @@ let plan ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
       "Engine.plan: shift magnitude %d exceeds the smallest block extent \
        (%d x %d) of a %dx%d mesh"
       max_off mr mc pr pc;
-  let fringe = Zpl.Prog.fringe_widths prog in
   let nslots = Ir.Flat.coll_slots flat in
   (* slots whose algorithm gathers raw partials (dissemination) need the
      per-rank value array; derived from ops too, for the zero-round
@@ -415,35 +530,45 @@ let plan ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
             dissem_slot.(w.Ir.Instr.cw_slot) <- true
       | _ -> ())
     flat.Ir.Flat.ops;
-  (* blit plans and row kernels only read shapes and strides, so
-     compile both against data-free stores — no cell allocation at
-     plan time. {!of_plans} mints the real stores from these shapes, so
-     the compiled flat shifts are valid against them by construction. *)
-  let shapes =
-    Array.init nprocs (fun rank ->
-        Array.map
-          (fun (info : Zpl.Prog.array_info) ->
-            Runtime.Store.make_shape info
-              ~owned:(Runtime.Halo.owned_of layout info rank)
-              ~fringe:fringe.(info.a_id))
-          prog.Zpl.Prog.arrays)
-  in
   let p_wblue =
     Array.map
       (fun (x : Ir.Transfer.t) ->
-        let bp =
-          match x.Ir.Transfer.coll with
-          | Some d -> round_wblue d ~topo:topology ~pr ~pc ~nprocs
-          | None -> fringe_wblue layout prog x ~shapes ~topo:topology ~pr ~pc
-        in
-        link_wblue prog x bp;
-        bp)
+        match x.Ir.Transfer.coll with
+        | Some d ->
+            let bp = round_wblue d ~nprocs in
+            link_wblue prog x bp;
+            bp
+        | None -> fringe_sides g x)
       flat.Ir.Flat.transfers
+  in
+  (* one route per directed (rank, partner) pair, shared by every side
+     that walks it *)
+  let p_routes =
+    if topology = Machine.Topology.Ideal then [||]
+    else begin
+      let memo = Hashtbl.create 64 in
+      let route src (b : wblue) =
+        let k = (src * nprocs) + b.b_partner in
+        match Hashtbl.find_opt memo k with
+        | Some r -> r
+        | None ->
+            let r =
+              Machine.Topology.route topology ~pr ~pc ~src ~dst:b.b_partner
+            in
+            Hashtbl.add memo k r;
+            r
+      in
+      Array.map
+        (Array.mapi (fun p (pair : wbpair) ->
+             { r_recv = Array.map (route p) pair.b_recv;
+               r_send = Array.map (route p) pair.b_send }))
+        p_wblue
+    end
   in
   let ops = flat.Ir.Flat.ops in
   (* Store-agnostic kernel and scalar compilation at plan time. Engines
      minted from this plan set never compile — they bind stores and
-     scalar slots through a per-engine env. Scalar code is
+     scalar slots through a per-rank env. Scalar code is
      rank-independent, so every geometry class shares it. *)
   let scalars = Runtime.Values.layout_of_prog prog in
   let sc = Runtime.Values.compiler scalars in
@@ -456,7 +581,8 @@ let plan ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
         | _ -> KNone)
       ops
   in
-  let compile_kprog (shape : Runtime.Store.t array) =
+  let compile_class rank =
+    let shape = g.g_shapes.(rank) in
     let ws = Runtime.Kernel.make_ws scalars in
     let rc = { Runtime.Kernel.rstore = (fun aid -> shape.(aid)); rws = ws } in
     let k_ops =
@@ -469,40 +595,18 @@ let plan ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
           | _ -> scode.(i))
         ops
     in
-    { k_ops; k_spec = Runtime.Kernel.ws_spec ws }
+    (k_ops, Runtime.Kernel.ws_spec ws)
   in
-  (* The kernel compiler reads only each array's rank and strides from
-     its store, so ranks whose stores agree on that whole vector — one
-     geometry class — share one program, compiled for the first rank of
-     the class. *)
-  let classes = Hashtbl.create 16 in
-  let p_kern =
-    Array.map
-      (fun shape ->
-        let geom =
-          Array.map
-            (fun s -> Array.init (Runtime.Store.rank s) (Runtime.Store.stride s))
-            shape
-        in
-        match Hashtbl.find_opt classes geom with
-        | Some k -> k
-        | None ->
-            let k = compile_kprog shape in
-            Hashtbl.add classes geom k;
-            k)
-      shapes
-  in
+  let per_class = Array.map compile_class g.g_reps in
   { p_flat = flat;
     p_machine = machine;
     p_lib = lib;
-    p_pr = pr;
-    p_pc = pc;
-    p_layout = layout;
     p_topology = topology;
-    p_shapes = shapes;
+    p_geom = g;
     p_nslots = nslots;
     p_dissem = dissem_slot;
     p_wblue;
+    p_routes;
     p_refchecks =
       Array.map
         (function
@@ -512,24 +616,27 @@ let plan ?(topology = Machine.Topology.Ideal) ~(machine : Machine.Params.t)
               Runtime.Kernel.refs_of w.Ir.Instr.cw_red.Zpl.Prog.r_rhs
           | _ -> [||])
         ops;
-    p_kern;
+    p_kern = Array.map (fun c -> fst per_class.(c)) g.g_class;
+    p_wspec =
+      Array.fold_left
+        (fun acc (_, spec) -> Runtime.Kernel.join_spec acc spec)
+        (snd per_class.(0)) per_class;
     p_scalars = scalars;
     p_slots = Runtime.Values.spec sc }
 
 let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
   let flat = sp.p_flat in
-  let layout = sp.p_layout in
+  let g = sp.p_geom in
+  let layout = g.g_layout in
   let topo_ideal = sp.p_topology = Machine.Topology.Ideal in
   let nprocs = Runtime.Layout.nprocs layout in
   let nx = Array.length flat.Ir.Flat.transfers in
   let nslots = sp.p_nslots in
+  let kws = Runtime.Kernel.make_workspace sp.p_wspec in
   let procs =
     Array.init nprocs (fun rank ->
-        let stores = Array.map Runtime.Store.of_shape sp.p_shapes.(rank) in
+        let stores = Array.map Runtime.Store.of_shape g.g_shapes.(rank) in
         let slots = Runtime.Values.make_slots sp.p_slots in
-        let kenv =
-          Runtime.Kernel.make_env ~stores ~slots sp.p_kern.(rank).k_spec
-        in
         let box = Runtime.Layout.box layout rank in
         { rank;
           box_lo0 = box.(0).Zpl.Region.lo;
@@ -548,22 +655,29 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
           cvals =
             Array.init nslots (fun s ->
                 if sp.p_dissem.(s) then Array.make nprocs 0.0 else [||]);
-          kenv;
+          kenv = Runtime.Kernel.make_env ~stores ~slots kws;
           clip = Array.make 6 0;
           clipped = Array.make (Array.length flat.Ir.Flat.ops) [||];
           stats = Stats.fresh_proc () })
   in
+  let route x p recv i =
+    if topo_ideal then [||]
+    else
+      let r = sp.p_routes.(x).(p) in
+      if recv then r.r_recv.(i) else r.r_send.(i)
+  in
   (* one channel per send side; each receive side takes its sender's
      (resolved at plan time into [b_link]) *)
   let wplans =
-    Array.map
-      (fun (bp : wbpair array) ->
+    Array.mapi
+      (fun x (bp : wbpair array) ->
         let sends =
-          Array.map
-            (fun (pair : wbpair) ->
-              Array.map
-                (fun (b : wblue) ->
+          Array.mapi
+            (fun p (pair : wbpair) ->
+              Array.mapi
+                (fun i (b : wblue) ->
                   { w_blue = b;
+                    w_route = route x p false i;
                     w_chan =
                       { c_pool = Runtime.Wireplan.make_pool ~cells:b.b_cells;
                         c_data = fresh_mbox ();
@@ -574,9 +688,10 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
         Array.mapi
           (fun p (pair : wbpair) ->
             { w_recv =
-                Array.map
-                  (fun (b : wblue) ->
+                Array.mapi
+                  (fun i (b : wblue) ->
                     { w_blue = b;
+                      w_route = route x p true i;
                       w_chan = sends.(b.b_partner).(b.b_link).w_chan })
                   pair.b_recv;
               w_send = sends.(p) })
@@ -592,7 +707,7 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
     topo_ideal;
     link_free =
       (if topo_ideal then [||]
-       else Array.make (Machine.Topology.nlinks ~pr:sp.p_pr ~pc:sp.p_pc) 0.0);
+       else Array.make (Machine.Topology.nlinks ~pr:g.g_pr ~pc:g.g_pc) 0.0);
     procs;
     ops_run = Array.make (Array.length flat.Ir.Flat.ops) 0;
     wplans;
@@ -608,15 +723,18 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
     stats = Stats.make nprocs;
     limit;
     kern = sp.p_kern;
+    kws;
     refchecks = sp.p_refchecks }
 
 let shared_plans (t : t) = t.shared
+let plan_geometry (sp : plans) = sp.p_geom
 
-let kernel_classes (sp : plans) =
-  Array.fold_left
-    (fun seen k -> if List.memq k seen then seen else k :: seen)
-    [] sp.p_kern
-  |> List.length
+type sides = wbpair array
+
+let sides (sp : plans) x = sp.p_wblue.(x)
+
+let kernel_classes (sp : plans) = Array.length sp.p_geom.g_reps
+let workspace_words (t : t) = Runtime.Kernel.workspace_words t.kws
 
 (* ------------------------------------------------------------------ *)
 (* Mail and the runnable ring                                          *)
@@ -669,27 +787,26 @@ let reduce_stages (t : t) =
   Ir.Coll.ceil_log2 (max 2 n)
 
 (** Arrival of a message's head after walking [route] (a precomputed
-    directed-link sequence), departing at [from_time]: at each hop the
+    directed-link sequence), departing at [p]'s clock: at each hop the
     message claims the link at [max (head so far) (link free)], holds it
-    for the transfer time, and pays one wire latency — store-and-forward
-    with per-link serialization. Mutates {!t.link_free}; link grants
-    follow call order, which the serial drain makes deterministic.
-    Callers add the library's messaging latency (msg or token) on top,
-    exactly as the flat model does. Never called under [Ideal] (routes
-    are empty there anyway), so the zero-allocation guarantee of the
-    default configuration is unaffected by this helper's boxed floats. *)
-let route_arrival (t : t) ~(from_time : float) ~(bytes : float)
-    (route : int array) : float =
-  let occupy = bytes /. t.machine.Machine.Params.bandwidth in
+    for the transfer time of [nbytes], and pays one wire latency —
+    store-and-forward with per-link serialization. The arrival is left
+    in [p.scratch.(0)], which also carries the head time hop to hop: a
+    float argument or result would be boxed at the call (no flambda), so
+    a routed message allocates nothing either. Mutates {!t.link_free};
+    link grants follow call order, which the serial drain makes
+    deterministic. Callers add the library's messaging latency (msg or
+    token) on top, exactly as the flat model does. *)
+let route_arrival (t : t) (p : proc) ~nbytes (route : int array) =
+  let occupy = float_of_int nbytes /. t.machine.Machine.Params.bandwidth in
   let hop = t.machine.Machine.Params.wire_latency +. occupy in
-  let tm = ref from_time in
+  p.scratch.(0) <- p.time.fv;
   for i = 0 to Array.length route - 1 do
     let l = Array.unsafe_get route i in
-    if t.link_free.(l) > !tm then tm := t.link_free.(l);
-    t.link_free.(l) <- !tm +. occupy;
-    tm := !tm +. hop
-  done;
-  !tm
+    if t.link_free.(l) > p.scratch.(0) then p.scratch.(0) <- t.link_free.(l);
+    t.link_free.(l) <- p.scratch.(0) +. occupy;
+    p.scratch.(0) <- p.scratch.(0) +. hop
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Instruction execution                                               *)
@@ -701,12 +818,12 @@ type step = Continue | Blocked | Halted
    [plans]; these lookups never compile anything. *)
 
 let assign_plan (t : t) (p : proc) idx =
-  match t.kern.(p.rank).k_ops.(idx) with
+  match t.kern.(p.rank).(idx) with
   | KAssign plan -> plan
   | _ -> assert false
 
 let reduce_plan (t : t) (p : proc) idx =
-  match t.kern.(p.rank).k_ops.(idx) with
+  match t.kern.(p.rank).(idx) with
   | KReduce plan -> plan
   | _ -> assert false
 
@@ -909,14 +1026,15 @@ let wire_send (t : t) (p : proc) ~xfer (s : wside) =
   let q = t.procs.(b.b_partner) in
   let mb = s.w_chan.c_data in
   let j = mbox_reserve mb in
-  mb.mb_arr.(j) <-
-    (if t.topo_ideal then
-       p.time.fv
-       +. (m.Machine.Params.wire_latency +. c.Machine.Params.msg_latency
-          +. (bytes /. m.Machine.Params.bandwidth))
-     else
-       route_arrival t ~from_time:p.time.fv ~bytes b.b_route
-       +. c.Machine.Params.msg_latency);
+  if t.topo_ideal then
+    mb.mb_arr.(j) <-
+      p.time.fv
+      +. (m.Machine.Params.wire_latency +. c.Machine.Params.msg_latency
+         +. (bytes /. m.Machine.Params.bandwidth))
+  else begin
+    route_arrival t p ~nbytes s.w_route;
+    mb.mb_arr.(j) <- p.scratch.(0) +. c.Machine.Params.msg_latency
+  end;
   mb.mb_buf.(j) <- buf;
   wake t q;
   let cand = p.time.fv +. (bytes /. m.Machine.Params.bandwidth) in
@@ -951,14 +1069,15 @@ let exec_comm (t : t) (p : proc) (call : Ir.Instr.call) (xfer : int) : step =
         let q = t.procs.(b.b_partner) in
         let mb = s.w_chan.c_tok in
         let j = mbox_reserve mb in
-        mb.mb_arr.(j) <-
-          (if t.topo_ideal then
-             p.time.fv
-             +. t.machine.Machine.Params.wire_latency
-             +. c.Machine.Params.token_latency
-           else
-             route_arrival t ~from_time:p.time.fv ~bytes:0.0 b.b_route
-             +. c.Machine.Params.token_latency);
+        if t.topo_ideal then
+          mb.mb_arr.(j) <-
+            p.time.fv
+            +. t.machine.Machine.Params.wire_latency
+            +. c.Machine.Params.token_latency
+        else begin
+          route_arrival t p ~nbytes:0 s.w_route;
+          mb.mb_arr.(j) <- p.scratch.(0) +. c.Machine.Params.token_latency
+        end;
         mb.mb_buf.(j) <- dummy_buf;
         wake t q
       done;
@@ -1187,7 +1306,7 @@ let exec_one (t : t) (p : proc) : step =
       Continue
   | Ir.Flat.FScalar _ ->
       count_done t p;
-      (match t.kern.(p.rank).k_ops.(p.pc) with
+      (match t.kern.(p.rank).(p.pc) with
       | KScalar f -> f p.slots
       | _ -> assert false);
       p.time.fv <- p.time.fv +. t.machine.Machine.Params.scalar_op_cost;
@@ -1200,7 +1319,7 @@ let exec_one (t : t) (p : proc) : step =
   | Ir.Flat.FJumpIfNot (_, target) ->
       count_done t p;
       p.time.fv <- p.time.fv +. t.machine.Machine.Params.scalar_op_cost;
-      (match t.kern.(p.rank).k_ops.(p.pc) with
+      (match t.kern.(p.rank).(p.pc) with
       | KCond f -> p.pc <- (if f p.slots then p.pc + 1 else target)
       | _ -> assert false);
       Continue

@@ -31,25 +31,49 @@ exception Deadlock of string
     processor, not global. *)
 exception Instruction_limit of int
 
+(** The spec-independent half of a plan: what depends only on the
+    checked program and the mesh — the layout, the shape-only stores,
+    the geometry classes (ranks whose stores agree on every array's rank
+    and strides), and a table of linked fringe blueprints filled on
+    first use for each (member arrays, offset). Plans of several specs
+    over one program and mesh (optimization rows, libraries, machines,
+    topologies) may share one: [Run.Cache] keeps one per program digest
+    and mesh. A geometry is safe to share across domains — its table is
+    mutex-guarded and an entry is published only once linked, and never
+    written after. *)
+type geometry
+
+(** [geometry ~pr ~pc prog] — a fresh geometry with an empty blueprint
+    table. *)
+val geometry : pr:int -> pc:int -> Zpl.Prog.t -> geometry
+
+(** Fringe blueprint sets the geometry has built: one per distinct
+    (member arrays, offset) planned over it. *)
+val blueprint_sets : geometry -> int
+
 (** The immutable, shareable half of an engine: the compiled comm
     schedule bound to a layout, the message sides of every transfer
-    (blit plans for fringes, roles for collective rounds), the
-    reference-check tables, and the store-agnostic kernel
-    programs (row plans, per-point where row compilation declines,
-    compiled against shape-only stores — see the store-binding contract in
-    [Runtime.Kernel]), one per geometry class: ranks whose stores agree
-    on every array's rank and strides share one program. Engines minted
-    from one [plans] value by {!of_plans} share all of it physically
-    ([==]); only per-engine mutable state (stores, kernel workspaces,
-    channels, statistics) is rebuilt — {e no kernel compilation happens
-    at mint time}. This is the unit [Run.Cache] stores, keyed by
-    [Run.Spec]. *)
+    (blit plans for fringes, roles for collective rounds), their routes
+    under the plan's topology, the reference-check tables, and the
+    store-agnostic kernel programs (row plans, per-point where row
+    compilation declines, compiled against shape-only stores — see the
+    store-binding contract in [Runtime.Kernel]), one per geometry class.
+    Engines minted from one [plans] value by {!of_plans} share all of it
+    physically ([==]); only per-engine mutable state (stores, one kernel
+    workspace, channels, statistics) is rebuilt — {e no kernel
+    compilation happens at mint time}. This is the unit [Run.Cache]
+    stores, keyed by [Run.Spec]. *)
 type plans
 
 (** [plan ~machine ~lib ~pr ~pc flat] compiles every artifact of an
     engine that does not depend on run-time state, for a [pr x pc]
     processor mesh. [topology] defaults to [Ideal], like
-    [Run.Spec.default].
+    [Run.Spec.default]. The spec-independent half comes from [geometry]
+    when given (it must have been built for [flat]'s program, physically,
+    and this mesh — else [Invalid_argument]); a fringe transfer's
+    blueprints are then taken from its table, or built into it. Without
+    [geometry], a fresh one serves this plan alone: one code path either
+    way, and the same plan bit for bit.
 
     Raises [Invalid_argument] if a stencil shift exceeds the smallest
     block extent of the mesh, or if a synthesized collective round was
@@ -57,6 +81,7 @@ type plans
     no matching send side or the two disagree on the message layout. *)
 val plan :
   ?topology:Machine.Topology.t ->
+  ?geometry:geometry ->
   machine:Machine.Params.t ->
   lib:Machine.Library.t ->
   pr:int ->
@@ -64,16 +89,31 @@ val plan :
   Ir.Flat.t ->
   plans
 
+(** The geometry a plan was built over. *)
+val plan_geometry : plans -> geometry
+
+(** The linked message blueprints of one transfer, per processor. *)
+type sides
+
+(** [sides plans x] — transfer [x]'s blueprints. A fringe transfer's are
+    its geometry's: physically equal ([==]) across plans over one
+    geometry with the same member arrays and offset. *)
+val sides : plans -> int -> sides
+
 (** [of_plans plans] readies one virtual processor per mesh point:
     fresh stores (minted from the plan's shape-only stores), scalar
-    slots, kernel workspaces, one channel per message side pair, and
-    statistics around the shared compiled artifacts. The per-rank kernel
-    programs and the scalar code in [plans] (compiled by
-    [Runtime.Values] at {!plan} time) are bound to the fresh stores and
-    slots through a [Runtime.Kernel.env] — binding, not recompilation, so a
-    cache hit mints a ready-to-run engine. [limit] bounds instructions {e per
-    processor} (default [1e9]); it does not affect the compiled
-    artifacts, which is why it lives here and not in the cache key. *)
+    slots, one channel per message side pair, and statistics around the
+    shared compiled artifacts, plus {e one} kernel workspace for the
+    whole engine, sized by the join of its geometry classes' needs: the
+    drain runs one kernel at a time on one domain, and kernels keep
+    nothing in the workspace between executions (the workspace contract
+    in [Runtime.Kernel]). The per-rank kernel programs and the scalar
+    code in [plans] (compiled by [Runtime.Values] at {!plan} time) are
+    bound to the fresh stores and slots through a [Runtime.Kernel.env] —
+    binding, not recompilation, so a cache hit mints a ready-to-run
+    engine. [limit] bounds instructions {e per processor} (default
+    [1e9]); it does not affect the compiled artifacts, which is why it
+    lives here and not in the cache key. *)
 val of_plans : ?limit:int -> plans -> t
 
 (** The shared compiled half this engine was built from. Two engines
@@ -85,6 +125,11 @@ val shared_plans : t -> plans
     per geometry class (ranks agreeing on every array's rank and
     strides). *)
 val kernel_classes : plans -> int
+
+(** Heap words of the engine's one kernel workspace
+    ([Runtime.Kernel.workspace_words]): it does not grow with the rank
+    count. *)
+val workspace_words : t -> int
 
 type result = {
   time : float;  (** makespan over processors *)

@@ -1,0 +1,59 @@
+(** The run-time semantics of scalar operators, defined once: the
+    constant folder ({!Check.fold_sexpr}) and the scalar executors
+    ([Runtime.Values]) both evaluate through these, so a folded literal
+    is the value the program would have computed.
+
+    The executors keep floats in a slot array, and a float passed to or
+    returned from a call that is not inlined is boxed, so each float
+    operator also comes in a slot form that reads and writes the array
+    here: no float crosses the module boundary. *)
+
+(** Whether [op] over two int operands yields an int: [+ - *], which
+    wrap at 63 bits. Every other arithmetic operator ([/] and [^]), and
+    any arithmetic with a float operand, yields a float. *)
+let int_result (op : Ast.binop) =
+  match op with Ast.Add | Ast.Sub | Ast.Mul -> true | _ -> false
+
+(** An {!int_result} operator over ints (wrapping). *)
+let[@inline] int_arith (op : Ast.binop) (x : int) y =
+  match op with
+  | Ast.Add -> x + y
+  | Ast.Sub -> x - y
+  | Ast.Mul -> x * y
+  | _ -> invalid_arg "Arith.int_arith"
+
+(** An arithmetic operator over floats (int operands converted first). *)
+let[@inline] float_arith (op : Ast.binop) (x : float) y =
+  match op with
+  | Ast.Add -> x +. y
+  | Ast.Sub -> x -. y
+  | Ast.Mul -> x *. y
+  | Ast.Div -> x /. y
+  | _ -> Float.pow x y
+
+(** [float_arith] over slots: [f.(dst) <- f.(x) op f.(y)]. *)
+let set_float_arith (op : Ast.binop) (f : float array) ~dst x y =
+  f.(dst) <- float_arith op f.(x) f.(y)
+
+(** Whether [op] is a comparison. Comparisons compare as floats, int
+    operands converted first. *)
+let is_compare (op : Ast.binop) =
+  match op with
+  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne -> true
+  | _ -> false
+
+let[@inline] compare (op : Ast.binop) (x : float) y =
+  match op with
+  | Ast.Lt -> x < y
+  | Ast.Le -> x <= y
+  | Ast.Gt -> x > y
+  | Ast.Ge -> x >= y
+  | Ast.Eq -> x = y
+  | _ -> x <> y
+
+(** [compare] over slots [f.(x)] and [f.(y)]. *)
+let compare_slots (op : Ast.binop) (f : float array) x y = compare op f.(x) f.(y)
+
+(** [compare] of two ints, converted to floats. *)
+let compare_ints (op : Ast.binop) (x : int) y =
+  compare op (float_of_int x) (float_of_int y)

@@ -83,38 +83,20 @@ let fresh_array env loc name region =
 let rec fold_sexpr (e : Prog.sexpr) : Prog.sexpr =
   let module P = Prog in
   let num_of = function
-    | P.SInt i -> Some (float_of_int i, true)
-    | P.SFloat f -> Some (f, false)
+    | P.SInt i -> Some (float_of_int i)
+    | P.SFloat f -> Some f
     | _ -> None
   in
   match e with
   | P.SBin (op, a, b) -> (
       let a = fold_sexpr a and b = fold_sexpr b in
-      match (num_of a, num_of b) with
-      | Some (x, xi), Some (y, yi) -> (
-          let both_int = xi && yi in
-          let arith f =
-            let v = f x y in
-            if both_int && Float.is_integer v && op <> Ast.Div then
-              P.SInt (int_of_float v)
-            else P.SFloat v
-          in
-          match op with
-          | Ast.Add -> arith ( +. )
-          | Ast.Sub -> arith ( -. )
-          | Ast.Mul -> arith ( *. )
-          | Ast.Div ->
-              if both_int && y <> 0. && Float.is_integer (x /. y) then
-                P.SInt (int_of_float (x /. y))
-              else P.SFloat (x /. y)
-          | Ast.Pow -> P.SFloat (Float.pow x y)
-          | Ast.Lt -> P.SBool (x < y)
-          | Ast.Le -> P.SBool (x <= y)
-          | Ast.Gt -> P.SBool (x > y)
-          | Ast.Ge -> P.SBool (x >= y)
-          | Ast.Eq -> P.SBool (x = y)
-          | Ast.Ne -> P.SBool (x <> y)
-          | Ast.And | Ast.Or -> P.SBin (op, a, b))
+      match (a, b, num_of a, num_of b) with
+      | P.SInt x, P.SInt y, _, _ when Arith.int_result op ->
+          P.SInt (Arith.int_arith op x y)
+      | _, _, Some x, Some y ->
+          if Arith.is_compare op then P.SBool (Arith.compare op x y)
+          else if op = Ast.And || op = Ast.Or then P.SBin (op, a, b)
+          else P.SFloat (Arith.float_arith op x y)
       | _ -> P.SBin (op, a, b))
   | P.SUn (Ast.Neg, a) -> (
       match fold_sexpr a with
@@ -187,14 +169,14 @@ let rec check_sexpr env (e : Ast.expr) : Prog.sexpr * sty =
         | _ -> TFloat
       in
       match op with
-      | Ast.Add | Ast.Sub | Ast.Mul -> (P.SBin (op, ta, tb), arith ())
+      | _ when Arith.int_result op -> (P.SBin (op, ta, tb), arith ())
       | Ast.Div | Ast.Pow ->
           ignore (arith ());
           (P.SBin (op, ta, tb), TFloat)
-      | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne ->
+      | _ when Arith.is_compare op ->
           ignore (arith ());
           (P.SBin (op, ta, tb), TBool)
-      | Ast.And | Ast.Or ->
+      | _ ->
           if tya <> TBool || tyb <> TBool then
             Loc.fail e.eloc "'%s' expects boolean operands" (Ast.binop_name op);
           (P.SBin (op, ta, tb), TBool))

@@ -53,6 +53,70 @@ let test_constant_folding () =
       | None -> Alcotest.fail "region should be static")
   | _ -> Alcotest.fail "body shape"
 
+(** Folding follows the run-time rules: int [+ - *] wraps at 63 bits,
+    [/] and [^] give a float, comparisons compare as floats. Each row
+    folds a literal expression into [f] and computes the same operation
+    at run time from scalars into [r]; the folded literal must be [r]'s
+    value, type and bits included, and so must [f] after a run. *)
+let test_fold_runtime_table () =
+  let module V = Commopt.Runtime.Values in
+  let rows =
+    [ ("2^53 + 1 + 0", "int", "9007199254740993", "0", "a + b",
+       "9007199254740992 + 1 + 0");
+      ("max_int + 1", "int", "4611686018427387903", "1", "a + b",
+       "4611686018427387903 + 1");
+      ("-min_int", "int", "-4611686018427387903 - 1", "0", "-a",
+       "-(-4611686018427387903 - 1)");
+      ("6 / 3", "float", "6", "3", "a / b", "6 / 3");
+      ("7 / 2", "float", "7", "2", "a / b", "7 / 2");
+      ("2 ^ 3", "float", "2", "3", "a ^ b", "2 ^ 3") ]
+  in
+  List.iter
+    (fun (label, ty, a, b, at_run, folded) ->
+      let src =
+        Printf.sprintf
+          "var A : [1..2, 1..2] float;\nvar a, b : int;\nvar r, f : %s;\n\
+           procedure main();\nbegin\n  a := %s;\n  b := %s;\n  r := %s;\n\
+          \  f := %s;\nend;\n"
+          ty a b at_run folded
+      in
+      let p = Check.compile_string src in
+      let id name =
+        match Prog.find_scalar p name with
+        | Some s -> s.Prog.s_id
+        | None -> Alcotest.fail name
+      in
+      let lit =
+        List.find_map
+          (function
+            | Prog.AssignS { lhs; rhs; _ } when lhs = id "f" -> Some rhs
+            | _ -> None)
+          p.Prog.body
+      in
+      let folded_value =
+        match lit with
+        | Some (Prog.SInt i) -> V.VInt i
+        | Some (Prog.SFloat x) -> V.VFloat x
+        | _ -> Alcotest.failf "%s: %s did not fold to a literal" label folded
+      in
+      let t = Commopt.Runtime.Seqexec.run p in
+      let value name =
+        Option.get (Commopt.Runtime.Seqexec.scalar_value t name)
+      in
+      let same x y =
+        match (x, y) with
+        | V.VFloat x, V.VFloat y ->
+            Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+        | _ -> V.equal_value x y
+      in
+      let show = V.show_value in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: folded %s = run time %s" label
+           (show folded_value) (show (value "r")))
+        true
+        (same folded_value (value "r") && same (value "f") (value "r")))
+    rows
+
 let test_defines_override () =
   let p =
     compile ~defines:[ ("n", 16.) ]
@@ -224,6 +288,8 @@ let () =
     [ ( "accepts",
         [ Alcotest.test_case "basic program" `Quick test_basic;
           Alcotest.test_case "constant folding" `Quick test_constant_folding;
+          Alcotest.test_case "folding follows run-time rules" `Quick
+            test_fold_runtime_table;
           Alcotest.test_case "defines override" `Quick test_defines_override;
           Alcotest.test_case "region inheritance" `Quick test_region_inheritance;
           Alcotest.test_case "loop-variant regions" `Quick test_loop_variant_region;

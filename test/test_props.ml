@@ -706,7 +706,7 @@ let kcase_stores (c : kcase) =
   let rc = { Runtime.Kernel.rstore = (fun aid -> stores.(aid)); rws = ws } in
   let mkenv () =
     Runtime.Kernel.make_env ~stores ~slots:(kslots ())
-      (Runtime.Kernel.ws_spec ws)
+      (Runtime.Kernel.make_workspace (Runtime.Kernel.ws_spec ws))
   in
   (stores, rc, mkenv)
 
@@ -751,6 +751,111 @@ let prop_row_reduce_bitwise =
         let plan = Runtime.Kernel.plan_reduce ~row rc r in
         bits
           (Runtime.Kernel.exec_rplan plan ~env:(mkenv ()) ~region:c.kregion op)
+      in
+      run ~row:true = run ~row:false)
+
+(** A left-associated +/- chain of 2-6 shifted refs, the shape the row
+    compiler runs through one chain workspace. *)
+let gen_chain rank =
+  QCheck.Gen.(
+    let ref_ =
+      map2
+        (fun a off -> Zpl.Prog.ARef (a, off))
+        (int_range 0 (narrays - 1))
+        (array_size (return rank) (int_range (-1) 1))
+    in
+    let* base = ref_ in
+    let* rest = list_size (int_range 1 5) (pair (oneofl Zpl.Ast.[ Add; Sub ]) ref_) in
+    return
+      (List.fold_left (fun e (op, r) -> Zpl.Prog.ABin (op, e, r)) base rest))
+
+(** Workspace slots number per statement and one workspace serves a
+    whole plan set: statements of different ranks, shapes and
+    expressions (random ones, and chains of different widths alone or
+    two to a statement), compiled into one [ws] and run back to back
+    (twice, so the second round finds buffers grown by others) on one
+    workspace, give exactly what the per-point path gives. *)
+let prop_shared_workspace =
+  let gen_stmt =
+    QCheck.Gen.(
+      let* c = gen_kcase in
+      let* krhs =
+        frequency
+          [ (2, return c.krhs);
+            (2, gen_chain c.krank);
+            (1,
+             map2
+               (fun a b -> Zpl.Prog.ABin (Zpl.Ast.Mul, a, b))
+               (gen_chain c.krank) (gen_chain c.krank)) ]
+      in
+      return { c with krhs })
+  in
+  QCheck.Test.make ~name:"back-to-back statements on one workspace == per-point"
+    ~count:150
+    (QCheck.make
+       ~print:(fun cs ->
+         String.concat "; "
+           (List.map
+              (fun (c : kcase) ->
+                Printf.sprintf "%s S%d := %s"
+                  (Zpl.Region.to_string c.kregion)
+                  c.klhs
+                  (Zpl.Prog.show_aexpr c.krhs))
+              cs))
+       QCheck.Gen.(list_size (int_range 2 6) gen_stmt))
+    (fun cs ->
+      let run ~row =
+        let ws = Runtime.Kernel.make_ws kscalars in
+        let compiled =
+          List.map
+            (fun (c : kcase) ->
+              let alloc = grow1 c.kregion in
+              let stores =
+                Array.init narrays (fun aid ->
+                    mk_store aid c.krank alloc c.kseed)
+              in
+              let rc =
+                { Runtime.Kernel.rstore = (fun aid -> stores.(aid)); rws = ws }
+              in
+              let dr = Zpl.Prog.dregion_of_region c.kregion in
+              let a =
+                { Zpl.Prog.region = dr; lhs = c.klhs; rhs = c.krhs; flops = 0 }
+              in
+              let r =
+                { Zpl.Prog.r_lhs = 0; r_op = Zpl.Ast.RSum; r_region = dr;
+                  r_rhs = c.krhs; r_flops = 0 }
+              in
+              ( c,
+                stores,
+                Runtime.Kernel.plan_assign ~row rc a,
+                Runtime.Kernel.plan_reduce ~row rc r ))
+            cs
+        in
+        let w = Runtime.Kernel.make_workspace (Runtime.Kernel.ws_spec ws) in
+        let round () =
+          List.map
+            (fun ((c : kcase), stores, plan, rplan) ->
+              let env =
+                Runtime.Kernel.make_env ~stores ~slots:(kslots ()) w
+              in
+              let partial =
+                Runtime.Kernel.exec_rplan rplan ~env ~region:c.kregion
+                  Zpl.Ast.RSum
+              in
+              let cells =
+                Runtime.Kernel.exec_plan plan ~env ~lhs:stores.(c.klhs)
+                  ~region:c.kregion
+              in
+              ( cells,
+                bits partial,
+                Array.map
+                  (fun (s : Runtime.Store.t) ->
+                    Array.map bits (Runtime.Store.to_array s))
+                  stores ))
+            compiled
+        in
+        let first = round () in
+        first @ round ()
       in
       run ~row:true = run ~row:false)
 
@@ -1036,6 +1141,7 @@ let () =
       ( "row engine",
         List.map to_alcotest
           [ prop_row_kernel_bitwise; prop_row_reduce_bitwise;
+            prop_shared_workspace;
             prop_wireplan_rows; prop_seqexec_row_path;
             prop_seqexec_nsum; prop_comm_matches_oracle ]
         @ [ Alcotest.test_case "stencil compiles to row plan" `Quick

@@ -255,6 +255,165 @@ let test_cached_mint_grid () =
     Programs.Suite.paper_benchmarks
 
 (* ------------------------------------------------------------------ *)
+(* Plans over a shared geometry == fresh plans                         *)
+(* ------------------------------------------------------------------ *)
+
+(** Everything a run determines, rendered exactly: makespan bits, every
+    processor's [Stats], the per-op completion counts and the staging
+    pool counts. *)
+let fingerprint (r : Sim.Engine.result) =
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "t=%h instr=%d\n" r.Sim.Engine.time
+    r.Sim.Engine.stats.Sim.Stats.instructions;
+  Array.iter
+    (fun (p : Sim.Stats.per_proc) ->
+      let tm = p.Sim.Stats.times in
+      Printf.bprintf b "%d %d %d %d %d %d %d %d %h %h %h %h\n"
+        p.Sim.Stats.xfers_recv p.xfers_sent p.msgs_sent p.msgs_recv
+        p.bytes_sent p.bytes_recv p.reduces p.cells tm.Sim.Stats.compute
+        tm.comm_cpu tm.wait tm.finish)
+    r.Sim.Engine.stats.Sim.Stats.procs;
+  let eng = r.Sim.Engine.engine in
+  Array.iter (Printf.bprintf b "%d,") (Sim.Engine.op_counts eng);
+  let fresh, reused = Sim.Engine.pool_counts eng in
+  Printf.bprintf b "\npool %d %d\n" fresh reused;
+  Buffer.contents b
+
+(* Every spec of one (program, mesh) plans over the cache's one
+   geometry, so each fringe transfer's blueprints are built by the
+   first spec that needs them and reused by the rest — across rows,
+   libraries and topologies. A fresh plan builds its own; both must
+   run identically. *)
+let test_shared_geometry_grid () =
+  let cache = Run.Cache.create () in
+  List.iter
+    (fun (b : Programs.Bench_def.t) ->
+      List.iter
+        (fun (pr, pc) ->
+          List.iter
+            (fun (label, config, lib) ->
+              List.iter
+                (fun topo ->
+                  let spec =
+                    let open Run.Spec in
+                    default b.Programs.Bench_def.source
+                    |> with_defines b.Programs.Bench_def.test_defines
+                    |> with_config config
+                    |> with_target Machine.T3d.machine lib
+                    |> with_mesh pr pc |> with_topology topo
+                  in
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s/%s/%s/%dx%d" b.Programs.Bench_def.name
+                       label (Machine.Topology.name topo) pr pc)
+                    (fingerprint (Run.Spec.run spec))
+                    (fingerprint (Run.Cache.run cache spec)))
+                Machine.Topology.all)
+            Report.Experiment.paper_rows)
+        [ (2, 2); (3, 3) ])
+    (Programs.Suite.paper_benchmarks @ [ Programs.Suite.jacobi ])
+
+(* Two specs of one program and mesh, planned through one cache, hold
+   the same fringe blueprint arrays, not equal copies: the second spec
+   (another library and topology) builds no blueprint set. *)
+let test_geometry_shares_blueprints () =
+  let cache = Run.Cache.create () in
+  let s1 = base () in
+  let s2 =
+    Run.Spec.(
+      base ()
+      |> with_target Machine.T3d.machine Machine.T3d.shmem
+      |> with_topology Machine.Topology.Torus)
+  in
+  let a1 = Run.Cache.artifact cache s1 in
+  let g = Sim.Engine.plan_geometry a1.Run.Spec.a_plans in
+  let built = Sim.Engine.blueprint_sets g in
+  let a2 = Run.Cache.artifact cache s2 in
+  Alcotest.(check bool) "one geometry" true
+    (Sim.Engine.plan_geometry a2.Run.Spec.a_plans == g);
+  Alcotest.(check int) "second spec builds no blueprint set" built
+    (Sim.Engine.blueprint_sets g);
+  let xs = a1.Run.Spec.a_flat.Ir.Flat.transfers in
+  Alcotest.(check bool) "the program has fringe transfers" true
+    (Array.length xs > 0);
+  Array.iteri
+    (fun i (x : Ir.Transfer.t) ->
+      let j =
+        match
+          List.find_opt
+            (fun (y : Ir.Transfer.t) ->
+              y.Ir.Transfer.arrays = x.Ir.Transfer.arrays
+              && y.Ir.Transfer.off = x.Ir.Transfer.off)
+            (Array.to_list a2.Run.Spec.a_flat.Ir.Flat.transfers)
+        with
+        | Some y -> y.Ir.Transfer.id
+        | None -> Alcotest.fail "transfer missing from the second spec"
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "x%d blueprints shared physically" i)
+        true
+        (Sim.Engine.sides a1.Run.Spec.a_plans i
+        == Sim.Engine.sides a2.Run.Spec.a_plans j))
+    xs;
+  (* a fresh plan of the same flat program builds its own *)
+  let fresh = Run.Spec.build s1 in
+  Alcotest.(check bool) "a fresh build has its own geometry" true
+    (Sim.Engine.plan_geometry fresh.Run.Spec.a_plans != g)
+
+(* The sweep workload's grid: the paper benchmarks and Jacobi at
+   n <= 16 and one iteration, under every paper row, collective mode,
+   topology and mesh (360 specs). *)
+let sweep_grid () =
+  List.concat_map
+    (fun (b : Programs.Bench_def.t) ->
+      let defines =
+        List.map
+          (fun (k, v) ->
+            if k = "iters" then (k, 1.0)
+            else if k = "n" then (k, Float.min v 16.0)
+            else (k, v))
+          b.Programs.Bench_def.test_defines
+      in
+      List.concat_map
+        (fun (row, config, lib) ->
+          List.concat_map
+            (fun collective ->
+              List.concat_map
+                (fun topology ->
+                  List.map
+                    (fun (pr, pc) ->
+                      { Run.Sweep.label =
+                          Printf.sprintf "%s/%s/%s/%s/%dx%d"
+                            b.Programs.Bench_def.name row
+                            (Opt.Config.collective_name collective)
+                            (Machine.Topology.name topology) pr pc;
+                        spec =
+                          Run.Spec.(
+                            default b.Programs.Bench_def.source
+                            |> with_defines defines |> with_config config
+                            |> with_collective collective
+                            |> with_target Machine.T3d.machine lib
+                            |> with_mesh pr pc |> with_topology topology) })
+                    [ (2, 2); (4, 4) ])
+                Machine.Topology.all)
+            [ Opt.Config.Opaque; Opt.Config.Auto ])
+        Report.Experiment.paper_rows)
+    (Programs.Suite.paper_benchmarks @ [ Programs.Suite.jacobi ])
+
+(* Two domains planning over shared geometries at once answer the grid
+   exactly as one domain does. *)
+let test_sweep_domains_agree () =
+  let items = sweep_grid () in
+  let run domains = (Run.Sweep.run ~domains (Run.Sweep.create ()) items).rows in
+  List.iter2
+    (fun (a : Run.Sweep.row) (b : Run.Sweep.row) ->
+      Alcotest.(check string) "label" a.r_label b.r_label;
+      Alcotest.(check (triple int64 int int))
+        (a.r_label ^ ": time bits, static, dynamic")
+        (bits a.r_time, a.r_static, a.r_dynamic)
+        (bits b.r_time, b.r_static, b.r_dynamic))
+    (run 1) (run 2)
+
+(* ------------------------------------------------------------------ *)
 (* Steady-state warm sweep: pinned minor-word budget                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -528,6 +687,12 @@ let () =
       ( "results",
         [ Alcotest.test_case "cached == cold over paper rows" `Quick
             test_cached_equals_cold_paper_rows;
+          Alcotest.test_case "shared geometry == fresh plans" `Quick
+            test_shared_geometry_grid;
+          Alcotest.test_case "geometry shares fringe blueprints" `Quick
+            test_geometry_shares_blueprints;
+          Alcotest.test_case "sweep on 2 domains == 1 domain" `Quick
+            test_sweep_domains_agree;
           Alcotest.test_case "shared plans mint independent engines" `Quick
             test_shared_plans_mint_twice;
           Alcotest.test_case

@@ -169,7 +169,10 @@ let exec_point ~stores ~scalar ~region (a : Zpl.Prog.assign_a) =
   let plan = Runtime.Kernel.plan_assign ~row:false rc a in
   Alcotest.(check bool) "per-point plan" false (Runtime.Kernel.plan_is_row plan);
   let slots = { Runtime.Values.f = [| scalar |]; i = [| 0 |] } in
-  let env = Runtime.Kernel.make_env ~stores ~slots (Runtime.Kernel.ws_spec ws) in
+  let env =
+    Runtime.Kernel.make_env ~stores ~slots
+      (Runtime.Kernel.make_workspace (Runtime.Kernel.ws_spec ws))
+  in
   Runtime.Kernel.exec_plan plan ~env ~lhs:stores.(a.lhs) ~region
 
 let test_kernel_eval () =
