@@ -24,6 +24,24 @@ open Cli
 (* Commands                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The programs [lint] and [analyze] walk: every bundled benchmark at
+   test scale under [--all], then each named PROG with the -D defines. *)
+let targets ~verb ~all progs defines =
+  let ts =
+    (if all then
+       List.map
+         (fun (b : Programs.Bench_def.t) ->
+           ( b.Programs.Bench_def.name,
+             b.Programs.Bench_def.source,
+             b.Programs.Bench_def.test_defines ))
+         Programs.Suite.all
+     else [])
+    @ List.map (fun p -> (p, Cmdline.load_source p, defines)) progs
+  in
+  if ts = [] then
+    Fmt.failwith "nothing to %s: name a program or pass --all" verb;
+  ts
+
 let check_cmd =
   let run src defines =
     Cmdline.handle (fun () ->
@@ -124,19 +142,7 @@ let analyze_cmd =
   let run progs defines all rows config collective (machine, lib) (pr, pc)
       topology verify json =
     Cmdline.handle (fun () ->
-        let targets =
-          (if all then
-             List.map
-               (fun (b : Programs.Bench_def.t) ->
-                 ( b.Programs.Bench_def.name,
-                   b.Programs.Bench_def.source,
-                   b.Programs.Bench_def.test_defines ))
-               Programs.Suite.all
-           else [])
-          @ List.map (fun p -> (p, Cmdline.load_source p, defines)) progs
-        in
-        if targets = [] then
-          Fmt.failwith "nothing to analyze: name a program or pass --all";
+        let targets = targets ~verb:"analyze" ~all progs defines in
         let row_list =
           if rows then
             List.map
@@ -264,23 +270,16 @@ let lint_cmd =
   in
   let run progs defines all collective (pr, pc) topology prune =
     Cmdline.handle (fun () ->
-        let targets =
-          (if all then
-             List.map
-               (fun (b : Programs.Bench_def.t) ->
-                 ( b.Programs.Bench_def.name,
-                   b.Programs.Bench_def.source,
-                   b.Programs.Bench_def.test_defines ))
-               Programs.Suite.all
-           else [])
-          @ List.map (fun p -> (p, Cmdline.load_source p, defines)) progs
-        in
-        if targets = [] then
-          Fmt.failwith "nothing to lint: name a program or pass --all";
+        let targets = targets ~verb:"lint" ~all progs defines in
         let bad = ref 0 in
         List.iter
           (fun (name, src, defines) ->
-            let prog = Zpl.Check.compile_string ~defines src in
+            let base =
+              Run.Spec.(
+                default src |> with_defines defines
+                |> with_mesh pr pc |> with_topology topology)
+            in
+            let prog = Run.Spec.parse base in
             (* dead-scalar warnings are per program, independent of the
                optimization row; they never fail the lint *)
             List.iter
@@ -290,13 +289,15 @@ let lint_cmd =
               (Analysis.Deadscalar.run prog);
             List.iter
               (fun (label, config, lib) ->
-                let config = Cmdline.with_collective collective config in
                 (* paper rows are T3D rows; the collective synthesis
                    targets the row's library on the linted mesh and
                    topology (topology only shifts the auto pick) *)
-                let ir =
-                  Opt.Passes.compile ~machine:Machine.T3d.machine ~lib
-                    ~mesh:(pr, pc) ~topology config prog
+                let _, ir, _ =
+                  Run.Spec.compile ~prog
+                    Run.Spec.(
+                      base
+                      |> with_config (Cmdline.with_collective collective config)
+                      |> with_target Machine.T3d.machine lib)
                 in
                 match Analysis.Schedcheck.check ~prune ir with
                 | [] -> Printf.printf "%s [%s]: OK\n" name label

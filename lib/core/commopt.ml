@@ -150,40 +150,6 @@ let pp_divergence ppf (d : divergence) =
     Fmt.(array ~sep:(any ", ") int)
     d.d_point d.d_got d.d_want
 
-(** Compare a simulation against the oracle: the worst relative difference
-    over every cell of every array. Exact 0.0 unless reduction rounding
-    differs. NaN-aware like {!cell_diverges}: a cell where exactly one
-    side is NaN (or whose difference quotient is NaN) contributes
-    [infinity] rather than being skipped by NaN-poisoned comparison;
-    both-NaN and equal-value cells contribute 0. *)
-let oracle_distance (c : compiled) (res : Sim.Engine.result)
-    (oracle : Runtime.Seqexec.t) : float =
-  let worst = ref 0.0 in
-  Array.iteri
-    (fun aid (info : Zpl.Prog.array_info) ->
-      let par = Sim.Engine.gather res.Sim.Engine.engine aid in
-      let sq = oracle.Runtime.Seqexec.stores.(aid) in
-      let got_buf = Runtime.Store.read_only par
-      and want_buf = Runtime.Store.read_only sq in
-      Zpl.Region.iter_rows info.a_region (fun p0 len ->
-          let gb = Runtime.Store.index par p0
-          and wb = Runtime.Store.index sq p0 in
-          for k = 0 to len - 1 do
-            let b = Bigarray.Array1.unsafe_get got_buf (gb + k)
-            and a = Bigarray.Array1.unsafe_get want_buf (wb + k) in
-            let d =
-              if Float.is_nan a || Float.is_nan b then
-                if Float.is_nan a && Float.is_nan b then 0.0 else infinity
-              else if a = b then 0.0
-              else
-                let d = Float.abs (a -. b) /. (1.0 +. Float.abs a) in
-                if Float.is_nan d then infinity else d
-            in
-            if d > !worst then worst := d
-          done))
-    c.prog.Zpl.Prog.arrays;
-  !worst
-
 (** [verify c] simulates and checks the result against the oracle; returns
     the simulation result or fails naming the first divergent cell. *)
 let verify ?machine ?lib ?mesh ?(tolerance = 1e-9) (c : compiled) :

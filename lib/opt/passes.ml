@@ -3,13 +3,6 @@
     selected optimizations in the paper's order (rr, then cc, then pl),
     validate invariants, and emit the final IRONMAN IR. *)
 
-type report = {
-  config : Config.t;
-  static_count : int;  (** transfers in the optimized program text *)
-  static_members : int;  (** member messages before combining compression *)
-  baseline_static : int;  (** transfers the baseline would have *)
-}
-
 (** Run one pass when enabled, then (cheaply) re-validate the block
     invariants — unconditionally, so a violation is pinned on the pass
     that planted it rather than surfacing blocks later. *)
@@ -54,13 +47,3 @@ let compile ?(check = false) ?(machine = Machine.T3d.machine)
   in
   if check then Analysis.Schedcheck.check_exn ir;
   ir
-
-let report ?machine ?lib ?mesh ?topology (config : Config.t) (p : Zpl.Prog.t) :
-    report * Ir.Instr.program =
-  let baseline = compile ?machine ?lib ?mesh ?topology Config.baseline p in
-  let optimized = compile ?machine ?lib ?mesh ?topology config p in
-  ( { config;
-      static_count = Ir.Count.static_count optimized;
-      static_members = Ir.Count.static_member_count optimized;
-      baseline_static = Ir.Count.static_count baseline },
-    optimized )

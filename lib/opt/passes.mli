@@ -4,13 +4,6 @@
     pl), validate invariants after every pass, and emit the final
     IRONMAN IR. *)
 
-type report = {
-  config : Config.t;
-  static_count : int;  (** transfers in the optimized program text *)
-  static_members : int;  (** member messages before combining compression *)
-  baseline_static : int;  (** transfers the baseline would have *)
-}
-
 (** Apply the selected passes in place. {!Ir.Block.check_invariants}
     runs unconditionally on the input and after each enabled pass; a
     violation fails with the responsible pass named in the message. *)
@@ -38,12 +31,3 @@ val compile :
   Zpl.Prog.t ->
   Ir.Instr.program
 
-(** [compile] plus a static-count comparison against the baseline. *)
-val report :
-  ?machine:Machine.Params.t ->
-  ?lib:Machine.Library.t ->
-  ?mesh:int * int ->
-  ?topology:Machine.Topology.t ->
-  Config.t ->
-  Zpl.Prog.t ->
-  report * Ir.Instr.program

@@ -3,9 +3,9 @@
     and records static count, dynamic count and simulated execution time —
     the three columns of the paper's appendix tables.
 
-    Every run is described by a {!Run.Spec.t} and its compiled artifacts
-    are answered by a {!Run.Cache}: each driver call creates a private
-    cache (unless handed one), so six rows over one benchmark parse and
+    Every run is described by a {!Run.Spec.t}, and a grid of them is
+    answered by one {!Run.Sweep.run} on a fresh service: each driver
+    call has a private cache, so six rows over one benchmark parse and
     type-check the program once, while cross-{e call} hits can never
     corrupt a wall-clock measurement of the grid. *)
 
@@ -51,71 +51,47 @@ let bench_spec ?topology ~(machine : Machine.Params.t)
   |> with_mesh pr pc
   |> match topology with None -> Fun.id | Some t -> with_topology t
 
-(** Run one spec to a table row. [cache] answers the compiled artifacts
-    (default: compile privately, uncached). *)
-let run_one ?label ?cache (spec : Run.Spec.t) : row =
-  let art =
-    match cache with
-    | Some c -> Run.Cache.artifact c spec
-    | None -> Run.Spec.build spec
-  in
-  let result = Sim.Engine.run (Run.Spec.engine_of art) in
-  { label =
-      (match label with
-      | Some l -> l
-      | None -> Opt.Config.name spec.Run.Spec.config);
-    config = spec.Run.Spec.config;
-    lib = spec.Run.Spec.lib;
-    static_count = Ir.Count.static_count art.Run.Spec.a_ir;
-    dynamic_count = Sim.Stats.dynamic_count result.Sim.Engine.stats;
-    time = result.Sim.Engine.time }
-
 type bench_result = { bench : Programs.Bench_def.t; rows : row list }
 
-(** Run [rows] for every benchmark in [benches], fanning the independent
-    (benchmark x row) simulations over a domain pool ([domains] workers,
-    default {!Sim.Pool.default_domains}; [1] runs serially). A private
-    {!Run.Cache} (or [cache]) deduplicates the per-benchmark parse
-    across rows; each task owns its engine, so results — and their
-    order — are bit-identical to the serial run. *)
+(** Run [rows] for every benchmark in [benches] as one {!Run.Sweep.run}
+    on a fresh service, fanning the independent (benchmark x row)
+    simulations over its domain pool ([domains] workers, default
+    {!Sim.Pool.default_domains}; [1] runs serially). The service's cache
+    parses each benchmark once across rows; each task owns its engine,
+    so results — and their order — are bit-identical to the serial
+    run. *)
 let run_grid ~(machine : Machine.Params.t)
     ~(rows : (string * Opt.Config.t * Machine.Library.t) list) ?domains
-    ?topology ?cache ~scale (benches : Programs.Bench_def.t list) :
+    ?topology ~scale (benches : Programs.Bench_def.t list) :
     bench_result list =
-  let cache =
-    match cache with Some c -> c | None -> Run.Cache.create ()
-  in
-  let tasks =
+  let items =
     List.concat_map
-      (fun b -> List.map (fun (label, config, lib) -> (b, label, config, lib)) rows)
+      (fun b ->
+        List.map
+          (fun (label, config, lib) ->
+            { Run.Sweep.label;
+              spec = bench_spec ?topology ~machine ~lib ~config ~scale b })
+          rows)
       benches
   in
-  let results =
-    Sim.Pool.parmap ?domains
-      (fun (b, label, config, lib) ->
-        run_one ~label ~cache
-          (bench_spec ?topology ~machine ~lib ~config ~scale b))
-      tasks
-  in
-  (* regroup: |rows| consecutive results per benchmark, input order *)
+  let swept = (Run.Sweep.run ?domains (Run.Sweep.create ()) items).rows in
+  (* |rows| consecutive results per benchmark, input order *)
   let nrows = List.length rows in
-  let rec take n xs =
-    if n = 0 then ([], xs)
-    else
-      match xs with
-      | [] -> invalid_arg "run_grid: result count mismatch"
-      | x :: rest ->
-          let mine, others = take (n - 1) rest in
-          (x :: mine, others)
-  in
-  let rec chunk benches results =
-    match benches with
-    | [] -> []
-    | b :: rest ->
-        let mine, others = take nrows results in
-        { bench = b; rows = mine } :: chunk rest others
-  in
-  chunk benches results
+  List.mapi
+    (fun i bench ->
+      { bench;
+        rows =
+          List.map2
+            (fun (label, config, lib) (r : Run.Sweep.row) ->
+              { label;
+                config;
+                lib;
+                static_count = r.Run.Sweep.r_static;
+                dynamic_count = r.Run.Sweep.r_dynamic;
+                time = r.Run.Sweep.r_time })
+            rows
+            (List.filteri (fun k _ -> k / nrows = i) swept) })
+    benches
 
 (** Run the paper's six rows for one benchmark on the T3D. [topology]
     (default ideal) adds the interconnect model as a report dimension:
@@ -154,12 +130,6 @@ let paragon_rows : (string * Opt.Config.t * Machine.Library.t) list =
     ("pl with csend/crecv", Opt.Config.pl_cum, Machine.Paragon.nx_sync);
     ("pl with isend/irecv", Opt.Config.pl_cum, Machine.Paragon.nx_async);
     ("pl with hsend/hrecv", Opt.Config.pl_cum, Machine.Paragon.nx_callback) ]
-
-let run_bench_paragon ?(scale = `Bench) ?domains (b : Programs.Bench_def.t) :
-    bench_result =
-  List.hd
-    (run_grid ~machine:Machine.Paragon.machine ~rows:paragon_rows ?domains
-       ~scale [ b ])
 
 let paragon_grid ?(scale = `Bench) ?domains () : bench_result list =
   run_grid ~machine:Machine.Paragon.machine ~rows:paragon_rows ?domains ~scale

@@ -10,31 +10,30 @@
     canonicalization and cache keying.
 
     Next to the artifacts the cache keeps a parsed-program memo by
-    {!Spec.program_digest} and one {!Sim.Engine.geometry} per (program
-    digest, mesh): the spec-independent half of the plans, whose fringe
-    blueprints are built once and shared by every spec over that program
-    and mesh (rows, libraries, machines, topologies), so a miss plans
-    only what differs between specs.
+    {!Spec.program_digest}, and in each program's entry one
+    {!Sim.Engine.geometry} per mesh: the spec-independent half of the
+    plans, whose fringe blueprints are built once and shared by every
+    spec over that program and mesh (rows, libraries, machines,
+    topologies), so a miss plans only what differs between specs. A
+    program's geometries go with its entry when it is evicted.
 
-    The cache is thread-safe (one mutex around the index; compilation
-    itself runs outside the lock, so concurrent misses on different
-    specs compile in parallel) and bounded: inserting beyond [capacity]
-    evicts the least-recently-used artifact. All traffic is counted in
+    The cache is thread-safe and bounded: each table has its own lock,
+    and compilation runs outside every lock, so concurrent misses on
+    different specs compile in parallel (a racing duplicate yields to
+    the first insert). Inserting beyond [capacity] evicts the
+    least-recently-used artifact. All artifact traffic is counted in
     {!counters}. *)
 
 type t
 
 (** [create ?capacity ()] — an empty cache holding at most [capacity]
-    artifacts (default 256), plus a parsed-program memo and a geometry
-    table under the same LRU bound each, so several specs over one
-    program (the six paper rows) parse and type-check it once and share
-    one geometry per mesh. *)
+    artifacts (default 256), plus a parsed-program memo under the same
+    LRU bound and, per program, a geometry table by mesh under it too,
+    so several specs over one program (the six paper rows) parse and
+    type-check it once and share one geometry per mesh. Drivers that
+    measure create their own cache, so cross-call hits cannot corrupt
+    what they measure. *)
 val create : ?capacity:int -> unit -> t
-
-(** A process-wide cache (capacity 256) for long-lived services; one-off
-    drivers and measurement loops should {!create} their own so cross-
-    call hits cannot corrupt what they measure. *)
-val global : t
 
 type counters = {
   hits : int;  (** lookups answered from the cache *)

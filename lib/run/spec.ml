@@ -212,13 +212,12 @@ let compile ?prog (spec : t) =
   in
   (prog, ir, Ir.Flat.flatten ir)
 
-let build ?prog ?(geometry = Sim.Engine.geometry) (spec : t) : artifact =
+let build ?prog ?geometry (spec : t) : artifact =
   let prog, ir, flat = compile ?prog spec in
   let pr, pc = spec.mesh in
   let plans =
-    Sim.Engine.plan ~topology:spec.topology
-      ~geometry:(geometry ~pr ~pc prog) ~machine:spec.machine ~lib:spec.lib
-      ~pr ~pc flat
+    Sim.Engine.plan ~topology:spec.topology ?geometry ~machine:spec.machine
+      ~lib:spec.lib ~pr ~pc flat
   in
   { a_spec = spec; a_prog = prog; a_ir = ir; a_flat = flat; a_plans = plans }
 

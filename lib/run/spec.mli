@@ -101,16 +101,14 @@ val compile :
 
 (** Compile a spec end to end ({!compile}, then the engine plans).
     [prog] short-cuts the parse when the caller already holds the
-    program for {!program_digest} (the cache's memo). [geometry]
-    supplies the spec-independent half of the plans for the program and
-    mesh (default: a fresh {!Sim.Engine.geometry}); the cache passes one
-    that shares it across specs. Raises like the pipeline stages it
+    program for {!program_digest} (the cache's memo). [geometry] is the
+    spec-independent half of the plans, handed to {!Sim.Engine.plan}: it
+    must have been built over [prog] and the spec's mesh (default: a
+    fresh one); the cache passes the one its program entry keeps for
+    the mesh, shared across specs. Raises like the pipeline stages it
     runs. *)
 val build :
-  ?prog:Zpl.Prog.t ->
-  ?geometry:(pr:int -> pc:int -> Zpl.Prog.t -> Sim.Engine.geometry) ->
-  t ->
-  artifact
+  ?prog:Zpl.Prog.t -> ?geometry:Sim.Engine.geometry -> t -> artifact
 
 (** A fresh engine over an artifact's shared plans, using the spec's
     [limit]. *)

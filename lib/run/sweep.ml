@@ -26,36 +26,19 @@ type summary = {
    what a run computes (by truncating it). *)
 type memo_row = { m_time : float; m_static : int; m_dynamic : int }
 
-type t = {
-  cache : Cache.t;
-  memo : (string, memo_row) Hashtbl.t;
-  memo_lock : Mutex.t;
-}
+(* The memo is unbounded (capacity [max_int]): a re-swept grid of any
+   size is answered without simulating. *)
+type t = { cache : Cache.t; memo : (string, memo_row) Memo.t }
 
 let create ?cache () =
   let cache = match cache with Some c -> c | None -> Cache.create () in
-  { cache; memo = Hashtbl.create 64; memo_lock = Mutex.create () }
+  { cache; memo = Memo.create ~capacity:max_int () }
 
 let cache t = t.cache
-
-let reset_memo t =
-  Mutex.lock t.memo_lock;
-  Hashtbl.reset t.memo;
-  Mutex.unlock t.memo_lock
+let reset_memo t = Memo.clear t.memo
 
 let memo_key (spec : Spec.t) =
   Spec.key spec ^ ":" ^ string_of_int spec.Spec.limit
-
-let memo_find t key =
-  Mutex.lock t.memo_lock;
-  let r = Hashtbl.find_opt t.memo key in
-  Mutex.unlock t.memo_lock;
-  r
-
-let memo_add t key m =
-  Mutex.lock t.memo_lock;
-  if not (Hashtbl.mem t.memo key) then Hashtbl.add t.memo key m;
-  Mutex.unlock t.memo_lock
 
 (* Per-worker render buffer, reused for every row the domain emits:
    the steady-state emit path renders into an already-grown buffer and
@@ -103,26 +86,12 @@ let run ?domains ?out (t : t) (items : item list) : summary =
     Sim.Pool.parmap ?domains
       (fun (it : item) ->
         let w0 = Unix.gettimeofday () in
-        let key = memo_key it.spec in
-        let r =
-          match memo_find t key with
-          | Some m ->
-              { r_label = it.label;
-                r_hit = true;
-                r_memo = true;
-                r_time = m.m_time;
-                r_static = m.m_static;
-                r_dynamic = m.m_dynamic;
-                r_wall = Unix.gettimeofday () -. w0 }
-          | None ->
+        let cache_hit = ref false in
+        let m, memo_hit =
+          Memo.find_or_build t.memo (memo_key it.spec) (fun () ->
               let art, hit = Cache.find t.cache it.spec in
+              cache_hit := hit;
               let res = Sim.Engine.run (Spec.engine_of art) in
-              let m =
-                { m_time = res.Sim.Engine.time;
-                  m_static = Ir.Count.static_count art.Spec.a_ir;
-                  m_dynamic = Sim.Stats.dynamic_count res.Sim.Engine.stats }
-              in
-              memo_add t key m;
               let fresh, reused =
                 Sim.Engine.pool_counts res.Sim.Engine.engine
               in
@@ -130,13 +99,18 @@ let run ?domains ?out (t : t) (items : item list) : summary =
               pool_fresh := !pool_fresh + fresh;
               pool_reused := !pool_reused + reused;
               Mutex.unlock emit_lock;
-              { r_label = it.label;
-                r_hit = hit;
-                r_memo = false;
-                r_time = m.m_time;
-                r_static = m.m_static;
-                r_dynamic = m.m_dynamic;
-                r_wall = Unix.gettimeofday () -. w0 }
+              { m_time = res.Sim.Engine.time;
+                m_static = Ir.Count.static_count art.Spec.a_ir;
+                m_dynamic = Sim.Stats.dynamic_count res.Sim.Engine.stats })
+        in
+        let r =
+          { r_label = it.label;
+            r_hit = memo_hit || !cache_hit;
+            r_memo = memo_hit;
+            r_time = m.m_time;
+            r_static = m.m_static;
+            r_dynamic = m.m_dynamic;
+            r_wall = Unix.gettimeofday () -. w0 }
         in
         (match out with
         | Some oc ->

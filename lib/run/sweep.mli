@@ -7,7 +7,13 @@
     already swept is answered from the memo without building an engine
     or re-simulating — a repeated-spec grid costs one simulation per
     distinct spec. The memo holds only immutable summary numbers
-    (simulated time, counts), never engine state.
+    (simulated time, counts), never engine state. It is the same
+    find-or-build table as the cache's, unbounded: a miss simulates
+    outside its lock, and a racing duplicate of one spec yields to the
+    first insert.
+
+    [Report.Experiment] runs the paper's grids through {!run}, one
+    fresh service per grid.
 
     Rows are appended to [out] (and flushed) as items complete — in
     completion order when [domains > 1] — so a long sweep's artifact is

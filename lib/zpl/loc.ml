@@ -26,10 +26,6 @@ exception Error of t * string
 
 let fail loc fmt = Fmt.kstr (fun s -> raise (Error (loc, s))) fmt
 
-let error_to_string = function
-  | Error (loc, msg) -> Some (format_error (Src loc) msg)
-  | _ -> None
-
 (** [guard f] runs [f ()] and converts a located error into [Result.Error]. *)
 let guard f =
   match f () with

@@ -44,7 +44,8 @@ let test_simulate_and_oracle () =
   let c = compile src in
   let res = simulate ~mesh:(2, 2) c in
   let oracle = run_oracle c in
-  Alcotest.(check (float 0.)) "exact" 0.0 (oracle_distance c res oracle);
+  Alcotest.(check bool) "exact" true
+    (first_divergence ~tolerance:0.0 c res oracle = None);
   Alcotest.(check bool) "time advanced" true (res.Sim.Engine.time > 0.)
 
 let test_verify_passes () =
@@ -80,15 +81,15 @@ let test_simulate_other_machines () =
 (* Regression: the oracle comparison used to test [d > tolerance] where
    [d] is the relative difference — false whenever [d] is NaN, so a
    simulation bug producing NaN where the oracle has a finite value
-   sailed straight through [first_divergence] and [oracle_distance].
+   sailed straight through [first_divergence].
    Plant a NaN in a simulated store and check the comparison now flags
    it (and that the old predicate demonstrably did not). *)
 let test_nan_flagged_as_divergence () =
   let c = compile src in
   let res = simulate ~mesh:(1, 1) c in
   let oracle = run_oracle c in
-  Alcotest.(check (float 0.)) "clean before planting" 0.0
-    (oracle_distance c res oracle);
+  Alcotest.(check bool) "clean before planting" true
+    (first_divergence ~tolerance:0.0 c res oracle = None);
   let pt = [| 2; 2 |] in
   let stores =
     Sim.Engine.proc_stores (Sim.Engine.procs res.Sim.Engine.engine).(0)
@@ -108,8 +109,11 @@ let test_nan_flagged_as_divergence () =
   | Some d ->
       Alcotest.(check bool) "reports the NaN cell" true
         (Float.is_nan d.d_got && d.d_point = pt));
-  Alcotest.(check (float 0.)) "oracle_distance is infinite" infinity
-    (oracle_distance c res oracle)
+  match first_divergence ~tolerance:0.0 c res oracle with
+  | None -> Alcotest.fail "exact comparison missed the planted NaN"
+  | Some d ->
+      Alcotest.(check bool) "exact comparison stops at the NaN cell" true
+        (Float.is_nan d.d_got && d.d_point = pt)
 
 (* Two NaNs agree: if the oracle itself predicts NaN at a cell, the
    simulation matching it is not a divergence. *)
@@ -125,7 +129,8 @@ let test_nan_both_sides_agree () =
   Runtime.Store.set oracle.Runtime.Seqexec.stores.(0) pt Float.nan;
   Alcotest.(check bool) "no divergence" true
     (first_divergence c res oracle = None);
-  Alcotest.(check (float 0.)) "distance 0" 0.0 (oracle_distance c res oracle)
+  Alcotest.(check bool) "exact comparison agrees" true
+    (first_divergence ~tolerance:0.0 c res oracle = None)
 
 (* Opposite infinities: |inf - (-inf)| / (1 + inf) is NaN, another cell
    the pre-fix comparison silently passed. *)

@@ -375,15 +375,6 @@ let test_dbe_joins_blocks () =
            (Commopt.compile ~config ~mesh:(2, 2) (prelude ^ joined_body))))
     Opt.Config.[ rr_only; cc_cum; pl_cum ]
 
-let test_pass_report () =
-  let report, _ =
-    Opt.Passes.report Opt.Config.cc_cum
-      (program "procedure main(); begin [R] C := A@east + E@east; end;")
-  in
-  Alcotest.(check int) "baseline static" 2 report.Opt.Passes.baseline_static;
-  Alcotest.(check int) "optimized static" 1 report.Opt.Passes.static_count;
-  Alcotest.(check int) "member messages preserved" 2 report.Opt.Passes.static_members
-
 let () =
   Alcotest.run "opt"
     [ ( "redundant removal",
@@ -422,5 +413,4 @@ let () =
           Alcotest.test_case "invariants" `Quick test_invariants_hold;
           Alcotest.test_case "invariant failure names the xfer" `Quick
             test_invariant_message_identifies_xfer;
-          Alcotest.test_case "config names" `Quick test_config_names;
-          Alcotest.test_case "pass report" `Quick test_pass_report ] ) ]
+          Alcotest.test_case "config names" `Quick test_config_names ] ) ]

@@ -359,6 +359,54 @@ let test_geometry_shares_blueprints () =
   Alcotest.(check bool) "a fresh build has its own geometry" true
     (Sim.Engine.plan_geometry fresh.Run.Spec.a_plans != g)
 
+(* A program's geometries live in its cache entry: with room for one
+   program, alternating two on one mesh evicts and re-parses each, and
+   the re-parsed program is planned over a geometry of its own (the
+   evicted entry's was built over the old parse), running bit for bit
+   like a fresh build. *)
+let test_evicted_program_new_geometry () =
+  let cache = Run.Cache.create ~capacity:1 () in
+  let s1 = base () in
+  let s2 = Run.Spec.(default (src ^ "\n") |> with_mesh 2 2) in
+  Alcotest.(check bool) "two programs" true
+    (Run.Spec.program_digest s1 <> Run.Spec.program_digest s2);
+  let geometry spec =
+    Sim.Engine.plan_geometry (Run.Cache.artifact cache spec).Run.Spec.a_plans
+  in
+  let g1 = geometry s1 in
+  ignore (geometry s2);
+  let g1' = geometry s1 in
+  Alcotest.(check int) "every lookup after the first evicted" 2
+    (Run.Cache.counters cache).Run.Cache.evictions;
+  Alcotest.(check bool) "re-parsed program, new geometry" true (g1' != g1);
+  Alcotest.(check string) "run == fresh build"
+    (fingerprint (Run.Spec.run s1))
+    (fingerprint (Run.Cache.run cache s1))
+
+(* The report grid runs on Run.Sweep: each of its rows equals one
+   Run.Cache.run of the row's bench_spec. *)
+let test_grid_equals_cache_runs () =
+  let cache = Run.Cache.create () in
+  List.iter
+    (fun (r : Report.Experiment.bench_result) ->
+      List.iter
+        (fun (row : Report.Experiment.row) ->
+          let spec =
+            Report.Experiment.bench_spec ~machine:Machine.T3d.machine
+              ~lib:row.lib ~config:row.config ~scale:`Test r.bench
+          in
+          let res = Run.Cache.run cache spec in
+          let art = Run.Cache.artifact cache spec in
+          Alcotest.(check (triple int int int64))
+            (Printf.sprintf "%s [%s]: static, dynamic, time bits"
+               r.bench.Programs.Bench_def.name row.label)
+            ( Ir.Count.static_count art.Run.Spec.a_ir,
+              Sim.Stats.dynamic_count res.Sim.Engine.stats,
+              bits res.Sim.Engine.time )
+            (row.static_count, row.dynamic_count, bits row.time))
+        r.rows)
+    (Report.Experiment.grid ~scale:`Test ())
+
 (* The sweep workload's grid: the paper benchmarks and Jacobi at
    n <= 16 and one iteration, under every paper row, collective mode,
    topology and mesh (360 specs). *)
@@ -699,7 +747,11 @@ let () =
             "cached mint == fresh compile (benchmarks x rows x topologies)"
             `Slow test_cached_mint_grid;
           Alcotest.test_case "warm sweep within minor-word budget" `Quick
-            test_warm_sweep_allocation ] );
+            test_warm_sweep_allocation;
+          Alcotest.test_case "evicted program gets a new geometry" `Quick
+            test_evicted_program_new_geometry;
+          Alcotest.test_case "report grid == one cache run per spec" `Quick
+            test_grid_equals_cache_runs ] );
       ( "sweep",
         [ Alcotest.test_case "second pass hits and JSON artifact" `Quick
             test_sweep_second_pass;
