@@ -157,23 +157,23 @@ let best_of_3 (group : (unit -> float * 'a) array) : 'a array =
   Array.iter note_spread seen;
   Array.map (fun b -> snd (Option.get b)) best
 
-(** One engine trial of a compiled program on the T3D/PVM model,
-    repeated for [budget] seconds. Engine construction ([plan] and
+(** A benchmark cell: a spec and the flat program compiled from it
+    once, outside every timed region. *)
+let cell spec = (spec, (of_spec spec).flat)
+
+(** One engine trial of a cell on its spec's target, repeated for
+    [budget] seconds. Engine construction ({!Run.Spec.plan} and
     [of_plans], wire-plan compilation included) stays inside the timed
     region, so the runtime is charged for its own planning — amortized
     over the program's iterations, exactly as a real run would pay it.
     Minor words are sampled around [Engine.run] only, since plan-time
     allocation is the planned one-off cost; allocation is deterministic,
     so the last run's count stands for every run. *)
-let engine_trial ~pr ~pc ~budget (c : Commopt.compiled) =
+let engine_trial ~budget (spec, flat) =
   let mw = ref 0.0 and last = ref None in
   let reps =
     repeat_for ~budget (fun () ->
-        let engine =
-          Sim.Engine.of_plans
-            (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
-               ~pr ~pc c.flat)
-        in
+        let engine = Sim.Engine.of_plans (Run.Spec.plan spec flat) in
         let w0 = Gc.minor_words () in
         let r = Sim.Engine.run engine in
         mw := Gc.minor_words () -. w0;
@@ -353,12 +353,12 @@ let emit ~scale ~baseline s (text, entries) =
     path — on the row path (the default every executor runs) and the
     interpreted per-point path. Returns (cells per run, point, row). *)
 let kernel_paths ~defines source =
-  let c = compile ~config:Opt.Config.pl_cum ~defines source in
+  let prog = Run.Spec.(parse (default source |> with_defines defines)) in
   let cells = ref 0 in
   let trial row_path () =
     let r =
       repeat_for ~budget:0.25 (fun () ->
-          cells := (Runtime.Seqexec.run ~row_path c.prog).Runtime.Seqexec.cells)
+          cells := (Runtime.Seqexec.run ~row_path prog).Runtime.Seqexec.cells)
     in
     let cps = float_of_int (!cells * r.runs) /. r.total in
     (cps, cps)
@@ -443,20 +443,22 @@ let measure_comm ~scale =
   let iters = match scale with `Bench -> 5000 | `Test -> 2000 in
   let defines = Programs.Synthetic.combined_defines ~doubles:8 ~iters in
   let cc_only = { Opt.Config.baseline with Opt.Config.cc = true } in
-  let ping =
-    compile ~config:cc_only ~defines Programs.Synthetic.combined_source
+  let two_node source =
+    cell
+      Run.Spec.(
+        default source |> with_defines defines |> with_config cc_only
+        |> with_mesh 1 2)
   in
-  let busy =
-    compile ~config:cc_only ~defines Programs.Synthetic.combined_busy_source
-  in
+  let ping = two_node Programs.Synthetic.combined_source in
+  let busy = two_node Programs.Synthetic.combined_busy_source in
   let budget = match scale with `Bench -> 3.0 | `Test -> 0.3 in
   (* One unmeasured run of each program shape: the first run after a
      compile pays cold caches and page faults, which would otherwise
      land entirely on whichever series is measured first. *)
-  ignore (engine_trial ~pr:1 ~pc:2 ~budget:0.0 ping);
-  ignore (engine_trial ~pr:1 ~pc:2 ~budget:0.0 busy);
+  ignore (engine_trial ~budget:0.0 ping);
+  ignore (engine_trial ~budget:0.0 busy);
   let fastest c () =
-    let reps, mw, r = engine_trial ~pr:1 ~pc:2 ~budget:(budget /. 6.) c in
+    let reps, mw, r = engine_trial ~budget:(budget /. 6.) c in
     (1.0 /. reps.fastest, (reps.fastest, mw, r.Sim.Engine.stats))
   in
   let b = best_of_3 [| fastest ping; fastest busy |] in
@@ -469,11 +471,13 @@ let measure_comm ~scale =
     | `Test -> [ ("n", 32.); ("iters", 3.) ]
   in
   let grid =
-    compile ~config:Opt.Config.pl_cum ~defines:grid_defines
-      Programs.Tomcatv.source
+    cell
+      Run.Spec.(
+        default Programs.Tomcatv.source |> with_defines grid_defines
+        |> with_mesh 4 4)
   in
   let raw () =
-    let reps, mw, r = engine_trial ~pr:4 ~pc:4 ~budget grid in
+    let reps, mw, r = engine_trial ~budget grid in
     let st = r.Sim.Engine.stats in
     let msgs = float_of_int (Sim.Stats.total_messages st) in
     let per_sec n = n *. float_of_int reps.runs /. reps.total in
@@ -519,22 +523,23 @@ let measure_coll ~scale =
   let defines = Programs.Synthetic.reduce_defines ~n:16 ~iters in
   let reduces = float_of_int (Programs.Synthetic.reduce_count ~iters) in
   let mesh (pr, pc) =
-    let cell (name, collective) =
-      let config = { Opt.Config.pl_cum with Opt.Config.collective } in
+    let trial (name, collective) =
       let c =
-        compile ~config ~defines ~machine:Machine.T3d.machine
-          ~lib:Machine.T3d.pvm ~mesh:(pr, pc) Programs.Synthetic.reduce_source
+        cell
+          Run.Spec.(
+            default Programs.Synthetic.reduce_source |> with_defines defines
+            |> with_collective collective |> with_mesh pr pc)
       in
       let key = Printf.sprintf "m%dx%d_%s_%s" pr pc name in
       fun () ->
-        let reps, mw, r = engine_trial ~pr ~pc ~budget c in
+        let reps, mw, r = engine_trial ~budget c in
         let per_sec = reduces *. float_of_int reps.runs /. reps.total in
         ( per_sec,
           [ (key "per_sec", per_sec);
             (key "sim_us", r.Sim.Engine.time /. reduces *. 1e6);
             (key "minor_words_per_reduce", mw /. reduces) ] )
     in
-    List.concat (Array.to_list (best_of_3 (Array.of_list (List.map cell coll_modes))))
+    List.concat (Array.to_list (best_of_3 (Array.of_list (List.map trial coll_modes))))
   in
   ( "Synthetic: 3 reductions (+, max, min) per iteration over a 16x16 grid, \
      T3D/PVM.\n",
@@ -600,11 +605,13 @@ let measure_mint ~scale =
     | `Bench -> [ ("n", 64.); ("iters", 2.) ]
     | `Test -> [ ("n", 16.); ("iters", 1.) ]
   in
-  let c = compile ~config:Opt.Config.pl_cum ~defines Programs.Tomcatv.source in
-  let plan () =
-    Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm ~pr:2
-      ~pc:2 c.flat
+  let spec, flat =
+    cell
+      Run.Spec.(
+        default Programs.Tomcatv.source |> with_defines defines
+        |> with_mesh 2 2)
   in
+  let plan () = Run.Spec.plan spec flat in
   let shared = plan () in
   let budget = match scale with `Bench -> 0.4 | `Test -> 0.08 in
   let per_mint f () =

@@ -81,14 +81,19 @@ let counts_cmd =
   let run src defines =
     Cmdline.handle (fun () ->
         (* the program parses once; no engine is planned *)
-        let c = compile ~defines (Cmdline.load_source src) in
+        let base =
+          Run.Spec.(default (Cmdline.load_source src) |> with_defines defines)
+        in
+        let prog = Run.Spec.parse base in
         let rows =
           List.map
             (fun config ->
-              let c = recompile ~config c in
+              let _, ir, _ =
+                Run.Spec.compile ~prog (Run.Spec.with_config config base)
+              in
               [ Opt.Config.name config;
-                string_of_int (static_count c);
-                string_of_int (Ir.Count.static_member_count c.ir) ])
+                string_of_int (Ir.Count.static_count ir);
+                string_of_int (Ir.Count.static_member_count ir) ])
             Opt.Config.[ baseline; rr_only; cc_cum; pl_cum; pl_max_latency ]
         in
         print_endline

@@ -55,7 +55,7 @@ let () =
 
   (* 2. show the optimized IR: DR/SR hoisted, DN/SV before first use *)
   print_endline "optimized IR (IRONMAN calls):";
-  print_endline (Ir.Printer.program_to_string optimized.ir);
+  print_endline (Ir.Printer.program_to_annotated_string optimized.ir);
 
   (* 3. simulate both and compare times (the engines are minted around
      the cached plans; only mutable per-run state is fresh) *)
@@ -68,6 +68,7 @@ let () =
     (Sim.Stats.dynamic_count rb.Sim.Engine.stats)
     (Sim.Stats.dynamic_count ro.Sim.Engine.stats);
 
-  (* 4. verify the optimized distributed run against the oracle *)
-  let _ = verify ~mesh:(4, 4) optimized in
+  (* 4. verify the optimized distributed run against the oracle, on the
+     plans the cache already holds for its spec *)
+  let _ = verify ~cache opt_spec in
   print_endline "oracle check: PASS (distributed result == sequential result)"

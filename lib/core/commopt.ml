@@ -13,8 +13,10 @@
       --simulate----->   Sim.Engine.result (counts + simulated time)
     v}
 
-    Sub-libraries are re-exported so [commopt] is the only dependency a
-    user needs. *)
+    Every stage is driven by one {!Run.Spec.t}: {!of_spec} compiles it,
+    {!Run.Cache} plans and runs it, and {!verify} checks the run against
+    the sequential oracle. Sub-libraries are re-exported so [commopt] is
+    the only dependency a user needs. *)
 
 module Zpl = Zpl
 module Ir = Ir
@@ -34,29 +36,10 @@ type compiled = {
   flat : Ir.Flat.t;
 }
 
-(** Compile mini-ZPL source text under an optimization configuration.
-    [defines] overrides [constant] declarations (e.g. problem size).
-    [check] runs {!Analysis.Schedcheck} on the emitted schedule and
-    fails with its diagnostics if any checker fires. [machine]/[lib]/
-    [mesh] are the collective-synthesis targets (see
-    {!Opt.Passes.compile}); when synthesizing, simulate on the same
-    mesh. *)
-let compile ?(config = Opt.Config.pl_cum) ?defines ?check ?machine ?lib ?mesh
-    (src : string) : compiled =
-  let prog = Zpl.Check.compile_string ?defines src in
-  let ir = Opt.Passes.compile ?check ?machine ?lib ?mesh config prog in
-  { prog; config; ir; flat = Ir.Flat.flatten ir }
-
-(** Re-optimize an already-checked program under another configuration. *)
-let recompile ?check ?machine ?lib ?mesh ~(config : Opt.Config.t)
-    (c : compiled) : compiled =
-  let ir = Opt.Passes.compile ?check ?machine ?lib ?mesh config c.prog in
-  { c with config; ir; flat = Ir.Flat.flatten ir }
-
-(** The spec-based entry: compile the artifacts described by a
-    {!Run.Spec.t}, answered from [cache] when given (identical specs
-    then share everything, including the engine plans behind
-    [Run.Cache.engine]). Without a cache no engine is planned. *)
+(** Compile the artifacts described by a {!Run.Spec.t}, answered from
+    [cache] when given (identical specs then share everything, including
+    the engine plans behind [Run.Cache.engine]). Without a cache no
+    engine is planned. *)
 let of_spec ?cache (spec : Run.Spec.t) : compiled =
   let prog, ir, flat =
     match cache with
@@ -68,15 +51,6 @@ let of_spec ?cache (spec : Run.Spec.t) : compiled =
   { prog; config = spec.Run.Spec.config; ir; flat }
 
 let static_count (c : compiled) = Ir.Count.static_count c.ir
-
-(** Simulate on [mesh] (default 4x4) of the given machine/library (default
-    T3D + PVM). *)
-let simulate ?(machine = Machine.T3d.machine) ?(lib = Machine.T3d.pvm)
-    ?(mesh = (4, 4)) ?limit (c : compiled) : Sim.Engine.result =
-  let pr, pc = mesh in
-  Sim.Engine.run
-    (Sim.Engine.of_plans ?limit
-       (Sim.Engine.plan ~machine ~lib ~pr ~pc c.flat))
 
 (** Run the sequential oracle on the same program. *)
 let run_oracle ?limit (c : compiled) : Runtime.Seqexec.t =
@@ -150,13 +124,16 @@ let pp_divergence ppf (d : divergence) =
     Fmt.(array ~sep:(any ", ") int)
     d.d_point d.d_got d.d_want
 
-(** [verify c] simulates and checks the result against the oracle; returns
-    the simulation result or fails naming the first divergent cell. *)
-let verify ?machine ?lib ?mesh ?(tolerance = 1e-9) (c : compiled) :
-    Sim.Engine.result =
-  let res = simulate ?machine ?lib ?mesh c in
-  let oracle = run_oracle c in
-  match first_divergence ~tolerance c res oracle with
+(** [verify spec] runs [spec] through [cache] (default: a fresh one)
+    and checks the result against the oracle; returns the simulation
+    result or fails naming the first divergent cell. Compile and
+    simulate share the spec's one target, and a spec already run through
+    [cache] is verified on its cached plans. *)
+let verify ?(cache = Run.Cache.create ()) ?(tolerance = 1e-9)
+    (spec : Run.Spec.t) : Sim.Engine.result =
+  let c = of_spec ~cache spec in
+  let res = Run.Cache.run cache spec in
+  match first_divergence ~tolerance c res (run_oracle c) with
   | None -> res
   | Some d ->
       Fmt.failwith "simulation diverges from the sequential oracle: %a"

@@ -1,17 +1,8 @@
-(** Textual dump of the communication IR, in the pseudo-code style of the
-    paper's Figure 1 — used by `zplc --dump-ir` and in test failure output. *)
-
-let xfer_str (p : Instr.program) id =
-  let x = p.Instr.transfers.(id) in
-  match x.Transfer.coll with
-  | Some d -> Coll.describe d
-  | None ->
-      Printf.sprintf "%s, %s"
-        (String.concat ", "
-           (List.map
-              (fun a -> (Zpl.Prog.array_info p.Instr.prog a).a_name)
-              x.Transfer.arrays))
-        (Transfer.direction_name x.Transfer.off)
+(** Textual dumps of the communication IR, in the pseudo-code style of the
+    paper's Figure 1: the structured program ([zplc dump --stage ir]) and
+    the flat one ([--stage flat]). Both name every communication call's
+    transfer with {!Transfer.describe}, the [xN:] id that schedcheck
+    diagnostics and engine deadlock messages use. *)
 
 (** One-line rendering of a collective bookend: the reduction statement
     it implements, tagged with its slot and algorithm. *)
@@ -22,49 +13,8 @@ let coll_work_str (prog : Zpl.Prog.t) which (w : Instr.coll_work) =
        (List.map String.trim
           (Zpl.Pretty.stmt_lines prog ~indent:0 (Zpl.Prog.ReduceS w.Instr.cw_red))))
 
-let rec instr_lines (p : Instr.program) ~indent (i : Instr.instr) : string list =
-  let pad = String.make indent ' ' in
-  let prog = p.Instr.prog in
-  match i with
-  | Instr.Comm (c, x) ->
-      [ Printf.sprintf "%s%s(%s);" pad (Instr.call_name c) (xfer_str p x) ]
-  | Instr.CollPart w -> [ pad ^ coll_work_str prog "partial" w ]
-  | Instr.CollFin w -> [ pad ^ coll_work_str prog "finish" w ]
-  | Instr.Kernel a -> Zpl.Pretty.stmt_lines prog ~indent (Zpl.Prog.AssignA a)
-  | Instr.ScalarK { lhs; rhs } ->
-      Zpl.Pretty.stmt_lines prog ~indent (Zpl.Prog.AssignS { lhs; rhs; loc = Zpl.Loc.dummy })
-  | Instr.ReduceK r -> Zpl.Pretty.stmt_lines prog ~indent (Zpl.Prog.ReduceS r)
-  | Instr.Repeat (body, cond) ->
-      (Printf.sprintf "%srepeat" pad
-      :: List.concat_map (instr_lines p ~indent:(indent + 2)) body)
-      @ [ Printf.sprintf "%suntil %s;" pad (Zpl.Pretty.sexpr_to_string prog cond) ]
-  | Instr.For { var; lo; hi; step; body } ->
-      (Printf.sprintf "%sfor %s := %s %s %s do" pad
-         (Zpl.Prog.scalar_info prog var).s_name
-         (Zpl.Pretty.sexpr_to_string prog lo)
-         (if step >= 0 then "to" else "downto")
-         (Zpl.Pretty.sexpr_to_string prog hi)
-      :: List.concat_map (instr_lines p ~indent:(indent + 2)) body)
-      @ [ Printf.sprintf "%send;" pad ]
-  | Instr.If (cond, a, b) ->
-      (Printf.sprintf "%sif %s then" pad (Zpl.Pretty.sexpr_to_string prog cond)
-      :: List.concat_map (instr_lines p ~indent:(indent + 2)) a)
-      @ (if b = [] then []
-         else
-           Printf.sprintf "%selse" pad
-           :: List.concat_map (instr_lines p ~indent:(indent + 2)) b)
-      @ [ Printf.sprintf "%send;" pad ]
-
-let program_to_string (p : Instr.program) =
-  String.concat "\n"
-    (List.concat_map (instr_lines p ~indent:0) p.Instr.code)
-
-(* ------------------------------------------------------------------ *)
-(* Annotated dump                                                      *)
-(* ------------------------------------------------------------------ *)
-
-(** Like {!program_to_string}, but every instruction line is prefixed
-    with its stable preorder index (the {!Instr.size} numbering) and
+(** The structured dump: every instruction line is prefixed with its
+    stable preorder index (the {!Instr.size} numbering) and
     communication calls carry the {!Transfer.describe} string — so an
     [ir#N] position in a schedcheck diagnostic is exactly the [N:] line
     of this dump, and the named transfer is identifiable on it.
@@ -132,17 +82,9 @@ let flat_to_string (f : Flat.t) =
   let line i op =
     let body =
       match op with
-      | Flat.FComm (c, x) -> (
-          let xf = f.Flat.transfers.(x) in
-          match xf.Transfer.coll with
-          | Some d -> Printf.sprintf "%s(%s)" (Instr.call_name c) (Coll.describe d)
-          | None ->
-              Printf.sprintf "%s(%s, %s)" (Instr.call_name c)
-                (String.concat ","
-                   (List.map
-                      (fun a -> (Zpl.Prog.array_info prog a).a_name)
-                      xf.Transfer.arrays))
-                (Transfer.direction_name xf.Transfer.off))
+      | Flat.FComm (c, x) ->
+          Printf.sprintf "%s(%s)" (Instr.call_name c)
+            (Transfer.describe prog f.Flat.transfers.(x))
       | Flat.FKernel a ->
           String.concat " "
             (List.map String.trim

@@ -1,3 +1,5 @@
+module Memo = Sim.Memo
+
 (* A parsed program and, in its own entry, the geometry of each mesh it
    is planned on: a geometry is built over this entry's program, so an
    evicted and re-parsed program gets fresh ones. *)

@@ -212,14 +212,18 @@ let compile ?prog (spec : t) =
   in
   (prog, ir, Ir.Flat.flatten ir)
 
+let plan ?geometry (spec : t) (flat : Ir.Flat.t) : Sim.Engine.plans =
+  let pr, pc = spec.mesh in
+  Sim.Engine.plan ~topology:spec.topology ?geometry ~machine:spec.machine
+    ~lib:spec.lib ~pr ~pc flat
+
 let build ?prog ?geometry (spec : t) : artifact =
   let prog, ir, flat = compile ?prog spec in
-  let pr, pc = spec.mesh in
-  let plans =
-    Sim.Engine.plan ~topology:spec.topology ?geometry ~machine:spec.machine
-      ~lib:spec.lib ~pr ~pc flat
-  in
-  { a_spec = spec; a_prog = prog; a_ir = ir; a_flat = flat; a_plans = plans }
+  { a_spec = spec;
+    a_prog = prog;
+    a_ir = ir;
+    a_flat = flat;
+    a_plans = plan ?geometry spec flat }
 
 let engine_of (a : artifact) : Sim.Engine.t =
   Sim.Engine.of_plans ~limit:a.a_spec.limit a.a_plans

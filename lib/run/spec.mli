@@ -1,11 +1,15 @@
-(** The canonical description of one simulation request — the single
-    way every entry point (zplc, bench, the report drivers, examples)
-    constructs engines, and the content-address {!Cache} keys on.
+(** The canonical description of one simulation request, and the only
+    way from source to compiled artifacts and engines: zplc, the bench
+    harness, the report drivers, the examples and [Commopt.verify] all
+    compile through {!compile} and plan through {!plan}, and {!Cache}
+    keys on the spec's content address.
 
     A spec pins the whole pipeline: source text and constant overrides
     (the program), the optimization configuration, the compile/simulate
-    target (machine, library, mesh), and the engine knobs. Build one
-    with {!default} and refine it with the [with_*] combinators. *)
+    target (machine, library, mesh), and the engine knobs. One target
+    serves both halves, so collectives synthesized for the spec's mesh
+    are always planned on that mesh. Build one with {!default} and
+    refine it with the [with_*] combinators. *)
 
 type t = {
   source : string;  (** mini-ZPL source text *)
@@ -99,14 +103,21 @@ val parse : t -> Zpl.Prog.t
 val compile :
   ?prog:Zpl.Prog.t -> t -> Zpl.Prog.t * Ir.Instr.program * Ir.Flat.t
 
-(** Compile a spec end to end ({!compile}, then the engine plans).
-    [prog] short-cuts the parse when the caller already holds the
-    program for {!program_digest} (the cache's memo). [geometry] is the
-    spec-independent half of the plans, handed to {!Sim.Engine.plan}: it
-    must have been built over [prog] and the spec's mesh (default: a
-    fresh one); the cache passes the one its program entry keeps for
-    the mesh, shared across specs. Raises like the pipeline stages it
-    runs. *)
+(** The back half of {!build}: the engine plans of [flat] on the spec's
+    machine, library, mesh and topology — the one call site of
+    {!Sim.Engine.plan}. [flat] is normally the spec's own {!compile}
+    output; a caller holding another flat program over the same target
+    (a hand-built or timed one) plans it here too. [geometry] is the
+    spec-independent half of the plans: it must have been built over
+    [flat]'s program and the spec's mesh (default: a fresh one); the
+    cache passes the one its program entry keeps for the mesh, shared
+    across specs. Raises like {!Sim.Engine.plan}. *)
+val plan : ?geometry:Sim.Engine.geometry -> t -> Ir.Flat.t -> Sim.Engine.plans
+
+(** Compile a spec end to end: {!compile}, then {!plan}. [prog]
+    short-cuts the parse when the caller already holds the program for
+    {!program_digest} (the cache's memo); [geometry] goes to {!plan}.
+    Raises like the pipeline stages it runs. *)
 val build :
   ?prog:Zpl.Prog.t -> ?geometry:Sim.Engine.geometry -> t -> artifact
 

@@ -1,3 +1,5 @@
+module Memo = Sim.Memo
+
 type item = { label : string; spec : Spec.t }
 
 type row = {

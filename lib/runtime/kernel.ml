@@ -192,10 +192,11 @@ let make_env ~(stores : Store.t array) ~(slots : Values.slots)
     e_ipt = w.w_ipt;
     e_row = w.w_row }
 
-(** Store-agnostic per-point compiler: the same value, operation by
-    operation, as {!compile} over a ctx reading the env's stores — but
-    stores, scalars and shift scratch are resolved through the [env]
-    argument at call time, so the closure can be cached and shared. *)
+(** The per-point compiler: one closure per expression node, evaluating
+    a cell in the tree's own operation order — the reference every row
+    kernel matches bit for bit. Stores, scalars and shift scratch are
+    resolved through the [env] argument at call time, so the closure is
+    store-agnostic and can be cached and shared. *)
 let rec compile_env (ws : ws) (e : Zpl.Prog.aexpr) :
     env -> int array -> float =
   match e with

@@ -94,10 +94,9 @@ type geometry = {
           block splits give other classes' stores different strides, so
           their flat shifts differ. *)
   g_reps : int array;  (** per class: its first rank *)
-  g_lock : Mutex.t;  (** guards [g_fringe] *)
-  g_fringe : (int list * (int * int), wbpair array) Hashtbl.t;
+  g_fringe : (int list * (int * int), wbpair array) Memo.t;
       (** linked fringe blueprints, [.(proc)], by (member arrays,
-          offset) *)
+          offset); unbounded *)
 }
 
 (** Compiled form of one flat op on one rank: store-agnostic
@@ -371,14 +370,9 @@ let geometry ~pr ~pc (prog : Zpl.Prog.t) : geometry =
     g_shapes = shapes;
     g_class;
     g_reps = Array.of_list (List.rev !reps);
-    g_lock = Mutex.create ();
-    g_fringe = Hashtbl.create 16 }
+    g_fringe = Memo.create ~capacity:max_int () }
 
-let blueprint_sets (g : geometry) =
-  Mutex.lock g.g_lock;
-  let n = Hashtbl.length g.g_fringe in
-  Mutex.unlock g.g_lock;
-  n
+let blueprint_sets (g : geometry) = Memo.length g.g_fringe
 
 (** Compile the blueprints of one fringe transfer: per processor, per
     partner, the blit descriptors against shape-only stores, whose owned
@@ -455,25 +449,12 @@ let link_wblue (prog : Zpl.Prog.t) (x : Ir.Transfer.t) (bp : wbpair array) =
     table, built and linked outside the lock on first use; a racing
     duplicate build is discarded, and the first published set wins. *)
 let fringe_sides (g : geometry) (x : Ir.Transfer.t) : wbpair array =
-  let key = (x.Ir.Transfer.arrays, x.Ir.Transfer.off) in
-  Mutex.lock g.g_lock;
-  let hit = Hashtbl.find_opt g.g_fringe key in
-  Mutex.unlock g.g_lock;
-  match hit with
-  | Some bp -> bp
-  | None ->
-      let bp = fringe_wblue g x in
-      link_wblue g.g_prog x bp;
-      Mutex.lock g.g_lock;
-      let bp =
-        match Hashtbl.find_opt g.g_fringe key with
-        | Some first -> first
-        | None ->
-            Hashtbl.add g.g_fringe key bp;
-            bp
-      in
-      Mutex.unlock g.g_lock;
-      bp
+  fst
+    (Memo.find_or_build g.g_fringe (x.Ir.Transfer.arrays, x.Ir.Transfer.off)
+       (fun () ->
+         let bp = fringe_wblue g x in
+         link_wblue g.g_prog x bp;
+         bp))
 
 let plan ?(topology = Machine.Topology.Ideal) ?geometry:geom
     ~(machine : Machine.Params.t) ~(lib : Machine.Library.t) ~pr ~pc

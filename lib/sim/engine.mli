@@ -39,8 +39,8 @@ exception Instruction_limit of int
     over one program and mesh (optimization rows, libraries, machines,
     topologies) may share one: [Run.Cache] keeps one per program digest
     and mesh. A geometry is safe to share across domains — its table is
-    mutex-guarded and an entry is published only once linked, and never
-    written after. *)
+    an unbounded {!Memo} and an entry is published only once linked, and
+    never written after. *)
 type geometry
 
 (** [geometry ~pr ~pc prog] — a fresh geometry with an empty blueprint

@@ -1,6 +1,7 @@
 (** A bounded, thread-safe find-or-build table: the one memoization
-    discipline behind {!Cache} (artifacts, parsed programs, each
-    program's geometries) and {!Sweep} (result rows).
+    discipline behind a geometry's fringe blueprints ({!Engine.geometry}),
+    [Run.Cache] (artifacts, parsed programs, each program's geometries)
+    and [Run.Sweep] (result rows).
 
     A lookup runs under the table's lock; a miss builds outside it, so
     concurrent misses on different keys build in parallel, and a racing

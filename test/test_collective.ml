@@ -20,11 +20,25 @@ let forced alg =
 let t3d = Machine.T3d.machine
 let paragon = Machine.Paragon.machine
 
+(** The spec of one bundled benchmark at test scale for a collective
+    target. *)
+let bench_spec ?(config = Opt.Config.pl_cum) ?(machine = t3d)
+    ?(lib = Machine.T3d.pvm) ~mesh:(pr, pc) (b : Programs.Bench_def.t) =
+  Run.Spec.(
+    default b.Programs.Bench_def.source
+    |> with_defines b.Programs.Bench_def.test_defines
+    |> with_config config |> with_target machine lib |> with_mesh pr pc)
+
 (** Compile one bundled benchmark at test scale for a collective target. *)
-let compile_bench ?(config = Opt.Config.pl_cum) ?(machine = t3d)
-    ?(lib = Machine.T3d.pvm) ~mesh (b : Programs.Bench_def.t) =
-  compile ~config ~defines:b.Programs.Bench_def.test_defines ~machine ~lib
-    ~mesh b.Programs.Bench_def.source
+let compile_bench ?config ?machine ?lib ~mesh b =
+  of_spec (bench_spec ?config ?machine ?lib ~mesh b)
+
+(** Run [spec] and check it against the sequential oracle; the compiled
+    artifacts and the result, both from one cache. *)
+let verified spec =
+  let cache = Run.Cache.create () in
+  let res = verify ~cache spec in
+  (of_spec ~cache spec, res)
 
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
@@ -209,8 +223,7 @@ let agreement_case (lib : Machine.Library.t) (b : Programs.Bench_def.t) =
     `Slow
     (fun () ->
       let mesh = (2, 2) in
-      let opaque = compile_bench ~lib ~mesh b in
-      let opaque_res = verify ~lib ~mesh ~tolerance:1e-9 opaque in
+      let _, opaque_res = verified (bench_spec ~lib ~mesh b) in
       check_replication "opaque" opaque_res;
       List.iter
         (fun alg ->
@@ -218,8 +231,7 @@ let agreement_case (lib : Machine.Library.t) (b : Programs.Bench_def.t) =
             Printf.sprintf "%s/%s/%s" b.Programs.Bench_def.name lib_name
               (Ir.Coll.alg_name alg)
           in
-          let c = compile_bench ~config:(forced alg) ~lib ~mesh b in
-          let res = verify ~lib ~mesh ~tolerance:1e-9 c in
+          let c, res = verified (bench_spec ~config:(forced alg) ~lib ~mesh b) in
           check_replication what res;
           let rank_ordered =
             match alg with
@@ -253,7 +265,9 @@ let drain_case (b : Programs.Bench_def.t) =
       List.iter
         (fun alg ->
           let what = Ir.Coll.alg_name alg in
-          let c = compile_bench ~config:(forced alg) ~mesh b in
+          let spec = bench_spec ~config:(forced alg) ~mesh b in
+          let cache = Run.Cache.create () in
+          let c = of_spec ~cache spec in
           let rank_ordered =
             match alg with
             | Ir.Coll.Ring | Ir.Coll.Dissem -> true
@@ -262,15 +276,13 @@ let drain_case (b : Programs.Bench_def.t) =
           let tolerance =
             if rank_ordered || not (has_sum_reduce b) then 0.0 else 1e-9
           in
-          (match first_divergence ~tolerance c (simulate ~mesh c) (run_oracle c)
+          (match
+             first_divergence ~tolerance c (Run.Cache.run cache spec)
+               (run_oracle c)
            with
           | None -> ()
           | Some d -> Alcotest.failf "%s vs oracle: %a" what pp_divergence d);
-          let pr, pc = mesh in
-          let plans =
-            Sim.Engine.plan ~machine:t3d ~lib:Machine.T3d.pvm ~pr ~pc c.flat
-          in
-          let mint () = Sim.Engine.run (Sim.Engine.of_plans plans) in
+          let mint () = Run.Cache.run cache spec in
           let first = mint () and second = mint () in
           let what = what ^ " second mint" in
           Alcotest.(check (float 0.0))
@@ -293,22 +305,23 @@ let degenerate_meshes () =
     (fun mesh ->
       List.iter
         (fun alg ->
-          let c = compile_bench ~config:(forced alg) ~mesh b in
+          let c, _ = verified (bench_spec ~config:(forced alg) ~mesh b) in
           Alcotest.(check (list Alcotest.reject))
             (Printf.sprintf "clean at %dx%d" (fst mesh) (snd mesh))
             []
-            (Analysis.Schedcheck.check c.ir);
-          ignore (verify ~mesh ~tolerance:1e-9 c))
+            (Analysis.Schedcheck.check c.ir))
         algs)
     [ (1, 1); (1, 2); (2, 1); (1, 3) ]
 
-(** The engine must reject a schedule synthesized for another mesh. *)
+(** The engine must reject a schedule synthesized for another mesh: a
+    spec compiles and plans for one mesh, so only a flat program carried
+    to another spec's target can get there. *)
 let nprocs_mismatch () =
   let b = List.hd benches in
-  let c = compile_bench ~config:(forced Ir.Coll.Ring) ~mesh:(2, 2) b in
+  let spec = bench_spec ~config:(forced Ir.Coll.Ring) ~mesh:(2, 2) b in
+  let c = of_spec spec in
   match
-    Sim.Engine.of_plans
-      (Sim.Engine.plan ~machine:t3d ~lib:Machine.T3d.pvm ~pr:1 ~pc:2 c.flat)
+    Sim.Engine.of_plans (Run.Spec.plan (Run.Spec.with_mesh 1 2 spec) c.flat)
   with
   | (_ : Sim.Engine.t) -> Alcotest.fail "mesh mismatch not rejected"
   | exception Invalid_argument msg ->
@@ -366,16 +379,14 @@ let random_programs_agree () =
   let st = Random.State.make [| 0x5eed; 42 |] in
   for _ = 1 to 8 do
     let src = random_program st in
-    let mesh = (2, 2) in
-    let opaque = compile ~mesh src in
-    let opaque_res = verify ~mesh ~tolerance:1e-9 opaque in
+    let spec = Run.Spec.(default src |> with_mesh 2 2) in
+    let _, opaque_res = verified spec in
     List.iter
       (fun alg ->
-        let c = compile ~config:(forced alg) ~mesh src in
+        let c, res = verified (Run.Spec.with_config (forced alg) spec) in
         Alcotest.(check (list Alcotest.reject))
           "random program schedcheck-clean" []
           (Analysis.Schedcheck.check c.ir);
-        let res = verify ~mesh ~tolerance:1e-9 c in
         check_replication (Ir.Coll.alg_name alg) res;
         check_arrays (Ir.Coll.alg_name alg) ~tolerance:1e-9 c.prog opaque_res
           res)

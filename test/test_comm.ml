@@ -124,8 +124,9 @@ end;
 
 let test_snapshot_under_lag () =
   let iters = 40 in
-  let c = compile lag_src in
-  let res = run ~pr:1 ~pc:2 c.flat in
+  let spec = Run.Spec.(default lag_src |> with_mesh 1 2) in
+  let c = of_spec spec in
+  let res = Run.Spec.run spec in
   (match first_divergence ~tolerance:0.0 c res (run_oracle c) with
   | None -> ()
   | Some d ->

@@ -23,35 +23,48 @@ begin
 end;
 |}
 
+(** [src] on a [pr x pc] mesh, everything else at the spec defaults. *)
+let on ?(pr = 2) ?(pc = 2) src = Run.Spec.(default src |> with_mesh pr pc)
+
+(** A spec's compiled artifacts and one run of it, from one cache. *)
+let compiled_run spec =
+  let cache = Run.Cache.create () in
+  (of_spec ~cache spec, Run.Cache.run cache spec)
+
 let test_compile_defaults () =
-  let c = compile src in
+  let c = of_spec (Run.Spec.default src) in
   Alcotest.(check bool) "default config is pl" true
     (c.config = Opt.Config.pl_cum);
   Alcotest.(check bool) "positive static count" true (static_count c > 0)
 
 let test_defines () =
-  let c = compile ~defines:[ ("n", 6.) ] src in
+  let c = of_spec Run.Spec.(default src |> with_defines [ ("n", 6.) ]) in
   Alcotest.(check string) "resized" "[0..7, 0..7]"
     (Zpl.Region.to_string (Zpl.Prog.array_info c.prog 0).a_region)
 
+(* one parse serves every row: [Run.Spec.compile ~prog] reuses it *)
 let test_recompile () =
-  let c = compile ~config:Opt.Config.baseline src in
-  let c' = recompile ~config:Opt.Config.cc_cum c in
-  Alcotest.(check bool) "same typed program" true (c.prog == c'.prog);
-  Alcotest.(check bool) "fewer transfers" true (static_count c' < static_count c)
+  let base = Run.Spec.(default src |> with_config Opt.Config.baseline) in
+  let prog = Run.Spec.parse base in
+  let p, ir, _ = Run.Spec.compile ~prog base
+  and p', ir', _ =
+    Run.Spec.compile ~prog (Run.Spec.with_config Opt.Config.cc_cum base)
+  in
+  Alcotest.(check bool) "same typed program" true (p == prog && p' == prog);
+  Alcotest.(check bool) "fewer transfers" true
+    (Ir.Count.static_count ir' < Ir.Count.static_count ir)
 
 let test_simulate_and_oracle () =
-  let c = compile src in
-  let res = simulate ~mesh:(2, 2) c in
+  let c, res = compiled_run (on src) in
   let oracle = run_oracle c in
   Alcotest.(check bool) "exact" true
     (first_divergence ~tolerance:0.0 c res oracle = None);
   Alcotest.(check bool) "time advanced" true (res.Sim.Engine.time > 0.)
 
-let test_verify_passes () =
-  let c = compile src in
-  ignore (verify ~mesh:(2, 2) c)
+let test_verify_passes () = ignore (verify (on src))
 
+(* A spec always compiles and runs one program, so the sabotaged flat
+   program is planned directly on the spec's target. *)
 let test_verify_rejects_sabotage () =
   (* hand-build a miscompiled program: transfers dropped *)
   let prog = Zpl.Check.compile_string src in
@@ -62,21 +75,37 @@ let test_verify_rejects_sabotage () =
     code;
   let ir = Ir.Instr.of_code prog code in
   let c = { prog; config = Opt.Config.baseline; ir; flat = Ir.Flat.flatten ir } in
-  Alcotest.(check bool) "verify raises" true
-    (match verify ~mesh:(2, 2) c with
-    | _ -> false
-    | exception Failure _ -> true)
+  let res =
+    Sim.Engine.run (Sim.Engine.of_plans (Run.Spec.plan (on src) c.flat))
+  in
+  Alcotest.(check bool) "oracle check catches it" true
+    (first_divergence c res (run_oracle c) <> None)
 
 let test_simulate_other_machines () =
-  let c = compile src in
   List.iter
     (fun (machine, lib) ->
-      let res = simulate ~machine ~lib ~mesh:(2, 2) c in
+      let res = Run.Spec.run (Run.Spec.with_target machine lib (on src)) in
       Alcotest.(check bool) "ran" true (res.Sim.Engine.time > 0.))
     [ (Machine.Paragon.machine, Machine.Paragon.nx_sync);
       (Machine.Paragon.machine, Machine.Paragon.nx_async);
       (Machine.Paragon.machine, Machine.Paragon.nx_callback);
       (Machine.T3d.machine, Machine.T3d.shmem) ]
+
+(* Verification on a cache that already ran the spec reuses its plans:
+   the run compiles and plans once, and verify hits. *)
+let test_verify_reuses_cache () =
+  let spec =
+    Run.Spec.with_collective (Opt.Config.Forced Ir.Coll.Dissem) (on src)
+  in
+  let cache = Run.Cache.create () in
+  let ran = Run.Cache.run cache spec in
+  let verified = verify ~cache spec in
+  Alcotest.(check (float 0.)) "same simulated time" ran.Sim.Engine.time
+    verified.Sim.Engine.time;
+  let k = Run.Cache.counters cache in
+  Alcotest.(check int) "one miss" 1 k.Run.Cache.misses;
+  (* verify's compiled artifacts and its run: both answered by the cache *)
+  Alcotest.(check int) "verify hits twice" 2 k.Run.Cache.hits
 
 (* Regression: the oracle comparison used to test [d > tolerance] where
    [d] is the relative difference — false whenever [d] is NaN, so a
@@ -85,8 +114,7 @@ let test_simulate_other_machines () =
    Plant a NaN in a simulated store and check the comparison now flags
    it (and that the old predicate demonstrably did not). *)
 let test_nan_flagged_as_divergence () =
-  let c = compile src in
-  let res = simulate ~mesh:(1, 1) c in
+  let c, res = compiled_run (on ~pr:1 ~pc:1 src) in
   let oracle = run_oracle c in
   Alcotest.(check bool) "clean before planting" true
     (first_divergence ~tolerance:0.0 c res oracle = None);
@@ -118,8 +146,7 @@ let test_nan_flagged_as_divergence () =
 (* Two NaNs agree: if the oracle itself predicts NaN at a cell, the
    simulation matching it is not a divergence. *)
 let test_nan_both_sides_agree () =
-  let c = compile src in
-  let res = simulate ~mesh:(1, 1) c in
+  let c, res = compiled_run (on ~pr:1 ~pc:1 src) in
   let oracle = run_oracle c in
   let pt = [| 2; 2 |] in
   let stores =
@@ -144,8 +171,8 @@ let test_opposite_infinities_diverge () =
    checker's static rejection by design; the documented semantics are
    the operator's identity, uniformly in the oracle and the simulator. *)
 let test_dynamic_empty_reduction_identity () =
-  let c =
-    compile
+  let spec =
+    on
       {|
 constant n = 8;
 region R = [1..n, 1..n];
@@ -161,7 +188,7 @@ begin
 end;
 |}
   in
-  let oracle = run_oracle c in
+  let oracle = run_oracle (of_spec spec) in
   (match Runtime.Seqexec.scalar_value oracle "x" with
   | Some (Runtime.Values.VFloat v) ->
       Alcotest.(check (float 0.)) "max<< identity" neg_infinity v
@@ -171,10 +198,10 @@ end;
       Alcotest.(check (float 0.)) "+<< identity" 0.0 v
   | _ -> Alcotest.fail "s should be a float scalar");
   (* the simulated combining tree agrees with the oracle *)
-  ignore (verify ~mesh:(2, 2) c)
+  ignore (verify spec)
 
 let test_loc_guard () =
-  (match Zpl.Loc.guard (fun () -> compile "nonsense !") with
+  (match Zpl.Loc.guard (fun () -> of_spec (Run.Spec.default "nonsense !")) with
   | Ok _ -> Alcotest.fail "should not parse"
   | Error msg -> Alcotest.(check bool) "located" true (String.length msg > 3))
 
@@ -212,6 +239,8 @@ let () =
           Alcotest.test_case "verify catches sabotage" `Quick
             test_verify_rejects_sabotage;
           Alcotest.test_case "other machines" `Quick test_simulate_other_machines;
+          Alcotest.test_case "verify reuses the cached plans" `Quick
+            test_verify_reuses_cache;
           Alcotest.test_case "NaN flagged as divergence" `Quick
             test_nan_flagged_as_divergence;
           Alcotest.test_case "both-NaN cells agree" `Quick

@@ -33,6 +33,12 @@ let make_engine ?(config = Opt.Config.pl_cum) ?(lib = Machine.T3d.pvm)
     (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib ~pr ~pc
        (Ir.Flat.flatten ir))
 
+(** A spec's compiled artifacts and its engine plans, from one cache
+    entry. *)
+let compiled_plans spec =
+  let cache = Run.Cache.create () in
+  (of_spec ~cache spec, (Run.Cache.artifact cache spec).Run.Spec.a_plans)
+
 let test_counts_and_time () =
   let res = Sim.Engine.run (make_engine stencil_src) in
   let st = res.Sim.Engine.stats in
@@ -130,12 +136,15 @@ end;
 |}
 
 let test_reduction_inside_transfer () =
-  let c = compile reduce_window_src in
+  let spec =
+    Run.Spec.(default reduce_window_src |> with_lib Machine.T3d.shmem)
+  in
+  let c = of_spec spec in
   let oracle = run_oracle c in
   List.iter
     (fun (pr, pc) ->
       let name = Printf.sprintf "%dx%d shmem" pr pc in
-      let res = simulate ~lib:Machine.T3d.shmem ~mesh:(pr, pc) c in
+      let res = Run.Spec.run (Run.Spec.with_mesh pr pc spec) in
       (match first_divergence ~tolerance:0.0 c res oracle with
       | None -> ()
       | Some d -> Alcotest.failf "%s: %a" name pp_divergence d);
@@ -389,10 +398,8 @@ let bits_equal name (a : float array) (b : float array) =
 (* One plan set, two engines minted from it: both runs must agree bit
    for bit, and with the sequential oracle on every array cell. Returns
    the plan set's kernel class count and the first engine. *)
-let check_shared_classes name (c : compiled) ~lib ~pr ~pc =
-  let plans =
-    Sim.Engine.plan ~machine:Machine.T3d.machine ~lib ~pr ~pc c.flat
-  in
+let check_shared_classes name spec =
+  let c, plans = compiled_plans spec in
   let first = Sim.Engine.run (Sim.Engine.of_plans plans) in
   let again = Sim.Engine.run (Sim.Engine.of_plans plans) in
   Alcotest.(check int64) (name ^ ": makespan bits")
@@ -426,9 +433,11 @@ let test_uneven_mesh_classes () =
     (fun (b : Programs.Bench_def.t) ->
       List.iter
         (fun (label, config, lib) ->
-          let c =
-            compile ~config ~defines:b.Programs.Bench_def.test_defines
-              b.Programs.Bench_def.source
+          let spec =
+            Run.Spec.(
+              default b.Programs.Bench_def.source
+              |> with_defines b.Programs.Bench_def.test_defines
+              |> with_config config |> with_lib lib)
           in
           List.iter
             (fun (pr, pc) ->
@@ -436,7 +445,9 @@ let test_uneven_mesh_classes () =
                 Printf.sprintf "%s/%s/%dx%d" b.Programs.Bench_def.name label pr
                   pc
               in
-              let k, _ = check_shared_classes name c ~lib ~pr ~pc in
+              let k, _ =
+                check_shared_classes name (Run.Spec.with_mesh pr pc spec)
+              in
               if b == Programs.Suite.tomcatv && pr = 3 then
                 Alcotest.(check bool) (name ^ ": several classes") true (k > 1))
             uneven_meshes)
@@ -444,11 +455,13 @@ let test_uneven_mesh_classes () =
     Programs.Suite.paper_benchmarks
 
 let test_empty_owner_class () =
-  let c = compile partial_src in
   List.iter
     (fun (pr, pc) ->
       let name = Printf.sprintf "partial/%dx%d" pr pc in
-      let k, eng = check_shared_classes name c ~lib:Machine.T3d.pvm ~pr ~pc in
+      let k, eng =
+        check_shared_classes name
+          Run.Spec.(default partial_src |> with_mesh pr pc)
+      in
       if pr > 1 then begin
         let owns_no_s p =
           Zpl.Region.is_empty
@@ -496,17 +509,13 @@ end;
 |}
 
 let test_clip_vs_oracle () =
-  let c = compile clip_src in
+  let spec = Run.Spec.default clip_src in
+  let c = of_spec spec in
   let oracle = run_oracle c in
   List.iter
     (fun (pr, pc) ->
       let name = Printf.sprintf "clip %dx%d" pr pc in
-      let eng =
-        Sim.Engine.of_plans
-          (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
-             ~pr ~pc c.flat)
-      in
-      let res = Sim.Engine.run eng in
+      let res = Run.Spec.run (Run.Spec.with_mesh pr pc spec) in
       (match first_divergence ~tolerance:0.0 c res oracle with
       | None -> ()
       | Some d -> Alcotest.failf "%s: %a" name pp_divergence d);
@@ -546,12 +555,10 @@ end;
 |}
 
 let test_read_past_alloc () =
-  let c = compile past_alloc_src in
-  let eng =
-    Sim.Engine.of_plans
-      (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
-         ~pr:4 ~pc:1 c.flat)
+  let c, plans =
+    compiled_plans Run.Spec.(default past_alloc_src |> with_mesh 4 1)
   in
+  let eng = Sim.Engine.of_plans plans in
   let msg =
     match Sim.Engine.run eng with
     | _ -> Alcotest.fail "read past the allocation was not caught"
@@ -658,15 +665,11 @@ end;
     tridiagonal loops give single-row, loop-variant regions that are
     empty on three ranks in four. *)
 let tomcatv_run_words ~topology ~iters =
-  let c =
-    compile
-      ~defines:[ ("n", 32.); ("iters", float_of_int iters) ]
-      Programs.Suite.tomcatv.Programs.Bench_def.source
-  in
   let eng =
-    Sim.Engine.of_plans
-      (Sim.Engine.plan ~topology ~machine:Machine.T3d.machine
-         ~lib:Machine.T3d.pvm ~pr:4 ~pc:4 c.flat)
+    Run.Spec.(
+      default Programs.Suite.tomcatv.Programs.Bench_def.source
+      |> with_defines [ ("n", 32.); ("iters", float_of_int iters) ]
+      |> with_mesh 4 4 |> with_topology topology |> build |> engine_of)
   in
   let w0 = Gc.minor_words () in
   let res = Sim.Engine.run eng in
@@ -730,12 +733,10 @@ end;
 (** Minor words and instructions of one engine run (2x2 PVM) of
     {!scalar_loop_src}, and minor words and steps of one Seqexec run. *)
 let scalar_loop_words trips =
-  let c = compile (scalar_loop_src trips) in
-  let eng =
-    Sim.Engine.of_plans
-      (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm ~pr:2
-         ~pc:2 c.flat)
+  let c, plans =
+    compiled_plans Run.Spec.(default (scalar_loop_src trips) |> with_mesh 2 2)
   in
+  let eng = Sim.Engine.of_plans plans in
   let w0 = Gc.minor_words () in
   let res = Sim.Engine.run eng in
   let w_eng = Gc.minor_words () -. w0 in
@@ -767,20 +768,19 @@ let test_scalar_alloc_gate () =
        per_step)
     true (per_step <= 0.1)
 
+(** TOMCATV pl at n = 16 m on an [m x m] mesh. *)
+let tomcatv_scaled m =
+  Run.Spec.(
+    default Programs.Suite.tomcatv.Programs.Bench_def.source
+    |> with_defines [ ("n", float_of_int (16 * m)); ("iters", 2.) ]
+    |> with_mesh m m)
+
 (** Words one {!Sim.Engine.of_plans} allocates per rank (minor plus
     major minus promoted) for TOMCATV pl at n = 16 m on an [m x m]
     mesh. A minor collection on both sides flushes the counters, which
     lag the allocation otherwise. *)
 let mint_words_per_rank m =
-  let c =
-    compile
-      ~defines:[ ("n", float_of_int (16 * m)); ("iters", 2.) ]
-      Programs.Suite.tomcatv.Programs.Bench_def.source
-  in
-  let plans =
-    Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm ~pr:m
-      ~pc:m c.flat
-  in
+  let plans = (Run.Spec.build (tomcatv_scaled m)).Run.Spec.a_plans in
   let words () =
     Gc.minor ();
     let minor, promoted, major = Gc.counters () in
@@ -809,15 +809,8 @@ let test_mint_scaling () =
 (** Heap words of the kernel workspace of one engine for TOMCATV pl at
     n = 16 m on an [m x m] mesh. *)
 let workspace_words m =
-  let c =
-    compile
-      ~defines:[ ("n", float_of_int (16 * m)); ("iters", 2.) ]
-      Programs.Suite.tomcatv.Programs.Bench_def.source
-  in
   Sim.Engine.workspace_words
-    (Sim.Engine.of_plans
-       (Sim.Engine.plan ~machine:Machine.T3d.machine ~lib:Machine.T3d.pvm
-          ~pr:m ~pc:m c.flat))
+    (Run.Spec.engine_of (Run.Spec.build (tomcatv_scaled m)))
 
 (** An engine runs one kernel at a time, so all its ranks bind one
     kernel workspace, sized by the program's widest statement: its

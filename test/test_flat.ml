@@ -187,7 +187,7 @@ let test_printer_outputs () =
      ^ "procedure main(); begin for i := 1 to 2 do [R] A := A + 1.0; end; end;")
   in
   let ir = Opt.Passes.compile Opt.Config.baseline prog in
-  let s = Ir.Printer.program_to_string ir in
+  let s = Ir.Printer.program_to_annotated_string ir in
   let flat_s = Ir.Printer.flat_to_string (Ir.Flat.flatten ir) in
   let contains hay needle =
     let lh = String.length hay and ln = String.length needle in
@@ -196,7 +196,23 @@ let test_printer_outputs () =
   in
   Alcotest.(check bool) "structured shows for" true (contains s "for i := 1 to 2 do");
   Alcotest.(check bool) "flat shows jumps" true (contains flat_s "jump");
-  Alcotest.(check bool) "flat shows halt" true (contains flat_s "halt")
+  Alcotest.(check bool) "flat shows halt" true (contains flat_s "halt");
+  (* both dumps name a transfer by its [Transfer.describe] id, the one
+     schedcheck diagnostics and deadlock messages use *)
+  let ir =
+    Opt.Passes.compile Opt.Config.baseline
+      (Zpl.Check.compile_string
+         ("direction east = [0, 1];\n" ^ prelude
+        ^ "procedure main(); begin [2..4, 1..3] A := A@east; end;"))
+  in
+  let s = Ir.Printer.program_to_annotated_string ir
+  and flat_s = Ir.Printer.flat_to_string (Ir.Flat.flatten ir) in
+  Alcotest.(check bool) "one transfer" true
+    (Array.length ir.Ir.Instr.transfers = 1);
+  let name = Ir.Transfer.describe ir.Ir.Instr.prog ir.Ir.Instr.transfers.(0) in
+  Alcotest.(check string) "transfer id" "x0:A@east" name;
+  Alcotest.(check bool) "structured names it" true (contains s ("DN(" ^ name ^ ")"));
+  Alcotest.(check bool) "flat names it" true (contains flat_s ("DN(" ^ name ^ ")"))
 
 let () =
   Alcotest.run "flat"

@@ -371,8 +371,10 @@ let test_dbe_joins_blocks () =
     (fun config ->
       Alcotest.(check int) (Opt.Config.name config) 1 (static config joined_body);
       ignore
-        (Commopt.verify ~mesh:(2, 2)
-           (Commopt.compile ~config ~mesh:(2, 2) (prelude ^ joined_body))))
+        (Commopt.verify
+           Run.Spec.(
+             default (prelude ^ joined_body) |> with_config config
+             |> with_mesh 2 2)))
     Opt.Config.[ rr_only; cc_cum; pl_cum ]
 
 let () =

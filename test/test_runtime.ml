@@ -278,7 +278,8 @@ let edge_cases =
       ("scalar read after a reduction", "u", VFloat 240.0) ]
 
 let test_values_eval () =
-  let c = compile ~config:Opt.Config.pl_cum edge_src in
+  let spec = Run.Spec.(default edge_src |> with_mesh 2 2) in
+  let c = of_spec spec in
   let check who read =
     List.iter
       (fun (what, name, want) ->
@@ -294,7 +295,7 @@ let test_values_eval () =
   check "seqexec" (Runtime.Seqexec.scalar_value (run_oracle c));
   List.iter
     (fun (who, lib) ->
-      let res = simulate ~lib ~mesh:(2, 2) c in
+      let res = Run.Spec.run (Run.Spec.with_lib lib spec) in
       let env = Sim.Engine.final_env res.Sim.Engine.engine in
       check who (fun name ->
           Option.map

@@ -489,11 +489,13 @@ let test_grid_clean () =
     Programs.Suite.all
 
 let test_compile_check_flag () =
-  (* ?check:true on the pass driver runs the verifier in-line *)
+  (* ?check:true on the pass driver runs the verifier in-line, and a
+     spec's [check] reaches it *)
   let prog = Zpl.Check.compile_string fixture_src in
   ignore (Opt.Passes.compile ~check:true Opt.Config.pl_cum prog);
-  let c = compile ~check:true ~config:Opt.Config.pl_cum fixture_src in
-  ignore (recompile ~check:true ~config:Opt.Config.rr_only c)
+  let spec = Run.Spec.(default fixture_src |> with_check true) in
+  ignore (of_spec spec);
+  ignore (Run.Spec.compile ~prog (Run.Spec.with_config Opt.Config.rr_only spec))
 
 let test_check_exn_message () =
   let ir = fixture () in
