@@ -725,22 +725,13 @@ let contention_configs =
     ("cc", Opt.Config.cc_cum);
     ("pl", Opt.Config.pl_cum) ]
 
-(** Simulated time of [source] under one (config, topology) cell.
-    Deterministic model output — the host-measurement machinery plays
-    no part in these numbers. *)
-let contention_sim ?collective ~defines ~mesh:(pr, pc) ~topology ~config
-    source =
-  let spec =
-    let open Run.Spec in
-    default source |> with_defines defines |> with_config config
-    |> with_mesh pr pc |> with_topology topology
-  in
-  let spec =
-    match collective with
-    | None -> spec
-    | Some c -> Run.Spec.with_collective c spec
-  in
-  (Run.Spec.run spec).Sim.Engine.time
+(** The spec of one (config, topology) cell over [source]. *)
+let contention_spec ?collective ~defines ~mesh:(pr, pc) source ~topology
+    ~config =
+  let open Run.Spec in
+  default source |> with_defines defines |> with_config config
+  |> with_mesh pr pc |> with_topology topology
+  |> match collective with None -> Fun.id | Some c -> with_collective c
 
 (** The pinned collective-pick scenario: a line of 9 processors on a
     wire-dominated T3D variant. 9 is not a power of two, so the
@@ -766,11 +757,47 @@ let measure_contention ~scale =
     | `Bench -> Programs.Synthetic.contended_defines ~n:48 ~iters:6
     | `Test -> Programs.Synthetic.contended_defines ~n:16 ~iters:3
   in
+  (* tomcatv keeps its opaque vendor reductions: pure stencil traffic
+     under per-link occupancy. The contended synthetic forces the
+     cost-searched collectives, whose multi-hop rounds share links with
+     the stencil messages — the topology-sensitive case. *)
+  let tomcatv_spec =
+    contention_spec ~defines:tom_defines ~mesh:(4, 4) Programs.Tomcatv.source
+  in
+  let tables =
+    [ ( "TOMCATV, 4x4 mesh, opaque reductions (simulated seconds per config):",
+        "tomcatv", tomcatv_spec );
+      ( "CONTENDED bisection synthetic, 1x8 line, cost-searched collectives:",
+        "contended",
+        contention_spec ~collective:Opt.Config.Auto ~mesh:(1, 8)
+          ~defines:con_defines Programs.Synthetic.contended_source ) ]
+  in
+  let key prefix tn cfg = Printf.sprintf "%s_%s_%s_sim_sec" prefix tn cfg in
+  (* every cell of both tables, answered by one sweep *)
+  let swept =
+    Run.Sweep.run (Run.Sweep.create ())
+    @@ List.concat_map
+      (fun (_, prefix, spec) ->
+        List.concat_map
+          (fun topology ->
+            List.map
+              (fun (cfg, config) ->
+                { Run.Sweep.label =
+                    key prefix (Machine.Topology.name topology) cfg;
+                  spec = spec ~topology ~config })
+              contention_configs)
+          Machine.Topology.all)
+      tables
+  in
+  let sim label =
+    (List.find (fun (r : Run.Sweep.row) -> r.r_label = label) swept.rows)
+      .r_time
+  in
   let buf = Buffer.create 1024 in
   let bpf fmt = Printf.bprintf buf fmt in
   (* one table row and its entries per topology; the argmin is the
      fastest config's label, the first winning ties *)
-  let rows title prefix ?collective ~mesh ~defines source =
+  let table (title, prefix, _) =
     bpf "\n%s\n  %-8s %12s %12s %12s %12s   %s\n" title "topology" "baseline"
       "rr" "cc" "pl" "argmin";
     List.concat_map
@@ -778,10 +805,7 @@ let measure_contention ~scale =
         let tn = Machine.Topology.name topology in
         let times =
           List.map
-            (fun (label, config) ->
-              ( label,
-                contention_sim ?collective ~defines ~mesh ~topology ~config
-                  source ))
+            (fun (cfg, _) -> (cfg, sim (key prefix tn cfg)))
             contention_configs
         in
         let argmin, _ =
@@ -793,24 +817,12 @@ let measure_contention ~scale =
         List.iter (fun (_, t) -> bpf " %12.6f" t) times;
         bpf "   %s\n" argmin;
         List.map
-          (fun (cfg, t) -> (Printf.sprintf "%s_%s_%s_sim_sec" prefix tn cfg, Num t))
+          (fun (cfg, t) -> (key prefix tn cfg, Num t))
           times
         @ [ (Printf.sprintf "%s_%s_argmin" prefix tn, Str argmin) ])
       Machine.Topology.all
   in
-  (* tomcatv keeps its opaque vendor reductions: pure stencil traffic
-     under per-link occupancy. The contended synthetic forces the
-     cost-searched collectives, whose multi-hop rounds share links with
-     the stencil messages — the topology-sensitive case. *)
-  let tomcatv =
-    rows "TOMCATV, 4x4 mesh, opaque reductions (simulated seconds per config):"
-      "tomcatv" ~mesh:(4, 4) ~defines:tom_defines Programs.Tomcatv.source
-  in
-  let contended =
-    rows "CONTENDED bisection synthetic, 1x8 line, cost-searched collectives:"
-      "contended" ~collective:Opt.Config.Auto ~mesh:(1, 8)
-      ~defines:con_defines Programs.Synthetic.contended_source
-  in
+  let cells = List.concat_map table tables in
   bpf "\nPinned collective pick (line of %d, wire latency %.0f us):\n"
     pick_nprocs
     (pick_machine.Machine.Params.wire_latency *. 1e6);
@@ -828,7 +840,8 @@ let measure_contention ~scale =
       Machine.Topology.all
   in
   (* Host throughput of one whole compile+simulate tomcatv cell per
-     topology — the gateable measurement. *)
+     topology — the gateable measurement. Each repetition runs on a
+     fresh cache, so every one compiles. *)
   let budget = match scale with `Bench -> 0.6 | `Test -> 0.1 in
   let topos = Array.of_list Machine.Topology.all in
   let throughput =
@@ -838,8 +851,8 @@ let measure_contention ~scale =
            let r =
              repeat_for ~budget (fun () ->
                  ignore
-                   (contention_sim ~defines:tom_defines ~mesh:(4, 4) ~topology
-                      ~config:Opt.Config.pl_cum Programs.Tomcatv.source))
+                   (Run.Cache.run (Run.Cache.create ())
+                      (tomcatv_spec ~topology ~config:Opt.Config.pl_cum)))
            in
            let rps = float_of_int r.runs /. r.total in
            (rps, rps))
@@ -847,7 +860,7 @@ let measure_contention ~scale =
   in
   bpf "\n";
   ( Buffer.contents buf,
-    tomcatv @ contended @ picks
+    cells @ picks
     @ Array.to_list
         (Array.mapi
            (fun i t ->

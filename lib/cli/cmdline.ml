@@ -219,7 +219,8 @@ let spec_term =
     [Invalid_argument] is a failure too: [Sim.Engine.plan] raises it
     for a mesh the program cannot be laid out on. So are a simulation
     that deadlocks and one that exceeds its instruction budget (a loop
-    that never ends). *)
+    that never ends), and an oracle check whose sequential run exceeds
+    its statement budget. *)
 let handle f =
   let fail msg =
     Printf.eprintf "error: %s\n" msg;
@@ -235,3 +236,7 @@ let handle f =
            "a processor exceeded the instruction limit of %d (a loop that \
             never ends?)"
            n)
+  | exception Runtime.Seqexec.Step_limit n ->
+      fail
+        (Printf.sprintf
+           "the sequential oracle exceeded its budget of %d statements" n)

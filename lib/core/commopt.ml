@@ -38,8 +38,8 @@ type compiled = {
 
 (** Compile the artifacts described by a {!Run.Spec.t}, answered from
     [cache] when given (identical specs then share everything, including
-    the engine plans behind [Run.Cache.engine]). Without a cache no
-    engine is planned. *)
+    the engine plans every [Run.Cache.run] of the spec mints from).
+    Without a cache no engine is planned. *)
 let of_spec ?cache (spec : Run.Spec.t) : compiled =
   let prog, ir, flat =
     match cache with

@@ -31,41 +31,52 @@ let busyn_for (machine : Machine.Params.t) (lib : Machine.Library.t) doubles =
   let per_row = 9.0 *. machine.Machine.Params.sec_per_flop in
   max 16 (int_of_float (Float.ceil (1.5 *. transmission /. per_row)))
 
-(* uncached on purpose: each call owns its compile, so the comm-vs-busy
-   subtraction below measures two fresh simulations, never a cache hit *)
-let simulate_time ~machine ~lib ~defines source =
-  let spec =
-    let open Run.Spec in
-    default source |> with_defines defines |> with_target machine lib
-    |> with_mesh 1 2
+(** All five curves of Figure 6: one comm spec and its busy twin per
+    (machine, library, size), all answered by one {!Run.Sweep.run} on a
+    fresh service over the default pool, then regrouped into curves. *)
+let figure6 ?(sizes = default_sizes) ?(iters = 50) () : curve list =
+  let targets =
+    List.map (fun l -> (Machine.Paragon.machine, l)) Machine.Paragon.libraries
+    @ List.map (fun l -> (Machine.T3d.machine, l)) Machine.T3d.libraries
   in
-  (Run.Spec.run spec).Sim.Engine.time
-
-(** Measure one (machine, library) curve. *)
-let measure ?(sizes = default_sizes) ?(iters = 50)
-    (machine : Machine.Params.t) (lib : Machine.Library.t) : curve =
-  let points =
-    List.map
-      (fun doubles ->
-        let busyn = busyn_for machine lib doubles in
-        let defines = Programs.Synthetic.defines ~doubles ~busyn ~iters in
-        let t_comm =
-          simulate_time ~machine ~lib ~defines Programs.Synthetic.source
-        in
-        let t_busy =
-          simulate_time ~machine ~lib ~defines Programs.Synthetic.busy_source
-        in
+  let items =
+    List.concat_map
+      (fun (machine, lib) ->
+        List.concat_map
+          (fun doubles ->
+            let busyn = busyn_for machine lib doubles in
+            let defines = Programs.Synthetic.defines ~doubles ~busyn ~iters in
+            List.map
+              (fun source ->
+                { Run.Sweep.label =
+                    lib.Machine.Library.costs.Machine.Params.lib_name;
+                  spec =
+                    Run.Spec.(
+                      default source |> with_defines defines
+                      |> with_target machine lib |> with_mesh 1 2) })
+              [ Programs.Synthetic.source; Programs.Synthetic.busy_source ])
+          sizes)
+      targets
+  in
+  let times =
+    Array.of_list
+      (List.map
+         (fun (r : Run.Sweep.row) -> r.r_time)
+         (Run.Sweep.run (Run.Sweep.create ()) items).rows)
+  in
+  let nsizes = List.length sizes in
+  List.mapi
+    (fun ti (machine, lib) ->
+      let point si doubles =
+        (* rows come back in input order: the comm run, then its twin *)
+        let k = 2 * ((ti * nsizes) + si) in
         (* each iteration pays one send and one receive per processor,
            i.e. exactly one transfer's two-sided software overhead *)
-        { doubles; overhead = (t_comm -. t_busy) /. float_of_int iters })
-      sizes
-  in
-  { machine; lib; points }
-
-(** All five curves of Figure 6. *)
-let figure6 ?sizes ?iters () : curve list =
-  List.map (measure ?sizes ?iters Machine.Paragon.machine) Machine.Paragon.libraries
-  @ List.map (measure ?sizes ?iters Machine.T3d.machine) Machine.T3d.libraries
+        { doubles;
+          overhead = (times.(k) -. times.(k + 1)) /. float_of_int iters }
+      in
+      { machine; lib; points = List.mapi point sizes })
+    targets
 
 (** The message size at which overhead stops being flat: the first size
     whose overhead exceeds twice the smallest-message overhead — the

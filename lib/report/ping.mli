@@ -16,11 +16,9 @@ val default_sizes : int list
 (** Busy-loop rows needed to hide a message of the given size. *)
 val busyn_for : Machine.Params.t -> Machine.Library.t -> int -> int
 
-(** Measure one (machine, library) curve. *)
-val measure :
-  ?sizes:int list -> ?iters:int -> Machine.Params.t -> Machine.Library.t -> curve
-
-(** All five curves of Figure 6 (three Paragon NX sets, T3D PVM + SHMEM). *)
+(** All five curves of Figure 6 (three Paragon NX sets, T3D PVM + SHMEM)
+    at [sizes] (default {!default_sizes}) and [iters] ping-pongs (default
+    50), run as one {!Run.Sweep.run} over the default pool. *)
 val figure6 : ?sizes:int list -> ?iters:int -> unit -> curve list
 
 (** First size whose overhead exceeds twice the smallest-message overhead

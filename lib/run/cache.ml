@@ -26,12 +26,7 @@ let counters t =
   let hits, misses, evictions = Memo.counters t.arts in
   { hits; misses; evictions }
 
-let capacity t = t.cap
 let length t = Memo.length t.arts
-
-let clear t =
-  Memo.clear t.arts;
-  Memo.clear t.progs
 
 (* Compile outside every lock: concurrent misses on different specs
    proceed in parallel; a racing duplicate of the same spec is benign
@@ -52,5 +47,4 @@ let find t (spec : Spec.t) : Spec.artifact * bool =
       Spec.build ~prog:pe.prog ~geometry spec)
 
 let artifact t spec = fst (find t spec)
-let engine t spec = Spec.engine_of (artifact t spec)
-let run t spec = Sim.Engine.run (engine t spec)
+let run t spec = Sim.Engine.run (Spec.engine_of (artifact t spec))

@@ -4,7 +4,7 @@
     A hit returns the already-compiled comm schedule, kernel-planning
     tables, wire blit plans and collective schedule ({!Spec.artifact},
     whose pieces are immutable after compile) without recompiling
-    anything; {!engine} then mints only the mutable per-engine state
+    anything; {!run} then mints only the mutable per-engine state
     (stores, channels, statistics) around the shared
     plans. Mutable state is never cached — see DESIGN.md on spec
     canonicalization and cache keying.
@@ -42,13 +42,9 @@ type counters = {
 }
 
 val counters : t -> counters
-val capacity : t -> int
 
 (** Artifacts currently held. *)
 val length : t -> int
-
-(** Drop every entry (counters keep accumulating). *)
-val clear : t -> unit
 
 (** [find t spec] with a hit flag: [(artifact, true)] when the artifact
     was served from the cache, [(artifact, false)] when this call
@@ -58,9 +54,8 @@ val find : t -> Spec.t -> Spec.artifact * bool
 (** [artifact t spec] — {!find} without the flag. *)
 val artifact : t -> Spec.t -> Spec.artifact
 
-(** A fresh engine around the (cached or just-compiled) shared plans,
-    using the spec's [limit]. *)
-val engine : t -> Spec.t -> Sim.Engine.t
-
-(** [run t spec] — {!engine} and run it to completion. *)
+(** [run t spec] — mint a fresh engine around the (cached or
+    just-compiled) shared plans, using the spec's [limit], and run it to
+    completion: the one way to run a single spec. A cached run is
+    bit-identical to a cold one (tested). *)
 val run : t -> Spec.t -> Sim.Engine.result

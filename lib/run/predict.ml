@@ -38,12 +38,10 @@ let cpu_rtol = 1e-9
 let cpu_close a b =
   Float.abs (a -. b) <= cpu_rtol *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
-let analyze ?cache (spec : Spec.t) : t =
-  let art =
-    match cache with
-    | Some c -> Cache.artifact c spec
-    | None -> Spec.build spec
-  in
+(** Analyze [spec] and run it once, through [cache] (default a fresh
+    one), like every other run. *)
+let analyze ?(cache = Cache.create ()) (spec : Spec.t) : t =
+  let art = Cache.artifact cache spec in
   let pr, pc = spec.Spec.mesh in
   let vol =
     Commvol.analyze ~lib:spec.Spec.lib ~pr ~pc art.Spec.a_ir

@@ -176,19 +176,6 @@ let key t =
 
 let equal a b = String.equal (key a) (key b)
 
-let pp ppf t =
-  let pr, pc = t.mesh in
-  Fmt.pf ppf "spec{%s, %s on %s/%s, %dx%d%s%s}"
-    (String.sub (program_digest t) 0 8)
-    (Opt.Config.name t.config)
-    t.machine.Machine.Params.name
-    (Machine.Library.kind_name t.lib.Machine.Library.kind)
-    pr pc
-    (match t.topology with
-    | Machine.Topology.Ideal -> ""
-    | topo -> ", " ^ Machine.Topology.name topo)
-    (if t.check then ", check" else "")
-
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -227,6 +214,3 @@ let build ?prog ?geometry (spec : t) : artifact =
 
 let engine_of (a : artifact) : Sim.Engine.t =
   Sim.Engine.of_plans ~limit:a.a_spec.limit a.a_plans
-
-let run (spec : t) : Sim.Engine.result =
-  Sim.Engine.run (engine_of (build spec))

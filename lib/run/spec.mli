@@ -1,8 +1,9 @@
 (** The canonical description of one simulation request, and the only
     way from source to compiled artifacts and engines: zplc, the bench
     harness, the report drivers, the examples and [Commopt.verify] all
-    compile through {!compile} and plan through {!plan}, and {!Cache}
-    keys on the spec's content address.
+    compile through {!compile} and plan through {!plan}, and run through
+    {!Cache.run} or {!Sweep.run}, which key on the spec's content
+    address; there is no uncached run.
 
     A spec pins the whole pipeline: source text and constant overrides
     (the program), the optimization configuration, the compile/simulate
@@ -81,8 +82,6 @@ val key : t -> string
     ignored, like in {!key}. *)
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-
 (** The compiled half of a spec: everything up to and including the
     engine plans, all immutable and shareable. This is the value
     {!Cache} stores. *)
@@ -122,10 +121,6 @@ val build :
   ?prog:Zpl.Prog.t -> ?geometry:Sim.Engine.geometry -> t -> artifact
 
 (** A fresh engine over an artifact's shared plans, using the spec's
-    [limit]. *)
+    [limit] — how {!Cache.run} and {!Sweep.run} mint the engines they
+    run. *)
 val engine_of : artifact -> Sim.Engine.t
-
-(** Compile (uncached) and run once. Measurement drivers that must not
-    share state across calls use this; everything else should go through
-    {!Cache.run}. *)
-val run : t -> Sim.Engine.result

@@ -157,7 +157,7 @@ let rec check_sexpr env (e : Ast.expr) : Prog.sexpr * sty =
       | KRegion _ | KDirection _ ->
           Loc.fail e.eloc "%S is not a scalar value" name)
   | Ast.EAt (name, _) ->
-      Loc.fail e.eloc "shifted reference %S@... in a scalar context" name
+      Loc.fail e.eloc "shifted reference %S@@... in a scalar context" name
   | Ast.EBin (op, a, b) -> (
       let ta, tya = check_sexpr env a in
       let tb, tyb = check_sexpr env b in
@@ -561,6 +561,10 @@ let check ?(defines : (string * float) list = []) ?entry ?(source_lines = 0)
     | Ast.DConstant (name, _, loc) -> (
         match List.assoc_opt name defines with
         | Some v ->
+            (* an integral define outside the int range would wrap *)
+            if Float.is_integer v && not (v >= -0x1p62 && v < 0x1p62) then
+              Loc.fail loc "define %s=%g is an integer outside the int range"
+                name v;
             let lit =
               if Float.is_integer v then Prog.SInt (int_of_float v)
               else Prog.SFloat v

@@ -256,6 +256,35 @@ let test_loop_var_write_rejected () =
         (List.length (String.split_on_char '\n' prelude) + 3)
         loc.Loc.line
 
+(* A checker message is one line: a literal "@" in a format string must
+   not turn into a Format break, or the CLI's [error:] line is cut. *)
+let test_message_one_line () =
+  match compile "procedure main(); begin x := A@east; end;" with
+  | _ -> Alcotest.fail "expected a scalar-context error"
+  | exception Loc.Error (_, msg) ->
+      Alcotest.(check string) "whole message, one line"
+        "shifted reference \"A\"@... in a scalar context" msg
+
+(* An integral define outside the int range would wrap (1e19 read as 0,
+   2^62 as -2^62); it is rejected at the constant it overrides. *)
+let test_define_out_of_range () =
+  List.iter
+    (fun v ->
+      match compile ~defines:[ ("n", v) ] "procedure main(); begin end;" with
+      | _ -> Alcotest.failf "define n=%g accepted" v
+      | exception Loc.Error (loc, msg) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "n=%g: %S names the define" v msg)
+            true
+            (String.starts_with ~prefix:"define n=" msg);
+          Alcotest.(check int) "at the constant's line" 2 loc.Loc.line)
+    [ 1e19; 0x1p62; -1e300; -0x1.0000000000001p62 ];
+  (* a large define inside the range stays an int *)
+  let p = compile ~defines:[ ("n", 0x1p61) ] "procedure main(); begin end;" in
+  Alcotest.(check string) "BigR at n = 2^61"
+    "[0..2305843009213693953, 0..2305843009213693953]"
+    (Region.to_string (Prog.array_info p 0).a_region)
+
 (* A [for] bound the body may change is hoisted into a fresh scalar
    assigned just before the loop; a bound the body leaves alone is kept
    in place. *)
@@ -307,4 +336,7 @@ let () =
           Alcotest.test_case "empty reduction rejected" `Quick
             test_empty_reduction_rejected;
           Alcotest.test_case "loop variable write rejected" `Quick
-            test_loop_var_write_rejected ] ) ]
+            test_loop_var_write_rejected;
+          Alcotest.test_case "message on one line" `Quick test_message_one_line;
+          Alcotest.test_case "out-of-range define" `Quick
+            test_define_out_of_range ] ) ]

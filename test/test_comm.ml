@@ -126,7 +126,7 @@ let test_snapshot_under_lag () =
   let iters = 40 in
   let spec = Run.Spec.(default lag_src |> with_mesh 1 2) in
   let c = of_spec spec in
-  let res = Run.Spec.run spec in
+  let res = Run.Cache.run (Run.Cache.create ()) spec in
   (match first_divergence ~tolerance:0.0 c res (run_oracle c) with
   | None -> ()
   | Some d ->

@@ -84,7 +84,10 @@ let test_verify_rejects_sabotage () =
 let test_simulate_other_machines () =
   List.iter
     (fun (machine, lib) ->
-      let res = Run.Spec.run (Run.Spec.with_target machine lib (on src)) in
+      let res =
+        Run.Cache.run (Run.Cache.create ())
+          (Run.Spec.with_target machine lib (on src))
+      in
       Alcotest.(check bool) "ran" true (res.Sim.Engine.time > 0.))
     [ (Machine.Paragon.machine, Machine.Paragon.nx_sync);
       (Machine.Paragon.machine, Machine.Paragon.nx_async);

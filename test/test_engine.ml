@@ -144,7 +144,9 @@ let test_reduction_inside_transfer () =
   List.iter
     (fun (pr, pc) ->
       let name = Printf.sprintf "%dx%d shmem" pr pc in
-      let res = Run.Spec.run (Run.Spec.with_mesh pr pc spec) in
+      let res =
+        Run.Cache.run (Run.Cache.create ()) (Run.Spec.with_mesh pr pc spec)
+      in
       (match first_divergence ~tolerance:0.0 c res oracle with
       | None -> ()
       | Some d -> Alcotest.failf "%s: %a" name pp_divergence d);
@@ -515,7 +517,9 @@ let test_clip_vs_oracle () =
   List.iter
     (fun (pr, pc) ->
       let name = Printf.sprintf "clip %dx%d" pr pc in
-      let res = Run.Spec.run (Run.Spec.with_mesh pr pc spec) in
+      let res =
+        Run.Cache.run (Run.Cache.create ()) (Run.Spec.with_mesh pr pc spec)
+      in
       (match first_divergence ~tolerance:0.0 c res oracle with
       | None -> ()
       | Some d -> Alcotest.failf "%s: %a" name pp_divergence d);

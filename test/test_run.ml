@@ -31,6 +31,10 @@ end;
 let base () = Run.Spec.(default src |> with_mesh 2 2)
 let bits = Int64.bits_of_float
 
+(* The cold side of the cached == cold tests: a fresh compile and plan
+   run directly on the engine, bypassing every cache. *)
+let cold_run spec = Sim.Engine.run (Run.Spec.engine_of (Run.Spec.build spec))
+
 (* ------------------------------------------------------------------ *)
 (* Cache hits share plans physically                                   *)
 (* ------------------------------------------------------------------ *)
@@ -159,7 +163,7 @@ let test_cached_equals_cold_paper_rows () =
         Report.Experiment.bench_spec ~machine:Machine.T3d.machine ~lib
           ~config ~scale:`Test b
       in
-      let cold = Run.Spec.run spec in
+      let cold = cold_run spec in
       let warm1 = Run.Cache.run cache spec in
       let warm2 = Run.Cache.run cache spec in
       List.iter
@@ -232,7 +236,7 @@ let test_cached_mint_grid () =
                 Printf.sprintf "%s/%s/%s" b.Programs.Bench_def.name label
                   (Machine.Topology.name topo)
               in
-              let cold = Run.Spec.run spec in
+              let cold = cold_run spec in
               let _, hit = Run.Cache.find cache spec in
               Alcotest.(check bool) (name ^ ": first lookup compiles") false
                 hit;
@@ -305,7 +309,7 @@ let test_shared_geometry_grid () =
                   Alcotest.(check string)
                     (Printf.sprintf "%s/%s/%s/%dx%d" b.Programs.Bench_def.name
                        label (Machine.Topology.name topo) pr pc)
-                    (fingerprint (Run.Spec.run spec))
+                    (fingerprint (cold_run spec))
                     (fingerprint (Run.Cache.run cache spec)))
                 Machine.Topology.all)
             Report.Experiment.paper_rows)
@@ -380,7 +384,7 @@ let test_evicted_program_new_geometry () =
     (Run.Cache.counters cache).Run.Cache.evictions;
   Alcotest.(check bool) "re-parsed program, new geometry" true (g1' != g1);
   Alcotest.(check string) "run == fresh build"
-    (fingerprint (Run.Spec.run s1))
+    (fingerprint (cold_run s1))
     (fingerprint (Run.Cache.run cache s1))
 
 (* The report grid runs on Run.Sweep: each of its rows equals one
@@ -688,7 +692,8 @@ let test_fine_mesh_exits_1 () =
       (4, 4) Machine.Topology.Ideal
   in
   Alcotest.(check int) "exit code" 1
-    (Cli.Cmdline.handle (fun () -> ignore (Run.Spec.run spec)))
+    (Cli.Cmdline.handle (fun () ->
+         ignore (Run.Cache.run (Run.Cache.create ()) spec)))
 
 (* A loop that never ends must stop at the instruction budget and leave
    through the same guard: an [error:] line and exit 1, not an uncaught
@@ -713,9 +718,32 @@ let test_runaway_loop_exits_1 () =
       (1, 1) Machine.Topology.Ideal
     |> Run.Spec.with_limit 1000
   in
-  let code = Cli.Cmdline.handle (fun () -> ignore (Run.Spec.run spec)) in
+  let code =
+    Cli.Cmdline.handle (fun () ->
+        ignore (Run.Cache.run (Run.Cache.create ()) spec))
+  in
   Sys.remove file;
   Alcotest.(check int) "exit code" 1 code
+
+(* The oracle of [zplc run --verify] has its own statement budget; a
+   run that outlives it leaves through the same guard, not as an
+   uncaught [Runtime.Seqexec.Step_limit]. *)
+let test_oracle_budget_exits_1 () =
+  let prog = Zpl.Check.compile_string spin_src in
+  Alcotest.(check int) "exit code" 1
+    (Cli.Cmdline.handle (fun () ->
+         ignore (Runtime.Seqexec.run ~limit:1000 prog)))
+
+(* An integral -D outside the int range is bad input, not a wrapped
+   value: [iters=1e19] once read as 0 iterations and ran clean. *)
+let test_define_out_of_range_exits_1 () =
+  let spec =
+    Cli.Cmdline.make_spec "tomcatv" [ ("iters", 1e19) ] Opt.Config.pl_cum None
+      (Machine.T3d.machine, Machine.T3d.pvm)
+      (2, 2) Machine.Topology.Ideal
+  in
+  Alcotest.(check int) "exit code" 1
+    (Cli.Cmdline.handle (fun () -> ignore (Run.Spec.parse spec)))
 
 let () =
   Alcotest.run "run"
@@ -762,4 +790,8 @@ let () =
         [ Alcotest.test_case "mesh finer than the array exits 1" `Quick
             test_fine_mesh_exits_1;
           Alcotest.test_case "runaway loop exits 1" `Quick
-            test_runaway_loop_exits_1 ] ) ]
+            test_runaway_loop_exits_1;
+          Alcotest.test_case "oracle budget exits 1" `Quick
+            test_oracle_budget_exits_1;
+          Alcotest.test_case "out-of-range define exits 1" `Quick
+            test_define_out_of_range_exits_1 ] ) ]

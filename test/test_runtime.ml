@@ -295,7 +295,9 @@ let test_values_eval () =
   check "seqexec" (Runtime.Seqexec.scalar_value (run_oracle c));
   List.iter
     (fun (who, lib) ->
-      let res = Run.Spec.run (Run.Spec.with_lib lib spec) in
+      let res =
+        Run.Cache.run (Run.Cache.create ()) (Run.Spec.with_lib lib spec)
+      in
       let env = Sim.Engine.final_env res.Sim.Engine.engine in
       check who (fun name ->
           Option.map

@@ -131,7 +131,7 @@ let test_ideal_default_is_seed_path () =
               ~config ~scale:`Test b
             |> Run.Spec.with_topology Machine.Topology.Ideal
           in
-          let via_spec = Run.Spec.run spec in
+          let via_spec = Run.Cache.run (Run.Cache.create ()) spec in
           let prog =
             Zpl.Check.compile_string
               ~defines:b.Programs.Bench_def.test_defines
@@ -181,11 +181,11 @@ let test_topologies_preserve_results () =
         Report.Experiment.bench_spec ~machine:Machine.T3d.machine ~lib
           ~config ~scale:`Test b
       in
-      let ideal = Run.Spec.run ideal_spec in
+      let ideal = Run.Cache.run (Run.Cache.create ()) ideal_spec in
       List.iter
         (fun topology ->
           let spec = Run.Spec.with_topology topology ideal_spec in
-          let res = Run.Spec.run spec in
+          let res = Run.Cache.run (Run.Cache.create ()) spec in
           let what =
             Printf.sprintf "%s under %s" label (Machine.Topology.name topology)
           in
@@ -231,7 +231,7 @@ let test_degenerate_meshes_run () =
                 default tiny_src |> with_mesh pr pc |> with_topology topology
                 |> with_collective collective
               in
-              let res = Run.Spec.run spec in
+              let res = Run.Cache.run (Run.Cache.create ()) spec in
               Alcotest.(check bool)
                 (Printf.sprintf "%dx%d %s finite" pr pc
                    (Machine.Topology.name topology))
@@ -247,7 +247,9 @@ let test_link_occupancy () =
     let open Run.Spec in
     default tiny_src |> with_mesh 2 2 |> with_topology topology
   in
-  let mesh_res = Run.Spec.run (spec Machine.Topology.Mesh) in
+  let mesh_res =
+    Run.Cache.run (Run.Cache.create ()) (spec Machine.Topology.Mesh)
+  in
   let occ = Sim.Engine.link_occupancy mesh_res.Sim.Engine.engine in
   Alcotest.(check int) "four directed links per node" (4 * 2 * 2)
     (Array.length occ);
@@ -255,12 +257,16 @@ let test_link_occupancy () =
     (Array.for_all (fun x -> x >= 0.0) occ);
   Alcotest.(check bool) "some link was actually used" true
     (Array.exists (fun x -> x > 0.0) occ);
-  let ideal_res = Run.Spec.run (spec Machine.Topology.Ideal) in
+  let ideal_res =
+    Run.Cache.run (Run.Cache.create ()) (spec Machine.Topology.Ideal)
+  in
   Alcotest.(check int) "ideal tracks no links" 0
     (Array.length (Sim.Engine.link_occupancy ideal_res.Sim.Engine.engine));
   (* link grants follow the drain's execution order, which is
      deterministic: a second run repeats every occupancy bit *)
-  let again = Run.Spec.run (spec Machine.Topology.Mesh) in
+  let again =
+    Run.Cache.run (Run.Cache.create ()) (spec Machine.Topology.Mesh)
+  in
   Alcotest.(check int64) "a second mesh run repeats the time bits"
     (bits mesh_res.Sim.Engine.time)
     (bits again.Sim.Engine.time);
@@ -305,7 +311,7 @@ let test_pinned_config_argmin_flip () =
       |> with_defines [ ("n", 24.); ("iters", 2.) ]
       |> with_config config |> with_mesh 4 4 |> with_topology topology
     in
-    (Run.Spec.run spec).Sim.Engine.time
+    (Run.Cache.run (Run.Cache.create ()) spec).Sim.Engine.time
   in
   let open Machine.Topology in
   let cc_ideal = time Ideal Opt.Config.cc_cum
@@ -329,7 +335,7 @@ let test_contended_orders_topologies () =
       |> with_collective Opt.Config.Auto
       |> with_mesh 1 8 |> with_topology topology
     in
-    (Run.Spec.run spec).Sim.Engine.time
+    (Run.Cache.run (Run.Cache.create ()) spec).Sim.Engine.time
   in
   let open Machine.Topology in
   let ideal = time Ideal and mesh = time Mesh and torus = time Torus in
