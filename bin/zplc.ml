@@ -359,7 +359,9 @@ let run_cmd =
           (Sim.Stats.total_messages st) (Sim.Stats.total_bytes st);
         Printf.printf "simulated time : %.6f s\n" res.Sim.Engine.time;
         if verify_flag then
-          match first_divergence c res (run_oracle c) with
+          match
+            first_divergence c res (run_oracle ~limit:spec.Run.Spec.limit c)
+          with
           | None -> Printf.printf "oracle check   : PASS\n"
           | Some d ->
               Fmt.failwith "oracle check FAILED at the first divergent cell: %a"

@@ -138,15 +138,25 @@ let topology_arg =
            default) | mesh | torus (dimension-order routing with per-link \
            occupancy; also steers the collective cost search)")
 
+(* A define's value travels as a float, so an integer literal a float
+   cannot hold exactly (past 2^53) is refused rather than rounded. *)
 let define_conv =
   let parse s =
     match String.index_opt s '=' with
     | Some i -> (
         let k = String.sub s 0 i
         and v = String.sub s (i + 1) (String.length s - i - 1) in
-        match float_of_string_opt v with
-        | Some f -> Ok (k, f)
-        | None -> Error (`Msg "define must be NAME=NUMBER"))
+        match (float_of_string_opt v, int_of_string_opt v) with
+        | Some f, Some n
+          when not (f >= -0x1p62 && f < 0x1p62 && Float.to_int f = n) ->
+            Error
+              (`Msg
+                 (Printf.sprintf
+                    "define %s=%s: a float cannot hold this integer exactly \
+                     (defines are read as floats, exact up to 2^53)"
+                    k v))
+        | Some f, _ -> Ok (k, f)
+        | None, _ -> Error (`Msg "define must be NAME=NUMBER"))
     | None -> Error (`Msg "define must be NAME=NUMBER")
   in
   Arg.conv (parse, fun ppf (k, v) -> Fmt.pf ppf "%s=%g" k v)
@@ -218,9 +228,9 @@ let spec_term =
 (** Run [f], mapping failures to exit code 1 with an [error:] line.
     [Invalid_argument] is a failure too: [Sim.Engine.plan] raises it
     for a mesh the program cannot be laid out on. So are a simulation
-    that deadlocks and one that exceeds its instruction budget (a loop
-    that never ends), and an oracle check whose sequential run exceeds
-    its statement budget. *)
+    that deadlocks, a run (simulated or the oracle's) whose work passes
+    its budget (a loop that never ends) and, as a last resort, a run
+    the host has no memory for. *)
 let handle f =
   let fail msg =
     Printf.eprintf "error: %s\n" msg;
@@ -230,13 +240,10 @@ let handle f =
   | Ok () -> 0
   | Error msg | (exception (Failure msg | Invalid_argument msg)) -> fail msg
   | exception Sim.Engine.Deadlock msg -> fail ("deadlock: " ^ msg)
-  | exception Sim.Engine.Instruction_limit n ->
+  | exception Runtime.Budget.Exceeded n ->
       fail
         (Printf.sprintf
-           "a processor exceeded the instruction limit of %d (a loop that \
-            never ends?)"
+           "the run exceeded its work budget of %d statements, instructions \
+            and array cells (a loop that never ends?)"
            n)
-  | exception Runtime.Seqexec.Step_limit n ->
-      fail
-        (Printf.sprintf
-           "the sequential oracle exceeded its budget of %d statements" n)
+  | exception Out_of_memory -> fail "out of memory (is the problem too large?)"

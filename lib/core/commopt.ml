@@ -52,7 +52,8 @@ let of_spec ?cache (spec : Run.Spec.t) : compiled =
 
 let static_count (c : compiled) = Ir.Count.static_count c.ir
 
-(** Run the sequential oracle on the same program. *)
+(** Run the sequential oracle on the same program, under the work
+    budget [limit] (default [Runtime.Budget.default]). *)
 let run_oracle ?limit (c : compiled) : Runtime.Seqexec.t =
   Runtime.Seqexec.run ?limit c.prog
 
@@ -125,7 +126,8 @@ let pp_divergence ppf (d : divergence) =
     d.d_point d.d_got d.d_want
 
 (** [verify spec] runs [spec] through [cache] (default: a fresh one)
-    and checks the result against the oracle; returns the simulation
+    and checks the result against the oracle, run under the spec's work
+    budget; returns the simulation
     result or fails naming the first divergent cell. Compile and
     simulate share the spec's one target, and a spec already run through
     [cache] is verified on its cached plans. *)
@@ -133,7 +135,10 @@ let verify ?(cache = Run.Cache.create ()) ?(tolerance = 1e-9)
     (spec : Run.Spec.t) : Sim.Engine.result =
   let c = of_spec ~cache spec in
   let res = Run.Cache.run cache spec in
-  match first_divergence ~tolerance c res (run_oracle c) with
+  match
+    first_divergence ~tolerance c res
+      (run_oracle ~limit:spec.Run.Spec.limit c)
+  with
   | None -> res
   | Some d ->
       Fmt.failwith "simulation diverges from the sequential oracle: %a"

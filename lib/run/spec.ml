@@ -19,7 +19,7 @@ let default source =
     mesh = (4, 4);
     topology = Machine.Topology.Ideal;
     check = false;
-    limit = 1_000_000_000 }
+    limit = Runtime.Budget.default }
 
 (* stable, so duplicate names keep their relative (semantic) order *)
 let canon_defines ds =

@@ -32,9 +32,13 @@ type t = {
       (** run {!Analysis.Schedcheck} over the emitted schedule at
           compile time and fail on any diagnostic (default false) *)
   limit : int;
-      (** instruction budget {e per processor} (default [1e9]). A pure
-          run-time knob: it never changes compiled artifacts, so it is
-          excluded from {!key}. *)
+      (** the run's work budget (default [Runtime.Budget.default]):
+          statements or instructions executed plus array cells computed
+          or reduced, summed over all processors, and the cells a run may
+          allocate. The simulation and the oracle check of
+          [Commopt.verify] and [zplc run --verify] both run under it. A
+          pure run-time knob: it never changes compiled artifacts, so it
+          is excluded from {!key}. *)
 }
 
 (** A spec for [source] with the pipeline's defaults: no defines,

@@ -23,11 +23,14 @@ type t = {
   mutable cells : int;  (** array cells updated or reduced *)
 }
 
-exception Step_limit of int
+(* the budget is checked before each statement and once at the end, so
+   a run stops when its work passes [limit] *)
+let check t =
+  if t.steps + t.cells > t.limit then raise (Budget.Exceeded t.limit)
 
 let bump t =
   t.steps <- t.steps + 1;
-  if t.steps > t.limit then raise (Step_limit t.limit)
+  check t
 
 let observe t id =
   match t.on_scalar with
@@ -103,13 +106,16 @@ and compile_stmt ~row sc (rc : Kernel.rowctx) (s : Zpl.Prog.stmt) : t -> unit =
 
 (** Run the whole program. Array statements compile into kernel plans,
     and scalar code, conditions and [for] bounds into one {!Values}
-    program, before anything runs. [limit] bounds the number of simple
-    statements executed (default 10 million) and raises {!Step_limit}
-    beyond it, so a buggy [repeat] cannot hang the test suite.
-    [row_path:false] forces the per-point fallback everywhere — the
-    differential-testing oracle. *)
-let run ?(limit = 10_000_000) ?(row_path = true) ?on_scalar (prog : Zpl.Prog.t)
-    : t =
+    program, before anything runs. [limit] is the run's work budget
+    ({!Budget}): the global stores must fit in it, and the statements
+    and cells executed may not pass it. [row_path:false] forces the
+    per-point fallback everywhere — the differential-testing oracle. *)
+let run ?(limit = Budget.default) ?(row_path = true) ?on_scalar
+    (prog : Zpl.Prog.t) : t =
+  Budget.check_alloc ~limit
+    (Array.map
+       (fun (info : Zpl.Prog.array_info) -> (info, Budget.cells info.a_region))
+       prog.arrays);
   let stores =
     Array.map
       (fun (info : Zpl.Prog.array_info) ->
@@ -128,6 +134,7 @@ let run ?(limit = 10_000_000) ?(row_path = true) ?on_scalar (prog : Zpl.Prog.t)
       cells = 0 }
   in
   code t;
+  check t;
   t
 
 let scalar_value (t : t) name =

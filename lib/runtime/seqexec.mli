@@ -19,17 +19,19 @@ type t = {
           every scalar write — loop variable updates included. Used by
           the Absint soundness property to check every concrete scalar
           trace against the abstract hull. *)
-  limit : int;  (** the statement budget *)
+  limit : int;  (** the work budget ({!Budget}) *)
   mutable steps : int;  (** simple statements executed *)
   mutable cells : int;  (** array cells updated or reduced *)
 }
 
-(** Raised when the statement budget is exhausted (runaway [repeat]). *)
-exception Step_limit of int
-
-(** Run to completion. [limit] bounds executed simple statements
-    (default 10 million). [row_path] defaults to [true]; [false] forces
-    the per-point fallback everywhere. Results (stores, scalars, steps,
+(** Run to completion. [limit] is the run's work budget (default
+    {!Budget.default}, one budget with the simulator's): a program whose
+    global stores hold more cells than [limit] fails with [Failure]
+    before anything is allocated, and a run whose work ([steps] plus
+    [cells]) passes it raises {!Budget.Exceeded} (a runaway [repeat]).
+    A run the simulator finishes under a budget finishes here under the
+    same one. [row_path] defaults to [true]; [false] forces the
+    per-point fallback everywhere. Results (stores, scalars, steps,
     cells) are bit-identical either way — property-tested in
     [test_props.ml]. Raises [Invalid_argument] before running anything
     if the program is ill-typed (which the checker rules out). *)

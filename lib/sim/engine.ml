@@ -94,6 +94,9 @@ type geometry = {
           block splits give other classes' stores different strides, so
           their flat shifts differ. *)
   g_reps : int array;  (** per class: its first rank *)
+  g_alloc : (Zpl.Prog.array_info * float) array;
+      (** per array: the cells its stores hold, summed over ranks (the
+          allocation {!of_plans} checks against the work budget) *)
   g_fringe : (int list * (int * int), wbpair array) Memo.t;
       (** linked fringe blueprints, [.(proc)], by (member arrays,
           offset); unbounded *)
@@ -304,7 +307,10 @@ type t = {
   mutable run_len : int;
   reduce : reduce_slot;
   stats : Stats.t;
-  limit : int;
+  limit : int;  (** the work budget ({!Runtime.Budget}) *)
+  mutable work : int;
+      (** work done so far, over all processors: instructions completed
+          plus cells computed or reduced *)
   kern : ckern array array;  (** per rank: shared compiled kernel programs *)
   kws : Runtime.Kernel.workspace;
       (** the one kernel workspace every rank's env binds: the drain
@@ -315,7 +321,8 @@ type t = {
 }
 
 exception Deadlock of string
-exception Instruction_limit of int
+(* kept under its old name for callers that match it *)
+exception Instruction_limit = Runtime.Budget.Exceeded
 
 (* ------------------------------------------------------------------ *)
 (* Setup                                                               *)
@@ -370,6 +377,17 @@ let geometry ~pr ~pc (prog : Zpl.Prog.t) : geometry =
     g_shapes = shapes;
     g_class;
     g_reps = Array.of_list (List.rev !reps);
+    g_alloc =
+      Array.map
+        (fun (info : Zpl.Prog.array_info) ->
+          ( info,
+            Array.fold_left
+              (fun acc shape ->
+                acc
+                +. Runtime.Budget.cells
+                     (Runtime.Store.alloc shape.(info.a_id)))
+              0. shapes ))
+        prog.Zpl.Prog.arrays;
     g_fringe = Memo.create ~capacity:max_int () }
 
 let blueprint_sets (g : geometry) = Memo.length g.g_fringe
@@ -605,9 +623,10 @@ let plan ?(topology = Machine.Topology.Ideal) ?geometry:geom
     p_scalars = scalars;
     p_slots = Runtime.Values.spec sc }
 
-let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
+let of_plans ?(limit = Runtime.Budget.default) (sp : plans) : t =
   let flat = sp.p_flat in
   let g = sp.p_geom in
+  Runtime.Budget.check_alloc ~limit g.g_alloc;
   let layout = g.g_layout in
   let topo_ideal = sp.p_topology = Machine.Topology.Ideal in
   let nprocs = Runtime.Layout.nprocs layout in
@@ -703,6 +722,7 @@ let of_plans ?(limit = 1_000_000_000) (sp : plans) : t =
         lhs = 0 };
     stats = Stats.make nprocs;
     limit;
+    work = 0;
     kern = sp.p_kern;
     kws;
     refchecks = sp.p_refchecks }
@@ -892,7 +912,16 @@ let charge_kernel (t : t) (p : proc) ~cells ~flops =
   in
   p.time.fv <- p.time.fv +. dt;
   p.stats.Stats.times.Stats.compute <- p.stats.Stats.times.Stats.compute +. dt;
-  p.stats.Stats.cells <- p.stats.Stats.cells + cells
+  p.stats.Stats.cells <- p.stats.Stats.cells + cells;
+  t.work <- t.work + cells
+
+(** Charge one scalar operation (a scalar statement, a branch test, a
+    collective's final combine) as compute, so that every processor's
+    compute, communication and wait times add up to its finish time. *)
+let[@inline] charge_scalar (t : t) (p : proc) =
+  let dt = t.machine.Machine.Params.scalar_op_cost in
+  p.time.fv <- p.time.fv +. dt;
+  p.stats.Stats.times.Stats.compute <- p.stats.Stats.times.Stats.compute +. dt
 
 let exec_kernel (t : t) (p : proc) idx (a : Zpl.Prog.assign_a) =
   let n = clip_local t p a.region in
@@ -1259,18 +1288,19 @@ let exec_coll_fin (t : t) (p : proc) (w : Ir.Instr.coll_work) =
   in
   let lhs = Runtime.Values.slot t.shared.p_scalars r.Zpl.Prog.r_lhs in
   p.slots.Runtime.Values.f.(lhs) <- value;
-  p.time.fv <- p.time.fv +. t.machine.Machine.Params.scalar_op_cost;
+  charge_scalar t p;
   p.stats.Stats.reduces <- p.stats.Stats.reduces + 1
 
 (* --- main dispatch --- *)
 
-(** Count one completed execution of op [p.pc]: against [p]'s
-    instruction budget and, on rank 0, in {!t.ops_run}. The limit is per
-    processor, so a runaway processor trips it however the drain
-    interleaves the others. *)
+(** Count one completed execution of op [p.pc]: against the run's
+    work budget and, on rank 0, in {!t.ops_run}. Every processor's last
+    execution is its [FHalt], after all its cells are charged, so the
+    budget sees the run's whole work. *)
 let count_done (t : t) (p : proc) =
   p.instrs <- p.instrs + 1;
-  if p.instrs > t.limit then raise (Instruction_limit t.limit);
+  t.work <- t.work + 1;
+  if t.work > t.limit then raise (Runtime.Budget.Exceeded t.limit);
   if p.rank = 0 then t.ops_run.(p.pc) <- t.ops_run.(p.pc) + 1
 
 let exec_one (t : t) (p : proc) : step =
@@ -1290,7 +1320,7 @@ let exec_one (t : t) (p : proc) : step =
       (match t.kern.(p.rank).(p.pc) with
       | KScalar f -> f p.slots
       | _ -> assert false);
-      p.time.fv <- p.time.fv +. t.machine.Machine.Params.scalar_op_cost;
+      charge_scalar t p;
       p.pc <- p.pc + 1;
       Continue
   | Ir.Flat.FJump target ->
@@ -1299,7 +1329,7 @@ let exec_one (t : t) (p : proc) : step =
       Continue
   | Ir.Flat.FJumpIfNot (_, target) ->
       count_done t p;
-      p.time.fv <- p.time.fv +. t.machine.Machine.Params.scalar_op_cost;
+      charge_scalar t p;
       (match t.kern.(p.rank).(p.pc) with
       | KCond f -> p.pc <- (if f p.slots then p.pc + 1 else target)
       | _ -> assert false);

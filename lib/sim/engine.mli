@@ -26,9 +26,10 @@ type proc
     tokens are missing, or the pc of the reduction it waits in. *)
 exception Deadlock of string
 
-(** Raised when some single processor exceeds the instruction budget
-    given to {!of_plans} — a runaway-loop backstop. The limit is per
-    processor, not global. *)
+(** [Runtime.Budget.Exceeded] under its older name (the same exception):
+    raised when the run's work passes the budget given to {!of_plans} —
+    a runaway-loop backstop. The budget is for the whole run, summed over
+    processors. *)
 exception Instruction_limit of int
 
 (** The spec-independent half of a plan: what depends only on the
@@ -111,9 +112,13 @@ val sides : plans -> int -> sides
     code in [plans] (compiled by [Runtime.Values] at {!plan} time) are
     bound to the fresh stores and slots through a [Runtime.Kernel.env] —
     binding, not recompilation, so a cache hit mints a ready-to-run
-    engine. [limit] bounds instructions {e per processor} (default
-    [1e9]); it does not affect the compiled artifacts, which is why it
-    lives here and not in the cache key. *)
+    engine. [limit] is the run's work budget (default
+    [Runtime.Budget.default]): instructions completed plus cells computed
+    or reduced, summed over all processors. Stores whose cells (fringes
+    included, over all ranks) exceed it are refused with [Failure]
+    before any is allocated, naming the largest array. It does not
+    affect the compiled artifacts, which is why it lives here and not in
+    the cache key. *)
 val of_plans : ?limit:int -> plans -> t
 
 (** The shared compiled half this engine was built from. Two engines
@@ -137,8 +142,8 @@ type result = {
   engine : t;  (** the engine itself, for {!gather}/{!final_env} *)
 }
 
-(** Run to completion (every processor halted). Raises {!Deadlock} or
-    {!Instruction_limit}. *)
+(** Run to completion (every processor halted). Raises {!Deadlock}, or
+    [Runtime.Budget.Exceeded] once the run's work passes its budget. *)
 val run : t -> result
 
 (** Gather the distributed blocks of one array into a single global

@@ -6,12 +6,14 @@
 
 (** Float accumulators, kept in an all-float record so OCaml stores them
     flat and the engine's hot-path updates are unboxed in-place writes
-    (a mixed record would box every [+.] result). *)
+    (a mixed record would box every [+.] result). Every advance of a
+    processor's clock is charged to exactly one of [compute], [comm_cpu]
+    and [wait], so their sum is [finish] up to rounding. *)
 type times = {
-  mutable compute : float;
+  mutable compute : float;  (** kernels and scalar operations *)
   mutable comm_cpu : float;  (** CPU time inside communication calls *)
   mutable wait : float;  (** blocked on messages / collectives *)
-  mutable finish : float;
+  mutable finish : float;  (** the processor's clock when it halted *)
 }
 
 type per_proc = {

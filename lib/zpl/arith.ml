@@ -22,6 +22,15 @@ let[@inline] int_arith (op : Ast.binop) (x : int) y =
   | Ast.Mul -> x * y
   | _ -> invalid_arg "Arith.int_arith"
 
+(** Whether {!int_arith} [op x y] wraps: its exact value lies outside
+    the int range. *)
+let int_wraps (op : Ast.binop) (x : int) y =
+  match op with
+  | Ast.Add -> x >= 0 = (y >= 0) && x + y >= 0 <> (x >= 0)
+  | Ast.Sub -> x >= 0 <> (y >= 0) && x - y >= 0 <> (x >= 0)
+  | Ast.Mul -> x <> 0 && ((x * y / x <> y) || (x = -1 && y = min_int))
+  | _ -> false
+
 (** An arithmetic operator over floats (int operands converted first). *)
 let[@inline] float_arith (op : Ast.binop) (x : float) y =
   match op with

@@ -80,7 +80,9 @@ let fresh_array env loc name region =
 (* Constant folding over scalar expressions                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec fold_sexpr (e : Prog.sexpr) : Prog.sexpr =
+exception Wraps
+
+let rec fold_sexpr ?(exact = false) (e : Prog.sexpr) : Prog.sexpr =
   let module P = Prog in
   let num_of = function
     | P.SInt i -> Some (float_of_int i)
@@ -89,9 +91,10 @@ let rec fold_sexpr (e : Prog.sexpr) : Prog.sexpr =
   in
   match e with
   | P.SBin (op, a, b) -> (
-      let a = fold_sexpr a and b = fold_sexpr b in
+      let a = fold_sexpr ~exact a and b = fold_sexpr ~exact b in
       match (a, b, num_of a, num_of b) with
       | P.SInt x, P.SInt y, _, _ when Arith.int_result op ->
+          if exact && Arith.int_wraps op x y then raise Wraps;
           P.SInt (Arith.int_arith op x y)
       | _, _, Some x, Some y ->
           if Arith.is_compare op then P.SBool (Arith.compare op x y)
@@ -99,13 +102,20 @@ let rec fold_sexpr (e : Prog.sexpr) : Prog.sexpr =
           else P.SFloat (Arith.float_arith op x y)
       | _ -> P.SBin (op, a, b))
   | P.SUn (Ast.Neg, a) -> (
-      match fold_sexpr a with
+      match fold_sexpr ~exact a with
+      | P.SInt i when exact && i = min_int -> raise Wraps
       | P.SInt i -> P.SInt (-i)
       | P.SFloat f -> P.SFloat (-.f)
       | a -> P.SUn (Ast.Neg, a))
-  | P.SUn (op, a) -> P.SUn (op, fold_sexpr a)
-  | P.SCall (f, args) -> P.SCall (f, List.map fold_sexpr args)
+  | P.SUn (op, a) -> P.SUn (op, fold_sexpr ~exact a)
+  | P.SCall (f, args) -> P.SCall (f, List.map (fold_sexpr ~exact) args)
   | e -> e
+
+(** Fold a constant's value or a region bound: an int overflow there is
+    a positioned error, not a wrapped value. *)
+let fold_exact loc what e =
+  try fold_sexpr ~exact:true e
+  with Wraps -> Loc.fail loc "%s overflows the int range" what
 
 (* ------------------------------------------------------------------ *)
 (* Scalar expressions                                                  *)
@@ -212,12 +222,14 @@ let rec check_sexpr env (e : Ast.expr) : Prog.sexpr * sty =
 let check_bound env (e : Ast.expr) : Prog.bound =
   let te, ty = check_sexpr env e in
   if ty <> TInt then Loc.fail e.Ast.eloc "region bounds must be integers";
-  match fold_sexpr te with
+  match fold_exact e.Ast.eloc "region bound" te with
   | Prog.SInt i -> { Prog.base = i; bvar = None }
   | Prog.SVar v -> { Prog.base = 0; bvar = Some v }
   | Prog.SBin (Ast.Add, Prog.SVar v, Prog.SInt c)
   | Prog.SBin (Ast.Add, Prog.SInt c, Prog.SVar v) ->
       { Prog.base = c; bvar = Some v }
+  | Prog.SBin (Ast.Sub, Prog.SVar _, Prog.SInt c) when c = min_int ->
+      Loc.fail e.Ast.eloc "region bound overflows the int range"
   | Prog.SBin (Ast.Sub, Prog.SVar v, Prog.SInt c) ->
       { Prog.base = -c; bvar = Some v }
   | _ ->
@@ -523,7 +535,7 @@ let check_decl env (d : Ast.decl) =
       if List.mem_assoc name env.table then
         Loc.fail loc "duplicate definition of %S" name;
       let te, _ = check_sexpr env e in
-      match fold_sexpr te with
+      match fold_exact loc (Printf.sprintf "constant %S" name) te with
       | (Prog.SInt _ | Prog.SFloat _ | Prog.SBool _) as lit ->
           env.consts <- (name, loc, ref false) :: env.consts;
           define env loc name (KConst lit)

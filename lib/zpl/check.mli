@@ -9,8 +9,15 @@
     referenced array's declared region (when the statement region is
     static; loop-variant regions are validated at run time). *)
 
-(** Constant-fold a scalar expression (used by tests and the checker). *)
-val fold_sexpr : Prog.sexpr -> Prog.sexpr
+(** Raised by [fold_sexpr ~exact:true] on int arithmetic that wraps. *)
+exception Wraps
+
+(** Constant-fold a scalar expression with the run-time semantics
+    ({!Arith}), under which int arithmetic wraps. [exact] (default
+    [false]) raises {!Wraps} instead: constants and region bounds fold
+    that way, and the checker reports a wrap there as a positioned
+    error. *)
+val fold_sexpr : ?exact:bool -> Prog.sexpr -> Prog.sexpr
 
 (** [check ?defines ?entry ?source_lines program] type-checks a parsed
     program. [defines] overrides same-named [constant] declarations (used

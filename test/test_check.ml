@@ -285,6 +285,33 @@ let test_define_out_of_range () =
     "[0..2305843009213693953, 0..2305843009213693953]"
     (Region.to_string (Prog.array_info p 0).a_region)
 
+(* Int arithmetic in a constant or a region bound is folded at compile
+   time, where a wrap is an error at the expression: with the in-range
+   define n = -2^62, [n - 1] once folded to 2^62 - 1 and the statement
+   region read [2..4611686018427387903]. A scalar statement keeps the
+   run-time semantics, which wrap. *)
+let test_overflow_rejected () =
+  let fails ~defines body frag line =
+    match compile ~defines body with
+    | _ -> Alcotest.failf "expected an overflow error mentioning %S" frag
+    | exception Loc.Error (loc, msg) ->
+        Alcotest.(check string) "message" frag msg;
+        Alcotest.(check int) (frag ^ ": line") line loc.Loc.line
+  in
+  fails ~defines:[ ("n", -0x1p62) ]
+    "procedure main(); begin [2..n-1, 2..n-1] A := 0.0; end;"
+    "region bound overflows the int range" 11;
+  fails ~defines:[ ("n", 0x1p31) ]
+    "constant m = n * n; procedure main(); begin end;"
+    "constant \"m\" overflows the int range" 11;
+  fails ~defines:[] "constant m = -(-4611686018427387903 - 1); \
+                     procedure main(); begin end;"
+    "constant \"m\" overflows the int range" 11;
+  ignore
+    (compile ~defines:[ ("n", 0x1p31) ]
+       "constant m = n * (n - 1); procedure main(); begin k := m + m + m; \
+        end;")
+
 (* A [for] bound the body may change is hoisted into a fresh scalar
    assigned just before the loop; a bound the body leaves alone is kept
    in place. *)
@@ -339,4 +366,6 @@ let () =
             test_loop_var_write_rejected;
           Alcotest.test_case "message on one line" `Quick test_message_one_line;
           Alcotest.test_case "out-of-range define" `Quick
-            test_define_out_of_range ] ) ]
+            test_define_out_of_range;
+          Alcotest.test_case "overflowing bound or constant" `Quick
+            test_overflow_rejected ] ) ]

@@ -679,6 +679,94 @@ let test_shared_plans_mint_twice () =
     (Sim.Stats.dynamic_count second.Sim.Engine.stats)
 
 (* ------------------------------------------------------------------ *)
+(* The golden grid: work and time invariants of every run              *)
+(* ------------------------------------------------------------------ *)
+
+(* Every run of test/golden/grid.ml's specs, with its benchmark: each
+   benchmark at test scale under the six paper rows, three
+   interconnects, opaque and auto-picked collectives, on 2x2 and 1x5. *)
+let golden_runs =
+  lazy
+    (let cache = Run.Cache.create () in
+     List.concat_map
+       (fun (b : Programs.Bench_def.t) ->
+         List.concat_map
+           (fun (pr, pc) ->
+             List.concat_map
+               (fun (_, config, lib) ->
+                 List.concat_map
+                   (fun topo ->
+                     List.map
+                       (fun coll ->
+                         let spec =
+                           let open Run.Spec in
+                           default b.Programs.Bench_def.source
+                           |> with_defines b.Programs.Bench_def.test_defines
+                           |> with_config config
+                           |> with_target Machine.T3d.machine lib
+                           |> with_mesh pr pc |> with_topology topo
+                           |> with_collective coll
+                         in
+                         (b, spec, Run.Cache.run cache spec))
+                       [ Opt.Config.Opaque; Opt.Config.Auto ])
+                   Machine.Topology.all)
+               Report.Experiment.paper_rows)
+           [ (2, 2); (1, 5) ])
+       Programs.Suite.[ tomcatv; swm; simple; sp; jacobi ])
+
+let golden_label (b : Programs.Bench_def.t) (spec : Run.Spec.t) =
+  let pr, pc = spec.Run.Spec.mesh in
+  Printf.sprintf "%s %s %s %s %dx%d" b.Programs.Bench_def.name
+    (Opt.Config.name spec.Run.Spec.config)
+    (Machine.Topology.name spec.Run.Spec.topology)
+    (Opt.Config.collective_name spec.Run.Spec.config.Opt.Config.collective)
+    pr pc
+
+(* One budget serves the simulation and its oracle check. That is sound
+   only if the oracle never does more work than the simulation: then a
+   run the engine finishes cannot exhaust the oracle. *)
+let test_oracle_work_bounded () =
+  let oracle = Hashtbl.create 8 in
+  List.iter
+    (fun ((b : Programs.Bench_def.t), spec, (r : Sim.Engine.result)) ->
+      let want =
+        match Hashtbl.find_opt oracle b.Programs.Bench_def.name with
+        | Some w -> w
+        | None ->
+            let o = Runtime.Seqexec.run (Run.Spec.parse spec) in
+            let w = o.Runtime.Seqexec.steps + o.Runtime.Seqexec.cells in
+            Hashtbl.add oracle b.Programs.Bench_def.name w;
+            w
+      in
+      (* the work the engine charged: instructions plus cells *)
+      let st = r.Sim.Engine.stats in
+      let got =
+        Array.fold_left
+          (fun n (p : Sim.Stats.per_proc) -> n + p.Sim.Stats.cells)
+          st.Sim.Stats.instructions st.Sim.Stats.procs
+      in
+      if want > got then
+        Alcotest.failf "%s: oracle work %d > engine work %d"
+          (golden_label b spec) want got)
+    (Lazy.force golden_runs)
+
+(* Every advance of a processor's clock is charged to compute, comm_cpu
+   or wait, so the three add up to its finish time. *)
+let test_times_add_up () =
+  List.iter
+    (fun (b, spec, (r : Sim.Engine.result)) ->
+      Array.iteri
+        (fun rank (p : Sim.Stats.per_proc) ->
+          let t = p.Sim.Stats.times in
+          let sum = t.Sim.Stats.compute +. t.comm_cpu +. t.wait in
+          if Float.abs (sum -. t.finish) > 1e-12 *. t.finish then
+            Alcotest.failf
+              "%s proc %d: compute + comm_cpu + wait = %h, finish = %h"
+              (golden_label b spec) rank sum t.finish)
+        r.Sim.Engine.stats.Sim.Stats.procs)
+    (Lazy.force golden_runs)
+
+(* ------------------------------------------------------------------ *)
 (* Bad input through the CLI guard                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -695,9 +783,9 @@ let test_fine_mesh_exits_1 () =
     (Cli.Cmdline.handle (fun () ->
          ignore (Run.Cache.run (Run.Cache.create ()) spec)))
 
-(* A loop that never ends must stop at the instruction budget and leave
+(* A loop that never ends must stop at the work budget and leave
    through the same guard: an [error:] line and exit 1, not an uncaught
-   [Sim.Engine.Instruction_limit]. A small budget keeps it fast. *)
+   [Runtime.Budget.Exceeded]. A small budget keeps it fast. *)
 let spin_src =
   {|
 var x : float;
@@ -725,9 +813,9 @@ let test_runaway_loop_exits_1 () =
   Sys.remove file;
   Alcotest.(check int) "exit code" 1 code
 
-(* The oracle of [zplc run --verify] has its own statement budget; a
+(* The oracle of [zplc run --verify] runs under the same work budget; a
    run that outlives it leaves through the same guard, not as an
-   uncaught [Runtime.Seqexec.Step_limit]. *)
+   uncaught [Runtime.Budget.Exceeded]. *)
 let test_oracle_budget_exits_1 () =
   let prog = Zpl.Check.compile_string spin_src in
   Alcotest.(check int) "exit code" 1
@@ -744,6 +832,30 @@ let test_define_out_of_range_exits_1 () =
   in
   Alcotest.(check int) "exit code" 1
     (Cli.Cmdline.handle (fun () -> ignore (Run.Spec.parse spec)))
+
+(* A define is read as a float, so an integer past 2^53 once lost its
+   low bits ([iters=9007199254740993] ran 9007199254740992 iterations).
+   The flag parser refuses it, a command-line error like any malformed
+   flag (exit 124), and keeps every integer a float holds. *)
+let test_inexact_define_exits_124 () =
+  let eval arg =
+    let cmd =
+      Cmdliner.Cmd.v (Cmdliner.Cmd.info "t")
+        Cmdliner.Term.(const ignore $ Cli.Cmdline.defines_arg)
+    in
+    Cmdliner.Cmd.eval ~err:Format.str_formatter ~argv:[| "t"; "-D"; arg |] cmd
+  in
+  let err = Format.flush_str_formatter in
+  Alcotest.(check int) "2^53 + 1 is refused" Cmdliner.Cmd.Exit.cli_error
+    (eval "iters=9007199254740993");
+  Alcotest.(check bool) "the message names the define" true
+    (contains (err ()) "iters=9007199254740993");
+  List.iter
+    (fun arg ->
+      Alcotest.(check int) (arg ^ " is accepted") Cmdliner.Cmd.Exit.ok (eval arg);
+      ignore (err ()))
+    [ "iters=9007199254740992"; "n=-4611686018427387904"; "tol=1e-4";
+      "n=1e19" ]
 
 let () =
   Alcotest.run "run"
@@ -779,7 +891,11 @@ let () =
           Alcotest.test_case "evicted program gets a new geometry" `Quick
             test_evicted_program_new_geometry;
           Alcotest.test_case "report grid == one cache run per spec" `Quick
-            test_grid_equals_cache_runs ] );
+            test_grid_equals_cache_runs;
+          Alcotest.test_case "oracle work <= engine work (golden grid)"
+            `Quick test_oracle_work_bounded;
+          Alcotest.test_case "processor times add up to finish (golden grid)"
+            `Quick test_times_add_up ] );
       ( "sweep",
         [ Alcotest.test_case "second pass hits and JSON artifact" `Quick
             test_sweep_second_pass;
@@ -794,4 +910,6 @@ let () =
           Alcotest.test_case "oracle budget exits 1" `Quick
             test_oracle_budget_exits_1;
           Alcotest.test_case "out-of-range define exits 1" `Quick
-            test_define_out_of_range_exits_1 ] ) ]
+            test_define_out_of_range_exits_1;
+          Alcotest.test_case "inexact integer define exits 124" `Quick
+            test_inexact_define_exits_124 ] ) ]

@@ -106,7 +106,7 @@ end;
   Alcotest.(check (float 0.)) "min" 11.0 (scalar t "mn")
 
 let test_step_limit () =
-  Alcotest.check_raises "runaway repeat" (Runtime.Seqexec.Step_limit 50)
+  Alcotest.check_raises "runaway repeat" (Runtime.Budget.Exceeded 50)
     (fun () ->
       ignore
         (run ~limit:50
