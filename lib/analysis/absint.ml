@@ -109,40 +109,31 @@ let decide_bool (i : ival) : bool option =
 (* Abstract evaluation of scalar expressions                           *)
 (* ------------------------------------------------------------------ *)
 
-let eval_call1 (f : string) (a : ival) : ival =
-  if is_point a then
-    match Runtime.Values.resolve1 f a.lo with
-    | v -> point v
-    | exception Invalid_argument _ -> top
+let eval_call1 (u : Zpl.Arith.unary) (a : ival) : ival =
+  if is_point a then point (Zpl.Arith.unary u a.lo)
   else
-    match f with
-    | "abs" ->
+    match u with
+    | Zpl.Arith.Abs ->
         if a.lo >= 0.0 then a
         else if a.hi <= 0.0 then neg a
         else mk 0.0 (Float.max (-.a.lo) a.hi)
-    | "sqrt" -> if a.lo < 0.0 then top else mk (sqrt a.lo) (sqrt a.hi)
-    | "exp" -> mk (exp a.lo) (exp a.hi)
-    | "ln" | "log" -> if a.lo <= 0.0 then top else mk (log a.lo) (log a.hi)
-    | "sin" | "cos" -> mk (-1.0) 1.0
-    | "floor" -> mk (Float.floor a.lo) (Float.floor a.hi)
-    | "sign" ->
+    | Zpl.Arith.Sqrt -> if a.lo < 0.0 then top else mk (sqrt a.lo) (sqrt a.hi)
+    | Zpl.Arith.Exp -> mk (exp a.lo) (exp a.hi)
+    | Zpl.Arith.Ln | Zpl.Arith.Log ->
+        if a.lo <= 0.0 then top else mk (log a.lo) (log a.hi)
+    | Zpl.Arith.Sin | Zpl.Arith.Cos -> mk (-1.0) 1.0
+    | Zpl.Arith.Floor -> mk (Float.floor a.lo) (Float.floor a.hi)
+    | Zpl.Arith.Sign ->
         if a.lo > 0.0 then point 1.0
         else if a.hi < 0.0 then point (-1.0)
         else if a.lo >= 0.0 then mk 0.0 1.0
         else if a.hi <= 0.0 then mk (-1.0) 0.0
         else mk (-1.0) 1.0
-    | _ -> top (* tan and anything unexpected *)
+    | Zpl.Arith.Tan -> top
 
-let eval_call2 (f : string) (a : ival) (b : ival) : ival =
-  if is_point a && is_point b then
-    match Runtime.Values.resolve2 f a.lo b.lo with
-    | v -> point v
-    | exception Invalid_argument _ -> top
-  else
-    match f with
-    | "min" -> mk (Float.min a.lo b.lo) (Float.min a.hi b.hi)
-    | "max" -> mk (Float.max a.lo b.lo) (Float.max a.hi b.hi)
-    | _ -> top
+(* min and max are monotone in both arguments *)
+let eval_call2 (b : Zpl.Arith.binary) (x : ival) (y : ival) : ival =
+  mk (Zpl.Arith.binary b x.lo y.lo) (Zpl.Arith.binary b x.hi y.hi)
 
 (** [eval ~scalars lookup e] abstracts {!Runtime.Values}' scalar code: for
     any concrete environment within [lookup]'s intervals, the concrete
@@ -208,9 +199,9 @@ let rec eval ~scalars (lookup : int -> ival) (e : Zpl.Prog.sexpr) : ival =
           | True, _ | _, True -> tt
           | False, False -> ff
           | _ -> bool_unknown))
-  | Zpl.Prog.SCall (f, [ a ]) -> eval_call1 f (eval lookup a)
-  | Zpl.Prog.SCall (f, [ a; b ]) -> eval_call2 f (eval lookup a) (eval lookup b)
-  | Zpl.Prog.SCall (_, _) -> top
+  | Zpl.Prog.SCall (Zpl.Arith.Call1 (u, a)) -> eval_call1 u (eval lookup a)
+  | Zpl.Prog.SCall (Zpl.Arith.Call2 (op, a, b)) ->
+      eval_call2 op (eval lookup a) (eval lookup b)
 
 (* ------------------------------------------------------------------ *)
 (* Abstract states                                                     *)
@@ -381,19 +372,6 @@ let analyze (p : Ir.Instr.program) : summary =
 (* Feasible-path walk over the typed program                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Scalar ids a statement list writes: scalar assignments, scalar
-   reductions and [for] variables. *)
-let rec writes (stmts : Zpl.Prog.stmt list) : int list =
-  List.concat_map
-    (function
-      | Zpl.Prog.AssignS { lhs; _ } -> [ lhs ]
-      | Zpl.Prog.ReduceS r -> [ r.Zpl.Prog.r_lhs ]
-      | Zpl.Prog.AssignA _ -> []
-      | Zpl.Prog.Repeat (body, _) -> writes body
-      | Zpl.Prog.For { var; body; _ } -> var :: writes body
-      | Zpl.Prog.If (_, a, b) -> writes a @ writes b)
-    stmts
-
 let havoc (st : state) ids =
   let st = Array.copy st in
   List.iter (fun v -> st.(v) <- top) ids;
@@ -413,13 +391,13 @@ let live_body ?(visit = fun (_ : Zpl.Prog.stmt) -> ()) (p : Zpl.Prog.t) :
           | Zpl.Prog.AssignA _ -> (s :: acc, st)
           | Zpl.Prog.ReduceS r -> (s :: acc, set st r.Zpl.Prog.r_lhs top)
           | Zpl.Prog.Repeat (body, cond) ->
-              let body, st = go (havoc st (writes body)) body in
+              let body, st = go (havoc st (Zpl.Prog.scalar_writes body)) body in
               (Zpl.Prog.Repeat (body, cond) :: acc, st)
           | Zpl.Prog.For ({ var; body; _ } as f) ->
               (* the havocked entry state is the loop invariant and the
                  post-state: it covers every body post-state and the
                  zero-trip run, where scalars keep their pre-loop values *)
-              let st = havoc st (var :: writes body) in
+              let st = havoc st (var :: Zpl.Prog.scalar_writes body) in
               let body, _ = go st body in
               (Zpl.Prog.For { f with body } :: acc, st)
           | Zpl.Prog.If (cond, a, b) -> (

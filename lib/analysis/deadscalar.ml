@@ -17,58 +17,17 @@ type warning = { w_loc : Zpl.Loc.t; w_msg : string }
 let warning_to_string w =
   Zpl.Loc.format_error (Zpl.Loc.Src w.w_loc) w.w_msg
 
-(* ------------------------------------------------------------------ *)
-(* Read collection                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let rec sexpr_reads mark (e : Zpl.Prog.sexpr) =
-  match e with
-  | Zpl.Prog.SVar v -> mark v
-  | Zpl.Prog.SFloat _ | Zpl.Prog.SInt _ | Zpl.Prog.SBool _ -> ()
-  | Zpl.Prog.SBin (_, a, b) ->
-      sexpr_reads mark a;
-      sexpr_reads mark b
-  | Zpl.Prog.SUn (_, a) -> sexpr_reads mark a
-  | Zpl.Prog.SCall (_, args) -> List.iter (sexpr_reads mark) args
-
-let rec aexpr_reads mark (e : Zpl.Prog.aexpr) =
-  match e with
-  | Zpl.Prog.AScalar v -> mark v
-  | Zpl.Prog.AConst _ | Zpl.Prog.ARef _ | Zpl.Prog.AIndex _ -> ()
-  | Zpl.Prog.ABin (_, a, b) ->
-      aexpr_reads mark a;
-      aexpr_reads mark b
-  | Zpl.Prog.AUn (_, a) -> aexpr_reads mark a
-  | Zpl.Prog.ACall (_, args) -> List.iter (aexpr_reads mark) args
-
-let dregion_reads mark (r : Zpl.Prog.dregion) =
-  Array.iter
-    (fun ((lo : Zpl.Prog.bound), (hi : Zpl.Prog.bound)) ->
-      Option.iter mark lo.Zpl.Prog.bvar;
-      Option.iter mark hi.Zpl.Prog.bvar)
-    r
-
 let run (p : Zpl.Prog.t) : warning list =
   let read = Array.make (Array.length p.Zpl.Prog.scalars) false in
   let mark v = read.(v) <- true in
   (* feasible [AssignS] sites, reversed, and the reached [for] variables *)
   let assigns = ref [] and for_vars = ref [] in
-  let visit : Zpl.Prog.stmt -> unit = function
-    | Zpl.Prog.AssignS { lhs; rhs; loc } ->
-        sexpr_reads mark rhs;
-        assigns := (loc, lhs) :: !assigns
-    | Zpl.Prog.AssignA { region; rhs; _ } ->
-        dregion_reads mark region;
-        aexpr_reads mark rhs
-    | Zpl.Prog.ReduceS r ->
-        dregion_reads mark r.Zpl.Prog.r_region;
-        aexpr_reads mark r.Zpl.Prog.r_rhs
-    | Zpl.Prog.Repeat (_, cond) | Zpl.Prog.If (cond, _, _) ->
-        sexpr_reads mark cond
-    | Zpl.Prog.For { var; lo; hi; _ } ->
-        sexpr_reads mark lo;
-        sexpr_reads mark hi;
-        for_vars := var :: !for_vars
+  let visit (s : Zpl.Prog.stmt) =
+    List.iter mark (Zpl.Prog.stmt_reads s);
+    match s with
+    | Zpl.Prog.AssignS { lhs; loc; _ } -> assigns := (loc, lhs) :: !assigns
+    | Zpl.Prog.For { var; _ } -> for_vars := var :: !for_vars
+    | _ -> ()
   in
   ignore (Absint.live_body ~visit p);
   let warns = ref [] in

@@ -28,15 +28,9 @@ type buf = Store.buf
     in-place evaluation would observe freshly written cells, so the
     assignment must evaluate into a buffer first (array semantics). *)
 let needs_buffer (a : Zpl.Prog.assign_a) =
-  let rec go = function
-    | Zpl.Prog.AConst _ | Zpl.Prog.AScalar _ | Zpl.Prog.AIndex _ -> false
-    | Zpl.Prog.ARef (aid, off) ->
-        aid = a.lhs && Array.exists (fun d -> d <> 0) off
-    | Zpl.Prog.ABin (_, x, y) -> go x || go y
-    | Zpl.Prog.AUn (_, x) -> go x
-    | Zpl.Prog.ACall (_, args) -> List.exists go args
-  in
-  go a.rhs
+  List.exists
+    (fun (aid, off) -> aid = a.lhs && Array.exists (fun d -> d <> 0) off)
+    (Zpl.Prog.refs a.rhs)
 
 (** Run a pre-compiled per-cell function over [region], writing through
     [write]. [buffered] forces evaluation into a temporary first (array
@@ -235,14 +229,12 @@ let rec compile_env (ws : ws) (e : Zpl.Prog.aexpr) :
       let fa = compile_env ws a in
       fun env p -> -.fa env p
   | Zpl.Prog.AUn (Zpl.Ast.Not, _) -> invalid_arg "'not' in array expression"
-  | Zpl.Prog.ACall (f, [ a ]) ->
-      let g = Values.resolve1 f and fa = compile_env ws a in
-      fun env p -> g (fa env p)
-  | Zpl.Prog.ACall (f, [ a; b ]) ->
-      let g = Values.resolve2 f in
+  | Zpl.Prog.ACall (Zpl.Arith.Call1 (u, a)) ->
+      let fa = compile_env ws a in
+      fun env p -> Zpl.Arith.unary u (fa env p)
+  | Zpl.Prog.ACall (Zpl.Arith.Call2 (op, a, b)) ->
       let fa = compile_env ws a and fb = compile_env ws b in
-      fun env p -> g (fa env p) (fb env p)
-  | Zpl.Prog.ACall (f, _) -> invalid_arg ("bad arity for intrinsic " ^ f)
+      fun env p -> Zpl.Arith.binary op (fa env p) (fb env p)
 
 (* ------------------------------------------------------------------ *)
 (* Row-compiled fast path                                              *)
@@ -926,23 +918,21 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
                   A1.unsafe_set dst k (-.A1.unsafe_get dst k)
                 done))
     | Zpl.Prog.AUn (Zpl.Ast.Not, _) -> raise Row_fallback
-    | Zpl.Prog.ACall (f, [ a ]) -> (
-        let g =
-          try Values.resolve1 f with Invalid_argument _ -> raise Row_fallback
-        in
+    | Zpl.Prog.ACall (Zpl.Arith.Call1 (u, a)) -> (
+        let g = Zpl.Arith.unary u in
         match go a with
         | RConst v -> RConst (g v)
         | (RRow _ | RScalar _) as ra -> RRow (fun env p0 -> g (inv ra env p0))
         | ra ->
             let apply =
               (* keep the hottest intrinsics call-free in the loop *)
-              match f with
-              | "abs" ->
+              match u with
+              | Zpl.Arith.Abs ->
                   fun (dst : buf) d0 len ->
                     for k = d0 to d0 + len - 1 do
                       A1.unsafe_set dst k (Float.abs (A1.unsafe_get dst k))
                     done
-              | "sqrt" ->
+              | Zpl.Arith.Sqrt ->
                   fun dst d0 len ->
                     for k = d0 to d0 + len - 1 do
                       A1.unsafe_set dst k (sqrt (A1.unsafe_get dst k))
@@ -957,10 +947,8 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
               (fun env p0 len dst d0 ->
                 fill ra env p0 len dst d0;
                 apply dst d0 len))
-    | Zpl.Prog.ACall (f, [ a; b ]) -> (
-        let g =
-          try Values.resolve2 f with Invalid_argument _ -> raise Row_fallback
-        in
+    | Zpl.Prog.ACall (Zpl.Arith.Call2 (op, a, b)) -> (
+        let g = Zpl.Arith.binary op in
         let ra = go a and rb = go b in
         match (ra, rb) with
         | RConst x, RConst y -> RConst (g x y)
@@ -983,7 +971,6 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
                            (A1.unsafe_get dst (d0 + k))
                            (A1.unsafe_get src (s0 + k)))
                     done))
-    | Zpl.Prog.ACall (_, _) -> raise Row_fallback
   (* single-pass chain at this node, optionally under a scalar factor *)
   and chain (e : Zpl.Prog.aexpr) : rowsrc option =
     let try_scalar e =
@@ -1226,20 +1213,7 @@ let exec_rplan (plan : rplan) ~(env : env) ~(region : Zpl.Region.t)
 type refs = (int * int array) array
 
 let refs_of (e : Zpl.Prog.aexpr) : refs =
-  let acc = ref [] in
-  let rec go = function
-    | Zpl.Prog.AConst _ | Zpl.Prog.AScalar _ | Zpl.Prog.AIndex _ -> ()
-    | Zpl.Prog.ARef (aid, off) ->
-        if not (List.exists (fun (a, o) -> a = aid && o = off) !acc) then
-          acc := (aid, off) :: !acc
-    | Zpl.Prog.ABin (_, a, b) ->
-        go a;
-        go b
-    | Zpl.Prog.AUn (_, a) -> go a
-    | Zpl.Prog.ACall (_, args) -> List.iter go args
-  in
-  go e;
-  Array.of_list !acc
+  Array.of_list (List.rev (Zpl.Prog.distinct (Zpl.Prog.refs e)))
 
 (** Runtime validation that every read in [rs] over [region] stays
     inside the referenced array's allocated storage on this executor

@@ -4,47 +4,6 @@
 type value = VFloat of float | VInt of int | VBool of bool
 [@@deriving show, eq]
 
-(* Intrinsics resolve to a constructor once; [unary] is inlined into
-   each closure, since a call through a [float -> float] closure boxes
-   its argument and result. *)
-type unary = Abs | Sqrt | Exp | Log | Sin | Cos | Tan | Floor | Sign
-
-let unary_of_name = function
-  | "abs" -> Abs
-  | "sqrt" -> Sqrt
-  | "exp" -> Exp
-  | "ln" | "log" -> Log
-  | "sin" -> Sin
-  | "cos" -> Cos
-  | "tan" -> Tan
-  | "floor" -> Floor
-  | "sign" -> Sign
-  | name -> invalid_arg ("unknown unary intrinsic " ^ name)
-
-let[@inline] unary u x =
-  match u with
-  | Abs -> Float.abs x
-  | Sqrt -> sqrt x
-  | Exp -> exp x
-  | Log -> log x
-  | Sin -> sin x
-  | Cos -> cos x
-  | Tan -> tan x
-  | Floor -> Float.floor x
-  | Sign -> if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0
-
-let resolve1 name =
-  let u = unary_of_name name in
-  fun x -> unary u x
-
-let is_max = function
-  | "max" -> true
-  | "min" -> false
-  | name -> invalid_arg ("unknown binary intrinsic " ^ name)
-
-let[@inline] binary mx x y = if mx then Float.max x y else Float.min x y
-let resolve2 name = binary (is_max name)
-
 (* ------------------------------------------------------------------ *)
 (* Slots                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -169,17 +128,17 @@ and cfloat c (e : Zpl.Prog.sexpr) ~dst : slots -> unit =
       fun s ->
         fa s;
         s.f.(dst) <- -.s.f.(x)
-  | Zpl.Prog.SCall (f, [ a ]) ->
-      let u = unary_of_name f and fa, x = arg a in
+  | Zpl.Prog.SCall (Zpl.Arith.Call1 (u, a)) ->
+      let fa, x = arg a in
       fun s ->
         fa s;
-        s.f.(dst) <- unary u s.f.(x)
-  | Zpl.Prog.SCall (f, [ a; b ]) ->
-      let mx = is_max f and fa, x = arg a and fb, y = arg b in
+        s.f.(dst) <- Zpl.Arith.unary u s.f.(x)
+  | Zpl.Prog.SCall (Zpl.Arith.Call2 (b, a1, a2)) ->
+      let fa, x = arg a1 and fb, y = arg a2 in
       fun s ->
         fa s;
         fb s;
-        s.f.(dst) <- binary mx s.f.(x) s.f.(y)
+        s.f.(dst) <- Zpl.Arith.binary b s.f.(x) s.f.(y)
   | _ -> ill_typed e
 
 (* [cint] meets a float leaf in any float expression, and rejects it *)

@@ -17,15 +17,6 @@
 type value = VFloat of float | VInt of int | VBool of bool
 [@@deriving show, eq]
 
-(** [resolve1 name] resolves a unary intrinsic ([abs], [sqrt], [exp],
-    [ln]/[log], [sin], [cos], [tan], [floor], [sign]) to its function
-    once, so hot loops pay no per-call string match; [resolve2] a
-    binary one ([min], [max]). Both raise [Invalid_argument] on an
-    unknown name. *)
-val resolve1 : string -> float -> float
-
-val resolve2 : string -> float -> float -> float
-
 (** One executor's scalars: float scalars in [f], int and bool scalars
     in [i], each at its {!slot}; float slots past the float scalars are
     the compiled code's temps. *)

@@ -66,3 +66,67 @@ let compare_slots (op : Ast.binop) (f : float array) x y = compare op f.(x) f.(y
 (** [compare] of two ints, converted to floats. *)
 let compare_ints (op : Ast.binop) (x : int) y =
   compare op (float_of_int x) (float_of_int y)
+
+(* ------------------------------------------------------------------ *)
+(* Intrinsics                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(** The one-argument intrinsics. [Ln] and [Log] are the one function
+    under two spellings, kept apart so each prints as written. *)
+type unary = Abs | Sqrt | Exp | Ln | Log | Sin | Cos | Tan | Floor | Sign
+[@@deriving show, eq]
+
+(** The two-argument intrinsics. *)
+type binary = Min | Max [@@deriving show, eq]
+
+(** An intrinsic call over arguments of type ['e]: the constructor fixes
+    the arity, so a checked call always has the arguments its function
+    takes. *)
+type 'e call = Call1 of unary * 'e | Call2 of binary * 'e * 'e
+[@@deriving show, eq]
+
+type intrinsic = Unary of unary | Binary of binary
+
+(** The intrinsic table: each source spelling and its function. The
+    checker resolves every call through it; nothing else matches a name. *)
+let intrinsics =
+  [ ("abs", Unary Abs); ("sqrt", Unary Sqrt); ("exp", Unary Exp);
+    ("ln", Unary Ln); ("log", Unary Log); ("sin", Unary Sin);
+    ("cos", Unary Cos); ("tan", Unary Tan); ("floor", Unary Floor);
+    ("sign", Unary Sign); ("min", Binary Min); ("max", Binary Max) ]
+
+let arity = function Unary _ -> 1 | Binary _ -> 2
+let name i = fst (List.find (fun (_, j) -> j = i) intrinsics)
+
+(** Approximate floating-point operations per call, for the cost model. *)
+let flops = function
+  | Unary (Abs | Floor | Sign) | Binary _ -> 1
+  | Unary Sqrt -> 8
+  | Unary (Exp | Ln | Log | Sin | Cos | Tan) -> 16
+
+let[@inline] unary u x =
+  match u with
+  | Abs -> Float.abs x
+  | Sqrt -> sqrt x
+  | Exp -> exp x
+  | Ln | Log -> log x
+  | Sin -> sin x
+  | Cos -> cos x
+  | Tan -> tan x
+  | Floor -> Float.floor x
+  | Sign -> if x > 0.0 then 1.0 else if x < 0.0 then -1.0 else 0.0
+
+let[@inline] binary b x y =
+  match b with Min -> Float.min x y | Max -> Float.max x y
+
+let call_intrinsic = function
+  | Call1 (u, _) -> Unary u
+  | Call2 (b, _, _) -> Binary b
+
+let call_args = function Call1 (_, a) -> [ a ] | Call2 (_, a, b) -> [ a; b ]
+
+let map_call f = function
+  | Call1 (u, a) -> Call1 (u, f a)
+  | Call2 (b, x, y) ->
+      let x = f x in
+      Call2 (b, x, f y)

@@ -108,7 +108,7 @@ let rec fold_sexpr ?(exact = false) (e : Prog.sexpr) : Prog.sexpr =
       | P.SFloat f -> P.SFloat (-.f)
       | a -> P.SUn (Ast.Neg, a))
   | P.SUn (op, a) -> P.SUn (op, fold_sexpr ~exact a)
-  | P.SCall (f, args) -> P.SCall (f, List.map (fold_sexpr ~exact) args)
+  | P.SCall c -> P.SCall (Arith.map_call (fold_sexpr ~exact) c)
   | e -> e
 
 (** Fold a constant's value or a region bound: an int overflow there is
@@ -125,15 +125,18 @@ type sty = TInt | TFloat | TBool
 
 let _pp_sty = function TInt -> "int" | TFloat -> "float" | TBool -> "bool"
 
-let intrinsics = [ ("abs", 1); ("sqrt", 1); ("exp", 1); ("ln", 1); ("log", 1);
-                   ("sin", 1); ("cos", 1); ("tan", 1); ("floor", 1);
-                   ("sign", 1); ("min", 2); ("max", 2) ]
-
-let check_intrinsic loc name nargs =
-  match List.assoc_opt name intrinsics with
-  | Some n when n = nargs -> ()
-  | Some n -> Loc.fail loc "%s expects %d argument(s), got %d" name n nargs
-  | None -> Loc.fail loc "unknown function %S" name
+(** Resolves a call of [f] against {!Arith.intrinsics}, then checks its
+    arguments left to right with [arg]. *)
+let check_call loc f args arg =
+  match (List.assoc_opt f Arith.intrinsics, args) with
+  | None, _ -> Loc.fail loc "unknown function %S" f
+  | Some (Arith.Unary u), [ a ] -> Arith.Call1 (u, arg a)
+  | Some (Arith.Binary b), [ x; y ] ->
+      let x = arg x in
+      Arith.Call2 (b, x, arg y)
+  | Some i, _ ->
+      Loc.fail loc "%s expects %d argument(s), got %d" f (Arith.arity i)
+        (List.length args)
 
 let sty_of_elem = function
   | Ast.TInt -> TInt
@@ -199,17 +202,12 @@ let rec check_sexpr env (e : Ast.expr) : Prog.sexpr * sty =
       if ty <> TBool then Loc.fail e.eloc "'not' expects a boolean";
       (P.SUn (Ast.Not, ta), TBool)
   | Ast.ECall (f, args) ->
-      check_intrinsic e.eloc f (List.length args);
-      let targs =
-        List.map
-          (fun a ->
-            let ta, ty = check_sexpr env a in
-            if ty = TBool then
-              Loc.fail a.Ast.eloc "boolean argument to %S" f;
-            ta)
-          args
+      let arg a =
+        let ta, ty = check_sexpr env a in
+        if ty = TBool then Loc.fail a.Ast.eloc "boolean argument to %S" f;
+        ta
       in
-      (P.SCall (f, targs), TFloat)
+      (P.SCall (check_call e.eloc f args arg), TFloat)
   | Ast.EReduce _ ->
       Loc.fail e.eloc
         "reductions are only allowed at the top of an assignment"
@@ -318,9 +316,7 @@ let rec check_aexpr env (e : Ast.expr) : Prog.aexpr =
   | Ast.EUn (Ast.Not, _) ->
       Loc.fail e.eloc "'not' is not supported in array expressions"
   | Ast.EUn (op, a) -> P.AUn (op, check_aexpr env a)
-  | Ast.ECall (f, args) ->
-      check_intrinsic e.eloc f (List.length args);
-      P.ACall (f, List.map (check_aexpr env) args)
+  | Ast.ECall (f, args) -> P.ACall (check_call e.eloc f args (check_aexpr env))
   | Ast.EReduce _ ->
       Loc.fail e.eloc
         "reductions are only allowed at the top of an assignment"
@@ -334,30 +330,23 @@ let check_shift_bounds env loc (region : Prog.dregion) (e : Prog.aexpr) =
       let arr aid =
         List.nth env.arrays (List.length env.arrays - 1 - aid)
       in
-      let rec go = function
-        | Prog.AConst _ | Prog.AScalar _ | Prog.AIndex _ -> ()
-        | Prog.ARef (aid, off) ->
-            let a = arr aid in
-            if Region.rank r <> a.Prog.a_rank then
-              Loc.fail loc
-                "statement region has rank %d but array %S has rank %d"
-                (Region.rank r) a.Prog.a_name a.Prog.a_rank;
-            let shifted = Region.shift r off in
-            if not (Region.subset shifted a.Prog.a_region) then
-              Loc.fail loc
-                "shifted reference %s@%s reads outside the declared region %s"
-                a.Prog.a_name
-                (Fmt.str "[%s]"
-                   (String.concat ","
-                      (List.map string_of_int (Array.to_list off))))
-                (Region.to_string a.Prog.a_region)
-        | Prog.ABin (_, a, b) ->
-            go a;
-            go b
-        | Prog.AUn (_, a) -> go a
-        | Prog.ACall (_, args) -> List.iter go args
-      in
-      go e
+      List.iter
+        (fun (aid, off) ->
+          let a = arr aid in
+          if Region.rank r <> a.Prog.a_rank then
+            Loc.fail loc
+              "statement region has rank %d but array %S has rank %d"
+              (Region.rank r) a.Prog.a_name a.Prog.a_rank;
+          let shifted = Region.shift r off in
+          if not (Region.subset shifted a.Prog.a_region) then
+            Loc.fail loc
+              "shifted reference %s@%s reads outside the declared region %s"
+              a.Prog.a_name
+              (Fmt.str "[%s]"
+                 (String.concat ","
+                    (List.map string_of_int (Array.to_list off))))
+              (Region.to_string a.Prog.a_region))
+        (Prog.refs e)
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
@@ -375,27 +364,6 @@ let resolve_region env loc (r : Ast.region_ref option) : Prog.dregion =
       | None ->
           Loc.fail loc
             "no region in scope: prefix the statement with [R] or [lo..hi, ...]")
-
-(* Scalars a checked statement list may write. Nested loop variables
-   are left out: each is fresh, so no enclosing bound can read one. *)
-let rec scalar_writes acc (stmts : Prog.stmt list) =
-  List.fold_left
-    (fun acc (st : Prog.stmt) ->
-      match st with
-      | Prog.AssignS { lhs; _ } -> lhs :: acc
-      | Prog.ReduceS r -> r.Prog.r_lhs :: acc
-      | Prog.AssignA _ -> acc
-      | Prog.Repeat (body, _) | Prog.For { body; _ } -> scalar_writes acc body
-      | Prog.If (_, a, b) -> scalar_writes (scalar_writes acc a) b)
-    acc stmts
-
-let rec reads_any ids (e : Prog.sexpr) =
-  match e with
-  | Prog.SVar id -> List.mem id ids
-  | Prog.SFloat _ | Prog.SInt _ | Prog.SBool _ -> false
-  | Prog.SUn (_, a) -> reads_any ids a
-  | Prog.SBin (_, a, b) -> reads_any ids a || reads_any ids b
-  | Prog.SCall (_, args) -> List.exists (reads_any ids) args
 
 let rec check_stmts env (stmts : Ast.stmt list) : Prog.stmt list =
   List.concat_map (check_stmt env) stmts
@@ -498,7 +466,8 @@ and check_stmt env (s : Ast.stmt) : Prog.stmt list =
          change is hoisted into a fresh scalar assigned just before the
          loop. *)
       let thi = fold_sexpr thi in
-      if reads_any (scalar_writes [] tbody) thi then begin
+      let writes = P.scalar_writes tbody in
+      if List.exists (fun v -> List.mem v writes) (P.sexpr_reads thi) then begin
         let h = fresh_scalar env ~loc:s.sloc (v ^ ".hi") Ast.TInt in
         [ P.AssignS { lhs = h; rhs = thi; loc = s.sloc }; loop (P.SVar h) ]
       end

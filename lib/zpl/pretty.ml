@@ -23,6 +23,11 @@ let dregion_to_string (dr : dregion) =
   |> String.concat ", "
   |> Printf.sprintf "[%s]"
 
+let call_to_string to_string c =
+  Printf.sprintf "%s(%s)"
+    (Arith.name (Arith.call_intrinsic c))
+    (String.concat ", " (List.map to_string (Arith.call_args c)))
+
 let rec sexpr_to_string (p : t) = function
   | SFloat f -> Printf.sprintf "%g" f
   | SInt i -> string_of_int i
@@ -33,9 +38,7 @@ let rec sexpr_to_string (p : t) = function
         (sexpr_to_string p b)
   | SUn (Ast.Neg, a) -> Printf.sprintf "(-%s)" (sexpr_to_string p a)
   | SUn (Ast.Not, a) -> Printf.sprintf "(not %s)" (sexpr_to_string p a)
-  | SCall (f, args) ->
-      Printf.sprintf "%s(%s)" f
-        (String.concat ", " (List.map (sexpr_to_string p) args))
+  | SCall c -> call_to_string (sexpr_to_string p) c
 
 let rec aexpr_to_string (p : t) = function
   | AConst f -> Printf.sprintf "%g" f
@@ -50,9 +53,7 @@ let rec aexpr_to_string (p : t) = function
         (aexpr_to_string p b)
   | AUn (Ast.Neg, a) -> Printf.sprintf "(-%s)" (aexpr_to_string p a)
   | AUn (Ast.Not, a) -> Printf.sprintf "(not %s)" (aexpr_to_string p a)
-  | ACall (f, args) ->
-      Printf.sprintf "%s(%s)" f
-        (String.concat ", " (List.map (aexpr_to_string p) args))
+  | ACall c -> call_to_string (aexpr_to_string p) c
 
 let rec stmt_lines (p : t) ~indent (s : stmt) : string list =
   let pad = String.make indent ' ' in

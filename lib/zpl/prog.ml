@@ -43,7 +43,7 @@ type sexpr =
   | SVar of int
   | SBin of Ast.binop * sexpr * sexpr
   | SUn of Ast.unop * sexpr
-  | SCall of string * sexpr list
+  | SCall of sexpr Arith.call
 [@@deriving show, eq]
 
 (** Per-cell array expressions evaluated over a region. *)
@@ -54,7 +54,7 @@ type aexpr =
   | AIndex of int  (** ZPL's IndexD: the cell's coordinate in dimension D *)
   | ABin of Ast.binop * aexpr * aexpr
   | AUn of Ast.unop * aexpr
-  | ACall of string * aexpr list
+  | ACall of aexpr Arith.call
 [@@deriving show, eq]
 
 (** One region bound: [base] plus an optional int scalar variable. *)
@@ -107,6 +107,76 @@ let find_scalar (p : t) name =
   Array.to_list p.scalars |> List.find_opt (fun s -> s.s_name = name)
 
 (* ------------------------------------------------------------------ *)
+(* The one traversal: what expressions and statements read and write   *)
+(* ------------------------------------------------------------------ *)
+
+let rec fold_aleaves f acc = function
+  | ABin (_, a, b) -> fold_aleaves f (fold_aleaves f acc a) b
+  | AUn (_, a) -> fold_aleaves f acc a
+  | ACall c -> List.fold_left (fold_aleaves f) acc (Arith.call_args c)
+  | leaf -> f acc leaf
+
+let rec fold_sleaves f acc = function
+  | SBin (_, a, b) -> fold_sleaves f (fold_sleaves f acc a) b
+  | SUn (_, a) -> fold_sleaves f acc a
+  | SCall c -> List.fold_left (fold_sleaves f) acc (Arith.call_args c)
+  | leaf -> f acc leaf
+
+(** Every array read of [e] as (array id, shift), left to right, with
+    repeats. *)
+let refs (e : aexpr) : (int * offset) list =
+  List.rev
+    (fold_aleaves
+       (fun acc -> function ARef (aid, off) -> (aid, off) :: acc | _ -> acc)
+       [] e)
+
+(** Every scalar [e] reads, left to right, with repeats. *)
+let aexpr_reads (e : aexpr) : int list =
+  List.rev
+    (fold_aleaves (fun acc -> function AScalar v -> v :: acc | _ -> acc) [] e)
+
+let sexpr_reads (e : sexpr) : int list =
+  List.rev
+    (fold_sleaves (fun acc -> function SVar v -> v :: acc | _ -> acc) [] e)
+
+let dregion_reads (r : dregion) : int list =
+  Array.fold_right
+    (fun (lo, hi) acc -> Option.to_list lo.bvar @ Option.to_list hi.bvar @ acc)
+    r []
+
+(** The scalars a statement's own expressions and regions read; the
+    statements nested in its body are not included. *)
+let stmt_reads = function
+  | AssignS { rhs; _ } -> sexpr_reads rhs
+  | AssignA { region; rhs; _ } -> dregion_reads region @ aexpr_reads rhs
+  | ReduceS r -> dregion_reads r.r_region @ aexpr_reads r.r_rhs
+  | Repeat (_, cond) | If (cond, _, _) -> sexpr_reads cond
+  | For { lo; hi; _ } -> sexpr_reads lo @ sexpr_reads hi
+
+(** [fold_stmts f acc stmts] folds [f] over every statement of [stmts],
+    nested ones included, each before its body. *)
+let rec fold_stmts f acc stmts =
+  List.fold_left
+    (fun acc s ->
+      let acc = f acc s in
+      match s with
+      | AssignA _ | AssignS _ | ReduceS _ -> acc
+      | Repeat (body, _) | For { body; _ } -> fold_stmts f acc body
+      | If (_, a, b) -> fold_stmts f (fold_stmts f acc a) b)
+    acc stmts
+
+(** Every scalar [stmts] may write: scalar assignments, reduction
+    targets and [for] variables, nested statements included. *)
+let scalar_writes (stmts : stmt list) : int list =
+  fold_stmts
+    (fun acc -> function
+      | AssignS { lhs; _ } -> lhs :: acc
+      | ReduceS r -> r.r_lhs :: acc
+      | For { var; _ } -> var :: acc
+      | AssignA _ | Repeat _ | If _ -> acc)
+    [] stmts
+
+(* ------------------------------------------------------------------ *)
 (* Static properties used by the optimizer and cost model              *)
 (* ------------------------------------------------------------------ *)
 
@@ -117,45 +187,21 @@ let comm_offset (off : offset) : (int * int) option =
   let d0 = off.(0) and d1 = if Array.length off >= 2 then off.(1) else 0 in
   if d0 = 0 && d1 = 0 then None else Some (d0, d1)
 
+(* [l] without repeats, in order of first occurrence *)
+let distinct l =
+  List.rev
+    (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] l)
+
 (** Distinct (array, mesh offset) pairs that require communication before
     evaluating [e]. Order of first occurrence is preserved. *)
 let comm_needs (e : aexpr) : (int * (int * int)) list =
-  let acc = ref [] in
-  let add aid d = if not (List.mem (aid, d) !acc) then acc := (aid, d) :: !acc in
-  let rec go = function
-    | AConst _ | AScalar _ | AIndex _ -> ()
-    | ARef (aid, off) -> (
-        match comm_offset off with None -> () | Some d -> add aid d)
-    | ABin (_, a, b) ->
-        go a;
-        go b
-    | AUn (_, a) -> go a
-    | ACall (_, args) -> List.iter go args
-  in
-  go e;
-  List.rev !acc
+  distinct
+    (List.filter_map
+       (fun (aid, off) -> Option.map (fun d -> (aid, d)) (comm_offset off))
+       (refs e))
 
 (** All arrays read by [e] (with or without a shift). *)
-let arrays_read (e : aexpr) : int list =
-  let acc = ref [] in
-  let add aid = if not (List.mem aid !acc) then acc := aid :: !acc in
-  let rec go = function
-    | AConst _ | AScalar _ | AIndex _ -> ()
-    | ARef (aid, _) -> add aid
-    | ABin (_, a, b) ->
-        go a;
-        go b
-    | AUn (_, a) -> go a
-    | ACall (_, args) -> List.iter go args
-  in
-  go e;
-  List.rev !acc
-
-let call_flops = function
-  | "abs" | "min" | "max" | "sign" | "floor" -> 1
-  | "sqrt" -> 8
-  | "exp" | "ln" | "log" | "sin" | "cos" | "tan" -> 16
-  | _ -> 4
+let arrays_read (e : aexpr) : int list = distinct (List.map fst (refs e))
 
 let binop_flops = function
   | Ast.Add | Ast.Sub | Ast.Mul -> 1
@@ -169,8 +215,9 @@ let rec flops_of_aexpr = function
   | ARef _ -> 0
   | ABin (op, a, b) -> binop_flops op + flops_of_aexpr a + flops_of_aexpr b
   | AUn (_, a) -> 1 + flops_of_aexpr a
-  | ACall (f, args) ->
-      call_flops f + List.fold_left (fun n a -> n + flops_of_aexpr a) 0 args
+  | ACall c ->
+      Arith.flops (Arith.call_intrinsic c)
+      + List.fold_left (fun n a -> n + flops_of_aexpr a) 0 (Arith.call_args c)
 
 (** A static region, if the bounds reference no variables. *)
 let static_region (dr : dregion) : Region.t option =
@@ -187,40 +234,18 @@ let dregion_of_region (r : Region.t) : dregion =
 let fringe_widths (p : t) : int array =
   (* per array: max over both mesh dims *)
   let w = Array.make (Array.length p.arrays) 0 in
-  let rec go_e = function
-    | AConst _ | AScalar _ | AIndex _ -> ()
-    | ARef (aid, off) ->
-        let d0 = abs off.(0) in
-        let d1 = if Array.length off >= 2 then abs off.(1) else 0 in
-        w.(aid) <- max w.(aid) (max d0 d1)
-    | ABin (_, a, b) ->
-        go_e a;
-        go_e b
-    | AUn (_, a) -> go_e a
-    | ACall (_, args) -> List.iter go_e args
+  let widen (aid, off) =
+    let d0 = abs off.(0) in
+    let d1 = if Array.length off >= 2 then abs off.(1) else 0 in
+    w.(aid) <- max w.(aid) (max d0 d1)
   in
-  let rec go_s = function
-    | AssignA { rhs; _ } -> go_e rhs
-    | ReduceS { r_rhs; _ } -> go_e r_rhs
-    | AssignS _ -> ()
-    | Repeat (body, _) -> List.iter go_s body
-    | For { body; _ } -> List.iter go_s body
-    | If (_, a, b) ->
-        List.iter go_s a;
-        List.iter go_s b
-  in
-  List.iter go_s p.body;
+  fold_stmts
+    (fun () -> function
+      | AssignA { rhs; _ } | ReduceS { r_rhs = rhs; _ } ->
+          List.iter widen (refs rhs)
+      | AssignS _ | Repeat _ | For _ | If _ -> ())
+    () p.body;
   w
 
 (** Count statements, for reporting. *)
-let rec count_stmts stmts =
-  List.fold_left
-    (fun n s ->
-      n
-      +
-      match s with
-      | AssignA _ | AssignS _ | ReduceS _ -> 1
-      | Repeat (b, _) -> 1 + count_stmts b
-      | For { body; _ } -> 1 + count_stmts body
-      | If (_, a, b) -> 1 + count_stmts a + count_stmts b)
-    0 stmts
+let count_stmts stmts = fold_stmts (fun n _ -> n + 1) 0 stmts

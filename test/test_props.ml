@@ -654,16 +654,17 @@ let gen_aexpr rank =
                  (self (depth - 1)) (self (depth - 1)));
               (1,
                map (fun a -> Zpl.Prog.AUn (Zpl.Ast.Neg, a)) (self (depth - 1)));
-              (1,
-               map2
-                 (fun f a -> Zpl.Prog.ACall (f, [ a ]))
-                 (oneofl [ "abs"; "sqrt"; "sin" ])
-                 (self (depth - 1)));
-              (1,
-               map3
-                 (fun f a b -> Zpl.Prog.ACall (f, [ a; b ]))
-                 (oneofl [ "min"; "max" ])
-                 (self (depth - 1)) (self (depth - 1))) ])
+              (* every entry of the intrinsic table *)
+              ( 2,
+                oneofl Zpl.Arith.intrinsics >>= function
+                | _, Zpl.Arith.Unary u ->
+                    map
+                      (fun a -> Zpl.Prog.ACall (Zpl.Arith.Call1 (u, a)))
+                      (self (depth - 1))
+                | _, Zpl.Arith.Binary b ->
+                    map2
+                      (fun x y -> Zpl.Prog.ACall (Zpl.Arith.Call2 (b, x, y)))
+                      (self (depth - 1)) (self (depth - 1)) ) ])
       3)
 
 let gen_kregion rank =
