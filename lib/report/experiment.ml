@@ -36,7 +36,7 @@ let mesh_of scale (b : Programs.Bench_def.t) =
     machine, the scale's mesh. The compile target is the simulation
     target — collective synthesis searches this machine/library's cost
     model and bakes the mesh size into its round structure. *)
-let bench_spec ?topology ~(machine : Machine.Params.t)
+let bench_spec ~(machine : Machine.Params.t)
     ~(lib : Machine.Library.t) ~(config : Opt.Config.t) ~scale
     (b : Programs.Bench_def.t) : Run.Spec.t =
   let defines =
@@ -49,7 +49,6 @@ let bench_spec ?topology ~(machine : Machine.Params.t)
   default b.Programs.Bench_def.source
   |> with_defines defines |> with_config config |> with_target machine lib
   |> with_mesh pr pc
-  |> match topology with None -> Fun.id | Some t -> with_topology t
 
 type bench_result = { bench : Programs.Bench_def.t; rows : row list }
 
@@ -62,7 +61,7 @@ type bench_result = { bench : Programs.Bench_def.t; rows : row list }
     run. *)
 let run_grid ~(machine : Machine.Params.t)
     ~(rows : (string * Opt.Config.t * Machine.Library.t) list) ?domains
-    ?topology ~scale (benches : Programs.Bench_def.t list) :
+    ~scale (benches : Programs.Bench_def.t list) :
     bench_result list =
   let items =
     List.concat_map
@@ -70,7 +69,7 @@ let run_grid ~(machine : Machine.Params.t)
         List.map
           (fun (label, config, lib) ->
             { Run.Sweep.label;
-              spec = bench_spec ?topology ~machine ~lib ~config ~scale b })
+              spec = bench_spec ~machine ~lib ~config ~scale b })
           rows)
       benches
   in
@@ -93,19 +92,14 @@ let run_grid ~(machine : Machine.Params.t)
             (List.filteri (fun k _ -> k / nrows = i) swept) })
     benches
 
-(** Run the paper's six rows for one benchmark on the T3D. [topology]
-    (default ideal) adds the interconnect model as a report dimension:
-    the same rows under per-link mesh/torus contention. *)
-let run_bench ?(scale = `Bench) ?domains ?topology
-    (b : Programs.Bench_def.t) : bench_result =
-  List.hd
-    (run_grid ~machine:Machine.T3d.machine ~rows:paper_rows ?domains
-       ?topology ~scale [ b ])
+(** Run the paper's six rows for one benchmark on the T3D. *)
+let run_bench ?(scale = `Bench) (b : Programs.Bench_def.t) : bench_result =
+  List.hd (run_grid ~machine:Machine.T3d.machine ~rows:paper_rows ~scale [ b ])
 
 (** The full grid behind Figures 8-12 and Tables 1-4. *)
-let grid ?(scale = `Bench) ?domains ?topology () : bench_result list =
-  run_grid ~machine:Machine.T3d.machine ~rows:paper_rows ?domains ?topology
-    ~scale Programs.Suite.paper_benchmarks
+let grid ?(scale = `Bench) ?domains () : bench_result list =
+  run_grid ~machine:Machine.T3d.machine ~rows:paper_rows ?domains ~scale
+    Programs.Suite.paper_benchmarks
 
 let find_row (r : bench_result) label =
   List.find (fun (x : row) -> x.label = label) r.rows
@@ -131,6 +125,6 @@ let paragon_rows : (string * Opt.Config.t * Machine.Library.t) list =
     ("pl with isend/irecv", Opt.Config.pl_cum, Machine.Paragon.nx_async);
     ("pl with hsend/hrecv", Opt.Config.pl_cum, Machine.Paragon.nx_callback) ]
 
-let paragon_grid ?(scale = `Bench) ?domains () : bench_result list =
-  run_grid ~machine:Machine.Paragon.machine ~rows:paragon_rows ?domains ~scale
+let paragon_grid ?(scale = `Bench) () : bench_result list =
+  run_grid ~machine:Machine.Paragon.machine ~rows:paragon_rows ~scale
     Programs.Suite.paper_benchmarks

@@ -7,7 +7,7 @@
 
     Every writer is [Buffer.t]-based so a hot emit path can render into
     one reused buffer instead of allocating intermediate strings per
-    row; {!escape} remains for one-off call sites. *)
+    row. *)
 
 let add_escaped b s =
   String.iter
@@ -21,11 +21,6 @@ let add_escaped b s =
           Printf.bprintf b "\\u%04x" (Char.code c)
       | c -> Buffer.add_char b c)
     s
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  add_escaped b s;
-  Buffer.contents b
 
 let add_str b s =
   Buffer.add_char b '"';

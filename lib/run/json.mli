@@ -3,13 +3,10 @@
     render into one reused buffer instead of allocating intermediate
     strings per row. *)
 
-(** [escape s] is [s] with double quotes, backslashes and control
-    characters escaped so the result can be spliced between double
-    quotes in a JSON document. Non-ASCII bytes pass through unchanged
-    (the writers emit UTF-8). *)
-val escape : string -> string
-
-(** Append the escaped body of [s] (no surrounding quotes). *)
+(** Append the body of [s] with double quotes, backslashes and control
+    characters escaped (no surrounding quotes), so it can be spliced
+    between double quotes in a JSON document. Non-ASCII bytes pass
+    through unchanged (the writers emit UTF-8). *)
 val add_escaped : Buffer.t -> string -> unit
 
 (** Append [s] as a JSON string value: quoted and escaped. *)

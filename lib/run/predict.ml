@@ -221,60 +221,83 @@ let site_rows (t : t) : string list list =
 
 let site_header = [ "site"; "xfer"; "transfer"; "static acts"; "measured" ]
 
-let ival_json (i : Absint.ival) =
-  let b v =
-    if v = Float.infinity then "\"inf\""
-    else if v = Float.neg_infinity then "\"-inf\""
-    else if Float.is_integer v && Float.abs v < 1e15 then
-      Printf.sprintf "%.0f" v
-    else Printf.sprintf "%.17g" v
-  in
-  Printf.sprintf "[%s,%s]" (b i.Absint.lo) (b i.Absint.hi)
-
 (** One JSON object per analysis, for the CI artifact. *)
 let to_json ?(name = "") (t : t) : string =
   let s = summarize t in
   let mismatches = verify t in
-  let buf = Buffer.create 1024 in
+  let b = Buffer.create 1024 in
+  (* [sep] opens the object or separates this field from the last *)
+  let key sep k =
+    Buffer.add_char b sep;
+    Json.add_str b k;
+    Buffer.add_char b ':'
+  in
+  let bound v =
+    if v = Float.infinity then Json.add_str b "inf"
+    else if v = Float.neg_infinity then Json.add_str b "-inf"
+    else if Float.is_integer v && Float.abs v < 1e15 then
+      Printf.bprintf b "%.0f" v
+    else Json.add_exact b v
+  in
+  let ival (i : Absint.ival) =
+    Buffer.add_char b '[';
+    bound i.Absint.lo;
+    Buffer.add_char b ',';
+    bound i.Absint.hi;
+    Buffer.add_char b ']'
+  in
+  let counts k pred meas bnd =
+    key ',' k;
+    key '{' "predicted";
+    Json.add_int b pred;
+    key ',' "measured";
+    Json.add_int b meas;
+    key ',' "bound";
+    ival bnd;
+    Buffer.add_char b '}'
+  in
   let pr, pc = t.p_spec.Spec.mesh in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"program\":\"%s\",\"config\":\"%s\",\"lib\":\"%s\",\"mesh\":\"%dx%d\",\"topology\":\"%s\""
-       (Json.escape (if name = "" then t.p_prog.Zpl.Prog.name else name))
-       (Json.escape (Opt.Config.name t.p_spec.Spec.config))
-       (Json.escape
-          t.p_spec.Spec.lib.Machine.Library.costs.Machine.Params.lib_name)
-       pr pc
-       (Machine.Topology.name t.p_spec.Spec.topology));
-  Buffer.add_string buf ",\"sites\":[";
+  key '{' "program";
+  Json.add_str b (if name = "" then t.p_prog.Zpl.Prog.name else name);
+  key ',' "config";
+  Json.add_str b (Opt.Config.name t.p_spec.Spec.config);
+  key ',' "lib";
+  Json.add_str b t.p_spec.Spec.lib.Machine.Library.costs.Machine.Params.lib_name;
+  key ',' "mesh";
+  Json.add_str b (Printf.sprintf "%dx%d" pr pc);
+  key ',' "topology";
+  Json.add_str b (Machine.Topology.name t.p_spec.Spec.topology);
+  key ',' "sites";
+  Buffer.add_char b '[';
   List.iteri
     (fun k sc ->
-      if k > 0 then Buffer.add_char buf ',';
       let st = sc.sc_site in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"pos\":%d,\"xfer\":%d,\"desc\":\"%s\",\"static\":%s,\"measured\":%d}"
-           st.Commvol.st_pos st.Commvol.st_xfer
-           (Json.escape st.Commvol.st_desc)
-           (ival_json st.Commvol.st_acts)
-           sc.sc_measured))
+      if k > 0 then Buffer.add_char b ',';
+      key '{' "pos";
+      Json.add_int b st.Commvol.st_pos;
+      key ',' "xfer";
+      Json.add_int b st.Commvol.st_xfer;
+      key ',' "desc";
+      Json.add_str b st.Commvol.st_desc;
+      key ',' "static";
+      ival st.Commvol.st_acts;
+      key ',' "measured";
+      Json.add_int b sc.sc_measured;
+      Buffer.add_char b '}')
     t.p_sites;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "],\"messages\":{\"predicted\":%d,\"measured\":%d,\"bound\":%s}"
-       s.s_messages_pred s.s_messages_meas (ival_json s.s_messages_bound));
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\"bytes\":{\"predicted\":%d,\"measured\":%d,\"bound\":%s}"
-       s.s_bytes_pred s.s_bytes_meas (ival_json s.s_bytes_bound));
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\"comm_cpu\":{\"predicted\":%.17g,\"measured\":%.17g}" s.s_cpu_pred
-       s.s_cpu_meas);
-  Buffer.add_string buf
-    (Printf.sprintf
-       ",\"dynamic_count\":{\"predicted\":%d,\"measured\":%d,\"bound\":%s}"
-       s.s_dyn_pred s.s_dyn_meas (ival_json s.s_dyn_bound));
-  Buffer.add_string buf
-    (Printf.sprintf ",\"time\":%.17g,\"ok\":%b}" t.p_time (mismatches = []));
-  Buffer.contents buf
+  Buffer.add_char b ']';
+  counts "messages" s.s_messages_pred s.s_messages_meas s.s_messages_bound;
+  counts "bytes" s.s_bytes_pred s.s_bytes_meas s.s_bytes_bound;
+  key ',' "comm_cpu";
+  key '{' "predicted";
+  Json.add_exact b s.s_cpu_pred;
+  key ',' "measured";
+  Json.add_exact b s.s_cpu_meas;
+  Buffer.add_char b '}';
+  counts "dynamic_count" s.s_dyn_pred s.s_dyn_meas s.s_dyn_bound;
+  key ',' "time";
+  Json.add_exact b t.p_time;
+  key ',' "ok";
+  Json.add_bool b (mismatches = []);
+  Buffer.add_char b '}';
+  Buffer.contents b

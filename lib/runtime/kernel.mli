@@ -9,9 +9,13 @@
     loops over contiguous float64 Bigarray rows; every row kernel
     performs the exact same floating-point operation sequence per cell
     as the per-point path, so the two are bit-identical (property-tested
-    in [test/test_props.ml]). Every statement runs alone: simulated
-    cost is charged per statement, so sharing a row traversal among
-    statements could only change host speed, and measured at parity.
+    in [test/test_props.ml], over every entry of the intrinsic table).
+    Intrinsics arrive as typed {!Zpl.Arith.call}s and evaluate through
+    {!Zpl.Arith.unary}/{!Zpl.Arith.binary}; the row path keeps the abs
+    and sqrt loops free of per-cell calls. Every statement runs alone:
+    simulated cost is charged per statement, so sharing a row traversal
+    among statements could only change host speed, and measured at
+    parity.
 
     {b The store-binding contract.} Compiled plans are store-agnostic:
     a plan may capture array ids, flat shifts (computed against the
@@ -138,9 +142,9 @@ val exec_rplan :
 
 (* --- dynamic bounds checking --- *)
 
-(** The distinct (array, shift) reads of an expression, extracted once
-    at plan time so the per-execution bounds check walks a short array
-    instead of the whole AST. *)
+(** The distinct (array, shift) reads of an expression
+    ({!Zpl.Prog.refs}), extracted once at plan time so the per-execution
+    bounds check walks a short array instead of the whole AST. *)
 type refs = (int * int array) array
 
 val refs_of : Zpl.Prog.aexpr -> refs

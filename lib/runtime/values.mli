@@ -10,8 +10,11 @@
     mixed int/float arithmetic is float; [/], [^] and intrinsics always
     yield a float; comparisons convert both sides to float (so
     [2^53 + 1 = 2^53] holds). A float scalar assigned an int expression
-    stores its float conversion. The checker rules out ill-typed code;
-    the compiler raises [Invalid_argument] on any it meets. *)
+    stores its float conversion. Operators and intrinsics evaluate
+    through {!Zpl.Arith}: an intrinsic call arrives typed, its arity
+    fixed by its constructor, so no name is matched here. The checker
+    rules out ill-typed code; the compiler raises [Invalid_argument] on
+    any it meets. *)
 
 (** A scalar read back at its declared type. *)
 type value = VFloat of float | VInt of int | VBool of bool

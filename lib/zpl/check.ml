@@ -234,6 +234,16 @@ let check_bound env (e : Ast.expr) : Prog.bound =
       Loc.fail e.Ast.eloc
         "region bounds must have the form <const>, <var>, or <var> +/- <const>"
 
+(** A static region whose extent or cell count leaves the int range is
+    an error at [loc]. *)
+let check_fits loc (dr : Prog.dregion) =
+  match Prog.static_region dr with
+  | Some r when not (Region.fits r) ->
+      Loc.fail loc
+        "region %s: an extent or the cell count overflows the int range"
+        (Region.to_string r)
+  | _ -> dr
+
 let check_region_ref env (r : Ast.region_ref) : Prog.dregion =
   match r with
   | Ast.RName (name, loc) -> (
@@ -244,14 +254,14 @@ let check_region_ref env (r : Ast.region_ref) : Prog.dregion =
       if ranges = [] then Loc.fail loc "empty region literal";
       ranges
       |> List.map (fun (lo, hi) -> (check_bound env lo, check_bound env hi))
-      |> Array.of_list
+      |> Array.of_list |> check_fits loc
 
 (** Region declarations must be fully static. *)
 let check_static_region env (ranges : (Ast.expr * Ast.expr) list) loc : Region.t =
   let dr =
     ranges
     |> List.map (fun (lo, hi) -> (check_bound env lo, check_bound env hi))
-    |> Array.of_list
+    |> Array.of_list |> check_fits loc
   in
   match Prog.static_region dr with
   | Some r -> r

@@ -4,7 +4,17 @@
     All names are resolved to dense integer ids. Arrays are rank 2 or 3,
     float-valued, block-distributed over the first two dimensions; scalars
     are replicated. Regions appearing in statements may have bounds of the
-    affine form [var + const] so that `for` loops can sweep rows/planes. *)
+    affine form [var + const] so that `for` loops can sweep rows/planes.
+    An intrinsic call is a typed {!Arith.call}, resolved once by the
+    checker against {!Arith.intrinsics}.
+
+    This module also holds the one traversal of the program: what an
+    expression or statement reads ({!refs}, {!aexpr_reads},
+    {!sexpr_reads}, {!stmt_reads}) and what a statement list writes
+    ({!scalar_writes}), over {!fold_stmts}. Analyses that only ask what
+    is read or written build on these; the evaluators, compilers and
+    printers, which tell every constructor apart, match the types
+    themselves. *)
 
 type offset = int array [@@deriving show, eq, ord]
 
@@ -110,6 +120,7 @@ let find_scalar (p : t) name =
 (* The one traversal: what expressions and statements read and write   *)
 (* ------------------------------------------------------------------ *)
 
+(* [f] over the leaves of an expression, left to right *)
 let rec fold_aleaves f acc = function
   | ABin (_, a, b) -> fold_aleaves f (fold_aleaves f acc a) b
   | AUn (_, a) -> fold_aleaves f acc a

@@ -14,9 +14,27 @@ let make bounds = Array.of_list (List.map (fun (lo, hi) -> { lo; hi }) bounds)
 
 let rank (r : t) = Array.length r
 
-let range_size { lo; hi } = if hi < lo then 0 else hi - lo + 1
+(* For [hi >= lo], [hi - lo + 1] wraps to at most 0 exactly when the
+   extent exceeds max_int. *)
+let extent { lo; hi } = if hi < lo then 0 else hi - lo + 1
+let wraps rg = rg.hi >= rg.lo && extent rg <= 0
 
-let size (r : t) = Array.fold_left (fun acc rg -> acc * range_size rg) 1 r
+(* The cell count, or -1 when an extent or the count exceeds max_int. *)
+let cells (r : t) =
+  Array.fold_left
+    (fun acc rg ->
+      let n = extent rg in
+      if acc < 0 || wraps rg || (n > 0 && acc > max_int / n) then -1
+      else acc * n)
+    1 r
+
+let fits r = cells r >= 0
+let too_large () = invalid_arg "Region: extent or cell count past max_int"
+let range_size rg = if wraps rg then too_large () else extent rg
+
+let size (r : t) =
+  let n = cells r in
+  if n < 0 then too_large () else n
 
 (* [is_empty] and [subset] run on every kernel dispatch, so they loop
    by hand: [Array.exists]/[Array.for_all2] allocate a closure per call. *)

@@ -21,6 +21,11 @@ val range : int -> int -> range
 val make : (int * int) list -> t
 
 val rank : t -> int
+(** Whether every extent of [r] and its number of points lie in the int
+    range. The checker rejects any declared or static region that does
+    not; {!range_size} and {!size} raise [Invalid_argument] on one. *)
+val fits : t -> bool
+
 val range_size : range -> int
 
 (** Number of points; 0 when any dimension is empty. *)

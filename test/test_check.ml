@@ -206,7 +206,25 @@ let test_errors () =
   expect_error "procedure main(); begin [k..k*2, 1..n] A := 1.0; end;"
     "form";
   expect_error "var Z : [1..4] float;\nprocedure main(); begin x := 1.0; end;"
-    "rank"
+    "rank";
+  (* intrinsics: an unknown name and a wrong arity, in a scalar and in an
+     array expression, each with its exact text and position *)
+  let exact body msg col =
+    match compile body with
+    | _ -> Alcotest.failf "expected %S" msg
+    | exception Loc.Error (loc, m) ->
+        Alcotest.(check string) "message" msg m;
+        Alcotest.(check (pair int int)) (msg ^ ": position") (11, col)
+          (loc.Loc.line, loc.Loc.col)
+  in
+  exact "procedure main(); begin x := sqrt(2.0, 3.0); end;"
+    "sqrt expects 1 argument(s), got 2" 30;
+  exact "procedure main(); begin x := hypot(x, y); end;"
+    "unknown function \"hypot\"" 30;
+  exact "procedure main(); begin [R] A := max(B); end;"
+    "max expects 2 argument(s), got 1" 34;
+  exact "procedure main(); begin [R] A := 2.0 * atan(B); end;"
+    "unknown function \"atan\"" 40
 
 (* A reduction over a statically empty region would silently yield the
    operator's identity (neg_infinity for max<<, infinity for min<<) —
@@ -279,10 +297,14 @@ let test_define_out_of_range () =
             (String.starts_with ~prefix:"define n=" msg);
           Alcotest.(check int) "at the constant's line" 2 loc.Loc.line)
     [ 1e19; 0x1p62; -1e300; -0x1.0000000000001p62 ];
-  (* a large define inside the range stays an int *)
-  let p = compile ~defines:[ ("n", 0x1p61) ] "procedure main(); begin end;" in
-  Alcotest.(check string) "BigR at n = 2^61"
-    "[0..2305843009213693953, 0..2305843009213693953]"
+  (* a large define inside the range stays an int (one dimension only:
+     the prelude's n x n regions would hold more cells than an int) *)
+  let p =
+    Check.compile_string ~defines:[ ("n", 0x1p61) ]
+      "constant n = 8; var A : [0..n+1, 1..1] float; \
+       procedure main(); begin end;"
+  in
+  Alcotest.(check string) "A at n = 2^61" "[0..2305843009213693953, 1..1]"
     (Region.to_string (Prog.array_info p 0).a_region)
 
 (* Int arithmetic in a constant or a region bound is folded at compile
@@ -301,16 +323,30 @@ let test_overflow_rejected () =
   fails ~defines:[ ("n", -0x1p62) ]
     "procedure main(); begin [2..n-1, 2..n-1] A := 0.0; end;"
     "region bound overflows the int range" 11;
-  fails ~defines:[ ("n", 0x1p31) ]
-    "constant m = n * n; procedure main(); begin end;"
+  fails ~defines:[]
+    "constant h = 2147483648; constant m = h * h; procedure main(); begin end;"
     "constant \"m\" overflows the int range" 11;
   fails ~defines:[] "constant m = -(-4611686018427387903 - 1); \
                      procedure main(); begin end;"
     "constant \"m\" overflows the int range" 11;
+  (* a region whose extent or cell count leaves the int range: the
+     extent of [-m..m] wrapped, and so did the product of two extents *)
+  fails ~defines:[]
+    "constant m = 4000000000000000000; region W = [-m..m, 1..2]; \
+     procedure main(); begin end;"
+    "region [-4000000000000000000..4000000000000000000, 1..2]: an extent or \
+     the cell count overflows the int range"
+    11;
+  fails ~defines:[]
+    "constant m = 2147483648; var W : [1..m, 1..m] float; \
+     procedure main(); begin end;"
+    "region [1..2147483648, 1..2147483648]: an extent or the cell count \
+     overflows the int range"
+    11;
   ignore
-    (compile ~defines:[ ("n", 0x1p31) ]
-       "constant m = n * (n - 1); procedure main(); begin k := m + m + m; \
-        end;")
+    (compile
+       "constant h = 2147483648; constant m = h * (h - 1); \
+        procedure main(); begin k := m + m + m; end;")
 
 (* A [for] bound the body may change is hoisted into a fresh scalar
    assigned just before the loop; a bound the body leaves alone is kept

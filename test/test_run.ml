@@ -602,11 +602,16 @@ let contains text needle =
   scan 0
 
 let test_json_escape () =
+  let str s =
+    let b = Buffer.create 16 in
+    Run.Json.add_str b s;
+    Buffer.contents b
+  in
   Alcotest.(check string) "escapes quotes, backslashes, controls"
-    "a\\\"b\\\\c\\nd\\te\\u0001f"
-    (Run.Json.escape "a\"b\\c\nd\te\x01f");
-  Alcotest.(check string) "plain text passes through" "plain text"
-    (Run.Json.escape "plain text")
+    "\"a\\\"b\\\\c\\nd\\te\\u0001f\""
+    (str "a\"b\\c\nd\te\x01f");
+  Alcotest.(check string) "plain text passes through" "\"plain text\""
+    (str "plain text")
 
 (* A hostile row label (quotes, backslash, newline, tab, a raw control
    byte) must not corrupt the sweep's incremental JSON artifact. *)
