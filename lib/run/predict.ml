@@ -226,12 +226,15 @@ let to_json ?(name = "") (t : t) : string =
   let s = summarize t in
   let mismatches = verify t in
   let b = Buffer.create 1024 in
-  (* [sep] opens the object or separates this field from the last *)
+  (* [sep] opens an object or separates a field from the one before *)
   let key sep k =
     Buffer.add_char b sep;
     Json.add_str b k;
     Buffer.add_char b ':'
   in
+  let int sep k v = key sep k; Json.add_int b v in
+  let str sep k v = key sep k; Json.add_str b v in
+  let exact sep k v = key sep k; Json.add_exact b v in
   let bound v =
     if v = Float.infinity then Json.add_str b "inf"
     else if v = Float.neg_infinity then Json.add_str b "-inf"
@@ -239,7 +242,8 @@ let to_json ?(name = "") (t : t) : string =
       Printf.bprintf b "%.0f" v
     else Json.add_exact b v
   in
-  let ival (i : Absint.ival) =
+  let ival sep k (i : Absint.ival) =
+    key sep k;
     Buffer.add_char b '[';
     bound i.Absint.lo;
     Buffer.add_char b ',';
@@ -248,55 +252,39 @@ let to_json ?(name = "") (t : t) : string =
   in
   let counts k pred meas bnd =
     key ',' k;
-    key '{' "predicted";
-    Json.add_int b pred;
-    key ',' "measured";
-    Json.add_int b meas;
-    key ',' "bound";
-    ival bnd;
+    int '{' "predicted" pred;
+    int ',' "measured" meas;
+    ival ',' "bound" bnd;
     Buffer.add_char b '}'
   in
   let pr, pc = t.p_spec.Spec.mesh in
-  key '{' "program";
-  Json.add_str b (if name = "" then t.p_prog.Zpl.Prog.name else name);
-  key ',' "config";
-  Json.add_str b (Opt.Config.name t.p_spec.Spec.config);
-  key ',' "lib";
-  Json.add_str b t.p_spec.Spec.lib.Machine.Library.costs.Machine.Params.lib_name;
-  key ',' "mesh";
-  Json.add_str b (Printf.sprintf "%dx%d" pr pc);
-  key ',' "topology";
-  Json.add_str b (Machine.Topology.name t.p_spec.Spec.topology);
+  str '{' "program" (if name = "" then t.p_prog.Zpl.Prog.name else name);
+  str ',' "config" (Opt.Config.name t.p_spec.Spec.config);
+  str ',' "lib" t.p_spec.Spec.lib.Machine.Library.costs.Machine.Params.lib_name;
+  str ',' "mesh" (Printf.sprintf "%dx%d" pr pc);
+  str ',' "topology" (Machine.Topology.name t.p_spec.Spec.topology);
   key ',' "sites";
   Buffer.add_char b '[';
   List.iteri
     (fun k sc ->
       let st = sc.sc_site in
       if k > 0 then Buffer.add_char b ',';
-      key '{' "pos";
-      Json.add_int b st.Commvol.st_pos;
-      key ',' "xfer";
-      Json.add_int b st.Commvol.st_xfer;
-      key ',' "desc";
-      Json.add_str b st.Commvol.st_desc;
-      key ',' "static";
-      ival st.Commvol.st_acts;
-      key ',' "measured";
-      Json.add_int b sc.sc_measured;
+      int '{' "pos" st.Commvol.st_pos;
+      int ',' "xfer" st.Commvol.st_xfer;
+      str ',' "desc" st.Commvol.st_desc;
+      ival ',' "static" st.Commvol.st_acts;
+      int ',' "measured" sc.sc_measured;
       Buffer.add_char b '}')
     t.p_sites;
   Buffer.add_char b ']';
   counts "messages" s.s_messages_pred s.s_messages_meas s.s_messages_bound;
   counts "bytes" s.s_bytes_pred s.s_bytes_meas s.s_bytes_bound;
   key ',' "comm_cpu";
-  key '{' "predicted";
-  Json.add_exact b s.s_cpu_pred;
-  key ',' "measured";
-  Json.add_exact b s.s_cpu_meas;
+  exact '{' "predicted" s.s_cpu_pred;
+  exact ',' "measured" s.s_cpu_meas;
   Buffer.add_char b '}';
   counts "dynamic_count" s.s_dyn_pred s.s_dyn_meas s.s_dyn_bound;
-  key ',' "time";
-  Json.add_exact b t.p_time;
+  exact ',' "time" t.p_time;
   key ',' "ok";
   Json.add_bool b (mismatches = []);
   Buffer.add_char b '}';

@@ -14,23 +14,29 @@ let make bounds = Array.of_list (List.map (fun (lo, hi) -> { lo; hi }) bounds)
 
 let rank (r : t) = Array.length r
 
-(* For [hi >= lo], [hi - lo + 1] wraps to at most 0 exactly when the
-   extent exceeds max_int. *)
-let extent { lo; hi } = if hi < lo then 0 else hi - lo + 1
-let wraps rg = rg.hi >= rg.lo && extent rg <= 0
-
-(* The cell count, or -1 when an extent or the count exceeds max_int. *)
+(* The cell count, or -1 when an extent or the count passes max_int.
+   For [hi >= lo], [hi - lo + 1] wraps to at most 0 exactly when the
+   extent does; [n * e] cannot wrap while both factors are below 2^31. *)
 let cells (r : t) =
-  Array.fold_left
-    (fun acc rg ->
-      let n = extent rg in
-      if acc < 0 || wraps rg || (n > 0 && acc > max_int / n) then -1
-      else acc * n)
-    1 r
+  let n = ref 1 in
+  for d = 0 to Array.length r - 1 do
+    let { lo; hi } = r.(d) in
+    let e = if hi < lo then 0 else hi - lo + 1 in
+    n :=
+      if !n < 0 || (hi >= lo && e <= 0) then -1
+      else if (!n lor e) lsr 31 <> 0 && e > 0 && !n > max_int / e then -1
+      else !n * e
+  done;
+  !n
 
 let fits r = cells r >= 0
 let too_large () = invalid_arg "Region: extent or cell count past max_int"
-let range_size rg = if wraps rg then too_large () else extent rg
+
+let range_size { lo; hi } =
+  if hi < lo then 0
+  else
+    let n = hi - lo + 1 in
+    if n <= 0 then too_large () else n
 
 let size (r : t) =
   let n = cells r in

@@ -15,7 +15,20 @@ let test_size () =
   Alcotest.(check int) "4x4" 16 (Region.size (r2 1 4 1 4));
   Alcotest.(check int) "row" 5 (Region.size (r2 3 3 1 5));
   Alcotest.(check int) "empty" 0 (Region.size (r2 5 4 1 5));
-  Alcotest.(check int) "rank3" 24 (Region.size (Region.make [ (1, 2); (1, 3); (1, 4) ]))
+  Alcotest.(check int) "rank3" 24 (Region.size (Region.make [ (1, 2); (1, 3); (1, 4) ]));
+  (* past max_int, an extent or a cell count raises instead of wrapping *)
+  let m = 1 lsl 31 in
+  Alcotest.(check int) "largest square below max_int" ((m * m) - m)
+    (Region.size (r2 1 m 1 (m - 1)));
+  List.iter
+    (fun (what, r) ->
+      Alcotest.(check bool) (what ^ " does not fit") false (Region.fits r);
+      Alcotest.check_raises what
+        (Invalid_argument "Region: extent or cell count past max_int")
+        (fun () -> ignore (Region.size r)))
+    [ ("extent", r2 (-4_000_000_000_000_000_000) 4_000_000_000_000_000_000 1 2);
+      ("cell count", r2 1 m 1 m);
+      ("extent beside an empty dim", r2 min_int max_int 2 1) ]
 
 let test_empty () =
   Alcotest.(check bool) "normal" false (Region.is_empty (r2 1 4 1 4));
