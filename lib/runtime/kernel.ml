@@ -28,9 +28,10 @@ type buf = Store.buf
     in-place evaluation would observe freshly written cells, so the
     assignment must evaluate into a buffer first (array semantics). *)
 let needs_buffer (a : Zpl.Prog.assign_a) =
-  List.exists
-    (fun (aid, off) -> aid = a.lhs && Array.exists (fun d -> d <> 0) off)
-    (Zpl.Prog.refs a.rhs)
+  Zpl.Prog.fold_refs
+    (fun found aid off ->
+      found || (aid = a.lhs && Array.exists (fun d -> d <> 0) off))
+    false a.rhs
 
 (** Run a pre-compiled per-cell function over [region], writing through
     [write]. [buffered] forces evaluation into a temporary first (array
@@ -1213,7 +1214,10 @@ let exec_rplan (plan : rplan) ~(env : env) ~(region : Zpl.Region.t)
 type refs = (int * int array) array
 
 let refs_of (e : Zpl.Prog.aexpr) : refs =
-  Array.of_list (List.rev (Zpl.Prog.distinct (Zpl.Prog.refs e)))
+  Array.of_list
+    (Zpl.Prog.fold_refs
+       (fun acc aid off -> Zpl.Prog.add_new acc (aid, off))
+       [] e)
 
 (** Runtime validation that every read in [rs] over [region] stays
     inside the referenced array's allocated storage on this executor

@@ -143,7 +143,7 @@ val exec_rplan :
 (* --- dynamic bounds checking --- *)
 
 (** The distinct (array, shift) reads of an expression
-    ({!Zpl.Prog.refs}), extracted once at plan time so the per-execution
+    ({!Zpl.Prog.fold_refs}), extracted once at plan time so the per-execution
     bounds check walks a short array instead of the whole AST. *)
 type refs = (int * int array) array
 

@@ -340,8 +340,8 @@ let check_shift_bounds env loc (region : Prog.dregion) (e : Prog.aexpr) =
       let arr aid =
         List.nth env.arrays (List.length env.arrays - 1 - aid)
       in
-      List.iter
-        (fun (aid, off) ->
+      Prog.fold_refs
+        (fun () aid off ->
           let a = arr aid in
           if Region.rank r <> a.Prog.a_rank then
             Loc.fail loc
@@ -356,7 +356,7 @@ let check_shift_bounds env loc (region : Prog.dregion) (e : Prog.aexpr) =
                  (String.concat ","
                     (List.map string_of_int (Array.to_list off))))
               (Region.to_string a.Prog.a_region))
-        (Prog.refs e)
+        () e
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)

@@ -9,7 +9,7 @@
     checker against {!Arith.intrinsics}.
 
     This module also holds the one traversal of the program: what an
-    expression or statement reads ({!refs}, {!aexpr_reads},
+    expression or statement reads ({!fold_refs}, {!aexpr_reads},
     {!sexpr_reads}, {!stmt_reads}) and what a statement list writes
     ({!scalar_writes}), over {!fold_stmts}. Analyses that only ask what
     is read or written build on these; the evaluators, compilers and
@@ -133,22 +133,19 @@ let rec fold_sleaves f acc = function
   | SCall c -> List.fold_left (fold_sleaves f) acc (Arith.call_args c)
   | leaf -> f acc leaf
 
-(** Every array read of [e] as (array id, shift), left to right, with
-    repeats. *)
-let refs (e : aexpr) : (int * offset) list =
-  List.rev
-    (fold_aleaves
-       (fun acc -> function ARef (aid, off) -> (aid, off) :: acc | _ -> acc)
-       [] e)
+(** [fold_refs f acc e] folds [f acc aid off] over every array read of
+    [e] (array id, shift), left to right, with repeats. *)
+let fold_refs f acc e =
+  fold_aleaves
+    (fun acc -> function ARef (aid, off) -> f acc aid off | _ -> acc)
+    acc e
 
-(** Every scalar [e] reads, left to right, with repeats. *)
+(** The scalars [e] reads, with repeats. *)
 let aexpr_reads (e : aexpr) : int list =
-  List.rev
-    (fold_aleaves (fun acc -> function AScalar v -> v :: acc | _ -> acc) [] e)
+  fold_aleaves (fun acc -> function AScalar v -> v :: acc | _ -> acc) [] e
 
 let sexpr_reads (e : sexpr) : int list =
-  List.rev
-    (fold_sleaves (fun acc -> function SVar v -> v :: acc | _ -> acc) [] e)
+  fold_sleaves (fun acc -> function SVar v -> v :: acc | _ -> acc) [] e
 
 let dregion_reads (r : dregion) : int list =
   Array.fold_right
@@ -198,21 +195,21 @@ let comm_offset (off : offset) : (int * int) option =
   let d0 = off.(0) and d1 = if Array.length off >= 2 then off.(1) else 0 in
   if d0 = 0 && d1 = 0 then None else Some (d0, d1)
 
-(* [l] without repeats, in order of first occurrence *)
-let distinct l =
-  List.rev
-    (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] l)
+(** [x :: acc], unless [acc] already holds [x]. *)
+let add_new acc x = if List.mem x acc then acc else x :: acc
 
 (** Distinct (array, mesh offset) pairs that require communication before
     evaluating [e]. Order of first occurrence is preserved. *)
 let comm_needs (e : aexpr) : (int * (int * int)) list =
-  distinct
-    (List.filter_map
-       (fun (aid, off) -> Option.map (fun d -> (aid, d)) (comm_offset off))
-       (refs e))
+  List.rev
+    (fold_refs
+       (fun acc aid off ->
+         match comm_offset off with Some d -> add_new acc (aid, d) | None -> acc)
+       [] e)
 
 (** All arrays read by [e] (with or without a shift). *)
-let arrays_read (e : aexpr) : int list = distinct (List.map fst (refs e))
+let arrays_read (e : aexpr) : int list =
+  List.rev (fold_refs (fun acc aid _ -> add_new acc aid) [] e)
 
 let binop_flops = function
   | Ast.Add | Ast.Sub | Ast.Mul -> 1
@@ -245,7 +242,7 @@ let dregion_of_region (r : Region.t) : dregion =
 let fringe_widths (p : t) : int array =
   (* per array: max over both mesh dims *)
   let w = Array.make (Array.length p.arrays) 0 in
-  let widen (aid, off) =
+  let widen () aid off =
     let d0 = abs off.(0) in
     let d1 = if Array.length off >= 2 then abs off.(1) else 0 in
     w.(aid) <- max w.(aid) (max d0 d1)
@@ -253,7 +250,7 @@ let fringe_widths (p : t) : int array =
   fold_stmts
     (fun () -> function
       | AssignA { rhs; _ } | ReduceS { r_rhs = rhs; _ } ->
-          List.iter widen (refs rhs)
+          fold_refs widen () rhs
       | AssignS _ | Repeat _ | For _ | If _ -> ())
     () p.body;
   w
