@@ -204,7 +204,9 @@ let comm_needs (e : aexpr) : (int * (int * int)) list =
   List.rev
     (fold_refs
        (fun acc aid off ->
-         match comm_offset off with Some d -> add_new acc (aid, d) | None -> acc)
+         match comm_offset off with
+         | Some d -> add_new acc (aid, d)
+         | None -> acc)
        [] e)
 
 (** All arrays read by [e] (with or without a shift). *)
