@@ -140,65 +140,65 @@ let eval_call2 (b : Zpl.Arith.binary) (x : ival) (y : ival) : ival =
     result lies in the returned interval (with the NaN convention
     above). Comparisons and logic return 0/1 intervals, the abstraction
     of the concrete booleans. Int [+ - *] wraps at 63 bits, and float
-    endpoint arithmetic rounds beyond 2^53, so an int result ([arith])
-    is kept only while both endpoints lie within +-2^53. *)
+    endpoint arithmetic rounds beyond 2^53, so an int result (by
+    {!Zpl.Prog.sexpr_type}, [scalars] giving each scalar's type) is kept
+    only while both endpoints lie within +-2^53. *)
 let rec eval ~scalars (lookup : int -> ival) (e : Zpl.Prog.sexpr) : ival =
   let eval = eval ~scalars and m = 9007199254740992.0 in
   let arith v =
-    if Runtime.Values.is_float scalars e || (v.lo >= -.m && v.hi <= m) then v
+    if Zpl.Prog.sexpr_type scalars e = Zpl.Ast.TFloat
+       || (v.lo >= -.m && v.hi <= m)
+    then v
     else top
   in
+  (* decided comparisons are sound because non-top intervals exclude
+     NaN, and top's infinite endpoints can never decide a test *)
+  let lt a b =
+    if a.hi < b.lo then True else if a.lo >= b.hi then False else Unknown
+  in
+  let le a b =
+    if a.hi <= b.lo then True else if a.lo > b.hi then False else Unknown
+  in
+  let eq a b =
+    if a.hi < b.lo || b.hi < a.lo then False
+    else if is_point a && is_point b && a.lo = b.lo then True
+    else Unknown
+  in
+  let not3 = function True -> False | False -> True | Unknown -> Unknown in
   match e with
   | Zpl.Prog.SFloat f -> point f
   | Zpl.Prog.SInt i -> point (float_of_int i)
   | Zpl.Prog.SBool b -> of_bool b
   | Zpl.Prog.SVar id -> lookup id
-  | Zpl.Prog.SUn (Zpl.Ast.Neg, a) -> arith (neg (eval lookup a))
-  | Zpl.Prog.SUn (Zpl.Ast.Not, a) -> (
-      match to_bool3 (eval lookup a) with
-      | True -> ff
-      | False -> tt
-      | Unknown -> bool_unknown)
-  | Zpl.Prog.SBin (op, a, b) -> (
+  | Zpl.Prog.SNeg a -> arith (neg (eval lookup a))
+  | Zpl.Prog.SNot a -> of_bool3 (not3 (to_bool3 (eval lookup a)))
+  | Zpl.Prog.SArith (op, a, b) -> (
       let va = eval lookup a and vb = eval lookup b in
-      (* decided comparisons are sound because non-top intervals exclude
-         NaN, and top's infinite endpoints can never decide a test *)
-      let lt a b =
-        if a.hi < b.lo then True else if a.lo >= b.hi then False else Unknown
-      in
-      let le a b =
-        if a.hi <= b.lo then True else if a.lo > b.hi then False else Unknown
-      in
-      let eq a b =
-        if a.hi < b.lo || b.hi < a.lo then False
-        else if is_point a && is_point b && a.lo = b.lo then True
-        else Unknown
-      in
-      let not3 = function True -> False | False -> True | Unknown -> Unknown in
       match op with
-      | Zpl.Ast.Add -> arith (add va vb)
-      | Zpl.Ast.Sub -> arith (sub va vb)
-      | Zpl.Ast.Mul -> arith (mul va vb)
-      | Zpl.Ast.Div -> div va vb
-      | Zpl.Ast.Pow ->
+      | `Add -> arith (add va vb)
+      | `Sub -> arith (sub va vb)
+      | `Mul -> arith (mul va vb)
+      | `Div -> div va vb
+      | `Pow ->
           if is_point va && is_point vb then point (Float.pow va.lo vb.lo)
-          else top
-      | Zpl.Ast.Lt -> of_bool3 (lt va vb)
-      | Zpl.Ast.Le -> of_bool3 (le va vb)
-      | Zpl.Ast.Gt -> of_bool3 (lt vb va)
-      | Zpl.Ast.Ge -> of_bool3 (le vb va)
-      | Zpl.Ast.Eq -> of_bool3 (eq va vb)
-      | Zpl.Ast.Ne -> of_bool3 (not3 (eq va vb))
-      | Zpl.Ast.And -> (
-          match (to_bool3 va, to_bool3 vb) with
-          | False, _ | _, False -> ff
-          | True, True -> tt
-          | _ -> bool_unknown)
-      | Zpl.Ast.Or -> (
-          match (to_bool3 va, to_bool3 vb) with
-          | True, _ | _, True -> tt
-          | False, False -> ff
-          | _ -> bool_unknown))
+          else top)
+  | Zpl.Prog.SCompare (op, a, b) -> (
+      let va = eval lookup a and vb = eval lookup b in
+      of_bool3
+        (match op with
+        | Zpl.Arith.Lt -> lt va vb
+        | Zpl.Arith.Le -> le va vb
+        | Zpl.Arith.Gt -> lt vb va
+        | Zpl.Arith.Ge -> le vb va
+        | Zpl.Arith.Eq -> eq va vb
+        | Zpl.Arith.Ne -> not3 (eq va vb)))
+  | Zpl.Prog.SLogic (op, a, b) -> (
+      match (op, to_bool3 (eval lookup a), to_bool3 (eval lookup b)) with
+      | Zpl.Arith.And, False, _ | Zpl.Arith.And, _, False -> ff
+      | Zpl.Arith.Or, True, _ | Zpl.Arith.Or, _, True -> tt
+      | Zpl.Arith.And, True, True -> tt
+      | Zpl.Arith.Or, False, False -> ff
+      | _ -> bool_unknown)
   | Zpl.Prog.SCall (Zpl.Arith.Call1 (u, a)) -> eval_call1 u (eval lookup a)
   | Zpl.Prog.SCall (Zpl.Arith.Call2 (op, a, b)) ->
       eval_call2 op (eval lookup a) (eval lookup b)
@@ -228,6 +228,8 @@ let set (st : state) id v =
   st
 
 let eval_state ~scalars (st : state) e = eval ~scalars (fun id -> st.(id)) e
+
+let scalar_types (p : Zpl.Prog.t) id = p.Zpl.Prog.scalars.(id).s_ty
 
 (** The exact initial state: every scalar at its type's zero. *)
 let init_state (p : Zpl.Prog.t) : state =
@@ -276,9 +278,7 @@ let analyze (p : Ir.Instr.program) : summary =
   let decisions = Hashtbl.create 16 in
   let trips_tbl = Hashtbl.create 16 in
   let hull = init_state p.Ir.Instr.prog in
-  let eval_state =
-    eval_state ~scalars:(Runtime.Values.layout_of_prog p.Ir.Instr.prog)
-  in
+  let eval_state = eval_state ~scalars:(scalar_types p.Ir.Instr.prog) in
   let write ~final st id v =
     if final then hull.(id) <- join hull.(id) v;
     set st id v
@@ -379,7 +379,7 @@ let havoc (st : state) ids =
 
 let live_body ?(visit = fun (_ : Zpl.Prog.stmt) -> ()) (p : Zpl.Prog.t) :
     Zpl.Prog.stmt list =
-  let eval_state = eval_state ~scalars:(Runtime.Values.layout_of_prog p) in
+  let eval_state = eval_state ~scalars:(scalar_types p) in
   let rec go st (stmts : Zpl.Prog.stmt list) =
     let acc, st =
       List.fold_left

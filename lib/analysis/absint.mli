@@ -55,11 +55,12 @@ val decide_bool : ival -> bool option
 
 (** Abstract counterpart of the scalar code {!Runtime.Values} compiles:
     sound for any concrete environment within [lookup]'s intervals.
-    [scalars] gives the scalars' types: int arithmetic whose interval
-    leaves +-2^53 (where it could wrap at 63 bits, or its float
-    endpoints round) goes to top. *)
+    [scalars] gives each scalar's type, from which {!Zpl.Prog.sexpr_type}
+    (the type rule the checker and the scalar compiler follow) types
+    each node: int arithmetic whose interval leaves +-2^53 (where it
+    could wrap at 63 bits, or its float endpoints round) goes to top. *)
 val eval :
-  scalars:Runtime.Values.layout -> (int -> ival) -> Zpl.Prog.sexpr -> ival
+  scalars:(int -> Zpl.Ast.elem) -> (int -> ival) -> Zpl.Prog.sexpr -> ival
 
 (** Abstract scalar environment, indexed by scalar id. Persistent:
     updates copy. *)
@@ -68,7 +69,7 @@ type state = ival array
 val state_equal : state -> state -> bool
 val state_join : state -> state -> state
 val eval_state :
-  scalars:Runtime.Values.layout -> state -> Zpl.Prog.sexpr -> ival
+  scalars:(int -> Zpl.Ast.elem) -> state -> Zpl.Prog.sexpr -> ival
 
 (** The exact initial state: every scalar at its type's zero (as
     {!Runtime.Values.make_slots} mints them); [-D] defines are already

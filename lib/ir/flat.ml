@@ -56,8 +56,8 @@ let flatten (p : Instr.program) : t =
             push pos (FScalar { lhs = var; rhs = lo });
             let head = !len in
             let cond =
-              if step >= 0 then Zpl.Prog.SBin (Zpl.Ast.Le, Zpl.Prog.SVar var, hi)
-              else Zpl.Prog.SBin (Zpl.Ast.Ge, Zpl.Prog.SVar var, hi)
+              Zpl.Prog.SCompare
+                (Zpl.Arith.(if step >= 0 then Le else Ge), Zpl.Prog.SVar var, hi)
             in
             let patch_pos = !len in
             push pos (FJumpIfNot (cond, -1) (* patched below *));
@@ -66,8 +66,8 @@ let flatten (p : Instr.program) : t =
               (FScalar
                  { lhs = var;
                    rhs =
-                     Zpl.Prog.SBin
-                       (Zpl.Ast.Add, Zpl.Prog.SVar var, Zpl.Prog.SInt step) });
+                     Zpl.Prog.SArith (`Add, Zpl.Prog.SVar var, Zpl.Prog.SInt step)
+                 });
             push pos (FJump head);
             patch patch_pos (FJumpIfNot (cond, !len))
         | Instr.If (cond, then_, else_) ->

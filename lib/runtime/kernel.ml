@@ -215,21 +215,17 @@ let rec compile_env (ws : ws) (e : Zpl.Prog.aexpr) :
           done;
           Store.get_unsafe env.e_stores.(aid) scratch
       end
-  | Zpl.Prog.ABin (op, a, b) -> (
+  | Zpl.Prog.AArith (op, a, b) -> (
       let fa = compile_env ws a and fb = compile_env ws b in
       match op with
-      | Zpl.Ast.Add -> fun env p -> fa env p +. fb env p
-      | Zpl.Ast.Sub -> fun env p -> fa env p -. fb env p
-      | Zpl.Ast.Mul -> fun env p -> fa env p *. fb env p
-      | Zpl.Ast.Div -> fun env p -> fa env p /. fb env p
-      | Zpl.Ast.Pow -> fun env p -> Float.pow (fa env p) (fb env p)
-      | Zpl.Ast.Lt | Zpl.Ast.Le | Zpl.Ast.Gt | Zpl.Ast.Ge | Zpl.Ast.Eq
-      | Zpl.Ast.Ne | Zpl.Ast.And | Zpl.Ast.Or ->
-          invalid_arg "comparison in array expression")
-  | Zpl.Prog.AUn (Zpl.Ast.Neg, a) ->
+      | `Add -> fun env p -> fa env p +. fb env p
+      | `Sub -> fun env p -> fa env p -. fb env p
+      | `Mul -> fun env p -> fa env p *. fb env p
+      | `Div -> fun env p -> fa env p /. fb env p
+      | `Pow -> fun env p -> Float.pow (fa env p) (fb env p))
+  | Zpl.Prog.ANeg a ->
       let fa = compile_env ws a in
       fun env p -> -.fa env p
-  | Zpl.Prog.AUn (Zpl.Ast.Not, _) -> invalid_arg "'not' in array expression"
   | Zpl.Prog.ACall (Zpl.Arith.Call1 (u, a)) ->
       let fa = compile_env ws a in
       fun env p -> Zpl.Arith.unary u (fa env p)
@@ -365,106 +361,90 @@ let slice_of (src : rowsrc) (env : env) (scratch : buf ref) p0 len : slice =
    written). *)
 
 (** [dst.(d0+k) <- a.(ia+k) op b.(ib+k)] over the row. *)
-let[@inline] map_vv (op : Zpl.Ast.binop) (a : buf) ia (b : buf) ib (dst : buf)
+let[@inline] map_vv (op : Zpl.Arith.arith) (a : buf) ia (b : buf) ib (dst : buf)
     d0 len =
   match op with
-  | Zpl.Ast.Add ->
+  | `Add ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k)
           (A1.unsafe_get a (ia + k) +. A1.unsafe_get b (ib + k))
       done
-  | Zpl.Ast.Sub ->
+  | `Sub ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k)
           (A1.unsafe_get a (ia + k) -. A1.unsafe_get b (ib + k))
       done
-  | Zpl.Ast.Mul ->
+  | `Mul ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k)
           (A1.unsafe_get a (ia + k) *. A1.unsafe_get b (ib + k))
       done
-  | Zpl.Ast.Div ->
+  | `Div ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k)
           (A1.unsafe_get a (ia + k) /. A1.unsafe_get b (ib + k))
       done
-  | Zpl.Ast.Pow ->
+  | `Pow ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k)
           (Float.pow (A1.unsafe_get a (ia + k)) (A1.unsafe_get b (ib + k)))
       done
-  | _ -> raise Row_fallback
 
 (** [dst.(d0+k) <- a.(ia+k) op v] over the row. *)
-let[@inline] map_vs (op : Zpl.Ast.binop) (a : buf) ia v (dst : buf) d0 len =
+let[@inline] map_vs (op : Zpl.Arith.arith) (a : buf) ia v (dst : buf) d0 len =
   match op with
-  | Zpl.Ast.Add ->
+  | `Add ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k) (A1.unsafe_get a (ia + k) +. v)
       done
-  | Zpl.Ast.Sub ->
+  | `Sub ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k) (A1.unsafe_get a (ia + k) -. v)
       done
-  | Zpl.Ast.Mul ->
+  | `Mul ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k) (A1.unsafe_get a (ia + k) *. v)
       done
-  | Zpl.Ast.Div ->
+  | `Div ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k) (A1.unsafe_get a (ia + k) /. v)
       done
-  | Zpl.Ast.Pow ->
+  | `Pow ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k) (Float.pow (A1.unsafe_get a (ia + k)) v)
       done
-  | _ -> raise Row_fallback
 
 (** [dst.(d0+k) <- v op b.(ib+k)] over the row. *)
-let[@inline] map_sv (op : Zpl.Ast.binop) v (b : buf) ib (dst : buf) d0 len =
+let[@inline] map_sv (op : Zpl.Arith.arith) v (b : buf) ib (dst : buf) d0 len =
   match op with
-  | Zpl.Ast.Add ->
+  | `Add ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k) (v +. A1.unsafe_get b (ib + k))
       done
-  | Zpl.Ast.Sub ->
+  | `Sub ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k) (v -. A1.unsafe_get b (ib + k))
       done
-  | Zpl.Ast.Mul ->
+  | `Mul ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k) (v *. A1.unsafe_get b (ib + k))
       done
-  | Zpl.Ast.Div ->
+  | `Div ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k) (v /. A1.unsafe_get b (ib + k))
       done
-  | Zpl.Ast.Pow ->
+  | `Pow ->
       for k = 0 to len - 1 do
         A1.unsafe_set dst (d0 + k) (Float.pow v (A1.unsafe_get b (ib + k)))
       done
-  | _ -> raise Row_fallback
-
-let[@inline] float_bin (op : Zpl.Ast.binop) x y =
-  match op with
-  | Zpl.Ast.Add -> x +. y
-  | Zpl.Ast.Sub -> x -. y
-  | Zpl.Ast.Mul -> x *. y
-  | Zpl.Ast.Div -> x /. y
-  | Zpl.Ast.Pow -> Float.pow x y
-  | _ -> raise Row_fallback
 
 (* --- single-pass binary kernels over plain refs --- *)
-
-(* raises [Row_fallback] unless [op] is arithmetic *)
-let arith_only (op : Zpl.Ast.binop) = ignore (float_bin op 0.0 0.0)
 
 (** [dst.(d0+k) <- a.(ia+k) op b.(ib+k)] in one pass, no intermediate
     row. Same per-cell operation as fill-then-combine, one memory
     traversal instead of two. *)
-let fill_vv2 (op : Zpl.Ast.binop) ((aa, da) : int * int)
+let fill_vv2 (op : Zpl.Arith.arith) ((aa, da) : int * int)
     ((ab, db) : int * int) : rowsrc =
-  arith_only op;
   RFill
     (fun env p0 len dst d0 ->
       let sa = env.e_stores.(aa) and sb = env.e_stores.(ab) in
@@ -472,9 +452,8 @@ let fill_vv2 (op : Zpl.Ast.binop) ((aa, da) : int * int)
       map_vv op (Store.read_only sa) ia (Store.read_only sb) ib dst d0 len)
 
 (** [dst.(d0+k) <- a.(ia+k) op v] in one pass, [v] row-invariant. *)
-let fill_vs2 (op : Zpl.Ast.binop) ((aa, da) : int * int) (rv : rowsrc) :
+let fill_vs2 (op : Zpl.Arith.arith) ((aa, da) : int * int) (rv : rowsrc) :
     rowsrc =
-  arith_only op;
   RFill
     (fun env p0 len dst d0 ->
       let sa = env.e_stores.(aa) in
@@ -482,9 +461,8 @@ let fill_vs2 (op : Zpl.Ast.binop) ((aa, da) : int * int) (rv : rowsrc) :
       map_vs op (Store.read_only sa) ia (inv rv env p0) dst d0 len)
 
 (** [dst.(d0+k) <- v op b.(ib+k)] in one pass. *)
-let fill_sv2 (op : Zpl.Ast.binop) (rv : rowsrc) ((ab, db) : int * int) :
+let fill_sv2 (op : Zpl.Arith.arith) (rv : rowsrc) ((ab, db) : int * int) :
     rowsrc =
-  arith_only op;
   RFill
     (fun env p0 len dst d0 ->
       let sb = env.e_stores.(ab) in
@@ -560,8 +538,8 @@ let fill_refprod (op : [ `Add | `Sub ]) (aa, da) (ac, dc) (ad, dd) : rowsrc =
     order the per-point evaluator uses. *)
 type scale_kind =
   | KNone
-  | KLeft of Zpl.Ast.binop * rowsrc  (** [s op chain] *)
-  | KRight of Zpl.Ast.binop * rowsrc
+  | KLeft of Zpl.Arith.arith * rowsrc  (** [s op chain] *)
+  | KRight of Zpl.Arith.arith * rowsrc
       (** [chain op s] *)
 
 (** One chain term: a full-rank ref (array id and flat shift) with an
@@ -776,15 +754,14 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
   let special (e : Zpl.Prog.aexpr) : rowsrc option =
     let ref2 e =
       match e with
-      | Zpl.Prog.ABin (Zpl.Ast.Mul, x, y) -> (
+      | Zpl.Prog.AArith (`Mul, x, y) -> (
           match (as_ref x, as_ref y) with
           | Some rx, Some ry -> Some (rx, ry)
           | _ -> None)
       | _ -> None
     in
     match e with
-    | Zpl.Prog.ABin (((Zpl.Ast.Add | Zpl.Ast.Sub) as op), a, b) -> (
-        let op = if op = Zpl.Ast.Sub then `Sub else `Add in
+    | Zpl.Prog.AArith (((`Add | `Sub) as op), a, b) -> (
         match ref2 b with
         | None -> None
         | Some (rc, rd) -> (
@@ -826,12 +803,7 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
                   Store.get_unsafe env.e_stores.(aid) scratch)
             end
             else raise Row_fallback)
-    | Zpl.Prog.ABin (op, a, b) -> (
-        (match op with
-        | Zpl.Ast.Add | Zpl.Ast.Sub | Zpl.Ast.Mul | Zpl.Ast.Div | Zpl.Ast.Pow
-          ->
-            ()
-        | _ -> raise Row_fallback);
+    | Zpl.Prog.AArith (op, a, b) -> (
         match chain e with
         | Some src -> src
         | None ->
@@ -842,7 +814,7 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
            the operand once and square in place — both factors read the
            same value, so one evaluation is exact *)
         match
-          if op = Zpl.Ast.Mul && Stdlib.compare a b = 0 then Some (go a)
+          if op = `Mul && Stdlib.compare a b = 0 then Some (go a)
           else None
         with
         | Some (RConst x) -> RConst (x *. x)
@@ -851,7 +823,7 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
               (fun env p0 ->
                 let v = inv ra env p0 in
                 v *. v)
-        | Some (RRef (aa, da)) -> fill_vv2 Zpl.Ast.Mul (aa, da) (aa, da)
+        | Some (RRef (aa, da)) -> fill_vv2 `Mul (aa, da) (aa, da)
         | Some ra ->
             RFill
               (fun env p0 len dst d0 ->
@@ -863,11 +835,12 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
         | None -> (
             let ra = go a and rb = go b in
             match (ra, rb) with
-            | RConst x, RConst y -> RConst (float_bin op x y)
+            | RConst x, RConst y -> RConst (Zpl.Arith.float_arith op x y)
             | (RConst _ | RRow _ | RScalar _), (RConst _ | RRow _ | RScalar _)
               ->
                 RRow
-                  (fun env p0 -> float_bin op (inv ra env p0) (inv rb env p0))
+                  (fun env p0 ->
+                    Zpl.Arith.float_arith op (inv ra env p0) (inv rb env p0))
             | RRef (aa, da), RRef (ab, db) -> fill_vv2 op (aa, da) (ab, db)
             | RRef (aa, da), (RConst _ | RRow _ | RScalar _) ->
                 fill_vs2 op (aa, da) rb
@@ -907,7 +880,7 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
                     match slice_of rb env env.e_bufs.(slot) p0 len with
                     | SConst v -> map_vs op dst d0 v dst d0 len
                     | SVec (src, s0) -> map_vv op dst d0 src s0 dst d0 len)))
-    | Zpl.Prog.AUn (Zpl.Ast.Neg, a) -> (
+    | Zpl.Prog.ANeg a -> (
         match go a with
         | RConst v -> RConst (-.v)
         | (RRow _ | RScalar _) as ra -> RRow (fun env p0 -> -.inv ra env p0)
@@ -918,7 +891,6 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
                 for k = d0 to d0 + len - 1 do
                   A1.unsafe_set dst k (-.A1.unsafe_get dst k)
                 done))
-    | Zpl.Prog.AUn (Zpl.Ast.Not, _) -> raise Row_fallback
     | Zpl.Prog.ACall (Zpl.Arith.Call1 (u, a)) -> (
         let g = Zpl.Arith.unary u in
         match go a with
@@ -989,7 +961,7 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
       | Some r -> Some { t_ref = r; t_coeff = None }
       | None -> (
           match e with
-          | Zpl.Prog.ABin (Zpl.Ast.Mul, c, r) -> (
+          | Zpl.Prog.AArith (`Mul, c, r) -> (
               match as_ref r with
               | Some r -> (
                   match try_scalar c with
@@ -1002,9 +974,9 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
        trailing operands (and base) are all chain terms *)
     let rec collect (e : Zpl.Prog.aexpr) acc =
       match e with
-      | Zpl.Prog.ABin (((Zpl.Ast.Add | Zpl.Ast.Sub) as op), a, b) -> (
+      | Zpl.Prog.AArith (((`Add | `Sub) as op), a, b) -> (
           match as_term b with
-          | Some t -> collect a ((op = Zpl.Ast.Sub, t) :: acc)
+          | Some t -> collect a ((op = `Sub, t) :: acc)
           | None -> None)
       | e -> (
           match as_term e with
@@ -1017,7 +989,7 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
       fill_chain rc.rws terms sub kind
     in
     match e with
-    | Zpl.Prog.ABin (op, a, b) -> (
+    | Zpl.Prog.AArith (op, a, b) -> (
         match collect e [] with
         | Some c -> Some (build KNone c)
         | None -> (

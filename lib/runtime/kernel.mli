@@ -9,10 +9,14 @@
     loops over contiguous float64 Bigarray rows; every row kernel
     performs the exact same floating-point operation sequence per cell
     as the per-point path, so the two are bit-identical (property-tested
-    in [test/test_props.ml], over every entry of the intrinsic table).
-    Intrinsics arrive as typed {!Zpl.Arith.call}s and evaluate through
-    {!Zpl.Arith.unary}/{!Zpl.Arith.binary}; the row path keeps the abs
-    and sqrt loops free of per-cell calls. Every statement runs alone:
+    in [test/test_props.ml], over every arithmetic operator and every
+    entry of the intrinsic table). An array expression can hold only
+    {!Zpl.Arith.arith} operators, negation and typed
+    {!Zpl.Arith.call}s, so both paths handle every expression the
+    checker accepts; the row path falls back to the per-point one only
+    for an array or index read it cannot lay along a row. Intrinsics
+    evaluate through {!Zpl.Arith.unary}/{!Zpl.Arith.binary}; the row
+    path keeps the abs and sqrt loops free of per-cell calls. Every statement runs alone:
     simulated cost is charged per statement, so sharing a row traversal
     among statements could only change host speed, and measured at
     parity.

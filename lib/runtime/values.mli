@@ -6,15 +6,18 @@
     capture no executor state: one compiled program serves every
     executor, each with its own {!slots}.
 
-    Semantics: int [+ - *] of two ints stays int and wraps at 63 bits;
-    mixed int/float arithmetic is float; [/], [^] and intrinsics always
-    yield a float; comparisons convert both sides to float (so
-    [2^53 + 1 = 2^53] holds). A float scalar assigned an int expression
-    stores its float conversion. Operators and intrinsics evaluate
-    through {!Zpl.Arith}: an intrinsic call arrives typed, its arity
-    fixed by its constructor, so no name is matched here. The checker
-    rules out ill-typed code; the compiler raises [Invalid_argument] on
-    any it meets. *)
+    Semantics: each node's type is {!Zpl.Prog}'s type rule
+    ({!Zpl.Prog.int_op}), applied bottom up as the code compiles: int
+    [+ - *] of two ints stays int and wraps at 63 bits; mixed int/float
+    arithmetic is float; [/], [^] and intrinsics always yield a float;
+    comparisons convert both sides to float (so [2^53 + 1 = 2^53]
+    holds). A float scalar assigned an int expression stores its float
+    conversion. Operators and intrinsics arrive typed by class and
+    evaluate through {!Zpl.Arith}, so no operator or name is matched
+    against a class it cannot have. The checker rules out a float where
+    an int or a bool is read (an int scalar's value, a condition, a
+    [for] bound); the compiler raises [Invalid_argument] if it meets
+    one. *)
 
 (** A scalar read back at its declared type. *)
 type value = VFloat of float | VInt of int | VBool of bool
@@ -34,9 +37,6 @@ val layout_of_prog : Zpl.Prog.t -> layout
 val slot : layout -> int -> int
 val is_int : layout -> int -> bool
 val read_value : layout -> slots -> int -> value
-
-(** Whether an expression is a float (else an int or a bool). *)
-val is_float : layout -> Zpl.Prog.sexpr -> bool
 val read_all : layout -> slots -> value array
 
 (** Compiler state over one layout: it hands out the temp slots of the

@@ -1,71 +1,91 @@
-(** The run-time semantics of scalar operators, defined once: the
-    constant folder ({!Check.fold_sexpr}) and the scalar executors
-    ([Runtime.Values]) both evaluate through these, so a folded literal
-    is the value the program would have computed.
+(** The operators and intrinsics of mini-ZPL, typed by class, and their
+    run-time semantics, defined once: the constant folder
+    ({!Check.fold_sexpr}), the scalar executors ([Runtime.Values]) and
+    the array kernels ([Runtime.Kernel]) all evaluate through these, so
+    a folded literal is the value the program would have computed. The
+    type rule that decides whether a scalar node is an int, a float or
+    a bool is {!Prog.int_op} and {!Prog.sexpr_type}.
 
     The executors keep floats in a slot array, and a float passed to or
     returned from a call that is not inlined is boxed, so each float
     operator also comes in a slot form that reads and writes the array
     here: no float crosses the module boundary. *)
 
-(** Whether [op] over two int operands yields an int: [+ - *], which
-    wrap at 63 bits. Every other arithmetic operator ([/] and [^]), and
-    any arithmetic with a float operand, yields a float. *)
-let int_result (op : Ast.binop) =
-  match op with Ast.Add | Ast.Sub | Ast.Mul -> true | _ -> false
+(* ------------------------------------------------------------------ *)
+(* Operators                                                           *)
+(* ------------------------------------------------------------------ *)
 
-(** An {!int_result} operator over ints (wrapping). *)
-let[@inline] int_arith (op : Ast.binop) (x : int) y =
-  match op with
-  | Ast.Add -> x + y
-  | Ast.Sub -> x - y
-  | Ast.Mul -> x * y
-  | _ -> invalid_arg "Arith.int_arith"
+(** The operators typed by class. An array expression holds only
+    {!arith} (and negation); a scalar expression holds each class in
+    its own constructor. [ring] is the part of {!arith} that keeps two
+    int operands an int (see {!Prog.int_op}), a polymorphic-variant
+    subtype so that {!int_arith} is total over it. *)
+type ring = [ `Add | `Sub | `Mul ] [@@deriving show, eq]
+
+type arith = [ ring | `Div | `Pow ] [@@deriving show, eq]
+type comparison = Lt | Le | Gt | Ge | Eq | Ne [@@deriving show, eq]
+type connective = And | Or [@@deriving show, eq]
+type op = Arith of arith | Compare of comparison | Logic of connective
+
+(** The operator table: each source operator and its class. The checker
+    maps every operator through it once; the printers name an operator
+    by the source spelling it came from. *)
+let operators =
+  [ (Ast.Add, Arith `Add); (Ast.Sub, Arith `Sub); (Ast.Mul, Arith `Mul);
+    (Ast.Div, Arith `Div); (Ast.Pow, Arith `Pow); (Ast.Lt, Compare Lt);
+    (Ast.Le, Compare Le); (Ast.Gt, Compare Gt); (Ast.Ge, Compare Ge);
+    (Ast.Eq, Compare Eq); (Ast.Ne, Compare Ne); (Ast.And, Logic And);
+    (Ast.Or, Logic Or) ]
+
+let classify (op : Ast.binop) = List.assoc op operators
+let op_name o = Ast.binop_name (fst (List.find (fun (_, p) -> p = o) operators))
+
+(** Approximate floating-point operations per cell, for the cost model. *)
+let arith_flops : arith -> int = function
+  | #ring -> 1
+  | `Div -> 4
+  | `Pow -> 8
+
+(** A {!ring} operator over ints (wrapping at 63 bits). *)
+let[@inline] int_arith (op : ring) (x : int) y =
+  match op with `Add -> x + y | `Sub -> x - y | `Mul -> x * y
 
 (** Whether {!int_arith} [op x y] wraps: its exact value lies outside
     the int range. *)
-let int_wraps (op : Ast.binop) (x : int) y =
+let int_wraps (op : ring) (x : int) y =
   match op with
-  | Ast.Add -> x >= 0 = (y >= 0) && x + y >= 0 <> (x >= 0)
-  | Ast.Sub -> x >= 0 <> (y >= 0) && x - y >= 0 <> (x >= 0)
-  | Ast.Mul -> x <> 0 && ((x * y / x <> y) || (x = -1 && y = min_int))
-  | _ -> false
+  | `Add -> x >= 0 = (y >= 0) && x + y >= 0 <> (x >= 0)
+  | `Sub -> x >= 0 <> (y >= 0) && x - y >= 0 <> (x >= 0)
+  | `Mul -> x <> 0 && ((x * y / x <> y) || (x = -1 && y = min_int))
 
 (** An arithmetic operator over floats (int operands converted first). *)
-let[@inline] float_arith (op : Ast.binop) (x : float) y =
+let[@inline] float_arith (op : arith) (x : float) y =
   match op with
-  | Ast.Add -> x +. y
-  | Ast.Sub -> x -. y
-  | Ast.Mul -> x *. y
-  | Ast.Div -> x /. y
-  | _ -> Float.pow x y
+  | `Add -> x +. y
+  | `Sub -> x -. y
+  | `Mul -> x *. y
+  | `Div -> x /. y
+  | `Pow -> Float.pow x y
 
 (** [float_arith] over slots: [f.(dst) <- f.(x) op f.(y)]. *)
-let set_float_arith (op : Ast.binop) (f : float array) ~dst x y =
+let set_float_arith (op : arith) (f : float array) ~dst x y =
   f.(dst) <- float_arith op f.(x) f.(y)
 
-(** Whether [op] is a comparison. Comparisons compare as floats, int
-    operands converted first. *)
-let is_compare (op : Ast.binop) =
+(** Comparisons compare as floats, int operands converted first. *)
+let[@inline] compare (op : comparison) (x : float) y =
   match op with
-  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne -> true
-  | _ -> false
-
-let[@inline] compare (op : Ast.binop) (x : float) y =
-  match op with
-  | Ast.Lt -> x < y
-  | Ast.Le -> x <= y
-  | Ast.Gt -> x > y
-  | Ast.Ge -> x >= y
-  | Ast.Eq -> x = y
-  | _ -> x <> y
+  | Lt -> x < y
+  | Le -> x <= y
+  | Gt -> x > y
+  | Ge -> x >= y
+  | Eq -> x = y
+  | Ne -> x <> y
 
 (** [compare] over slots [f.(x)] and [f.(y)]. *)
-let compare_slots (op : Ast.binop) (f : float array) x y = compare op f.(x) f.(y)
+let compare_slots op (f : float array) x y = compare op f.(x) f.(y)
 
 (** [compare] of two ints, converted to floats. *)
-let compare_ints (op : Ast.binop) (x : int) y =
-  compare op (float_of_int x) (float_of_int y)
+let compare_ints op (x : int) y = compare op (float_of_int x) (float_of_int y)
 
 (* ------------------------------------------------------------------ *)
 (* Intrinsics                                                          *)

@@ -76,6 +76,11 @@ let fresh_array env loc name region =
     :: env.arrays;
   id
 
+(* ids count up from 0, and the lists hold them reversed *)
+let array_of env aid = List.nth env.arrays (List.length env.arrays - 1 - aid)
+let scalar_of env id = List.nth env.scalars (List.length env.scalars - 1 - id)
+let scalar_ty env id = (scalar_of env id).Prog.s_ty
+
 (* ------------------------------------------------------------------ *)
 (* Constant folding over scalar expressions                            *)
 (* ------------------------------------------------------------------ *)
@@ -84,31 +89,37 @@ exception Wraps
 
 let rec fold_sexpr ?(exact = false) (e : Prog.sexpr) : Prog.sexpr =
   let module P = Prog in
+  let fold = fold_sexpr ~exact in
   let num_of = function
     | P.SInt i -> Some (float_of_int i)
     | P.SFloat f -> Some f
     | _ -> None
   in
   match e with
-  | P.SBin (op, a, b) -> (
-      let a = fold_sexpr ~exact a and b = fold_sexpr ~exact b in
-      match (a, b, num_of a, num_of b) with
-      | P.SInt x, P.SInt y, _, _ when Arith.int_result op ->
-          if exact && Arith.int_wraps op x y then raise Wraps;
-          P.SInt (Arith.int_arith op x y)
-      | _, _, Some x, Some y ->
-          if Arith.is_compare op then P.SBool (Arith.compare op x y)
-          else if op = Ast.And || op = Ast.Or then P.SBin (op, a, b)
-          else P.SFloat (Arith.float_arith op x y)
-      | _ -> P.SBin (op, a, b))
-  | P.SUn (Ast.Neg, a) -> (
-      match fold_sexpr ~exact a with
+  | P.SArith (op, a, b) -> (
+      let a = fold a and b = fold b in
+      match (P.int_op op Ast.TInt Ast.TInt, a, b, num_of a, num_of b) with
+      | Some r, P.SInt x, P.SInt y, _, _ ->
+          if exact && Arith.int_wraps r x y then raise Wraps;
+          P.SInt (Arith.int_arith r x y)
+      | _, _, _, Some x, Some y -> P.SFloat (Arith.float_arith op x y)
+      | _ -> P.SArith (op, a, b))
+  | P.SCompare (op, a, b) -> (
+      let a = fold a and b = fold b in
+      match (num_of a, num_of b) with
+      | Some x, Some y -> P.SBool (Arith.compare op x y)
+      | _ -> P.SCompare (op, a, b))
+  | P.SLogic (op, a, b) ->
+      let a = fold a in
+      P.SLogic (op, a, fold b)
+  | P.SNeg a -> (
+      match fold a with
       | P.SInt i when exact && i = min_int -> raise Wraps
       | P.SInt i -> P.SInt (-i)
       | P.SFloat f -> P.SFloat (-.f)
-      | a -> P.SUn (Ast.Neg, a))
-  | P.SUn (op, a) -> P.SUn (op, fold_sexpr ~exact a)
-  | P.SCall c -> P.SCall (Arith.map_call (fold_sexpr ~exact) c)
+      | a -> P.SNeg a)
+  | P.SNot a -> P.SNot (fold a)
+  | P.SCall c -> P.SCall (Arith.map_call fold c)
   | e -> e
 
 (** Fold a constant's value or a region bound: an int overflow there is
@@ -120,10 +131,6 @@ let fold_exact loc what e =
 (* ------------------------------------------------------------------ *)
 (* Scalar expressions                                                  *)
 (* ------------------------------------------------------------------ *)
-
-type sty = TInt | TFloat | TBool
-
-let _pp_sty = function TInt -> "int" | TFloat -> "float" | TBool -> "bool"
 
 (** Resolves a call of [f] against {!Arith.intrinsics}, then checks its
     arguments left to right with [arg]. *)
@@ -138,31 +145,18 @@ let check_call loc f args arg =
       Loc.fail loc "%s expects %d argument(s), got %d" f (Arith.arity i)
         (List.length args)
 
-let sty_of_elem = function
-  | Ast.TInt -> TInt
-  | Ast.TFloat -> TFloat
-  | Ast.TBool -> TBool
-
-(** Checks a scalar expression; returns the typed expression and its type.
-    Int values coerce implicitly to float. *)
-let rec check_sexpr env (e : Ast.expr) : Prog.sexpr * sty =
+(** Checks a scalar expression; returns the typed expression and its
+    type, by {!Prog}'s type rule. Int values coerce implicitly to float. *)
+let rec check_sexpr env (e : Ast.expr) : Prog.sexpr * Ast.elem =
   let module P = Prog in
   match e.Ast.e with
-  | Ast.EFloat f -> (P.SFloat f, TFloat)
-  | Ast.EInt i -> (P.SInt i, TInt)
-  | Ast.EBool b -> (P.SBool b, TBool)
+  | Ast.EFloat f -> (P.SFloat f, Ast.TFloat)
+  | Ast.EInt i -> (P.SInt i, Ast.TInt)
+  | Ast.EBool b -> (P.SBool b, Ast.TBool)
   | Ast.EId name -> (
       match lookup env e.eloc name with
-      | KConst lit ->
-          ( lit,
-            match lit with
-            | P.SInt _ -> TInt
-            | P.SFloat _ -> TFloat
-            | P.SBool _ -> TBool
-            | _ -> assert false )
-      | KScalar id ->
-          let info = List.nth env.scalars (List.length env.scalars - 1 - id) in
-          (P.SVar id, sty_of_elem info.P.s_ty)
+      | KConst lit -> (lit, P.sexpr_type (scalar_ty env) lit)
+      | KScalar id -> (P.SVar id, scalar_ty env id)
       | KArray _ ->
           Loc.fail e.eloc "array %S used in a scalar context" name
       | KIndexd _ ->
@@ -174,40 +168,36 @@ let rec check_sexpr env (e : Ast.expr) : Prog.sexpr * sty =
   | Ast.EBin (op, a, b) -> (
       let ta, tya = check_sexpr env a in
       let tb, tyb = check_sexpr env b in
-      let arith () =
-        match (tya, tyb) with
-        | TBool, _ | _, TBool ->
-            Loc.fail e.eloc "boolean operand in arithmetic"
-        | TInt, TInt -> TInt
-        | _ -> TFloat
+      let numeric () =
+        if tya = Ast.TBool || tyb = Ast.TBool then
+          Loc.fail e.eloc "boolean operand in arithmetic"
       in
-      match op with
-      | _ when Arith.int_result op -> (P.SBin (op, ta, tb), arith ())
-      | Ast.Div | Ast.Pow ->
-          ignore (arith ());
-          (P.SBin (op, ta, tb), TFloat)
-      | _ when Arith.is_compare op ->
-          ignore (arith ());
-          (P.SBin (op, ta, tb), TBool)
-      | _ ->
-          if tya <> TBool || tyb <> TBool then
+      match Arith.classify op with
+      | Arith.Arith o ->
+          numeric ();
+          (P.SArith (o, ta, tb), P.arith_type o tya tyb)
+      | Arith.Compare o ->
+          numeric ();
+          (P.SCompare (o, ta, tb), Ast.TBool)
+      | Arith.Logic o ->
+          if tya <> Ast.TBool || tyb <> Ast.TBool then
             Loc.fail e.eloc "'%s' expects boolean operands" (Ast.binop_name op);
-          (P.SBin (op, ta, tb), TBool))
+          (P.SLogic (o, ta, tb), Ast.TBool))
   | Ast.EUn (Ast.Neg, a) ->
       let ta, ty = check_sexpr env a in
-      if ty = TBool then Loc.fail e.eloc "cannot negate a boolean";
-      (P.SUn (Ast.Neg, ta), ty)
+      if ty = Ast.TBool then Loc.fail e.eloc "cannot negate a boolean";
+      (P.SNeg ta, ty)
   | Ast.EUn (Ast.Not, a) ->
       let ta, ty = check_sexpr env a in
-      if ty <> TBool then Loc.fail e.eloc "'not' expects a boolean";
-      (P.SUn (Ast.Not, ta), TBool)
+      if ty <> Ast.TBool then Loc.fail e.eloc "'not' expects a boolean";
+      (P.SNot ta, Ast.TBool)
   | Ast.ECall (f, args) ->
       let arg a =
         let ta, ty = check_sexpr env a in
-        if ty = TBool then Loc.fail a.Ast.eloc "boolean argument to %S" f;
+        if ty = Ast.TBool then Loc.fail a.Ast.eloc "boolean argument to %S" f;
         ta
       in
-      (P.SCall (check_call e.eloc f args arg), TFloat)
+      (P.SCall (check_call e.eloc f args arg), Ast.TFloat)
   | Ast.EReduce _ ->
       Loc.fail e.eloc
         "reductions are only allowed at the top of an assignment"
@@ -219,24 +209,26 @@ let rec check_sexpr env (e : Ast.expr) : Prog.sexpr * sty =
 (** A statement-region bound: restricted to the affine form [var + const]. *)
 let check_bound env (e : Ast.expr) : Prog.bound =
   let te, ty = check_sexpr env e in
-  if ty <> TInt then Loc.fail e.Ast.eloc "region bounds must be integers";
+  if ty <> Ast.TInt then Loc.fail e.Ast.eloc "region bounds must be integers";
   match fold_exact e.Ast.eloc "region bound" te with
   | Prog.SInt i -> { Prog.base = i; bvar = None }
   | Prog.SVar v -> { Prog.base = 0; bvar = Some v }
-  | Prog.SBin (Ast.Add, Prog.SVar v, Prog.SInt c)
-  | Prog.SBin (Ast.Add, Prog.SInt c, Prog.SVar v) ->
+  | Prog.SArith (`Add, Prog.SVar v, Prog.SInt c)
+  | Prog.SArith (`Add, Prog.SInt c, Prog.SVar v) ->
       { Prog.base = c; bvar = Some v }
-  | Prog.SBin (Ast.Sub, Prog.SVar _, Prog.SInt c) when c = min_int ->
+  | Prog.SArith (`Sub, Prog.SVar _, Prog.SInt c) when c = min_int ->
       Loc.fail e.Ast.eloc "region bound overflows the int range"
-  | Prog.SBin (Ast.Sub, Prog.SVar v, Prog.SInt c) ->
+  | Prog.SArith (`Sub, Prog.SVar v, Prog.SInt c) ->
       { Prog.base = -c; bvar = Some v }
   | _ ->
       Loc.fail e.Ast.eloc
         "region bounds must have the form <const>, <var>, or <var> +/- <const>"
 
-(** A static region whose extent or cell count leaves the int range is
-    an error at [loc]. *)
-let check_fits loc (dr : Prog.dregion) =
+(** A region's checked bounds. A static region whose extent or cell
+    count leaves the int range is an error at [loc]. *)
+let check_ranges env loc ranges : Prog.dregion =
+  let bounds (lo, hi) = (check_bound env lo, check_bound env hi) in
+  let dr = Array.of_list (List.map bounds ranges) in
   match Prog.static_region dr with
   | Some r when not (Region.fits r) ->
       Loc.fail loc
@@ -252,18 +244,11 @@ let check_region_ref env (r : Ast.region_ref) : Prog.dregion =
       | _ -> Loc.fail loc "%S is not a region" name)
   | Ast.RLit (ranges, loc) ->
       if ranges = [] then Loc.fail loc "empty region literal";
-      ranges
-      |> List.map (fun (lo, hi) -> (check_bound env lo, check_bound env hi))
-      |> Array.of_list |> check_fits loc
+      check_ranges env loc ranges
 
 (** Region declarations must be fully static. *)
 let check_static_region env (ranges : (Ast.expr * Ast.expr) list) loc : Region.t =
-  let dr =
-    ranges
-    |> List.map (fun (lo, hi) -> (check_bound env lo, check_bound env hi))
-    |> Array.of_list |> check_fits loc
-  in
-  match Prog.static_region dr with
+  match Prog.static_region (check_ranges env loc ranges) with
   | Some r -> r
   | None -> Loc.fail loc "declared regions may not reference variables"
 
@@ -272,9 +257,7 @@ let check_static_region env (ranges : (Ast.expr * Ast.expr) list) loc : Region.t
 (* ------------------------------------------------------------------ *)
 
 let offset_of env loc aid (at : Ast.at_arg) : int array =
-  let rank =
-    (List.nth env.arrays (List.length env.arrays - 1 - aid)).Prog.a_rank
-  in
+  let rank = (array_of env aid).Prog.a_rank in
   let off =
     match at with
     | Ast.AtName d -> (
@@ -300,13 +283,9 @@ let rec check_aexpr env (e : Ast.expr) : Prog.aexpr =
   | Ast.EId name -> (
       match lookup env e.eloc name with
       | KArray aid ->
-          let rank =
-            (List.nth env.arrays (List.length env.arrays - 1 - aid)).P.a_rank
-          in
-          P.ARef (aid, Array.make rank 0)
+          P.ARef (aid, Array.make (array_of env aid).P.a_rank 0)
       | KScalar id ->
-          let info = List.nth env.scalars (List.length env.scalars - 1 - id) in
-          if info.P.s_ty = Ast.TBool then
+          if scalar_ty env id = Ast.TBool then
             Loc.fail e.eloc "boolean scalar %S in an array expression" name;
           P.AScalar id
       | KConst (P.SInt i) -> P.AConst (float_of_int i)
@@ -319,13 +298,14 @@ let rec check_aexpr env (e : Ast.expr) : Prog.aexpr =
       match lookup env e.eloc name with
       | KArray aid -> P.ARef (aid, offset_of env e.eloc aid at)
       | _ -> Loc.fail e.eloc "'@' applied to %S, which is not an array" name)
-  | Ast.EBin ((Ast.And | Ast.Or | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne), _, _)
-    ->
-      Loc.fail e.eloc "comparisons are not supported in array expressions"
-  | Ast.EBin (op, a, b) -> P.ABin (op, check_aexpr env a, check_aexpr env b)
+  | Ast.EBin (op, a, b) -> (
+      match Arith.classify op with
+      | Arith.Arith op -> P.AArith (op, check_aexpr env a, check_aexpr env b)
+      | Arith.Compare _ | Arith.Logic _ ->
+          Loc.fail e.eloc "comparisons are not supported in array expressions")
   | Ast.EUn (Ast.Not, _) ->
       Loc.fail e.eloc "'not' is not supported in array expressions"
-  | Ast.EUn (op, a) -> P.AUn (op, check_aexpr env a)
+  | Ast.EUn (Ast.Neg, a) -> P.ANeg (check_aexpr env a)
   | Ast.ECall (f, args) -> P.ACall (check_call e.eloc f args (check_aexpr env))
   | Ast.EReduce _ ->
       Loc.fail e.eloc
@@ -337,12 +317,9 @@ let check_shift_bounds env loc (region : Prog.dregion) (e : Prog.aexpr) =
   match Prog.static_region region with
   | None -> ()  (* loop-variant region: validated at run time by the kernel *)
   | Some r ->
-      let arr aid =
-        List.nth env.arrays (List.length env.arrays - 1 - aid)
-      in
       Prog.fold_refs
         (fun () aid off ->
-          let a = arr aid in
+          let a = array_of env aid in
           if Region.rank r <> a.Prog.a_rank then
             Loc.fail loc
               "statement region has rank %d but array %S has rank %d"
@@ -388,8 +365,7 @@ and check_stmt env (s : Ast.stmt) : Prog.stmt list =
             "loop variable %S cannot be assigned inside its own 'for' body"
             name
       | KScalar id, Ast.EReduce (op, body) ->
-          let info = List.nth env.scalars (List.length env.scalars - 1 - id) in
-          if info.P.s_ty <> Ast.TFloat then
+          if scalar_ty env id <> Ast.TFloat then
             Loc.fail s.sloc "reduction target %S must be a float scalar" name;
           let region = resolve_region env s.sloc rref in
           (* a statically empty region makes the reduction return the
@@ -417,15 +393,8 @@ and check_stmt env (s : Ast.stmt) : Prog.stmt list =
           | Some r -> env.ambient <- Some (check_region_ref env r)
           | None -> ());
           let te, ty = check_sexpr env rhs in
-          let info = List.nth env.scalars (List.length env.scalars - 1 - id) in
-          let ok =
-            match (info.P.s_ty, ty) with
-            | Ast.TFloat, (TFloat | TInt) -> true
-            | Ast.TInt, TInt -> true
-            | Ast.TBool, TBool -> true
-            | _ -> false
-          in
-          if not ok then
+          let lty = scalar_ty env id in
+          if ty <> lty && not (lty = Ast.TFloat && ty = Ast.TInt) then
             Loc.fail s.sloc "type mismatch assigning to scalar %S" name;
           [ P.AssignS { lhs = id; rhs = fold_sexpr te; loc = s.sloc } ]
       | KArray _, Ast.EReduce _ ->
@@ -433,7 +402,7 @@ and check_stmt env (s : Ast.stmt) : Prog.stmt list =
             name
       | KArray aid, _ ->
           let region = resolve_region env s.sloc rref in
-          let a = List.nth env.arrays (List.length env.arrays - 1 - aid) in
+          let a = array_of env aid in
           if Array.length region <> a.P.a_rank then
             Loc.fail s.sloc "region of rank %d assigned to array of rank %d"
               (Array.length region) a.P.a_rank;
@@ -452,13 +421,13 @@ and check_stmt env (s : Ast.stmt) : Prog.stmt list =
   | Ast.SRepeat (body, cond) ->
       let tbody = check_stmts env body in
       let tc, ty = check_sexpr env cond in
-      if ty <> TBool then
+      if ty <> Ast.TBool then
         Loc.fail s.sloc "'until' condition must be boolean";
       [ P.Repeat (tbody, fold_sexpr tc) ]
   | Ast.SFor (v, dir, lo, hi, body) ->
       let tlo, tylo = check_sexpr env lo in
       let thi, tyhi = check_sexpr env hi in
-      if tylo <> TInt || tyhi <> TInt then
+      if tylo <> Ast.TInt || tyhi <> Ast.TInt then
         Loc.fail s.sloc "'for' bounds must be integers";
       let id = fresh_scalar env ~loc:s.sloc v Ast.TInt in
       let saved = env.table in
@@ -484,7 +453,7 @@ and check_stmt env (s : Ast.stmt) : Prog.stmt list =
       else [ loop thi ]
   | Ast.SIf (cond, then_, else_) ->
       let tc, ty = check_sexpr env cond in
-      if ty <> TBool then Loc.fail s.sloc "'if' condition must be boolean";
+      if ty <> Ast.TBool then Loc.fail s.sloc "'if' condition must be boolean";
       let tthen = check_stmts env then_ in
       let telse = check_stmts env else_ in
       [ P.If (fold_sexpr tc, tthen, telse) ]

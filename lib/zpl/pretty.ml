@@ -28,16 +28,20 @@ let call_to_string to_string c =
     (Arith.name (Arith.call_intrinsic c))
     (String.concat ", " (List.map to_string (Arith.call_args c)))
 
+let bin_to_string to_string op a b =
+  Printf.sprintf "(%s %s %s)" (to_string a) (Arith.op_name op) (to_string b)
+
 let rec sexpr_to_string (p : t) = function
   | SFloat f -> Printf.sprintf "%g" f
   | SInt i -> string_of_int i
   | SBool b -> string_of_bool b
   | SVar id -> (scalar_info p id).s_name
-  | SBin (op, a, b) ->
-      Printf.sprintf "(%s %s %s)" (sexpr_to_string p a) (Ast.binop_name op)
-        (sexpr_to_string p b)
-  | SUn (Ast.Neg, a) -> Printf.sprintf "(-%s)" (sexpr_to_string p a)
-  | SUn (Ast.Not, a) -> Printf.sprintf "(not %s)" (sexpr_to_string p a)
+  | SArith (op, a, b) -> bin_to_string (sexpr_to_string p) (Arith.Arith op) a b
+  | SCompare (op, a, b) ->
+      bin_to_string (sexpr_to_string p) (Arith.Compare op) a b
+  | SLogic (op, a, b) -> bin_to_string (sexpr_to_string p) (Arith.Logic op) a b
+  | SNeg a -> Printf.sprintf "(-%s)" (sexpr_to_string p a)
+  | SNot a -> Printf.sprintf "(not %s)" (sexpr_to_string p a)
   | SCall c -> call_to_string (sexpr_to_string p) c
 
 let rec aexpr_to_string (p : t) = function
@@ -48,11 +52,8 @@ let rec aexpr_to_string (p : t) = function
       let name = (array_info p aid).a_name in
       if Array.for_all (fun d -> d = 0) off then name
       else Printf.sprintf "%s@%s" name (offset_to_string off)
-  | ABin (op, a, b) ->
-      Printf.sprintf "(%s %s %s)" (aexpr_to_string p a) (Ast.binop_name op)
-        (aexpr_to_string p b)
-  | AUn (Ast.Neg, a) -> Printf.sprintf "(-%s)" (aexpr_to_string p a)
-  | AUn (Ast.Not, a) -> Printf.sprintf "(not %s)" (aexpr_to_string p a)
+  | AArith (op, a, b) -> bin_to_string (aexpr_to_string p) (Arith.Arith op) a b
+  | ANeg a -> Printf.sprintf "(-%s)" (aexpr_to_string p a)
   | ACall c -> call_to_string (aexpr_to_string p) c
 
 let rec stmt_lines (p : t) ~indent (s : stmt) : string list =

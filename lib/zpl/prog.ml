@@ -5,8 +5,13 @@
     float-valued, block-distributed over the first two dimensions; scalars
     are replicated. Regions appearing in statements may have bounds of the
     affine form [var + const] so that `for` loops can sweep rows/planes.
-    An intrinsic call is a typed {!Arith.call}, resolved once by the
-    checker against {!Arith.intrinsics}.
+    Operators are typed by class ({!Arith.op}) and an intrinsic call is
+    a typed {!Arith.call}, each resolved once by the checker against
+    {!Arith.operators} and {!Arith.intrinsics}: an array expression can
+    hold only arithmetic, negation and intrinsics. The type rule of a
+    scalar node is decided here once ({!int_op}, {!sexpr_type}), and
+    the checker, the scalar compiler and the interval analysis all
+    follow it.
 
     This module also holds the one traversal of the program: what an
     expression or statement reads ({!fold_refs}, {!aexpr_reads},
@@ -51,8 +56,11 @@ type sexpr =
   | SInt of int
   | SBool of bool
   | SVar of int
-  | SBin of Ast.binop * sexpr * sexpr
-  | SUn of Ast.unop * sexpr
+  | SArith of Arith.arith * sexpr * sexpr
+  | SNeg of sexpr
+  | SCompare of Arith.comparison * sexpr * sexpr
+  | SLogic of Arith.connective * sexpr * sexpr
+  | SNot of sexpr
   | SCall of sexpr Arith.call
 [@@deriving show, eq]
 
@@ -62,8 +70,8 @@ type aexpr =
   | AScalar of int  (** replicated scalar broadcast into every cell *)
   | ARef of int * offset  (** array id, shift; zero vector for a plain ref *)
   | AIndex of int  (** ZPL's IndexD: the cell's coordinate in dimension D *)
-  | ABin of Ast.binop * aexpr * aexpr
-  | AUn of Ast.unop * aexpr
+  | AArith of Arith.arith * aexpr * aexpr
+  | ANeg of aexpr
   | ACall of aexpr Arith.call
 [@@deriving show, eq]
 
@@ -117,19 +125,49 @@ let find_scalar (p : t) name =
   Array.to_list p.scalars |> List.find_opt (fun s -> s.s_name = name)
 
 (* ------------------------------------------------------------------ *)
+(* The scalar type rule                                                *)
+(* ------------------------------------------------------------------ *)
+
+(** The type rule of arithmetic: [Some r] when [op] over operands of
+    types [a] and [b] yields an int, evaluated by {!Arith.int_arith} [r]
+    (two ints under [+ - *]); [None] when it yields a float ([/], [^],
+    or a float operand). *)
+let int_op (op : Arith.arith) (a : Ast.elem) (b : Ast.elem) : Arith.ring option
+    =
+  match (op, a, b) with
+  | (#Arith.ring as r), Ast.TInt, Ast.TInt -> Some r
+  | _ -> None
+
+let arith_type op a b = if int_op op a b = None then Ast.TFloat else Ast.TInt
+
+(** The type of a checked scalar expression, [scalar] giving each
+    scalar's: literals and scalars have their own, arithmetic follows
+    {!int_op}, negation keeps its operand's, intrinsics yield a float,
+    and comparisons, connectives and [not] a bool. *)
+let rec sexpr_type (scalar : int -> Ast.elem) = function
+  | SInt _ -> Ast.TInt
+  | SFloat _ | SCall _ -> Ast.TFloat
+  | SBool _ | SCompare _ | SLogic _ | SNot _ -> Ast.TBool
+  | SVar v -> scalar v
+  | SNeg a -> sexpr_type scalar a
+  | SArith (op, a, b) ->
+      arith_type op (sexpr_type scalar a) (sexpr_type scalar b)
+
+(* ------------------------------------------------------------------ *)
 (* The one traversal: what expressions and statements read and write   *)
 (* ------------------------------------------------------------------ *)
 
 (* [f] over the leaves of an expression, left to right *)
 let rec fold_aleaves f acc = function
-  | ABin (_, a, b) -> fold_aleaves f (fold_aleaves f acc a) b
-  | AUn (_, a) -> fold_aleaves f acc a
+  | AArith (_, a, b) -> fold_aleaves f (fold_aleaves f acc a) b
+  | ANeg a -> fold_aleaves f acc a
   | ACall c -> List.fold_left (fold_aleaves f) acc (Arith.call_args c)
   | leaf -> f acc leaf
 
 let rec fold_sleaves f acc = function
-  | SBin (_, a, b) -> fold_sleaves f (fold_sleaves f acc a) b
-  | SUn (_, a) -> fold_sleaves f acc a
+  | SArith (_, a, b) | SCompare (_, a, b) | SLogic (_, a, b) ->
+      fold_sleaves f (fold_sleaves f acc a) b
+  | SNeg a | SNot a -> fold_sleaves f acc a
   | SCall c -> List.fold_left (fold_sleaves f) acc (Arith.call_args c)
   | leaf -> f acc leaf
 
@@ -213,18 +251,13 @@ let comm_needs (e : aexpr) : (int * (int * int)) list =
 let arrays_read (e : aexpr) : int list =
   List.rev (fold_refs (fun acc aid _ -> add_new acc aid) [] e)
 
-let binop_flops = function
-  | Ast.Add | Ast.Sub | Ast.Mul -> 1
-  | Ast.Div -> 4
-  | Ast.Pow -> 8
-  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne | Ast.And | Ast.Or -> 1
-
 (** Approximate floating-point operations per cell for the cost model. *)
 let rec flops_of_aexpr = function
   | AConst _ | AScalar _ | AIndex _ -> 0
   | ARef _ -> 0
-  | ABin (op, a, b) -> binop_flops op + flops_of_aexpr a + flops_of_aexpr b
-  | AUn (_, a) -> 1 + flops_of_aexpr a
+  | AArith (op, a, b) ->
+      Arith.arith_flops op + flops_of_aexpr a + flops_of_aexpr b
+  | ANeg a -> 1 + flops_of_aexpr a
   | ACall c ->
       Arith.flops (Arith.call_intrinsic c)
       + List.fold_left (fun n a -> n + flops_of_aexpr a) 0 (Arith.call_args c)

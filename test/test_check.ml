@@ -372,7 +372,7 @@ let test_for_bound_hoisted () =
 let test_index_arrays () =
   let p = compile "procedure main(); begin [R] A := Index1 + 2.0 * Index2; end;" in
   match p.Prog.body with
-  | [ Prog.AssignA { rhs = Prog.ABin (_, Prog.AIndex 0, _); _ } ] -> ()
+  | [ Prog.AssignA { rhs = Prog.AArith (_, Prog.AIndex 0, _); _ } ] -> ()
   | _ -> Alcotest.fail "Index1/Index2 shape"
 
 let () =

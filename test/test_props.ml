@@ -649,11 +649,15 @@ let gen_aexpr rank =
             [ (2, leaf);
               (4,
                map3
-                 (fun op a b -> Zpl.Prog.ABin (op, a, b))
-                 (oneofl Zpl.Ast.[ Add; Sub; Mul; Div ])
+                 (fun op a b -> Zpl.Prog.AArith (op, a, b))
+                 (* every arithmetic operator of the operator table *)
+                 (oneofl
+                    (List.filter_map
+                       (function _, Zpl.Arith.Arith op -> Some op | _ -> None)
+                       Zpl.Arith.operators))
                  (self (depth - 1)) (self (depth - 1)));
               (1,
-               map (fun a -> Zpl.Prog.AUn (Zpl.Ast.Neg, a)) (self (depth - 1)));
+               map (fun a -> Zpl.Prog.ANeg a) (self (depth - 1)));
               (* every entry of the intrinsic table *)
               ( 2,
                 oneofl Zpl.Arith.intrinsics >>= function
@@ -766,9 +770,9 @@ let gen_chain rank =
         (array_size (return rank) (int_range (-1) 1))
     in
     let* base = ref_ in
-    let* rest = list_size (int_range 1 5) (pair (oneofl Zpl.Ast.[ Add; Sub ]) ref_) in
+    let* rest = list_size (int_range 1 5) (pair (oneofl [ `Add; `Sub ]) ref_) in
     return
-      (List.fold_left (fun e (op, r) -> Zpl.Prog.ABin (op, e, r)) base rest))
+      (List.fold_left (fun e (op, r) -> Zpl.Prog.AArith (op, e, r)) base rest))
 
 (** Workspace slots number per statement and one workspace serves a
     whole plan set: statements of different ranks, shapes and
@@ -786,7 +790,7 @@ let prop_shared_workspace =
             (2, gen_chain c.krank);
             (1,
              map2
-               (fun a b -> Zpl.Prog.ABin (Zpl.Ast.Mul, a, b))
+               (fun a b -> Zpl.Prog.AArith (`Mul, a, b))
                (gen_chain c.krank) (gen_chain c.krank)) ]
       in
       return { c with krhs })
@@ -868,12 +872,12 @@ let test_row_plan_engages () =
   let stencil =
     (* 0.25 * (S0@[0,1] + S0@[0,-1] + S0@[1,0] + S0@[-1,0]) *)
     Zpl.Prog.(
-      ABin
-        ( Zpl.Ast.Mul, AConst 0.25,
-          ABin
-            ( Zpl.Ast.Add,
-              ABin (Zpl.Ast.Add, ARef (0, [| 0; 1 |]), ARef (0, [| 0; -1 |])),
-              ABin (Zpl.Ast.Add, ARef (0, [| 1; 0 |]), ARef (0, [| -1; 0 |])) ) ))
+      AArith
+        ( `Mul, AConst 0.25,
+          AArith
+            ( `Add,
+              AArith (`Add, ARef (0, [| 0; 1 |]), ARef (0, [| 0; -1 |])),
+              AArith (`Add, ARef (0, [| 1; 0 |]), ARef (0, [| -1; 0 |])) ) ))
   in
   List.iter
     (fun (name, case) ->
@@ -889,7 +893,7 @@ let test_row_plan_engages () =
         (Runtime.Kernel.plan_is_row (Runtime.Kernel.plan_assign ~row:false rc a)))
     [ ("jacobi-style stencil, direct write", c 1 1 stencil);
       ("jacobi-style stencil, self-update", c 2 0 stencil);
-      ("index expression", c 3 0 Zpl.Prog.(ABin (Zpl.Ast.Add, AIndex 0, AIndex 1)));
+      ("index expression", c 3 0 Zpl.Prog.(AArith (`Add, AIndex 0, AIndex 1)));
       ("scalar broadcast", c 4 2 (Zpl.Prog.AScalar 0)) ]
 
 (** A one-rect wire plan — rect [rect] of array 0 of [s] — and a

@@ -189,9 +189,9 @@ let test_kernel_eval () =
       (* B := A@[0,1] * s + Index1 *)
       rhs =
         Zpl.Prog.(
-          ABin
-            ( Zpl.Ast.Add,
-              ABin (Zpl.Ast.Mul, ARef (0, [| 0; 1 |]), AScalar 0),
+          AArith
+            ( `Add,
+              AArith (`Mul, ARef (0, [| 0; 1 |]), AScalar 0),
               AIndex 0 ));
       flops = 3 }
   in

@@ -315,7 +315,7 @@ let test_mutation_grid () =
    completed, so replaying it is a protocol violation wherever it is
    actually reachable. *)
 let stray_dn = I.Comm (I.DN, 0)
-let never = Zpl.Prog.SBin (Zpl.Ast.Gt, Zpl.Prog.SInt 0, Zpl.Prog.SInt 1)
+let never = Zpl.Prog.SCompare (Zpl.Arith.Gt, Zpl.Prog.SInt 0, Zpl.Prog.SInt 1)
 
 let rec find_for_var (is : I.instr list) : int option =
   List.fold_left
@@ -350,7 +350,7 @@ let test_prune_infeasible_branch () =
 
 let test_prune_keeps_live_arm () =
   (* a decided-true guard: pruning must still check the live arm *)
-  let always = Zpl.Prog.SBin (Zpl.Ast.Gt, Zpl.Prog.SInt 1, Zpl.Prog.SInt 0) in
+  let always = Zpl.Prog.SCompare (Zpl.Arith.Gt, Zpl.Prog.SInt 1, Zpl.Prog.SInt 0) in
   let ir = fixture () in
   let ir' =
     { ir with I.code = ir.I.code @ [ I.If (always, [ stray_dn ], []) ] }
@@ -376,7 +376,7 @@ let test_prune_undecided_guard_reported () =
     | None -> Alcotest.fail "fixture lost its for loop"
   in
   let undecided =
-    Zpl.Prog.SBin (Zpl.Ast.Gt, Zpl.Prog.SVar var, Zpl.Prog.SInt 2)
+    Zpl.Prog.SCompare (Zpl.Arith.Gt, Zpl.Prog.SVar var, Zpl.Prog.SInt 2)
   in
   let ir' =
     { ir with
