@@ -33,16 +33,6 @@ let split_range lo hi n =
       let start = lo + (i * base) + min i extra in
       (start, start + sz - 1))
 
-(** Bounding 2-D space of a program: the hull of the first two dimensions
-    of every declared array region. *)
-let space_of_program (p : Zpl.Prog.t) : Zpl.Region.t =
-  Array.fold_left
-    (fun acc (a : Zpl.Prog.array_info) ->
-      let two = [| a.a_region.(0); a.a_region.(1) |] in
-      if Zpl.Region.is_empty acc then two else Zpl.Region.hull acc two)
-    (Zpl.Region.make [ (0, -1); (0, -1) ])
-    p.Zpl.Prog.arrays
-
 let make ~pr ~pc (space : Zpl.Region.t) : t =
   if Zpl.Region.rank space <> 2 then invalid_arg "Layout.make: space must be 2-D";
   if pr <= 0 || pc <= 0 then invalid_arg "Layout.make: empty mesh";
@@ -51,7 +41,8 @@ let make ~pr ~pc (space : Zpl.Region.t) : t =
     row_cuts = split_range d0.lo d0.hi pr;
     col_cuts = split_range d1.lo d1.hi pc }
 
-let for_program ~pr ~pc (p : Zpl.Prog.t) = make ~pr ~pc (space_of_program p)
+let for_program ~pr ~pc (p : Zpl.Prog.t) =
+  make ~pr ~pc (Zpl.Prog.index_space p.arrays)
 
 (** The 2-D partition box of processor [p] (its share of the global space,
     before intersecting with any particular array's declared region). *)

@@ -24,14 +24,12 @@ val proc_at : t -> row:int -> col:int -> int option
     trailing chunks may be empty when [n] exceeds the extent. *)
 val split_range : int -> int -> int -> (int * int) array
 
-(** Bounding 2-D space of a program: the hull of the first two dimensions
-    of every declared array region. *)
-val space_of_program : Zpl.Prog.t -> Zpl.Region.t
-
 (** [make ~pr ~pc space] partitions [space]; raises [Invalid_argument] on
     a non-2-D space or an empty mesh. *)
 val make : pr:int -> pc:int -> Zpl.Region.t -> t
 
+(** [make] over the program's index space, {!Zpl.Prog.index_space}: the
+    hull of the first two dimensions of every declared array region. *)
 val for_program : pr:int -> pc:int -> Zpl.Prog.t -> t
 
 (** The 2-D partition box of a processor (its share of the global space,

@@ -12,6 +12,7 @@
 
 type t = {
   prog : Zpl.Prog.t;
+  space : Zpl.Region.t;
   stores : Store.t array;
   scalars : Values.layout;
   slots : Values.slots;
@@ -76,6 +77,7 @@ and compile_stmt ~row sc (rc : Kernel.rowctx) (s : Zpl.Prog.stmt) : t -> unit =
       fun t ->
         bump t;
         let region = Values.region t.scalars t.slots r.r_region in
+        Zpl.Prog.check_reduce_space t.space r region;
         t.slots.f.(Values.slot t.scalars r.r_lhs) <-
           Kernel.exec_rplan plan ~env:t.kenv ~region r.r_op;
         t.cells <- t.cells + Zpl.Region.size region;
@@ -130,8 +132,8 @@ let run ?(limit = Budget.default) ?(row_path = true) ?on_scalar
   let kenv = Kernel.make_env ~stores ~slots
       (Kernel.make_workspace (Kernel.ws_spec ws)) in
   let t =
-    { prog; stores; scalars; slots; kenv; on_scalar; limit; steps = 0;
-      cells = 0 }
+    { prog; space = Zpl.Prog.index_space prog.arrays; stores; scalars; slots;
+      kenv; on_scalar; limit; steps = 0; cells = 0 }
   in
   code t;
   check t;

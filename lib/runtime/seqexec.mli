@@ -10,6 +10,9 @@
 
 type t = {
   prog : Zpl.Prog.t;
+  space : Zpl.Region.t;
+      (** the index space ({!Zpl.Prog.index_space}), which a reduction
+          over a loop-variant region may not leave *)
   stores : Store.t array;  (** one global store per array *)
   scalars : Values.layout;  (** where each scalar lives in [slots] *)
   slots : Values.slots;  (** the scalars, by id (see {!scalar_value}) *)

@@ -1215,8 +1215,13 @@ let finish_reduce (t : t) =
 (** This rank's partial of the reduction at op [idx] over its local
     part of [r]'s region (dims 0-1 cut to the partition box), and the
     cells it reduced: the identity and 0 when that part is empty. The
-    partial travels through [p.scratch.(0)] so no float is boxed. *)
+    partial travels through [p.scratch.(0)] so no float is boxed. A
+    loop-variant region is first checked, unclipped, against the index
+    space (the checker checks a static one). *)
 let reduce_partial (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : int =
+  if not (Zpl.Prog.is_static r.r_region) then
+    Zpl.Prog.check_reduce_space t.layout.space r
+      (Runtime.Values.region t.shared.p_scalars p.slots r.r_region);
   let n = clip_local t p r.r_region in
   let cells = clip_cells p n in
   if cells = 0 then p.scratch.(0) <- Runtime.Reduce.identity r.r_op

@@ -78,8 +78,8 @@ let fresh_array env loc name region =
 
 (* ids count up from 0, and the lists hold them reversed *)
 let array_of env aid = List.nth env.arrays (List.length env.arrays - 1 - aid)
-let scalar_of env id = List.nth env.scalars (List.length env.scalars - 1 - id)
-let scalar_ty env id = (scalar_of env id).Prog.s_ty
+let scalar_ty env id =
+  (List.nth env.scalars (List.length env.scalars - 1 - id)).Prog.s_ty
 
 (* ------------------------------------------------------------------ *)
 (* Constant folding over scalar expressions                            *)
@@ -311,29 +311,41 @@ let rec check_aexpr env (e : Ast.expr) : Prog.aexpr =
       Loc.fail e.eloc
         "reductions are only allowed at the top of an assignment"
 
-(** Verify (statically, when possible) that every shifted read stays inside
-    the referenced array's declared region. *)
-let check_shift_bounds env loc (region : Prog.dregion) (e : Prog.aexpr) =
-  match Prog.static_region region with
-  | None -> ()  (* loop-variant region: validated at run time by the kernel *)
-  | Some r ->
-      Prog.fold_refs
-        (fun () aid off ->
+(** Check what a statement over [region] reads: every array read has
+    the region's rank and every [IndexD] has D <= that rank, whether or
+    not the region is static; over a static region, every shifted read
+    stays inside the array's declared region (a loop-variant one is
+    validated at run time by the kernel). *)
+let check_reads env loc (region : Prog.dregion) (e : Prog.aexpr) =
+  let rank = Array.length region and static = Prog.static_region region in
+  Prog.fold_aleaves
+    (fun () -> function
+      | Prog.AIndex d when d >= rank ->
+          Loc.fail loc "Index%d used over a statement region of rank %d"
+            (d + 1) rank
+      | Prog.ARef (aid, off) -> (
           let a = array_of env aid in
-          if Region.rank r <> a.Prog.a_rank then
+          if rank <> a.Prog.a_rank then
             Loc.fail loc
-              "statement region has rank %d but array %S has rank %d"
-              (Region.rank r) a.Prog.a_name a.Prog.a_rank;
-          let shifted = Region.shift r off in
-          if not (Region.subset shifted a.Prog.a_region) then
-            Loc.fail loc
-              "shifted reference %s@%s reads outside the declared region %s"
-              a.Prog.a_name
-              (Fmt.str "[%s]"
-                 (String.concat ","
-                    (List.map string_of_int (Array.to_list off))))
-              (Region.to_string a.Prog.a_region))
-        () e
+              "statement region has rank %d but array %S has rank %d" rank
+              a.Prog.a_name a.Prog.a_rank;
+          let inside r =
+            match Region.shift r off with
+            | shifted -> Region.subset shifted a.Prog.a_region
+            | exception Invalid_argument _ -> false (* past the int range *)
+          in
+          match static with
+          | Some r when not (inside r) ->
+              Loc.fail loc
+                "shifted reference %s@%s reads outside the declared region %s"
+                a.Prog.a_name
+                (Fmt.str "[%s]"
+                   (String.concat ","
+                      (List.map string_of_int (Array.to_list off))))
+                (Region.to_string a.Prog.a_region)
+          | _ -> ())
+      | _ -> ())
+    () e
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
@@ -368,6 +380,11 @@ and check_stmt env (s : Ast.stmt) : Prog.stmt list =
           if scalar_ty env id <> Ast.TFloat then
             Loc.fail s.sloc "reduction target %S must be a float scalar" name;
           let region = resolve_region env s.sloc rref in
+          let rank = Array.length region in
+          if rank < 2 || rank > 3 then
+            Loc.fail s.sloc
+              "reduction region has rank %d; only rank 2 and 3 are supported"
+              rank;
           (* a statically empty region makes the reduction return the
              operator's identity (neg_infinity for max<<, infinity for
              min<<) without touching a single cell — almost certainly a
@@ -384,10 +401,15 @@ and check_stmt env (s : Ast.stmt) : Prog.stmt list =
                 (Ast.redop_name op) (Region.to_string r)
           | _ -> ());
           let te = check_aexpr env body in
-          check_shift_bounds env s.sloc region te;
-          [ P.ReduceS
-              { r_lhs = id; r_op = op; r_region = region; r_rhs = te;
-                r_flops = P.flops_of_aexpr te + 1 } ]
+          check_reads env s.sloc region te;
+          let r =
+            { P.r_lhs = id; r_op = op; r_region = region; r_rhs = te;
+              r_flops = P.flops_of_aexpr te + 1; r_loc = s.sloc }
+          in
+          Option.iter
+            (P.check_reduce_space (P.index_space (Array.of_list env.arrays)) r)
+            (P.static_region region);
+          [ P.ReduceS r ]
       | KScalar id, _ ->
           (match rref with
           | Some r -> env.ambient <- Some (check_region_ref env r)
@@ -414,7 +436,7 @@ and check_stmt env (s : Ast.stmt) : Prog.stmt list =
                 (Region.to_string a.P.a_region)
           | _ -> ());
           let te = check_aexpr env rhs in
-          check_shift_bounds env s.sloc region te;
+          check_reads env s.sloc region te;
           [ P.AssignA
               { region; lhs = aid; rhs = te; flops = P.flops_of_aexpr te + 1 } ]
       | _ -> Loc.fail s.sloc "%S is not assignable" name)

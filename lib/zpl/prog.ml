@@ -90,6 +90,7 @@ type reduce_s = {
   r_region : dregion;
   r_rhs : aexpr;
   r_flops : int;
+  r_loc : Loc.t;  (** source position, for the run-time space check *)
 }
 [@@deriving show, eq]
 
@@ -262,11 +263,13 @@ let rec flops_of_aexpr = function
       Arith.flops (Arith.call_intrinsic c)
       + List.fold_left (fun n a -> n + flops_of_aexpr a) 0 (Arith.call_args c)
 
+let is_static (dr : dregion) =
+  Array.for_all (fun (lo, hi) -> lo.bvar = None && hi.bvar = None) dr
+
 (** A static region, if the bounds reference no variables. *)
 let static_region (dr : dregion) : Region.t option =
-  if
-    Array.for_all (fun (lo, hi) -> lo.bvar = None && hi.bvar = None) dr
-  then Some (Array.map (fun (lo, hi) -> { Region.lo = lo.base; hi = hi.base }) dr)
+  if is_static dr then
+    Some (Array.map (fun (lo, hi) -> { Region.lo = lo.base; hi = hi.base }) dr)
   else None
 
 let dregion_of_region (r : Region.t) : dregion =
@@ -289,6 +292,26 @@ let fringe_widths (p : t) : int array =
       | AssignS _ | Repeat _ | For _ | If _ -> ())
     () p.body;
   w
+
+(** The index space: the hull of dimensions 0 and 1 of every declared
+    array, the 2-D space the runtime distributes over the mesh. *)
+let index_space (arrays : array_info array) : Region.t =
+  Array.fold_left
+    (fun acc a -> Region.hull acc (Array.sub a.a_region 0 2))
+    (Region.make [ (0, -1); (0, -1) ])
+    arrays
+
+(** Fail at [r]'s position unless [region], its evaluated region, is
+    empty or lies inside the index space [space] in dimensions 0 and 1.
+    Each processor reduces its own partition of the space, so cells
+    outside it would be reduced by no processor. The checker applies
+    this to a static region, the executors to a loop-variant one. *)
+let check_reduce_space space (r : reduce_s) (region : Region.t) =
+  if not (Region.is_empty region || Region.subset (Array.sub region 0 2) space)
+  then
+    Loc.fail r.r_loc "%s reduces over %s, outside the index space %s"
+      (Ast.redop_name r.r_op) (Region.to_string region)
+      (Region.to_string space)
 
 (** Count statements, for reporting. *)
 let count_stmts stmts = fold_stmts (fun n _ -> n + 1) 0 stmts

@@ -30,7 +30,8 @@ let cells (r : t) =
   !n
 
 let fits r = cells r >= 0
-let too_large () = invalid_arg "Region: extent or cell count past max_int"
+let past_int what = invalid_arg ("Region: " ^ what ^ " past max_int")
+let too_large () = past_int "extent or cell count"
 
 let range_size { lo; hi } =
   if hi < lo then 0
@@ -65,10 +66,15 @@ let hull (a : t) (b : t) : t =
   else if is_empty b then a
   else Array.map2 (fun x y -> { lo = min x.lo y.lo; hi = max x.hi y.hi }) a b
 
-(** Translate a region by an offset vector. *)
+(** Translate a region by an offset vector; raises [Invalid_argument]
+    on a rank mismatch or a bound shifted past the int range. *)
 let shift (r : t) (off : int array) : t =
   if rank r <> Array.length off then invalid_arg "Region.shift: rank mismatch";
-  Array.mapi (fun i rg -> { lo = rg.lo + off.(i); hi = rg.hi + off.(i) }) r
+  let add x o =
+    let y = x + o in
+    if y < x <> (o < 0) then past_int "shifted bound" else y
+  in
+  Array.mapi (fun i rg -> { lo = add rg.lo off.(i); hi = add rg.hi off.(i) }) r
 
 let contains_point (r : t) (p : int array) =
   rank r = Array.length p

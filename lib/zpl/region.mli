@@ -42,7 +42,8 @@ val inter : t -> t -> t
 (** Smallest region containing both arguments (empty args are ignored). *)
 val hull : t -> t -> t
 
-(** Translate by an offset vector of matching rank. *)
+(** Translate by an offset vector of matching rank; raises
+    [Invalid_argument] if a shifted bound leaves the int range. *)
 val shift : t -> int array -> t
 
 val contains_point : t -> int array -> bool

@@ -348,6 +348,68 @@ let test_overflow_rejected () =
        "constant h = 2147483648; constant m = h * (h - 1); \
         procedure main(); begin k := m + m + m; end;")
 
+(* Every statement reads arrays of its region's rank and IndexD with
+   D <= that rank, and a reduction's region has rank 2 or 3, whether the
+   region is static or loop-variant: each is an error at the statement,
+   where the runtime once failed without a position or on an assertion. *)
+let test_statement_rank_rejected () =
+  let fails body msg =
+    match compile body with
+    | _ -> Alcotest.failf "expected %S" msg
+    | exception Loc.Error (loc, m) ->
+        Alcotest.(check string) "message" msg m;
+        Alcotest.(check int) (msg ^ ": line") 12 loc.Loc.line
+  in
+  let c3 = "var C : [1..4, 1..4, 1..2] float;\nprocedure main(); begin " in
+  fails (c3 ^ "[1..6] x := +<< 1.0; end;")
+    "reduction region has rank 1; only rank 2 and 3 are supported";
+  fails (c3 ^ "for i := 1 to 2 do [1..i] x := +<< 1.0; end; end;")
+    "reduction region has rank 1; only rank 2 and 3 are supported";
+  fails (c3 ^ "[1..4, 1..4] A := Index3; end;")
+    "Index3 used over a statement region of rank 2";
+  fails (c3 ^ "for i := 1 to 4 do [i..i, 1..4] A := 2.0 * Index3; end; end;")
+    "Index3 used over a statement region of rank 2";
+  fails (c3 ^ "for i := 1 to 4 do [i..i, 1..4] A := B + C; end; end;")
+    "statement region has rank 2 but array \"C\" has rank 3";
+  fails (c3 ^ "for i := 1 to 4 do [i..i, 1..4] x := +<< C; end; end;")
+    "statement region has rank 2 but array \"C\" has rank 3";
+  ignore (compile (c3 ^ "for i := 1 to 4 do [i..i, 1..4, 1..2] C := Index3; end; end;"))
+
+(* The index space is the hull of dimensions 0-1 of the declared arrays
+   ([0..9, 0..9] here); each processor reduces its own part of it, so a
+   reduction over a static region outside it is a positioned error. A
+   loop-variant one is checked by the executors. *)
+let test_reduce_outside_space () =
+  (match compile "procedure main(); begin [1..12, 1..12] x := +<< 1.0; end;" with
+  | _ -> Alcotest.fail "expected a reduction outside the index space"
+  | exception Loc.Error (loc, m) ->
+      Alcotest.(check string) "message"
+        "+<< reduces over [1..12, 1..12], outside the index space [0..9, 0..9]"
+        m;
+      Alcotest.(check (pair int int)) "position" (11, 25)
+        (loc.Loc.line, loc.Loc.col));
+  ignore (compile "procedure main(); begin [0..9, 0..9] x := +<< 1.0; end;");
+  ignore
+    (compile "procedure main(); begin k := 12; [1..k, 1..k] x := +<< 1.0; end;")
+
+(* A shifted read whose bound passes max_int reads outside the declared
+   region; it once wrapped to an empty region and passed. *)
+let test_shift_past_int_rejected () =
+  match
+    compile
+      "constant m = 4611686018427387903; region W = [1..2, m-1..m];\n\
+       var P, Q : [W] float;\n\
+       procedure main(); begin [W] Q := P@[0,1]; end;"
+  with
+  | _ -> Alcotest.fail "expected a shifted read past max_int"
+  | exception Loc.Error (loc, m) ->
+      Alcotest.(check string) "message"
+        "shifted reference P@[0,1] reads outside the declared region [1..2, \
+         4611686018427387902..4611686018427387903]"
+        m;
+      Alcotest.(check (pair int int)) "position" (13, 25)
+        (loc.Loc.line, loc.Loc.col)
+
 (* A [for] bound the body may change is hoisted into a fresh scalar
    assigned just before the loop; a bound the body leaves alone is kept
    in place. *)
@@ -403,5 +465,11 @@ let () =
           Alcotest.test_case "message on one line" `Quick test_message_one_line;
           Alcotest.test_case "out-of-range define" `Quick
             test_define_out_of_range;
+          Alcotest.test_case "statement rank and IndexD" `Quick
+            test_statement_rank_rejected;
+          Alcotest.test_case "reduction outside the index space" `Quick
+            test_reduce_outside_space;
+          Alcotest.test_case "shifted read past max_int" `Quick
+            test_shift_past_int_rejected;
           Alcotest.test_case "overflowing bound or constant" `Quick
             test_overflow_rejected ] ) ]

@@ -751,7 +751,7 @@ let prop_row_reduce_bitwise =
         let r =
           { Zpl.Prog.r_lhs = 0; r_op = op;
             r_region = Zpl.Prog.dregion_of_region c.kregion;
-            r_rhs = c.krhs; r_flops = 0 }
+            r_rhs = c.krhs; r_flops = 0; r_loc = Zpl.Loc.dummy }
         in
         let plan = Runtime.Kernel.plan_reduce ~row rc r in
         bits
@@ -828,7 +828,7 @@ let prop_shared_workspace =
               in
               let r =
                 { Zpl.Prog.r_lhs = 0; r_op = Zpl.Ast.RSum; r_region = dr;
-                  r_rhs = c.krhs; r_flops = 0 }
+                  r_rhs = c.krhs; r_flops = 0; r_loc = Zpl.Loc.dummy }
               in
               ( c,
                 stores,

@@ -49,6 +49,23 @@ let test_shift () =
   Alcotest.check check_region "nw" (r2 0 3 0 3)
     (Region.shift (r2 1 4 1 4) [| -1; -1 |])
 
+(* a bound shifted past either end of the int range raises instead of
+   wrapping; one shifted onto max_int or min_int is kept *)
+let test_shift_past_int () =
+  let m = max_int in
+  Alcotest.check check_region "onto max_int" (r2 1 2 (m - 1) m)
+    (Region.shift (r2 1 2 (m - 2) (m - 1)) [| 0; 1 |]);
+  Alcotest.check check_region "onto min_int" (r2 min_int (min_int + 1) 1 2)
+    (Region.shift (r2 (min_int + 1) (min_int + 2) 1 2) [| -1; 0 |]);
+  List.iter
+    (fun (what, r, off) ->
+      Alcotest.check_raises what
+        (Invalid_argument "Region: shifted bound past max_int")
+        (fun () -> ignore (Region.shift r off)))
+    [ ("past max_int", r2 1 2 (m - 1) m, [| 0; 1 |]);
+      ("past min_int", r2 min_int 0 1 2, [| -1; 0 |]);
+      ("far past max_int", r2 1 2 1 m, [| 0; max_int |]) ]
+
 let test_subset () =
   Alcotest.(check bool) "inside" true (Region.subset (r2 2 3 2 3) (r2 1 4 1 4));
   Alcotest.(check bool) "outside" false (Region.subset (r2 0 3 2 3) (r2 1 4 1 4));
@@ -146,6 +163,8 @@ let () =
           Alcotest.test_case "is_empty" `Quick test_empty;
           Alcotest.test_case "inter" `Quick test_inter;
           Alcotest.test_case "shift" `Quick test_shift;
+          Alcotest.test_case "shift past the int range" `Quick
+            test_shift_past_int;
           Alcotest.test_case "subset" `Quick test_subset;
           Alcotest.test_case "hull" `Quick test_hull;
           Alcotest.test_case "iter order" `Quick test_iter_order;

@@ -827,6 +827,47 @@ let test_oracle_budget_exits_1 () =
     (Cli.Cmdline.handle (fun () ->
          ignore (Runtime.Seqexec.run ~limit:1000 prog)))
 
+(* A reduction over a loop-variant region outside the index space
+   ([1..4, 1..4]) once ran clean on the engine, which reduces each
+   processor's part of that space only, while the oracle summed all 36
+   cells. The engine (a plain run) and the oracle (what --verify adds)
+   each stop with the same positioned error, and the guard exits 1. *)
+let space_src =
+  {|
+var A : [1..4, 1..4] float;
+var s : float;
+var k : int;
+procedure main();
+begin
+  k := 6;
+  [1..k, 1..k] s := +<< 1.0;
+  [1..4, 1..4] A := s;
+end;
+|}
+
+let space_error = Error "8:3: +<< reduces over [1..6, 1..6], outside the index space [1..4, 1..4]"
+
+let test_reduce_outside_space_exits_1 () =
+  let file = Filename.temp_file "space" ".zpl" in
+  Out_channel.with_open_text file (fun oc -> output_string oc space_src);
+  let spec =
+    Cli.Cmdline.make_spec file [] Opt.Config.pl_cum None
+      (Machine.T3d.machine, Machine.T3d.pvm)
+      (2, 2) Machine.Topology.Ideal
+  in
+  let run () = ignore (Run.Cache.run (Run.Cache.create ()) spec) in
+  let result = Zpl.Loc.guard run and code = Cli.Cmdline.handle run in
+  Sys.remove file;
+  Alcotest.(check (result unit string)) "engine" space_error result;
+  Alcotest.(check int) "exit code" 1 code
+
+let test_oracle_outside_space_exits_1 () =
+  let prog = Zpl.Check.compile_string space_src in
+  let run () = ignore (Runtime.Seqexec.run prog) in
+  Alcotest.(check (result unit string)) "oracle" space_error
+    (Zpl.Loc.guard run);
+  Alcotest.(check int) "exit code" 1 (Cli.Cmdline.handle run)
+
 (* An integral -D outside the int range is bad input, not a wrapped
    value: [iters=1e19] once read as 0 iterations and ran clean. *)
 let test_define_out_of_range_exits_1 () =
@@ -914,6 +955,10 @@ let () =
             test_runaway_loop_exits_1;
           Alcotest.test_case "oracle budget exits 1" `Quick
             test_oracle_budget_exits_1;
+          Alcotest.test_case "reduction outside the index space exits 1"
+            `Quick test_reduce_outside_space_exits_1;
+          Alcotest.test_case "oracle: outside the index space exits 1"
+            `Quick test_oracle_outside_space_exits_1;
           Alcotest.test_case "out-of-range define exits 1" `Quick
             test_define_out_of_range_exits_1;
           Alcotest.test_case "inexact integer define exits 124" `Quick
