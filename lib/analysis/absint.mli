@@ -9,7 +9,8 @@
 
     The concrete semantics abstracted is {!Runtime.Values}' scalar code on the
     SPMD scalar environment: every processor evaluates scalar statements
-    identically, so one abstract state covers them all. Both are
+    identically, so one abstract state covers them all. Both type each
+    node by {!Zpl.Prog}'s one type rule, which the checker applies too. Both are
     {e sound}: for every concrete execution, every scalar's value at
     every program point lies inside the abstract interval at that point
     ([ReduceK]/[CollFin] results are data-dependent and go to top), and

@@ -38,12 +38,12 @@ let read_all l s = Array.init (Array.length l.tys) (read_value l s)
 (* The compiler                                                        *)
 (*                                                                     *)
 (* A closure returning a float boxes it, so a float node compiles to   *)
-(* code that, given a float slot (the target, or a temp its parent     *)
-(* reads), writes its value there. Int and bool nodes (bools as 0/1)   *)
-(* return their value unboxed. Nodes compile bottom up, and each       *)
-(* node's type follows from its operands' by [Zpl.Prog]'s type rule;   *)
-(* the operators are [Zpl.Arith]'s, which the constant folder          *)
-(* evaluates through too.                                              *)
+(* a [slots -> unit] writing its value into a float slot (the target   *)
+(* or a temp its parent reads). Int and bool nodes (bools as 0/1)      *)
+(* return their value unboxed. A node's type is [Zpl.Prog]'s type rule *)
+(* ([sexpr_type], [int_op]), the one the checker typed it with; the    *)
+(* operators are [Zpl.Arith]'s, which the constant folder evaluates    *)
+(* through too.                                                        *)
 (* ------------------------------------------------------------------ *)
 
 type compiler = { l : layout; mutable nf : int  (** float slots handed out *) }
@@ -54,101 +54,92 @@ let fresh c =
   c.nf <- c.nf + 1;
   c.nf - 1
 
-(* a compiled int or bool node, or a float node awaiting its slot *)
-type code = Int of (slots -> int) | Float of (int -> slots -> unit)
+let ty c e = Zpl.Prog.sexpr_type (Array.get c.l.tys) e
+let ill_typed e = invalid_arg ("Values: ill-typed " ^ Zpl.Prog.show_sexpr e)
 
-let ty = function Int _ -> Zpl.Ast.TInt | Float _ -> Zpl.Ast.TFloat
+(** An int or bool node. Comparisons read both sides as floats. *)
+let rec int_expr c (e : Zpl.Prog.sexpr) : slots -> int =
+  match e with
+  | Zpl.Prog.SInt k -> fun _ -> k
+  | Zpl.Prog.SBool b ->
+      let k = Bool.to_int b in
+      fun _ -> k
+  | Zpl.Prog.SVar v when is_int c.l v ->
+      let v = c.l.slot.(v) in
+      fun s -> s.i.(v)
+  | Zpl.Prog.SNeg a ->
+      let fa = int_expr c a in
+      fun s -> -fa s
+  | Zpl.Prog.SNot a ->
+      let fa = int_expr c a in
+      fun s -> 1 - fa s
+  | Zpl.Prog.SArith (op, a, b) -> (
+      match Zpl.Prog.int_op op (ty c a) (ty c b) with
+      | Some r ->
+          let fa = int_expr c a and fb = int_expr c b in
+          fun s -> Zpl.Arith.int_arith r (fa s) (fb s)
+      | None -> ill_typed e)
+  | Zpl.Prog.SLogic (op, a, b) ->
+      let fa = int_expr c a and fb = int_expr c b in
+      if op = Zpl.Arith.And then fun s -> fa s land fb s
+      else fun s -> fa s lor fb s
+  | Zpl.Prog.SCompare (op, a, b) ->
+      if ty c a <> Zpl.Ast.TFloat && ty c b <> Zpl.Ast.TFloat then
+        let fa = int_expr c a and fb = int_expr c b in
+        fun s -> Bool.to_int (Zpl.Arith.compare_ints op (fa s) (fb s))
+      else
+        let x = fresh c and y = fresh c in
+        let fa = cfloat c a ~dst:x and fb = cfloat c b ~dst:y in
+        fun s ->
+          fa s;
+          fb s;
+          Bool.to_int (Zpl.Arith.compare_slots op s.f x y)
+  | Zpl.Prog.SFloat _ | Zpl.Prog.SVar _ | Zpl.Prog.SCall _ -> ill_typed e
 
-(* [code] writing into float slot [dst], an int node converted *)
-let store code dst =
-  match code with
-  | Float g -> g dst
-  | Int fi -> fun s -> s.f.(dst) <- float_of_int (fi s)
-
-let temp c code =
-  let x = fresh c in
-  (store code x, x)
-
-(* A float node over float slots [f]: [op f dst x] or [op f dst x y]
-   writes [dst] from its operands' temps [x] and [y]; no float crosses
-   a call. *)
-let float1 c ca op =
-  Float
-    (fun dst ->
-      let fa, x = temp c ca in
-      fun s ->
-        fa s;
-        op s.f dst x)
-
-let float2 c ca cb op =
-  Float
-    (fun dst ->
-      let fa, x = temp c ca and fb, y = temp c cb in
+(** Code writing [e], an int or float node, into float slot [dst]. *)
+and cfloat c (e : Zpl.Prog.sexpr) ~dst : slots -> unit =
+  let arg e =
+    let x = fresh c in
+    (cfloat c e ~dst:x, x)
+  in
+  match e with
+  | _ when ty c e <> Zpl.Ast.TFloat ->
+      let fi = int_expr c e in
+      fun s -> s.f.(dst) <- float_of_int (fi s)
+  | Zpl.Prog.SFloat x -> fun s -> s.f.(dst) <- x
+  | Zpl.Prog.SVar v ->
+      let v = c.l.slot.(v) in
+      fun s -> s.f.(dst) <- s.f.(v)
+  | Zpl.Prog.SArith (op, a, b) ->
+      let fa, x = arg a and fb, y = arg b in
       fun s ->
         fa s;
         fb s;
-        op s.f dst x y)
-
-let rec compile c (e : Zpl.Prog.sexpr) : code =
-  match e with
-  | Zpl.Prog.SInt k -> Int (fun _ -> k)
-  | Zpl.Prog.SBool b ->
-      let k = Bool.to_int b in
-      Int (fun _ -> k)
-  | Zpl.Prog.SFloat x -> Float (fun dst s -> s.f.(dst) <- x)
-  | Zpl.Prog.SVar v ->
-      let k = c.l.slot.(v) in
-      if is_int c.l v then Int (fun s -> s.i.(k))
-      else Float (fun dst s -> s.f.(dst) <- s.f.(k))
-  | Zpl.Prog.SNeg a -> (
-      match compile c a with
-      | Int fa -> Int (fun s -> -fa s)
-      | ca -> float1 c ca (fun f dst x -> f.(dst) <- -.f.(x)))
-  | Zpl.Prog.SNot a ->
-      let fa = int_expr c a in
-      Int (fun s -> 1 - fa s)
-  | Zpl.Prog.SArith (op, a, b) -> (
-      let ca = compile c a and cb = compile c b in
-      match (Zpl.Prog.int_op op (ty ca) (ty cb), ca, cb) with
-      | Some r, Int fa, Int fb ->
-          Int (fun s -> Zpl.Arith.int_arith r (fa s) (fb s))
-      | _ ->
-          float2 c ca cb (fun f dst x y ->
-              Zpl.Arith.set_float_arith op f ~dst x y))
-  | Zpl.Prog.SCompare (op, a, b) -> (
-      match (compile c a, compile c b) with
-      | Int fa, Int fb ->
-          Int (fun s -> Bool.to_int (Zpl.Arith.compare_ints op (fa s) (fb s)))
-      | ca, cb ->
-          let fa, x = temp c ca and fb, y = temp c cb in
-          Int
-            (fun s ->
-              fa s;
-              fb s;
-              Bool.to_int (Zpl.Arith.compare_slots op s.f x y)))
-  | Zpl.Prog.SLogic (op, a, b) ->
-      let fa = int_expr c a and fb = int_expr c b in
-      if op = Zpl.Arith.And then Int (fun s -> fa s land fb s)
-      else Int (fun s -> fa s lor fb s)
+        Zpl.Arith.set_float_arith op s.f ~dst x y
+  | Zpl.Prog.SNeg a ->
+      let fa, x = arg a in
+      fun s ->
+        fa s;
+        s.f.(dst) <- -.s.f.(x)
   | Zpl.Prog.SCall (Zpl.Arith.Call1 (u, a)) ->
-      float1 c (compile c a) (fun f dst x -> f.(dst) <- Zpl.Arith.unary u f.(x))
-  | Zpl.Prog.SCall (Zpl.Arith.Call2 (op, a, b)) ->
-      let ca = compile c a in
-      float2 c ca (compile c b) (fun f dst x y ->
-          f.(dst) <- Zpl.Arith.binary op f.(x) f.(y))
-
-(* an int or bool node; the checker rules out a float one here *)
-and int_expr c e =
-  match compile c e with
-  | Int fi -> fi
-  | Float _ -> invalid_arg ("Values: ill-typed " ^ Zpl.Prog.show_sexpr e)
+      let fa, x = arg a in
+      fun s ->
+        fa s;
+        s.f.(dst) <- Zpl.Arith.unary u s.f.(x)
+  | Zpl.Prog.SCall (Zpl.Arith.Call2 (b, a1, a2)) ->
+      let fa, x = arg a1 and fb, y = arg a2 in
+      fun s ->
+        fa s;
+        fb s;
+        s.f.(dst) <- Zpl.Arith.binary b s.f.(x) s.f.(y)
+  | _ -> ill_typed e
 
 let assign c ~lhs (e : Zpl.Prog.sexpr) : slots -> unit =
   let k = c.l.slot.(lhs) in
   if is_int c.l lhs then
     let fi = int_expr c e in
     fun s -> s.i.(k) <- fi s
-  else store (compile c e) k
+  else cfloat c e ~dst:k
 
 let cond c e =
   let fb = int_expr c e in

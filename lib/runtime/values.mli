@@ -7,7 +7,7 @@
     executor, each with its own {!slots}.
 
     Semantics: each node's type is {!Zpl.Prog}'s type rule
-    ({!Zpl.Prog.int_op}), applied bottom up as the code compiles: int
+    ({!Zpl.Prog.sexpr_type}, {!Zpl.Prog.int_op}), the checker's: int
     [+ - *] of two ints stays int and wraps at 63 bits; mixed int/float
     arithmetic is float; [/], [^] and intrinsics always yield a float;
     comparisons convert both sides to float (so [2^53 + 1 = 2^53]

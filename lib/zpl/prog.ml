@@ -11,7 +11,8 @@
     hold only arithmetic, negation and intrinsics. The type rule of a
     scalar node is decided here once ({!int_op}, {!sexpr_type}), and
     the checker, the scalar compiler and the interval analysis all
-    follow it.
+    follow it. So is the index space ({!index_space}), which the runtime
+    distributes and no reduction may leave ({!check_reduce_space}).
 
     This module also holds the one traversal of the program: what an
     expression or statement reads ({!fold_refs}, {!aexpr_reads},
