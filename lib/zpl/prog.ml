@@ -306,7 +306,8 @@ let index_space (arrays : array_info array) : Region.t =
     empty or lies inside the index space [space] in dimensions 0 and 1.
     Each processor reduces its own partition of the space, so cells
     outside it would be reduced by no processor. The checker applies
-    this to a static region, the executors to a loop-variant one. *)
+    this to a static region; the engine to a loop-variant one, and the
+    oracle to every evaluated region. *)
 let check_reduce_space space (r : reduce_s) (region : Region.t) =
   if not (Region.is_empty region || Region.subset (Array.sub region 0 2) space)
   then
