@@ -1,12 +1,14 @@
 (* Prints one line per grid cell: its label, the makespan's bits, the
-   instruction count and an MD5 over every per-processor Stats field
-   and the per-op completion counts; then the test-scale Figure 6
-   points as hex floats. The output is compared against grid.expected. *)
+   instruction count and an MD5 over every per-processor Stats field,
+   the per-op completion counts and the staging-pool counts; then the
+   test-scale Figure 6 points as hex floats. The output is compared
+   against grid.expected. The 3x3 mesh partitions unevenly, so ranks
+   differ in what they own of each array. *)
 
 let benches = Programs.Suite.[ tomcatv; swm; simple; sp; jacobi ]
 
 let collectives = [ Opt.Config.Opaque; Opt.Config.Auto ]
-let meshes = [ (2, 2); (1, 5) ]
+let meshes = [ (2, 2); (1, 5); (3, 3) ]
 
 let digest (r : Sim.Engine.result) =
   let b = Buffer.create 1024 in
@@ -19,6 +21,8 @@ let digest (r : Sim.Engine.result) =
         tm.comm_cpu tm.wait tm.finish)
     r.Sim.Engine.stats.Sim.Stats.procs;
   Array.iter (Printf.bprintf b "%d,") (Sim.Engine.op_counts r.Sim.Engine.engine);
+  let fresh, reused = Sim.Engine.pool_counts r.Sim.Engine.engine in
+  Printf.bprintf b "\n%d %d" fresh reused;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 let () =
