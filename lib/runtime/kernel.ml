@@ -284,8 +284,10 @@ type rowsrc =
 exception Row_fallback
 
 (** Flat base index of the row starting at [p0] read through flat shift
-    [dshift]; checks the whole row stays inside the store's allocation
-    (the per-row counterpart of {!check_ref_bounds}). *)
+    [dshift]; checks the whole row stays inside the store's flat buffer,
+    the safety net under the unchecked row loops (the statement-region
+    rule, {!Zpl.Prog.check_region}, keeps every read of a checked
+    program inside the allocation). *)
 let ref_base (s : Store.t) (dshift : int) (p0 : int array) (len : int) : int =
   let base = Store.index s p0 + dshift in
   if base < 0 || base + len > Store.length s then
@@ -1147,8 +1149,8 @@ let plan_assign ?(row = true) (rc : rowctx) (a : Zpl.Prog.assign_a) : plan =
 
 let plan_is_row = function PRow _ -> true | PPoint _ -> false
 
-(** Execute a plan over [region] (already clipped to ownership and lying
-    inside [lhs]'s allocation). Returns the number of cells updated. *)
+(** Execute a plan over [region] (inside [lhs]'s owned box). Returns the
+    number of cells updated. *)
 let exec_plan (plan : plan) ~(env : env) ~(lhs : Store.t)
     ~(region : Zpl.Region.t) : int =
   match plan with
@@ -1178,51 +1180,3 @@ let exec_rplan (plan : rplan) ~(env : env) ~(region : Zpl.Region.t)
   match plan with
   | RowRed (slot, src) -> fold_rows env ~slot op src region
   | PointRed f -> run_reduce ~region op (fun p -> f env p)
-
-(** The distinct (array, shift) reads of an expression, extracted once
-    at plan time so the per-execution bounds check — still needed on
-    every execution for loop-variant regions — walks a short array
-    instead of the whole AST. *)
-type refs = (int * int array) array
-
-let refs_of (e : Zpl.Prog.aexpr) : refs =
-  Array.of_list
-    (Zpl.Prog.fold_refs
-       (fun acc aid off -> Zpl.Prog.add_new acc (aid, off))
-       [] e)
-
-(** Runtime validation that every read in [rs] over [region] stays
-    inside the referenced array's allocated storage on this executor
-    ([stores], indexed by array id) — the dynamic counterpart of the
-    checker's static shift-bounds test, needed for loop-variant
-    regions. Allocation-free. *)
-let check_ref_bounds ~(region : Zpl.Region.t) ~(stores : Store.t array)
-    (rs : refs) =
-  if Array.length rs > 0 && not (Zpl.Region.is_empty region) then begin
-    let rank = Zpl.Region.rank region in
-    for i = 0 to Array.length rs - 1 do
-      let aid, off = rs.(i) in
-      if Array.length off <> rank then
-        invalid_arg "Region.shift: rank mismatch";
-      let alloc = Store.alloc stores.(aid) in
-      let ok = ref (Zpl.Region.rank alloc = rank) in
-      for d = 0 to rank - 1 do
-        if !ok then begin
-          let rd = Zpl.Region.dim region d
-          and ad = Zpl.Region.dim alloc d in
-          if
-            rd.Zpl.Region.lo + off.(d) < ad.Zpl.Region.lo
-            || rd.Zpl.Region.hi + off.(d) > ad.Zpl.Region.hi
-          then ok := false
-        end
-      done;
-      if not !ok then
-        Fmt.failwith
-          "shifted read of array %d over %s reaches %s, outside allocated \
-           %s"
-          aid
-          (Zpl.Region.to_string region)
-          (Zpl.Region.to_string (Zpl.Region.shift region off))
-          (Zpl.Region.to_string alloc)
-    done
-  end

@@ -127,9 +127,10 @@ val plan_assign : ?row:bool -> rowctx -> Zpl.Prog.assign_a -> plan
 (** Whether the plan took the row path. *)
 val plan_is_row : plan -> bool
 
-(** Execute a plan over [region] (already clipped to ownership and lying
-    inside [lhs]'s allocation) with this executor's [env]. Returns the
-    number of cells updated. *)
+(** Execute a plan over [region] with this executor's [env]. [region]
+    lies inside [lhs]'s owned box and, by the statement-region rule
+    ({!Zpl.Prog.check_region}), every read it makes inside the read
+    array's allocation. Returns the number of cells updated. *)
 val exec_plan :
   plan -> env:env -> lhs:Store.t -> region:Zpl.Region.t -> int
 
@@ -143,20 +144,3 @@ val plan_reduce : ?row:bool -> rowctx -> Zpl.Prog.reduce_s -> rplan
     cells. *)
 val exec_rplan :
   rplan -> env:env -> region:Zpl.Region.t -> Zpl.Ast.redop -> float
-
-(* --- dynamic bounds checking --- *)
-
-(** The distinct (array, shift) reads of an expression
-    ({!Zpl.Prog.fold_refs}), extracted once at plan time so the per-execution
-    bounds check walks a short array instead of the whole AST. *)
-type refs = (int * int array) array
-
-val refs_of : Zpl.Prog.aexpr -> refs
-
-(** Runtime validation that every read in [rs] over [region] stays
-    inside the referenced array's allocated storage on this executor
-    ([stores], indexed by array id) — the dynamic counterpart of the
-    checker's static shift-bounds test, needed for loop-variant
-    regions. Allocation-free; raises [Failure] on a violation. *)
-val check_ref_bounds :
-  region:Zpl.Region.t -> stores:Store.t array -> refs -> unit

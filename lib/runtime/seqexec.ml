@@ -8,7 +8,10 @@
     compiler declines), and scalar statements, conditions and [for]
     bounds one {!Values} program over typed slots — the compilers the
     simulator uses. All plans of a run share one {!Kernel.env} binding
-    the global stores and the slots. *)
+    the global stores and the slots. A statement runs over its whole
+    evaluated region: the statement-region rule
+    ({!Zpl.Prog.check_region}), checked like the engine checks it, keeps
+    its writes and reads inside the declared arrays. *)
 
 type t = {
   prog : Zpl.Prog.t;
@@ -38,6 +41,17 @@ let observe t id =
   | None -> ()
   | Some f -> f id (Values.read_value t.scalars t.slots id)
 
+(** The region [s] iterates, evaluated; a loop-variant one is checked
+    against the statement-region rule (the checker checked a static
+    one). *)
+let eval_region (type s) t (over : s Zpl.Prog.over) (s : s) =
+  let dr = Zpl.Prog.over_region over s in
+  let region = Values.region t.scalars t.slots dr in
+  if not (Zpl.Prog.is_static dr) then
+    Zpl.Prog.check_region t.prog.arrays t.space over s
+      (Zpl.Prog.bounds region);
+  region
+
 (* Each statement compiles to a closure taking the executor; a block
    runs its statements through a chain of closures, which allocates
    nothing (a [List.iter] over a partial application would allocate a
@@ -58,14 +72,11 @@ and compile_stmt ~row sc (rc : Kernel.rowctx) (s : Zpl.Prog.stmt) : t -> unit =
       let plan = Kernel.plan_assign ~row rc a in
       fun t ->
         bump t;
-        let store = t.stores.(a.lhs) in
-        let region =
-          Zpl.Region.inter (Values.region t.scalars t.slots a.region)
-            (Store.owned store)
-        in
+        let region = eval_region t Zpl.Prog.Assign a in
         if not (Zpl.Region.is_empty region) then
           t.cells <-
-            t.cells + Kernel.exec_plan plan ~env:t.kenv ~lhs:store ~region
+            t.cells
+            + Kernel.exec_plan plan ~env:t.kenv ~lhs:t.stores.(a.lhs) ~region
   | Zpl.Prog.AssignS { lhs; rhs; _ } ->
       let code = Values.assign sc ~lhs rhs in
       fun t ->
@@ -76,8 +87,7 @@ and compile_stmt ~row sc (rc : Kernel.rowctx) (s : Zpl.Prog.stmt) : t -> unit =
       let plan = Kernel.plan_reduce ~row rc r in
       fun t ->
         bump t;
-        let region = Values.region t.scalars t.slots r.r_region in
-        Zpl.Prog.check_reduce_space t.space r region;
+        let region = eval_region t Zpl.Prog.Reduce r in
         t.slots.f.(Values.slot t.scalars r.r_lhs) <-
           Kernel.exec_rplan plan ~env:t.kenv ~region r.r_op;
         t.cells <- t.cells + Zpl.Region.size region;

@@ -135,8 +135,6 @@ type plans = {
   p_routes : rpair array array;
       (** [transfer id].(proc), parallel to [p_wblue]; [[||]] under
           ideal, where no message walks links *)
-  p_refchecks : Runtime.Kernel.refs array;
-      (** per op index: the rhs's (array, shift) reads, extracted once *)
   p_kern : ckern array array;
       (** per rank, per op index: the compiled, store-agnostic kernel
           program of its geometry class, shared physically within the
@@ -315,9 +313,6 @@ type t = {
   kws : Runtime.Kernel.workspace;
       (** the one kernel workspace every rank's env binds: the drain
           runs one kernel at a time *)
-  refchecks : Runtime.Kernel.refs array;
-      (** per op index: the rhs's (array, shift) reads, extracted once so
-          the per-execution bounds check is allocation-free *)
 }
 
 exception Deadlock of string
@@ -606,15 +601,6 @@ let plan ?(topology = Machine.Topology.Ideal) ?geometry:geom
     p_dissem = dissem_slot;
     p_wblue;
     p_routes;
-    p_refchecks =
-      Array.map
-        (function
-          | Ir.Flat.FKernel a -> Runtime.Kernel.refs_of a.Zpl.Prog.rhs
-          | Ir.Flat.FReduce r -> Runtime.Kernel.refs_of r.Zpl.Prog.r_rhs
-          | Ir.Flat.FCollPart w ->
-              Runtime.Kernel.refs_of w.Ir.Instr.cw_red.Zpl.Prog.r_rhs
-          | _ -> [||])
-        ops;
     p_kern = Array.map (fun c -> fst per_class.(c)) g.g_class;
     p_wspec =
       Array.fold_left
@@ -724,8 +710,7 @@ let of_plans ?(limit = Runtime.Budget.default) (sp : plans) : t =
     limit;
     work = 0;
     kern = sp.p_kern;
-    kws;
-    refchecks = sp.p_refchecks }
+    kws }
 
 let shared_plans (t : t) = t.shared
 let plan_geometry (sp : plans) = sp.p_geom
@@ -831,9 +816,9 @@ let reduce_plan (t : t) (p : proc) idx =
 (* --- kernel dispatch ---
 
    A statement's iteration region is clipped as ints in [p.clip]:
-   its bounds evaluated under the rank's scalars, dims 0-1 cut to the
-   partition box, and (for assignments) every dim cut to the lhs
-   store's owned box. An empty clip — most ranks, on the single-row
+   its bounds evaluated under the rank's scalars, a loop-variant one
+   checked against the statement-region rule, and dims 0-1 cut to the
+   partition box. An empty clip — most ranks, on the single-row
    statements of a serialized sweep — goes straight to the zero-cell
    charge; a non-empty one reuses the op's last [Zpl.Region.t] while
    the clip repeats (always, for static regions). Kernel dispatch
@@ -842,11 +827,17 @@ let reduce_plan (t : t) (p : proc) idx =
 let imax (a : int) b = if a > b then a else b
 let imin (a : int) b = if a < b then a else b
 
-(** Evaluate [dr] under [p]'s scalars into [p.clip] and cut dims 0-1 to
-    the partition box: the ints [Zpl.Region.inter] of the evaluated
-    region and the box would hold. {!plan} checked every bound's scalar
-    to be an int. Returns the region's rank. *)
-let clip_local (t : t) (p : proc) (dr : Zpl.Prog.dregion) : int =
+(** Evaluate the region [s] iterates under [p]'s scalars into [p.clip],
+    check a loop-variant one against the statement-region rule
+    ({!Zpl.Prog.check_region}; the checker checked a static one), and
+    cut dims 0-1 to the partition box: the ints [Zpl.Region.inter] of
+    the evaluated region and the box would hold. By the rule, the cut
+    region lies inside every owned box an assignment writes or a read
+    shifts from. {!plan} checked every bound's scalar to be an int.
+    Returns the region's rank. *)
+let clip_local (type s) (t : t) (p : proc) (over : s Zpl.Prog.over) (s : s) :
+    int =
+  let dr = Zpl.Prog.over_region over s in
   let n = Array.length dr in
   let c = p.clip in
   for d = 0 to n - 1 do
@@ -854,22 +845,15 @@ let clip_local (t : t) (p : proc) (dr : Zpl.Prog.dregion) : int =
     c.(2 * d) <- Runtime.Values.bound t.shared.p_scalars p.slots lo;
     c.((2 * d) + 1) <- Runtime.Values.bound t.shared.p_scalars p.slots hi
   done;
+  if not (Zpl.Prog.is_static dr) then
+    Zpl.Prog.check_region t.flat.Ir.Flat.prog.Zpl.Prog.arrays t.layout.space
+      over s c;
   assert (n >= 2) (* statement regions have the rank of an array *);
   c.(0) <- imax c.(0) p.box_lo0;
   c.(1) <- imin c.(1) p.box_hi0;
   c.(2) <- imax c.(2) p.box_lo1;
   c.(3) <- imin c.(3) p.box_hi1;
   n
-
-(** Cut every dim of the rank-[n] clip to [owned]. *)
-let clip_owned (p : proc) n (owned : Zpl.Region.t) =
-  if Zpl.Region.rank owned <> n then invalid_arg "Region.inter: rank mismatch";
-  let c = p.clip in
-  for d = 0 to n - 1 do
-    let o = owned.(d) in
-    c.(2 * d) <- imax c.(2 * d) o.Zpl.Region.lo;
-    c.((2 * d) + 1) <- imin c.((2 * d) + 1) o.Zpl.Region.hi
-  done
 
 (** Cells in the rank-[n] clip: [Zpl.Region.size] of it, 0 when empty. *)
 let clip_cells (p : proc) n =
@@ -924,18 +908,12 @@ let[@inline] charge_scalar (t : t) (p : proc) =
   p.stats.Stats.times.Stats.compute <- p.stats.Stats.times.Stats.compute +. dt
 
 let exec_kernel (t : t) (p : proc) idx (a : Zpl.Prog.assign_a) =
-  let n = clip_local t p a.region in
-  let store = p.stores.(a.lhs) in
-  clip_owned p n (Runtime.Store.owned store);
+  let n = clip_local t p Zpl.Prog.Assign a in
   let cells =
     if clip_cells p n = 0 then 0
-    else begin
-      let region = clipped_region p idx n in
-      Runtime.Kernel.check_ref_bounds ~region ~stores:p.stores
-        t.refchecks.(idx);
-      Runtime.Kernel.exec_plan (assign_plan t p idx) ~env:p.kenv ~lhs:store
-        ~region
-    end
+    else
+      Runtime.Kernel.exec_plan (assign_plan t p idx) ~env:p.kenv
+        ~lhs:p.stores.(a.lhs) ~region:(clipped_region p idx n)
   in
   charge_kernel t p ~cells ~flops:a.flops
 
@@ -1215,24 +1193,15 @@ let finish_reduce (t : t) =
 (** This rank's partial of the reduction at op [idx] over its local
     part of [r]'s region (dims 0-1 cut to the partition box), and the
     cells it reduced: the identity and 0 when that part is empty. The
-    partial travels through [p.scratch.(0)] so no float is boxed. A
-    loop-variant region is first checked, unclipped, against the index
-    space (the checker checks a static one). *)
+    partial travels through [p.scratch.(0)] so no float is boxed. *)
 let reduce_partial (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : int =
-  if not (Zpl.Prog.is_static r.r_region) then
-    Zpl.Prog.check_reduce_space t.layout.space r
-      (Runtime.Values.region t.shared.p_scalars p.slots r.r_region);
-  let n = clip_local t p r.r_region in
+  let n = clip_local t p Zpl.Prog.Reduce r in
   let cells = clip_cells p n in
   if cells = 0 then p.scratch.(0) <- Runtime.Reduce.identity r.r_op
-  else begin
-    let region = clipped_region p idx n in
-    Runtime.Kernel.check_ref_bounds ~region ~stores:p.stores
-      t.refchecks.(idx);
+  else
     p.scratch.(0) <-
-      Runtime.Kernel.exec_rplan (reduce_plan t p idx) ~env:p.kenv ~region
-        r.r_op
-  end;
+      Runtime.Kernel.exec_rplan (reduce_plan t p idx) ~env:p.kenv
+        ~region:(clipped_region p idx n) r.r_op;
   cells
 
 let exec_reduce (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : step =

@@ -5,9 +5,8 @@
     The checker also enforces the properties the communication optimizer
     relies on: array shifts are static offset vectors, reductions appear
     only at the top of an assignment, control-flow conditions are
-    replicated scalar expressions, and every shifted reference stays inside
-    the referenced array's declared region (when the statement region is
-    static). *)
+    replicated scalar expressions, and a static statement region obeys
+    the statement-region rule ({!Prog.check_region}). *)
 
 type entry =
   | KConst of Prog.sexpr  (** folded literal *)
@@ -313,39 +312,33 @@ let rec check_aexpr env (e : Ast.expr) : Prog.aexpr =
 
 (** Check what a statement over [region] reads: every array read has
     the region's rank and every [IndexD] has D <= that rank, whether or
-    not the region is static; over a static region, every shifted read
-    stays inside the array's declared region (a loop-variant one is
-    validated at run time by the kernel). *)
+    not the region is static. *)
 let check_reads env loc (region : Prog.dregion) (e : Prog.aexpr) =
-  let rank = Array.length region and static = Prog.static_region region in
+  let rank = Array.length region in
   Prog.fold_aleaves
     (fun () -> function
       | Prog.AIndex d when d >= rank ->
           Loc.fail loc "Index%d used over a statement region of rank %d"
             (d + 1) rank
-      | Prog.ARef (aid, off) -> (
+      | Prog.ARef (aid, _) ->
           let a = array_of env aid in
           if rank <> a.Prog.a_rank then
             Loc.fail loc
               "statement region has rank %d but array %S has rank %d" rank
-              a.Prog.a_name a.Prog.a_rank;
-          let inside r =
-            match Region.shift r off with
-            | shifted -> Region.subset shifted a.Prog.a_region
-            | exception Invalid_argument _ -> false (* past the int range *)
-          in
-          match static with
-          | Some r when not (inside r) ->
-              Loc.fail loc
-                "shifted reference %s@%s reads outside the declared region %s"
-                a.Prog.a_name
-                (Fmt.str "[%s]"
-                   (String.concat ","
-                      (List.map string_of_int (Array.to_list off))))
-                (Region.to_string a.Prog.a_region)
-          | _ -> ())
+              a.Prog.a_name a.Prog.a_rank
       | _ -> ())
     () e
+
+(** The statement-region rule ({!Prog.check_region}) over [s]'s region,
+    when it is static; the executors check a loop-variant one. *)
+let check_static env over s =
+  Option.iter
+    (fun r ->
+      Prog.check_region
+        (Array.of_list (List.rev env.arrays))
+        (Prog.index_space (Array.of_list env.arrays))
+        over s (Prog.bounds r))
+    (Prog.static_region (Prog.over_region over s))
 
 (* ------------------------------------------------------------------ *)
 (* Statements                                                          *)
@@ -406,9 +399,7 @@ and check_stmt env (s : Ast.stmt) : Prog.stmt list =
             { P.r_lhs = id; r_op = op; r_region = region; r_rhs = te;
               r_flops = P.flops_of_aexpr te + 1; r_loc = s.sloc }
           in
-          Option.iter
-            (P.check_reduce_space (P.index_space (Array.of_list env.arrays)) r)
-            (P.static_region region);
+          check_static env P.Reduce r;
           [ P.ReduceS r ]
       | KScalar id, _ ->
           (match rref with
@@ -428,17 +419,14 @@ and check_stmt env (s : Ast.stmt) : Prog.stmt list =
           if Array.length region <> a.P.a_rank then
             Loc.fail s.sloc "region of rank %d assigned to array of rank %d"
               (Array.length region) a.P.a_rank;
-          (match P.static_region region with
-          | Some r when not (Region.subset r a.P.a_region) ->
-              Loc.fail s.sloc
-                "statement region %s is outside %S's declared region %s"
-                (Region.to_string r) name
-                (Region.to_string a.P.a_region)
-          | _ -> ());
           let te = check_aexpr env rhs in
           check_reads env s.sloc region te;
-          [ P.AssignA
-              { region; lhs = aid; rhs = te; flops = P.flops_of_aexpr te + 1 } ]
+          let a =
+            { P.region; lhs = aid; rhs = te; flops = P.flops_of_aexpr te + 1;
+              loc = s.sloc }
+          in
+          check_static env P.Assign a;
+          [ P.AssignA a ]
       | _ -> Loc.fail s.sloc "%S is not assignable" name)
   | Ast.SRepeat (body, cond) ->
       let tbody = check_stmts env body in

@@ -11,8 +11,10 @@
     hold only arithmetic, negation and intrinsics. The type rule of a
     scalar node is decided here once ({!int_op}, {!sexpr_type}), and
     the checker, the scalar compiler and the interval analysis all
-    follow it. So is the index space ({!index_space}), which the runtime
-    distributes and no reduction may leave ({!check_reduce_space}).
+    follow it. So is the statement-region rule ({!check_region}), the
+    one test of which cells an assignment or a reduction may touch,
+    which the checker applies to static regions and both executors to
+    loop-variant ones.
 
     This module also holds the one traversal of the program: what an
     expression or statement reads ({!fold_refs}, {!aexpr_reads},
@@ -82,7 +84,13 @@ type bound = { base : int; bvar : int option } [@@deriving show, eq]
 (** A possibly loop-variant region: per-dimension (lo, hi) bounds. *)
 type dregion = (bound * bound) array [@@deriving show, eq]
 
-type assign_a = { region : dregion; lhs : int; rhs : aexpr; flops : int }
+type assign_a = {
+  region : dregion;
+  lhs : int;
+  rhs : aexpr;
+  flops : int;
+  loc : Loc.t;  (** source position, for the statement-region rule *)
+}
 [@@deriving show, eq]
 
 type reduce_s = {
@@ -91,7 +99,7 @@ type reduce_s = {
   r_region : dregion;
   r_rhs : aexpr;
   r_flops : int;
-  r_loc : Loc.t;  (** source position, for the run-time space check *)
+  r_loc : Loc.t;  (** source position, for the statement-region rule *)
 }
 [@@deriving show, eq]
 
@@ -264,8 +272,15 @@ let rec flops_of_aexpr = function
       Arith.flops (Arith.call_intrinsic c)
       + List.fold_left (fun n a -> n + flops_of_aexpr a) 0 (Arith.call_args c)
 
+(** Whether no bound of [dr] references a variable. Allocation-free:
+    the executors ask it on every execution of a statement. *)
 let is_static (dr : dregion) =
-  Array.for_all (fun (lo, hi) -> lo.bvar = None && hi.bvar = None) dr
+  let static = ref true in
+  for d = 0 to Array.length dr - 1 do
+    let lo, hi = dr.(d) in
+    if lo.bvar <> None || hi.bvar <> None then static := false
+  done;
+  !static
 
 (** A static region, if the bounds reference no variables. *)
 let static_region (dr : dregion) : Region.t option =
@@ -302,18 +317,89 @@ let index_space (arrays : array_info array) : Region.t =
     (Region.make [ (0, -1); (0, -1) ])
     arrays
 
-(** Fail at [r]'s position unless [region], its evaluated region, is
-    empty or lies inside the index space [space] in dimensions 0 and 1.
-    Each processor reduces its own partition of the space, so cells
-    outside it would be reduced by no processor. The checker applies
-    this to a static region; the engine to a loop-variant one, and the
-    oracle to every evaluated region. *)
-let check_reduce_space space (r : reduce_s) (region : Region.t) =
-  if not (Region.is_empty region || Region.subset (Array.sub region 0 2) space)
-  then
-    Loc.fail r.r_loc "%s reduces over %s, outside the index space %s"
-      (Ast.redop_name r.r_op) (Region.to_string region)
-      (Region.to_string space)
+(** A statement that iterates a region, as {!check_region} takes it. *)
+type _ over = Assign : assign_a over | Reduce : reduce_s over
+
+let over_region : type s. s over -> s -> dregion =
+ fun over s -> match over with Assign -> s.region | Reduce -> s.r_region
+
+(* Whether dims [0 .. n-1] of the bounds [b], shifted by [off], lie
+   inside [r]; a bound shifted past the int range lies outside. *)
+let within b n off (r : Region.t) =
+  let ok = ref true and fits x o = x + o >= x = (o >= 0) in
+  for d = 0 to n - 1 do
+    let lo = b.(2 * d) and hi = b.((2 * d) + 1) and o = off.(d) in
+    if not (fits lo o && fits hi o && lo + o >= r.(d).lo && hi + o <= r.(d).hi)
+    then ok := false
+  done;
+  !ok
+
+let no_shift = [| 0; 0; 0 |]
+
+let region_of_bounds b n =
+  Region.to_string (Region.make (List.init n (fun d -> (b.(2 * d), b.((2 * d) + 1)))))
+
+(* The read clause of {!check_region}, over every array read of [e] *)
+let rec check_reads arrays loc b n = function
+  | ARef (aid, off) ->
+      let a = arrays.(aid) in
+      if not (within b n off a.a_region) then
+        Loc.fail loc
+          "shifted reference %s@@[%s] reads outside the declared region %s"
+          a.a_name
+          (String.concat "," (List.map string_of_int (Array.to_list off)))
+          (Region.to_string a.a_region);
+      if not (within b 2 no_shift a.a_region) then
+        Loc.fail loc
+          "statement region %s reads %S but lies outside its declared \
+           region %s"
+          (region_of_bounds b n) a.a_name (Region.to_string a.a_region)
+  | AArith (_, x, y) | ACall (Arith.Call2 (_, x, y)) ->
+      check_reads arrays loc b n x;
+      check_reads arrays loc b n y
+  | ANeg x | ACall (Arith.Call1 (_, x)) -> check_reads arrays loc b n x
+  | AConst _ | AScalar _ | AIndex _ -> ()
+
+(** The statement-region rule, the one test of which cells a statement
+    may touch. [b] holds the region R that [s] iterates, evaluated: the
+    bounds of dimension [d] at [b.(2d)] and [b.(2d+1)]. Unless R is
+    empty, fail at [s]'s position when
+    - an assignment's R does not lie inside the lhs's declared region;
+    - a reduction's R does not lie inside the index space [space] in
+      dims 0-1 (each processor reduces its own part of the space);
+    - for a read [X@off], R does not lie inside X's declared region in
+      dims 0-1, or R shifted by [off] does not lie inside it at all.
+    So every processor that runs a cell of R owns part of every array
+    it reads, and its reads stay inside that part grown by the array's
+    fringe ({!fringe_widths}). The checker applies the rule to a static
+    region; both executors to a loop-variant one, on its unclipped
+    bounds, before a cell is touched. It allocates only to fail. *)
+let check_region : type s.
+    array_info array -> Region.t -> s over -> s -> int array -> unit =
+ fun arrays space over s b ->
+  let n = Array.length (over_region over s) and empty = ref false in
+  for d = 0 to n - 1 do
+    if b.((2 * d) + 1) < b.(2 * d) then empty := true
+  done;
+  if not !empty then
+    match over with
+    | Assign ->
+        let a = arrays.(s.lhs) in
+        if not (within b n no_shift a.a_region) then
+          Loc.fail s.loc "statement region %s is outside %S's declared region %s"
+            (region_of_bounds b n) a.a_name (Region.to_string a.a_region);
+        check_reads arrays s.loc b n s.rhs
+    | Reduce ->
+        if not (within b 2 no_shift space) then
+          Loc.fail s.r_loc "%s reduces over %s, outside the index space %s"
+            (Ast.redop_name s.r_op) (region_of_bounds b n)
+            (Region.to_string space);
+        check_reads arrays s.r_loc b n s.r_rhs
+
+(** [r]'s bounds as {!check_region} takes them. *)
+let bounds (r : Region.t) =
+  Array.init (2 * Array.length r) (fun i ->
+      if i land 1 = 0 then r.(i / 2).lo else r.(i / 2).hi)
 
 (** Count statements, for reporting. *)
 let count_stmts stmts = fold_stmts (fun n _ -> n + 1) 0 stmts

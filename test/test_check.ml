@@ -410,6 +410,29 @@ let test_shift_past_int_rejected () =
       Alcotest.(check (pair int int)) "position" (13, 25)
         (loc.Loc.line, loc.Loc.col)
 
+(* A read of A (declared [0..9, 0..9]) one row above its first row.
+   Over a static region it is a checker error; over a loop-variant one
+   the checker lets it through and the executors stop, before reading,
+   with the same statement-region rule ({!Prog.check_region}). The
+   engine once tested such a read against each rank's allocation
+   instead, unpositioned. *)
+let test_read_outside_rejected () =
+  let want = "shifted reference A@[-1,0] reads outside the declared region [0..9, 0..9]" in
+  (match compile "procedure main(); begin [0..0, 0..9] B := A@north; end;" with
+  | _ -> Alcotest.fail "expected a read outside the declared region"
+  | exception Loc.Error (loc, m) ->
+      Alcotest.(check string) "static" want m;
+      Alcotest.(check (pair int int)) "position" (11, 25)
+        (loc.Loc.line, loc.Loc.col));
+  let p =
+    compile
+      "procedure main(); begin for k := 0 to 0 do [k..k, 0..9] B := A@north; \
+       end; end;"
+  in
+  Alcotest.(check (result unit string)) "loop-variant, at run time"
+    (Error ("11:44: " ^ want))
+    (Loc.guard (fun () -> ignore (Commopt.Runtime.Seqexec.run p)))
+
 (* A [for] bound the body may change is hoisted into a fresh scalar
    assigned just before the loop; a bound the body leaves alone is kept
    in place. *)
@@ -471,5 +494,7 @@ let () =
             test_reduce_outside_space;
           Alcotest.test_case "shifted read past max_int" `Quick
             test_shift_past_int_rejected;
+          Alcotest.test_case "read outside the declared region" `Quick
+            test_read_outside_rejected;
           Alcotest.test_case "overflowing bound or constant" `Quick
             test_overflow_rejected ] ) ]

@@ -538,11 +538,13 @@ let test_clip_vs_oracle () =
   Alcotest.(check (array int)) "3x3 block heights are uneven" [| 5; 4; 4 |]
     (Array.map (fun (lo, hi) -> hi - lo + 1) layout.Runtime.Layout.row_cuts)
 
-(* On a 4x1 mesh rank 2 owns rows 5..6 of B but nothing of S, which
-   lives in rows 1..4 (ranks 0-1), so at i = 5 its read of S row 4
-   leaves S's empty allocation there. The static checker cannot see it
-   (the region follows the loop); the engine must refuse it with the
-   same message, at the same step, as before in-place clipping. *)
+(* At i = 5 the row [5..5, 1..8] reads S@no, which lies inside S, but
+   the row itself lies outside S's declared rows 1..4, so the
+   statement-region rule refuses it. The static checker cannot see it
+   (the region follows the loop); every executor stops at the same
+   step with the same positioned message, whatever the mesh. On 4x1
+   the read once failed on rank 2 alone, which owns nothing of S, with
+   a message that named no position, while 1x1 ran clean. *)
 let past_alloc_src =
   {|
 constant n = 8;
@@ -560,41 +562,48 @@ end;
 |}
 
 let test_read_past_alloc () =
-  let c, plans =
-    compiled_plans Run.Spec.(default past_alloc_src |> with_mesh 4 1)
+  let want =
+    Error
+      "11:5: statement region [5..5, 1..8] reads \"S\" but lies outside \
+       its declared region [1..4, 1..8]"
   in
-  let eng = Sim.Engine.of_plans plans in
-  let msg =
-    match Sim.Engine.run eng with
-    | _ -> Alcotest.fail "read past the allocation was not caught"
-    | exception Failure m -> m
-  in
-  Alcotest.(check string) "failure text"
-    "shifted read of array 1 over [5..5, 1..8] reaches [4..4, 1..8], \
-     outside allocated [5..4, 1..8]"
-    msg;
-  let i =
-    List.find_map
-      (function Zpl.Prog.For f -> Some f.var | _ -> None)
-      c.prog.Zpl.Prog.body
-    |> Option.get
-  in
-  let loop_var =
-    Array.map
-      (fun p ->
+  List.iter
+    (fun (pr, pc) ->
+      let name = Printf.sprintf "engine %dx%d" pr pc in
+      let c, plans =
+        compiled_plans Run.Spec.(default past_alloc_src |> with_mesh pr pc)
+      in
+      let eng = Sim.Engine.of_plans plans in
+      Alcotest.(check (result unit string)) name want
+        (Zpl.Loc.guard (fun () -> ignore (Sim.Engine.run eng)));
+      let i =
+        List.find_map
+          (function Zpl.Prog.For f -> Some f.var | _ -> None)
+          c.prog.Zpl.Prog.body
+        |> Option.get
+      in
+      let loop_var p =
         match (Sim.Engine.proc_env eng p).(i) with
         | Runtime.Values.VInt v -> v
-        | _ -> Alcotest.fail "loop variable is not an int")
-      (Sim.Engine.procs eng)
-  in
-  (* ranks 0-1 finished the loop (the flat loop variable ends one past
-     its bound); rank 2 stopped at i = 5, the first row below S; rank 3
-     never ran *)
-  Alcotest.(check (array int)) "loop variable per rank at the failure"
-    [| 9; 9; 5; 0 |] loop_var;
-  Alcotest.(check (array int)) "ops completed on rank 0"
-    [| 1; 1; 8; 7; 7; 7; 7; 7; 7; 7; 1 |]
-    (Sim.Engine.op_counts eng)
+        | _ -> Alcotest.fail "loop variable is not an int"
+      in
+      (* rank 0 stops at i = 5: the loop head and the transfer of S ran
+         four times, the statement three (rows 2..4) *)
+      Alcotest.(check int) (name ^ ": rank 0 stops at i = 5") 5
+        (loop_var (Sim.Engine.procs eng).(0));
+      Alcotest.(check (array int)) (name ^ ": ops completed on rank 0")
+        [| 1; 1; 4; 4; 4; 4; 4; 4; 3; 3; 0 |]
+        (Sim.Engine.op_counts eng))
+    [ (1, 1); (2, 2); (4, 1) ];
+  let prog = Zpl.Check.compile_string past_alloc_src in
+  List.iter
+    (fun row_path ->
+      Alcotest.(check (result unit string))
+        (Printf.sprintf "oracle, row path %b" row_path)
+        want
+        (Zpl.Loc.guard (fun () ->
+             ignore (Runtime.Seqexec.run ~row_path prog))))
+    [ true; false ]
 
 (* Point every region-bound variable at scalar [into]: a float scalar in
    a region bound, which the checker would refuse, built directly. Both

@@ -719,7 +719,8 @@ let exec_kcase ~row (c : kcase) =
   let stores, rc, mkenv = kcase_stores c in
   let a =
     { Zpl.Prog.region = Zpl.Prog.dregion_of_region c.kregion;
-      lhs = c.klhs; rhs = c.krhs; flops = 0 }
+      lhs = c.klhs; rhs = c.krhs; flops = 0;
+      loc = Zpl.Loc.dummy }
   in
   let plan = Runtime.Kernel.plan_assign ~row rc a in
   let cells =
@@ -824,7 +825,8 @@ let prop_shared_workspace =
               in
               let dr = Zpl.Prog.dregion_of_region c.kregion in
               let a =
-                { Zpl.Prog.region = dr; lhs = c.klhs; rhs = c.krhs; flops = 0 }
+                { Zpl.Prog.region = dr; lhs = c.klhs; rhs = c.krhs; flops = 0;
+      loc = Zpl.Loc.dummy }
               in
               let r =
                 { Zpl.Prog.r_lhs = 0; r_op = Zpl.Ast.RSum; r_region = dr;
@@ -885,7 +887,8 @@ let test_row_plan_engages () =
       ignore stores;
       let a =
         { Zpl.Prog.region = Zpl.Prog.dregion_of_region case.kregion;
-          lhs = case.klhs; rhs = case.krhs; flops = 0 }
+          lhs = case.klhs; rhs = case.krhs; flops = 0;
+          loc = Zpl.Loc.dummy }
       in
       Alcotest.(check bool) name true
         (Runtime.Kernel.plan_is_row (Runtime.Kernel.plan_assign rc a));
