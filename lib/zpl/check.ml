@@ -19,6 +19,7 @@ type entry =
 type env = {
   mutable table : (string * entry) list;
   mutable arrays : Prog.array_info list;  (** reversed *)
+  mutable array_locs : Loc.t list;  (** declaration sites, reversed *)
   mutable scalars : Prog.scalar_info list;  (** reversed *)
   mutable consts : (string * Loc.t * bool ref) list;
       (** declared constants with a usage cell, reversed; folded values
@@ -73,6 +74,7 @@ let fresh_array env loc name region =
   env.arrays <-
     { Prog.a_id = id; a_name = name; a_region = region; a_rank = rank }
     :: env.arrays;
+  env.array_locs <- loc :: env.array_locs;
   id
 
 (* ids count up from 0, and the lists hold them reversed *)
@@ -515,6 +517,32 @@ let check_decl env (d : Ast.decl) =
         (fun n -> define env loc n (KScalar (fresh_scalar env ~loc n elem)))
         names
 
+(** [p], unless an array's declared region, grown in dimensions 0 and 1
+    by its fringe width ({!Prog.fringe_widths}: what each processor
+    allocates around its block), leaves the int range: an error at the
+    array's declaration. *)
+let check_fringes env (p : Prog.t) =
+  let locs = Array.of_list (List.rev env.array_locs) in
+  Array.iteri
+    (fun aid w ->
+      let a = p.Prog.arrays.(aid) in
+      let shift s =
+        Region.shift a.a_region
+          (Array.init a.a_rank (fun d -> if d < 2 then s * w else 0))
+      in
+      match
+        Region.is_empty a.a_region
+        || Region.fits (Region.hull (shift (-1)) (shift 1))
+      with
+      | true -> ()
+      | false | (exception Invalid_argument _) ->
+          Loc.fail locs.(aid)
+            "array %S: its region %s grown by its fringe of %d leaves the \
+             int range"
+            a.a_name (Region.to_string a.a_region) w)
+    (Prog.fringe_widths p);
+  p
+
 (** [check ?defines ?entry program] type-checks [program]. [defines]
     overrides same-named [constant] declarations (used to rescale problem
     sizes without editing sources). [entry] selects the entry procedure
@@ -522,7 +550,8 @@ let check_decl env (d : Ast.decl) =
 let check ?(defines : (string * float) list = []) ?entry ?(source_lines = 0)
     (prog : Ast.program) : Prog.t =
   let env =
-    { table = []; arrays = []; scalars = []; consts = []; ambient = None;
+    { table = []; arrays = []; array_locs = []; scalars = []; consts = [];
+      ambient = None;
       procs = Hashtbl.create 8; inlining = []; loop_vars = [] }
   in
   List.iter (fun p -> Hashtbl.replace env.procs p.Ast.p_name p) prog.Ast.procs;
@@ -568,7 +597,7 @@ let check ?(defines : (string * float) list = []) ?entry ?(source_lines = 0)
   env.inlining <- [ entry_proc.Ast.p_name ];
   let body = check_stmts env entry_proc.Ast.p_body in
   let const_names = List.map (fun (n, _, _) -> n) env.consts in
-  {
+  check_fringes env {
     Prog.name = entry_proc.Ast.p_name;
     arrays = Array.of_list (List.rev env.arrays);
     scalars = Array.of_list (List.rev env.scalars);

@@ -903,6 +903,109 @@ let test_inexact_define_exits_124 () =
     [ "iters=9007199254740992"; "n=-4611686018427387904"; "tol=1e-4";
       "n=1e19" ]
 
+(* Statements whose regions break the statement-region rule
+   ({!Zpl.Prog.check_region}). Each once ran clean, gave a wrong answer
+   or stopped without a position, depending on the mesh; now each ends
+   in the same positioned error from the checker or from every
+   executor, and the guard exits 1:
+   - a loop-variant row past A's last row: the engine and the oracle
+     dropped rows 5-6 and --verify passed;
+   - a read past the end of a row: the oracle read the next row's first
+     cell (per point, one cell past A), --verify failed on a cell;
+   - a row outside S that reads S inside it (static): ran clean on 1x1,
+     failed unpositioned on 4x1, where rank 2 owns nothing of S;
+   - A next to max_int, read through a shift: its fringe wrapped the
+     allocation on 2x2 and the shift on 1x1, unpositioned;
+   - the same along dim 2, which no fringe grows: unpositioned. *)
+let rule_cases =
+  [ ( "rows past the lhs",
+      {|var A : [1..4, 1..4] float;
+var i : int;
+procedure main();
+begin
+  for i := 1 to 6 do
+    [i..i, 1..4] A := 1.0;
+  end;
+end;|},
+      "6:5: statement region [5..5, 1..4] is outside \"A\"'s declared \
+       region [1..4, 1..4]" );
+    ( "read past a row end",
+      {|var A, B : [1..4, 1..4] float;
+var i : int;
+procedure main();
+begin
+  [1..4, 1..4] A := Index1 * 10.0 + Index2;
+  for i := 1 to 3 do
+    [i..i, 1..4] B := A@[0,1];
+  end;
+end;|},
+      "7:5: shifted reference A@[0,1] reads outside the declared region \
+       [1..4, 1..4]" );
+    ( "row outside a narrower array",
+      {|var B : [1..5, 1..8] float;
+var S : [1..4, 1..8] float;
+direction no = [-1, 0];
+procedure main();
+begin
+  [1..4, 1..8] S := Index1 + Index2;
+  [5..5, 1..8] B := S@no;
+end;|},
+      "7:3: statement region [5..5, 1..8] reads \"S\" but lies outside its \
+       declared region [1..4, 1..8]" );
+    ( "fringe past max_int",
+      {|constant m = 4611686018427387903;
+region R = [1..2, m-1..m];
+var A, B : [R] float;
+var k : int;
+procedure main();
+begin
+  k := m;
+  [1..2, k..k] B := A@[0,1];
+end;|},
+      "3:1: array \"A\": its region [1..2, \
+       4611686018427387902..4611686018427387903] grown by its fringe of 1 \
+       leaves the int range" );
+    ( "dim-2 shift past max_int",
+      {|constant m = 4611686018427387903;
+var P, Q : [1..2, 1..2, m-1..m] float;
+var k : int;
+procedure main();
+begin
+  k := m;
+  [1..2, 1..2, k..k] Q := P@[0,0,1];
+end;|},
+      "7:3: shifted reference P@[0,0,1] reads outside the declared region \
+       [1..2, 1..2, 4611686018427387902..4611686018427387903]" ) ]
+
+let test_region_rule_errors () =
+  List.iter
+    (fun (name, src, msg) ->
+      let want = Error msg in
+      List.iter
+        (fun row_path ->
+          Alcotest.(check (result unit string))
+            (Printf.sprintf "%s: oracle, row path %b" name row_path)
+            want
+            (Zpl.Loc.guard (fun () ->
+                 ignore
+                   (Runtime.Seqexec.run ~row_path
+                      (Zpl.Check.compile_string src)))))
+        [ true; false ];
+      List.iter
+        (fun (pr, pc) ->
+          let run () =
+            ignore
+              (Run.Cache.run (Run.Cache.create ())
+                 Run.Spec.(default src |> with_mesh pr pc))
+          in
+          let label = Printf.sprintf "%s: engine %dx%d" name pr pc in
+          Alcotest.(check (result unit string)) label want
+            (Zpl.Loc.guard run);
+          Alcotest.(check int) (label ^ " exit code") 1
+            (Cli.Cmdline.handle run))
+        [ (1, 1); (2, 2); (4, 1) ])
+    rule_cases
+
 let () =
   Alcotest.run "run"
     [ ( "cache",
@@ -959,6 +1062,8 @@ let () =
             `Quick test_reduce_outside_space_exits_1;
           Alcotest.test_case "oracle: outside the index space exits 1"
             `Quick test_oracle_outside_space_exits_1;
+          Alcotest.test_case "statement-region rule: one error everywhere"
+            `Quick test_region_rule_errors;
           Alcotest.test_case "out-of-range define exits 1" `Quick
             test_define_out_of_range_exits_1;
           Alcotest.test_case "inexact integer define exits 124" `Quick
