@@ -1108,6 +1108,114 @@ let prop_comm_matches_oracle =
         Report.Experiment.paper_rows)
 
 (* ------------------------------------------------------------------ *)
+(* Loop-variant regions at the edges: engine == oracle, or one error   *)
+(*                                                                     *)
+(* Row and column sweeps [i..i, lo..hi] / [lo..hi, i..i] whose bounds  *)
+(* are drawn from 0..n+1 around the arrays' [1..n], assigning shifted  *)
+(* reads or reducing them (max<<, exact in any order), over arrays     *)
+(* declared narrower than the index space in either dimension: S keeps *)
+(* the first rows, T the last columns. Many runs break the             *)
+(* statement-region rule at some trip; the rest run clean.             *)
+(* ------------------------------------------------------------------ *)
+
+let rule_n = 6
+
+let gen_rule_src : string QCheck.Gen.t =
+  let open QCheck.Gen in
+  let bound =
+    frequency [ (1, return 0); (1, return (rule_n + 1)); (6, int_range 1 rule_n) ]
+  in
+  let name = oneofl [ "A"; "B"; "S"; "T" ] in
+  let off = int_range (-1) 1 in
+  let read =
+    map3 (fun y d0 d1 -> Printf.sprintf "%s@[%d,%d]" y d0 d1) name off off
+  in
+  let sweep =
+    map3
+      (fun rows lo hi ->
+        if rows then Printf.sprintf "[i..i, %d..%d]" lo hi
+        else Printf.sprintf "[%d..%d, i..i]" lo hi)
+      bool bound bound
+  in
+  let assign =
+    map4
+      (fun r x y z -> Printf.sprintf "    %s %s := %s * 0.5 + %s;" r x y z)
+      sweep name read read
+  in
+  let reduce =
+    map2
+      (fun r y ->
+        Printf.sprintf "    %s s := max<< %s;\n    [1..1, 1..1] B := s;" r y)
+      sweep read
+  in
+  let loop =
+    map3
+      (fun lo hi body ->
+        Printf.sprintf "  for i := %d to %d do\n%s\n  end;" lo hi body)
+      bound bound
+      (frequency [ (3, assign); (1, reduce) ])
+  in
+  map3
+    (fun srows tlo loops ->
+      Printf.sprintf
+        "constant n = %d;\n\
+         var A, B : [1..n, 1..n] float;\n\
+         var S : [1..%d, 1..n] float;\n\
+         var T : [1..n, %d..n] float;\n\
+         var s : float;\n\
+         var i : int;\n\
+         procedure main();\n\
+         begin\n\
+        \  [1..n, 1..n] A := Index1 * 10.0 + Index2;\n\
+        \  [1..n, 1..n] B := Index1 - Index2;\n\
+        \  [1..%d, 1..n] S := Index1 + 0.5 * Index2;\n\
+        \  [1..n, %d..n] T := Index2 * 2.0;\n\
+         %s\n\
+         end;\n"
+        rule_n srows tlo srows tlo (String.concat "\n" loops))
+    (int_range 2 (rule_n - 1))
+    (int_range 2 rule_n)
+    (list_size (int_range 1 3) loop)
+
+(* a run's outcome, or its error message *)
+let attempt f =
+  match Zpl.Loc.guard f with
+  | r -> r
+  | exception e -> Error (Printexc.to_string e)
+
+(** The engine on 1x1, 2x2, 3x1 and 1x5 and the oracle on both kernel
+    paths either all finish with bitwise-equal arrays and scalars or all
+    stop with the same positioned message. *)
+let prop_region_rule_agrees =
+  QCheck.Test.make ~name:"edge regions: engine == oracle, or one error"
+    ~count:100
+    (QCheck.make ~print:Fun.id gen_rule_src)
+    (fun src ->
+      let oracle row_path =
+        attempt (fun () ->
+            let prog = Zpl.Check.compile_string src in
+            let t = Runtime.Seqexec.run ~row_path prog in
+            outcome prog
+              (Array.get t.Runtime.Seqexec.stores)
+              (Runtime.Values.read_all t.Runtime.Seqexec.scalars
+                 t.Runtime.Seqexec.slots))
+      and engine (pr, pc) =
+        attempt (fun () ->
+            let prog = Zpl.Check.compile_string src in
+            let e =
+              (Run.Cache.run (Run.Cache.create ())
+                 Run.Spec.(default src |> with_mesh pr pc))
+                .Sim.Engine.engine
+            in
+            outcome prog (Sim.Engine.gather e) (Sim.Engine.final_env e))
+      in
+      let want = oracle true in
+      oracle false = want
+      && List.for_all
+           (fun mesh -> engine mesh = want)
+           [ (1, 1); (2, 2); (3, 1); (1, 5) ])
+
+(* ------------------------------------------------------------------ *)
 (* Domain-parallel experiment grid == serial grid                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1151,7 +1259,8 @@ let () =
           [ prop_row_kernel_bitwise; prop_row_reduce_bitwise;
             prop_shared_workspace;
             prop_wireplan_rows; prop_seqexec_row_path;
-            prop_seqexec_nsum; prop_comm_matches_oracle ]
+            prop_seqexec_nsum; prop_comm_matches_oracle;
+            prop_region_rule_agrees ]
         @ [ Alcotest.test_case "stencil compiles to row plan" `Quick
               test_row_plan_engages;
             Alcotest.test_case "wireplan pack/unpack at view boundaries"
