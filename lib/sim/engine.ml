@@ -313,6 +313,9 @@ type t = {
   kws : Runtime.Kernel.workspace;
       (** the one kernel workspace every rank's env binds: the drain
           runs one kernel at a time *)
+  mutable checked : int;
+      (** the last instruction, counted as in [instrs], whose region
+          {!clip_local} checked; every one before it is checked too *)
 }
 
 exception Deadlock of string
@@ -710,7 +713,8 @@ let of_plans ?(limit = Runtime.Budget.default) (sp : plans) : t =
     limit;
     work = 0;
     kern = sp.p_kern;
-    kws }
+    kws;
+    checked = 0 }
 
 let shared_plans (t : t) = t.shared
 let plan_geometry (sp : plans) = sp.p_geom
@@ -829,12 +833,10 @@ let imin (a : int) b = if a < b then a else b
 
 (** Evaluate the region [s] iterates under [p]'s scalars into [p.clip],
     check a loop-variant one against the statement-region rule
-    ({!Zpl.Prog.check_region}; the checker checked a static one), and
-    cut dims 0-1 to the partition box: the ints [Zpl.Region.inter] of
-    the evaluated region and the box would hold. By the rule, the cut
-    region lies inside every owned box an assignment writes or a read
-    shifts from. {!plan} checked every bound's scalar to be an int.
-    Returns the region's rank. *)
+    ({!Zpl.Prog.check_region}), and cut dims 0-1 to the partition box.
+    By the rule, the cut region lies inside every owned box the
+    statement writes or reads from. {!plan} checked every bound's scalar
+    to be an int. Returns the region's rank. *)
 let clip_local (type s) (t : t) (p : proc) (over : s Zpl.Prog.over) (s : s) :
     int =
   let dr = Zpl.Prog.over_region over s in
@@ -845,9 +847,14 @@ let clip_local (type s) (t : t) (p : proc) (over : s Zpl.Prog.over) (s : s) :
     c.(2 * d) <- Runtime.Values.bound t.shared.p_scalars p.slots lo;
     c.((2 * d) + 1) <- Runtime.Values.bound t.shared.p_scalars p.slots hi
   done;
-  if not (Zpl.Prog.is_static dr) then
+  (* Every rank runs the same instructions over the same int scalars,
+     so its [instrs]-th one iterates the same region on every rank: the
+     rank furthest ahead checks it for all. *)
+  if p.instrs > t.checked && not (Zpl.Prog.is_static dr) then begin
     Zpl.Prog.check_region t.flat.Ir.Flat.prog.Zpl.Prog.arrays t.layout.space
       over s c;
+    t.checked <- p.instrs
+  end;
   assert (n >= 2) (* statement regions have the rank of an array *);
   c.(0) <- imax c.(0) p.box_lo0;
   c.(1) <- imin c.(1) p.box_hi0;
