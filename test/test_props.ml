@@ -1122,8 +1122,13 @@ let rule_n = 6
 
 let gen_rule_src : string QCheck.Gen.t =
   let open QCheck.Gen in
+  int_range 2 (rule_n - 1) >>= fun srows ->
+  int_range 2 rule_n >>= fun tlo ->
+  (* bounds just past the arrays and just past S's and T's edges *)
   let bound =
-    frequency [ (1, return 0); (1, return (rule_n + 1)); (6, int_range 1 rule_n) ]
+    frequency
+      [ (1, return 0); (1, return (rule_n + 1)); (1, return (srows + 1));
+        (1, return (tlo - 1)); (6, int_range 1 rule_n) ]
   in
   let name = oneofl [ "A"; "B"; "S"; "T" ] in
   let off = int_range (-1) 1 in
@@ -1155,8 +1160,8 @@ let gen_rule_src : string QCheck.Gen.t =
       bound bound
       (frequency [ (3, assign); (1, reduce) ])
   in
-  map3
-    (fun srows tlo loops ->
+  map
+    (fun loops ->
       Printf.sprintf
         "constant n = %d;\n\
          var A, B : [1..n, 1..n] float;\n\
@@ -1173,8 +1178,6 @@ let gen_rule_src : string QCheck.Gen.t =
          %s\n\
          end;\n"
         rule_n srows tlo srows tlo (String.concat "\n" loops))
-    (int_range 2 (rule_n - 1))
-    (int_range 2 rule_n)
     (list_size (int_range 1 3) loop)
 
 (* a run's outcome, or its error message *)
@@ -1188,7 +1191,7 @@ let attempt f =
     stop with the same positioned message. *)
 let prop_region_rule_agrees =
   QCheck.Test.make ~name:"edge regions: engine == oracle, or one error"
-    ~count:100
+    ~count:200
     (QCheck.make ~print:Fun.id gen_rule_src)
     (fun src ->
       let oracle row_path =
