@@ -9,9 +9,8 @@
     bounds one {!Values} program over typed slots — the compilers the
     simulator uses. All plans of a run share one {!Kernel.env} binding
     the global stores and the slots. A statement runs over its whole
-    evaluated region: the statement-region rule
-    ({!Zpl.Prog.check_region}), checked like the engine checks it, keeps
-    its writes and reads inside the declared arrays. *)
+    evaluated region, which the statement-region rule
+    ({!Zpl.Prog.check_region}) keeps inside the declared arrays. *)
 
 type t = {
   prog : Zpl.Prog.t;

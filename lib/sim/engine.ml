@@ -848,8 +848,7 @@ let clip_local (type s) (t : t) (p : proc) (over : s Zpl.Prog.over) (s : s) :
     c.((2 * d) + 1) <- Runtime.Values.bound t.shared.p_scalars p.slots hi
   done;
   (* Every rank runs the same instructions over the same int scalars,
-     so its [instrs]-th one iterates the same region on every rank: the
-     rank furthest ahead checks it for all. *)
+     so the rank furthest ahead checks each region for all. *)
   if p.instrs > t.checked && not (Zpl.Prog.is_static dr) then begin
     Zpl.Prog.check_region t.flat.Ir.Flat.prog.Zpl.Prog.arrays t.layout.space
       over s c;

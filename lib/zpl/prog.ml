@@ -337,7 +337,8 @@ let within b n off (r : Region.t) =
 let no_shift = [| 0; 0; 0 |]
 
 let region_of_bounds b n =
-  Region.to_string (Region.make (List.init n (fun d -> (b.(2 * d), b.((2 * d) + 1)))))
+  Region.to_string
+    (Region.make (List.init n (fun d -> (b.(2 * d), b.((2 * d) + 1)))))
 
 (* The read clause of {!check_region}, over every array read of [e] *)
 let rec check_reads arrays loc b n = function
@@ -368,12 +369,12 @@ let rec check_reads arrays loc b n = function
     - a reduction's R does not lie inside the index space [space] in
       dims 0-1 (each processor reduces its own part of the space);
     - for a read [X@off], R does not lie inside X's declared region in
-      dims 0-1, or R shifted by [off] does not lie inside it at all.
-    So every processor that runs a cell of R owns part of every array
-    it reads, and its reads stay inside that part grown by the array's
-    fringe ({!fringe_widths}). The checker applies the rule to a static
-    region; both executors to a loop-variant one, on its unclipped
-    bounds, before a cell is touched. It allocates only to fail. *)
+      dims 0-1, or R shifted by [off] (past the int range counting as
+      outside) does not lie inside it at all.
+    So a processor that runs a cell of R owns part of each array it
+    reads, and reads inside that part grown by the array's fringe
+    ({!fringe_widths}). The checker applies the rule to static regions,
+    the executors to loop-variant ones. It allocates only to fail. *)
 let check_region : type s.
     array_info array -> Region.t -> s over -> s -> int array -> unit =
  fun arrays space over s b ->
@@ -386,7 +387,8 @@ let check_region : type s.
     | Assign ->
         let a = arrays.(s.lhs) in
         if not (within b n no_shift a.a_region) then
-          Loc.fail s.loc "statement region %s is outside %S's declared region %s"
+          Loc.fail s.loc
+            "statement region %s is outside %S's declared region %s"
             (region_of_bounds b n) a.a_name (Region.to_string a.a_region);
         check_reads arrays s.loc b n s.rhs
     | Reduce ->

@@ -417,7 +417,10 @@ let test_shift_past_int_rejected () =
    engine once tested such a read against each rank's allocation
    instead, unpositioned. *)
 let test_read_outside_rejected () =
-  let want = "shifted reference A@[-1,0] reads outside the declared region [0..9, 0..9]" in
+  let want =
+    "shifted reference A@[-1,0] reads outside the declared region \
+     [0..9, 0..9]"
+  in
   (match compile "procedure main(); begin [0..0, 0..9] B := A@north; end;" with
   | _ -> Alcotest.fail "expected a read outside the declared region"
   | exception Loc.Error (loc, m) ->
