@@ -336,10 +336,8 @@ let check_reads env loc (region : Prog.dregion) (e : Prog.aexpr) =
 let check_static env over s =
   Option.iter
     (fun r ->
-      Prog.check_region
-        (Array.of_list (List.rev env.arrays))
-        (Prog.index_space (Array.of_list env.arrays))
-        over s (Prog.bounds r))
+      let arrays = Array.of_list (List.rev env.arrays) in
+      Prog.check_region arrays (Prog.index_space arrays) over s (Prog.bounds r))
     (Prog.static_region (Prog.over_region over s))
 
 (* ------------------------------------------------------------------ *)
