@@ -1022,77 +1022,79 @@ let write_mode (a : Zpl.Prog.assign_a) : write_mode =
   else if List.mem a.lhs (Zpl.Prog.arrays_read a.rhs) then WRowBuffer
   else WDirect
 
-(** Run a row-compiled source over [region], writing the rows of [lhs].
-    [slot] indexes the env row buffer the buffered modes stage through
-    (ignored by [WDirect]). Returns the number of cells updated. Rows
-    are walked with {!Zpl.Region.first_row}/[next_row] over the env's
-    row-start buffer: no closure, no point array. *)
-let run_region_rows (env : env) ~(lhs : Store.t) ~(region : Zpl.Region.t)
+(** Run a row-compiled source over the region with bounds [bounds] (see
+    {!Zpl.Region.row_count}), writing the rows of [lhs]. [slot] indexes
+    the env row buffer the buffered modes stage through (ignored by
+    [WDirect]). Returns the number of cells updated. Rows are walked
+    with {!Zpl.Region.first_row}/[next_row] over the env's row-start
+    buffer: no closure, no point array. *)
+let run_region_rows (env : env) ~(lhs : Store.t) ~(bounds : int array)
     ~(mode : write_mode) ~(slot : int) (src : rowsrc) : int =
-  if Zpl.Region.is_empty region then 0
+  let rows = Zpl.Region.row_count bounds in
+  if rows = 0 then 0
   else begin
-    if not (Zpl.Region.subset region (Store.alloc lhs)) then
+    if not (Zpl.Region.bounds_inside bounds (Store.alloc lhs)) then
       Fmt.invalid_arg "row kernel: write region %s outside allocated %s of %s"
-        (Zpl.Region.to_string region)
+        (Zpl.Region.to_string (Zpl.Region.of_bounds bounds))
         (Zpl.Region.to_string (Store.alloc lhs))
         (Store.info lhs).a_name;
-    let n = Array.length region in
-    let len = Zpl.Region.range_size region.(n - 1) in
-    let rows = Zpl.Region.row_count region in
+    let n = Array.length bounds / 2 in
+    let len = bounds.((2 * n) - 1) - bounds.((2 * n) - 2) + 1 in
     let p0 = env.e_row.(n) in
     let data = Store.unsafe_data lhs in
-    Zpl.Region.first_row region p0;
+    Zpl.Region.first_row bounds p0;
     (match mode with
     | WDirect ->
         for _ = 1 to rows do
           fill src env p0 len data (Store.index lhs p0);
-          Zpl.Region.next_row region p0
+          Zpl.Region.next_row bounds p0
         done
     | WRowBuffer ->
         let b = ensure env.e_bufs.(slot) len in
         for _ = 1 to rows do
           fill src env p0 len b 0;
           buf_blit b 0 data (Store.index lhs p0) len;
-          Zpl.Region.next_row region p0
+          Zpl.Region.next_row bounds p0
         done
     | WFullBuffer ->
         let buf = ensure env.e_bufs.(slot) (rows * len) in
         for r = 0 to rows - 1 do
           fill src env p0 len buf (r * len);
-          Zpl.Region.next_row region p0
+          Zpl.Region.next_row bounds p0
         done;
-        Zpl.Region.first_row region p0;
+        Zpl.Region.first_row bounds p0;
         for r = 0 to rows - 1 do
           buf_blit buf (r * len) data (Store.index lhs p0) len;
-          Zpl.Region.next_row region p0
+          Zpl.Region.next_row bounds p0
         done);
     rows * len
   end
 
-(** Fold a row-compiled source over [region] in row-major order — the
-    same per-cell operation sequence as {!run_reduce}, so partials are
-    bit-identical to the per-point path. Returns the partial (the
-    identity on an empty region). Like {!run_region_rows} it walks rows
-    without a closure, and reads each row in place from its store or
-    through the [slot] scratch row, without building a slice. *)
+(** Fold a row-compiled source over the region with bounds [b] in
+    row-major order — the same per-cell operation sequence as
+    {!run_reduce}, so partials are bit-identical to the per-point path.
+    Returns the partial (the identity on an empty region). Like
+    {!run_region_rows} it walks rows without a closure, and reads each
+    row in place from its store or through the [slot] scratch row,
+    without building a slice. *)
 let fold_rows (env : env) ~(slot : int) (op : Zpl.Ast.redop) (src : rowsrc)
-    (region : Zpl.Region.t) : float =
+    (b : int array) : float =
   let acc = ref (Reduce.identity op) in
-  let rows = Zpl.Region.row_count region in
+  let rows = Zpl.Region.row_count b in
   if rows > 0 then begin
-    let n = Array.length region in
-    let len = Zpl.Region.range_size region.(n - 1) in
+    let n = Array.length b / 2 in
+    let len = b.((2 * n) - 1) - b.((2 * n) - 2) + 1 in
     let p0 = env.e_row.(n) in
     let scratch = env.e_bufs.(slot) in
-    Zpl.Region.first_row region p0;
+    Zpl.Region.first_row b p0;
     for _ = 1 to rows do
       let data =
         match src with
         | RRef (aid, _) -> Store.read_only env.e_stores.(aid)
         | RConst _ | RRow _ | RScalar _ | RIndexLast | RFill _ ->
-            let b = ensure scratch len in
-            fill src env p0 len b 0;
-            b
+            let buf = ensure scratch len in
+            fill src env p0 len buf 0;
+            buf
       in
       let s0 =
         match src with
@@ -1118,7 +1120,7 @@ let fold_rows (env : env) ~(slot : int) (op : Zpl.Ast.redop) (src : rowsrc)
             a := Float.min !a (A1.unsafe_get data k)
           done);
       acc := !a;
-      Zpl.Region.next_row region p0
+      Zpl.Region.next_row b p0
     done
   end;
   !acc
@@ -1149,16 +1151,16 @@ let plan_assign ?(row = true) (rc : rowctx) (a : Zpl.Prog.assign_a) : plan =
 
 let plan_is_row = function PRow _ -> true | PPoint _ -> false
 
-(** Execute a plan over [region] (inside [lhs]'s owned box). Returns the
-    number of cells updated. *)
+(** Execute a plan over the region with bounds [bounds] (inside [lhs]'s
+    owned box). Returns the number of cells updated. *)
 let exec_plan (plan : plan) ~(env : env) ~(lhs : Store.t)
-    ~(region : Zpl.Region.t) : int =
+    ~(bounds : int array) : int =
   match plan with
-  | PRow (mode, slot, src) -> run_region_rows env ~lhs ~region ~mode ~slot src
+  | PRow (mode, slot, src) -> run_region_rows env ~lhs ~bounds ~mode ~slot src
   | PPoint (buffered, f) ->
       run_region
         ~write:(fun p v -> Store.set_unsafe lhs p v)
-        ~region ~buffered
+        ~region:(Zpl.Region.of_bounds bounds) ~buffered
         (fun p -> f env p)
 
 type rplan =
@@ -1173,10 +1175,11 @@ let plan_reduce ?(row = true) (rc : rowctx) (r : Zpl.Prog.reduce_s) : rplan =
   | Some src -> RowRed (ws_buf rc.rws, src)
   | None -> PointRed (compile_env rc.rws r.r_rhs)
 
-(** Local partial of a reduction plan over [region]; it reduces
-    [Zpl.Region.size region] cells. *)
-let exec_rplan (plan : rplan) ~(env : env) ~(region : Zpl.Region.t)
+(** Local partial of a reduction plan over the region with bounds
+    [bounds]; it reduces [Zpl.Region.bounds_size bounds] cells. *)
+let exec_rplan (plan : rplan) ~(env : env) ~(bounds : int array)
     (op : Zpl.Ast.redop) : float =
   match plan with
-  | RowRed (slot, src) -> fold_rows env ~slot op src region
-  | PointRed f -> run_reduce ~region op (fun p -> f env p)
+  | RowRed (slot, src) -> fold_rows env ~slot op src bounds
+  | PointRed f ->
+      run_reduce ~region:(Zpl.Region.of_bounds bounds) op (fun p -> f env p)

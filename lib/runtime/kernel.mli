@@ -127,20 +127,23 @@ val plan_assign : ?row:bool -> rowctx -> Zpl.Prog.assign_a -> plan
 (** Whether the plan took the row path. *)
 val plan_is_row : plan -> bool
 
-(** Execute a plan over [region] with this executor's [env]. [region]
-    lies inside [lhs]'s owned box and, by the statement-region rule
+(** Execute a plan with this executor's [env] over the region whose
+    evaluated bounds are [bounds] (lo and hi of dimension [d] at
+    [2d] and [2d+1], as {!Values.bounds} writes them). The region lies
+    inside [lhs]'s owned box and, by the statement-region rule
     ({!Zpl.Prog.check_region}), every read it makes inside the read
-    array's allocation. Returns the number of cells updated. *)
-val exec_plan :
-  plan -> env:env -> lhs:Store.t -> region:Zpl.Region.t -> int
+    array's allocation. The row path walks [bounds] directly and
+    allocates nothing; the per-point path builds a {!Zpl.Region.t}.
+    Returns the number of cells updated. *)
+val exec_plan : plan -> env:env -> lhs:Store.t -> bounds:int array -> int
 
 (** A compiled reduction body. *)
 type rplan
 
 val plan_reduce : ?row:bool -> rowctx -> Zpl.Prog.reduce_s -> rplan
 
-(** Local partial of a reduction plan over [region] (the operator's
-    identity when it is empty); it reduces [Zpl.Region.size region]
-    cells. *)
+(** Local partial of a reduction plan over the region with bounds
+    [bounds], as {!exec_plan} takes them (the operator's identity when
+    it is empty); it reduces [Zpl.Region.bounds_size bounds] cells. *)
 val exec_rplan :
-  rplan -> env:env -> region:Zpl.Region.t -> Zpl.Ast.redop -> float
+  rplan -> env:env -> bounds:int array -> Zpl.Ast.redop -> float

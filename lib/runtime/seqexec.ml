@@ -19,6 +19,7 @@ type t = {
   scalars : Values.layout;
   slots : Values.slots;
   kenv : Kernel.env;
+  bounds : int array array;  (** per region rank: the region scratch *)
   on_scalar : (int -> Values.value -> unit) option;
       (** observation hook, called after every scalar write *)
   limit : int;
@@ -40,16 +41,16 @@ let observe t id =
   | None -> ()
   | Some f -> f id (Values.read_value t.scalars t.slots id)
 
-(** The region [s] iterates, evaluated; a loop-variant one is checked
-    against the statement-region rule (the checker checked a static
-    one). *)
+(** The bounds of the region [s] iterates, evaluated into [t]'s scratch
+    for its rank; a loop-variant region is checked against the
+    statement-region rule (the checker checked a static one). *)
 let eval_region (type s) t (over : s Zpl.Prog.over) (s : s) =
   let dr = Zpl.Prog.over_region over s in
-  let region = Values.region t.scalars t.slots dr in
+  let b = t.bounds.(Array.length dr) in
+  Values.bounds t.scalars t.slots dr b;
   if not (Zpl.Prog.is_static dr) then
-    Zpl.Prog.check_region t.prog.arrays t.space over s
-      (Zpl.Prog.bounds region);
-  region
+    Zpl.Prog.check_region t.prog.arrays t.space over s b;
+  b
 
 (* Each statement compiles to a closure taking the executor; a block
    runs its statements through a chain of closures, which allocates
@@ -71,11 +72,10 @@ and compile_stmt ~row sc (rc : Kernel.rowctx) (s : Zpl.Prog.stmt) : t -> unit =
       let plan = Kernel.plan_assign ~row rc a in
       fun t ->
         bump t;
-        let region = eval_region t Zpl.Prog.Assign a in
-        if not (Zpl.Region.is_empty region) then
-          t.cells <-
-            t.cells
-            + Kernel.exec_plan plan ~env:t.kenv ~lhs:t.stores.(a.lhs) ~region
+        let bounds = eval_region t Zpl.Prog.Assign a in
+        t.cells <-
+          t.cells
+          + Kernel.exec_plan plan ~env:t.kenv ~lhs:t.stores.(a.lhs) ~bounds
   | Zpl.Prog.AssignS { lhs; rhs; _ } ->
       let code = Values.assign sc ~lhs rhs in
       fun t ->
@@ -86,10 +86,10 @@ and compile_stmt ~row sc (rc : Kernel.rowctx) (s : Zpl.Prog.stmt) : t -> unit =
       let plan = Kernel.plan_reduce ~row rc r in
       fun t ->
         bump t;
-        let region = eval_region t Zpl.Prog.Reduce r in
+        let bounds = eval_region t Zpl.Prog.Reduce r in
         t.slots.f.(Values.slot t.scalars r.r_lhs) <-
-          Kernel.exec_rplan plan ~env:t.kenv ~region r.r_op;
-        t.cells <- t.cells + Zpl.Region.size region;
+          Kernel.exec_rplan plan ~env:t.kenv ~bounds r.r_op;
+        t.cells <- t.cells + Zpl.Region.bounds_size bounds;
         observe t r.r_lhs
   | Zpl.Prog.Repeat (body, cond) ->
       let body = compile_block ~row sc rc body and cond = Values.cond sc cond in
@@ -142,7 +142,8 @@ let run ?(limit = Budget.default) ?(row_path = true) ?on_scalar
       (Kernel.make_workspace (Kernel.ws_spec ws)) in
   let t =
     { prog; space = Zpl.Prog.index_space prog.arrays; stores; scalars; slots;
-      kenv; on_scalar; limit; steps = 0; cells = 0 }
+      kenv; bounds = Array.init 4 (fun r -> Array.make (2 * r) 0);
+      on_scalar; limit; steps = 0; cells = 0 }
   in
   code t;
   check t;

@@ -17,6 +17,9 @@ type t = {
   scalars : Values.layout;  (** where each scalar lives in [slots] *)
   slots : Values.slots;  (** the scalars, by id (see {!scalar_value}) *)
   kenv : Kernel.env;  (** the kernels' binding of [stores] and [slots] *)
+  bounds : int array array;
+      (** per region rank: the scratch each statement's region is
+          evaluated into ({!Values.bounds}) and handed to the kernels in *)
   on_scalar : (int -> Values.value -> unit) option;
       (** observation hook, called with (scalar id, new value) after
           every scalar write — loop variable updates included. Used by

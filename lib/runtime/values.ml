@@ -159,10 +159,12 @@ let check_dregion (l : layout) (dr : Zpl.Prog.dregion) =
 let[@inline] bound (l : layout) (s : slots) (b : Zpl.Prog.bound) =
   match b.bvar with None -> b.base | Some v -> b.base + s.i.(l.slot.(v))
 
-let region l (s : slots) (dr : Zpl.Prog.dregion) : Zpl.Region.t =
-  Array.map
-    (fun (lo, hi) -> { Zpl.Region.lo = bound l s lo; hi = bound l s hi })
-    dr
+let bounds l (s : slots) (dr : Zpl.Prog.dregion) (b : int array) =
+  for d = 0 to Array.length dr - 1 do
+    let lo, hi = dr.(d) in
+    b.(2 * d) <- bound l s lo;
+    b.((2 * d) + 1) <- bound l s hi
+  done
 
 type spec = int * int
 

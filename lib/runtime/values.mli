@@ -51,11 +51,14 @@ val cond : compiler -> Zpl.Prog.sexpr -> slots -> bool
 val int_expr : compiler -> Zpl.Prog.sexpr -> slots -> int
 
 (** Raise [Invalid_argument] if a region bound reads a scalar that is
-    not an int, so that {!bound} reads int slots unchecked. *)
+    not an int, so that {!bounds} reads int slots unchecked. *)
 val check_dregion : layout -> Zpl.Prog.dregion -> unit
 
-val bound : layout -> slots -> Zpl.Prog.bound -> int
-val region : layout -> slots -> Zpl.Prog.dregion -> Zpl.Region.t
+(** [bounds l s dr b] evaluates [dr] under [s] into [b] (length twice
+    [dr]'s rank), in the form {!Zpl.Region.row_count} and
+    {!Zpl.Prog.check_region} take: lo and hi of dimension [d] at
+    [b.(2d)] and [b.(2d+1)]. It allocates nothing. *)
+val bounds : layout -> slots -> Zpl.Prog.dregion -> int array -> unit
 
 type spec
 

@@ -259,13 +259,9 @@ type proc = {
   kenv : Runtime.Kernel.env;
       (** this rank's stores and scalar slots, bound to the engine's one
           kernel workspace *)
-  clip : int array;
-      (** the region of the statement being dispatched, (lo, hi) per
-          dim, clipped in place (see {!clip_local}) *)
-  clipped : Zpl.Region.t array;
-      (** per op index: the region last handed to the kernels there,
-          updated in place when the clip moves ([[||]] until first
-          needed; see {!clipped_region}) *)
+  clip : int array array;
+      (** per region rank: the bounds of the statement being dispatched,
+          clipped in place (see {!clip_local}) *)
   stats : Stats.per_proc;
 }
 
@@ -645,8 +641,7 @@ let of_plans ?(limit = Runtime.Budget.default) (sp : plans) : t =
             Array.init nslots (fun s ->
                 if sp.p_dissem.(s) then Array.make nprocs 0.0 else [||]);
           kenv = Runtime.Kernel.make_env ~stores ~slots kws;
-          clip = Array.make 6 0;
-          clipped = Array.make (Array.length flat.Ir.Flat.ops) [||];
+          clip = Array.init 4 (fun r -> Array.make (2 * r) 0);
           stats = Stats.fresh_proc () })
   in
   let route x p recv i =
@@ -819,34 +814,28 @@ let reduce_plan (t : t) (p : proc) idx =
 
 (* --- kernel dispatch ---
 
-   A statement's iteration region is clipped as ints in [p.clip]:
-   its bounds evaluated under the rank's scalars, a loop-variant one
-   checked against the statement-region rule, and dims 0-1 cut to the
-   partition box. An empty clip — most ranks, on the single-row
-   statements of a serialized sweep — goes straight to the zero-cell
-   charge; a non-empty one reuses the op's last [Zpl.Region.t] while
-   the clip repeats (always, for static regions). Kernel dispatch
-   thus allocates only when a rank meets a new non-empty region. *)
+   A statement's iteration region is evaluated into the rank's bounds
+   scratch [p.clip] (Runtime.Values.bounds), a loop-variant one checked
+   against the statement-region rule, and dims 0-1 cut to the
+   partition box in place. An empty clip — most ranks, on the
+   single-row statements of a serialized sweep — goes straight to the
+   zero-cell charge; a non-empty one goes to the kernels as it is.
+   Kernel dispatch allocates nothing. *)
 
 let imax (a : int) b = if a > b then a else b
 let imin (a : int) b = if a < b then a else b
 
-(** Evaluate the region [s] iterates under [p]'s scalars into [p.clip],
-    check a loop-variant one against the statement-region rule
-    ({!Zpl.Prog.check_region}), and cut dims 0-1 to the partition box.
-    By the rule, the cut region lies inside every owned box the
-    statement writes or reads from. {!plan} checked every bound's scalar
-    to be an int. Returns the region's rank. *)
+(** Evaluate the region [s] iterates under [p]'s scalars into [p]'s
+    bounds scratch for its rank, check a loop-variant one against the
+    statement-region rule ({!Zpl.Prog.check_region}), cut dims 0-1 to
+    the partition box, and return the bounds. By the rule, the cut
+    region lies inside every owned box the statement writes or reads
+    from. {!plan} checked every bound's scalar to be an int. *)
 let clip_local (type s) (t : t) (p : proc) (over : s Zpl.Prog.over) (s : s) :
-    int =
+    int array =
   let dr = Zpl.Prog.over_region over s in
-  let n = Array.length dr in
-  let c = p.clip in
-  for d = 0 to n - 1 do
-    let lo, hi = dr.(d) in
-    c.(2 * d) <- Runtime.Values.bound t.shared.p_scalars p.slots lo;
-    c.((2 * d) + 1) <- Runtime.Values.bound t.shared.p_scalars p.slots hi
-  done;
+  let c = p.clip.(Array.length dr) in
+  Runtime.Values.bounds t.shared.p_scalars p.slots dr c;
   (* Every rank runs the same instructions over the same int scalars,
      so the rank furthest ahead checks each region for all. *)
   if p.instrs > t.checked && not (Zpl.Prog.is_static dr) then begin
@@ -854,45 +843,12 @@ let clip_local (type s) (t : t) (p : proc) (over : s Zpl.Prog.over) (s : s) :
       over s c;
     t.checked <- p.instrs
   end;
-  assert (n >= 2) (* statement regions have the rank of an array *);
+  assert (Array.length dr >= 2) (* statement regions have an array's rank *);
   c.(0) <- imax c.(0) p.box_lo0;
   c.(1) <- imin c.(1) p.box_hi0;
   c.(2) <- imax c.(2) p.box_lo1;
   c.(3) <- imin c.(3) p.box_hi1;
-  n
-
-(** Cells in the rank-[n] clip: [Zpl.Region.size] of it, 0 when empty. *)
-let clip_cells (p : proc) n =
-  let c = p.clip in
-  let cells = ref 1 in
-  for d = 0 to n - 1 do
-    let ext = c.((2 * d) + 1) - c.(2 * d) + 1 in
-    cells := if ext <= 0 then 0 else !cells * ext
-  done;
-  !cells
-
-(** The non-empty rank-[n] clip as a region, memoized at op [idx]:
-    the region last built there, its ranges replaced in place only for
-    the dims whose clip changed (a row sweep allocates one range per
-    new row, a static region nothing after its first execution). The
-    kernels never retain the regions they are handed, so updating one
-    in place is unobservable. *)
-let clipped_region (p : proc) idx n : Zpl.Region.t =
-  let c = p.clip in
-  let r =
-    if Array.length p.clipped.(idx) = n then p.clipped.(idx)
-    else begin
-      let r = Array.make n (Zpl.Region.range 0 (-1)) in
-      p.clipped.(idx) <- r;
-      r
-    end
-  in
-  for d = 0 to n - 1 do
-    let lo = c.(2 * d) and hi = c.((2 * d) + 1) in
-    if r.(d).Zpl.Region.lo <> lo || r.(d).Zpl.Region.hi <> hi then
-      r.(d) <- Zpl.Region.range lo hi
-  done;
-  r
+  c
 
 (** Charge the cost of one executed statement. *)
 let charge_kernel (t : t) (p : proc) ~cells ~flops =
@@ -914,12 +870,12 @@ let[@inline] charge_scalar (t : t) (p : proc) =
   p.stats.Stats.times.Stats.compute <- p.stats.Stats.times.Stats.compute +. dt
 
 let exec_kernel (t : t) (p : proc) idx (a : Zpl.Prog.assign_a) =
-  let n = clip_local t p Zpl.Prog.Assign a in
+  let bounds = clip_local t p Zpl.Prog.Assign a in
   let cells =
-    if clip_cells p n = 0 then 0
+    if Zpl.Region.bounds_size bounds = 0 then 0
     else
       Runtime.Kernel.exec_plan (assign_plan t p idx) ~env:p.kenv
-        ~lhs:p.stores.(a.lhs) ~region:(clipped_region p idx n)
+        ~lhs:p.stores.(a.lhs) ~bounds
   in
   charge_kernel t p ~cells ~flops:a.flops
 
@@ -1201,13 +1157,13 @@ let finish_reduce (t : t) =
     cells it reduced: the identity and 0 when that part is empty. The
     partial travels through [p.scratch.(0)] so no float is boxed. *)
 let reduce_partial (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : int =
-  let n = clip_local t p Zpl.Prog.Reduce r in
-  let cells = clip_cells p n in
+  let bounds = clip_local t p Zpl.Prog.Reduce r in
+  let cells = Zpl.Region.bounds_size bounds in
   if cells = 0 then p.scratch.(0) <- Runtime.Reduce.identity r.r_op
   else
     p.scratch.(0) <-
-      Runtime.Kernel.exec_rplan (reduce_plan t p idx) ~env:p.kenv
-        ~region:(clipped_region p idx n) r.r_op;
+      Runtime.Kernel.exec_rplan (reduce_plan t p idx) ~env:p.kenv ~bounds
+        r.r_op;
   cells
 
 let exec_reduce (t : t) (p : proc) idx (r : Zpl.Prog.reduce_s) : step =

@@ -337,7 +337,7 @@ let check_static env over s =
   Option.iter
     (fun r ->
       let arrays = Array.of_list (List.rev env.arrays) in
-      Prog.check_region arrays (Prog.index_space arrays) over s (Prog.bounds r))
+      Prog.check_region arrays (Prog.index_space arrays) over s (Region.bounds r))
     (Prog.static_region (Prog.over_region over s))
 
 (* ------------------------------------------------------------------ *)

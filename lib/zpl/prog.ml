@@ -336,9 +336,7 @@ let within b n off (r : Region.t) =
 
 let no_shift = [| 0; 0; 0 |]
 
-let region_of_bounds b n =
-  Region.to_string
-    (Region.make (List.init n (fun d -> (b.(2 * d), b.((2 * d) + 1)))))
+let region_of_bounds b = Region.to_string (Region.of_bounds b)
 
 (* The read clause of {!check_region}, over every array read of [e] *)
 let rec check_reads arrays loc b n = function
@@ -354,7 +352,7 @@ let rec check_reads arrays loc b n = function
         Loc.fail loc
           "statement region %s reads %S but lies outside its declared \
            region %s"
-          (region_of_bounds b n) a.a_name (Region.to_string a.a_region)
+          (region_of_bounds b) a.a_name (Region.to_string a.a_region)
   | AArith (_, x, y) | ACall (Arith.Call2 (_, x, y)) ->
       check_reads arrays loc b n x;
       check_reads arrays loc b n y
@@ -389,19 +387,14 @@ let check_region : type s.
         if not (within b n no_shift a.a_region) then
           Loc.fail s.loc
             "statement region %s is outside %S's declared region %s"
-            (region_of_bounds b n) a.a_name (Region.to_string a.a_region);
+            (region_of_bounds b) a.a_name (Region.to_string a.a_region);
         check_reads arrays s.loc b n s.rhs
     | Reduce ->
         if not (within b 2 no_shift space) then
           Loc.fail s.r_loc "%s reduces over %s, outside the index space %s"
-            (Ast.redop_name s.r_op) (region_of_bounds b n)
+            (Ast.redop_name s.r_op) (region_of_bounds b)
             (Region.to_string space);
         check_reads arrays s.r_loc b n s.r_rhs
-
-(** [r]'s bounds as {!check_region} takes them. *)
-let bounds (r : Region.t) =
-  Array.init (2 * Array.length r) (fun i ->
-      if i land 1 = 0 then r.(i / 2).lo else r.(i / 2).hi)
 
 (** Count statements, for reporting. *)
 let count_stmts stmts = fold_stmts (fun n _ -> n + 1) 0 stmts

@@ -147,41 +147,63 @@ let iter (r : t) (f : int array -> unit) =
         f p;
         step (n - 1)
 
-(* The row cursor: [iter_rows] without the closure, for loops that must
-   not allocate. *)
+(* Bounds: the int form of a region the executors evaluate a statement
+   region into, (lo, hi) of dimension [d] at [2d] and [2d+1]. *)
 
-(** Number of rows of [r]: the product of every extent but the innermost
-    (1 for a rank-1 region, 0 when empty). *)
-let row_count (r : t) =
-  if is_empty r then 0
-  else begin
-    let c = ref 1 in
-    for d = 0 to Array.length r - 2 do
-      c := !c * range_size r.(d)
-    done;
-    !c
-  end
+let bounds (r : t) =
+  Array.init (2 * Array.length r) (fun i ->
+      if i land 1 = 0 then r.(i / 2).lo else r.(i / 2).hi)
 
-(** [first_row r p] sets the caller's point buffer [p] (length
-    [rank r]) to the start of [r]'s first row. *)
-let first_row (r : t) (p : int array) =
-  for d = 0 to Array.length r - 1 do
-    p.(d) <- r.(d).lo
+let of_bounds (b : int array) : t =
+  Array.init (Array.length b / 2) (fun d -> range b.(2 * d) b.((2 * d) + 1))
+
+(* The helpers below run on every kernel dispatch, so they loop by hand
+   and allocate nothing. *)
+
+(** Number of points of bounds [b]; 0 when any dimension is empty. *)
+let bounds_size (b : int array) =
+  let n = ref 1 in
+  for d = 0 to (Array.length b / 2) - 1 do
+    let e = b.((2 * d) + 1) - b.(2 * d) + 1 in
+    n := if e <= 0 then 0 else !n * e
+  done;
+  !n
+
+(** Whether every dimension of bounds [b] lies inside [r]'s. *)
+let bounds_inside (b : int array) (r : t) =
+  let ok = ref true in
+  for d = 0 to (Array.length b / 2) - 1 do
+    if b.(2 * d) < r.(d).lo || b.((2 * d) + 1) > r.(d).hi then ok := false
+  done;
+  !ok
+
+(** Number of rows of bounds [b]: the product of every extent but the
+    innermost (1 for rank 1, 0 when empty). *)
+let row_count (b : int array) =
+  let n = Array.length b in
+  let len = b.(n - 1) - b.(n - 2) + 1 in
+  if len <= 0 then 0 else bounds_size b / len
+
+(** [first_row b p] sets the caller's point buffer [p] (one entry per
+    dimension) to the start of the first row. *)
+let first_row (b : int array) (p : int array) =
+  for d = 0 to Array.length p - 1 do
+    p.(d) <- b.(2 * d)
   done
 
-(** [next_row r p] advances [p] from one row start to the next in
+(** [next_row b p] advances [p] from one row start to the next in
     row-major order: an odometer over every dimension but the innermost.
     After the last row it wraps to the first. *)
-let next_row (r : t) (p : int array) =
-  let d = ref (Array.length r - 2) in
+let next_row (b : int array) (p : int array) =
+  let d = ref (Array.length p - 2) in
   while !d >= 0 do
     let i = !d in
-    if p.(i) < r.(i).hi then begin
+    if p.(i) < b.((2 * i) + 1) then begin
       p.(i) <- p.(i) + 1;
       d := -1
     end
     else begin
-      p.(i) <- r.(i).lo;
+      p.(i) <- b.(2 * i);
       d := i - 1
     end
   done
@@ -191,15 +213,16 @@ let next_row (r : t) (p : int array) =
     buffer is reused between calls; copy it if retained. A rank-1 region
     is a single row. *)
 let iter_rows (r : t) (f : int array -> int -> unit) =
-  let rows = row_count r in
+  let b = bounds r in
+  let rows = row_count b in
   if rows > 0 then begin
     let n = Array.length r in
     let len = range_size r.(n - 1) in
     let p = Array.make n 0 in
-    first_row r p;
+    first_row b p;
     for _ = 1 to rows do
       f p len;
-      next_row r p
+      next_row b p
     done
   end
 

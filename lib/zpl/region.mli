@@ -69,16 +69,34 @@ val iter : t -> (int array -> unit) -> unit
     [p0]. *)
 val iter_rows : t -> (int array -> int -> unit) -> unit
 
-(** Closure-free row cursor over the same rows, in the same order, as
-    {!iter_rows}, for loops that must not allocate: the caller owns the
-    point buffer [p] (length [rank r]), sets it with [first_row r p],
-    and after handling each row start [p] (row length
-    [range_size (dim r (rank r - 1))]) steps it with [next_row r p],
-    [row_count r] times in all. [row_count] is 0 for an empty region. *)
-val row_count : t -> int
+(** {2 Bounds}
 
-val first_row : t -> int array -> unit
-val next_row : t -> int array -> unit
+    The int form of a region: lo and hi of dimension [d] at [b.(2d)] and
+    [b.(2d+1)]. The executors evaluate every statement region into such
+    an array ([Runtime.Values.bounds]), check it
+    ({!Prog.check_region}) and hand it to the kernels, which walk it
+    with the row cursor below. The helpers here allocate nothing. *)
+
+val bounds : t -> int array
+val of_bounds : int array -> t
+
+(** Number of points; 0 when any dimension is empty. *)
+val bounds_size : int array -> int
+
+(** Whether every dimension of the bounds lies inside the region's. *)
+val bounds_inside : int array -> t -> bool
+
+(** Closure-free row cursor over bounds [b], for loops that must not
+    allocate; it visits the rows of {!iter_rows} in the same order. The
+    caller owns the point buffer [p] (one entry per dimension), sets it
+    with [first_row b p], and after handling each row start [p] (row
+    length [b.(2n-1) - b.(2n-2) + 1] at rank [n]) steps it with
+    [next_row b p], [row_count b] times in all. [row_count] is 0 for
+    empty bounds. *)
+val row_count : int array -> int
+
+val first_row : int array -> int array -> unit
+val next_row : int array -> int array -> unit
 
 val fold : t -> ('a -> int array -> 'a) -> 'a -> 'a
 

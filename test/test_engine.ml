@@ -693,14 +693,15 @@ let tomcatv_run_words ~topology ~iters =
 (** Differential allocation per executed instruction, the way
     test_comm.ml isolates steady-state communication: set-up costs are
     the same at both iteration counts, so the delta over the delta in
-    instructions is the steady-state cost of dispatch. Measured 0.437
-    words per instruction (OCaml 5.1, dev profile; 1.075 with boxed
-    scalar values, 26.1 before kernel regions were clipped in place).
-    What is left is one range per new row of a row sweep on the ranks
-    that own it, and the opaque reductions' fold. Mesh and torus sends
-    route through links without boxing a float, so they meet the same
-    bound (1.008 words per instruction while routing returned boxed
-    floats). *)
+    instructions is the steady-state cost of dispatch. Measured 0.285
+    words per instruction (OCaml 5.1, dev profile; 0.437 while the
+    kernels took a memoized [Zpl.Region.t] and a row sweep allocated one
+    range per new row, 1.075 with boxed scalar values, 26.1 before
+    kernel regions were clipped in place). Kernels now run on the
+    evaluated bounds, so what is left is the opaque reductions' fold.
+    Mesh and torus sends route through links without boxing a float,
+    so they meet the same bound (1.008 words per instruction while
+    routing returned boxed floats). *)
 let test_dispatch_alloc_gate () =
   List.iter
     (fun topology ->
@@ -745,11 +746,9 @@ end;
     trips
 
 (** Minor words and instructions of one engine run (2x2 PVM) of
-    {!scalar_loop_src}, and minor words and steps of one Seqexec run. *)
-let scalar_loop_words trips =
-  let c, plans =
-    compiled_plans Run.Spec.(default (scalar_loop_src trips) |> with_mesh 2 2)
-  in
+    [src], and minor words and steps of one Seqexec run. *)
+let loop_words src =
+  let c, plans = compiled_plans Run.Spec.(default src |> with_mesh 2 2) in
   let eng = Sim.Engine.of_plans plans in
   let w0 = Gc.minor_words () in
   let res = Sim.Engine.run eng in
@@ -765,9 +764,9 @@ let scalar_loop_words trips =
     (1,000 vs 11,000 trips) stay near zero. The boxed-value executors
     they replace read 5.40 and 10.67 (OCaml 5.1, dev profile). *)
 let test_scalar_alloc_gate () =
-  ignore (scalar_loop_words 10);
-  let (we_lo, i_lo), (ws_lo, s_lo) = scalar_loop_words 1_000
-  and (we_hi, i_hi), (ws_hi, s_hi) = scalar_loop_words 11_000 in
+  ignore (loop_words (scalar_loop_src 10));
+  let (we_lo, i_lo), (ws_lo, s_lo) = loop_words (scalar_loop_src 1_000)
+  and (we_hi, i_hi), (ws_hi, s_hi) = loop_words (scalar_loop_src 11_000) in
   let per_instr = (we_hi -. we_lo) /. float_of_int (i_hi - i_lo)
   and per_step = (ws_hi -. ws_lo) /. float_of_int (s_hi - s_lo) in
   Alcotest.(check bool)
@@ -781,6 +780,49 @@ let test_scalar_alloc_gate () =
        "scalar loop allocates %.3f minor words per Seqexec step (want <= 0.1)"
        per_step)
     true (per_step <= 0.1)
+
+(** A row sweep with no shift, no reduction and no communication: a
+    loop-variant single-row region, new on every trip. *)
+let row_sweep_src trips =
+  Printf.sprintf
+    {|
+constant n = 16;
+constant trips = %d;
+var A, B : [1..n, 1..n] float;
+var t, i : int;
+procedure main();
+begin
+  [1..n, 1..n] A := 2.0;
+  for t := 1 to trips do
+    for i := 1 to n do
+      [i..i, 1..n] B := A + 1.0;
+    end;
+  end;
+end;
+|}
+    trips
+
+(** Kernels run on the evaluated bounds, so a row sweep allocates
+    nothing per row: differential words per engine instruction and per
+    Seqexec step (10 vs 110 sweeps) stay near zero. Handing the kernels
+    a [Zpl.Region.t] read 0.348 and 24.0 (OCaml 5.1, dev profile). *)
+let test_row_sweep_alloc_gate () =
+  ignore (loop_words (row_sweep_src 2));
+  let (we_lo, i_lo), (ws_lo, s_lo) = loop_words (row_sweep_src 10)
+  and (we_hi, i_hi), (ws_hi, s_hi) = loop_words (row_sweep_src 110) in
+  let per_instr = (we_hi -. we_lo) /. float_of_int (i_hi - i_lo)
+  and per_step = (ws_hi -. ws_lo) /. float_of_int (s_hi - s_lo) in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "row sweep allocates %.3f minor words per engine instruction \
+        (want <= 0.01)"
+       per_instr)
+    true (per_instr <= 0.01);
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "row sweep allocates %.3f minor words per Seqexec step (want <= 0.01)"
+       per_step)
+    true (per_step <= 0.01)
 
 (** TOMCATV pl at n = 16 m on an [m x m] mesh. *)
 let tomcatv_scaled m =
@@ -875,7 +917,9 @@ let () =
           Alcotest.test_case "one kernel workspace per engine" `Quick
             test_workspace_per_engine;
           Alcotest.test_case "scalar loop words per instruction" `Quick
-            test_scalar_alloc_gate ] );
+            test_scalar_alloc_gate;
+          Alcotest.test_case "row sweep words per instruction" `Quick
+            test_row_sweep_alloc_gate ] );
       ( "guards",
         [ Alcotest.test_case "wide shift rejected" `Quick test_rejects_wide_shift;
           Alcotest.test_case "instruction limit" `Quick test_instruction_limit;

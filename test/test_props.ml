@@ -725,7 +725,7 @@ let exec_kcase ~row (c : kcase) =
   let plan = Runtime.Kernel.plan_assign ~row rc a in
   let cells =
     Runtime.Kernel.exec_plan plan ~env:(mkenv ()) ~lhs:stores.(c.klhs)
-      ~region:c.kregion
+      ~bounds:(Zpl.Region.bounds c.kregion)
   in
   ( cells,
     Array.map
@@ -756,7 +756,7 @@ let prop_row_reduce_bitwise =
         in
         let plan = Runtime.Kernel.plan_reduce ~row rc r in
         bits
-          (Runtime.Kernel.exec_rplan plan ~env:(mkenv ()) ~region:c.kregion op)
+          (Runtime.Kernel.exec_rplan plan ~env:(mkenv ()) ~bounds:(Zpl.Region.bounds c.kregion) op)
       in
       run ~row:true = run ~row:false)
 
@@ -846,12 +846,12 @@ let prop_shared_workspace =
                 Runtime.Kernel.make_env ~stores ~slots:(kslots ()) w
               in
               let partial =
-                Runtime.Kernel.exec_rplan rplan ~env ~region:c.kregion
+                Runtime.Kernel.exec_rplan rplan ~env ~bounds:(Zpl.Region.bounds c.kregion)
                   Zpl.Ast.RSum
               in
               let cells =
                 Runtime.Kernel.exec_plan plan ~env ~lhs:stores.(c.klhs)
-                  ~region:c.kregion
+                  ~bounds:(Zpl.Region.bounds c.kregion)
               in
               ( cells,
                 bits partial,

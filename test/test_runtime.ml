@@ -173,7 +173,8 @@ let exec_point ~stores ~scalar ~region (a : Zpl.Prog.assign_a) =
     Runtime.Kernel.make_env ~stores ~slots
       (Runtime.Kernel.make_workspace (Runtime.Kernel.ws_spec ws))
   in
-  Runtime.Kernel.exec_plan plan ~env ~lhs:stores.(a.lhs) ~region
+  Runtime.Kernel.exec_plan plan ~env ~lhs:stores.(a.lhs)
+    ~bounds:(R.bounds region)
 
 let test_kernel_eval () =
   let src = Runtime.Store.make info2 ~owned:(r2 0 9 0 9) ~fringe:0 in
