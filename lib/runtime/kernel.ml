@@ -263,25 +263,26 @@ type rowctx = {
   rws : ws;  (** workspace slot allocator for this plan set *)
 }
 
+(** A value that is the same in every cell of a row. *)
+type inv =
+  | IConst of float  (** the same value in every cell *)
+  | IRow of (env -> int array -> float)  (** one eval per row *)
+  | IScalar of int * bool
+      (** a scalar broadcast (its slot, and whether that is an int
+          slot): read in place from the env's slots once per row, never
+          boxed *)
+
 (** How to produce the values of an expression along one row of the
     iteration region. The row is identified by its start point [p0]
     (innermost coordinate at its [lo]) and its length. *)
 type rowsrc =
-  | RConst of float  (** the same value in every cell *)
-  | RRow of (env -> int array -> float)
-      (** row-invariant: one eval per row *)
-  | RScalar of int * bool
-      (** a scalar broadcast (its slot, and whether that is an int
-          slot): read in place from the env's slots once per row, never
-          boxed *)
+  | RInv of inv  (** row-invariant *)
   | RRef of int * int
       (** full-rank shifted ref: array id and flat shift; flat cell
           [index p0 + shift + k] of the env's store *)
   | RIndexLast  (** the innermost coordinate itself: [p0.(last) + k] *)
   | RFill of (env -> int array -> int -> buf -> int -> unit)
       (** general: fill [dst.(d0 .. d0+len-1)] with the row's values *)
-
-exception Row_fallback
 
 (** Flat base index of the row starting at [p0] read through flat shift
     [dshift]; checks the whole row stays inside the store's flat buffer,
@@ -298,42 +299,35 @@ let ref_base (s : Store.t) (dshift : int) (p0 : int array) (len : int) : int =
 
 let ensure : buf ref -> int -> buf = Store.grow_buf
 
-(* Hand-rolled row copy/fill: [A1.sub] allocates a custom block per call
-   and [A1.fill]/[A1.blit] dispatch into C — at our row lengths that
-   costs more than the copy itself, so the hot paths never use them. *)
+(* Hand-rolled row fill ([Store.blit_rows] is the row copy): [A1.fill]
+   dispatches into C, which at our row lengths costs more than the fill
+   itself. *)
 
 let[@inline] buf_fill (dst : buf) d0 len v =
   for k = d0 to d0 + len - 1 do
     A1.unsafe_set dst k v
   done
 
-let buf_blit (src : buf) s0 (dst : buf) d0 len =
-  for k = 0 to len - 1 do
-    A1.unsafe_set dst (d0 + k) (A1.unsafe_get src (s0 + k))
-  done
-
-(** The row-invariant value of [src] (a constant, [RRow] or [RScalar])
-    for the row at [p0]. Callers inline it, so a scalar's slot is read
-    without boxing: [x +. -0.0] is [x] bit for bit (negative zero is the
-    additive identity), and makes every arm a fresh float, which lets
-    the compiler keep the result unboxed. *)
-let[@inline] inv (src : rowsrc) (env : env) (p0 : int array) : float =
+(** The value of [src] for the row at [p0]. Callers inline it, so a
+    scalar's slot is read without boxing: [x +. -0.0] is [x] bit for bit
+    (negative zero is the additive identity), and makes every arm a
+    fresh float, which lets the compiler keep the result unboxed. *)
+let[@inline] inv (src : inv) (env : env) (p0 : int array) : float =
   match src with
-  | RScalar (id, false) -> env.e_slots.Values.f.(id)
-  | RScalar (id, true) -> float_of_int env.e_slots.Values.i.(id)
-  | RConst v -> v +. -0.0
-  | RRow f -> f env p0 +. -0.0
-  | RRef _ | RIndexLast | RFill _ -> raise Row_fallback
+  | IScalar (id, false) -> env.e_slots.Values.f.(id)
+  | IScalar (id, true) -> float_of_int env.e_slots.Values.i.(id)
+  | IConst v -> v +. -0.0
+  | IRow f -> f env p0 +. -0.0
 
 (** Materialize a row source into [dst.(d0 .. d0+len-1)]. *)
 let fill (src : rowsrc) (env : env) (p0 : int array) (len : int) (dst : buf)
     (d0 : int) : unit =
   match src with
-  | RConst _ | RRow _ | RScalar _ -> buf_fill dst d0 len (inv src env p0)
+  | RInv i -> buf_fill dst d0 len (inv i env p0)
   | RRef (aid, dshift) ->
       let s = env.e_stores.(aid) in
       let base = ref_base s dshift p0 len in
-      buf_blit (Store.read_only s) base dst d0 len
+      Store.blit_rows (Store.read_only s) base dst d0 len
   | RIndexLast ->
       let x0 = p0.(Array.length p0 - 1) in
       for k = 0 to len - 1 do
@@ -346,7 +340,7 @@ type slice = SConst of float | SVec of buf * int
 
 let slice_of (src : rowsrc) (env : env) (scratch : buf ref) p0 len : slice =
   match src with
-  | RConst _ | RRow _ | RScalar _ -> SConst (inv src env p0)
+  | RInv i -> SConst (inv i env p0)
   | RRef (aid, dshift) ->
       let s = env.e_stores.(aid) in
       SVec (Store.read_only s, ref_base s dshift p0 len)
@@ -454,7 +448,7 @@ let fill_vv2 (op : Zpl.Arith.arith) ((aa, da) : int * int)
       map_vv op (Store.read_only sa) ia (Store.read_only sb) ib dst d0 len)
 
 (** [dst.(d0+k) <- a.(ia+k) op v] in one pass, [v] row-invariant. *)
-let fill_vs2 (op : Zpl.Arith.arith) ((aa, da) : int * int) (rv : rowsrc) :
+let fill_vs2 (op : Zpl.Arith.arith) ((aa, da) : int * int) (rv : inv) :
     rowsrc =
   RFill
     (fun env p0 len dst d0 ->
@@ -463,7 +457,7 @@ let fill_vs2 (op : Zpl.Arith.arith) ((aa, da) : int * int) (rv : rowsrc) :
       map_vs op (Store.read_only sa) ia (inv rv env p0) dst d0 len)
 
 (** [dst.(d0+k) <- v op b.(ib+k)] in one pass. *)
-let fill_sv2 (op : Zpl.Arith.arith) (rv : rowsrc) ((ab, db) : int * int) :
+let fill_sv2 (op : Zpl.Arith.arith) (rv : inv) ((ab, db) : int * int) :
     rowsrc =
   RFill
     (fun env p0 len dst d0 ->
@@ -540,16 +534,15 @@ let fill_refprod (op : [ `Add | `Sub ]) (aa, da) (ac, dc) (ad, dd) : rowsrc =
     order the per-point evaluator uses. *)
 type scale_kind =
   | KNone
-  | KLeft of Zpl.Arith.arith * rowsrc  (** [s op chain] *)
-  | KRight of Zpl.Arith.arith * rowsrc
-      (** [chain op s] *)
+  | KLeft of Zpl.Arith.arith * inv  (** [s op chain] *)
+  | KRight of Zpl.Arith.arith * inv  (** [chain op s] *)
 
 (** One chain term: a full-rank ref (array id and flat shift) with an
     optional row-invariant multiplicative coefficient on its left,
     [c * A@d]. *)
 type cterm = {
   t_ref : int * int;
-  t_coeff : rowsrc option;  (** row-invariant, see {!inv} *)
+  t_coeff : inv option;
 }
 
 (** A left-associated +/- chain of (optionally scaled) full-rank refs,
@@ -730,27 +723,19 @@ let fill_chain (ws : ws) (terms : cterm array) (sub : bool array)
       | KRight (op, s) -> map_vs op dst d0 (inv s env p0) dst d0 len)
 
 (** [compile_row rc ~rank e] row-compiles [e] for iteration regions of
-    rank [rank]; [None] means the caller must use the per-point path. *)
-let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
-    rowsrc option =
-  (* a full-rank ref whose shift collapses to one flat offset against
-     the compile-time store's strides; the runtime env binds stores of
-     the same geometry *)
+    rank [rank]. The checker guarantees what it relies on: every read
+    has rank [rank], every [IndexD] has D <= [rank], and a store's
+    innermost stride is 1, so every read lays along a row. *)
+let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) : rowsrc =
+  (* a ref's shift collapsed to one flat offset against the compile-time
+     store's strides; the runtime env binds stores of the same geometry *)
+  let flat aid off =
+    let s = rc.rstore aid and dshift = ref 0 in
+    Array.iteri (fun d o -> dshift := !dshift + (o * Store.stride s d)) off;
+    (aid, !dshift)
+  in
   let as_ref (e : Zpl.Prog.aexpr) : (int * int) option =
-    match e with
-    | Zpl.Prog.ARef (aid, off) ->
-        let n = Array.length off in
-        let s = rc.rstore aid in
-        if
-          Store.rank s = n && n = rank
-          && (n = 0 || Store.stride s (n - 1) = 1)
-        then begin
-          let dshift = ref 0 in
-          Array.iteri (fun d o -> dshift := !dshift + (o * Store.stride s d)) off;
-          Some (aid, !dshift)
-        end
-        else None
-    | _ -> None
+    match e with Zpl.Prog.ARef (aid, off) -> Some (flat aid off) | _ -> None
   in
   (* single-pass product shapes: [(a*b) ± (c*d)] and [a ± (b*c)] *)
   let special (e : Zpl.Prog.aexpr) : rowsrc option =
@@ -777,34 +762,16 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
   in
   let rec go (e : Zpl.Prog.aexpr) : rowsrc =
     match e with
-    | Zpl.Prog.AConst c -> RConst c
+    | Zpl.Prog.AConst c -> RInv (IConst c)
     | Zpl.Prog.AScalar id ->
         let l = rc.rws.wscalars in
-        RScalar (Values.slot l id, Values.is_int l id)
+        RInv (IScalar (Values.slot l id, Values.is_int l id))
     | Zpl.Prog.AIndex d ->
         if d = rank - 1 then RIndexLast
-        else if d >= 0 && d < rank - 1 then
-          RRow (fun _ p0 -> float_of_int p0.(d))
-        else raise Row_fallback
-    | Zpl.Prog.ARef (aid, off) -> (
-        match as_ref e with
-        | Some (aid, dshift) -> RRef (aid, dshift)
-        | None ->
-            let n = Array.length off in
-            let s = rc.rstore aid in
-            if Store.rank s <> n then raise Row_fallback
-            else if n < rank then begin
-              (* rank-deficient ref: constant along the innermost dimension *)
-              ws_ipt rc.rws n;
-              RRow
-                (fun env p0 ->
-                  let scratch = env.e_ipt.(n) in
-                  for k = 0 to n - 1 do
-                    scratch.(k) <- p0.(k) + off.(k)
-                  done;
-                  Store.get_unsafe env.e_stores.(aid) scratch)
-            end
-            else raise Row_fallback)
+        else RInv (IRow (fun _ p0 -> float_of_int p0.(d)))
+    | Zpl.Prog.ARef (aid, off) ->
+        let aid, dshift = flat aid off in
+        RRef (aid, dshift)
     | Zpl.Prog.AArith (op, a, b) -> (
         match chain e with
         | Some src -> src
@@ -819,12 +786,13 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
           if op = `Mul && Stdlib.compare a b = 0 then Some (go a)
           else None
         with
-        | Some (RConst x) -> RConst (x *. x)
-        | Some ((RRow _ | RScalar _) as ra) ->
-            RRow
-              (fun env p0 ->
-                let v = inv ra env p0 in
-                v *. v)
+        | Some (RInv (IConst x)) -> RInv (IConst (x *. x))
+        | Some (RInv ra) ->
+            RInv
+              (IRow
+                 (fun env p0 ->
+                   let v = inv ra env p0 in
+                   v *. v))
         | Some (RRef (aa, da)) -> fill_vv2 `Mul (aa, da) (aa, da)
         | Some ra ->
             RFill
@@ -837,17 +805,16 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
         | None -> (
             let ra = go a and rb = go b in
             match (ra, rb) with
-            | RConst x, RConst y -> RConst (Zpl.Arith.float_arith op x y)
-            | (RConst _ | RRow _ | RScalar _), (RConst _ | RRow _ | RScalar _)
-              ->
-                RRow
-                  (fun env p0 ->
-                    Zpl.Arith.float_arith op (inv ra env p0) (inv rb env p0))
+            | RInv (IConst x), RInv (IConst y) ->
+                RInv (IConst (Zpl.Arith.float_arith op x y))
+            | RInv ia, RInv ib ->
+                RInv
+                  (IRow
+                     (fun env p0 ->
+                       Zpl.Arith.float_arith op (inv ia env p0) (inv ib env p0)))
             | RRef (aa, da), RRef (ab, db) -> fill_vv2 op (aa, da) (ab, db)
-            | RRef (aa, da), (RConst _ | RRow _ | RScalar _) ->
-                fill_vs2 op (aa, da) rb
-            | (RConst _ | RRow _ | RScalar _), RRef (ab, db) ->
-                fill_sv2 op ra (ab, db)
+            | RRef (aa, da), RInv ib -> fill_vs2 op (aa, da) ib
+            | RInv ia, RRef (ab, db) -> fill_sv2 op ia (ab, db)
             | RRef (aa, da), _ ->
                 (* evaluate the composite right side into dst, then fold
                    in the left ref slice reversed — no scratch row *)
@@ -857,16 +824,16 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
                     let s = env.e_stores.(aa) in
                     let ia = ref_base s da p0 len in
                     map_vv op (Store.read_only s) ia dst d0 dst d0 len)
-            | _, (RConst _ | RRow _ | RScalar _) ->
+            | _, RInv ib ->
                 RFill
                   (fun env p0 len dst d0 ->
                     fill ra env p0 len dst d0;
-                    map_vs op dst d0 (inv rb env p0) dst d0 len)
-            | (RConst _ | RRow _ | RScalar _), _ ->
+                    map_vs op dst d0 (inv ib env p0) dst d0 len)
+            | RInv ia, _ ->
                 RFill
                   (fun env p0 len dst d0 ->
                     fill rb env p0 len dst d0;
-                    map_sv op (inv ra env p0) dst d0 dst d0 len)
+                    map_sv op (inv ia env p0) dst d0 dst d0 len)
             | _, RRef (ab, db) ->
                 RFill
                   (fun env p0 len dst d0 ->
@@ -884,8 +851,8 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
                     | SVec (src, s0) -> map_vv op dst d0 src s0 dst d0 len)))
     | Zpl.Prog.ANeg a -> (
         match go a with
-        | RConst v -> RConst (-.v)
-        | (RRow _ | RScalar _) as ra -> RRow (fun env p0 -> -.inv ra env p0)
+        | RInv (IConst v) -> RInv (IConst (-.v))
+        | RInv ia -> RInv (IRow (fun env p0 -> -.inv ia env p0))
         | ra ->
             RFill
               (fun env p0 len dst d0 ->
@@ -896,8 +863,8 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
     | Zpl.Prog.ACall (Zpl.Arith.Call1 (u, a)) -> (
         let g = Zpl.Arith.unary u in
         match go a with
-        | RConst v -> RConst (g v)
-        | (RRow _ | RScalar _) as ra -> RRow (fun env p0 -> g (inv ra env p0))
+        | RInv (IConst v) -> RInv (IConst (g v))
+        | RInv ia -> RInv (IRow (fun env p0 -> g (inv ia env p0)))
         | ra ->
             let apply =
               (* keep the hottest intrinsics call-free in the loop *)
@@ -926,9 +893,9 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
         let g = Zpl.Arith.binary op in
         let ra = go a and rb = go b in
         match (ra, rb) with
-        | RConst x, RConst y -> RConst (g x y)
-        | (RConst _ | RRow _ | RScalar _), (RConst _ | RRow _ | RScalar _) ->
-            RRow (fun env p0 -> g (inv ra env p0) (inv rb env p0))
+        | RInv (IConst x), RInv (IConst y) -> RInv (IConst (g x y))
+        | RInv ia, RInv ib ->
+            RInv (IRow (fun env p0 -> g (inv ia env p0) (inv ib env p0)))
         | _ ->
             let slot = ws_buf rc.rws in
             RFill
@@ -949,10 +916,7 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
   (* single-pass chain at this node, optionally under a scalar factor *)
   and chain (e : Zpl.Prog.aexpr) : rowsrc option =
     let try_scalar e =
-      match go e with
-      | (RConst _ | RRow _ | RScalar _) as s -> Some s
-      | RRef _ | RIndexLast | RFill _ -> None
-      | exception Row_fallback -> None
+      match go e with RInv i -> Some i | RRef _ | RIndexLast | RFill _ -> None
     in
     (* one chain term: a plain full-rank ref, or one under a
        row-invariant coefficient on the left, [c * _]. A coefficient on
@@ -1003,7 +967,7 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) :
                 | _ -> None)))
     | _ -> None
   in
-  match go e with src -> Some src | exception Row_fallback -> None
+  go e
 
 (** How the row path may write the lhs. *)
 type write_mode =
@@ -1053,7 +1017,7 @@ let run_region_rows (env : env) ~(lhs : Store.t) ~(bounds : int array)
         let b = ensure env.e_bufs.(slot) len in
         for _ = 1 to rows do
           fill src env p0 len b 0;
-          buf_blit b 0 data (Store.index lhs p0) len;
+          Store.blit_rows b 0 data (Store.index lhs p0) len;
           Zpl.Region.next_row bounds p0
         done
     | WFullBuffer ->
@@ -1064,7 +1028,7 @@ let run_region_rows (env : env) ~(lhs : Store.t) ~(bounds : int array)
         done;
         Zpl.Region.first_row bounds p0;
         for r = 0 to rows - 1 do
-          buf_blit buf (r * len) data (Store.index lhs p0) len;
+          Store.blit_rows buf (r * len) data (Store.index lhs p0) len;
           Zpl.Region.next_row bounds p0
         done);
     rows * len
@@ -1091,7 +1055,7 @@ let fold_rows (env : env) ~(slot : int) (op : Zpl.Ast.redop) (src : rowsrc)
       let data =
         match src with
         | RRef (aid, _) -> Store.read_only env.e_stores.(aid)
-        | RConst _ | RRow _ | RScalar _ | RIndexLast | RFill _ ->
+        | RInv _ | RIndexLast | RFill _ ->
             let buf = ensure scratch len in
             fill src env p0 len buf 0;
             buf
@@ -1142,14 +1106,12 @@ let plan_assign ?(row = true) (rc : rowctx) (a : Zpl.Prog.assign_a) : plan =
   Values.check_dregion rc.rws.wscalars a.region;
   ws_stmt rc.rws;
   let rank = Array.length a.region in
-  match if row then compile_row rc ~rank a.rhs else None with
-  | Some src ->
-      let mode = write_mode a in
-      let slot = match mode with WDirect -> -1 | _ -> ws_buf rc.rws in
-      PRow (mode, slot, src)
-  | None -> PPoint (needs_buffer a, compile_env rc.rws a.rhs)
-
-let plan_is_row = function PRow _ -> true | PPoint _ -> false
+  if row then begin
+    let src = compile_row rc ~rank a.rhs and mode = write_mode a in
+    let slot = match mode with WDirect -> -1 | _ -> ws_buf rc.rws in
+    PRow (mode, slot, src)
+  end
+  else PPoint (needs_buffer a, compile_env rc.rws a.rhs)
 
 (** Execute a plan over the region with bounds [bounds] (inside [lhs]'s
     owned box). Returns the number of cells updated. *)
@@ -1171,9 +1133,10 @@ let plan_reduce ?(row = true) (rc : rowctx) (r : Zpl.Prog.reduce_s) : rplan =
   Values.check_dregion rc.rws.wscalars r.r_region;
   ws_stmt rc.rws;
   let rank = Array.length r.r_region in
-  match if row then compile_row rc ~rank r.r_rhs else None with
-  | Some src -> RowRed (ws_buf rc.rws, src)
-  | None -> PointRed (compile_env rc.rws r.r_rhs)
+  if row then
+    let src = compile_row rc ~rank r.r_rhs in
+    RowRed (ws_buf rc.rws, src)
+  else PointRed (compile_env rc.rws r.r_rhs)
 
 (** Local partial of a reduction plan over the region with bounds
     [bounds]; it reduces [Zpl.Region.bounds_size bounds] cells. *)

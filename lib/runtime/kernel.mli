@@ -124,9 +124,6 @@ type plan
     harness). *)
 val plan_assign : ?row:bool -> rowctx -> Zpl.Prog.assign_a -> plan
 
-(** Whether the plan took the row path. *)
-val plan_is_row : plan -> bool
-
 (** Execute a plan with this executor's [env] over the region whose
     evaluated bounds are [bounds] (lo and hi of dimension [d] at
     [2d] and [2d+1], as {!Values.bounds} writes them). The region lies

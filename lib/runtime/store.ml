@@ -122,8 +122,6 @@ let check_rect (s : t) (what : string) (rect : Zpl.Region.t) =
       (Zpl.Region.to_string s.alloc)
       s.info.a_name
 
-(* a manual loop: [Array1.sub] allocates and [Array1.blit] dispatches
-   into C, which costs more than the copy itself at typical row lengths *)
 let blit_rows (src : buf) s0 (dst : buf) d0 len =
   for k = 0 to len - 1 do
     Bigarray.Array1.unsafe_set dst (d0 + k)

@@ -167,7 +167,6 @@ let exec_point ~stores ~scalar ~region (a : Zpl.Prog.assign_a) =
   let ws = Runtime.Kernel.make_ws (Runtime.Values.layout [| Zpl.Ast.TFloat |]) in
   let rc = { Runtime.Kernel.rstore = (fun aid -> stores.(aid)); rws = ws } in
   let plan = Runtime.Kernel.plan_assign ~row:false rc a in
-  Alcotest.(check bool) "per-point plan" false (Runtime.Kernel.plan_is_row plan);
   let slots = { Runtime.Values.f = [| scalar |]; i = [| 0 |] } in
   let env =
     Runtime.Kernel.make_env ~stores ~slots
