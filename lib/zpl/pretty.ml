@@ -8,18 +8,35 @@ let offset_to_string off =
   ^ String.concat "," (List.map string_of_int (Array.to_list off))
   ^ "]"
 
-let bound_to_string { base; bvar } =
+(** A float literal: the [%g] text with the fewest significant digits
+    that reads back to [f], with a point or an exponent so that it lexes
+    as a float. A normal float needing at most 15 digits prints its
+    fewest at 15 (15-digit decimals survive a trip through a float);
+    a subnormal may need fewer. *)
+let float_to_string f =
+  let rec shortest digits =
+    let s = Printf.sprintf "%.*g" digits f in
+    if digits >= 17 || float_of_string s = f then s else shortest (digits + 1)
+  in
+  let s = shortest (if Float.abs f < Float.min_float then 1 else 15) in
+  if Float.is_finite f && not (String.exists (fun c -> c = '.' || c = 'e') s)
+  then s ^ ".0"
+  else s
+
+let bound_to_string (p : t) { base; bvar } =
   match bvar with
   | None -> string_of_int base
-  | Some v when base = 0 -> Printf.sprintf "s%d" v
-  | Some v when base > 0 -> Printf.sprintf "s%d+%d" v base
-  | Some v -> Printf.sprintf "s%d-%d" v (-base)
+  | Some v ->
+      let name = (scalar_info p v).s_name in
+      if base = 0 then name
+      else if base > 0 then Printf.sprintf "%s+%d" name base
+      else Printf.sprintf "%s-%d" name (-base)
 
-let dregion_to_string (dr : dregion) =
+let dregion_to_string (p : t) (dr : dregion) =
   dr
   |> Array.to_list
   |> List.map (fun (lo, hi) ->
-         Printf.sprintf "%s..%s" (bound_to_string lo) (bound_to_string hi))
+         Printf.sprintf "%s..%s" (bound_to_string p lo) (bound_to_string p hi))
   |> String.concat ", "
   |> Printf.sprintf "[%s]"
 
@@ -32,7 +49,7 @@ let bin_to_string to_string op a b =
   Printf.sprintf "(%s %s %s)" (to_string a) (Arith.op_name op) (to_string b)
 
 let rec sexpr_to_string (p : t) = function
-  | SFloat f -> Printf.sprintf "%g" f
+  | SFloat f -> float_to_string f
   | SInt i -> string_of_int i
   | SBool b -> string_of_bool b
   | SVar id -> (scalar_info p id).s_name
@@ -45,7 +62,7 @@ let rec sexpr_to_string (p : t) = function
   | SCall c -> call_to_string (sexpr_to_string p) c
 
 let rec aexpr_to_string (p : t) = function
-  | AConst f -> Printf.sprintf "%g" f
+  | AConst f -> float_to_string f
   | AScalar id -> (scalar_info p id).s_name
   | AIndex d -> Printf.sprintf "Index%d" (d + 1)
   | ARef (aid, off) ->
@@ -60,14 +77,14 @@ let rec stmt_lines (p : t) ~indent (s : stmt) : string list =
   let pad = String.make indent ' ' in
   match s with
   | AssignA { region; lhs; rhs; _ } ->
-      [ Printf.sprintf "%s%s %s := %s;" pad (dregion_to_string region)
+      [ Printf.sprintf "%s%s %s := %s;" pad (dregion_to_string p region)
           (array_info p lhs).a_name (aexpr_to_string p rhs) ]
   | AssignS { lhs; rhs; _ } ->
       [ Printf.sprintf "%s%s := %s;" pad (scalar_info p lhs).s_name
           (sexpr_to_string p rhs) ]
   | ReduceS { r_lhs; r_op; r_region; r_rhs; _ } ->
       [ Printf.sprintf "%s%s %s := %s %s;" pad
-          (dregion_to_string r_region)
+          (dregion_to_string p r_region)
           (scalar_info p r_lhs).s_name (Ast.redop_name r_op)
           (aexpr_to_string p r_rhs) ]
   | Repeat (body, cond) ->

@@ -60,6 +60,23 @@ let test_bang_alone () =
   | exception Loc.Error (_, msg) ->
       Alcotest.(check string) "msg" "unexpected '!'" msg)
 
+(* Dumps print float literals the lexer reads back to the same bits, as
+   floats, in the fewest digits. *)
+let test_pretty_floats () =
+  List.iter
+    (fun (f, want) ->
+      let text = Pretty.float_to_string f in
+      Alcotest.(check string) want want text;
+      match toks text with
+      | [ FLOAT g; EOF ] ->
+          Alcotest.(check int64) text (Int64.bits_of_float f)
+            (Int64.bits_of_float g)
+      | _ -> Alcotest.failf "%s does not lex as one float" text)
+    [ (2.0, "2.0"); (0.1234567891, "0.1234567891"); (0.1 +. 0.2,
+      "0.30000000000000004"); (1e20, "1e+20"); (1e-5, "1e-05");
+      (128.0, "128.0"); (5e-324, "5e-324"); (max_float,
+      "1.7976931348623157e+308") ]
+
 let test_case_insensitive_keywords () =
   Alcotest.(check (list tok))
     "BEGIN = begin" [ KW "begin"; KW "end"; EOF ] (toks "BEGIN End")
@@ -76,5 +93,7 @@ let () =
           Alcotest.test_case "locations" `Quick test_locations;
           Alcotest.test_case "bad char" `Quick test_bad_char;
           Alcotest.test_case "lone bang" `Quick test_bang_alone;
-          Alcotest.test_case "keyword case" `Quick test_case_insensitive_keywords
+          Alcotest.test_case "keyword case" `Quick test_case_insensitive_keywords;
+          Alcotest.test_case "pretty floats read back" `Quick
+            test_pretty_floats
         ] ) ]
