@@ -103,8 +103,8 @@ val to_array : t -> float array
 val alloc_buf : int -> buf
 
 (** [blit_rows src s0 dst d0 len] copies [src.(s0 .. s0+len-1)] to
-    [dst.(d0 ..)], unchecked: the one row copy of {!copy_rect}, the row
-    kernels and the wire plans' pack and unpack. A plain loop, since [Array1.sub] allocates and
+    [dst.(d0 ..)], unchecked: the row copy of {!copy_rect} and the row
+    kernels. A plain loop, since [Array1.sub] allocates and
     [Array1.blit] calls into C, which cost more than the copy at row
     lengths. *)
 val blit_rows : buf -> int -> buf -> int -> int -> unit

@@ -56,26 +56,36 @@ let build ~(stores : Store.t array) (rects : (int * Zpl.Region.t) list) : t =
     rects;
   { aid; store_off; stage_off; len; cells = !total }
 
+(* The copy loops are manual element loops for the same reason as
+   [Store.blit_rows]: at halo row lengths, [Array1.sub]+[blit] cost more
+   in allocation and C dispatch than the copy itself. *)
+
 (** Pack the plan's store rows into [buf] (send side). *)
 let pack (p : t) (stores : Store.t array) (buf : Store.buf) =
   for k = 0 to Array.length p.len - 1 do
     let store = Array.unsafe_get stores (Array.unsafe_get p.aid k) in
-    Store.blit_rows (Store.unsafe_data store)
-      (Array.unsafe_get p.store_off k)
-      buf
-      (Array.unsafe_get p.stage_off k)
-      (Array.unsafe_get p.len k)
+    let data = Store.unsafe_data store in
+    let s0 = Array.unsafe_get p.store_off k
+    and d0 = Array.unsafe_get p.stage_off k
+    and l = Array.unsafe_get p.len k in
+    for i = 0 to l - 1 do
+      Bigarray.Array1.unsafe_set buf (d0 + i)
+        (Bigarray.Array1.unsafe_get data (s0 + i))
+    done
   done
 
 (** Unpack [buf] into the plan's store rows (receive side). *)
 let unpack (p : t) (stores : Store.t array) (buf : Store.buf) =
   for k = 0 to Array.length p.len - 1 do
     let store = Array.unsafe_get stores (Array.unsafe_get p.aid k) in
-    Store.blit_rows buf
-      (Array.unsafe_get p.stage_off k)
-      (Store.unsafe_data store)
-      (Array.unsafe_get p.store_off k)
-      (Array.unsafe_get p.len k)
+    let data = Store.unsafe_data store in
+    let s0 = Array.unsafe_get p.store_off k
+    and d0 = Array.unsafe_get p.stage_off k
+    and l = Array.unsafe_get p.len k in
+    for i = 0 to l - 1 do
+      Bigarray.Array1.unsafe_set data (s0 + i)
+        (Bigarray.Array1.unsafe_get buf (d0 + i))
+    done
   done
 
 (* ------------------------------------------------------------------ *)
