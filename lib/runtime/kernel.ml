@@ -8,7 +8,10 @@
     oracle. The row path compiles the expression once into loops over
     contiguous Bigarray rows; every row kernel performs the exact same
     floating-point operation sequence per cell as the per-point path, so
-    the two are bit-identical (see test/test_props.ml).
+    the two are bit-identical (see test/test_props.ml). Both take the
+    region as the int bounds the executors evaluate it into; the row
+    path walks them directly, and only the per-point path builds a
+    [Zpl.Region.t].
 
     Compiled plans are {e store-agnostic}: they capture only layout
     (array ids, flat shifts computed from strides), operator structure
@@ -246,8 +249,8 @@ let rec compile_env (ws : ws) (e : Zpl.Prog.aexpr) :
 (* per cell, no boxing. Binary nodes over plain refs compile to        *)
 (* single-pass loops, and +/- chains of refs (the 4-point stencil      *)
 (* averages of TOMCATV, with an optional scalar factor) collapse to    *)
-(* one loop with n reads and one write per cell. Expressions the row   *)
-(* compiler cannot handle fall back to the per-point path above.       *)
+(* one loop with n reads and one write per cell. The checker makes     *)
+(* every read lay along a row, so every expression row-compiles.       *)
 (*                                                                     *)
 (* Shifts are flattened against the compile-time stores' strides; the  *)
 (* runtime env must bind stores with the same geometry (the engine     *)
@@ -1090,7 +1093,7 @@ let fold_rows (env : env) ~(slot : int) (op : Zpl.Ast.redop) (src : rowsrc)
   !acc
 
 (* ------------------------------------------------------------------ *)
-(* Execution plans: row path when possible, per-point fallback else     *)
+(* Execution plans: the row path, or the per-point one on request      *)
 (* ------------------------------------------------------------------ *)
 
 type plan =
@@ -1100,7 +1103,7 @@ type plan =
       (** buffered flag, per-cell fn *)
 
 (** Compile an assignment into an execution plan. [row:false] forces the
-    per-point fallback (used by differential tests and the benchmark
+    per-point path (used by differential tests and the benchmark
     harness). *)
 let plan_assign ?(row = true) (rc : rowctx) (a : Zpl.Prog.assign_a) : plan =
   Values.check_dregion rc.rws.wscalars a.region;

@@ -12,14 +12,15 @@
     in [test/test_props.ml], over every arithmetic operator and every
     entry of the intrinsic table). An array expression can hold only
     {!Zpl.Arith.arith} operators, negation and typed
-    {!Zpl.Arith.call}s, so both paths handle every expression the
-    checker accepts; the row path falls back to the per-point one only
-    for an array or index read it cannot lay along a row. Intrinsics
-    evaluate through {!Zpl.Arith.unary}/{!Zpl.Arith.binary}; the row
-    path keeps the abs and sqrt loops free of per-cell calls. Every statement runs alone:
-    simulated cost is charged per statement, so sharing a row traversal
-    among statements could only change host speed, and measured at
-    parity.
+    {!Zpl.Arith.call}s, and the checker gives every read the statement
+    region's rank and every [IndexD] a D of at most that rank, so both
+    paths handle every expression the checker accepts: the row compiler
+    is total, and the per-point path runs only when a caller asks for
+    it. Intrinsics evaluate through {!Zpl.Arith.unary}/
+    {!Zpl.Arith.binary}; the row path keeps the abs and sqrt loops free
+    of per-cell calls. Every statement runs alone: simulated cost is
+    charged per statement, so sharing a row traversal among statements
+    could only change host speed, and measured at parity.
 
     {b The store-binding contract.} Compiled plans are store-agnostic:
     a plan may capture array ids, flat shifts (computed against the
@@ -101,7 +102,7 @@ type env
     broadcast scalars from [slots] in place, without boxing. *)
 val make_env : stores:Store.t array -> slots:Values.slots -> workspace -> env
 
-(* --- execution plans (row path with per-point fallback) --- *)
+(* --- execution plans (the row path, or the per-point one on request) --- *)
 
 type rowctx = {
   rstore : int -> Store.t;
@@ -114,13 +115,13 @@ type rowctx = {
   rws : ws;  (** the plan set's workspace allocator *)
 }
 
-(** A compiled assignment: row kernels when the row compiler succeeds,
-    per-point closure otherwise. Store-agnostic — see the module
+(** A compiled assignment: row kernels, or a per-point closure when
+    compiled with [row:false]. Store-agnostic — see the module
     preamble. *)
 type plan
 
 (** Compile an assignment into an execution plan. [row:false] forces the
-    per-point fallback (used by differential tests and the benchmark
+    per-point path (used by differential tests and the benchmark
     harness). *)
 val plan_assign : ?row:bool -> rowctx -> Zpl.Prog.assign_a -> plan
 

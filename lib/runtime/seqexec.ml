@@ -4,8 +4,7 @@
 
     The program compiles once into a chain of closures: array statements
     carry a store-agnostic kernel plan (row-compiled fast path by
-    default, per-point fallback when [row_path] is off or the row
-    compiler declines), and scalar statements, conditions and [for]
+    default, per-point when [row_path] is off), and scalar statements, conditions and [for]
     bounds one {!Values} program over typed slots — the compilers the
     simulator uses. All plans of a run share one {!Kernel.env} binding
     the global stores and the slots. A statement runs over its whole
@@ -120,7 +119,7 @@ and compile_stmt ~row sc (rc : Kernel.rowctx) (s : Zpl.Prog.stmt) : t -> unit =
     program, before anything runs. [limit] is the run's work budget
     ({!Budget}): the global stores must fit in it, and the statements
     and cells executed may not pass it. [row_path:false] forces the
-    per-point fallback everywhere — the differential-testing oracle. *)
+    per-point path everywhere — the differential-testing oracle. *)
 let run ?(limit = Budget.default) ?(row_path = true) ?on_scalar
     (prog : Zpl.Prog.t) : t =
   Budget.check_alloc ~limit

@@ -2,8 +2,8 @@
     (undistributed) storage — the semantic oracle every optimizer
     configuration and machine model is tested against. Array statements
     run one at a time through the row-compiled fast path by default,
-    like the simulator's, and the per-point interpreter is the fallback
-    and differential-testing oracle. Scalar code is compiled once by
+    like the simulator's, and the per-point interpreter is the
+    differential-testing oracle. Scalar code is compiled once by
     {!Values} into closures over typed slots, shared with the simulator:
     the two executors cannot disagree on scalar semantics, which
     [test_runtime]'s edge-semantics table pins from outside. *)
@@ -37,7 +37,7 @@ type t = {
     [cells]) passes it raises {!Budget.Exceeded} (a runaway [repeat]).
     A run the simulator finishes under a budget finishes here under the
     same one. [row_path] defaults to [true]; [false] forces the
-    per-point fallback everywhere. Results (stores, scalars, steps,
+    per-point path everywhere. Results (stores, scalars, steps,
     cells) are bit-identical either way — property-tested in
     [test_props.ml]. Raises [Invalid_argument] before running anything
     if the program is ill-typed (which the checker rules out). *)

@@ -55,9 +55,8 @@ val blueprint_sets : geometry -> int
 (** The immutable, shareable half of an engine: the compiled comm
     schedule bound to a layout, the message sides of every transfer
     (blit plans for fringes, roles for collective rounds), their routes
-    under the plan's topology, the reference-check tables, and the
-    store-agnostic kernel programs (row plans, per-point where row
-    compilation declines, compiled against shape-only stores — see the
+    under the plan's topology, and the store-agnostic kernel programs
+    (row plans, compiled against shape-only stores — see the
     store-binding contract in [Runtime.Kernel]), one per geometry class.
     Engines minted from one [plans] value by {!of_plans} share all of it
     physically ([==]); only per-engine mutable state (stores, one kernel
