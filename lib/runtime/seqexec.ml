@@ -4,9 +4,9 @@
 
     The program compiles once into a chain of closures: array statements
     carry a store-agnostic kernel plan (row-compiled fast path by
-    default, per-point when [row_path] is off), and scalar statements, conditions and [for]
-    bounds one {!Values} program over typed slots — the compilers the
-    simulator uses. All plans of a run share one {!Kernel.env} binding
+    default, per-point when [row_path] is off), and scalar statements,
+    conditions and [for] bounds one {!Values} program over typed slots
+    — the compilers the simulator uses. All plans of a run share one {!Kernel.env} binding
     the global stores and the slots. A statement runs over its whole
     evaluated region, which the statement-region rule
     ({!Zpl.Prog.check_region}) keeps inside the declared arrays. *)
