@@ -365,7 +365,8 @@ let rec check_reads arrays loc b n = function
     empty, fail at [s]'s position when
     - an assignment's R does not lie inside the lhs's declared region;
     - a reduction's R does not lie inside the index space [space] in
-      dims 0-1 (each processor reduces its own part of the space);
+      dims 0-1 (each processor reduces its own part of the space), or
+      has more cells than an int counts (dim 2 may be unbounded);
     - for a read [X@off], R does not lie inside X's declared region in
       dims 0-1, or R shifted by [off] (past the int range counting as
       outside) does not lie inside it at all.
@@ -394,6 +395,9 @@ let check_region : type s.
           Loc.fail s.r_loc "%s reduces over %s, outside the index space %s"
             (Ast.redop_name s.r_op) (region_of_bounds b)
             (Region.to_string space);
+        if Region.bounds_size b < 0 then
+          Loc.fail s.r_loc "%s reduces over %s, more cells than an int counts"
+            (Ast.redop_name s.r_op) (region_of_bounds b);
         check_reads arrays s.r_loc b n s.r_rhs
 
 (** Count statements, for reporting. *)

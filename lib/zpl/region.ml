@@ -14,18 +14,21 @@ let make bounds = Array.of_list (List.map (fun (lo, hi) -> { lo; hi }) bounds)
 
 let rank (r : t) = Array.length r
 
-(* The cell count, or -1 when an extent or the count passes max_int.
-   For [hi >= lo], [hi - lo + 1] wraps to at most 0 exactly when the
-   extent does; [n * e] cannot wrap while both factors are below 2^31. *)
+(* [n] cells times the extent [lo..hi], or -1 when [n] is, or the
+   extent or the product passes max_int. For [hi >= lo], [hi - lo + 1]
+   wraps to at most 0 exactly when the extent does; [n * e] cannot wrap
+   while both factors are below 2^31. *)
+let[@inline] times_extent n lo hi =
+  let e = if hi < lo then 0 else hi - lo + 1 in
+  if n < 0 || (hi >= lo && e <= 0) then -1
+  else if (n lor e) lsr 31 <> 0 && e > 0 && n > max_int / e then -1
+  else n * e
+
+(* The cell count, or -1 when an extent or the count passes max_int. *)
 let cells (r : t) =
   let n = ref 1 in
   for d = 0 to Array.length r - 1 do
-    let { lo; hi } = r.(d) in
-    let e = if hi < lo then 0 else hi - lo + 1 in
-    n :=
-      if !n < 0 || (hi >= lo && e <= 0) then -1
-      else if (!n lor e) lsr 31 <> 0 && e > 0 && !n > max_int / e then -1
-      else !n * e
+    n := times_extent !n r.(d).lo r.(d).hi
   done;
   !n
 
@@ -160,12 +163,12 @@ let of_bounds (b : int array) : t =
 (* The helpers below run on every kernel dispatch, so they loop by hand
    and allocate nothing. *)
 
-(** Number of points of bounds [b]; 0 when any dimension is empty. *)
+(** Number of points of bounds [b]; 0 when any dimension is empty, -1
+    when an extent or the count passes max_int. *)
 let bounds_size (b : int array) =
   let n = ref 1 in
   for d = 0 to (Array.length b / 2) - 1 do
-    let e = b.((2 * d) + 1) - b.(2 * d) + 1 in
-    n := if e <= 0 then 0 else !n * e
+    n := times_extent !n b.(2 * d) b.((2 * d) + 1)
   done;
   !n
 

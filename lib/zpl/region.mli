@@ -80,7 +80,9 @@ val iter_rows : t -> (int array -> int -> unit) -> unit
 val bounds : t -> int array
 val of_bounds : int array -> t
 
-(** Number of points; 0 when any dimension is empty. *)
+(** Number of points; 0 when any dimension is empty, -1 when an
+    extent or the count passes max_int (as for a region that does not
+    {!fits}). *)
 val bounds_size : int array -> int
 
 (** Whether every dimension of the bounds lies inside the region's. *)

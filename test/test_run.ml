@@ -916,7 +916,11 @@ let test_inexact_define_exits_124 () =
      failed unpositioned on 4x1, where rank 2 owns nothing of S;
    - A next to max_int, read through a shift: its fringe wrapped the
      allocation on 2x2 and the shift on 1x1, unpositioned;
-   - the same along dim 2, which no fringe grows: unpositioned. *)
+   - the same along dim 2, which no fringe grows: unpositioned;
+   - a reduction over more cells than an int counts (dim 2, which no
+     array bounds here): the engine counted the cells past max_int,
+     reduced none and returned the identity; the oracle ran out of
+     memory. *)
 let rule_cases =
   [ ( "rows past the lhs",
       {|var A : [1..4, 1..4] float;
@@ -975,7 +979,19 @@ begin
   [1..2, 1..2, k..k] Q := P@[0,0,1];
 end;|},
       "7:3: shifted reference P@[0,0,1] reads outside the declared region \
-       [1..2, 1..2, 4611686018427387902..4611686018427387903]" ) ]
+       [1..2, 1..2, 4611686018427387902..4611686018427387903]" );
+    ( "reduction past the int range",
+      {|constant k = 2305843009213693952;
+var A : [1..2, 1..2] float;
+var s : float;
+var m : int;
+procedure main();
+begin
+  m := k;
+  [1..2, 1..2, 1..m] s := +<< 1.0;
+end;|},
+      "8:3: +<< reduces over [1..2, 1..2, 1..2305843009213693952], more \
+       cells than an int counts" ) ]
 
 let test_region_rule_errors () =
   List.iter
