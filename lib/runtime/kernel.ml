@@ -1000,12 +1000,12 @@ let run_region_rows (env : env) ~(lhs : Store.t) ~(bounds : int array)
   let rows = Zpl.Region.row_count bounds in
   if rows = 0 then 0
   else begin
-    if not (Zpl.Region.bounds_inside bounds (Store.alloc lhs)) then
+    let n = Array.length bounds / 2 in
+    if not (Zpl.Prog.within bounds n Zpl.Prog.no_shift (Store.alloc lhs)) then
       Fmt.invalid_arg "row kernel: write region %s outside allocated %s of %s"
         (Zpl.Region.to_string (Zpl.Region.of_bounds bounds))
         (Zpl.Region.to_string (Store.alloc lhs))
         (Store.info lhs).a_name;
-    let n = Array.length bounds / 2 in
     let len = bounds.((2 * n) - 1) - bounds.((2 * n) - 2) + 1 in
     let p0 = env.e_row.(n) in
     let data = Store.unsafe_data lhs in

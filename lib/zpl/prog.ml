@@ -323,8 +323,8 @@ type _ over = Assign : assign_a over | Reduce : reduce_s over
 let over_region : type s. s over -> s -> dregion =
  fun over s -> match over with Assign -> s.region | Reduce -> s.r_region
 
-(* Whether dims [0 .. n-1] of the bounds [b], shifted by [off], lie
-   inside [r]; a bound shifted past the int range lies outside. *)
+(** Whether dims [0 .. n-1] of the bounds [b], shifted by [off], lie
+    inside [r]; a bound shifted past the int range lies outside. *)
 let within b n off (r : Region.t) =
   let ok = ref true and fits x o = x + o >= x = (o >= 0) in
   for d = 0 to n - 1 do

@@ -172,14 +172,6 @@ let bounds_size (b : int array) =
   done;
   !n
 
-(** Whether every dimension of bounds [b] lies inside [r]'s. *)
-let bounds_inside (b : int array) (r : t) =
-  let ok = ref true in
-  for d = 0 to (Array.length b / 2) - 1 do
-    if b.(2 * d) < r.(d).lo || b.((2 * d) + 1) > r.(d).hi then ok := false
-  done;
-  !ok
-
 (** Number of rows of bounds [b]: the product of every extent but the
     innermost (1 for rank 1, 0 when empty). *)
 let row_count (b : int array) =

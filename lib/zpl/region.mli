@@ -85,9 +85,6 @@ val of_bounds : int array -> t
     {!fits}). *)
 val bounds_size : int array -> int
 
-(** Whether every dimension of the bounds lies inside the region's. *)
-val bounds_inside : int array -> t -> bool
-
 (** Closure-free row cursor over bounds [b], for loops that must not
     allocate; it visits the rows of {!iter_rows} in the same order. The
     caller owns the point buffer [p] (one entry per dimension), sets it
