@@ -75,7 +75,7 @@ val iter_rows : t -> (int array -> int -> unit) -> unit
     [b.(2d+1)]. The executors evaluate every statement region into such
     an array ([Runtime.Values.bounds]), check it
     ({!Prog.check_region}) and hand it to the kernels, which walk it
-    with the row cursor below. The helpers here allocate nothing. *)
+    with the row cursor below. Only the two conversions allocate. *)
 
 val bounds : t -> int array
 val of_bounds : int array -> t
