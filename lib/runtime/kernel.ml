@@ -15,8 +15,8 @@
 
     Compiled plans are {e store-agnostic}: they capture only layout
     (array ids, flat shifts computed from strides), operator structure
-    and coefficient structure — never a store's cells, a scalar value,
-    or any mutable scratch. Everything mutable lives in a runtime
+    and constants — never a store's cells, a scalar value, or any
+    mutable scratch. Everything mutable lives in a runtime
     {!env}: the executor's stores and scalars, bound to a {!workspace}
     minted from the {!envspec} the compile pass records ({!ws}), and
     passed to every [exec_*] entry. One compiled plan may therefore be
@@ -71,17 +71,16 @@ let run_reduce ~(region : Zpl.Region.t) (op : Zpl.Ast.redop)
 (* Runtime environment: the store-binding contract                     *)
 (*                                                                     *)
 (* A compiled plan may capture array ids, flat shifts, operator        *)
-(* dispatch and coefficient structure. It must NOT capture stores,     *)
-(* scalar values, or any mutable scratch: those arrive at execution    *)
-(* time inside an [env]. The compile pass allocates workspace slots    *)
-(* (row buffers, chain workspaces, integer point scratch) from a [ws]  *)
-(* builder, numbering restarting at every statement: a kernel keeps    *)
-(* nothing in its workspace between executions, so statements that     *)
-(* never run at once may share slots. [ws_spec] freezes the widest     *)
-(* statement's needs into an [envspec], [make_workspace] mints one     *)
-(* workspace from it, and [make_env] binds an executor's stores and    *)
-(* scalars to a workspace. Executors that may run kernels at the same  *)
-(* time never share one.                                               *)
+(* dispatch and constants. It must NOT capture stores, scalar values,  *)
+(* or any mutable scratch: those arrive at execution time inside an    *)
+(* [env]. The compile pass allocates workspace slots (row buffers,     *)
+(* integer point scratch) from a [ws] builder, numbering restarting at *)
+(* every statement: a kernel keeps nothing in its workspace between    *)
+(* executions, so statements that never run at once may share slots.   *)
+(* [ws_spec] freezes the widest statement's needs into an [envspec],   *)
+(* [make_workspace] mints one workspace from it, and [make_env] binds  *)
+(* an executor's stores and scalars to a workspace. Executors that may *)
+(* run kernels at the same time never share one.                       *)
 (* ------------------------------------------------------------------ *)
 
 let empty_buf : buf = A1.create Bigarray.float64 Bigarray.c_layout 0
@@ -91,19 +90,14 @@ type ws = {
   wscalars : Values.layout;  (** where each broadcast scalar lives *)
   mutable wbufs : int;  (** row-buffer slots of the current statement *)
   mutable wmaxbufs : int;  (** most row-buffer slots of any statement *)
-  mutable wnchains : int;  (** chain slots of the current statement *)
-  mutable wchains : int array;  (** per chain slot: widest chain *)
   mutable wipt : int;  (** 1 + max rank needing integer point scratch *)
 }
 
 let make_ws scalars : ws =
-  { wscalars = scalars; wbufs = 0; wmaxbufs = 0; wnchains = 0;
-    wchains = [||]; wipt = 0 }
+  { wscalars = scalars; wbufs = 0; wmaxbufs = 0; wipt = 0 }
 
 (** Start a statement: its slots number from zero again. *)
-let ws_stmt (ws : ws) =
-  ws.wbufs <- 0;
-  ws.wnchains <- 0
+let ws_stmt (ws : ws) = ws.wbufs <- 0
 
 let ws_buf (ws : ws) : int =
   let id = ws.wbufs in
@@ -111,42 +105,20 @@ let ws_buf (ws : ws) : int =
   ws.wmaxbufs <- max ws.wmaxbufs ws.wbufs;
   id
 
-let ws_chain (ws : ws) (n : int) : int =
-  let id = ws.wnchains in
-  ws.wnchains <- id + 1;
-  if id = Array.length ws.wchains then
-    ws.wchains <- Array.append ws.wchains [| n |]
-  else ws.wchains.(id) <- max ws.wchains.(id) n;
-  id
-
 let ws_ipt (ws : ws) (rank : int) : unit =
   if rank + 1 > ws.wipt then ws.wipt <- rank + 1
 
 (** Frozen workspace requirements of a compiled plan set. *)
-type envspec = { es_bufs : int; es_chains : int array; es_ipt : int }
+type envspec = { es_bufs : int; es_ipt : int }
 
-let ws_spec (ws : ws) : envspec =
-  { es_bufs = ws.wmaxbufs; es_chains = Array.copy ws.wchains; es_ipt = ws.wipt }
+let ws_spec (ws : ws) : envspec = { es_bufs = ws.wmaxbufs; es_ipt = ws.wipt }
 
 let join_spec (a : envspec) (b : envspec) : envspec =
-  let na = Array.length a.es_chains and nb = Array.length b.es_chains in
-  let width s i = if i < Array.length s.es_chains then s.es_chains.(i) else 0 in
-  { es_bufs = max a.es_bufs b.es_bufs;
-    es_chains = Array.init (max na nb) (fun i -> max (width a i) (width b i));
-    es_ipt = max a.es_ipt b.es_ipt }
-
-(** Per-chain-kernel workspace: resolved term buffers, per-row base
-    indices and coefficient values, refilled on every row. *)
-type chain_ws = {
-  cw_datas : buf array;
-  cw_bases : int array;
-  cw_cvals : float array;
-}
+  { es_bufs = max a.es_bufs b.es_bufs; es_ipt = max a.es_ipt b.es_ipt }
 
 (** The mutable scratch of a plan set's kernels. *)
 type workspace = {
   w_bufs : buf ref array;  (** row buffers, grown on demand *)
-  w_chains : chain_ws array;
   w_ipt : int array array;  (** integer point scratch, indexed by rank *)
   w_row : int array array;
       (** row-start point buffers of the row walkers, indexed by rank
@@ -156,13 +128,6 @@ type workspace = {
 
 let make_workspace (spec : envspec) : workspace =
   { w_bufs = Array.init spec.es_bufs (fun _ -> ref empty_buf);
-    w_chains =
-      Array.map
-        (fun n ->
-          { cw_datas = Array.make n empty_buf;
-            cw_bases = Array.make n 0;
-            cw_cvals = Array.make n 1.0 })
-        spec.es_chains;
     w_ipt = Array.init spec.es_ipt (fun r -> Array.make r 0);
     w_row = Array.init 4 (fun r -> Array.make r 0) }
 
@@ -176,7 +141,6 @@ type env = {
   e_stores : Store.t array;
   e_slots : Values.slots;
   e_bufs : buf ref array;
-  e_chains : chain_ws array;
   e_ipt : int array array;
   e_row : int array array;
 }
@@ -186,7 +150,6 @@ let make_env ~(stores : Store.t array) ~(slots : Values.slots)
   { e_stores = stores;
     e_slots = slots;
     e_bufs = w.w_bufs;
-    e_chains = w.w_chains;
     e_ipt = w.w_ipt;
     e_row = w.w_row }
 
@@ -246,11 +209,14 @@ let rec compile_env (ws : ws) (e : Zpl.Prog.aexpr) :
 (* per-row base index is computed once, and the per-cell work is a     *)
 (* tight [for] loop over [base + k] on the store's flat float64        *)
 (* Bigarray — no per-point [int array] allocation, no closure dispatch *)
-(* per cell, no boxing. Binary nodes over plain refs compile to        *)
-(* single-pass loops, and +/- chains of refs (the 4-point stencil      *)
-(* averages of TOMCATV, with an optional scalar factor) collapse to    *)
-(* one loop with n reads and one write per cell. The checker makes     *)
-(* every read lay along a row, so every expression row-compiles.       *)
+(* per cell, no boxing. Every expression is built from one           *)
+(* composition: refs and row invariants at the leaves, a binary node   *)
+(* over two refs or a ref and an invariant as one single-pass loop,    *)
+(* a structural square by evaluating its operand once, and any other   *)
+(* node by filling one operand's row and combining the other one into  *)
+(* it. Each cell gets the per-point path's operations in its      *)
+(* order. The checker makes every read lay along a row, so every       *)
+(* expression row-compiles.                                            *)
 (*                                                                     *)
 (* Shifts are flattened against the compile-time stores' strides; the  *)
 (* runtime env must bind stores with the same geometry (the engine     *)
@@ -468,301 +434,11 @@ let fill_sv2 (op : Zpl.Arith.arith) (rv : inv) ((ab, db) : int * int) :
       let ib = ref_base sb db p0 len in
       map_sv op (inv rv env p0) (Store.read_only sb) ib dst d0 len)
 
-(** [dst.(d0+k) <- (a*b) op (c*d)] in one pass — the shape of the
-    metric-coefficient statements ([AA := 0.25*(XY*XY + YY*YY)] and
-    friends), which would otherwise cost two product passes, a scratch
-    row and a combine. *)
-let fill_prodsum2 (op : [ `Add | `Sub ]) (aa, da) (ab, db) (ac, dc) (ad, dd) :
-    rowsrc =
-  RFill
-    (fun env p0 len dst d0 ->
-      let sa = env.e_stores.(aa)
-      and sb = env.e_stores.(ab)
-      and sc = env.e_stores.(ac)
-      and sd = env.e_stores.(ad) in
-      let ia = ref_base sa da p0 len
-      and ib = ref_base sb db p0 len
-      and ic = ref_base sc dc p0 len
-      and id = ref_base sd dd p0 len in
-      let a = Store.read_only sa
-      and b = Store.read_only sb
-      and c = Store.read_only sc
-      and d = Store.read_only sd in
-      match op with
-      | `Add ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k)
-              ((A1.unsafe_get a (ia + k) *. A1.unsafe_get b (ib + k))
-              +. (A1.unsafe_get c (ic + k) *. A1.unsafe_get d (id + k)))
-          done
-      | `Sub ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k)
-              ((A1.unsafe_get a (ia + k) *. A1.unsafe_get b (ib + k))
-              -. (A1.unsafe_get c (ic + k) *. A1.unsafe_get d (id + k)))
-          done)
-
-(** [dst.(d0+k) <- a op (c*d)] in one pass — the tridiagonal-solver
-    numerator shape, [RX + AA * DX@north]. *)
-let fill_refprod (op : [ `Add | `Sub ]) (aa, da) (ac, dc) (ad, dd) : rowsrc =
-  RFill
-    (fun env p0 len dst d0 ->
-      let sa = env.e_stores.(aa)
-      and sc = env.e_stores.(ac)
-      and sd = env.e_stores.(ad) in
-      let ia = ref_base sa da p0 len
-      and ic = ref_base sc dc p0 len
-      and id = ref_base sd dd p0 len in
-      let a = Store.read_only sa
-      and c = Store.read_only sc
-      and d = Store.read_only sd in
-      match op with
-      | `Add ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k)
-              (A1.unsafe_get a (ia + k)
-              +. (A1.unsafe_get c (ic + k) *. A1.unsafe_get d (id + k)))
-          done
-      | `Sub ->
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k)
-              (A1.unsafe_get a (ia + k)
-              -. (A1.unsafe_get c (ic + k) *. A1.unsafe_get d (id + k)))
-          done)
-
-(* --- single-pass +/- chains of plain refs --- *)
-
-(** How an optional outer scalar wraps a chain: applied last per cell,
-    with the scalar on the recorded side — the same left-associated
-    order the per-point evaluator uses. *)
-type scale_kind =
-  | KNone
-  | KLeft of Zpl.Arith.arith * inv  (** [s op chain] *)
-  | KRight of Zpl.Arith.arith * inv  (** [chain op s] *)
-
-(** One chain term: a full-rank ref (array id and flat shift) with an
-    optional row-invariant multiplicative coefficient on its left,
-    [c * A@d]. *)
-type cterm = {
-  t_ref : int * int;
-  t_coeff : inv option;
-}
-
-(** A left-associated +/- chain of (optionally scaled) full-rank refs,
-    [((c0*t0 ± c1*t1) ± c2*t2) ± ...], evaluated in one loop: n reads,
-    n multiplies and one write per cell, where the multi-pass build-up
-    would touch memory 2(n-1)+1 times. [sub.(i)] records whether term
-    [i+1] is subtracted.
-
-    Coefficient-less terms run with coefficient 1.0: [1.0 *. x] is
-    bit-identical to [x] for every representable value (exact for all
-    numerics including signed zeros and infinities; quiet NaNs pass
-    through multiplication unchanged), so results still match the
-    per-point evaluator bitwise.
-
-    The loop shape is picked here, at row-compile time — the common
-    arities get fully monomorphic bodies, because a per-cell sign test
-    or term loop costs ~3x on the stencil chains this exists for. The
-    outer scalar factor is applied as a second in-cache pass over the
-    row; per-cell value and order of operations are exactly those of
-    the per-point evaluator.
-
-    The resolved data buffers, bases and coefficient values live in an
-    env-owned {!chain_ws} (one per chain slot, allocated by the compile
-    pass), refilled on every row — so the compiled chain itself holds no
-    mutable state and can be shared across concurrent executors. *)
-let fill_chain (ws : ws) (terms : cterm array) (sub : bool array)
-    (kind : scale_kind) : rowsrc =
-  let n = Array.length terms in
-  let slot = ws_chain ws n in
-  let generic (cw : chain_ws) (dst : buf) d0 len =
-    let datas = cw.cw_datas and bases = cw.cw_bases and cvals = cw.cw_cvals in
-    for k = 0 to len - 1 do
-      let v =
-        ref
-          (Array.unsafe_get cvals 0
-          *. A1.unsafe_get (Array.unsafe_get datas 0)
-               (Array.unsafe_get bases 0 + k))
-      in
-      for t = 1 to n - 1 do
-        let x =
-          Array.unsafe_get cvals t
-          *. A1.unsafe_get (Array.unsafe_get datas t)
-               (Array.unsafe_get bases t + k)
-        in
-        v := (if Array.unsafe_get sub (t - 1) then !v -. x else !v +. x)
-      done;
-      A1.unsafe_set dst (d0 + k) !v
-    done
-  in
-  let all_add = Array.for_all not sub in
-  let core : chain_ws -> buf -> int -> int -> unit =
-    match n with
-    | 2 ->
-        if sub.(0) then fun cw dst d0 len ->
-          let a = cw.cw_datas.(0) and b = cw.cw_datas.(1) in
-          let ia = cw.cw_bases.(0) and ib = cw.cw_bases.(1) in
-          let ca = cw.cw_cvals.(0) and cb = cw.cw_cvals.(1) in
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k)
-              ((ca *. A1.unsafe_get a (ia + k))
-              -. (cb *. A1.unsafe_get b (ib + k)))
-          done
-        else fun cw dst d0 len ->
-          let a = cw.cw_datas.(0) and b = cw.cw_datas.(1) in
-          let ia = cw.cw_bases.(0) and ib = cw.cw_bases.(1) in
-          let ca = cw.cw_cvals.(0) and cb = cw.cw_cvals.(1) in
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k)
-              ((ca *. A1.unsafe_get a (ia + k))
-              +. (cb *. A1.unsafe_get b (ib + k)))
-          done
-    | 3 ->
-        let s1 = sub.(0) and s2 = sub.(1) in
-        fun cw dst d0 len ->
-          let a = cw.cw_datas.(0)
-          and b = cw.cw_datas.(1)
-          and c = cw.cw_datas.(2) in
-          let ia = cw.cw_bases.(0)
-          and ib = cw.cw_bases.(1)
-          and ic = cw.cw_bases.(2) in
-          let ca = cw.cw_cvals.(0)
-          and cb = cw.cw_cvals.(1)
-          and cc = cw.cw_cvals.(2) in
-          if (not s1) && not s2 then
-            for k = 0 to len - 1 do
-              A1.unsafe_set dst (d0 + k)
-                ((ca *. A1.unsafe_get a (ia + k))
-                +. (cb *. A1.unsafe_get b (ib + k))
-                +. (cc *. A1.unsafe_get c (ic + k)))
-            done
-          else if (not s1) && s2 then
-            for k = 0 to len - 1 do
-              A1.unsafe_set dst (d0 + k)
-                ((ca *. A1.unsafe_get a (ia + k))
-                +. (cb *. A1.unsafe_get b (ib + k))
-                -. (cc *. A1.unsafe_get c (ic + k)))
-            done
-          else if s1 && not s2 then
-            for k = 0 to len - 1 do
-              A1.unsafe_set dst (d0 + k)
-                ((ca *. A1.unsafe_get a (ia + k))
-                -. (cb *. A1.unsafe_get b (ib + k))
-                +. (cc *. A1.unsafe_get c (ic + k)))
-            done
-          else
-            for k = 0 to len - 1 do
-              A1.unsafe_set dst (d0 + k)
-                ((ca *. A1.unsafe_get a (ia + k))
-                -. (cb *. A1.unsafe_get b (ib + k))
-                -. (cc *. A1.unsafe_get c (ic + k)))
-            done
-    | 4 when all_add ->
-        fun cw dst d0 len ->
-          let a = cw.cw_datas.(0)
-          and b = cw.cw_datas.(1)
-          and c = cw.cw_datas.(2)
-          and d = cw.cw_datas.(3) in
-          let ia = cw.cw_bases.(0)
-          and ib = cw.cw_bases.(1)
-          and ic = cw.cw_bases.(2)
-          and id = cw.cw_bases.(3) in
-          let ca = cw.cw_cvals.(0)
-          and cb = cw.cw_cvals.(1)
-          and cc = cw.cw_cvals.(2)
-          and cd = cw.cw_cvals.(3) in
-          for k = 0 to len - 1 do
-            A1.unsafe_set dst (d0 + k)
-              ((ca *. A1.unsafe_get a (ia + k))
-              +. (cb *. A1.unsafe_get b (ib + k))
-              +. (cc *. A1.unsafe_get c (ic + k))
-              +. (cd *. A1.unsafe_get d (id + k)))
-          done
-    | 4 ->
-        (* mixed signs (the corner stencils, [X@se - X@ne - X@sw + X@nw]):
-           straight-line body with three loop-invariant, predictable
-           branches — still far from the generic inner term loop *)
-        let s1 = sub.(0) and s2 = sub.(1) and s3 = sub.(2) in
-        fun cw dst d0 len ->
-          let a = cw.cw_datas.(0)
-          and b = cw.cw_datas.(1)
-          and c = cw.cw_datas.(2)
-          and d = cw.cw_datas.(3) in
-          let ia = cw.cw_bases.(0)
-          and ib = cw.cw_bases.(1)
-          and ic = cw.cw_bases.(2)
-          and id = cw.cw_bases.(3) in
-          let ca = cw.cw_cvals.(0)
-          and cb = cw.cw_cvals.(1)
-          and cc = cw.cw_cvals.(2)
-          and cd = cw.cw_cvals.(3) in
-          for k = 0 to len - 1 do
-            let t0 = ca *. A1.unsafe_get a (ia + k)
-            and t1 = cb *. A1.unsafe_get b (ib + k)
-            and t2 = cc *. A1.unsafe_get c (ic + k)
-            and t3 = cd *. A1.unsafe_get d (id + k) in
-            let v = if s1 then t0 -. t1 else t0 +. t1 in
-            let v = if s2 then v -. t2 else v +. t2 in
-            let v = if s3 then v -. t3 else v +. t3 in
-            A1.unsafe_set dst (d0 + k) v
-          done
-    | _ -> generic
-  in
-  RFill
-    (fun env p0 len dst d0 ->
-      let cw = env.e_chains.(slot) in
-      for t = 0 to n - 1 do
-        let { t_ref = aid, shift; t_coeff } = terms.(t) in
-        let s = env.e_stores.(aid) in
-        cw.cw_datas.(t) <- Store.read_only s;
-        cw.cw_bases.(t) <- ref_base s shift p0 len;
-        cw.cw_cvals.(t) <-
-          (match t_coeff with None -> 1.0 | Some c -> inv c env p0)
-      done;
-      core cw dst d0 len;
-      match kind with
-      | KNone -> ()
-      | KLeft (op, s) -> map_sv op (inv s env p0) dst d0 dst d0 len
-      | KRight (op, s) -> map_vs op dst d0 (inv s env p0) dst d0 len)
-
 (** [compile_row rc ~rank e] row-compiles [e] for iteration regions of
     rank [rank]. The checker guarantees what it relies on: every read
     has rank [rank], every [IndexD] has D <= [rank], and a store's
     innermost stride is 1, so every read lays along a row. *)
 let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) : rowsrc =
-  (* a ref's shift collapsed to one flat offset against the compile-time
-     store's strides; the runtime env binds stores of the same geometry *)
-  let flat aid off =
-    let s = rc.rstore aid and dshift = ref 0 in
-    Array.iteri (fun d o -> dshift := !dshift + (o * Store.stride s d)) off;
-    (aid, !dshift)
-  in
-  let as_ref (e : Zpl.Prog.aexpr) : (int * int) option =
-    match e with Zpl.Prog.ARef (aid, off) -> Some (flat aid off) | _ -> None
-  in
-  (* single-pass product shapes: [(a*b) ± (c*d)] and [a ± (b*c)] *)
-  let special (e : Zpl.Prog.aexpr) : rowsrc option =
-    let ref2 e =
-      match e with
-      | Zpl.Prog.AArith (`Mul, x, y) -> (
-          match (as_ref x, as_ref y) with
-          | Some rx, Some ry -> Some (rx, ry)
-          | _ -> None)
-      | _ -> None
-    in
-    match e with
-    | Zpl.Prog.AArith (((`Add | `Sub) as op), a, b) -> (
-        match ref2 b with
-        | None -> None
-        | Some (rc, rd) -> (
-            match ref2 a with
-            | Some (ra, rb) -> Some (fill_prodsum2 op ra rb rc rd)
-            | None -> (
-                match as_ref a with
-                | Some ra -> Some (fill_refprod op ra rc rd)
-                | None -> None)))
-    | _ -> None
-  in
   let rec go (e : Zpl.Prog.aexpr) : rowsrc =
     match e with
     | Zpl.Prog.AConst c -> RInv (IConst c)
@@ -773,15 +449,13 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) : rowsrc =
         if d = rank - 1 then RIndexLast
         else RInv (IRow (fun _ p0 -> float_of_int p0.(d)))
     | Zpl.Prog.ARef (aid, off) ->
-        let aid, dshift = flat aid off in
-        RRef (aid, dshift)
+        (* the shift collapsed to one flat offset against the compile-time
+           store's strides; the runtime env binds stores of the same
+           geometry *)
+        let s = rc.rstore aid and dshift = ref 0 in
+        Array.iteri (fun d o -> dshift := !dshift + (o * Store.stride s d)) off;
+        RRef (aid, !dshift)
     | Zpl.Prog.AArith (op, a, b) -> (
-        match chain e with
-        | Some src -> src
-        | None ->
-        match special e with
-        | Some src -> src
-        | None ->
         (* a structural square, [(U@east + U) * (U@east + U)]: evaluate
            the operand once and square in place — both factors read the
            same value, so one evaluation is exact *)
@@ -916,59 +590,6 @@ let compile_row (rc : rowctx) ~(rank : int) (e : Zpl.Prog.aexpr) : rowsrc =
                            (A1.unsafe_get dst (d0 + k))
                            (A1.unsafe_get src (s0 + k)))
                     done))
-  (* single-pass chain at this node, optionally under a scalar factor *)
-  and chain (e : Zpl.Prog.aexpr) : rowsrc option =
-    let try_scalar e =
-      match go e with RInv i -> Some i | RRef _ | RIndexLast | RFill _ -> None
-    in
-    (* one chain term: a plain full-rank ref, or one under a
-       row-invariant coefficient on the left, [c * _]. A coefficient on
-       the right is left to the general path: swapping multiplicand
-       order is not bitwise-safe when both operands are NaN. *)
-    let as_term (e : Zpl.Prog.aexpr) : cterm option =
-      match as_ref e with
-      | Some r -> Some { t_ref = r; t_coeff = None }
-      | None -> (
-          match e with
-          | Zpl.Prog.AArith (`Mul, c, r) -> (
-              match as_ref r with
-              | Some r -> (
-                  match try_scalar c with
-                  | Some f -> Some { t_ref = r; t_coeff = Some f }
-                  | None -> None)
-              | None -> None)
-          | _ -> None)
-    in
-    (* [collect e acc]: flatten a left-associated +/- spine whose
-       trailing operands (and base) are all chain terms *)
-    let rec collect (e : Zpl.Prog.aexpr) acc =
-      match e with
-      | Zpl.Prog.AArith (((`Add | `Sub) as op), a, b) -> (
-          match as_term b with
-          | Some t -> collect a ((op = `Sub, t) :: acc)
-          | None -> None)
-      | e -> (
-          match as_term e with
-          | Some base when acc <> [] -> Some (base, acc)
-          | _ -> None)
-    in
-    let build kind (base, rest) =
-      let terms = Array.of_list (base :: List.map snd rest) in
-      let sub = Array.of_list (List.map fst rest) in
-      fill_chain rc.rws terms sub kind
-    in
-    match e with
-    | Zpl.Prog.AArith (op, a, b) -> (
-        match collect e [] with
-        | Some c -> Some (build KNone c)
-        | None -> (
-            match (try_scalar a, collect b []) with
-            | Some f, Some c -> Some (build (KLeft (op, f)) c)
-            | _ -> (
-                match (collect a [], try_scalar b) with
-                | Some c, Some f -> Some (build (KRight (op, f)) c)
-                | _ -> None)))
-    | _ -> None
   in
   go e
 

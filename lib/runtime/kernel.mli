@@ -24,9 +24,8 @@
 
     {b The store-binding contract.} Compiled plans are store-agnostic:
     a plan may capture array ids, flat shifts (computed against the
-    compile-time stores' strides), operator dispatch and coefficient
-    structure — never a store's cells, a scalar value, or mutable
-    scratch. Everything mutable is passed at execution time inside an
+    compile-time stores' strides), operator dispatch and constants —
+    never a store's cells, a scalar value, or mutable scratch. Everything mutable is passed at execution time inside an
     {!env}: the executor's stores (same geometry as the compile-time
     blueprints), its scalar slots ({!Values.slots}), and a {!workspace}
     minted by {!make_workspace} from the {!envspec} the compile pass
@@ -34,8 +33,8 @@
     executors, each with its own env.
 
     {b The workspace contract.} A kernel keeps nothing in its workspace
-    between executions: every row buffer, chain workspace and point
-    scratch is written before it is read within one [exec_*] call.
+    between executions: every row buffer and point scratch is written
+    before it is read within one [exec_*] call.
     Workspace slots are therefore numbered per statement (numbering
     restarts at every {!plan_assign} and {!plan_reduce}), an {!envspec}
     is the maximum over statements rather than the sum, and one
@@ -67,9 +66,8 @@ type ws
 val make_ws : Values.layout -> ws
 
 (** Frozen workspace requirements of a compiled plan set: how many row
-    buffers, chain workspaces (and their widths), and integer
-    point-scratch ranks the plans' slot ids index into — the maximum
-    over the set's statements. *)
+    buffers and integer point-scratch ranks the plans' slot ids index
+    into — the maximum over the set's statements. *)
 type envspec
 
 (** Freeze a workspace builder. Call once, after every plan of the set

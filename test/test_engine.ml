@@ -850,10 +850,11 @@ let mint_words_per_rank m =
 
 (** Per-engine state grows with the ranks, not with their square:
     every message side mints its own channel, and nothing is sized
-    ranks x transfers per rank. Measured 1,346 and 1,385 words per rank
-    at 8x8 and 16x16 (OCaml 5.1; 2,168 and 2,211 with one kernel
-    workspace per rank); per-rank state sized ranks x transfers roughly
-    doubles the ratio. *)
+    ranks x transfers per rank. Measured 1,256 and 1,299 words per rank
+    at 8x8 and 16x16 (OCaml 5.1, dev profile; 2,168 and 2,211 with one
+    kernel workspace per rank, before the row path lost its chain
+    workspaces); per-rank state sized ranks x transfers roughly doubles
+    the ratio. *)
 let test_mint_scaling () =
   let w8 = mint_words_per_rank 8 and w16 = mint_words_per_rank 16 in
   Alcotest.(check bool)
@@ -877,6 +878,20 @@ let test_workspace_per_engine () =
   Alcotest.(check bool)
     (Printf.sprintf "kernel workspace words: %d at 2x2, %d at 8x8" w2 w8)
     true (w8 <= w2)
+
+(** The workspace holds row buffers and point scratch only, numbered
+    per statement: TOMCATV pl's measures 37 words under the dev profile
+    and 38 under release (OCaml 5.1) at every mesh, where per-chain
+    term workspaces, sized also by compiles the row compiler threw
+    away, took 394. *)
+let test_workspace_bound () =
+  List.iter
+    (fun m ->
+      let w = workspace_words m in
+      Alcotest.(check bool)
+        (Printf.sprintf "kernel workspace words at %dx%d: %d (want <= 40)" m m w)
+        true (w <= 40))
+    [ 2; 8 ]
 
 let () =
   Alcotest.run "engine"
@@ -916,6 +931,8 @@ let () =
             test_mint_scaling;
           Alcotest.test_case "one kernel workspace per engine" `Quick
             test_workspace_per_engine;
+          Alcotest.test_case "kernel workspace words bound" `Quick
+            test_workspace_bound;
           Alcotest.test_case "scalar loop words per instruction" `Quick
             test_scalar_alloc_gate;
           Alcotest.test_case "row sweep words per instruction" `Quick

@@ -760,8 +760,8 @@ let prop_row_reduce_bitwise =
       in
       run ~row:true = run ~row:false)
 
-(** A left-associated +/- chain of 2-6 shifted refs, the shape the row
-    compiler runs through one chain workspace. *)
+(** A left-associated +/- chain of 2-6 shifted refs, the shape of
+    TOMCATV's stencil averages. *)
 let gen_chain rank =
   QCheck.Gen.(
     let ref_ =
@@ -931,8 +931,7 @@ let seqexec_fingerprint ~row_path prog =
 (*                                                                     *)
 (* The general generator above writes the same arrays it reads. This   *)
 (* one writes only E/F/G and draws each right-hand side from a 4-entry *)
-(* pool of scaled neighbor sums over A..D — the TOMCATV solver shape,  *)
-(* which drives the row compiler's chain and product kernels.          *)
+(* pool of scaled neighbor sums over A..D — the TOMCATV solver shape.  *)
 (* ------------------------------------------------------------------ *)
 
 let nsum_lhs = [| "E"; "F"; "G" |]
@@ -996,7 +995,7 @@ let prop_seqexec_row_path =
       = seqexec_fingerprint ~row_path:false prog)
 
 (** The same identity over shared-neighbor-sum programs, whose
-    right-hand sides drive the chain and product kernels. *)
+    right-hand sides are scaled sums of shifted refs. *)
 let prop_seqexec_nsum =
   QCheck.Test.make ~name:"seqexec shared sums == per-point" ~count:40
     arb_cprog (fun p ->
