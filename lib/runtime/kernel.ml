@@ -355,12 +355,17 @@ let[@inline] map_vv (op : Zpl.Arith.arith) (a : buf) ia (b : buf) ib (dst : buf)
           (Float.pow (A1.unsafe_get a (ia + k)) (A1.unsafe_get b (ib + k)))
       done
 
-(** [dst.(d0+k) <- a.(ia+k) op v] over the row. *)
+(** [dst.(d0+k) <- a.(ia+k) op v] over the row. The cell is bound
+    before [+.] and [*.]: given a load on the left and a register on the
+    right of a commutative operator, the amd64 backend swaps them to use
+    a memory operand, and when both are NaN the result then carries
+    [v]'s payload, not the cell's as on the per-point path. *)
 let[@inline] map_vs (op : Zpl.Arith.arith) (a : buf) ia v (dst : buf) d0 len =
   match op with
   | `Add ->
       for k = 0 to len - 1 do
-        A1.unsafe_set dst (d0 + k) (A1.unsafe_get a (ia + k) +. v)
+        let x = A1.unsafe_get a (ia + k) in
+        A1.unsafe_set dst (d0 + k) (x +. v)
       done
   | `Sub ->
       for k = 0 to len - 1 do
@@ -368,7 +373,8 @@ let[@inline] map_vs (op : Zpl.Arith.arith) (a : buf) ia v (dst : buf) d0 len =
       done
   | `Mul ->
       for k = 0 to len - 1 do
-        A1.unsafe_set dst (d0 + k) (A1.unsafe_get a (ia + k) *. v)
+        let x = A1.unsafe_get a (ia + k) in
+        A1.unsafe_set dst (d0 + k) (x *. v)
       done
   | `Div ->
       for k = 0 to len - 1 do

@@ -608,13 +608,31 @@ let grow1 (r : Zpl.Region.t) : Zpl.Region.t =
     (fun { Zpl.Region.lo; hi } -> { Zpl.Region.lo = lo - 1; hi = hi + 1 })
     r
 
-let mk_store aid rank (alloc : Zpl.Region.t) seed =
+(* The special values of the operand-order argument: about one cell in
+   eight holds a quiet NaN whose payload names its array (so a result's
+   payload tells which operand it came from), a negative zero, or an
+   infinity of either sign; the rest is [fill_store]'s. *)
+let fill_special (s : Runtime.Store.t) aid seed =
+  let nan_of aid =
+    Int64.float_of_bits (Int64.logor 0x7ff8000000000000L (Int64.of_int (aid + 1)))
+  in
+  Runtime.Store.fill_flat s (fun i ->
+      let h = ((i * 7919) + (seed * 104729)) mod 1999 in
+      if h mod 8 <> 0 then (float_of_int h /. 97.0) -. 10.0
+      else
+        match h / 8 mod 4 with
+        | 0 -> nan_of aid
+        | 1 -> -0.0
+        | 2 -> infinity
+        | _ -> neg_infinity)
+
+let mk_store ?(special = false) aid rank (alloc : Zpl.Region.t) seed =
   let info =
     { Zpl.Prog.a_id = aid; a_name = Printf.sprintf "S%d" aid;
       a_region = alloc; a_rank = rank }
   in
   let s = Runtime.Store.make info ~owned:alloc ~fringe:0 in
-  fill_store s (seed + aid);
+  if special then fill_special s aid (seed + aid) else fill_store s (seed + aid);
   s
 
 type kcase = {
@@ -623,6 +641,9 @@ type kcase = {
   klhs : int;
   krhs : Zpl.Prog.aexpr;
   kseed : int;
+  kspecial : bool;
+      (** seed the stores with {!fill_special}, and the float scalar
+          with a NaN of its own payload *)
 }
 
 let gen_aexpr rank =
@@ -683,21 +704,24 @@ let gen_kcase =
     let* klhs = int_range 0 (narrays - 1) in
     let* krhs = gen_aexpr krank in
     let* kseed = int_range 0 9999 in
-    return { krank; kregion; klhs; krhs; kseed })
+    return { krank; kregion; klhs; krhs; kseed; kspecial = false })
 
 let arb_kcase =
   QCheck.make
     ~print:(fun c ->
-      Printf.sprintf "rank %d, region %s, S%d := %s, seed %d" c.krank
+      Printf.sprintf "rank %d, region %s, S%d := %s, seed %d%s" c.krank
         (Zpl.Region.to_string c.kregion)
         c.klhs
         (Zpl.Prog.show_aexpr c.krhs)
-        c.kseed)
+        c.kseed
+        (if c.kspecial then ", special values" else ""))
     gen_kcase
 
 (* scalar 0 is a float, scalar 1 an int the kernels convert *)
 let kscalars = Runtime.Values.layout [| Zpl.Ast.TFloat; Zpl.Ast.TInt |]
-let kslots () = { Runtime.Values.f = [| 0.5 |]; i = [| -3 |] }
+let kslots ~special =
+  let f = if special then Int64.float_of_bits 0x7ff8000000000abcL else 0.5 in
+  { Runtime.Values.f = [| f |]; i = [| -3 |] }
 
 (* Plans are store-agnostic: compile against [stores] (any store of the
    right geometry works), then bind the actual stores and scalars into
@@ -705,12 +729,13 @@ let kslots () = { Runtime.Values.f = [| 0.5 |]; i = [| -3 |] }
 let kcase_stores (c : kcase) =
   let alloc = grow1 c.kregion in
   let stores =
-    Array.init narrays (fun aid -> mk_store aid c.krank alloc c.kseed)
+    Array.init narrays (fun aid ->
+        mk_store ~special:c.kspecial aid c.krank alloc c.kseed)
   in
   let ws = Runtime.Kernel.make_ws kscalars in
   let rc = { Runtime.Kernel.rstore = (fun aid -> stores.(aid)); rws = ws } in
   let mkenv () =
-    Runtime.Kernel.make_env ~stores ~slots:(kslots ())
+    Runtime.Kernel.make_env ~stores ~slots:(kslots ~special:c.kspecial)
       (Runtime.Kernel.make_workspace (Runtime.Kernel.ws_spec ws))
   in
   (stores, rc, mkenv)
@@ -732,6 +757,18 @@ let exec_kcase ~row (c : kcase) =
       (fun (s : Runtime.Store.t) -> Array.map bits (Runtime.Store.to_array s))
       stores )
 
+let reduce_kcase ~row (c : kcase) op =
+  let _, rc, mkenv = kcase_stores c in
+  let r =
+    { Zpl.Prog.r_lhs = 0; r_op = op;
+      r_region = Zpl.Prog.dregion_of_region c.kregion;
+      r_rhs = c.krhs; r_flops = 0; r_loc = Zpl.Loc.dummy }
+  in
+  let plan = Runtime.Kernel.plan_reduce ~row rc r in
+  bits
+    (Runtime.Kernel.exec_rplan plan ~env:(mkenv ())
+       ~bounds:(Zpl.Region.bounds c.kregion) op)
+
 (** Row-compiled assignments produce bitwise-identical stores and cell
     counts to the per-point interpreter, across self-references (both
     buffered write modes), fallbacks and all ranks. *)
@@ -746,19 +783,7 @@ let prop_row_reduce_bitwise =
     (QCheck.pair arb_kcase
        (QCheck.oneofl ~print:Zpl.Ast.show_redop
           Zpl.Ast.[ RSum; RMax; RMin; RProd ]))
-    (fun (c, op) ->
-      let run ~row =
-        let _, rc, mkenv = kcase_stores c in
-        let r =
-          { Zpl.Prog.r_lhs = 0; r_op = op;
-            r_region = Zpl.Prog.dregion_of_region c.kregion;
-            r_rhs = c.krhs; r_flops = 0; r_loc = Zpl.Loc.dummy }
-        in
-        let plan = Runtime.Kernel.plan_reduce ~row rc r in
-        bits
-          (Runtime.Kernel.exec_rplan plan ~env:(mkenv ()) ~bounds:(Zpl.Region.bounds c.kregion) op)
-      in
-      run ~row:true = run ~row:false)
+    (fun (c, op) -> reduce_kcase ~row:true c op = reduce_kcase ~row:false c op)
 
 (** A left-associated +/- chain of 2-6 shifted refs, the shape of
     TOMCATV's stencil averages. *)
@@ -843,7 +868,7 @@ let prop_shared_workspace =
           List.map
             (fun ((c : kcase), stores, plan, rplan) ->
               let env =
-                Runtime.Kernel.make_env ~stores ~slots:(kslots ()) w
+                Runtime.Kernel.make_env ~stores ~slots:(kslots ~special:false) w
               in
               let partial =
                 Runtime.Kernel.exec_rplan rplan ~env ~bounds:(Zpl.Region.bounds c.kregion)
@@ -925,6 +950,55 @@ let seqexec_fingerprint ~row_path prog =
     Array.map
       (fun (s : Runtime.Store.t) -> Array.map bits (Runtime.Store.to_array s))
       t.Runtime.Seqexec.stores )
+
+
+(** [gen_chain] with row-invariant coefficients: any term may be
+    [c * ref] with [c] a scalar or a constant (a NaN among them), and
+    the chain may sit under one on either side. *)
+let gen_scaled_chain rank =
+  QCheck.Gen.(
+    let coeff =
+      oneofl
+        [ Zpl.Prog.AScalar 0; AScalar 1; AConst 0.25;
+          AConst (Int64.float_of_bits 0x7ff8000000000123L) ]
+    in
+    let term =
+      let* a = int_range 0 (narrays - 1) in
+      let* off = array_size (return rank) (int_range (-1) 1) in
+      let r = Zpl.Prog.ARef (a, off) in
+      frequency
+        [ (1, return r); (1, map (fun c -> Zpl.Prog.AArith (`Mul, c, r)) coeff) ]
+    in
+    let* base = term in
+    let* rest = list_size (int_range 1 5) (pair (oneofl [ `Add; `Sub ]) term) in
+    let e = List.fold_left (fun e (op, t) -> Zpl.Prog.AArith (op, e, t)) base rest in
+    let* op = oneofl [ `Add; `Sub; `Mul; `Div ] in
+    let* c = coeff in
+    oneofl [ e; Zpl.Prog.AArith (op, c, e); Zpl.Prog.AArith (op, e, c) ])
+
+(** Stores seeded with special values ({!fill_special}) and a NaN float
+    scalar: every row kernel still gives the per-point path's bits, for
+    assignments and sum reductions. Where two NaNs meet, the result's
+    payload depends on operand order, so this pins that each composed
+    kernel applies the per-point path's operations in its order — the
+    left coefficient of [c * A@d] included. *)
+let prop_row_kernel_special =
+  let gen =
+    QCheck.Gen.(
+      let* c = gen_kcase in
+      let* krhs =
+        frequency
+          [ (2, return c.krhs); (1, gen_chain c.krank); (2, gen_scaled_chain c.krank) ]
+      in
+      return { c with krhs; kspecial = true })
+  in
+  QCheck.Test.make ~name:"row kernels == per-point on special values (bitwise)"
+    ~count:300
+    (QCheck.set_gen gen arb_kcase)
+    (fun c ->
+      exec_kcase ~row:true c = exec_kcase ~row:false c
+      && reduce_kcase ~row:true c Zpl.Ast.RSum
+         = reduce_kcase ~row:false c Zpl.Ast.RSum)
 
 (* ------------------------------------------------------------------ *)
 (* Shared neighbor sums                                                *)
@@ -1226,7 +1300,7 @@ let () =
       ( "row engine",
         List.map to_alcotest
           [ prop_row_kernel_bitwise; prop_row_reduce_bitwise;
-            prop_shared_workspace;
+            prop_shared_workspace; prop_row_kernel_special;
             prop_wireplan_rows; prop_seqexec_row_path;
             prop_seqexec_nsum; prop_comm_matches_oracle;
             prop_region_rule_agrees ]
