@@ -457,7 +457,17 @@ and check_stmt env (s : Ast.stmt) : Prog.stmt list =
       let thi = fold_sexpr thi in
       let writes = P.scalar_writes tbody in
       if List.exists (fun v -> List.mem v writes) (P.sexpr_reads thi) then begin
-        let h = fresh_scalar env ~loc:s.sloc (v ^ ".hi") Ast.TInt in
+        (* a name that lexes and that no scalar or name in scope has,
+           so the printed program declares it once and checks *)
+        let taken n =
+          List.mem_assoc n env.table
+          || List.exists (fun (i : P.scalar_info) -> i.s_name = n) env.scalars
+        in
+        let rec free k =
+          let n = Printf.sprintf "%s_hi%s" v (if k = 0 then "" else string_of_int k) in
+          if taken n then free (k + 1) else n
+        in
+        let h = fresh_scalar env ~loc:s.sloc (free 0) Ast.TInt in
         [ P.AssignS { lhs = h; rhs = thi; loc = s.sloc }; loop (P.SVar h) ]
       end
       else [ loop thi ]

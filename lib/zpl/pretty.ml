@@ -107,13 +107,22 @@ let rec stmt_lines (p : t) ~indent (s : stmt) : string list =
            :: List.concat_map (stmt_lines p ~indent:(indent + 2)) else_)
       @ [ Printf.sprintf "%send;" pad ]
 
+(** The program as source that checks back to it. A [for] binds its own
+    fresh scalar, so the loop scalars are not declared: declaring them
+    would define a name twice, or shadow nothing. *)
 let program_to_string (p : t) =
+  let loop_vars =
+    fold_stmts
+      (fun acc -> function For { var; _ } -> var :: acc | _ -> acc)
+      [] p.body
+  in
   let decls =
     (p.arrays |> Array.to_list
     |> List.map (fun a ->
            Printf.sprintf "var %s : %s float;" a.a_name
              (Region.to_string a.a_region)))
     @ (p.scalars |> Array.to_list
+      |> List.filter (fun s -> not (List.mem s.s_id loop_vars))
       |> List.map (fun s ->
              Printf.sprintf "var %s : %s;" s.s_name
                (match s.s_ty with

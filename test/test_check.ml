@@ -448,7 +448,7 @@ let test_for_bound_hoisted () =
   | [ _; Prog.AssignS { lhs = h; rhs = Prog.SVar 2; _ };
       Prog.For { hi = Prog.SVar h'; _ } ] ->
       Alcotest.(check int) "loop reads the hoisted scalar" h h'
-  | _ -> Alcotest.fail "expected k.hi := k before the loop");
+  | _ -> Alcotest.fail "expected i_hi := k before the loop");
   match
     (compile
        "procedure main(); begin k := 3; for i := 1 to k do x := 1.0; end; end;")
@@ -456,6 +456,47 @@ let test_for_bound_hoisted () =
   with
   | [ _; Prog.For { hi = Prog.SVar 2; _ } ] -> ()
   | _ -> Alcotest.fail "an unwritten bound stays in place"
+
+(** [zplc dump --stage ast] prints source that checks: checking the dump
+    and dumping it again gives the same text, for the five bundled
+    benchmarks, examples/guarded.zpl and a program whose loops write
+    their own bounds (each bound hoisted into a fresh scalar, under a
+    name that lexes and that the program does not already use). *)
+let test_dump_round_trip () =
+  let bounds_written =
+    {|
+constant n = 8;
+region R = [1..n, 1..n];
+var A : [R] float;
+var k, i_hi : int;
+procedure main();
+begin
+  k := 3;
+  i_hi := 0;
+  for i := 1 to k do
+    k := k + 1;
+    for j := 1 to k do
+      [R] A := A + 1.0;
+      k := k - 1;
+    end;
+  end;
+  for i := 1 to k do
+    k := k - 1;
+  end;
+end;
+|}
+  in
+  let dump src = Pretty.program_to_string (Check.compile_string src) in
+  List.iter
+    (fun (name, src) ->
+      let d = dump src in
+      Alcotest.(check string) (name ^ ": the dump dumps to itself") d (dump d))
+    (List.map
+       (fun (b : Commopt.Programs.Bench_def.t) -> (b.name, b.source))
+       Commopt.Programs.Suite.[ tomcatv; swm; simple; sp; jacobi ]
+    @ [ ("guarded.zpl",
+         In_channel.with_open_bin "../examples/guarded.zpl" In_channel.input_all);
+        ("loops writing their bounds", bounds_written) ])
 
 let test_index_arrays () =
   let p = compile "procedure main(); begin [R] A := Index1 + 2.0 * Index2; end;" in
@@ -479,6 +520,8 @@ let () =
           Alcotest.test_case "fringe widths" `Quick test_fringe_widths;
           Alcotest.test_case "IndexD" `Quick test_index_arrays;
           Alcotest.test_case "for bound hoisted" `Quick test_for_bound_hoisted;
+          Alcotest.test_case "ast dump checks and round-trips" `Quick
+            test_dump_round_trip;
           Alcotest.test_case "dynamic empty reduction accepted" `Quick
             test_dynamic_empty_reduction_accepted ] );
       ( "rejects",
