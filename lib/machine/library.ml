@@ -50,53 +50,38 @@ let kind_name = function
   | PVM -> "PVM"
   | SHMEM -> "SHMEM"
 
-(** The primitive name each IRONMAN call maps to (the Figure 5 table). *)
-let primitive_name kind (call : Ir.Instr.call) =
-  match (kind, call) with
-  | NX_sync, Ir.Instr.DR -> "no-op"
-  | NX_sync, Ir.Instr.SR -> "csend"
-  | NX_sync, Ir.Instr.DN -> "crecv"
-  | NX_sync, Ir.Instr.SV -> "no-op"
-  | NX_async, Ir.Instr.DR -> "irecv"
-  | NX_async, Ir.Instr.SR -> "isend"
-  | NX_async, Ir.Instr.DN -> "msgwait"
-  | NX_async, Ir.Instr.SV -> "msgwait"
-  | NX_callback, Ir.Instr.DR -> "hprobe"
-  | NX_callback, Ir.Instr.SR -> "hsend"
-  | NX_callback, Ir.Instr.DN -> "hrecv"
-  | NX_callback, Ir.Instr.SV -> "msgwait"
-  | PVM, Ir.Instr.DR -> "no-op"
-  | PVM, Ir.Instr.SR -> "pvm_send"
-  | PVM, Ir.Instr.DN -> "pvm_recv"
-  | PVM, Ir.Instr.SV -> "no-op"
-  | SHMEM, Ir.Instr.DR -> "synch"
-  | SHMEM, Ir.Instr.SR -> "shmem_put"
-  | SHMEM, Ir.Instr.DN -> "synch"
-  | SHMEM, Ir.Instr.SV -> "no-op"
+(** The Figure 5 table: the primitive each IRONMAN call maps to in a
+    library, with its executable semantics. *)
+let figure5 kind (call : Ir.Instr.call) : string * call_sem =
+  let dr, sr, dn, sv =
+    match kind with
+    | NX_sync ->
+        ( ("no-op", No_op), ("csend", Send_buffered), ("crecv", Wait_data),
+          ("no-op", No_op) )
+    | NX_async ->
+        ( ("irecv", Post_recv), ("isend", Send_buffered),
+          ("msgwait", Wait_data), ("msgwait", Wait_send_done) )
+    | NX_callback ->
+        ( ("hprobe", Post_recv), ("hsend", Send_buffered), ("hrecv", Wait_data),
+          ("msgwait", Wait_send_done) )
+    | PVM ->
+        ( ("no-op", No_op), ("pvm_send", Send_buffered),
+          ("pvm_recv", Wait_data), ("no-op", No_op) )
+    | SHMEM ->
+        ( ("synch", Notify_ready), ("shmem_put", Send_rendezvous),
+          ("synch", Wait_data), ("no-op", No_op) )
+  in
+  match call with
+  | Ir.Instr.DR -> dr
+  | Ir.Instr.SR -> sr
+  | Ir.Instr.DN -> dn
+  | Ir.Instr.SV -> sv
+
+(** The primitive name each IRONMAN call maps to. *)
+let primitive_name kind call = fst (figure5 kind call)
 
 (** Executable semantics of each binding. *)
-let semantics kind (call : Ir.Instr.call) : call_sem =
-  match (kind, call) with
-  | NX_sync, Ir.Instr.DR -> No_op
-  | NX_sync, Ir.Instr.SR -> Send_buffered
-  | NX_sync, Ir.Instr.DN -> Wait_data
-  | NX_sync, Ir.Instr.SV -> No_op
-  | NX_async, Ir.Instr.DR -> Post_recv
-  | NX_async, Ir.Instr.SR -> Send_buffered
-  | NX_async, Ir.Instr.DN -> Wait_data
-  | NX_async, Ir.Instr.SV -> Wait_send_done
-  | NX_callback, Ir.Instr.DR -> Post_recv
-  | NX_callback, Ir.Instr.SR -> Send_buffered
-  | NX_callback, Ir.Instr.DN -> Wait_data
-  | NX_callback, Ir.Instr.SV -> Wait_send_done
-  | PVM, Ir.Instr.DR -> No_op
-  | PVM, Ir.Instr.SR -> Send_buffered
-  | PVM, Ir.Instr.DN -> Wait_data
-  | PVM, Ir.Instr.SV -> No_op
-  | SHMEM, Ir.Instr.DR -> Notify_ready
-  | SHMEM, Ir.Instr.SR -> Send_rendezvous
-  | SHMEM, Ir.Instr.DN -> Wait_data
-  | SHMEM, Ir.Instr.SV -> No_op
+let semantics kind call = snd (figure5 kind call)
 
 (** One-sided puts deposit straight into the destination fringe: no
     receive-side unpack. *)
