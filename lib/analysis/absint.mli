@@ -27,7 +27,6 @@
 type ival = { lo : float; hi : float }
 
 val top : ival
-val is_top : ival -> bool
 
 (** [mk lo hi] builds the interval, collapsing NaN endpoints to top. *)
 val mk : float -> float -> ival

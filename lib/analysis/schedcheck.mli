@@ -64,7 +64,6 @@ type diag = {
   d_msg : string;  (** includes the {!Ir.Transfer.describe} string *)
 }
 
-val pp_diag : Format.formatter -> diag -> unit
 val diag_to_string : diag -> string
 
 (** All diagnostics, sorted by position. [[]] means the schedule passed

@@ -2,9 +2,6 @@
     text of the SPMD program" (paper Section 3.3.1). One communication =
     one transfer site; combined transfers count once. *)
 
-(** Transfers appearing in the program text, in id order. *)
-val static_transfers : Instr.program -> Transfer.t list
-
 (** The paper's static communication count. *)
 val static_count : Instr.program -> int
 

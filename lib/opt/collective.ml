@@ -52,6 +52,8 @@ let alpha ~(machine : Machine.Params.t) ~(lib : Machine.Library.t) =
     machine.Machine.Params.wire_latency +. c.Machine.Params.token_latency
   else 0.0
 
+(** Per-byte cost (seconds): sender pack + receiver unpack + wire
+    occupancy. *)
 let beta ~(machine : Machine.Params.t) ~(lib : Machine.Library.t) =
   let c = lib.Machine.Library.costs in
   c.Machine.Params.send_byte +. c.Machine.Params.recv_byte

@@ -8,10 +8,6 @@
     library's SR blocks on a token. *)
 val alpha : machine:Machine.Params.t -> lib:Machine.Library.t -> float
 
-(** Per-byte cost (seconds): sender pack + receiver unpack + wire
-    occupancy. *)
-val beta : machine:Machine.Params.t -> lib:Machine.Library.t -> float
-
 (** Modeled cost of one whole collective of the algorithm on [nprocs]
     ranks, 8-byte scalar payloads: the sum of its canonical rounds'
     messages through [alpha + bytes * beta]. Under the default [Ideal]

@@ -10,20 +10,12 @@ type heuristic =
   | Max_latency  (** combine only while no member loses latency-hiding
                      distance ("completely nested" merges) *)
 
-val pp_heuristic : Format.formatter -> heuristic -> unit
-val show_heuristic : heuristic -> string
-val equal_heuristic : heuristic -> heuristic -> bool
-
 (** How full reductions compile: [Opaque] keeps the vendor-collective
     [ReduceK]; [Forced a] synthesizes every reduction into algorithm
     [a]'s explicit DR/SR/DN/SV rounds; [Auto] picks the cheapest
     algorithm under the target machine's cost model at compile time
     (see {!Collective}). *)
 type collective = Opaque | Auto | Forced of Ir.Coll.alg
-
-val pp_collective : Format.formatter -> collective -> unit
-val show_collective : collective -> string
-val equal_collective : collective -> collective -> bool
 
 (** "opaque", "auto", or the algorithm name. *)
 val collective_name : collective -> string

@@ -2,8 +2,5 @@
     paper's baseline: one transfer per distinct (array, offset) required
     by each statement, placed immediately before the statement. *)
 
-(** The work item corresponding to a simple statement, if any. *)
-val work_of : Zpl.Prog.stmt -> Ir.Block.work option
-
 (** Lower a typed program to the optimizer's block form. *)
 val lower : Zpl.Prog.t -> Ir.Block.code

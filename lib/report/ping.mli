@@ -13,9 +13,6 @@ type curve = {
 
 val default_sizes : int list
 
-(** Busy-loop rows needed to hide a message of the given size. *)
-val busyn_for : Machine.Params.t -> Machine.Library.t -> int -> int
-
 (** All five curves of Figure 6 (three Paragon NX sets, T3D PVM + SHMEM)
     at [sizes] (default {!default_sizes}) and [iters] ping-pongs (default
     50), run as one {!Run.Sweep.run} over the default pool. *)

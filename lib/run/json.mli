@@ -3,12 +3,6 @@
     render into one reused buffer instead of allocating intermediate
     strings per row. *)
 
-(** Append the body of [s] with double quotes, backslashes and control
-    characters escaped (no surrounding quotes), so it can be spliced
-    between double quotes in a JSON document. Non-ASCII bytes pass
-    through unchanged (the writers emit UTF-8). *)
-val add_escaped : Buffer.t -> string -> unit
-
 (** Append [s] as a JSON string value: quoted and escaped. *)
 val add_str : Buffer.t -> string -> unit
 

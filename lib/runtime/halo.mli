@@ -24,14 +24,6 @@ val recv_pieces :
 val send_pieces :
   Layout.t -> Zpl.Prog.array_info -> p:int -> off:int * int -> piece list
 
-(** Cells a piece moves, including the local third dimension of rank-3
-    arrays. *)
-val piece_cells : Zpl.Prog.array_info -> piece -> int
-
-(** Extend a piece's 2-D rectangle to the array's full rank, for
-    packing and unpacking. *)
-val full_rect : Zpl.Prog.array_info -> piece -> Zpl.Region.t
-
 (** One partner's share of a transfer on one processor. *)
 type partner_pieces = {
   pp_partner : int;

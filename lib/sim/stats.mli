@@ -37,7 +37,6 @@ val fresh_proc : unit -> per_proc
 type t = { procs : per_proc array; mutable instructions : int }
 
 val make : int -> t
-val fold_max : (per_proc -> int) -> t -> int
 
 (** The paper's per-processor dynamic communication count. *)
 val dynamic_count : t -> int

@@ -6,10 +6,6 @@ type range = { lo : int; hi : int }  (** inclusive; empty when [hi < lo] *)
 
 type t = range array  (** one range per dimension *)
 
-val pp_range : Format.formatter -> range -> unit
-val show_range : range -> string
-val equal_range : range -> range -> bool
-val compare_range : range -> range -> int
 val pp : Format.formatter -> t -> unit
 val show : t -> string
 val equal : t -> t -> bool
