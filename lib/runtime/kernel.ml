@@ -209,14 +209,14 @@ let rec compile_env (ws : ws) (e : Zpl.Prog.aexpr) :
 (* per-row base index is computed once, and the per-cell work is a     *)
 (* tight [for] loop over [base + k] on the store's flat float64        *)
 (* Bigarray — no per-point [int array] allocation, no closure dispatch *)
-(* per cell, no boxing. Every expression is built from one           *)
+(* per cell, no boxing. Every expression is built from one             *)
 (* composition: refs and row invariants at the leaves, a binary node   *)
 (* over two refs or a ref and an invariant as one single-pass loop,    *)
 (* a structural square by evaluating its operand once, and any other   *)
 (* node by filling one operand's row and combining the other one into  *)
-(* it. Each cell gets the per-point path's operations in its      *)
-(* order. The checker makes every read lay along a row, so every       *)
-(* expression row-compiles.                                            *)
+(* it. Each cell gets the per-point path's operations in the per-point *)
+(* path's order. The checker makes every read lay along a row, so      *)
+(* every expression row-compiles.                                      *)
 (*                                                                     *)
 (* Shifts are flattened against the compile-time stores' strides; the  *)
 (* runtime env must bind stores with the same geometry (the engine     *)

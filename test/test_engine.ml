@@ -880,10 +880,9 @@ let test_workspace_per_engine () =
     true (w8 <= w2)
 
 (** The workspace holds row buffers and point scratch only, numbered
-    per statement: TOMCATV pl's measures 37 words under the dev profile
-    and 38 under release (OCaml 5.1) at every mesh, where per-chain
-    term workspaces, sized also by compiles the row compiler threw
-    away, took 394. *)
+    per statement: TOMCATV pl's measures 37 words at every mesh (OCaml
+    5.1, dev and release profiles), where per-chain term workspaces,
+    sized also by compiles the row compiler threw away, took 394. *)
 let test_workspace_bound () =
   List.iter
     (fun m ->

@@ -613,15 +613,15 @@ let grow1 (r : Zpl.Region.t) : Zpl.Region.t =
    payload tells which operand it came from), a negative zero, or an
    infinity of either sign; the rest is [fill_store]'s. *)
 let fill_special (s : Runtime.Store.t) aid seed =
-  let nan_of aid =
-    Int64.float_of_bits (Int64.logor 0x7ff8000000000000L (Int64.of_int (aid + 1)))
+  let nan =
+    Int64.(float_of_bits (logor 0x7ff8000000000000L (of_int (aid + 1))))
   in
   Runtime.Store.fill_flat s (fun i ->
       let h = ((i * 7919) + (seed * 104729)) mod 1999 in
       if h mod 8 <> 0 then (float_of_int h /. 97.0) -. 10.0
       else
         match h / 8 mod 4 with
-        | 0 -> nan_of aid
+        | 0 -> nan
         | 1 -> -0.0
         | 2 -> infinity
         | _ -> neg_infinity)
@@ -971,7 +971,9 @@ let gen_scaled_chain rank =
     in
     let* base = term in
     let* rest = list_size (int_range 1 5) (pair (oneofl [ `Add; `Sub ]) term) in
-    let e = List.fold_left (fun e (op, t) -> Zpl.Prog.AArith (op, e, t)) base rest in
+    let e =
+      List.fold_left (fun e (op, t) -> Zpl.Prog.AArith (op, e, t)) base rest
+    in
     let* op = oneofl [ `Add; `Sub; `Mul; `Div ] in
     let* c = coeff in
     oneofl [ e; Zpl.Prog.AArith (op, c, e); Zpl.Prog.AArith (op, e, c) ])
@@ -988,7 +990,8 @@ let prop_row_kernel_special =
       let* c = gen_kcase in
       let* krhs =
         frequency
-          [ (2, return c.krhs); (1, gen_chain c.krank); (2, gen_scaled_chain c.krank) ]
+          [ (2, return c.krhs); (1, gen_chain c.krank);
+            (2, gen_scaled_chain c.krank) ]
       in
       return { c with krhs; kspecial = true })
   in
