@@ -464,7 +464,7 @@ and check_stmt env (s : Ast.stmt) : Prog.stmt list =
           || List.exists (fun (i : P.scalar_info) -> i.s_name = n) env.scalars
         in
         let rec free k =
-          let n = Printf.sprintf "%s_hi%s" v (if k = 0 then "" else string_of_int k) in
+          let n = if k = 0 then v ^ "_hi" else Printf.sprintf "%s_hi%d" v k in
           if taken n then free (k + 1) else n
         in
         let h = fresh_scalar env ~loc:s.sloc (free 0) Ast.TInt in

@@ -107,9 +107,9 @@ let rec stmt_lines (p : t) ~indent (s : stmt) : string list =
            :: List.concat_map (stmt_lines p ~indent:(indent + 2)) else_)
       @ [ Printf.sprintf "%send;" pad ]
 
-(** The program as source that checks back to it. A [for] binds its own
-    fresh scalar, so the loop scalars are not declared: declaring them
-    would define a name twice, or shadow nothing. *)
+(** The program as source that checks back to it. Checking a [for]
+    makes the loop's scalar, so loop scalars are not declared: two loops
+    over [i] would otherwise declare [i] twice. *)
 let program_to_string (p : t) =
   let loop_vars =
     fold_stmts

@@ -851,10 +851,8 @@ let mint_words_per_rank m =
 (** Per-engine state grows with the ranks, not with their square:
     every message side mints its own channel, and nothing is sized
     ranks x transfers per rank. Measured 1,256 and 1,299 words per rank
-    at 8x8 and 16x16 (OCaml 5.1, dev profile; 2,168 and 2,211 with one
-    kernel workspace per rank, before the row path lost its chain
-    workspaces); per-rank state sized ranks x transfers roughly doubles
-    the ratio. *)
+    at 8x8 and 16x16 (OCaml 5.1, dev profile); per-rank state sized
+    ranks x transfers roughly doubles the ratio. *)
 let test_mint_scaling () =
   let w8 = mint_words_per_rank 8 and w16 = mint_words_per_rank 16 in
   Alcotest.(check bool)
